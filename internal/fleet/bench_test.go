@@ -216,3 +216,45 @@ func BenchmarkComputeTiers(b *testing.B) {
 	}
 	b.ReportMetric(busy/float64(b.N), "core-sec/run")
 }
+
+// BenchmarkEventHeap prices the event queue alone under the hold model,
+// the event loop's steady state: with n events resident, each step pops
+// the minimum and pushes it back an exponential gap later. One op is
+// holdBatch steps, so even CI's -benchtime=3x times thousands of them;
+// ns/pop+push reports the cost of one step. Gaps in the timed loop cycle
+// through a small table drawn ahead of the timer, so neither the PRNG nor
+// a growing heap is in the measured loop, and allocs/op must stay 0. Baselines live in
+// BENCH_topology.json and are gated by cmd/benchgate in CI.
+func BenchmarkEventHeap(b *testing.B) {
+	const holdBatch = 1 << 14
+	gapRNG := newPRNG(1)
+	gaps := make([]float64, 1<<12)
+	for i := range gaps {
+		gaps[i] = gapRNG.ExpFloat64()
+	}
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"10k", 10_000}, {"100k", 100_000}, {"1M", 1_000_000}} {
+		b.Run(size.name, func(b *testing.B) {
+			// Memoryless gaps make n independent exponential offsets the
+			// hold model's steady state, so the prefill starts there.
+			rng := newPRNG(2)
+			h := make(eventHeap, 0, size.n)
+			var seq int64
+			for ; seq < int64(size.n); seq++ {
+				h.push(newEvent(rng.ExpFloat64(), seq, evCapture, int32(seq), 0))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < holdBatch; k++ {
+					ev := h.pop()
+					h.push(newEvent(ev.t+gaps[seq&(int64(len(gaps))-1)], seq, ev.kind(), ev.id, ev.aux))
+					seq++
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/holdBatch, "ns/pop+push")
+		})
+	}
+}

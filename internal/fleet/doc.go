@@ -404,6 +404,27 @@
 //     three heaps preserve container/heap's exact pop order, proven
 //     differentially by TestHeapsMatchContainerHeap. The FIFO discipline
 //     keeps a power-of-two ring, so wrap-around is a mask, not a modulo.
+//   - Event size: an event is 24 bytes — time, the scheduling sequence
+//     number with the kind in its low 4 bits, and two int32s naming the
+//     subject (camera, class, participant, schedule entry or transfer)
+//     and a link or round. A 100k-camera fleet keeps ~100k events
+//     resident, so the earlier 64-byte, one-cache-line event made the
+//     heap cache-miss bound. A frame's capture time and payload live in
+//     its transfer record, allocated from the recycled slab at capture,
+//     so the ready event carries only the transfer id. Push and pop sift
+//     through a hole: the moving event is held aside, parents or smaller
+//     children shift into the gap, and the event is written once.
+//   - Pop order: (time, sequence) is a total order — sequence numbers
+//     are unique, so packing the kind under them orders exactly like
+//     the bare counter — and every correct min-heap pops a total order
+//     in the same sequence. The layout and sift changes therefore cannot
+//     change any output; TestHeapsMatchContainerHeap and the goldens
+//     hold that.
+//   - Percentiles: finalize selects the three nearest ranks it reports
+//     (p50, p95, p99) in increasing order, each within the part of the
+//     samples right of the previous one, instead of sorting every
+//     class's samples and the merged total; the values are identical to
+//     sorted nearest-rank reads.
 //   - Memory model: each camera embeds its random stream by value — an
 //     8-byte splitmix64 state (prng) instead of a *rand.Rand whose
 //     lagged-Fibonacci source is ~5 KB of heap per camera — so 100k

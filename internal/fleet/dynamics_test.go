@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -148,6 +149,59 @@ func TestDynamicsOutageRehoming(t *testing.T) {
 	}
 	if res.Classes[0].Offloaded == 0 {
 		t.Fatal("east completed nothing despite the fallback")
+	}
+}
+
+// TestDynamicsOutageDuringInCameraCompute covers frames whose transfer
+// record exists before the fault but which leave the camera during it:
+// in-camera compute (0.4 s) outlasts a 0.3 s gw-a outage, and the links
+// are fast enough that nothing is on the wire when the tier fails, so
+// the frames captured in [1.6 s, 1.9 s) become ready while gw-a is down.
+// The class attached at gw-a re-homes them to gw-b; the class attached
+// below gw-a drops them at gw-a's entry; a class losing half its cameras
+// mid-compute still completes their frames. Every frame must land in
+// exactly one bucket, per class and in total.
+func TestDynamicsOutageDuringInCameraCompute(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3, 11} {
+		sc := Scenario{
+			Name:     "outage-mid-compute",
+			Seed:     seed,
+			Duration: 4,
+			Tiers: []Tier{
+				{Name: "edge", Parent: "gw-a", Uplink: UplinkConfig{Gbps: 1000}},
+				{Name: "gw-a", Parent: "core", Uplink: UplinkConfig{Gbps: 1000}},
+				{Name: "gw-b", Parent: "core", Uplink: UplinkConfig{Gbps: 1000, Contention: ContentionFIFO}},
+				{Name: "core", Uplink: UplinkConfig{Gbps: 1000}},
+			},
+			Classes: []Class{
+				{Name: "east", Count: 12, FPS: 6, FrameBytes: 40_000, Tier: "gw-a", QueueDepth: 4, ComputeSeconds: 0.4},
+				{Name: "leaf", Count: 12, FPS: 6, FrameBytes: 40_000, Tier: "edge", QueueDepth: 4, ComputeSeconds: 0.4, Arrival: ArrivalPoisson},
+				{Name: "west", Count: 12, FPS: 6, FrameBytes: 40_000, Tier: "gw-b", QueueDepth: 4, ComputeSeconds: 0.4},
+			},
+			Dynamics: &DynamicsConfig{Events: []FleetEvent{
+				{Time: 2, Kind: DynTierOutage, Tier: "gw-a", Fallback: "gw-b"},
+				{Time: 2, Kind: DynCameraLeave, Class: "west", Count: 6},
+				{Time: 2.3, Kind: DynTierRecover, Tier: "gw-a"},
+			}},
+		}
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("seed %d", seed)
+		assertConserved(t, label, res)
+		tot := &res.Total
+		if got := tot.Offloaded + tot.DroppedQueue + tot.DroppedEnergy + tot.DroppedOutage; got != tot.Captured {
+			t.Errorf("%s: total %d offloaded + %d dropQ + %d dropE + %d dropOutage = %d, captured %d",
+				label, tot.Offloaded, tot.DroppedQueue, tot.DroppedEnergy, tot.DroppedOutage, got, tot.Captured)
+		}
+		east, leaf, west := &res.Classes[0], &res.Classes[1], &res.Classes[2]
+		if leaf.DroppedOutage == 0 || res.TierNamed("gw-a").OutageDrops != leaf.DroppedOutage+east.DroppedOutage {
+			t.Errorf("%s: leaf lost %d frames ready mid-outage, gw-a charged %d", label, leaf.DroppedOutage, res.TierNamed("gw-a").OutageDrops)
+		}
+		if east.Rehomed != 24 || west.Left != 6 {
+			t.Errorf("%s: east re-homed %d (want 24), west left %d (want 6)", label, east.Rehomed, west.Left)
+		}
 	}
 }
 

@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // refHeap adapts a slice + comparator to container/heap.Interface — the
@@ -23,6 +25,35 @@ func (h *refHeap[T]) Pop() any {
 	x := old[n-1]
 	h.items = old[:n-1]
 	return x
+}
+
+// eventLess is the reference (t, seq) order the event heap must follow.
+func eventLess(a, b event) bool { return a.t < b.t || (a.t == b.t && a.seq < b.seq) }
+
+// TestEventLayout pins the event record at 24 bytes and checks that the
+// kind packed under the scheduling counter round-trips at the field
+// limits without disturbing the counter's order.
+func TestEventLayout(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 24 {
+		t.Fatalf("event is %d bytes, want 24", got)
+	}
+	if evDynamics >= 1<<kindBits {
+		t.Fatalf("event kind %d does not fit in %d bits", evDynamics, kindBits)
+	}
+	const seq = 1<<40 + 3
+	for kind := evCapture; kind <= evDynamics; kind++ {
+		ev := newEvent(2.5, seq+int64(kind), kind, math.MaxInt32, math.MaxInt32)
+		if ev.kind() != kind || ev.seq>>kindBits != seq+int64(kind) ||
+			ev.id != math.MaxInt32 || ev.aux != math.MaxInt32 || ev.t != 2.5 {
+			t.Errorf("kind %d: round trip gave %+v (kind %d, seq %d)", kind, ev, ev.kind(), ev.seq>>kindBits)
+		}
+		// A later-scheduled event orders after an earlier one whatever the
+		// two kinds are.
+		earlier := newEvent(2.5, seq+int64(kind)-1, evDynamics, 0, 0)
+		if !eventLess(earlier, ev) || eventLess(ev, earlier) {
+			t.Errorf("kind %d: seq order lost against an earlier evDynamics", kind)
+		}
+	}
 }
 
 // drive feeds an identical randomized push/pop interleaving (~60% pushes,
@@ -78,17 +109,56 @@ func TestHeapsMatchContainerHeap(t *testing.T) {
 		var h eventHeap
 		drive(t, rng,
 			func(i int) event {
-				return event{
-					t:    times[rng.Intn(len(times))],
-					seq:  int64(i), // unique: the loop's scheduling counter
-					kind: rng.Intn(6),
-					cam:  int32(rng.Intn(50)),
-				}
+				// seq is unique: the loop's scheduling counter.
+				return newEvent(times[rng.Intn(len(times))], int64(i),
+					rng.Intn(evDynamics+1), int32(rng.Intn(50)), int32(rng.Intn(41)))
 			},
-			func(a, b event) bool { return a.t < b.t || (a.t == b.t && a.seq < b.seq) },
+			eventLess,
 			func(ev event) { h.push(ev) },
 			func() event { return h.pop() },
 			func() int { return len(h) })
+
+		// The hold model is the event loop's steady state: pop the
+		// minimum, push it back a random gap later, with a large resident
+		// population. Gaps are exponential but quantized to a quarter
+		// second, so popped times stay on that grid and pushes keep tying
+		// resident events; the seq tie-break does real work at every depth.
+		gap := func() float64 { return math.Round(4*rng.ExpFloat64()) / 4 }
+		const resident, holds = 12_000, 60_000
+		ref := &refHeap[event]{less: eventLess}
+		var seq int64
+		push := func(t float64) {
+			ev := newEvent(t, seq, int(seq%(evDynamics+1)), int32(rng.Intn(1<<20)), int32(rng.Intn(41)))
+			seq++
+			h.push(ev)
+			heap.Push(ref, ev)
+		}
+		for i := 0; i < resident; i++ {
+			push(gap())
+		}
+		for i := 0; i < holds; i++ {
+			got, want := h.pop(), heap.Pop(ref).(event)
+			if got != want {
+				t.Fatalf("hold %d: popped %+v, reference popped %+v", i, got, want)
+			}
+			push(got.t + gap())
+		}
+		if len(h) != resident || ref.Len() != resident {
+			t.Fatalf("resident %d, reference %d, want %d", len(h), ref.Len(), resident)
+		}
+		for prev := (event{t: math.Inf(-1)}); ref.Len() > 0; {
+			got, want := h.pop(), heap.Pop(ref).(event)
+			if got != want {
+				t.Fatalf("drain: popped %+v, reference popped %+v", got, want)
+			}
+			if eventLess(got, prev) {
+				t.Fatalf("drain: %+v popped after %+v", got, prev)
+			}
+			prev = got
+		}
+		if len(h) != 0 {
+			t.Fatalf("specialized heap retains %d events after drain", len(h))
+		}
 	})
 
 	t.Run("psHeap", func(t *testing.T) {

@@ -19,14 +19,19 @@ const (
 )
 
 // NearestRank returns the q-quantile (0..1) of sorted by the
-// nearest-rank definition: the element of 1-based rank ⌈q·n⌉, clamped
-// to [1, n]. An empty slice returns 0, matching the simulator's
-// "no samples" convention.
+// nearest-rank definition: the element of 1-based rank Rank(n, q). An
+// empty slice returns 0, matching the simulator's "no samples"
+// convention.
 func NearestRank(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
+	if len(sorted) == 0 {
 		return 0
 	}
+	return sorted[Rank(len(sorted), q)-1]
+}
+
+// Rank returns the nearest-rank definition's 1-based rank of the
+// q-quantile (0..1) among n > 0 samples: ⌈q·n⌉, clamped to [1, n].
+func Rank(n int, q float64) int {
 	r := int(math.Ceil(q * float64(n)))
 	if r < 1 {
 		r = 1
@@ -34,7 +39,7 @@ func NearestRank(sorted []float64, q float64) float64 {
 	if r > n {
 		r = n
 	}
-	return sorted[r-1]
+	return r
 }
 
 // Sketch is a mergeable KLL quantile sketch. The zero value is not

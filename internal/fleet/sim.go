@@ -35,38 +35,56 @@ const (
 	evDynamics
 )
 
+// event is one scheduled simulator step. It is 24 bytes, not a whole
+// cache line, because a large fleet keeps ~100k of them resident in the
+// heap. The heap orders on (t, seq); seq holds the loop's scheduling
+// counter shifted left kindBits with the event kind in the low bits,
+// which orders exactly like the bare counter because the counter is
+// unique. Payload that does not fit id and aux lives in the transfer
+// record the event names.
 type event struct {
-	t    float64
-	seq  int64 // tie-break: earlier-scheduled events fire first
-	kind int
-	cam  int32 // camera index (evCapture, evReady), class index (evControl) or federated participant index (evFLReady)
-	// capturedAt is the frame's capture time (evReady), the latency epoch.
-	capturedAt float64
-	// bytes is the offload payload, fixed at capture time (evReady) so a
-	// placement switch mid-flight cannot retroactively resize a frame.
-	bytes float64
-	// tr and link carry a propagating transfer: at t, transfer tr arrives
-	// at tier link and starts transmission there (evHop), lands in the
-	// cloud (evArrive, link unused), is absorbed for aggregation above
-	// uplink link (evFLUp), or is delivered at tier link (evFLDeliver).
-	// evFLReady reuses tr as the federated round number.
-	tr   int
-	link int32
+	t   float64
+	seq int64 // scheduling counter<<kindBits | kind: earlier-scheduled events fire first
+	// id names the subject: the camera (evCapture), class (evControl),
+	// federated participant (evFLReady), dynamics schedule entry
+	// (evDynamics), or transfer (evReady, evHop, evArrive, evFLUp,
+	// evFLDeliver) — a frame's transfer record exists from capture, so it
+	// carries the capture time and payload an evReady needs.
+	id int32
+	// aux is the tier a propagating transfer enters (evHop), the uplink
+	// it cleared (evFLUp) or the tier it is delivered at (evFLDeliver),
+	// and the round a federated participant's update belongs to
+	// (evFLReady).
+	aux int32
 }
 
+// kindBits is the width of the event kind packed under the scheduling
+// counter in event.seq; every kind above must fit in it.
+const kindBits = 4
+
+// newEvent packs an event scheduled as the loop's seq-th push.
+func newEvent(t float64, seq int64, kind int, id, aux int32) event {
+	return event{t: t, seq: seq<<kindBits | int64(kind), id: id, aux: aux}
+}
+
+// kind unpacks the event kind from the low bits of seq.
+func (ev *event) kind() int { return int(ev.seq & (1<<kindBits - 1)) }
+
 // eventHeap is a specialized binary min-heap ordered by (t, seq). The
-// sift-up/sift-down moves mirror container/heap's exactly — the seq
-// tie-break makes the order total, so the pop sequence is provably
-// identical (TestHeapsMatchContainerHeap) — but push and pop move event
-// values directly instead of boxing each one through an interface, which
-// cost one heap allocation per scheduled event.
+// order is total (seq is unique), so any correct min-heap pops the same
+// sequence — the one container/heap produced, held differentially by
+// TestHeapsMatchContainerHeap. Push and pop move event values directly
+// instead of boxing each one through an interface, and sift through a
+// hole: the moving element is held aside, parents (push) or smaller
+// children (pop) shift into the gap, and the element is written once
+// where it stops, instead of being swapped at every level.
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+func (eventHeap) less(a, b *event) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
 func (h *eventHeap) push(ev event) {
@@ -74,37 +92,43 @@ func (h *eventHeap) push(ev event) {
 	j := len(s) - 1
 	for j > 0 {
 		i := (j - 1) / 2
-		if !s.less(j, i) {
+		if !s.less(&ev, &s[i]) {
 			break
 		}
-		s[i], s[j] = s[j], s[i]
+		s[j] = s[i]
 		j = i
 	}
+	s[j] = ev
 	*h = s
 }
 
 func (h *eventHeap) pop() event {
 	s := *h
+	top := s[0]
 	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
+	last := s[n]
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
 		j := 2*i + 1
 		if j >= n {
 			break
 		}
-		if j2 := j + 1; j2 < n && s.less(j2, j) {
+		if j2 := j + 1; j2 < n && s.less(&s[j2], &s[j]) {
 			j = j2
 		}
-		if !s.less(j, i) {
+		if !s.less(&s[j], &last) {
 			break
 		}
-		s[i], s[j] = s[j], s[i]
+		s[i] = s[j]
 		i = j
 	}
-	ev := s[n]
-	*h = s[:n]
-	return ev
+	s[i] = last
+	return top
 }
 
 // camera is one simulated device. The random stream is embedded by value:
@@ -123,16 +147,20 @@ type camera struct {
 }
 
 // transfer is one in-flight payload, indexed by transfer id. A frame
-// offload (round 0) rides every link from the class's attach tier up to
-// the root under one id; a federated blob (round > 0) crosses exactly one
-// link per id — an update absorbed one hop up (cam ≥ 0 for a camera's own
-// blob, -1 for a tier's merged blob) or a model copy delivered down one
-// downlink (cam -1).
+// offload (round 0) holds its id from capture — through in-camera
+// compute, then every link from the class's attach tier up to the root;
+// a federated blob (round > 0) crosses exactly one link per id — an
+// update absorbed one hop up (cam ≥ 0 for a camera's own blob, -1 for a
+// tier's merged blob) or a model copy delivered down one downlink (cam
+// -1).
 type transfer struct {
-	cam        int32
+	cam   int32
+	round int32
+	// capturedAt (the latency epoch) and bytes are fixed at capture time,
+	// so a placement switch mid-flight cannot retroactively resize a
+	// frame.
 	capturedAt float64
 	bytes      float64
-	round      int32
 	// compAt is when the frame entered the compute pool it currently
 	// occupies (scenarios with per-tier compute only), the epoch its
 	// queueing wait is measured from.
@@ -480,10 +508,9 @@ func run(sc Scenario, indexed bool) (*Result, error) {
 	}
 	events := make(eventHeap, 0, heapCap)
 	var seq int64
-	push := func(ev event) {
-		ev.seq = seq
+	push := func(t float64, kind int, id, aux int32) {
+		events.push(newEvent(t, seq, kind, id, aux))
 		seq++
-		events.push(ev)
 	}
 	nextCapture := func(c *camera, now float64) float64 {
 		cl := &sc.Classes[c.class]
@@ -514,15 +541,15 @@ func run(sc Scenario, indexed bool) (*Result, error) {
 			cams = append(cams, c)
 			classCams[ci] = append(classCams[ci], int32(idx))
 			if first < sc.Duration {
-				push(event{t: first, kind: evCapture, cam: int32(idx)})
+				push(first, evCapture, int32(idx), 0)
 			}
 		}
 		if ctls[ci] != nil && cl.Policy.IntervalSec < sc.Duration {
-			push(event{t: cl.Policy.IntervalSec, kind: evControl, cam: int32(ci)})
+			push(cl.Policy.IntervalSec, evControl, int32(ci), 0)
 		}
 	}
 	if gctl != nil && sc.Global.EpochSec < sc.Duration {
-		push(event{t: sc.Global.EpochSec, kind: evGlobal})
+		push(sc.Global.EpochSec, evGlobal, 0, 0)
 	}
 
 	// Federated participants, in class then camera order: each owns a
@@ -554,16 +581,15 @@ func run(sc Scenario, indexed bool) (*Result, error) {
 		f := sc.Federated
 		for pi := range flParts {
 			p := &flParts[pi]
-			push(event{t: f.ComputeSec + f.JitterSec*p.rng.Float64(), kind: evFLReady, cam: int32(pi), tr: 1})
+			push(f.ComputeSec+f.JitterSec*p.rng.Float64(), evFLReady, int32(pi), 1)
 		}
 	}
 	if dyn != nil {
-		// The whole schedule is pushed up front (evDynamics reuses tr as
-		// the entry index), so same-time entries fire in declaration order
-		// via the seq tie-break. Entries past Duration still fire — the
-		// drain phase is part of the run.
+		// The whole schedule is pushed up front, so same-time entries fire
+		// in declaration order via the seq tie-break. Entries past
+		// Duration still fire — the drain phase is part of the run.
 		for i := range dyn.events {
-			push(event{t: dyn.events[i].Time, kind: evDynamics, tr: i})
+			push(dyn.events[i].Time, evDynamics, int32(i), 0)
 		}
 	}
 
@@ -572,7 +598,8 @@ func run(sc Scenario, indexed bool) (*Result, error) {
 	// population instead of growing one slot per frame for the life of the
 	// run. Recycling cannot perturb results: a completed id is referenced
 	// nowhere (not in any link, not in any pending event), and no output
-	// ordering keys off id values.
+	// ordering keys off id values, so a frame's record can be allocated at
+	// capture and carry its payload through in-camera compute.
 	transfers := make([]transfer, 0, sc.Cameras())
 	var freeIDs []int
 	newTransfer := func(tr transfer) int {
@@ -718,7 +745,8 @@ func run(sc Scenario, indexed bool) (*Result, error) {
 		}
 		if offload {
 			c.inflight++
-			push(event{t: t + computeSec, kind: evReady, cam: camIdx, capturedAt: t, bytes: frameBytes})
+			id := newTransfer(transfer{cam: camIdx, capturedAt: t, bytes: frameBytes})
+			push(t+computeSec, evReady, int32(id), 0)
 		}
 	}
 
@@ -765,7 +793,7 @@ func run(sc Scenario, indexed bool) (*Result, error) {
 			f := sc.Federated
 			for _, pi := range flByTier[ti] {
 				p := &flParts[pi]
-				push(event{t: t + f.ComputeSec + f.JitterSec*p.rng.Float64(), kind: evFLReady, cam: pi, tr: round + 1})
+				push(t+f.ComputeSec+f.JitterSec*p.rng.Float64(), evFLReady, pi, int32(round+1))
 			}
 		}
 	}
@@ -828,7 +856,7 @@ func run(sc Scenario, indexed bool) (*Result, error) {
 				cams = append(cams, c)
 				classCams[ci] = append(classCams[ci], int32(idx))
 				if t+first < sc.Duration {
-					push(event{t: t + first, kind: evCapture, cam: int32(idx)})
+					push(t+first, evCapture, int32(idx), 0)
 				}
 				res.Classes[ci].Cameras++
 				res.Classes[ci].Joined++
@@ -917,7 +945,7 @@ func run(sc Scenario, indexed bool) (*Result, error) {
 		}
 		if e.EverySec > 0 {
 			if nt := t + dyn.rngs[i].ExpFloat64()*e.EverySec; nt < sc.Duration {
-				push(event{t: nt, kind: evDynamics, tr: i})
+				push(nt, evDynamics, int32(i), 0)
 			}
 		}
 	}
@@ -980,7 +1008,7 @@ func run(sc Scenario, indexed bool) (*Result, error) {
 				if d := nodes[ti].Downlink; d.PropagationSec == 0 {
 					flDeliver(lt, ti, id)
 				} else {
-					push(event{t: lt + d.PropagationSec, kind: evFLDeliver, tr: id, link: int32(ti)})
+					push(lt+d.PropagationSec, evFLDeliver, int32(id), int32(ti))
 				}
 				continue
 			}
@@ -993,7 +1021,7 @@ func run(sc Scenario, indexed bool) (*Result, error) {
 				if nd.PropagationSec == 0 {
 					flAbsorb(lt, li, id)
 				} else {
-					push(event{t: lt + nd.PropagationSec, kind: evFLUp, tr: id, link: int32(li)})
+					push(lt+nd.PropagationSec, evFLUp, int32(id), int32(li))
 				}
 				continue
 			}
@@ -1005,7 +1033,7 @@ func run(sc Scenario, indexed bool) (*Result, error) {
 				if nd.PropagationSec == 0 {
 					enterTier(lt, nd.parent, id)
 				} else {
-					push(event{t: lt + nd.PropagationSec, kind: evHop, tr: id, link: int32(nd.parent)})
+					push(lt+nd.PropagationSec, evHop, int32(id), int32(nd.parent))
 				}
 				continue
 			}
@@ -1016,7 +1044,7 @@ func run(sc Scenario, indexed bool) (*Result, error) {
 			if nd.PropagationSec == 0 {
 				complete(lt, id)
 			} else {
-				push(event{t: lt + nd.PropagationSec, kind: evArrive, tr: id})
+				push(lt+nd.PropagationSec, evArrive, int32(id), 0)
 			}
 			continue
 		}
@@ -1024,51 +1052,51 @@ func run(sc Scenario, indexed bool) (*Result, error) {
 		if tel != nil {
 			tel.advance(ev.t)
 		}
-		switch ev.kind {
+		switch ev.kind() {
 		case evCapture:
-			if cams[ev.cam].departed {
+			if cams[ev.id].departed {
 				break
 			}
-			capture(ev.t, ev.cam)
-			c := &cams[ev.cam]
+			capture(ev.t, ev.id)
+			c := &cams[ev.id]
 			if nt := nextCapture(c, ev.t); nt < sc.Duration {
-				push(event{t: nt, kind: evCapture, cam: ev.cam})
+				push(nt, evCapture, ev.id, 0)
 			}
 		case evReady:
-			id := newTransfer(transfer{cam: ev.cam, capturedAt: ev.capturedAt, bytes: ev.bytes})
-			enterTier(ev.t, firstHop[cams[ev.cam].class], id)
+			id := int(ev.id)
+			enterTier(ev.t, firstHop[cams[transfers[id].cam].class], id)
 		case evHop:
-			enterTier(ev.t, int(ev.link), ev.tr)
+			enterTier(ev.t, int(ev.aux), int(ev.id))
 		case evArrive:
-			complete(ev.t, ev.tr)
+			complete(ev.t, int(ev.id))
 		case evControl:
-			ci := int(ev.cam)
+			ci := int(ev.id)
 			cl := &sc.Classes[ci]
 			ctl := ctls[ci]
 			if dir := ctl.decide(cl, cams, classCams[ci]); dir != 0 {
 				ctl.move(cl, cams, classCams[ci], dir)
 			}
 			if nt := ev.t + cl.Policy.IntervalSec; nt < sc.Duration {
-				push(event{t: nt, kind: evControl, cam: ev.cam})
+				push(nt, evControl, ev.id, 0)
 			}
 		case evGlobal:
 			gctl.epoch(ev.t, &sc, cams, classCams)
 			if nt := ev.t + sc.Global.EpochSec; nt < sc.Duration {
-				push(event{t: nt, kind: evGlobal})
+				push(nt, evGlobal, 0, 0)
 			}
 		case evFLReady:
-			p := &flParts[ev.cam]
+			p := &flParts[ev.id]
 			ub := fle.UpdateBytes()
-			id := newTransfer(transfer{cam: ev.cam, round: int32(ev.tr), bytes: ub})
+			id := newTransfer(transfer{cam: ev.id, round: ev.aux, bytes: ub})
 			startLink(int(p.tier), ev.t, id, ub)
 		case evFLUp:
-			flAbsorb(ev.t, int(ev.link), ev.tr)
+			flAbsorb(ev.t, int(ev.aux), int(ev.id))
 		case evFLDeliver:
-			flDeliver(ev.t, int(ev.link), ev.tr)
+			flDeliver(ev.t, int(ev.aux), int(ev.id))
 		case evDynamics:
-			dynFire(ev.t, ev.tr)
+			dynFire(ev.t, int(ev.id))
 		default:
-			return nil, fmt.Errorf("fleet: unknown event kind %d", ev.kind)
+			return nil, fmt.Errorf("fleet: unknown event kind %d", ev.kind())
 		}
 	}
 

@@ -2,7 +2,8 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"camsim/internal/fleet/fl"
@@ -266,11 +267,80 @@ func percentile(sorted []float64, q float64) float64 {
 	return quantile.NearestRank(sorted, q)
 }
 
+// finalQuantiles are the quantiles finalize reports, in increasing
+// order: ClassStats' LatencyP50, LatencyP95 and LatencyP99.
+var finalQuantiles = [3]float64{0.50, 0.95, 0.99}
+
+// nearestRanks returns the nearest-rank value of each finalQuantiles
+// entry over xs — exactly quantile.NearestRank on a sorted copy — without
+// sorting: it selects the three ranks in increasing order, each within
+// the part of xs right of the previous one, and leaves xs partially
+// reordered. An empty xs yields zeros.
+func nearestRanks(xs []float64) (p [3]float64) {
+	if len(xs) == 0 {
+		return p
+	}
+	lo := 0
+	for i, q := range finalQuantiles {
+		k := quantile.Rank(len(xs), q) - 1
+		p[i] = selectRank(xs[lo:], k-lo)
+		lo = k
+	}
+	return p
+}
+
+// selectRank reorders xs so that xs[k] holds the value a sort would put
+// there, with nothing greater before it and nothing smaller after it, and
+// returns that value. It is Hoare's selection with a median-of-three
+// pivot: scans stop on values equal to the pivot, so heavy duplicates
+// still split evenly. Deterministic, allocation-free and O(n) expected;
+// a window still unresolved after 2·log2(n) partitions, or down to a
+// handful of values, is finished with slices.Sort, which bounds the
+// worst case at O(n log n).
+func selectRank(xs []float64, k int) float64 {
+	lo, hi := 0, len(xs)-1
+	for budget := 2 * bits.Len(uint(len(xs))); budget > 0 && hi-lo > 16; budget-- {
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi]
+		if a > b {
+			a, b = b, a
+		}
+		p := max(a, min(b, c))
+		// p is a value inside the window and every swap leaves a stopper
+		// behind each scan, so neither scan needs a bounds check.
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < p {
+				i++
+			}
+			for xs[j] > p {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// Now xs[lo..j] ≤ p ≤ xs[i..hi], and anything between equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return xs[k]
+		}
+	}
+	slices.Sort(xs[lo : hi+1])
+	return xs[k]
+}
+
 // finalize computes percentiles and the fleet-wide Total from the
 // per-class accumulators, in class order so results are reproducible.
 // With a streaming collector the quantiles come from its run-wide
 // sketches (exact-path sample slices were never populated); without
-// one, from the exact sorted sample sets as always.
+// one, from the exact sample sets by rank selection, which leaves them
+// unsorted.
 func (r *Result) finalize(tel *collector) {
 	r.Total = ClassStats{Name: "fleet"}
 	var perClass [][3]float64
@@ -285,15 +355,14 @@ func (r *Result) finalize(tel *collector) {
 	all := make([]float64, 0, n)
 	for i := range r.Classes {
 		s := &r.Classes[i]
+		var p [3]float64
 		if tel != nil {
-			s.LatencyP50, s.LatencyP95, s.LatencyP99 = perClass[i][0], perClass[i][1], perClass[i][2]
+			p = perClass[i]
 		} else {
-			sort.Float64s(s.latencies)
-			s.LatencyP50 = percentile(s.latencies, 0.50)
-			s.LatencyP95 = percentile(s.latencies, 0.95)
-			s.LatencyP99 = percentile(s.latencies, 0.99)
+			p = nearestRanks(s.latencies)
 			all = append(all, s.latencies...)
 		}
+		s.LatencyP50, s.LatencyP95, s.LatencyP99 = p[0], p[1], p[2]
 
 		r.Total.Cameras += s.Cameras
 		r.Total.Captured += s.Captured
@@ -307,15 +376,11 @@ func (r *Result) finalize(tel *collector) {
 		r.Total.Rehomed += s.Rehomed
 		r.Total.Switches += s.Switches
 	}
-	if tel != nil {
-		r.Total.LatencyP50, r.Total.LatencyP95, r.Total.LatencyP99 = total[0], total[1], total[2]
-		return
+	if tel == nil {
+		total = nearestRanks(all)
+		r.Total.latencies = all
 	}
-	sort.Float64s(all)
-	r.Total.LatencyP50 = percentile(all, 0.50)
-	r.Total.LatencyP95 = percentile(all, 0.95)
-	r.Total.LatencyP99 = percentile(all, 0.99)
-	r.Total.latencies = all
+	r.Total.LatencyP50, r.Total.LatencyP95, r.Total.LatencyP99 = total[0], total[1], total[2]
 }
 
 // FormatLatency renders a latency in engineering units, "—" when no

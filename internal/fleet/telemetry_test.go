@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,9 +15,13 @@ import (
 // exact sample values at ranks target±(Eps·n+1) — the value form of the
 // rank bound, which stays meaningful when many samples tie (periodic
 // identical-service traffic produces long runs of equal latencies, so
-// one value can legitimately occupy a wide rank range).
+// one value can legitimately occupy a wide rank range). finalize leaves
+// the exact samples in selection order, so the ranks are read from a
+// sorted copy.
 func checkQuantileWithinEps(t *testing.T, label string, exact []float64, q, est float64) {
 	t.Helper()
+	exact = slices.Clone(exact)
+	slices.Sort(exact)
 	n := len(exact)
 	if n == 0 {
 		if est != 0 {
