@@ -47,31 +47,22 @@ func deepFleetScenario(cams int) Scenario {
 	return sc
 }
 
-// BenchmarkDeepTopology measures one full 10k-camera deep-topology run per
-// iteration, comparing the heap-backed link-completion index (the
-// production path) against the O(links)-scan baseline it replaced. Both
-// variants produce byte-identical results
-// (TestIndexedCompletionMatchesScanBaseline); only the completion lookup
-// differs. Baseline numbers live in BENCH_topology.json at the repo root.
+// BenchmarkDeepTopology measures one full 10k-camera deep-topology run
+// per iteration. Baseline numbers live in BENCH_topology.json at the repo
+// root.
 func BenchmarkDeepTopology(b *testing.B) {
 	sc := deepFleetScenario(10_000)
-	for _, mode := range []struct {
-		name    string
-		indexed bool
-	}{{"indexed", true}, {"scan", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var frames int64
-			for i := 0; i < b.N; i++ {
-				res, err := run(sc, mode.indexed)
-				if err != nil {
-					b.Fatal(err)
-				}
-				frames += res.Total.Captured
-			}
-			b.ReportMetric(float64(frames)/float64(b.N), "frames/run")
-		})
+	b.ReportAllocs()
+	b.ResetTimer() // the baseline counts runs only, not building sc
+	var frames int64
+	for i := 0; i < b.N; i++ {
+		res, err := Run(sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		frames += res.Total.Captured
 	}
+	b.ReportMetric(float64(frames)/float64(b.N), "frames/run")
 }
 
 // BenchmarkHugeFleet is the 100k-camera scale point: the same 41-link

@@ -255,26 +255,7 @@ func classRowDelays(c *Class, pathScale float64) []float64 {
 // than this. Returns nil (no error) when no compute tier sits on the
 // class's offload path, and an error for an unknown class or topology.
 func (sc Scenario) RowDelaySeconds(class string) ([]float64, error) {
-	// Normalize a private copy: the receiver is a value, but its slices
-	// are shared with the caller, so re-back anything Normalize writes.
-	sc.Classes = append([]Class(nil), sc.Classes...)
-	sc.Gateways = append([]Gateway(nil), sc.Gateways...)
-	sc.Tiers = append([]Tier(nil), sc.Tiers...)
-	for i := range sc.Tiers {
-		if cp := sc.Tiers[i].Compute; cp != nil {
-			cc := *cp
-			sc.Tiers[i].Compute = &cc
-		}
-		if d := sc.Tiers[i].Downlink; d != nil {
-			dd := *d
-			sc.Tiers[i].Downlink = &dd
-		}
-	}
-	if sc.Dynamics != nil {
-		dd := *sc.Dynamics
-		dd.Events = append([]FleetEvent(nil), dd.Events...)
-		sc.Dynamics = &dd
-	}
+	sc = sc.clone()
 	sc.Normalize()
 	nodes, _, err := sc.topology()
 	if err != nil {

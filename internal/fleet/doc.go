@@ -271,7 +271,8 @@
 // deadlock its barrier).
 //
 // Accounting conserves every emitted frame: captured = completed +
-// queued + dropped, with outage losses in ClassStats.DroppedOutage,
+// kept in camera + dropped (ClassStats.Offloaded, KeptInCamera and the
+// three Dropped counters), with outage losses in ClassStats.DroppedOutage,
 // per-tier downtime seconds and drops in TierStats, the run-wide totals
 // in Result.Dynamics, and — with windowed telemetry — per-window
 // availability columns (outage drops per class, downtime seconds and
@@ -394,8 +395,9 @@
 //
 // The event loop is engineered to run allocation-free in steady state, so
 // fleet size — not garbage — bounds throughput (BenchmarkHugeFleet runs
-// 100k cameras over 41 links; BenchmarkDeepTopology pins the 10k shape,
-// both gated in CI by cmd/benchgate against BENCH_topology.json):
+// 100k cameras over 41 links; BenchmarkDeepTopology pins the 10k shape
+// in a single variant; both are gated in CI by cmd/benchgate against
+// BENCH_topology.json):
 //
 //   - Per-event cost: one pop from the specialized event heap (O(log
 //     events), no interface boxing — container/heap cost one allocation

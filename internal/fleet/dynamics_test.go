@@ -28,17 +28,18 @@ func dynamicsDemo(seed int64) Scenario {
 	}
 }
 
-// assertConserved checks the dynamics conservation property: every
-// captured frame is accounted exactly once — completed, queue-dropped,
-// energy-dropped, or dropped by an outage. The run has drained when the
-// loop exits, so nothing can remain "queued" invisibly.
+// assertConserved checks the conservation property, per class and for
+// the fleet total: every captured frame is accounted exactly once —
+// completed, kept in the camera, queue-dropped, energy-dropped, or
+// dropped by an outage. The run has drained when the loop exits, so
+// nothing can remain "queued" invisibly.
 func assertConserved(t *testing.T, label string, res *Result) {
 	t.Helper()
-	for i := range res.Classes {
-		s := &res.Classes[i]
-		if got := s.Offloaded + s.DroppedQueue + s.DroppedEnergy + s.DroppedOutage; got != s.Captured {
-			t.Errorf("%s: class %s: %d offloaded + %d dropQ + %d dropE + %d dropOutage = %d, captured %d",
-				label, s.Name, s.Offloaded, s.DroppedQueue, s.DroppedEnergy, s.DroppedOutage, got, s.Captured)
+	n := len(res.Classes)
+	for _, s := range append(res.Classes[:n:n], res.Total) {
+		if got := s.Offloaded + s.KeptInCamera + s.DroppedQueue + s.DroppedEnergy + s.DroppedOutage; got != s.Captured {
+			t.Errorf("%s: class %s: %d offloaded + %d kept + %d dropQ + %d dropE + %d dropOutage = %d, captured %d",
+				label, s.Name, s.Offloaded, s.KeptInCamera, s.DroppedQueue, s.DroppedEnergy, s.DroppedOutage, got, s.Captured)
 		}
 	}
 }

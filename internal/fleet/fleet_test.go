@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"camsim/internal/core"
@@ -86,7 +87,7 @@ func TestUplinkSingleAndSharedService(t *testing.T) {
 	// models; two admitted together take 1 s and 2 s under FIFO, and both
 	// 2 s under fair share.
 	for _, model := range []string{ContentionFIFO, ContentionFairShare} {
-		up, err := NewUplink(model, 1000)
+		up, err := NewLink(model, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,17 +186,97 @@ func TestDropCausesAreExclusive(t *testing.T) {
 	}
 }
 
+// TestDropSinkRouting pins which receivers each drop cause reaches:
+// every cause lands in its class counter and the telemetry window; queue
+// and outage drops also reach the class controller and the global
+// controller, energy drops do not.
+func TestDropSinkRouting(t *testing.T) {
+	sc := Scenario{
+		Name: "drops", Duration: 1, Uplink: UplinkConfig{Gbps: 1},
+		Classes: []Class{{Name: "c", Count: 1, FPS: 1,
+			Placements: []PlacementCost{{Name: "raw", FrameBytes: 100}, {Name: "cam", FrameBytes: 10}},
+			Policy:     PolicyConfig{Kind: PolicyLatencyThreshold, HighSec: 1}}},
+		Global:    &GlobalConfig{BudgetW: 1},
+		Telemetry: &TelemetryConfig{Streaming: true, WindowSec: 1},
+	}
+	for _, tc := range []struct {
+		cause         dropCause
+		toControllers bool
+	}{{dropQueue, true}, {dropEnergy, false}, {dropOutage, true}} {
+		e, err := newEngine(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.drop(0, tc.cause)
+		st, win := e.res.Classes[0], e.acc.(*collector).winClass[0]
+		got := [3]int64{st.DroppedQueue, st.DroppedEnergy, st.DroppedOutage}
+		gotWin := [3]int64{win.DroppedQueue, win.DroppedEnergy, win.DroppedOutage}
+		var want [3]int64
+		want[tc.cause] = 1
+		if got != want || gotWin != want {
+			t.Errorf("cause %d: class counters %v, window %v, want %v", tc.cause, got, gotWin, want)
+		}
+		wantCtl := int64(0)
+		if tc.toControllers {
+			wantCtl = 1
+		}
+		if e.ctls[0].winDrops != wantCtl || e.gctl.winDrops[0] != wantCtl {
+			t.Errorf("cause %d: controller drops %d, global %d, want %d",
+				tc.cause, e.ctls[0].winDrops, e.gctl.winDrops[0], wantCtl)
+		}
+	}
+}
+
 func TestRunDoesNotMutateCallerClasses(t *testing.T) {
-	// Scenario values built by hand often share one Classes backing array
-	// (copy-and-tweak); Run must normalize a private copy, both to keep
-	// the caller's structs intact and to stay race-free under Sweep.
-	classes := []Class{{Name: "c", Count: 2, FPS: 1, FrameBytes: 100}}
-	sc := Scenario{Name: "m", Duration: 1, Uplink: UplinkConfig{Gbps: 1}, Classes: classes}
-	if _, err := Run(sc); err != nil {
+	// Scenario values built by hand often share backing arrays and
+	// section pointers (copy-and-tweak); Run and RowDelaySeconds must
+	// normalize a private copy, both to keep the caller's scenario intact
+	// and to stay race-free under Sweep. Every pointer section is present
+	// with its defaulted fields zero, so a section the private copy misses
+	// shows up as a write into the caller's scenario.
+	compute, err := ComputeDemoScenario(1, GlobalModeBudget)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if classes[0].QueueDepth != 0 || classes[0].OffloadProb != 0 || classes[0].Arrival != "" {
-		t.Fatalf("Run wrote defaults into the caller's class: %+v", classes[0])
+	compute.Global.EpochSec, compute.Global.MoveFraction = 0, 0
+	compute.Telemetry = &TelemetryConfig{Streaming: true}
+	compute.Dynamics = &DynamicsConfig{Events: []FleetEvent{
+		{Time: 1, Kind: DynCameraJoin, Class: compute.Classes[0].Name}, // count defaults to 1
+	}}
+	for i := range compute.Tiers {
+		cc := compute.Tiers[i].Compute
+		cc.Cores, cc.Discipline = 0, ""
+	}
+	for i := range compute.Classes {
+		p := &compute.Classes[i].Policy
+		p.Kind, p.IntervalSec, p.MoveFraction = "", 0, 0
+	}
+	federated := FederatedDemoScenario(1)
+	federated.Federated.Model.BytesPerWeight, federated.Federated.Model.Compress = 0, 0
+	for i := range federated.Tiers {
+		federated.Tiers[i].Downlink.Contention = ""
+	}
+	for _, sc := range []Scenario{compute, federated} {
+		for i := range sc.Tiers {
+			sc.Tiers[i].Uplink.Contention = ""
+		}
+		for i := range sc.Classes {
+			c := &sc.Classes[i]
+			c.Arrival, c.QueueDepth, c.OffloadProb = "", 0, 0
+		}
+		before := deepCopyScenario(sc)
+		if _, err := Run(sc); err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		if !reflect.DeepEqual(sc, before) {
+			t.Errorf("%s: Run wrote into the caller's scenario", sc.Name)
+		}
+		if _, err := sc.RowDelaySeconds(sc.Classes[0].Name); err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		if !reflect.DeepEqual(sc, before) {
+			t.Errorf("%s: RowDelaySeconds wrote into the caller's scenario", sc.Name)
+		}
 	}
 }
 
@@ -313,7 +394,7 @@ func TestFIFOQueueBoundedOverLongRun(t *testing.T) {
 	// bounded backlog, the ring must stay near the peak concurrency no
 	// matter how many transfers pass through (the old code retained every
 	// popped head for the life of the run).
-	up, err := NewUplink(ContentionFIFO, 1000)
+	up, err := NewLink(ContentionFIFO, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

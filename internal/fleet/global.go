@@ -3,6 +3,8 @@ package fleet
 import (
 	"math"
 	"sort"
+
+	"camsim/internal/fleet/quantile"
 )
 
 // globalController is the fleet-wide energy-aware placement controller: a
@@ -101,7 +103,7 @@ func (g *globalController) epoch(t float64, sc *Scenario, cams []camera, classCa
 		lat := g.winLat[ci]
 		if len(lat) > 0 {
 			sort.Float64s(lat)
-			p95[ci] = percentile(lat, 0.95)
+			p95[ci] = quantile.NearestRank(lat, 0.95)
 		}
 		congested[ci] = g.winDrops[ci] > 0 || (len(lat) > 0 && g.cfg.HighSec > 0 && p95[ci] > g.cfg.HighSec)
 		g.winLat[ci] = g.winLat[ci][:0]
@@ -156,8 +158,12 @@ func (g *globalController) epoch(t float64, sc *Scenario, cams []camera, classCa
 				if blocked[ci][di] {
 					continue
 				}
-				save, n := g.meanSavingJ(sc, cams, classCams[ci], ci, dir)
-				if n == 0 || save <= 0 {
+				sum, n := rowDelta(g.rowJ[ci], cams, classCams[ci], dir)
+				if n == 0 {
+					continue
+				}
+				save := -sum / float64(n) // mean joules saved per frame
+				if save <= 0 {
 					continue
 				}
 				if g.rowDelay != nil && g.rowDelay[ci] != nil && g.cfg.HighSec > 0 {
@@ -165,7 +171,7 @@ func (g *globalController) epoch(t float64, sc *Scenario, cams []camera, classCa
 					// refused when its deterministic delay-floor increase,
 					// stacked on the observed p95 (which already carries
 					// compute queueing), would break the latency target.
-					if d, dn := meanRowDelta(g.rowDelay[ci], cams, classCams[ci], dir); dn > 0 && d > 0 && p95[ci]+d > g.cfg.HighSec {
+					if d, dn := rowDelta(g.rowDelay[ci], cams, classCams[ci], dir); dn > 0 && d > 0 && p95[ci]+d/float64(dn) > g.cfg.HighSec {
 						continue
 					}
 				}
@@ -192,26 +198,6 @@ func (g *globalController) epoch(t float64, sc *Scenario, cams []camera, classCa
 		g.stats.Moves += int64(m.Count)
 	}
 	g.stats.Epochs = append(g.stats.Epochs, ep)
-}
-
-// meanSavingJ returns the mean per-frame joules saved by stepping the
-// class's movable cameras one step dir, and how many cameras could move.
-func (g *globalController) meanSavingJ(sc *Scenario, cams []camera, members []int32, ci, dir int) (float64, int) {
-	rows := g.rowJ[ci]
-	saved, n := 0.0, 0
-	for _, idx := range members {
-		at := cams[idx].placement
-		to := at + dir
-		if to < 0 || to >= len(rows) {
-			continue
-		}
-		saved += rows[at] - rows[to]
-		n++
-	}
-	if n == 0 {
-		return 0, 0
-	}
-	return saved / float64(n), n
 }
 
 // moveAccept moves up to k of the class's cameras one step dir, drawing

@@ -10,7 +10,7 @@ package fleet
 // li, version) entry; peek discards entries whose version is stale. Each
 // link therefore has at most one live entry — the one reflecting its
 // current NextFinish — and ties on time resolve to the lowest link index,
-// matching the scan baseline bit for bit.
+// matching an O(links) scan bit for bit (TestLinkIndexMatchesScan).
 type linkIndex struct {
 	links []Link
 	ver   []uint64

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"sort"
+
+	"camsim/internal/fleet/quantile"
 )
 
 // controller is the per-class adaptive-placement state: the observation
@@ -50,12 +52,11 @@ func newControllers(sc *Scenario, rowJ, rowDelay [][]float64) []*controller {
 	return ctls
 }
 
-// meanRowDelta returns the mean per-frame table delta of stepping the
-// movable member cameras one step dir — rows[to]−rows[at], positive when
-// the step costs more of whatever the table prices — and how many
-// cameras could move.
-func meanRowDelta(rows []float64, cams []camera, members []int32, dir int) (float64, int) {
-	sum, n := 0.0, 0
+// rowDelta sums the per-frame table delta rows[to]−rows[at] of stepping
+// each movable member camera one step dir — positive when the step costs
+// more of whatever the table prices — and counts the cameras that could
+// move.
+func rowDelta(rows []float64, cams []camera, members []int32, dir int) (sum float64, n int) {
 	for _, idx := range members {
 		at := cams[idx].placement
 		to := at + dir
@@ -65,10 +66,7 @@ func meanRowDelta(rows []float64, cams []camera, members []int32, dir int) (floa
 		sum += rows[to] - rows[at]
 		n++
 	}
-	if n == 0 {
-		return 0, 0
-	}
-	return sum / float64(n), n
+	return sum, n
 }
 
 // classRowEnergies prices every placement row of the class in expected
@@ -105,7 +103,7 @@ func (c *controller) decide(cl *Class, cams []camera, members []int32) int {
 	var p95 float64
 	if len(lat) > 0 {
 		sort.Float64s(lat)
-		p95 = percentile(lat, 0.95)
+		p95 = quantile.NearestRank(lat, 0.95)
 	}
 	congested := drops > 0 || (len(lat) > 0 && p95 > p.HighSec)
 	switch p.Kind {
@@ -148,19 +146,11 @@ func (c *controller) decide(cl *Class, cams []camera, members []int32) int {
 func (c *controller) energyStep(p PolicyConfig, cams []camera, members []int32, p95 float64) int {
 	best, bestGain := 0, 0.0
 	for _, dir := range [2]int{+1, -1} {
-		saved, n := 0.0, 0
-		for _, idx := range members {
-			at := cams[idx].placement
-			to := at + dir
-			if to < 0 || to >= len(c.rowJ) {
-				continue
-			}
-			saved += c.rowJ[at] - c.rowJ[to]
-			n++
-		}
+		sum, n := rowDelta(c.rowJ, cams, members, dir)
 		if n == 0 {
 			continue
 		}
+		saved := -sum
 		risk := 0.0
 		if dir < 0 {
 			risk = p95
@@ -170,8 +160,8 @@ func (c *controller) energyStep(p PolicyConfig, cams []camera, members []int32, 
 			// floor: pay a positive mean increase as extra risk, whichever
 			// direction it comes from (toward offload it is path service;
 			// toward in-camera it is the row's own compute seconds).
-			if d, dn := meanRowDelta(c.rowDelay, cams, members, dir); dn > 0 && d > 0 {
-				risk += d
+			if d, dn := rowDelta(c.rowDelay, cams, members, dir); dn > 0 && d > 0 {
+				risk += d / float64(dn)
 			}
 		}
 		if gain := p.EnergyWeight*saved/float64(n) - risk; gain > bestGain {

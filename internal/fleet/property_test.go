@@ -18,7 +18,7 @@ import (
 func uplinkTrace(t *testing.T, model string, rng *rand.Rand) {
 	t.Helper()
 	capacity := float64(1+rng.Intn(1000)) * 10 // 10..10000 B/s
-	up, err := NewUplink(model, capacity)
+	up, err := NewLink(model, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,16 +202,14 @@ func TestRandomScenarioInvariants(t *testing.T) {
 			t.Fatalf("iter %d: %v\nscenario: %+v", iter, err, sc)
 		}
 		// Every tier respects capacity over the whole run, and the
-		// accounting identity holds per class.
+		// accounting identity holds per class and in total.
 		for _, ti := range res.Tiers {
 			if ti.Utilization < 0 || ti.Utilization > 1+1e-9 {
 				t.Fatalf("iter %d: tier %s utilization %v", iter, ti.Name, ti.Utilization)
 			}
 		}
+		assertConserved(t, fmt.Sprintf("iter %d", iter), res)
 		for _, s := range res.Classes {
-			if s.Offloaded+s.DroppedQueue+s.DroppedEnergy > s.Captured {
-				t.Fatalf("iter %d: accounting leak in %s: %+v", iter, s.Name, s)
-			}
 			if s.DropRate() < 0 || s.DropRate() > 1 {
 				t.Fatalf("iter %d: drop rate %v", iter, s.DropRate())
 			}

@@ -254,6 +254,38 @@ func ParseScenario(data []byte) (Scenario, error) {
 	return sc, nil
 }
 
+// clone returns a copy of sc that Normalize can write into without
+// touching the caller's scenario: sc arrives by value, but its slices
+// share backing arrays with the caller (and, under Sweep, with sibling
+// scenarios), and its sections are shared pointers. Everything Normalize
+// or a run writes through is re-backed.
+func (sc Scenario) clone() Scenario {
+	sc.Classes = append([]Class(nil), sc.Classes...)
+	sc.Gateways = append([]Gateway(nil), sc.Gateways...)
+	sc.Tiers = append([]Tier(nil), sc.Tiers...)
+	for i := range sc.Tiers {
+		sc.Tiers[i].Downlink = shallowCopy(sc.Tiers[i].Downlink)
+		sc.Tiers[i].Compute = shallowCopy(sc.Tiers[i].Compute)
+	}
+	sc.Global = shallowCopy(sc.Global)
+	sc.Telemetry = shallowCopy(sc.Telemetry)
+	if sc.Dynamics != nil {
+		sc.Dynamics = shallowCopy(sc.Dynamics)
+		sc.Dynamics.Events = append([]FleetEvent(nil), sc.Dynamics.Events...)
+	}
+	sc.Federated = sc.Federated.Clone()
+	return sc
+}
+
+// shallowCopy returns a pointer to a copy of *p, or nil for nil.
+func shallowCopy[T any](p *T) *T {
+	if p == nil {
+		return nil
+	}
+	c := *p
+	return &c
+}
+
 // Normalize fills defaulted fields in place: contention models (every
 // tier), arrival pattern, queue depth, offload probability and the
 // adaptive-policy knobs. It is idempotent.

@@ -220,76 +220,109 @@ func cameraSeed(seed int64, idx int) int64 {
 // Run executes one scenario to completion: captures stop at
 // Scenario.Duration and every tier drains. The same normalized scenario
 // always produces the identical Result.
-func Run(sc Scenario) (*Result, error) { return run(sc, true) }
-
-// run is Run with the link-completion lookup selectable: indexed (the
-// production path — a lazily invalidated heap finds the earliest completion
-// in O(log tiers)) or the O(tiers)-scan baseline kept for the
-// BenchmarkDeepTopology comparison and equivalence tests.
-func run(sc Scenario, indexed bool) (*Result, error) {
-	// sc arrives by value but Classes/Gateways/Tiers share backing arrays
-	// with the caller (and, under Sweep, with sibling scenarios), and
-	// Global, Federated and each Tier's Downlink are shared pointers:
-	// copy before Normalize writes defaults into them.
-	sc.Classes = append([]Class(nil), sc.Classes...)
-	sc.Gateways = append([]Gateway(nil), sc.Gateways...)
-	sc.Tiers = append([]Tier(nil), sc.Tiers...)
-	for i := range sc.Tiers {
-		if d := sc.Tiers[i].Downlink; d != nil {
-			dd := *d
-			sc.Tiers[i].Downlink = &dd
-		}
-		if cp := sc.Tiers[i].Compute; cp != nil {
-			cc := *cp
-			sc.Tiers[i].Compute = &cc
-		}
-	}
-	if sc.Global != nil {
-		g := *sc.Global
-		sc.Global = &g
-	}
-	if sc.Telemetry != nil {
-		tc := *sc.Telemetry
-		sc.Telemetry = &tc
-	}
-	if sc.Dynamics != nil {
-		dd := *sc.Dynamics
-		dd.Events = append([]FleetEvent(nil), dd.Events...)
-		sc.Dynamics = &dd
-	}
-	sc.Federated = sc.Federated.Clone()
-	sc.Normalize()
-
-	// The resolved tier tree, one link per node; every offload rides the
-	// chain of links from its class's attach node to the root, paying
-	// transmission plus one-way propagation at each hop. Resolved once,
-	// shared with validation.
-	nodes, root, err := sc.topology()
+func Run(sc Scenario) (*Result, error) {
+	e, err := newEngine(sc)
 	if err != nil {
 		return nil, err
 	}
-	if err := sc.validate(nodes); err != nil {
+	if err := e.loop(); err != nil {
 		return nil, err
 	}
-	links := make([]Link, len(nodes))
-	tierIdx := make(map[string]int, len(nodes))
+	return e.result(), nil
+}
+
+// engine is one run's state: the resolved tier tree and its links, the
+// camera population, the in-flight transfer slab, the event heap, the
+// Result being filled in, and typed pointers to the optional subsystems,
+// each nil unless the scenario configures it.
+type engine struct {
+	sc    Scenario
+	nodes []tierNode
+	root  int
+
+	// links holds one uplink per tier node in tier order, then the
+	// declared downlinks, then the compute pools: simultaneous
+	// completions resolve to the lowest index, so this layout is the
+	// tie-break. downLink and compLink map a tier to its downlink's or
+	// pool's link index (-1 without one); downOwner and compOwner map
+	// back.
+	links                []Link
+	lidx                 *linkIndex
+	downLink, compLink   []int
+	downOwner, compOwner []int
+	// compPlan is the per-tier, per-class service demand in core-seconds
+	// per byte (computePlan); nil without any compute section, the
+	// infinite-compute fast path. compWait sketches each pool's queueing
+	// delay.
+	compPlan [][]float64
+	compWait []*quantile.Sketch
+	// netInFlight counts transfers resident in any link (one transfer
+	// crossing k tiers counts once per currently occupied link).
+	// Transfers mid-propagation between links sit in the event heap
+	// instead, so the loop condition still sees them.
+	netInFlight   int
+	linkTransfers []int64
+
+	// firstHop maps each class to the link its cameras transmit on. rowJ
+	// prices every class's placement rows in joules per captured frame,
+	// forwarding along its uplink path included; rowDelay prices them in
+	// deterministic delay seconds (classRowDelays), nil per class — or
+	// whole — unless a compute tier sits on the class's offload path, so
+	// scenarios without the section keep the controllers' legacy
+	// arithmetic bit for bit. These are the tables the placement
+	// controllers score against.
+	firstHop       []int
+	rowJ, rowDelay [][]float64
+
+	cams      []camera
+	classCams [][]int32
+	transfers []transfer
+	freeIDs   []int
+	events    eventHeap
+	seq       int64
+
+	res *Result
+	acc accumulator
+
+	ctls      []*controller
+	gctl      *globalController
+	dyn       *dynamics
+	fle       *fl.Engine
+	flParts   []flPart
+	flByTier  [][]int32
+	flUpBytes []float64 // the federated share of each uplink's served bytes
+}
+
+// newEngine normalizes a private copy of sc, resolves and validates its
+// tier tree, builds every link and subsystem the scenario configures, and
+// schedules the initial events.
+func newEngine(sc Scenario) (*engine, error) {
+	e := &engine{sc: sc.clone()}
+	s := &e.sc
+	s.Normalize()
+	var err error
+	if e.nodes, e.root, err = s.topology(); err != nil {
+		return nil, err
+	}
+	if err := s.validate(e.nodes); err != nil {
+		return nil, err
+	}
+	nodes := e.nodes
+	e.res = newResult(*s)
+
+	e.links = make([]Link, len(nodes))
 	for i, nd := range nodes {
-		up, err := NewLink(nd.Uplink.Contention, nd.Uplink.BytesPerSecond())
-		if err != nil {
+		if e.links[i], err = NewLink(nd.Uplink.Contention, nd.Uplink.BytesPerSecond()); err != nil {
 			return nil, err
 		}
-		links[i] = up
-		tierIdx[nd.Name] = i
 	}
 	// Declared downlinks are appended after every uplink, in tier order:
 	// uplink indices — and therefore simultaneous-completion tie-breaks —
 	// stay exactly the legacy ones, and a downlink tying an uplink
-	// resolves after it. downLink maps a tier to its downlink's link
-	// index (-1 without one); downOwner maps back.
-	downLink := make([]int, len(nodes))
-	var downOwner []int
+	// resolves after it.
+	e.downLink = make([]int, len(nodes))
 	for i, nd := range nodes {
-		downLink[i] = -1
+		e.downLink[i] = -1
 		if nd.Downlink == nil {
 			continue
 		}
@@ -297,300 +330,107 @@ func run(sc Scenario, indexed bool) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		downLink[i] = len(links)
-		downOwner = append(downOwner, i)
-		links = append(links, dn)
+		e.downLink[i] = len(e.links)
+		e.downOwner = append(e.downOwner, i)
+		e.links = append(e.links, dn)
 	}
 	// Tier core pools are links too ("bytes" = core-seconds of service
 	// demand), appended after every downlink: uplink and downlink indices
 	// — and therefore every legacy tie-break — are untouched, and a
 	// compute completion tying a network completion resolves last.
-	// compPlan is nil without any compute section, the infinite-compute
-	// fast path: no servers exist, no routing changes, and the run is
-	// byte-identical to a build that predates the section. compLink maps
-	// a tier to its pool's link index (-1 without one); compOwner maps
-	// back; compWait sketches each pool's queueing delay.
-	compPlan := computePlan(nodes, sc.Classes)
-	compLink := make([]int, len(nodes))
-	var compOwner []int
-	var compWait []*quantile.Sketch
+	// Without any compute section no servers exist, no routing changes,
+	// and the run is byte-identical to a build that predates the section.
+	e.compPlan = computePlan(nodes, s.Classes)
+	e.compLink = make([]int, len(nodes))
 	for i := range nodes {
-		compLink[i] = -1
-		if compPlan == nil || nodes[i].Compute == nil {
+		e.compLink[i] = -1
+		if e.compPlan == nil || nodes[i].Compute == nil {
 			continue
 		}
-		if compWait == nil {
-			compWait = make([]*quantile.Sketch, len(nodes))
+		if e.compWait == nil {
+			e.compWait = make([]*quantile.Sketch, len(nodes))
 		}
-		compLink[i] = len(links)
-		compOwner = append(compOwner, i)
-		links = append(links, newComputeServer(nodes[i].Compute))
-		compWait[i] = quantile.NewSketch()
+		e.compLink[i] = len(e.links)
+		e.compOwner = append(e.compOwner, i)
+		e.links = append(e.links, newComputeServer(nodes[i].Compute))
+		e.compWait[i] = quantile.NewSketch()
+	}
+	e.lidx = newLinkIndex(e.links)
+	e.linkTransfers = make([]int64, len(e.links))
+	e.flUpBytes = make([]float64, len(nodes))
+
+	e.firstHop = make([]int, len(s.Classes))
+	e.rowJ = make([][]float64, len(s.Classes))
+	for ci := range s.Classes {
+		e.price(ci, classAttachIndex(nodes, &s.Classes[ci]))
 	}
 
-	// firstHop maps each class to the link its cameras transmit on;
-	// pathFwdJ prices the class's uplink path in forwarding joules per
-	// byte (the sum of Tier.TxPerByteJ over every hop to the root), and
-	// rowJ prices every class's placement rows per captured frame — the
-	// energy tables the placement controllers score against.
-	firstHop := make([]int, len(sc.Classes))
-	rowJ := make([][]float64, len(sc.Classes))
-	// rowDelay prices every class's placement rows in deterministic delay
-	// seconds per frame (in-camera compute plus expected tier service, see
-	// classRowDelays) — nil per class unless a compute tier sits on its
-	// offload path, so scenarios without the section keep the controllers'
-	// legacy arithmetic bit for bit.
-	var rowDelay [][]float64
-	for ci := range sc.Classes {
-		firstHop[ci] = root
-		if at := sc.Classes[ci].attach(); at != "" {
-			firstHop[ci] = tierIdx[at]
-		}
-		pathFwdJ := 0.0
-		for li := firstHop[ci]; li >= 0; li = nodes[li].parent {
-			pathFwdJ += nodes[li].TxPerByteJ
-		}
-		rowJ[ci] = classRowEnergies(&sc.Classes[ci], pathFwdJ)
-		if scale := classPathScale(nodes, compPlan, ci, firstHop[ci]); scale > 0 {
-			if rowDelay == nil {
-				rowDelay = make([][]float64, len(sc.Classes))
-			}
-			rowDelay[ci] = classRowDelays(&sc.Classes[ci], scale)
-		}
-	}
-
-	// The dynamics engine, created only for a non-empty fault schedule:
-	// every other run — including one with a present-but-empty dynamics
-	// section — bypasses every dyn != nil branch and stays byte-identical
-	// to the legacy path.
-	var dyn *dynamics
-	if sc.Dynamics != nil && len(sc.Dynamics.Events) > 0 {
-		dyn = newDynamics(&sc, nodes, firstHop)
-	}
-
-	// The streaming-telemetry collector, when the scenario opts in. It
-	// observes the same completions and drops at the same event times the
-	// exact path counts, so it cannot perturb the simulation — it only
-	// changes how latency statistics are accumulated (sketches instead of
-	// sample slices) and, with a window, adds the time series.
-	var tel *collector
-	if sc.Telemetry != nil && sc.Telemetry.Streaming {
-		labels := make([]string, 0, len(links))
-		caps := make([]float64, 0, len(links))
-		for _, nd := range nodes {
-			labels = append(labels, nd.Name)
-			caps = append(caps, nd.Uplink.BytesPerSecond())
-		}
-		for _, ti := range downOwner {
-			labels = append(labels, nodes[ti].Name+":down")
-			caps = append(caps, nodes[ti].Downlink.BytesPerSecond())
-		}
-		for _, ti := range compOwner {
-			// A pool's "capacity" is cores×1 core-seconds per second, so
-			// the shared utilization math reports busy fraction.
-			labels = append(labels, nodes[ti].Name+":compute")
-			caps = append(caps, float64(nodes[ti].Compute.Cores))
-		}
-		tel = newCollector(&sc, links, labels, caps, dyn)
-	}
-
-	// The federated round engine, when the scenario configures a job. It
-	// is pure accounting — the loop below reports blob landings and model
-	// deliveries to it and starts the transfers it asks for. flUpBytes
-	// splits each uplink's served bytes into the federated share.
-	var fle *fl.Engine
-	var flUpBytes []float64
-	if sc.Federated != nil {
-		topo, err := sc.flTopology(nodes)
-		if err != nil {
-			return nil, err
-		}
-		if fle, err = fl.NewEngine(*sc.Federated, topo); err != nil {
-			return nil, err
-		}
-		flUpBytes = make([]float64, len(nodes))
-	}
-
-	// netInFlight counts transfers resident in any link (one transfer
-	// crossing k tiers counts once per currently occupied link), replacing
-	// the per-iteration rescan of every tier. Transfers mid-propagation
-	// between links sit in the event heap instead, so the loop condition
-	// still sees them.
-	netInFlight := 0
-	linkTransfers := make([]int64, len(links))
-	var lidx *linkIndex
-	if indexed {
-		lidx = newLinkIndex(links)
-	}
-	startLink := func(li int, now float64, id int, bytes float64) {
-		links[li].Start(now, id, bytes)
-		netInFlight++
-		if lidx != nil {
-			lidx.invalidate(li)
-		}
-	}
-	finishLink := func(li int) int {
-		id := links[li].Finish()
-		netInFlight--
-		linkTransfers[li]++
-		if lidx != nil {
-			lidx.invalidate(li)
-		}
-		return id
-	}
-	// nextLinkFinish returns the earliest completion across the tiers;
-	// ties resolve to the lowest link index (leaves before the root),
-	// deterministically, under both lookup strategies.
-	nextLinkFinish := func() (int, float64, bool) {
-		if lidx != nil {
-			return lidx.peek()
-		}
-		li, lt := -1, 0.0
-		for i, up := range links {
-			if t, ok := up.NextFinish(); ok && (li < 0 || t < lt) {
-				li, lt = i, t
-			}
-		}
-		return li, lt, li >= 0
-	}
-	// anyInFlight gates the event loop. The baseline reproduces the old
-	// per-iteration rescan of every tier; the indexed path reads the
-	// running counter.
-	anyInFlight := func() bool {
-		if lidx != nil {
-			return netInFlight > 0
-		}
-		for _, up := range links {
-			if up.InFlight() > 0 {
-				return true
-			}
-		}
-		return false
-	}
-
-	cams := make([]camera, 0, sc.Cameras())
-	classCams := make([][]int32, len(sc.Classes))
-	ctls := newControllers(&sc, rowJ, rowDelay)
-	gctl := newGlobal(&sc, rowJ, rowDelay)
-	res := newResult(sc)
-
-	// Steady-state storage is sized up front so the event loop never
-	// regrows it. The event heap's population is structurally bounded —
-	// each camera owns at most one pending capture plus one live event per
-	// in-flight offload (≤ QueueDepth) — and the expected frame count
-	// FPS × Duration × Count caps that bound for short runs. Latency
-	// slices get the expected completed-offload count per class.
-	heapCap := 1 + len(sc.Classes)
-	for ci := range sc.Classes {
-		cl := &sc.Classes[ci]
-		frames := cl.FPS * sc.Duration * float64(cl.Count)
+	// The event heap's population is structurally bounded — each camera
+	// owns at most one pending capture plus one live event per in-flight
+	// offload (≤ QueueDepth), each subsystem below adds its own bound —
+	// and the expected frame count FPS × Duration × Count caps that bound
+	// for short runs, so the loop never regrows the heap.
+	heapCap := 1 + len(s.Classes)
+	for ci := range s.Classes {
+		cl := &s.Classes[ci]
+		frames := cl.FPS * s.Duration * float64(cl.Count)
 		slots := float64(cl.Count) * float64(1+cl.QueueDepth)
 		if frames+float64(cl.Count) < slots {
 			slots = frames + float64(cl.Count)
 		}
 		heapCap += clampEst(slots)
-		if tel == nil {
-			// The exact path holds every completed offload's latency; the
-			// streaming path holds O(1) sketches instead, so this is the
-			// frame-scaled allocation telemetry removes.
-			res.Classes[ci].latencies = make([]float64, 0, clampEst(frames*cl.OffloadProb))
-		}
-		classCams[ci] = make([]int32, 0, cl.Count)
-	}
-	if fle != nil {
-		// One pending ready event per federated participant at a time.
-		heapCap += fle.Cameras()
-	}
-	if dyn != nil {
-		// One pending firing per schedule entry at a time (a recurring
-		// entry re-pushes itself only as it fires).
-		heapCap += len(dyn.events)
-	}
-	events := make(eventHeap, 0, heapCap)
-	var seq int64
-	push := func(t float64, kind int, id, aux int32) {
-		events.push(newEvent(t, seq, kind, id, aux))
-		seq++
-	}
-	nextCapture := func(c *camera, now float64) float64 {
-		cl := &sc.Classes[c.class]
-		fps := cl.FPS
-		if dyn != nil {
-			// ×1.0 is exact, so a schedule that never touches a class's
-			// rate leaves its capture times bit-identical.
-			fps *= dyn.fpsMul[c.class]
-		}
-		if cl.Arrival == ArrivalPoisson {
-			return now + c.rng.ExpFloat64()/fps
-		}
-		return now + 1/fps
-	}
-	for ci := range sc.Classes {
-		cl := &sc.Classes[ci]
-		for k := 0; k < cl.Count; k++ {
-			idx := len(cams)
-			c := camera{class: ci, rng: newPRNG(cameraSeed(sc.Seed, idx)), stored: cl.StoreJ, placement: cl.Policy.Start}
-			// First capture: a random phase inside one period (periodic) or
-			// one exponential gap (Poisson).
-			var first float64
-			if cl.Arrival == ArrivalPoisson {
-				first = c.rng.ExpFloat64() / cl.FPS
-			} else {
-				first = c.rng.Float64() / cl.FPS
-			}
-			cams = append(cams, c)
-			classCams[ci] = append(classCams[ci], int32(idx))
-			if first < sc.Duration {
-				push(first, evCapture, int32(idx), 0)
-			}
-		}
-		if ctls[ci] != nil && cl.Policy.IntervalSec < sc.Duration {
-			push(cl.Policy.IntervalSec, evControl, int32(ci), 0)
-		}
-	}
-	if gctl != nil && sc.Global.EpochSec < sc.Duration {
-		push(sc.Global.EpochSec, evGlobal, 0, 0)
 	}
 
-	// Federated participants, in class then camera order: each owns a
-	// jitter stream seeded by its camera's global index under the
-	// federated family tag, so the draws are stable under class edits
-	// elsewhere and never perturb frame traffic. Round 1's local compute
-	// starts at t = 0; rounds run to completion past Duration, the event
-	// loop draining them like any other traffic.
-	var flParts []flPart
-	var flByTier [][]int32
-	if fle != nil {
-		part := make(map[string]bool, len(sc.Federated.Classes))
-		for _, name := range sc.Federated.Classes {
-			part[name] = true
-		}
-		flByTier = make([][]int32, len(nodes))
-		flParts = make([]flPart, 0, fle.Cameras())
-		for ci := range sc.Classes {
-			if len(part) > 0 && !part[sc.Classes[ci].Name] {
-				continue
-			}
-			ti := firstHop[ci]
-			for _, camIdx := range classCams[ci] {
-				pi := int32(len(flParts))
-				flParts = append(flParts, flPart{tier: int32(ti), rng: newPRNG(flSeed(sc.Seed, int(camIdx)))})
-				flByTier[ti] = append(flByTier[ti], pi)
-			}
-		}
-		f := sc.Federated
-		for pi := range flParts {
-			p := &flParts[pi]
-			push(f.ComputeSec+f.JitterSec*p.rng.Float64(), evFLReady, int32(pi), 1)
-		}
+	// The dynamics engine, created only for a non-empty fault schedule:
+	// every other run — including one with a present-but-empty dynamics
+	// section — stays byte-identical to the legacy path. One pending
+	// firing per schedule entry at a time (a recurring entry re-pushes
+	// itself only as it fires).
+	if s.Dynamics != nil && len(s.Dynamics.Events) > 0 {
+		e.dyn = newDynamics(s, nodes, e.firstHop)
+		heapCap += len(e.dyn.events)
 	}
-	if dyn != nil {
-		// The whole schedule is pushed up front, so same-time entries fire
-		// in declaration order via the seq tie-break. Entries past
-		// Duration still fire — the drain phase is part of the run.
-		for i := range dyn.events {
-			push(dyn.events[i].Time, evDynamics, int32(i), 0)
+
+	// Latency accumulation is chosen here, once. The streaming collector
+	// observes the same completions and drops at the same event times the
+	// exact path counts, so it cannot perturb the simulation — it only
+	// changes how latency statistics are accumulated (sketches instead of
+	// sample slices) and, with a window, adds the time series.
+	if s.Telemetry != nil && s.Telemetry.Streaming {
+		labels := make([]string, 0, len(e.links))
+		caps := make([]float64, 0, len(e.links))
+		for _, nd := range nodes {
+			labels = append(labels, nd.Name)
+			caps = append(caps, nd.Uplink.BytesPerSecond())
 		}
+		for _, ti := range e.downOwner {
+			labels = append(labels, nodes[ti].Name+":down")
+			caps = append(caps, nodes[ti].Downlink.BytesPerSecond())
+		}
+		for _, ti := range e.compOwner {
+			// A pool's "capacity" is cores×1 core-seconds per second, so
+			// the shared utilization math reports busy fraction.
+			labels = append(labels, nodes[ti].Name+":compute")
+			caps = append(caps, float64(nodes[ti].Compute.Cores))
+		}
+		e.acc = newCollector(s, e.links, labels, caps, e.dyn)
+	} else {
+		e.acc = newExactLatencies(s, e.res)
+	}
+
+	// The federated round engine, when the scenario configures a job. It
+	// is pure accounting — the loop reports blob landings and model
+	// deliveries to it and starts the transfers it asks for. One pending
+	// ready event per federated participant at a time.
+	if s.Federated != nil {
+		topo, err := s.flTopology(nodes)
+		if err != nil {
+			return nil, err
+		}
+		if e.fle, err = fl.NewEngine(*s.Federated, topo); err != nil {
+			return nil, err
+		}
+		heapCap += e.fle.Cameras()
 	}
 
 	// Transfer ids are recycled through a free list the moment a transfer
@@ -600,520 +440,656 @@ func run(sc Scenario, indexed bool) (*Result, error) {
 	// nowhere (not in any link, not in any pending event), and no output
 	// ordering keys off id values, so a frame's record can be allocated at
 	// capture and carry its payload through in-camera compute.
-	transfers := make([]transfer, 0, sc.Cameras())
-	var freeIDs []int
-	newTransfer := func(tr transfer) int {
-		if n := len(freeIDs) - 1; n >= 0 {
-			id := freeIDs[n]
-			freeIDs = freeIDs[:n]
-			transfers[id] = tr
-			return id
+	e.transfers = make([]transfer, 0, s.Cameras())
+	e.cams = make([]camera, 0, s.Cameras())
+	e.classCams = make([][]int32, len(s.Classes))
+	e.ctls = newControllers(s, e.rowJ, e.rowDelay)
+	e.gctl = newGlobal(s, e.rowJ, e.rowDelay)
+	e.events = make(eventHeap, 0, heapCap)
+	for ci := range s.Classes {
+		cl := &s.Classes[ci]
+		e.classCams[ci] = make([]int32, 0, cl.Count)
+		for k := 0; k < cl.Count; k++ {
+			e.addCamera(ci, 0, cl.FPS)
 		}
-		transfers = append(transfers, tr)
-		return len(transfers) - 1
-	}
-	// dropOutage accounts frame transfer id as lost to an outage at tier
-	// ti: the camera's queue slot frees (the frame will never arrive), and
-	// the drop is charged everywhere a queue drop would be — per class,
-	// per tier, telemetry, and both controller kinds — so controllers see
-	// and react to the regime shift. The caller settles netInFlight for
-	// ids drained out of a link; an id dropped on arrival was in no link.
-	dropOutage := func(ti, id int) {
-		tr := transfers[id]
-		freeIDs = append(freeIDs, id)
-		c := &cams[tr.cam]
-		c.inflight--
-		res.Classes[c.class].DroppedOutage++
-		dyn.stats.DroppedOutage++
-		dyn.outageDrops[ti]++
-		if tel != nil {
-			tel.dropOutage(c.class)
-		}
-		if ctl := ctls[c.class]; ctl != nil {
-			ctl.winDrops++
-		}
-		if gctl != nil {
-			gctl.drop(c.class)
+		if e.ctls[ci] != nil && cl.Policy.IntervalSec < s.Duration {
+			e.push(cl.Policy.IntervalSec, evControl, int32(ci), 0)
 		}
 	}
-	// enterTier routes frame transfer id into tier ti at time now: through
-	// the tier's core pool first when it has one (service demand scales
-	// with the payload, compPlan), else straight onto the uplink — the
-	// no-compute degenerate case, identical to the pre-compute routing.
-	// A tier taken down by the dynamics schedule drops arrivals outright.
-	enterTier := func(now float64, ti, id int) {
-		if dyn != nil && dyn.down[ti] {
-			dropOutage(ti, id)
+	if e.gctl != nil && s.Global.EpochSec < s.Duration {
+		e.push(s.Global.EpochSec, evGlobal, 0, 0)
+	}
+
+	// Federated participants, in class then camera order: each owns a
+	// jitter stream seeded by its camera's global index under the
+	// federated family tag, so the draws are stable under class edits
+	// elsewhere and never perturb frame traffic. Round 1's local compute
+	// starts at t = 0; rounds run to completion past Duration, the event
+	// loop draining them like any other traffic.
+	if e.fle != nil {
+		part := make(map[string]bool, len(s.Federated.Classes))
+		for _, name := range s.Federated.Classes {
+			part[name] = true
+		}
+		e.flByTier = make([][]int32, len(nodes))
+		e.flParts = make([]flPart, 0, e.fle.Cameras())
+		for ci := range s.Classes {
+			if len(part) > 0 && !part[s.Classes[ci].Name] {
+				continue
+			}
+			ti := e.firstHop[ci]
+			for _, camIdx := range e.classCams[ci] {
+				pi := int32(len(e.flParts))
+				e.flParts = append(e.flParts, flPart{tier: int32(ti), rng: newPRNG(flSeed(s.Seed, int(camIdx)))})
+				e.flByTier[ti] = append(e.flByTier[ti], pi)
+			}
+		}
+		f := s.Federated
+		for pi := range e.flParts {
+			p := &e.flParts[pi]
+			e.push(f.ComputeSec+f.JitterSec*p.rng.Float64(), evFLReady, int32(pi), 1)
+		}
+	}
+	if e.dyn != nil {
+		// The whole schedule is pushed up front, so same-time entries fire
+		// in declaration order via the seq tie-break. Entries past
+		// Duration still fire — the drain phase is part of the run.
+		for i := range e.dyn.events {
+			e.push(e.dyn.events[i].Time, evDynamics, int32(i), 0)
+		}
+	}
+	return e, nil
+}
+
+// price points class ci's first hop at tier ti and prices the tables the
+// placement controllers score against: forwarding joules follow the
+// uplink path from ti, and the deterministic delay rows follow that
+// path's compute scale. rowJ and rowDelay are the outer slices the global
+// controller holds, so element reassignment is visible to it.
+func (e *engine) price(ci, ti int) {
+	e.firstHop[ci] = ti
+	pathFwdJ := 0.0
+	for li := ti; li >= 0; li = e.nodes[li].parent {
+		pathFwdJ += e.nodes[li].TxPerByteJ
+	}
+	cl := &e.sc.Classes[ci]
+	e.rowJ[ci] = classRowEnergies(cl, pathFwdJ)
+	if scale := classPathScale(e.nodes, e.compPlan, ci, ti); scale > 0 {
+		if e.rowDelay == nil {
+			e.rowDelay = make([][]float64, len(e.sc.Classes))
+			if e.gctl != nil {
+				e.gctl.rowDelay = e.rowDelay
+			}
+		}
+		e.rowDelay[ci] = classRowDelays(cl, scale)
+	} else if e.rowDelay != nil {
+		e.rowDelay[ci] = nil
+	}
+}
+
+// addCamera adds one camera of class ci at time t capturing at fps. Its
+// stream continues the global camera-seed sequence, so every existing
+// camera's stream is untouched, and its first capture falls a random
+// phase inside one period (periodic) or one exponential gap (Poisson)
+// after t.
+func (e *engine) addCamera(ci int, t, fps float64) {
+	cl := &e.sc.Classes[ci]
+	idx := len(e.cams)
+	c := camera{class: ci, rng: newPRNG(cameraSeed(e.sc.Seed, idx)), stored: cl.StoreJ, lastTop: t, placement: cl.Policy.Start}
+	var first float64
+	if cl.Arrival == ArrivalPoisson {
+		first = c.rng.ExpFloat64() / fps
+	} else {
+		first = c.rng.Float64() / fps
+	}
+	e.cams = append(e.cams, c)
+	e.classCams[ci] = append(e.classCams[ci], int32(idx))
+	if t+first < e.sc.Duration {
+		e.push(t+first, evCapture, int32(idx), 0)
+	}
+}
+
+func (e *engine) push(t float64, kind int, id, aux int32) {
+	e.events.push(newEvent(t, e.seq, kind, id, aux))
+	e.seq++
+}
+
+// startLink and finishLink admit and complete a transfer on link li,
+// keeping the in-flight counter and the completion index current.
+func (e *engine) startLink(li int, now float64, id int, bytes float64) {
+	e.links[li].Start(now, id, bytes)
+	e.netInFlight++
+	e.lidx.invalidate(li)
+}
+
+func (e *engine) finishLink(li int) int {
+	id := e.links[li].Finish()
+	e.netInFlight--
+	e.linkTransfers[li]++
+	e.lidx.invalidate(li)
+	return id
+}
+
+func (e *engine) newTransfer(tr transfer) int {
+	if n := len(e.freeIDs) - 1; n >= 0 {
+		id := e.freeIDs[n]
+		e.freeIDs = e.freeIDs[:n]
+		e.transfers[id] = tr
+		return id
+	}
+	e.transfers = append(e.transfers, tr)
+	return len(e.transfers) - 1
+}
+
+// release recycles transfer id and returns a copy of its record.
+func (e *engine) release(id int) transfer {
+	e.freeIDs = append(e.freeIDs, id)
+	return e.transfers[id]
+}
+
+// nextCapture returns the time of camera c's capture after now.
+func (e *engine) nextCapture(c *camera, now float64) float64 {
+	cl := &e.sc.Classes[c.class]
+	fps := cl.FPS
+	if e.dyn != nil {
+		// ×1.0 is exact, so a schedule that never touches a class's
+		// rate leaves its capture times bit-identical.
+		fps *= e.dyn.fpsMul[c.class]
+	}
+	if cl.Arrival == ArrivalPoisson {
+		return now + c.rng.ExpFloat64()/fps
+	}
+	return now + 1/fps
+}
+
+// dropCause is why a captured frame was lost; each lost frame has
+// exactly one.
+type dropCause int
+
+const (
+	dropQueue  dropCause = iota // per-camera backpressure
+	dropEnergy                  // an empty harvest store
+	dropOutage                  // a dynamics outage
+)
+
+// drop is the one sink for a lost frame of class ci. Every cause reaches
+// the class counter and the accumulator's window. Queue and outage drops
+// also reach both controller kinds, so they see and react to congestion
+// and regime shifts; an energy drop does not, since it says the store ran
+// dry, not that the network is congested.
+func (e *engine) drop(ci int, cause dropCause) {
+	st := &e.res.Classes[ci]
+	switch cause {
+	case dropQueue:
+		st.DroppedQueue++
+	case dropEnergy:
+		st.DroppedEnergy++
+	case dropOutage:
+		st.DroppedOutage++
+	}
+	e.acc.drop(ci, cause)
+	if cause == dropEnergy {
+		return
+	}
+	if ctl := e.ctls[ci]; ctl != nil {
+		ctl.winDrops++
+	}
+	if e.gctl != nil {
+		e.gctl.drop(ci)
+	}
+}
+
+// dropOutage loses frame transfer id to an outage at tier ti: the
+// camera's queue slot frees (the frame will never arrive) and the drop is
+// charged to the class, the tier and the schedule's totals. The caller
+// settles netInFlight for ids drained out of a link; an id dropped on
+// arrival was in no link.
+func (e *engine) dropOutage(ti, id int) {
+	tr := e.release(id)
+	c := &e.cams[tr.cam]
+	c.inflight--
+	e.dyn.stats.DroppedOutage++
+	e.dyn.outageDrops[ti]++
+	e.drop(c.class, dropOutage)
+}
+
+// drainLink drops every transfer in flight on link li as lost to an
+// outage at tier ti, in completion order then waiting order, with no
+// served credit.
+func (e *engine) drainLink(li, ti int) {
+	ids := e.links[li].(drainable).drain()
+	e.netInFlight -= len(ids)
+	for _, id := range ids {
+		e.dropOutage(ti, id)
+	}
+	e.lidx.invalidate(li)
+}
+
+// enterTier routes frame transfer id into tier ti at time now: through
+// the tier's core pool first when it has one (service demand scales
+// with the payload, compPlan), else straight onto the uplink — the
+// no-compute degenerate case, identical to the pre-compute routing.
+// A tier taken down by the dynamics schedule drops arrivals outright.
+func (e *engine) enterTier(now float64, ti, id int) {
+	if e.dyn != nil && e.dyn.down[ti] {
+		e.dropOutage(ti, id)
+		return
+	}
+	tr := &e.transfers[id]
+	if li := e.compLink[ti]; li >= 0 {
+		tr.compAt = now
+		e.startLink(li, now, id, e.compPlan[ti][e.cams[tr.cam].class]*tr.bytes)
+		return
+	}
+	e.startLink(ti, now, id, tr.bytes)
+}
+
+// complete lands transfer id in the cloud at time arrive: only then
+// does the camera's queue slot free, the latency sample exist, and the
+// adaptive controllers see it — never before the frame has actually
+// arrived.
+func (e *engine) complete(arrive float64, id int) {
+	tr := e.release(id)
+	c := &e.cams[tr.cam]
+	c.inflight--
+	e.res.Classes[c.class].Offloaded++
+	lat := arrive - tr.capturedAt
+	e.acc.observe(c.class, lat)
+	if ctl := e.ctls[c.class]; ctl != nil {
+		ctl.observe(lat)
+	}
+	if e.gctl != nil {
+		e.gctl.observe(c.class, lat)
+	}
+	if arrive > e.res.SimEnd {
+		e.res.SimEnd = arrive
+	}
+}
+
+// capture runs one frame of camera camIdx at time t: it is charged,
+// then dropped, offloaded, or kept in the camera.
+func (e *engine) capture(t float64, camIdx int32) {
+	c := &e.cams[camIdx]
+	cl := &e.sc.Classes[c.class]
+	st := &e.res.Classes[c.class]
+	st.Captured++
+
+	// Per-frame costs come from the camera's current placement when the
+	// class carries a runtime cost table, else from the class fields.
+	frameBytes := float64(cl.FrameBytes)
+	computeSec := cl.ComputeSeconds
+	computeJ := cl.ComputeJ
+	if len(cl.Placements) > 0 {
+		pc := &cl.Placements[c.placement]
+		frameBytes = float64(pc.FrameBytes)
+		computeSec = pc.ComputeSeconds
+		computeJ = pc.ComputeJ
+	}
+
+	offload := frameBytes > 0 && cl.OffloadProb > 0 && c.rng.Float64() < cl.OffloadProb
+	queueDropped := false
+	if offload && c.inflight >= cl.QueueDepth {
+		// Backpressure: the frame is still processed in-camera, but its
+		// offload is abandoned (no transmit cost below).
+		queueDropped = true
+		offload = false
+	}
+	need := cl.CaptureJ + computeJ
+	if offload {
+		need += cl.TxFixedJ + cl.TxPerByteJ*frameBytes
+	}
+	if cl.HarvestW > 0 {
+		c.stored += cl.HarvestW * (t - c.lastTop)
+		if c.stored > cl.StoreJ {
+			c.stored = cl.StoreJ
+		}
+		c.lastTop = t
+		if c.stored < need {
+			// The store cannot pay for this frame: skip it entirely and
+			// keep charging. Energy starvation is the binding constraint,
+			// so a frame dropped here is never also counted against the
+			// queue — each drop has exactly one cause.
+			e.drop(c.class, dropEnergy)
 			return
 		}
-		if ci := compLink[ti]; ci >= 0 {
-			tr := &transfers[id]
-			tr.compAt = now
-			startLink(ci, now, id, compPlan[ti][cams[tr.cam].class]*tr.bytes)
-			return
-		}
-		startLink(ti, now, id, transfers[id].bytes)
+		c.stored -= need
 	}
-	// complete lands transfer id in the cloud at time arrive: only then
-	// does the camera's queue slot free, the latency sample exist, and the
-	// adaptive controller see it — never before the frame has actually
-	// arrived.
-	complete := func(arrive float64, id int) {
-		tr := transfers[id]
-		freeIDs = append(freeIDs, id)
-		c := &cams[tr.cam]
-		c.inflight--
-		st := &res.Classes[c.class]
-		st.Offloaded++
-		lat := arrive - tr.capturedAt
-		if tel != nil {
-			tel.observe(c.class, lat)
+	st.EnergyJ += need
+	switch {
+	case queueDropped:
+		e.drop(c.class, dropQueue)
+	case offload:
+		c.inflight++
+		id := e.newTransfer(transfer{cam: camIdx, capturedAt: t, bytes: frameBytes})
+		e.push(t+computeSec, evReady, int32(id), 0)
+	default:
+		st.KeptInCamera++
+	}
+}
+
+// forward moves the transfer link li just finished at time t on to its
+// next stage: from a core pool onto the owning tier's uplink, from a
+// downlink or a federated uplink hop to its landing, from a frame's
+// uplink hop to the parent tier, and from the root into the cloud.
+func (e *engine) forward(li int, t float64) {
+	id := e.finishLink(li)
+	tr := e.transfers[id]
+	if nn := len(e.nodes) + len(e.downOwner); li >= nn {
+		// A core pool drained: record the frame's queueing wait (sojourn
+		// minus service, clamped against fair-share float drift), then
+		// the frame starts transmission on the owning tier's uplink at
+		// the same instant.
+		ti := e.compOwner[li-nn]
+		w := t - tr.compAt - e.compPlan[ti][e.cams[tr.cam].class]*tr.bytes
+		if w < 0 {
+			w = 0
+		}
+		e.compWait[ti].Add(w)
+		e.startLink(ti, t, id, tr.bytes)
+		return
+	}
+	if li >= len(e.nodes) {
+		// A downlink drained: the model blob is delivered at the owning
+		// tier one downlink propagation later.
+		ti := e.downOwner[li-len(e.nodes)]
+		if d := e.nodes[ti].Downlink; d.PropagationSec == 0 {
+			e.flDeliver(t, ti, id)
 		} else {
-			st.latencies = append(st.latencies, lat)
+			e.push(t+d.PropagationSec, evFLDeliver, int32(id), int32(ti))
 		}
-		if ctl := ctls[c.class]; ctl != nil {
-			ctl.observe(lat)
-		}
-		if gctl != nil {
-			gctl.observe(c.class, lat)
-		}
-		if arrive > res.SimEnd {
-			res.SimEnd = arrive
-		}
+		return
 	}
-	capture := func(t float64, camIdx int32) {
-		c := &cams[camIdx]
-		cl := &sc.Classes[c.class]
-		st := &res.Classes[c.class]
-		st.Captured++
+	nd := &e.nodes[li]
+	switch {
+	case tr.round > 0:
+		// A federated blob cleared one uplink hop: it is absorbed for
+		// aggregation where it lands, never forwarded onward — the
+		// in-network aggregation that shrinks bytes per hop.
+		e.flUpBytes[li] += tr.bytes
+		if nd.PropagationSec == 0 {
+			e.flAbsorb(t, li, id)
+		} else {
+			e.push(t+nd.PropagationSec, evFLUp, int32(id), int32(li))
+		}
+	case li != e.root:
+		// This hop's transmission is done: the frame arrives at the
+		// parent tier one propagation delay later. With no delay it
+		// enters the parent link at the instant it drains, preserving
+		// the legacy two-tier event order exactly.
+		if nd.PropagationSec == 0 {
+			e.enterTier(t, nd.parent, id)
+		} else {
+			e.push(t+nd.PropagationSec, evHop, int32(id), int32(nd.parent))
+		}
+	case nd.PropagationSec == 0:
+		// Root transmission done: the frame still propagates the root hop
+		// before it lands in the cloud, which is when its
+		// capture-to-arrival latency stops accruing and its completion
+		// becomes observable (queue slot, controller telemetry).
+		e.complete(t, id)
+	default:
+		e.push(t+nd.PropagationSec, evArrive, int32(id), 0)
+	}
+}
 
-		// Per-frame costs come from the camera's current placement when the
-		// class carries a runtime cost table, else from the class fields.
-		frameBytes := float64(cl.FrameBytes)
-		computeSec := cl.ComputeSeconds
-		computeJ := cl.ComputeJ
-		if len(cl.Placements) > 0 {
-			pc := &cl.Placements[c.placement]
-			frameBytes = float64(pc.FrameBytes)
-			computeSec = pc.ComputeSeconds
-			computeJ = pc.ComputeJ
-		}
+// flAbsorb lands federated transfer id — which just cleared uplink li
+// and its propagation — at the parent tier (the cloud above the root)
+// at time t, where it is aggregated. When the landing completes the
+// round's fan-in there, the tier emits one merged blob on its own
+// uplink; when the cloud's fan-in completes, the merged model starts
+// down the root's downlink.
+func (e *engine) flAbsorb(t float64, li, id int) {
+	tr := e.release(id)
+	target := e.nodes[li].parent
+	from := -1
+	if tr.cam >= 0 {
+		from = li // a camera blob's first uplink is its attach tier
+	}
+	if !e.fle.Arrive(target, int(tr.round), t, from) {
+		return
+	}
+	if target >= 0 {
+		mb := e.fle.UpdateBytes()
+		mid := e.newTransfer(transfer{cam: -1, round: tr.round, bytes: mb})
+		e.startLink(target, t, mid, mb)
+		return
+	}
+	bb := e.fle.ModelBytes()
+	bid := e.newTransfer(transfer{cam: -1, round: tr.round, bytes: bb})
+	e.startLink(e.downLink[e.root], t, bid, bb)
+}
 
-		offload := frameBytes > 0 && cl.OffloadProb > 0 && c.rng.Float64() < cl.OffloadProb
-		queueDropped := false
-		if offload && c.inflight >= cl.QueueDepth {
-			// Backpressure: the frame is still processed in-camera, but its
-			// offload is abandoned (no transmit cost below).
-			queueDropped = true
-			offload = false
-		}
-		need := cl.CaptureJ + computeJ
-		if offload {
-			need += cl.TxFixedJ + cl.TxPerByteJ*frameBytes
-		}
-		if cl.HarvestW > 0 {
-			c.stored += cl.HarvestW * (t - c.lastTop)
-			if c.stored > cl.StoreJ {
-				c.stored = cl.StoreJ
-			}
-			c.lastTop = t
-			if c.stored < need {
-				// The store cannot pay for this frame: skip it entirely and
-				// keep charging. Energy starvation is the binding constraint,
-				// so a frame dropped here is never also counted against the
-				// queue — each drop has exactly one cause.
-				st.DroppedEnergy++
-				if tel != nil {
-					tel.dropEnergy(c.class)
-				}
-				return
-			}
-			c.stored -= need
-		}
-		st.EnergyJ += need
-		if queueDropped {
-			st.DroppedQueue++
-			if tel != nil {
-				tel.dropQueue(c.class)
-			}
-			if ctl := ctls[c.class]; ctl != nil {
-				ctl.winDrops++
-			}
-			if gctl != nil {
-				gctl.drop(c.class)
-			}
-		}
-		if offload {
-			c.inflight++
-			id := newTransfer(transfer{cam: camIdx, capturedAt: t, bytes: frameBytes})
-			push(t+computeSec, evReady, int32(id), 0)
+// flDeliver lands the round's model at span tier ti at time t: one
+// copy forwards down each span child's downlink, and the tier's own
+// participants (if any) start the next round's local compute.
+func (e *engine) flDeliver(t float64, ti, id int) {
+	round := int(e.release(id).round)
+	e.fle.Delivered(ti, round, t)
+	for _, c := range e.fle.SpanChildren(ti) {
+		bb := e.fle.ModelBytes()
+		cid := e.newTransfer(transfer{cam: -1, round: int32(round), bytes: bb})
+		e.startLink(e.downLink[c], t, cid, bb)
+	}
+	if e.fle.CamsAt(ti) > 0 && round < e.fle.Rounds() {
+		f := e.sc.Federated
+		for _, pi := range e.flByTier[ti] {
+			p := &e.flParts[pi]
+			e.push(t+f.ComputeSec+f.JitterSec*p.rng.Float64(), evFLReady, pi, int32(round+1))
 		}
 	}
+}
 
-	// flAbsorb lands federated transfer id — which just cleared uplink li
-	// and its propagation — at the parent tier (the cloud above the root)
-	// at time t, where it is aggregated. When the landing completes the
-	// round's fan-in there, the tier emits one merged blob on its own
-	// uplink; when the cloud's fan-in completes, the merged model starts
-	// down the root's downlink.
-	flAbsorb := func(t float64, li, id int) {
-		tr := transfers[id]
-		freeIDs = append(freeIDs, id)
-		target := nodes[li].parent
-		from := -1
-		if tr.cam >= 0 {
-			from = li // a camera blob's first uplink is its attach tier
-		}
-		if !fle.Arrive(target, int(tr.round), t, from) {
-			return
-		}
-		if target >= 0 {
-			mb := fle.UpdateBytes()
-			mid := newTransfer(transfer{cam: -1, round: tr.round, bytes: mb})
-			startLink(target, t, mid, mb)
-			return
-		}
-		bb := fle.ModelBytes()
-		bid := newTransfer(transfer{cam: -1, round: tr.round, bytes: bb})
-		startLink(downLink[root], t, bid, bb)
-	}
-	// flDeliver lands the round's model at span tier ti at time t: one
-	// copy forwards down each span child's downlink, and the tier's own
-	// participants (if any) start the next round's local compute.
-	flDeliver := func(t float64, ti, id int) {
-		round := int(transfers[id].round)
-		freeIDs = append(freeIDs, id)
-		fle.Delivered(ti, round, t)
-		for _, c := range fle.SpanChildren(ti) {
-			bb := fle.ModelBytes()
-			cid := newTransfer(transfer{cam: -1, round: int32(round), bytes: bb})
-			startLink(downLink[c], t, cid, bb)
-		}
-		if fle.CamsAt(ti) > 0 && round < fle.Rounds() {
-			f := sc.Federated
-			for _, pi := range flByTier[ti] {
-				p := &flParts[pi]
-				push(t+f.ComputeSec+f.JitterSec*p.rng.Float64(), evFLReady, pi, int32(round+1))
-			}
+// rehome repoints class ci's first hop at tier ti and reprices its
+// tables (price); each class controller aliases its inner rows and is
+// repointed explicitly.
+func (e *engine) rehome(ci, ti int) {
+	e.price(ci, ti)
+	if ctl := e.ctls[ci]; ctl != nil {
+		ctl.rowJ = e.rowJ[ci]
+		if e.rowDelay != nil {
+			ctl.rowDelay = e.rowDelay[ci]
 		}
 	}
+	moved := int64(len(e.classCams[ci]))
+	e.dyn.stats.Rehomed += moved
+	e.res.Classes[ci].Rehomed += moved
+}
 
-	// rehome repoints class ci's first hop at tier ti and reprices the
-	// tables the placement controllers score against: forwarding joules
-	// follow the new uplink path, and the deterministic delay rows follow
-	// the new path's compute scale. rowJ/rowDelay are the outer slices the
-	// global controller holds, so element reassignment is visible to it;
-	// each class controller aliases its inner row and is repointed
-	// explicitly.
-	rehome := func(ci, ti int) {
-		firstHop[ci] = ti
-		pathFwdJ := 0.0
-		for li := ti; li >= 0; li = nodes[li].parent {
-			pathFwdJ += nodes[li].TxPerByteJ
+// dynFire executes schedule entry i at time t, then re-arms a
+// recurring churn entry from its own seeded stream.
+func (e *engine) dynFire(t float64, i int) {
+	dyn := e.dyn
+	ev := &dyn.events[i]
+	switch ev.Kind {
+	case DynCameraJoin:
+		ci := dyn.class[i]
+		for k := 0; k < ev.Count; k++ {
+			e.addCamera(ci, t, e.sc.Classes[ci].FPS*dyn.fpsMul[ci])
+			e.res.Classes[ci].Cameras++
+			e.res.Classes[ci].Joined++
+			dyn.stats.Joined++
 		}
-		rowJ[ci] = classRowEnergies(&sc.Classes[ci], pathFwdJ)
-		if scale := classPathScale(nodes, compPlan, ci, ti); scale > 0 {
-			if rowDelay == nil {
-				rowDelay = make([][]float64, len(sc.Classes))
-				if gctl != nil {
-					gctl.rowDelay = rowDelay
+	case DynCameraLeave:
+		ci := dyn.class[i]
+		for k := 0; k < ev.Count; k++ {
+			members := e.classCams[ci]
+			n := len(members)
+			if n == 0 {
+				break
+			}
+			// The leaver is drawn from the entry's own stream
+			// (swap-remove keeps the pick O(1)); its in-flight frames
+			// still complete, it just captures nothing further.
+			pick := dyn.rngs[i].Intn(n)
+			camIdx := members[pick]
+			members[pick] = members[n-1]
+			e.classCams[ci] = members[:n-1]
+			e.cams[camIdx].departed = true
+			e.res.Classes[ci].Cameras--
+			e.res.Classes[ci].Left++
+			dyn.stats.Left++
+		}
+	case DynLinkDegrade, DynLinkRestore:
+		factor := 1.0
+		if ev.Kind == DynLinkDegrade {
+			factor = ev.Factor
+		}
+		ti := dyn.tier[i]
+		dyn.rescale(t, ti, factor)
+		e.links[ti].(capScaler).setCapacity(t, dyn.baseCap[ti]*factor)
+		e.lidx.invalidate(ti)
+	case DynTierOutage:
+		ti := dyn.tier[i]
+		dyn.down[ti] = true
+		dyn.downAt[ti] = t
+		// In-flight transfers through the dead tier — its uplink and
+		// its core pool — are lost.
+		for _, li := range [2]int{ti, e.compLink[ti]} {
+			if li >= 0 {
+				e.drainLink(li, ti)
+			}
+		}
+		if dyn.fall[i] >= 0 {
+			for ci := range e.sc.Classes {
+				if e.firstHop[ci] == ti {
+					e.rehome(ci, dyn.fall[i])
 				}
 			}
-			rowDelay[ci] = classRowDelays(&sc.Classes[ci], scale)
-		} else if rowDelay != nil {
-			rowDelay[ci] = nil
 		}
-		if ctl := ctls[ci]; ctl != nil {
-			ctl.rowJ = rowJ[ci]
-			if rowDelay != nil {
-				ctl.rowDelay = rowDelay[ci]
+	case DynTierRecover:
+		ti := dyn.tier[i]
+		dyn.down[ti] = false
+		if d := t - dyn.downAt[ti]; d > 0 {
+			dyn.downtime[ti] += d
+		}
+		for ci := range e.sc.Classes {
+			if dyn.home[ci] == ti && e.firstHop[ci] != ti {
+				e.rehome(ci, ti)
 			}
 		}
-		moved := int64(len(classCams[ci]))
-		dyn.stats.Rehomed += moved
-		res.Classes[ci].Rehomed += moved
+	case DynFPSProfile:
+		dyn.fpsMul[dyn.class[i]] = ev.Multiplier
+	case DynComputeScale:
+		li := e.compLink[dyn.tier[i]]
+		e.links[li].(coreScaler).setCores(t, ev.Cores)
+		e.lidx.invalidate(li)
 	}
-	// dynFire executes schedule entry i at time t, then re-arms a
-	// recurring churn entry from its own seeded stream.
-	dynFire := func(t float64, i int) {
-		e := &dyn.events[i]
-		switch e.Kind {
-		case DynCameraJoin:
-			ci := dyn.class[i]
-			cl := &sc.Classes[ci]
-			for k := 0; k < e.Count; k++ {
-				// Joiners continue the global camera-seed sequence, so
-				// every existing camera's stream is untouched.
-				idx := len(cams)
-				c := camera{class: ci, rng: newPRNG(cameraSeed(sc.Seed, idx)), stored: cl.StoreJ, lastTop: t, placement: cl.Policy.Start}
-				fps := cl.FPS * dyn.fpsMul[ci]
-				var first float64
-				if cl.Arrival == ArrivalPoisson {
-					first = c.rng.ExpFloat64() / fps
-				} else {
-					first = c.rng.Float64() / fps
-				}
-				cams = append(cams, c)
-				classCams[ci] = append(classCams[ci], int32(idx))
-				if t+first < sc.Duration {
-					push(t+first, evCapture, int32(idx), 0)
-				}
-				res.Classes[ci].Cameras++
-				res.Classes[ci].Joined++
-				dyn.stats.Joined++
-			}
-		case DynCameraLeave:
-			ci := dyn.class[i]
-			for k := 0; k < e.Count; k++ {
-				members := classCams[ci]
-				n := len(members)
-				if n == 0 {
-					break
-				}
-				// The leaver is drawn from the entry's own stream
-				// (swap-remove keeps the pick O(1)); its in-flight frames
-				// still complete, it just captures nothing further.
-				pick := dyn.rngs[i].Intn(n)
-				camIdx := members[pick]
-				members[pick] = members[n-1]
-				classCams[ci] = members[:n-1]
-				cams[camIdx].departed = true
-				res.Classes[ci].Cameras--
-				res.Classes[ci].Left++
-				dyn.stats.Left++
-			}
-		case DynLinkDegrade:
-			ti := dyn.tier[i]
-			dyn.rescale(t, ti, e.Factor)
-			links[ti].(capScaler).setCapacity(t, dyn.baseCap[ti]*e.Factor)
-			if lidx != nil {
-				lidx.invalidate(ti)
-			}
-		case DynLinkRestore:
-			ti := dyn.tier[i]
-			dyn.rescale(t, ti, 1)
-			links[ti].(capScaler).setCapacity(t, dyn.baseCap[ti])
-			if lidx != nil {
-				lidx.invalidate(ti)
-			}
-		case DynTierOutage:
-			ti := dyn.tier[i]
-			dyn.down[ti] = true
-			dyn.downAt[ti] = t
-			// In-flight transfers through the dead tier — its uplink and
-			// its core pool — are lost, in completion order then waiting
-			// order, with no served credit.
-			for _, li := range [2]int{ti, compLink[ti]} {
-				if li < 0 {
-					continue
-				}
-				ids := links[li].(drainable).drain()
-				netInFlight -= len(ids)
-				for _, id := range ids {
-					dropOutage(ti, id)
-				}
-				if lidx != nil {
-					lidx.invalidate(li)
-				}
-			}
-			if dyn.fall[i] >= 0 {
-				for ci := range sc.Classes {
-					if firstHop[ci] == ti {
-						rehome(ci, dyn.fall[i])
-					}
-				}
-			}
-		case DynTierRecover:
-			ti := dyn.tier[i]
-			dyn.down[ti] = false
-			if d := t - dyn.downAt[ti]; d > 0 {
-				dyn.downtime[ti] += d
-			}
-			for ci := range sc.Classes {
-				if dyn.home[ci] == ti && firstHop[ci] != ti {
-					rehome(ci, ti)
-				}
-			}
-		case DynFPSProfile:
-			dyn.fpsMul[dyn.class[i]] = e.Multiplier
-		case DynComputeScale:
-			li := compLink[dyn.tier[i]]
-			links[li].(coreScaler).setCores(t, e.Cores)
-			if lidx != nil {
-				lidx.invalidate(li)
-			}
-		}
-		if e.EverySec > 0 {
-			if nt := t + dyn.rngs[i].ExpFloat64()*e.EverySec; nt < sc.Duration {
-				push(nt, evDynamics, int32(i), 0)
-			}
+	if ev.EverySec > 0 {
+		if nt := t + dyn.rngs[i].ExpFloat64()*ev.EverySec; nt < e.sc.Duration {
+			e.push(nt, evDynamics, int32(i), 0)
 		}
 	}
+}
 
-	for len(events) > 0 || anyInFlight() {
-		if li, lt, ok := nextLinkFinish(); ok && (len(events) == 0 || lt <= events[0].t) {
+// drainStalled ends a stalled run. It is reachable only under dynamics:
+// the schedule is spent, no event remains, and every in-flight transfer
+// is parked on a zero-capacity link nothing will ever restore. They all
+// drain as outage losses at their link's tier — accounted, never
+// silently lost — and the loop terminates.
+func (e *engine) drainStalled() {
+	nn, nd := len(e.nodes), len(e.downOwner)
+	for li := range e.links {
+		if e.links[li].InFlight() == 0 {
+			continue
+		}
+		ti := li
+		if li >= nn+nd {
+			ti = e.compOwner[li-nn-nd]
+		} else if li >= nn {
+			ti = e.downOwner[li-nn]
+		}
+		e.drainLink(li, ti)
+	}
+}
+
+// loop runs events and link completions in time order until no event is
+// pending and no link holds a transfer. Link completions are not events:
+// the loop peeks them off the links, whose finish times shift as
+// transfers are admitted, and a completion runs before an event at the
+// same instant.
+func (e *engine) loop() error {
+	for len(e.events) > 0 || e.netInFlight > 0 {
+		if li, lt, ok := e.lidx.peek(); ok && (len(e.events) == 0 || lt <= e.events[0].t) {
 			if math.IsInf(lt, 1) {
-				// Reachable only under dynamics: the schedule is spent, no
-				// event remains, and every in-flight transfer is parked on
-				// a zero-capacity link nothing will ever restore. Drain
-				// them all as outage losses — accounted, never silently
-				// lost — and let the loop terminate.
-				for i := range links {
-					if links[i].InFlight() == 0 {
-						continue
-					}
-					ti := i
-					if i >= len(nodes)+len(downOwner) {
-						ti = compOwner[i-len(nodes)-len(downOwner)]
-					} else if i >= len(nodes) {
-						ti = downOwner[i-len(nodes)]
-					}
-					ids := links[i].(drainable).drain()
-					netInFlight -= len(ids)
-					for _, id := range ids {
-						dropOutage(ti, id)
-					}
-					if lidx != nil {
-						lidx.invalidate(i)
-					}
-				}
+				e.drainStalled()
 				continue
 			}
 			// Simulated time is monotone across both branches, so closing
 			// telemetry windows before processing puts every observation in
 			// the window covering its timestamp.
-			if tel != nil {
-				tel.advance(lt)
-			}
-			id := finishLink(li)
-			tr := transfers[id]
-			if li >= len(nodes)+len(downOwner) {
-				// A core pool drained: record the frame's queueing wait
-				// (sojourn minus service, clamped against fair-share float
-				// drift), then the frame starts transmission on the owning
-				// tier's uplink at the same instant.
-				ti := compOwner[li-len(nodes)-len(downOwner)]
-				w := lt - tr.compAt - compPlan[ti][cams[tr.cam].class]*tr.bytes
-				if w < 0 {
-					w = 0
-				}
-				compWait[ti].Add(w)
-				startLink(ti, lt, id, tr.bytes)
-				continue
-			}
-			if li >= len(nodes) {
-				// A downlink drained: the model blob is delivered at the
-				// owning tier one downlink propagation later.
-				ti := downOwner[li-len(nodes)]
-				if d := nodes[ti].Downlink; d.PropagationSec == 0 {
-					flDeliver(lt, ti, id)
-				} else {
-					push(lt+d.PropagationSec, evFLDeliver, int32(id), int32(ti))
-				}
-				continue
-			}
-			nd := &nodes[li]
-			if tr.round > 0 {
-				// A federated blob cleared one uplink hop: it is absorbed
-				// for aggregation where it lands, never forwarded onward —
-				// the in-network aggregation that shrinks bytes per hop.
-				flUpBytes[li] += tr.bytes
-				if nd.PropagationSec == 0 {
-					flAbsorb(lt, li, id)
-				} else {
-					push(lt+nd.PropagationSec, evFLUp, int32(id), int32(li))
-				}
-				continue
-			}
-			if li != root {
-				// This hop's transmission is done: the frame arrives at the
-				// parent tier one propagation delay later. With no delay it
-				// enters the parent link at the instant it drains,
-				// preserving the legacy two-tier event order exactly.
-				if nd.PropagationSec == 0 {
-					enterTier(lt, nd.parent, id)
-				} else {
-					push(lt+nd.PropagationSec, evHop, int32(id), int32(nd.parent))
-				}
-				continue
-			}
-			// Root transmission done: the frame still propagates the root
-			// hop before it lands in the cloud, which is when its
-			// capture-to-arrival latency stops accruing and its completion
-			// becomes observable (queue slot, controller telemetry).
-			if nd.PropagationSec == 0 {
-				complete(lt, id)
-			} else {
-				push(lt+nd.PropagationSec, evArrive, int32(id), 0)
-			}
+			e.acc.advance(lt)
+			e.forward(li, lt)
 			continue
 		}
-		ev := events.pop()
-		if tel != nil {
-			tel.advance(ev.t)
-		}
+		ev := e.events.pop()
+		e.acc.advance(ev.t)
 		switch ev.kind() {
 		case evCapture:
-			if cams[ev.id].departed {
+			if e.cams[ev.id].departed {
 				break
 			}
-			capture(ev.t, ev.id)
-			c := &cams[ev.id]
-			if nt := nextCapture(c, ev.t); nt < sc.Duration {
-				push(nt, evCapture, ev.id, 0)
+			e.capture(ev.t, ev.id)
+			if nt := e.nextCapture(&e.cams[ev.id], ev.t); nt < e.sc.Duration {
+				e.push(nt, evCapture, ev.id, 0)
 			}
 		case evReady:
 			id := int(ev.id)
-			enterTier(ev.t, firstHop[cams[transfers[id].cam].class], id)
+			e.enterTier(ev.t, e.firstHop[e.cams[e.transfers[id].cam].class], id)
 		case evHop:
-			enterTier(ev.t, int(ev.aux), int(ev.id))
+			e.enterTier(ev.t, int(ev.aux), int(ev.id))
 		case evArrive:
-			complete(ev.t, int(ev.id))
+			e.complete(ev.t, int(ev.id))
 		case evControl:
 			ci := int(ev.id)
-			cl := &sc.Classes[ci]
-			ctl := ctls[ci]
-			if dir := ctl.decide(cl, cams, classCams[ci]); dir != 0 {
-				ctl.move(cl, cams, classCams[ci], dir)
+			cl := &e.sc.Classes[ci]
+			ctl := e.ctls[ci]
+			if dir := ctl.decide(cl, e.cams, e.classCams[ci]); dir != 0 {
+				ctl.move(cl, e.cams, e.classCams[ci], dir)
 			}
-			if nt := ev.t + cl.Policy.IntervalSec; nt < sc.Duration {
-				push(nt, evControl, ev.id, 0)
+			if nt := ev.t + cl.Policy.IntervalSec; nt < e.sc.Duration {
+				e.push(nt, evControl, ev.id, 0)
 			}
 		case evGlobal:
-			gctl.epoch(ev.t, &sc, cams, classCams)
-			if nt := ev.t + sc.Global.EpochSec; nt < sc.Duration {
-				push(nt, evGlobal, 0, 0)
+			e.gctl.epoch(ev.t, &e.sc, e.cams, e.classCams)
+			if nt := ev.t + e.sc.Global.EpochSec; nt < e.sc.Duration {
+				e.push(nt, evGlobal, 0, 0)
 			}
 		case evFLReady:
-			p := &flParts[ev.id]
-			ub := fle.UpdateBytes()
-			id := newTransfer(transfer{cam: ev.id, round: ev.aux, bytes: ub})
-			startLink(int(p.tier), ev.t, id, ub)
+			p := &e.flParts[ev.id]
+			ub := e.fle.UpdateBytes()
+			id := e.newTransfer(transfer{cam: ev.id, round: ev.aux, bytes: ub})
+			e.startLink(int(p.tier), ev.t, id, ub)
 		case evFLUp:
-			flAbsorb(ev.t, int(ev.aux), int(ev.id))
+			e.flAbsorb(ev.t, int(ev.aux), int(ev.id))
 		case evFLDeliver:
-			flDeliver(ev.t, int(ev.aux), int(ev.id))
+			e.flDeliver(ev.t, int(ev.aux), int(ev.id))
 		case evDynamics:
-			dynFire(ev.t, int(ev.id))
+			e.dynFire(ev.t, int(ev.id))
 		default:
-			return nil, fmt.Errorf("fleet: unknown event kind %d", ev.kind())
+			return fmt.Errorf("fleet: unknown event kind %d", ev.kind())
 		}
 	}
+	return nil
+}
 
+// result closes out the drained run: the end time, per-tier accounting,
+// final placements, percentiles and totals, and the energy summary.
+func (e *engine) result() *Result {
+	res, sc := e.res, &e.sc
 	if res.SimEnd < sc.Duration {
 		res.SimEnd = sc.Duration
 	}
-	if fle != nil {
-		res.Federated = fle.Stats()
+	if e.fle != nil {
+		res.Federated = e.fle.Stats()
 		// The final broadcast can deliver after the last frame drains;
 		// the run ends when both have.
 		if res.Federated.DoneAt > res.SimEnd {
 			res.SimEnd = res.Federated.DoneAt
 		}
 	}
-	if dyn != nil {
+	if dyn := e.dyn; dyn != nil {
 		// A tier still down at the end accrues downtime to the run's end.
-		for i := range nodes {
+		for i := range e.nodes {
 			if dyn.down[i] {
 				if d := res.SimEnd - dyn.downAt[i]; d > 0 {
 					dyn.downtime[i] += d
@@ -1121,8 +1097,11 @@ func run(sc Scenario, indexed bool) (*Result, error) {
 				dyn.down[i] = false
 			}
 		}
+		st := dyn.stats
+		res.Dynamics = &st
 	}
-	for i, nd := range nodes {
+	links := e.links
+	for i, nd := range e.nodes {
 		ts := TierStats{
 			Name:           nd.Name,
 			Parent:         nd.Parent,
@@ -1131,28 +1110,26 @@ func run(sc Scenario, indexed bool) (*Result, error) {
 			Contention:     nd.Uplink.Contention,
 			PropagationSec: nd.PropagationSec,
 			ServedBytes:    links[i].ServedBytes(),
-			Transfers:      linkTransfers[i],
+			Transfers:      e.linkTransfers[i],
 			Utilization:    utilization(links[i].ServedBytes(), nd.Uplink.BytesPerSecond(), res.SimEnd),
 			TxPerByteJ:     nd.TxPerByteJ,
 			ForwardJ:       links[i].ServedBytes() * nd.TxPerByteJ,
+			FLUpBytes:      e.flUpBytes[i],
 		}
-		if flUpBytes != nil {
-			ts.FLUpBytes = flUpBytes[i]
-		}
-		if dyn != nil {
-			ts.DowntimeSec = dyn.downtime[i]
-			ts.OutageDrops = dyn.outageDrops[i]
+		if e.dyn != nil {
+			ts.DowntimeSec = e.dyn.downtime[i]
+			ts.OutageDrops = e.dyn.outageDrops[i]
 		}
 		if d := nd.Downlink; d != nil {
-			dl := links[downLink[i]]
+			dl := links[e.downLink[i]]
 			ts.DownGbps = d.Gbps
 			ts.DownContention = d.Contention
 			ts.DownPropagationSec = d.PropagationSec
 			ts.DownServedBytes = dl.ServedBytes()
-			ts.DownTransfers = linkTransfers[downLink[i]]
+			ts.DownTransfers = e.linkTransfers[e.downLink[i]]
 			ts.DownlinkUtilization = utilization(dl.ServedBytes(), d.BytesPerSecond(), res.SimEnd)
 		}
-		if li := compLink[i]; li >= 0 {
+		if li := e.compLink[i]; li >= 0 {
 			cc := nd.Compute
 			// Once the run drains, a pool's served "bytes" are exactly the
 			// core-seconds it was busy (the conservation the property tests
@@ -1161,11 +1138,11 @@ func run(sc Scenario, indexed bool) (*Result, error) {
 			cs := &ComputeStats{
 				Cores:       cc.Cores,
 				Discipline:  cc.Discipline,
-				Frames:      linkTransfers[li],
+				Frames:      e.linkTransfers[li],
 				BusySec:     busy,
 				Utilization: utilization(busy, float64(cc.Cores), res.SimEnd),
 			}
-			if s := compWait[i]; s.Count() > 0 {
+			if s := e.compWait[i]; s.Count() > 0 {
 				cs.WaitP50 = s.Quantile(0.50)
 				cs.WaitP95 = s.Quantile(0.95)
 			}
@@ -1175,7 +1152,7 @@ func run(sc Scenario, indexed bool) (*Result, error) {
 	}
 	// The top-tier utilization is the root tier's, found by name: tier
 	// order is stable today, but the name is the contract.
-	if rt := res.TierNamed(nodes[root].Name); rt != nil {
+	if rt := res.TierNamed(e.nodes[e.root].Name); rt != nil {
 		res.UplinkUtilization = rt.Utilization
 	}
 	for ci := range sc.Classes {
@@ -1184,19 +1161,16 @@ func run(sc Scenario, indexed bool) (*Result, error) {
 			continue
 		}
 		hist := make([]int, len(cl.Placements))
-		for _, idx := range classCams[ci] {
-			hist[cams[idx].placement]++
+		for _, idx := range e.classCams[ci] {
+			hist[e.cams[idx].placement]++
 		}
 		res.Classes[ci].PlacementCounts = hist
-		if ctls[ci] != nil {
-			res.Classes[ci].Switches = ctls[ci].moves
+		if e.ctls[ci] != nil {
+			res.Classes[ci].Switches = e.ctls[ci].moves
 		}
 	}
-	if tel != nil {
-		tel.finish(res.SimEnd)
-		res.TimeSeries = tel.series
-	}
-	res.finalize(tel)
+	res.TimeSeries = e.acc.finish(res.SimEnd)
+	res.finalize(e.acc)
 	for _, ti := range res.Tiers {
 		res.Energy.NetworkJ += ti.ForwardJ
 	}
@@ -1204,15 +1178,11 @@ func run(sc Scenario, indexed bool) (*Result, error) {
 	if res.SimEnd > 0 {
 		res.Energy.AvgPowerW = (res.Energy.CameraJ + res.Energy.NetworkJ) / res.SimEnd
 	}
-	res.Energy.ProjectedW = projectedPowerW(&sc, rowJ, cams, classCams)
-	if gctl != nil {
-		st := gctl.stats
+	res.Energy.ProjectedW = projectedPowerW(sc, e.rowJ, e.cams, e.classCams)
+	if e.gctl != nil {
+		st := e.gctl.stats
 		res.Global = &st
 		res.Total.Switches += st.Moves
 	}
-	if dyn != nil {
-		st := dyn.stats
-		res.Dynamics = &st
-	}
-	return res, nil
+	return res
 }

@@ -24,7 +24,12 @@ type ClassStats struct {
 	// through a failing tier, arriving at a down one, or stalled forever
 	// on a never-restored zero-capacity link. 0 without a schedule.
 	DroppedOutage int64
-	EnergyJ       float64
+	// KeptInCamera counts frames captured and paid for but never
+	// offloaded: the class does not offload them (no payload, or the
+	// offload draw failed), so they end in the camera. With the four
+	// counters above it accounts for every captured frame exactly once.
+	KeptInCamera int64
+	EnergyJ      float64
 
 	// Dynamics churn accounting, 0 without a schedule: cameras added and
 	// retired, and camera re-homings (each direction counts once).
@@ -258,15 +263,6 @@ func newResult(sc Scenario) *Result {
 	return res
 }
 
-// percentile returns the q-quantile (0..1) of sorted by nearest rank —
-// the element of 1-based rank ⌈q·n⌉ (quantile.NearestRank, the one
-// definition shared with internal/fleet/fl). The floor-biased
-// int(q·(n−1)) expression this delegated away read the tail one sample
-// low: p95 of 105 samples was index 98 instead of rank 100.
-func percentile(sorted []float64, q float64) float64 {
-	return quantile.NearestRank(sorted, q)
-}
-
 // finalQuantiles are the quantiles finalize reports, in increasing
 // order: ClassStats' LatencyP50, LatencyP95 and LatencyP99.
 var finalQuantiles = [3]float64{0.50, 0.95, 0.99}
@@ -335,33 +331,77 @@ func selectRank(xs []float64, k int) float64 {
 	return xs[k]
 }
 
-// finalize computes percentiles and the fleet-wide Total from the
-// per-class accumulators, in class order so results are reproducible.
-// With a streaming collector the quantiles come from its run-wide
-// sketches (exact-path sample slices were never populated); without
-// one, from the exact sample sets by rank selection, which leaves them
-// unsorted.
-func (r *Result) finalize(tel *collector) {
-	r.Total = ClassStats{Name: "fleet"}
-	var perClass [][3]float64
-	var total [3]float64
-	if tel != nil {
-		perClass, total = tel.quantiles()
+// accumulator is how a run accumulates offload latencies and per-window
+// drop counts: exactly (exactLatencies, every sample kept) or streaming
+// (the telemetry collector's sketches and windows). The engine chooses
+// one at construction and reports every completion, drop and clock
+// advance to it without knowing which.
+type accumulator interface {
+	// observe records one completed offload of class ci.
+	observe(ci int, lat float64)
+	// drop records one frame of class ci lost to cause.
+	drop(ci int, cause dropCause)
+	// advance moves the accumulator's clock to t, the time of the event
+	// about to run.
+	advance(t float64)
+	// finish seals the accumulation at the run's end and returns the
+	// windowed time series, nil when there is none.
+	finish(simEnd float64) *TimeSeries
+	// quantiles returns the run-wide per-class and fleet-total latency
+	// quantiles, in finalQuantiles order.
+	quantiles() (perClass [][3]float64, total [3]float64)
+}
+
+// exactLatencies keeps every completed offload's latency in its class's
+// ClassStats sample slice, and reads the nearest ranks by selection.
+type exactLatencies struct{ res *Result }
+
+// newExactLatencies preallocates each class's sample slice for its
+// expected completed-offload count, FPS × Duration × Count × OffloadProb,
+// so the loop never regrows it: the frame-scaled allocation the streaming
+// path avoids.
+func newExactLatencies(sc *Scenario, res *Result) exactLatencies {
+	for ci := range sc.Classes {
+		cl := &sc.Classes[ci]
+		res.Classes[ci].latencies = make([]float64, 0, clampEst(cl.FPS*sc.Duration*float64(cl.Count)*cl.OffloadProb))
 	}
+	return exactLatencies{res}
+}
+
+func (x exactLatencies) observe(ci int, lat float64) {
+	s := &x.res.Classes[ci]
+	s.latencies = append(s.latencies, lat)
+}
+
+func (exactLatencies) drop(int, dropCause)        {}
+func (exactLatencies) advance(float64)            {}
+func (exactLatencies) finish(float64) *TimeSeries { return nil }
+
+// quantiles selects the ranks of each class's samples and of all of them
+// together, leaving the sample slices in selection order, not sorted.
+func (x exactLatencies) quantiles() (perClass [][3]float64, total [3]float64) {
+	classes := x.res.Classes
+	perClass = make([][3]float64, len(classes))
 	n := 0
-	for i := range r.Classes {
-		n += len(r.Classes[i].latencies)
+	for i := range classes {
+		n += len(classes[i].latencies)
 	}
 	all := make([]float64, 0, n)
+	for i := range classes {
+		perClass[i] = nearestRanks(classes[i].latencies)
+		all = append(all, classes[i].latencies...)
+	}
+	return perClass, nearestRanks(all)
+}
+
+// finalize computes percentiles and the fleet-wide Total from the
+// per-class accumulators, in class order so results are reproducible.
+func (r *Result) finalize(acc accumulator) {
+	perClass, total := acc.quantiles()
+	r.Total = ClassStats{Name: "fleet"}
 	for i := range r.Classes {
 		s := &r.Classes[i]
-		var p [3]float64
-		if tel != nil {
-			p = perClass[i]
-		} else {
-			p = nearestRanks(s.latencies)
-			all = append(all, s.latencies...)
-		}
+		p := perClass[i]
 		s.LatencyP50, s.LatencyP95, s.LatencyP99 = p[0], p[1], p[2]
 
 		r.Total.Cameras += s.Cameras
@@ -370,15 +410,12 @@ func (r *Result) finalize(tel *collector) {
 		r.Total.DroppedQueue += s.DroppedQueue
 		r.Total.DroppedEnergy += s.DroppedEnergy
 		r.Total.DroppedOutage += s.DroppedOutage
+		r.Total.KeptInCamera += s.KeptInCamera
 		r.Total.EnergyJ += s.EnergyJ
 		r.Total.Joined += s.Joined
 		r.Total.Left += s.Left
 		r.Total.Rehomed += s.Rehomed
 		r.Total.Switches += s.Switches
-	}
-	if tel == nil {
-		total = nearestRanks(all)
-		r.Total.latencies = all
 	}
 	r.Total.LatencyP50, r.Total.LatencyP95, r.Total.LatencyP99 = total[0], total[1], total[2]
 }

@@ -304,39 +304,35 @@ func (tel *collector) observe(ci int, lat float64) {
 	tel.run[ci].Add(lat)
 }
 
-// dropQueue and dropEnergy record one dropped frame of class ci in the
-// current window.
-func (tel *collector) dropQueue(ci int) {
-	if tel.window > 0 {
-		tel.winClass[ci].DroppedQueue++
+// drop records one frame of class ci lost to cause in the current
+// window.
+func (tel *collector) drop(ci int, cause dropCause) {
+	if tel.window <= 0 {
+		return
 	}
-}
-
-func (tel *collector) dropEnergy(ci int) {
-	if tel.window > 0 {
-		tel.winClass[ci].DroppedEnergy++
-	}
-}
-
-// dropOutage records one frame of class ci lost to a dynamics outage in
-// the current window.
-func (tel *collector) dropOutage(ci int) {
-	if tel.window > 0 {
-		tel.winClass[ci].DroppedOutage++
+	wc := &tel.winClass[ci]
+	switch cause {
+	case dropQueue:
+		wc.DroppedQueue++
+	case dropEnergy:
+		wc.DroppedEnergy++
+	case dropOutage:
+		wc.DroppedOutage++
 	}
 }
 
 // finish closes out the collector at the run's end: the in-progress
 // window (if any traffic or time remains in it) is sealed clipped at
 // simEnd.
-func (tel *collector) finish(simEnd float64) {
+func (tel *collector) finish(simEnd float64) *TimeSeries {
 	if tel.window <= 0 {
-		return
+		return nil
 	}
 	tel.advance(simEnd)
 	if start := float64(tel.widx) * tel.window; simEnd > start {
 		tel.closeWindow(simEnd)
 	}
+	return tel.series
 }
 
 // quantiles returns the run-wide per-class and fleet-total latency

@@ -38,10 +38,6 @@ type Link interface {
 	ServedBytes() float64
 }
 
-// Uplink is the historical name of Link, kept for existing callers from
-// when the simulator only modeled the leaf→root direction.
-type Uplink = Link
-
 // NewLink builds the named contention model over a capacity in bytes/sec.
 func NewLink(model string, bytesPerSec float64) (Link, error) {
 	if bytesPerSec <= 0 {
@@ -54,11 +50,6 @@ func NewLink(model string, bytesPerSec float64) (Link, error) {
 		return &fifoUplink{cap: bytesPerSec}, nil
 	}
 	return nil, fmt.Errorf("fleet: unknown contention model %q", model)
-}
-
-// NewUplink is NewLink under its historical name.
-func NewUplink(model string, bytesPerSec float64) (Link, error) {
-	return NewLink(model, bytesPerSec)
 }
 
 // --- FIFO ---
