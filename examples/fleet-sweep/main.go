@@ -45,7 +45,10 @@ func main() {
 	for _, contention := range []string{fleet.ContentionFairShare, fleet.ContentionFIFO} {
 		sc := base
 		sc.Name = base.Name + "/" + contention
-		sc.Uplink.Contention = contention
+		// The parsed flat scenario is one tier tree: its root "wan" holds
+		// the uplink. Copy the slice so the sweep points do not share it.
+		sc.Tiers = append([]fleet.Tier(nil), base.Tiers...)
+		sc.Tiers[0].Uplink.Contention = contention
 		scenarios = append(scenarios, sc)
 	}
 	for _, o := range fleet.Sweep(scenarios, 0) {

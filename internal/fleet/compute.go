@@ -101,7 +101,7 @@ func (c *Class) referenceBytes() float64 {
 // resolved tree: well-formed pool parameters, known discipline and
 // classes, and a resolvable service time for every offloading class
 // whose offload path crosses the tier.
-func (sc *Scenario) validateComputeNodes(nodes []tierNode) error {
+func (sc *Scenario) validateComputeNodes(nodes []tierNode, root int) error {
 	any := false
 	for _, nd := range nodes {
 		cc := nd.Compute
@@ -131,14 +131,7 @@ func (sc *Scenario) validateComputeNodes(nodes []tierNode) error {
 				return fmt.Errorf("fleet: tier %q: duplicate compute service_sec for class %q", nd.Name, e.Class)
 			}
 			seen[e.Class] = true
-			known := false
-			for i := range sc.Classes {
-				if sc.Classes[i].Name == e.Class {
-					known = true
-					break
-				}
-			}
-			if !known {
+			if classIndex(sc.Classes, e.Class) < 0 {
 				return fmt.Errorf("fleet: tier %q: compute service_sec names unknown class %q", nd.Name, e.Class)
 			}
 			if !(e.Sec > 0) || math.IsInf(e.Sec, 0) {
@@ -157,7 +150,7 @@ func (sc *Scenario) validateComputeNodes(nodes []tierNode) error {
 		if c.referenceBytes() <= 0 {
 			continue // never offloads, never queues for compute
 		}
-		for ti := classAttachIndex(nodes, c); ti >= 0; ti = nodes[ti].parent {
+		for ti := classAttachIndex(nodes, root, c); ti >= 0; ti = nodes[ti].parent {
 			cc := nodes[ti].Compute
 			if cc == nil {
 				continue
@@ -169,22 +162,6 @@ func (sc *Scenario) validateComputeNodes(nodes []tierNode) error {
 		}
 	}
 	return nil
-}
-
-// classAttachIndex resolves the class's attach tier to a node index;
-// the root when the class names none.
-func classAttachIndex(nodes []tierNode, c *Class) int {
-	at := c.attach()
-	root := -1
-	for i := range nodes {
-		if at != "" && nodes[i].Name == at {
-			return i
-		}
-		if nodes[i].parent < 0 {
-			root = i
-		}
-	}
-	return root
 }
 
 // computePlan resolves each tier's service scaling: plan[ti][ci] is the
@@ -257,23 +234,17 @@ func classRowDelays(c *Class, pathScale float64) []float64 {
 func (sc Scenario) RowDelaySeconds(class string) ([]float64, error) {
 	sc = sc.clone()
 	sc.Normalize()
-	nodes, _, err := sc.topology()
+	nodes, root, err := sc.topology()
 	if err != nil {
 		return nil, err
 	}
-	ci := -1
-	for i := range sc.Classes {
-		if sc.Classes[i].Name == class {
-			ci = i
-			break
-		}
-	}
+	ci := classIndex(sc.Classes, class)
 	if ci < 0 {
 		return nil, fmt.Errorf("fleet: scenario %q: unknown class %q", sc.Name, class)
 	}
 	plan := computePlan(nodes, sc.Classes)
 	c := &sc.Classes[ci]
-	scale := classPathScale(nodes, plan, ci, classAttachIndex(nodes, c))
+	scale := classPathScale(nodes, plan, ci, classAttachIndex(nodes, root, c))
 	if scale == 0 {
 		return nil, nil
 	}

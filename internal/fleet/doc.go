@@ -6,12 +6,13 @@
 // cameras does a given uplink support, which placement keeps offload
 // latency bounded as the fleet grows, and what does contention do to
 // harvest-constrained devices sharing the air with bandwidth-hungry ones.
-// The network is one shared uplink (the flat model), a two-tier gateway
-// topology, or an arbitrary-depth tier tree — cameras attach to a named
+// The network is an arbitrary-depth tier tree — cameras attach to a named
 // tier and their offloads climb every link from there to the root, paying
-// transmission plus one-way propagation delay at each hop — and classes
-// can carry a runtime placement cost table that an adaptive per-class
-// controller walks as observed conditions change.
+// transmission plus one-way propagation delay at each hop; one shared
+// uplink (the flat model) and a two-tier gateway topology are input forms
+// of the same tree — and classes can carry a runtime placement cost table
+// that an adaptive per-class controller walks as observed conditions
+// change.
 //
 // This comment documents the scenario surface section by section;
 // ARCHITECTURE.md at the repository root maps the machinery underneath —
@@ -69,6 +70,15 @@
 //	  {"name": "gw-b", "uplink": {"gbps": 2, "contention": "fifo"}}
 //	],
 //
+// The top-level "uplink" alone (the flat form) and "uplink" with
+// "gateways" are input forms of a tier tree: Normalize, which
+// ParseScenario and Run apply, rewrites them into "tiers" — each gateway
+// a leaf tier whose parent is the root "wan", in declaration order, then
+// "wan" itself carrying the top-level uplink — and moves each class's
+// "gateway" into "tier". After ParseScenario, edit Scenario.Tiers:
+// Uplink and Gateways are zero, and setting them again is an error
+// (Gateways beside Tiers always, an Uplink unless it restates the root's).
+//
 // # Tier trees
 //
 // A "tiers" section generalizes the network to an arbitrary-depth tree
@@ -87,12 +97,15 @@
 //	  {"name": "core",                     "uplink": {"gbps": 8}, "propagation_sec": 0.01}
 //	],
 //
-// "tiers" is mutually exclusive with "gateways"; the flat and gateway
-// forms are themselves resolved into depth-1 and depth-2 trees (root
-// named "wan"), so the tree is the one runtime model. Per-tier stats come
-// back in Result.Tiers — served bytes, completed transfers, utilization,
-// depth and the hop-delay total Transfers × PropagationSec — and
-// Result.TierNamed finds a tier by name. DeepTopologyScenario builds the
+// "tiers" is mutually exclusive with "gateways", and a top-level "uplink"
+// beside it may only restate the root tier's; a class's "gateway" is a
+// synonym for "tier". The flat and gateway forms are rewritten into
+// depth-1 and depth-2 trees with the root named "wan" (see Tiered
+// topology), so the tree is the one runtime model; in those forms the
+// name "wan" is reserved. Per-tier stats come back in Result.Tiers —
+// served bytes, completed transfers, utilization, depth and the
+// hop-delay total Transfers × PropagationSec — and Result.TierNamed finds
+// a tier by name. DeepTopologyScenario builds the
 // gateway→metro→core demo chain behind `camsim topo -depth`.
 //
 // # Downlink

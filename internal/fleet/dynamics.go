@@ -112,26 +112,6 @@ func (d *DynamicsConfig) normalize() {
 	}
 }
 
-// dynClassIndex resolves a class name to its index, or -1.
-func dynClassIndex(sc *Scenario, name string) int {
-	for i := range sc.Classes {
-		if sc.Classes[i].Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// dynTierIndex resolves a tier name to its node index, or -1.
-func dynTierIndex(nodes []tierNode, name string) int {
-	for i := range nodes {
-		if nodes[i].Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // validateDynamics checks the dynamics schedule against the resolved tier
 // tree: known kinds, finite non-decreasing times, resolvable classes and
 // tiers, in-range factors, per-tier outage/recover alternation, and a
@@ -178,7 +158,7 @@ func (sc *Scenario) validateDynamics(nodes []tierNode) error {
 			return bad("cores belongs to %s only", DynComputeScale)
 		}
 		needTier := func() (int, error) {
-			ti := dynTierIndex(nodes, e.Tier)
+			ti := tierIndex(nodes, e.Tier)
 			if ti < 0 {
 				return -1, bad("unknown tier %q", e.Tier)
 			}
@@ -189,7 +169,7 @@ func (sc *Scenario) validateDynamics(nodes []tierNode) error {
 			if e.Tier != "" {
 				return bad("tier belongs to the link and tier kinds")
 			}
-			if dynClassIndex(sc, e.Class) < 0 {
+			if classIndex(sc.Classes, e.Class) < 0 {
 				return bad("unknown class %q", e.Class)
 			}
 			if e.Count <= 0 {
@@ -223,7 +203,7 @@ func (sc *Scenario) validateDynamics(nodes []tierNode) error {
 			down[ti] = true
 			attached := false
 			for ci := range sc.Classes {
-				if classAttachIndex(nodes, &sc.Classes[ci]) == ti {
+				if tierIndex(nodes, sc.Classes[ci].Tier) == ti {
 					attached = true
 					break
 				}
@@ -232,7 +212,7 @@ func (sc *Scenario) validateDynamics(nodes []tierNode) error {
 				return bad("tier %q has attached classes and needs a fallback to re-home them to", e.Tier)
 			}
 			if e.Fallback != "" {
-				fb := dynTierIndex(nodes, e.Fallback)
+				fb := tierIndex(nodes, e.Fallback)
 				if fb < 0 {
 					return bad("unknown fallback tier %q", e.Fallback)
 				}
@@ -258,7 +238,7 @@ func (sc *Scenario) validateDynamics(nodes []tierNode) error {
 			if e.Tier != "" {
 				return bad("tier belongs to the link and tier kinds")
 			}
-			if dynClassIndex(sc, e.Class) < 0 {
+			if classIndex(sc.Classes, e.Class) < 0 {
 				return bad("unknown class %q", e.Class)
 			}
 			if !(e.Multiplier > 0) || math.IsInf(e.Multiplier, 0) {
@@ -386,13 +366,13 @@ func newDynamics(sc *Scenario, nodes []tierNode, firstHop []int) *dynamics {
 		dyn.tier[i] = -1
 		dyn.fall[i] = -1
 		if e.Class != "" {
-			dyn.class[i] = dynClassIndex(sc, e.Class)
+			dyn.class[i] = classIndex(sc.Classes, e.Class)
 		}
 		if e.Tier != "" {
-			dyn.tier[i] = dynTierIndex(nodes, e.Tier)
+			dyn.tier[i] = tierIndex(nodes, e.Tier)
 		}
 		if e.Fallback != "" {
-			dyn.fall[i] = dynTierIndex(nodes, e.Fallback)
+			dyn.fall[i] = tierIndex(nodes, e.Fallback)
 		}
 	}
 	return dyn

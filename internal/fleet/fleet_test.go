@@ -41,8 +41,8 @@ func TestScenarioParseDefaultsAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Uplink.Contention != ContentionFairShare {
-		t.Fatalf("default contention = %q", sc.Uplink.Contention)
+	if sc.Tiers[0].Uplink.Contention != ContentionFairShare {
+		t.Fatalf("default contention = %q", sc.Tiers[0].Uplink.Contention)
 	}
 	c := sc.Classes[0]
 	if c.Arrival != ArrivalPeriodic || c.QueueDepth != 4 || c.OffloadProb != 1 {

@@ -3,30 +3,14 @@ package fleet
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// Seed corpus: the examples/fleet-sweep flat scenario, the tiered
-// topology + policy format, and a few near-miss inputs.
-var fuzzSeeds = []string{
-	// flat mixed fleet (examples/fleet-sweep)
-	`{
-	  "name": "corridor-mixed", "seed": 1, "duration_sec": 20,
-	  "uplink": {"gbps": 1, "contention": "fair-share"},
-	  "classes": [
-	    {"name": "faceauth-door", "count": 120, "fps": 1, "arrival": "poisson",
-	     "frame_bytes": 400, "offload_prob": 0.1, "compute_sec": 0.02,
-	     "capture_j": 3.3e-6, "compute_j": 3e-7,
-	     "tx_fixed_j": 2e-6, "tx_per_byte_j": 4.8e-10,
-	     "harvest_w": 2e-4, "store_j": 0.07},
-	    {"name": "vr-lobby", "count": 12, "fps": 30,
-	     "frame_bytes": 1122000, "compute_sec": 0.0316,
-	     "capture_j": 5e-3, "compute_j": 0.316,
-	     "tx_fixed_j": 1e-4, "tx_per_byte_j": 4e-8}
-	  ]
-	}`,
-	// tiered topology with an adaptive placement table
-	`{
+// twoGatewaySeed is the two-tier "gateways" form with an adaptive
+// placement table; TestZeroPropagationTiersMatchLegacyGateways pins the
+// tier tree Normalize rewrites it into.
+const twoGatewaySeed = `{
 	  "name": "two-gw", "seed": 7, "duration_sec": 8,
 	  "uplink": {"gbps": 4, "contention": "fair-share"},
 	  "gateways": [
@@ -46,14 +30,43 @@ var fuzzSeeds = []string{
 	     "gateway": "gw-b", "frame_bytes": 400, "offload_prob": 0.05,
 	     "compute_sec": 0.02, "harvest_w": 2e-4, "store_j": 0.07}
 	  ]
-	}`,
+	}`
+
+// fuzzSeed is one seed-corpus input and its verdict: wantErr is empty
+// when ParseScenario must accept the input, else a substring of the
+// error, naming the reason the seed's comment gives for rejecting it.
+type fuzzSeed struct {
+	json, wantErr string
+}
+
+// Seed corpus: the examples/fleet-sweep flat scenario, the tiered
+// topology + policy format, and a few near-miss inputs.
+var fuzzSeeds = []fuzzSeed{
+	// flat mixed fleet (examples/fleet-sweep)
+	{`{
+	  "name": "corridor-mixed", "seed": 1, "duration_sec": 20,
+	  "uplink": {"gbps": 1, "contention": "fair-share"},
+	  "classes": [
+	    {"name": "faceauth-door", "count": 120, "fps": 1, "arrival": "poisson",
+	     "frame_bytes": 400, "offload_prob": 0.1, "compute_sec": 0.02,
+	     "capture_j": 3.3e-6, "compute_j": 3e-7,
+	     "tx_fixed_j": 2e-6, "tx_per_byte_j": 4.8e-10,
+	     "harvest_w": 2e-4, "store_j": 0.07},
+	    {"name": "vr-lobby", "count": 12, "fps": 30,
+	     "frame_bytes": 1122000, "compute_sec": 0.0316,
+	     "capture_j": 5e-3, "compute_j": 0.316,
+	     "tx_fixed_j": 1e-4, "tx_per_byte_j": 4e-8}
+	  ]
+	}`, ""},
+	// tiered topology with an adaptive placement table
+	{twoGatewaySeed, ""},
 	// hysteresis policy
-	`{"duration_sec": 2, "uplink": {"gbps": 1},
+	{`{"duration_sec": 2, "uplink": {"gbps": 1},
 	  "classes": [{"name": "c", "count": 2, "fps": 5,
 	    "placements": [{"frame_bytes": 1000}, {"frame_bytes": 10}],
-	    "policy": {"kind": "hysteresis", "high_sec": 0.5}}]}`,
+	    "policy": {"kind": "hysteresis", "high_sec": 0.5}}]}`, ""},
 	// arbitrary-depth tier tree with per-hop propagation delay
-	`{
+	{`{
 	  "name": "deep", "seed": 5, "duration_sec": 4,
 	  "tiers": [
 	    {"name": "gw-a", "parent": "metro", "uplink": {"gbps": 2}, "propagation_sec": 0.0002},
@@ -70,29 +83,29 @@ var fuzzSeeds = []string{
 	     "compute_sec": 0.02, "harvest_w": 2e-4, "store_j": 0.07},
 	    {"name": "direct", "count": 5, "fps": 2, "frame_bytes": 10000}
 	  ]
-	}`,
+	}`, ""},
 	// invalid inputs the decoder must reject gracefully
-	`{"duration_sec": -1}`,
-	`{"duration_sec": 2, "uplink": {"gbps": 1}, "gateways": [{"name": ""}], "classes": []}`,
-	`not json at all`,
-	`{"classes": [{"count": 1e999}]}`,
+	{`{"duration_sec": -1}`, "duration"},
+	{`{"duration_sec": 2, "uplink": {"gbps": 1}, "gateways": [{"name": ""}], "classes": []}`, "has no name"},
+	{`not json at all`, "decoding scenario"},
+	{`{"classes": [{"count": 1e999}]}`, "decoding scenario"},
 	// tier trees the topology resolver must reject: no root, a parent
 	// cycle, a duplicate name, mixing tiers with gateways, negative delay
-	`{"duration_sec": 1, "tiers": [{"name": "a", "parent": "b", "uplink": {"gbps": 1}},
+	{`{"duration_sec": 1, "tiers": [{"name": "a", "parent": "b", "uplink": {"gbps": 1}},
 	  {"name": "b", "parent": "a", "uplink": {"gbps": 1}}],
-	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`,
-	`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1}},
+	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`, "no root tier"},
+	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1}},
 	  {"name": "a", "uplink": {"gbps": 1}}],
-	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`,
-	`{"duration_sec": 1, "uplink": {"gbps": 1},
+	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`, "duplicate tier"},
+	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "tiers": [{"name": "a", "uplink": {"gbps": 1}}],
 	  "gateways": [{"name": "g", "uplink": {"gbps": 1}}],
-	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`,
-	`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1}, "propagation_sec": -0.1}],
-	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`,
+	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`, "mutually exclusive"},
+	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1}, "propagation_sec": -0.1}],
+	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`, "propagation"},
 	// energy-aware placement: per-link forwarding energy, the
 	// energy-latency policy and the global budget controller
-	`{
+	{`{
 	  "name": "energy", "seed": 9, "duration_sec": 4,
 	  "tiers": [
 	    {"name": "gw", "parent": "core", "uplink": {"gbps": 4}, "propagation_sec": 0.0002, "tx_per_byte_j": 2e-8},
@@ -109,27 +122,27 @@ var fuzzSeeds = []string{
 	     "policy": {"kind": "energy-latency", "interval_sec": 0.5,
 	                "high_sec": 0.5, "energy_weight": 1}}
 	  ]
-	}`,
+	}`, ""},
 	// energy configs the validator must reject: a budget-less global
 	// section, a global with nothing to reassign, negative forwarding
 	// energy, a negative energy weight, and a misspelled field (strict
 	// decoding rejects unknown keys)
-	`{"duration_sec": 1, "uplink": {"gbps": 1}, "global": {"epoch_sec": 1},
+	{`{"duration_sec": 1, "uplink": {"gbps": 1}, "global": {"epoch_sec": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1,
-	    "placements": [{"frame_bytes": 10}]}]}`,
-	`{"duration_sec": 1, "uplink": {"gbps": 1}, "global": {"budget_w": 5},
-	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`,
-	`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1}, "tx_per_byte_j": -1}],
-	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`,
-	`{"duration_sec": 1, "uplink": {"gbps": 1},
+	    "placements": [{"frame_bytes": 10}]}]}`, "budget"},
+	{`{"duration_sec": 1, "uplink": {"gbps": 1}, "global": {"budget_w": 5},
+	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`, "no placements table to reassign"},
+	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1}, "tx_per_byte_j": -1}],
+	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`, "forwarding energy"},
+	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1,
 	    "placements": [{"frame_bytes": 10}],
-	    "policy": {"kind": "energy-latency", "high_sec": 1, "energy_weight": -2}}]}`,
-	`{"duration_sec": 1, "uplink": {"gbps": 1}, "budget_w": 5,
-	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`,
+	    "policy": {"kind": "energy-latency", "high_sec": 1, "energy_weight": -2}}]}`, "energy weight"},
+	{`{"duration_sec": 1, "uplink": {"gbps": 1}, "budget_w": 5,
+	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`, "unknown field"},
 	// bidirectional tiers with a federated-learning job: downlinks on the
 	// broadcast span, payloads sized from the model's layer vector
-	`{
+	{`{
 	  "name": "fl", "seed": 3, "duration_sec": 4,
 	  "tiers": [
 	    {"name": "gw", "parent": "core", "uplink": {"gbps": 2}, "propagation_sec": 0.0002,
@@ -143,36 +156,36 @@ var fuzzSeeds = []string{
 	  ],
 	  "federated": {"rounds": 3, "classes": ["fa"], "compute_sec": 0.5, "jitter_sec": 0.2,
 	    "model": {"layers": [400, 8, 1], "bytes_per_weight": 4, "compress": 0.5}}
-	}`,
+	}`, ""},
 	// federated configs the validator must reject: a span tier without a
 	// downlink, zero rounds, compress out of range, the gateways form
 	// (no downlinks to broadcast on), an unknown participant class, and a
 	// downlink with a bogus contention model
-	`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1}}],
+	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1}}],
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "federated": {"rounds": 1, "update_bytes": 100}}`,
-	`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1}, "downlink": {"gbps": 1}}],
+	  "federated": {"rounds": 1, "update_bytes": 100}}`, "downlink"},
+	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1}, "downlink": {"gbps": 1}}],
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "federated": {"rounds": 0, "update_bytes": 100}}`,
-	`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1}, "downlink": {"gbps": 1}}],
+	  "federated": {"rounds": 0, "update_bytes": 100}}`, "rounds"},
+	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1}, "downlink": {"gbps": 1}}],
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "federated": {"rounds": 1, "model": {"layers": [4, 2], "compress": 7}}}`,
-	`{"duration_sec": 1, "uplink": {"gbps": 1},
+	  "federated": {"rounds": 1, "model": {"layers": [4, 2], "compress": 7}}}`, "compress"},
+	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "gateways": [{"name": "g", "uplink": {"gbps": 1}}],
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10, "gateway": "g"}],
-	  "federated": {"rounds": 1, "update_bytes": 100}}`,
-	`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1}, "downlink": {"gbps": 1}}],
+	  "federated": {"rounds": 1, "update_bytes": 100}}`, "needs a \"tiers\" topology"},
+	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1}, "downlink": {"gbps": 1}}],
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "federated": {"rounds": 1, "update_bytes": 100, "classes": ["ghost"]}}`,
-	`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1},
+	  "federated": {"rounds": 1, "update_bytes": 100, "classes": ["ghost"]}}`, "not in the scenario"},
+	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1},
 	  "downlink": {"gbps": 1, "contention": "magic"}}],
-	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`,
+	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`, "unknown contention model \"magic\""},
 	// finite tier compute: a valid two-tier pool with a per-class service
 	// override, then the shapes the validator must reject — an unknown
 	// discipline, a pool with no way to price service, a service entry for
 	// a class that does not exist, a duplicated entry, negative cores, and
 	// an offloading class crossing a pool that cannot price it
-	`{
+	{`{
 	  "duration_sec": 2, "seed": 7,
 	  "tiers": [
 	    {"name": "gw", "parent": "core", "uplink": {"gbps": 2},
@@ -185,31 +198,31 @@ var fuzzSeeds = []string{
 	  "classes": [
 	    {"name": "fa", "count": 4, "fps": 2, "tier": "gw", "frame_bytes": 4096}
 	  ]
-	}`,
-	`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1},
+	}`, ""},
+	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1},
 	  "compute": {"cores": 1, "service_rate_fps": 10, "discipline": "magic"}}],
-	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`,
-	`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1},
+	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`, "unknown compute discipline"},
+	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1},
 	  "compute": {"cores": 1}}],
-	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`,
-	`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1},
+	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`, "service_rate_fps or service_sec"},
+	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1},
 	  "compute": {"cores": 1, "service_rate_fps": 10,
 	              "service_sec": [{"class": "ghost", "sec": 0.1}]}}],
-	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`,
-	`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1},
+	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`, "unknown class"},
+	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1},
 	  "compute": {"cores": 1, "service_rate_fps": 10,
 	              "service_sec": [{"class": "c", "sec": 0.1}, {"class": "c", "sec": 0.2}]}}],
-	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`,
-	`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1},
+	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`, "duplicate compute service_sec"},
+	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1},
 	  "compute": {"cores": -1, "service_rate_fps": 10}}],
-	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`,
-	`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1},
+	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`, "cores -1"},
+	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1},
 	  "compute": {"cores": 1, "service_sec": [{"class": "c", "sec": 0.1}]}}],
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10},
-	              {"name": "d", "count": 1, "fps": 1, "frame_bytes": 10, "tier": "a"}]}`,
+	              {"name": "d", "count": 1, "fps": 1, "frame_bytes": 10, "tier": "a"}]}`, "no service time for class"},
 	// streaming telemetry: sketch-backed quantiles with a windowed time
 	// series
-	`{
+	{`{
 	  "name": "stream", "seed": 11, "duration_sec": 4,
 	  "tiers": [
 	    {"name": "gw", "parent": "core", "uplink": {"gbps": 2}, "propagation_sec": 0.0002},
@@ -220,20 +233,20 @@ var fuzzSeeds = []string{
 	     "frame_bytes": 100000, "offload_prob": 0.5, "compute_sec": 0.01, "queue_depth": 3}
 	  ],
 	  "telemetry": {"streaming": true, "window_sec": 0.5}
-	}`,
+	}`, ""},
 	// telemetry configs the validator must reject: a window without
 	// streaming (the time series rides the sketch path) and a negative
 	// window
-	`{"duration_sec": 1, "uplink": {"gbps": 1},
+	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "telemetry": {"streaming": false, "window_sec": 1}}`,
-	`{"duration_sec": 1, "uplink": {"gbps": 1},
+	  "telemetry": {"streaming": false, "window_sec": 1}}`, "needs streaming"},
+	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "telemetry": {"streaming": true, "window_sec": -2}}`,
+	  "telemetry": {"streaming": true, "window_sec": -2}}`, "window -2"},
 	// fleet dynamics: a full fault schedule over a two-gateway tree —
 	// diurnal rate profile, recurring churn, an outage with a fallback,
 	// recovery, a degraded-then-restored link, a core-pool rescale
-	`{
+	{`{
 	  "name": "dyn", "seed": 13, "duration_sec": 8,
 	  "tiers": [
 	    {"name": "gw-a", "parent": "core", "uplink": {"gbps": 0.2},
@@ -256,45 +269,64 @@ var fuzzSeeds = []string{
 	    {"time_sec": 5, "kind": "link_degrade", "tier": "gw-b", "factor": 0.5},
 	    {"time_sec": 6.5, "kind": "link_restore", "tier": "gw-b"}
 	  ]}
-	}`,
+	}`, ""},
 	// dynamics schedules the validator must reject: an unknown event kind,
 	// a negative time, an out-of-order pair, a ghost tier, a factor out of
-	// range, an outage that strands its attached class without a fallback,
-	// and a misplaced knob on a churn event
-	`{"duration_sec": 1, "uplink": {"gbps": 1},
+	// range (on "wan", the flat form's root), an outage that strands its
+	// attached class without a fallback, and a misplaced knob on a churn
+	// event
+	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "meteor_strike"}]}}`,
-	`{"duration_sec": 1, "uplink": {"gbps": 1},
+	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "meteor_strike"}]}}`, "unknown event kind"},
+	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "dynamics": {"events": [{"time_sec": -1, "kind": "camera_join", "class": "c"}]}}`,
-	`{"duration_sec": 1, "uplink": {"gbps": 1},
+	  "dynamics": {"events": [{"time_sec": -1, "kind": "camera_join", "class": "c"}]}}`, "time -1 sec"},
+	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
 	  "dynamics": {"events": [
 	    {"time_sec": 0.8, "kind": "camera_join", "class": "c"},
-	    {"time_sec": 0.2, "kind": "camera_leave", "class": "c"}]}}`,
-	`{"duration_sec": 1, "uplink": {"gbps": 1},
+	    {"time_sec": 0.2, "kind": "camera_leave", "class": "c"}]}}`, "time-ordered"},
+	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "link_degrade", "tier": "ghost", "factor": 0.5}]}}`,
-	`{"duration_sec": 1, "uplink": {"gbps": 1},
+	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "link_degrade", "tier": "ghost", "factor": 0.5}]}}`, "unknown tier \"ghost\""},
+	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "link_degrade", "tier": "uplink", "factor": -2}]}}`,
-	`{"duration_sec": 1,
+	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "link_degrade", "tier": "wan", "factor": -2}]}}`, "factor -2 out of range"},
+	{`{"duration_sec": 1,
 	  "tiers": [{"name": "gw", "parent": "core", "uplink": {"gbps": 1}},
 	            {"name": "core", "uplink": {"gbps": 1}}],
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10, "tier": "gw"}],
-	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "tier_outage", "tier": "gw"}]}}`,
-	`{"duration_sec": 1, "uplink": {"gbps": 1},
+	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "tier_outage", "tier": "gw"}]}}`, "needs a fallback"},
+	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "camera_join", "class": "c", "factor": 0.5}]}}`,
+	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "camera_join", "class": "c", "factor": 0.5}]}}`, "factor belongs to"},
+}
+
+// TestFuzzSeedVerdicts pins every seed's verdict: the valid seeds parse,
+// and each invalid one fails for the reason its comment gives, not for
+// some earlier fault that hides the check it was written for.
+func TestFuzzSeedVerdicts(t *testing.T) {
+	for i, s := range fuzzSeeds {
+		_, err := ParseScenario([]byte(s.json))
+		switch {
+		case s.wantErr == "" && err != nil:
+			t.Errorf("seed %d: rejected a valid seed: %v", i, err)
+		case s.wantErr != "" && err == nil:
+			t.Errorf("seed %d: accepted, want an error containing %q", i, s.wantErr)
+		case s.wantErr != "" && !strings.Contains(err.Error(), s.wantErr):
+			t.Errorf("seed %d: err = %v, want substring %q", i, err, s.wantErr)
+		}
+	}
 }
 
 // FuzzScenarioDecode feeds arbitrary bytes to the scenario decoder:
 // whatever the input, ParseScenario must either return an error or a
-// scenario that validates, normalizes idempotently, and survives a
-// marshal/re-parse round trip — and must never panic.
+// scenario in the one network form — a tier tree, no legacy field left —
+// that validates, normalizes idempotently, and survives a marshal/re-parse
+// round trip — and must never panic.
 func FuzzScenarioDecode(f *testing.F) {
 	for _, s := range fuzzSeeds {
-		f.Add([]byte(s))
+		f.Add([]byte(s.json))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc, err := ParseScenario(data)
@@ -303,6 +335,15 @@ func FuzzScenarioDecode(f *testing.F) {
 		}
 		if err := sc.Validate(); err != nil {
 			t.Fatalf("parsed scenario fails re-validation: %v", err)
+		}
+		if len(sc.Tiers) == 0 || sc.Gateways != nil || sc.Uplink != (UplinkConfig{}) {
+			t.Fatalf("parsed scenario left the tier form: %d tiers, gateways %+v, uplink %+v",
+				len(sc.Tiers), sc.Gateways, sc.Uplink)
+		}
+		for _, c := range sc.Classes {
+			if c.Gateway != "" {
+				t.Fatalf("class %q kept gateway %q after Normalize", c.Name, c.Gateway)
+			}
 		}
 		if sc.Cameras() <= 0 {
 			t.Fatalf("valid scenario with %d cameras", sc.Cameras())

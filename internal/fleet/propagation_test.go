@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -88,6 +89,58 @@ func TestZeroPropagationTiersMatchLegacyGateways(t *testing.T) {
 	if a.Table() != b.Table() {
 		t.Fatalf("tiers form diverged from gateways form:\n%s\nvs\n%s", a.Table(), b.Table())
 	}
+
+	// The flat form is the one-tier tree rooted at "wan".
+	flat := mixedScenario(3, ContentionFIFO)
+	oneTier := flat
+	oneTier.Uplink = UplinkConfig{}
+	oneTier.Tiers = []Tier{{Name: "wan", Uplink: flat.Uplink}}
+	a, err = Run(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err = Run(oneTier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Table() != b.Table() {
+		t.Fatalf("one-tier tree diverged from flat form:\n%s\nvs\n%s", a.Table(), b.Table())
+	}
+
+	// Normalize's rewrite is exactly the hand-written tree: the gateways
+	// as leaves under "wan" in declaration order, the root last, and each
+	// class attached by tier.
+	rewritten, err := ParseScenario([]byte(twoGatewaySeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	handWritten, err := ParseScenario([]byte(`{
+	  "name": "two-gw", "seed": 7, "duration_sec": 8,
+	  "tiers": [
+	    {"name": "gw-a", "parent": "wan", "uplink": {"gbps": 2, "contention": "fair-share"}},
+	    {"name": "gw-b", "parent": "wan", "uplink": {"gbps": 2, "contention": "fifo"}},
+	    {"name": "wan", "uplink": {"gbps": 4, "contention": "fair-share"}}
+	  ],
+	  "classes": [
+	    {"name": "vr-a", "count": 4, "fps": 30, "tier": "gw-a",
+	     "capture_j": 5e-3, "tx_fixed_j": 1e-4, "tx_per_byte_j": 4e-8,
+	     "placements": [
+	       {"name": "S~", "frame_bytes": 12361551, "compute_sec": 0.0001},
+	       {"name": "full", "frame_bytes": 1122000, "compute_sec": 0.0316, "compute_j": 0.316}
+	     ],
+	     "policy": {"kind": "latency-threshold", "interval_sec": 0.5,
+	                "high_sec": 0.2, "move_fraction": 0.5}},
+	    {"name": "fa-b", "count": 60, "fps": 1, "arrival": "poisson",
+	     "tier": "gw-b", "frame_bytes": 400, "offload_prob": 0.05,
+	     "compute_sec": 0.02, "harvest_w": 2e-4, "store_j": 0.07}
+	  ]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rewritten, handWritten) {
+		t.Fatalf("gateways form rewrote to\n%+v\nwant the hand-written tree\n%+v", rewritten, handWritten)
+	}
 }
 
 func TestTierTreeValidation(t *testing.T) {
@@ -123,6 +176,10 @@ func TestTierTreeValidation(t *testing.T) {
 			sc.Uplink = UplinkConfig{Contention: ContentionFIFO}
 		})},
 		{"zero-capacity tier", mutate(func(sc *Scenario) { sc.Tiers[1].Uplink.Gbps = 0 })},
+		{"flat class attached to the synthesized root by tier", mutate(func(sc *Scenario) {
+			sc.Tiers, sc.Uplink = nil, UplinkConfig{Gbps: 1}
+			sc.Classes[0].Tier = "wan"
+		})},
 	}
 	for _, tc := range cases {
 		if _, err := Run(tc.sc); err == nil {
@@ -151,15 +208,44 @@ func TestTierTreeValidation(t *testing.T) {
 	if _, err := Run(ok); err != nil {
 		t.Errorf("rejected a tier-form class attached at the root: %v", err)
 	}
-	// Validate must accept a fully-explicit tiers scenario before
-	// Normalize has mirrored the root uplink into the undeclared
-	// top-level one.
+	// Validate must accept a fully-explicit tiers scenario that was never
+	// normalized: it checks a normalized private copy.
 	explicit := chainScenario()
 	for i := range explicit.Tiers {
 		explicit.Tiers[i].Uplink.Contention = ContentionFairShare
 	}
 	if err := explicit.Validate(); err != nil {
 		t.Errorf("un-normalized explicit tiers scenario failed Validate: %v", err)
+	}
+	// Legacy fields that restate the tree are accepted and run the same
+	// machine: a top-level uplink equal to the root's, with or without its
+	// defaulted contention, and a class attached through the gateway
+	// synonym.
+	want, err := Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := []struct {
+		name string
+		sc   Scenario
+	}{
+		{"top-level uplink restating the root", mutate(func(sc *Scenario) {
+			sc.Uplink = UplinkConfig{Gbps: 32e-3}
+		})},
+		{"top-level uplink restating the root with its contention", mutate(func(sc *Scenario) {
+			sc.Uplink = UplinkConfig{Gbps: 32e-3, Contention: ContentionFairShare}
+		})},
+		{"tier-form class attached through the gateway synonym", mutate(func(sc *Scenario) {
+			sc.Classes[0].Tier, sc.Classes[0].Gateway = "", "gw-a"
+		})},
+	}
+	for _, tc := range accepted {
+		res, err := Run(tc.sc)
+		if err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		} else if res.Table() != want.Table() {
+			t.Errorf("%s: ran differently:\n%s\nvs\n%s", tc.name, res.Table(), want.Table())
+		}
 	}
 }
 
@@ -234,7 +320,7 @@ func TestTierTreeServedBytesConservedHopToHop(t *testing.T) {
 		expect := make([]float64, len(nodes))
 		for ci, cl := range sc.Classes {
 			li := root
-			if at := cl.attach(); at != "" {
+			if at := cl.Tier; at != "" {
 				for i := range nodes {
 					if nodes[i].Name == at {
 						li = i

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"camsim/internal/core"
 	"camsim/internal/energy"
@@ -15,27 +16,27 @@ import (
 )
 
 // Scenario describes one fleet simulation: a camera population, a network
-// (either one shared uplink or a tiered gateway topology), and a duration.
-// See the package comment for the JSON form.
+// (a tier tree, or one of the two input forms Normalize rewrites into
+// one), and a duration. See the package comment for the JSON form.
 type Scenario struct {
 	Name     string  `json:"name"`
 	Seed     int64   `json:"seed"`
 	Duration float64 `json:"duration_sec"` // simulated seconds of capture
-	// Uplink is the top-tier link. With no Gateways it is the single
-	// shared uplink of the flat model; with Gateways it is the WAN link
-	// every gateway's traffic funnels into.
+	// Uplink is an input form: without Tiers, the shared top-tier link
+	// (the whole network of the flat form). Normalize moves it into the
+	// root tier "wan" and zeroes it; beside Tiers it may only restate the
+	// root tier's uplink, and is dropped. Edit Tiers after ParseScenario.
 	Uplink UplinkConfig `json:"uplink"`
-	// Gateways, when non-empty, makes the network tiered: each class
-	// attaches its cameras to one gateway (Class.Gateway), offloads cross
-	// the finite camera→gateway link first and the shared WAN second, and
-	// each tier runs its own contention discipline.
+	// Gateways is an input form: without Tiers, the camera→gateway links
+	// of a two-tier network, each feeding the shared Uplink. Normalize
+	// rewrites them into leaf tiers under the root "wan", in order, and
+	// sets Gateways to nil. Mutually exclusive with Tiers.
 	Gateways []Gateway `json:"gateways,omitempty"`
-	// Tiers, when non-empty, describes an arbitrary-depth tier tree
-	// instead: each tier names its parent (one root leaves it empty),
+	// Tiers is the network every run simulates: an arbitrary-depth tier
+	// tree in which each tier names its parent (one root leaves it empty),
 	// carries its own uplink and a one-way propagation delay, and a
 	// transfer rides every link from its class's attach point (Class.Tier)
-	// to the root. Mutually exclusive with Gateways; the flat and gateway
-	// forms are themselves normalized into depth-1 and depth-2 trees.
+	// to the root. After Normalize it is never empty.
 	Tiers   []Tier  `json:"tiers,omitempty"`
 	Classes []Class `json:"classes"`
 	// Global, when present, runs the fleet-wide energy-aware placement
@@ -48,8 +49,8 @@ type Scenario struct {
 	// job over the tier tree: participating cameras push update blobs up
 	// their attach tier's uplink, tiers aggregate fan-in blobs to one per
 	// round, and the cloud broadcasts the merged model down the tree's
-	// downlinks to start the next round. Requires the "tiers" form, with
-	// a downlink on every tier of the broadcast span.
+	// downlinks to start the next round. Requires a downlink on every
+	// tier of the broadcast span, which only the "tiers" form declares.
 	Federated *fl.Config `json:"federated,omitempty"`
 	// Telemetry, when present, opts the run into streaming statistics:
 	// bounded-memory quantile sketches in place of exact per-class
@@ -72,21 +73,12 @@ type UplinkConfig struct {
 	Contention string  `json:"contention"` // ContentionFairShare (default) or ContentionFIFO
 }
 
-// Gateway is one edge aggregation point: the cameras attached to it share
-// its camera→gateway uplink before their traffic enters the WAN tier.
+// Gateway is one edge aggregation point of the "gateways" input form: the
+// cameras attached to it share its camera→gateway uplink before their
+// traffic enters the WAN tier. Normalize rewrites it into a Tier.
 type Gateway struct {
 	Name   string       `json:"name"`
 	Uplink UplinkConfig `json:"uplink"`
-}
-
-// GatewayIndex returns the position of the named gateway, or -1.
-func (sc *Scenario) GatewayIndex(name string) int {
-	for i := range sc.Gateways {
-		if sc.Gateways[i].Name == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // BytesPerSecond returns the uplink's payload capacity.
@@ -125,12 +117,12 @@ type Class struct {
 	HarvestW float64 `json:"harvest_w"`
 	StoreJ   float64 `json:"store_j"`
 
-	// Gateway attaches the class's cameras to the named gateway in a
-	// tiered scenario; empty attaches them directly to the top-tier link.
+	// Gateway is an input synonym for Tier, from the "gateways" form.
+	// Normalize moves it into Tier and clears it; one that disagrees with
+	// Tier is rejected.
 	Gateway string `json:"gateway,omitempty"`
-	// Tier attaches the class's cameras to the named node of a tier-tree
-	// scenario (Scenario.Tiers); empty attaches them at the root. Gateway
-	// is accepted as a synonym for the legacy two-tier form.
+	// Tier attaches the class's cameras to the named tier of
+	// Scenario.Tiers; empty attaches them at the root.
 	Tier string `json:"tier,omitempty"`
 
 	// Placements, when non-empty, is the class's runtime cost table:
@@ -248,7 +240,7 @@ func ParseScenario(data []byte) (Scenario, error) {
 		return Scenario{}, fmt.Errorf("fleet: decoding scenario: trailing data after the scenario object")
 	}
 	sc.Normalize()
-	if err := sc.Validate(); err != nil {
+	if _, _, err := sc.validate(); err != nil {
 		return Scenario{}, err
 	}
 	return sc, nil
@@ -261,7 +253,6 @@ func ParseScenario(data []byte) (Scenario, error) {
 // or a run writes through is re-backed.
 func (sc Scenario) clone() Scenario {
 	sc.Classes = append([]Class(nil), sc.Classes...)
-	sc.Gateways = append([]Gateway(nil), sc.Gateways...)
 	sc.Tiers = append([]Tier(nil), sc.Tiers...)
 	for i := range sc.Tiers {
 		sc.Tiers[i].Downlink = shallowCopy(sc.Tiers[i].Downlink)
@@ -286,21 +277,28 @@ func shallowCopy[T any](p *T) *T {
 	return &c
 }
 
-// Normalize fills defaulted fields in place: contention models (every
+// Normalize rewrites the network into its one runtime form, the tier
+// tree, and fills defaulted fields in place: contention models (every
 // tier), arrival pattern, queue depth, offload probability and the
 // adaptive-policy knobs. It is idempotent.
+//
+// Without Tiers, the flat and "gateways" forms become the tree they
+// always described: each gateway a leaf tier under the root "wan", in
+// declaration order, and the root, carrying the top-level uplink, last —
+// so link indices, and with them simultaneous-completion tie-breaks, are
+// the ones these forms always had. Each class's Gateway moves into Tier.
+// Input no tree expresses stays where it was, for validate to reject.
 func (sc *Scenario) Normalize() {
-	// Whether the scenario declared any top-level uplink at all, before
-	// defaults obscure it: a declared uplink is never overwritten by the
-	// tier-tree mirror below (Validate rejects a disagreement instead).
-	uplinkDeclared := sc.Uplink != (UplinkConfig{})
-	if sc.Uplink.Contention == "" {
-		sc.Uplink.Contention = ContentionFairShare
-	}
-	for i := range sc.Gateways {
-		if sc.Gateways[i].Uplink.Contention == "" {
-			sc.Gateways[i].Uplink.Contention = ContentionFairShare
+	if len(sc.Tiers) == 0 && !sc.namesRoot() {
+		sc.Tiers = make([]Tier, 0, len(sc.Gateways)+1)
+		for _, gw := range sc.Gateways {
+			sc.Tiers = append(sc.Tiers, Tier{Name: gw.Name, Parent: rootTierName, Uplink: gw.Uplink})
 		}
+		sc.Tiers = append(sc.Tiers, Tier{Name: rootTierName, Uplink: sc.Uplink})
+		sc.Uplink, sc.Gateways = UplinkConfig{}, nil
+	}
+	if len(sc.Gateways) == 0 {
+		sc.Gateways = nil
 	}
 	root := -1
 	for i := range sc.Tiers {
@@ -317,15 +315,21 @@ func (sc *Scenario) Normalize() {
 			root = i
 		}
 	}
-	if root >= 0 && !uplinkDeclared {
-		// The tier tree is authoritative: mirror the root link into an
-		// undeclared top-level Uplink so legacy display paths (Table
-		// headers) and the flat-model accessors keep reporting the real
-		// top tier.
-		sc.Uplink = sc.Tiers[root].Uplink
+	// A top-level uplink beside "tiers" that restates the root's is
+	// dropped; one that disagrees is left for validate to reject.
+	if up := sc.Uplink; up != (UplinkConfig{}) && root >= 0 {
+		if up.Contention == "" {
+			up.Contention = ContentionFairShare
+		}
+		if up == sc.Tiers[root].Uplink {
+			sc.Uplink = UplinkConfig{}
+		}
 	}
 	for i := range sc.Classes {
 		c := &sc.Classes[i]
+		if c.Gateway != "" && (c.Tier == "" || c.Tier == c.Gateway) {
+			c.Tier, c.Gateway = c.Gateway, ""
+		}
 		if c.Arrival == "" {
 			c.Arrival = ArrivalPeriodic
 		}
@@ -367,6 +371,34 @@ func (sc *Scenario) Normalize() {
 	}
 }
 
+// namesRoot reports whether a flat or "gateways" scenario names the root
+// its rewrite would synthesize — a gateway, or a class's tier or gateway,
+// called "wan". Those forms have no name for their root (an empty attach
+// name already means it), so no tier tree expresses such input.
+func (sc *Scenario) namesRoot() bool {
+	for _, gw := range sc.Gateways {
+		if gw.Name == rootTierName {
+			return true
+		}
+	}
+	for _, c := range sc.Classes {
+		if c.Tier == rootTierName || c.Gateway == rootTierName {
+			return true
+		}
+	}
+	return false
+}
+
+// classIndex resolves a class name to its index, or -1.
+func classIndex(classes []Class, name string) int {
+	for i := range classes {
+		if classes[i].Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // validateUplink checks one tier's link configuration.
 func validateUplink(u UplinkConfig, tier string) error {
 	if !(u.Gbps > 0) || math.IsInf(u.Gbps, 0) {
@@ -378,90 +410,96 @@ func validateUplink(u UplinkConfig, tier string) error {
 	return nil
 }
 
-// Validate rejects scenarios the simulator cannot run.
-func (sc *Scenario) Validate() error { return sc.validate(nil) }
+// Validate rejects scenarios the simulator cannot run. It checks sc as
+// Run sees it: normalized, on a private copy.
+func (sc *Scenario) Validate() error {
+	c := sc.clone()
+	c.Normalize()
+	_, _, err := c.validate()
+	return err
+}
 
-// validate is Validate over an optionally pre-resolved tier tree: Run
-// resolves the topology once and shares it, everyone else passes nil.
-func (sc *Scenario) validate(nodes []tierNode) error {
+// validate rejects a normalized scenario the simulator cannot run. It
+// returns the tier tree it resolved, and the root's index, so Run
+// resolves the tree once.
+func (sc *Scenario) validate() ([]tierNode, int, error) {
+	// Legacy network input Normalize could not rewrite into the tree.
+	switch {
+	case len(sc.Tiers) == 0:
+		return nil, 0, fmt.Errorf("fleet: scenario %q: name %q is reserved for the top tier of the \"uplink\" and \"gateways\" forms",
+			sc.Name, rootTierName)
+	case len(sc.Gateways) > 0:
+		return nil, 0, fmt.Errorf("fleet: scenario %q: tiers and gateways are mutually exclusive", sc.Name)
+	case sc.Uplink != (UplinkConfig{}):
+		return nil, 0, fmt.Errorf("fleet: scenario %q: top-level uplink conflicts with the root tier; omit \"uplink\" when \"tiers\" is given",
+			sc.Name)
+	}
+	for _, c := range sc.Classes {
+		if c.Gateway != "" {
+			return nil, 0, fmt.Errorf("fleet: class %q: tier %q and gateway %q disagree", c.Name, c.Tier, c.Gateway)
+		}
+	}
+
 	if !(sc.Duration > 0) || math.IsInf(sc.Duration, 0) {
-		return fmt.Errorf("fleet: scenario %q: duration %v must be positive and finite", sc.Name, sc.Duration)
+		return nil, 0, fmt.Errorf("fleet: scenario %q: duration %v must be positive and finite", sc.Name, sc.Duration)
 	}
-	if len(sc.Tiers) == 0 {
-		if err := validateUplink(sc.Uplink, fmt.Sprintf("scenario %q", sc.Name)); err != nil {
-			return err
-		}
-	}
-	for i, gw := range sc.Gateways {
-		if gw.Name == "" {
-			return fmt.Errorf("fleet: scenario %q: gateway %d has no name", sc.Name, i)
-		}
-		if sc.GatewayIndex(gw.Name) != i {
-			return fmt.Errorf("fleet: scenario %q: duplicate gateway %q", sc.Name, gw.Name)
-		}
-		if err := validateUplink(gw.Uplink, fmt.Sprintf("gateway %q", gw.Name)); err != nil {
-			return err
-		}
-	}
-	if nodes == nil {
-		var err error
-		if nodes, _, err = sc.topology(); err != nil {
-			return err
-		}
+	nodes, root, err := sc.topology()
+	if err != nil {
+		return nil, 0, err
 	}
 	if err := sc.validateTopologyNodes(nodes); err != nil {
-		return err
+		return nil, 0, err
 	}
-	if err := sc.validateComputeNodes(nodes); err != nil {
-		return err
+	if err := sc.validateComputeNodes(nodes, root); err != nil {
+		return nil, 0, err
 	}
 	if len(sc.Classes) == 0 {
-		return fmt.Errorf("fleet: scenario %q has no camera classes", sc.Name)
+		return nil, 0, fmt.Errorf("fleet: scenario %q has no camera classes", sc.Name)
 	}
 	total := 0
 	for _, c := range sc.Classes {
 		if c.Count <= 0 {
-			return fmt.Errorf("fleet: class %q: count %d must be positive", c.Name, c.Count)
+			return nil, 0, fmt.Errorf("fleet: class %q: count %d must be positive", c.Name, c.Count)
 		}
 		if c.FPS <= 0 {
-			return fmt.Errorf("fleet: class %q: fps %v must be positive", c.Name, c.FPS)
+			return nil, 0, fmt.Errorf("fleet: class %q: fps %v must be positive", c.Name, c.FPS)
 		}
 		if c.Arrival != ArrivalPeriodic && c.Arrival != ArrivalPoisson {
-			return fmt.Errorf("fleet: class %q: unknown arrival pattern %q", c.Name, c.Arrival)
+			return nil, 0, fmt.Errorf("fleet: class %q: unknown arrival pattern %q", c.Name, c.Arrival)
 		}
 		if c.FrameBytes < 0 || c.ComputeSeconds < 0 || c.QueueDepth < 0 {
-			return fmt.Errorf("fleet: class %q: negative frame bytes, compute time or queue depth", c.Name)
+			return nil, 0, fmt.Errorf("fleet: class %q: negative frame bytes, compute time or queue depth", c.Name)
 		}
 		if c.OffloadProb < 0 || c.OffloadProb > 1 {
-			return fmt.Errorf("fleet: class %q: offload probability %v outside [0,1]", c.Name, c.OffloadProb)
+			return nil, 0, fmt.Errorf("fleet: class %q: offload probability %v outside [0,1]", c.Name, c.OffloadProb)
 		}
 		if c.CaptureJ < 0 || c.ComputeJ < 0 || c.TxFixedJ < 0 || c.TxPerByteJ < 0 {
-			return fmt.Errorf("fleet: class %q: negative energy parameters", c.Name)
+			return nil, 0, fmt.Errorf("fleet: class %q: negative energy parameters", c.Name)
 		}
 		if c.HarvestW < 0 || (c.HarvestW > 0 && c.StoreJ <= 0) {
-			return fmt.Errorf("fleet: class %q: harvesting needs positive harvest power and store", c.Name)
+			return nil, 0, fmt.Errorf("fleet: class %q: harvesting needs positive harvest power and store", c.Name)
 		}
 		if err := c.validatePlacements(); err != nil {
-			return err
+			return nil, 0, err
 		}
 		total += c.Count
 	}
 	if total == 0 {
-		return fmt.Errorf("fleet: scenario %q has no cameras", sc.Name)
+		return nil, 0, fmt.Errorf("fleet: scenario %q has no cameras", sc.Name)
 	}
 	if err := sc.validateGlobal(); err != nil {
-		return err
+		return nil, 0, err
 	}
 	if err := sc.validateFederated(nodes); err != nil {
-		return err
+		return nil, 0, err
 	}
 	if err := sc.validateTelemetry(); err != nil {
-		return err
+		return nil, 0, err
 	}
 	if err := sc.validateDynamics(nodes); err != nil {
-		return err
+		return nil, 0, err
 	}
-	return nil
+	return nodes, root, nil
 }
 
 // validateFederated checks the federated-learning section against the
@@ -476,8 +514,8 @@ func (sc *Scenario) validateFederated(nodes []tierNode) error {
 	if err := f.Validate(); err != nil {
 		return fmt.Errorf("fleet: scenario %q: %w", sc.Name, err)
 	}
-	if len(sc.Tiers) == 0 {
-		return fmt.Errorf("fleet: scenario %q: federated learning needs a \"tiers\" topology (the model broadcast rides tier downlinks)", sc.Name)
+	if !slices.ContainsFunc(sc.Tiers, func(t Tier) bool { return t.Downlink != nil }) {
+		return fmt.Errorf("fleet: scenario %q: federated learning needs a \"tiers\" topology with downlinks (the model broadcast rides them)", sc.Name)
 	}
 	topo, err := sc.flTopology(nodes)
 	if err != nil {
@@ -501,26 +539,17 @@ func (sc *Scenario) flTopology(nodes []tierNode) (fl.Topology, error) {
 		HasDown: make([]bool, len(nodes)),
 		Root:    -1,
 	}
-	idx := make(map[string]int, len(nodes))
 	for i, nd := range nodes {
 		topo.Names[i] = nd.Name
 		topo.Parent[i] = nd.parent
 		topo.HasDown[i] = nd.Downlink != nil
-		idx[nd.Name] = i
 		if nd.parent < 0 {
 			topo.Root = i
 		}
 	}
 	part := make(map[string]bool, len(sc.Federated.Classes))
 	for _, name := range sc.Federated.Classes {
-		known := false
-		for i := range sc.Classes {
-			if sc.Classes[i].Name == name {
-				known = true
-				break
-			}
-		}
-		if !known {
+		if classIndex(sc.Classes, name) < 0 {
 			return fl.Topology{}, fmt.Errorf("fleet: scenario %q: federated class %q not in the scenario", sc.Name, name)
 		}
 		part[name] = true
@@ -530,11 +559,7 @@ func (sc *Scenario) flTopology(nodes []tierNode) (fl.Topology, error) {
 		if len(part) > 0 && !part[c.Name] {
 			continue
 		}
-		ti := topo.Root
-		if at := c.attach(); at != "" {
-			ti = idx[at]
-		}
-		topo.Cams[ti] += c.Count
+		topo.Cams[classAttachIndex(nodes, topo.Root, c)] += c.Count
 	}
 	return topo, nil
 }

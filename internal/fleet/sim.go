@@ -301,10 +301,7 @@ func newEngine(sc Scenario) (*engine, error) {
 	s := &e.sc
 	s.Normalize()
 	var err error
-	if e.nodes, e.root, err = s.topology(); err != nil {
-		return nil, err
-	}
-	if err := s.validate(e.nodes); err != nil {
+	if e.nodes, e.root, err = s.validate(); err != nil {
 		return nil, err
 	}
 	nodes := e.nodes
@@ -362,7 +359,7 @@ func newEngine(sc Scenario) (*engine, error) {
 	e.firstHop = make([]int, len(s.Classes))
 	e.rowJ = make([][]float64, len(s.Classes))
 	for ci := range s.Classes {
-		e.price(ci, classAttachIndex(nodes, &s.Classes[ci]))
+		e.price(ci, classAttachIndex(nodes, e.root, &s.Classes[ci]))
 	}
 
 	// The event heap's population is structurally bounded — each camera

@@ -219,12 +219,13 @@ type Result struct {
 	Scenario Scenario
 	Classes  []ClassStats
 	Total    ClassStats
-	// Tiers holds per-link stats: gateways in scenario order, then the
-	// top-tier link named "wan". A flat scenario has exactly one entry.
+	// Tiers holds per-tier stats in Scenario.Tiers order. A flat scenario
+	// has exactly one entry, its root "wan"; a "gateways" scenario has its
+	// gateways in scenario order, then "wan".
 	Tiers []TierStats
 	// SimEnd is when the last offload drained (≥ Scenario.Duration).
 	SimEnd float64
-	// UplinkUtilization is the top-tier link's utilization (the only
+	// UplinkUtilization is the root tier's uplink utilization (the only
 	// link's, in a flat scenario) — served payload over capacity × SimEnd.
 	UplinkUtilization float64
 	// Energy is the fleet-wide energy accounting of the run.
@@ -243,9 +244,9 @@ type Result struct {
 	Dynamics *DynamicsStats
 }
 
-// TierNamed returns the stats of the named tier, or nil. The root tier of
-// a flat or gateway scenario is named "wan"; tier-tree scenarios use their
-// declared names.
+// TierNamed returns the stats of the named tier, or nil. Tiers keep their
+// declared names; Normalize names the root of a flat or "gateways"
+// scenario "wan".
 func (r *Result) TierNamed(name string) *TierStats {
 	for i := range r.Tiers {
 		if r.Tiers[i].Name == name {
@@ -437,11 +438,8 @@ func FormatLatency(sec float64) string {
 // Table renders the run as a paper-style per-class stat table.
 func (r *Result) Table() string {
 	var b strings.Builder
-	// The header names the top-tier link. For tier-form scenarios that is
-	// the root tier's uplink — read it from the tree itself rather than
-	// Scenario.Uplink, which is only guaranteed to mirror the root after
-	// Normalize ran (a hand-built Result would print 0.0 Gb/s).
-	up := r.Scenario.Uplink
+	// The header names the top-tier link: the root tier's uplink.
+	var up UplinkConfig
 	for i := range r.Scenario.Tiers {
 		if r.Scenario.Tiers[i].Parent == "" {
 			up = r.Scenario.Tiers[i].Uplink

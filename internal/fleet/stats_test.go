@@ -11,9 +11,9 @@ import (
 )
 
 // TestTableHeaderRootTierUplink pins the header fix: a Result built
-// around an un-normalized tiers scenario (Scenario.Uplink left zero —
-// Normalize is what mirrors the root tier into it) must still print the
-// root tier's real capacity and contention, not "0.0 Gb/s".
+// around an un-normalized tiers scenario (Scenario.Uplink left zero, as
+// it is in every normalized scenario too) must still print the root
+// tier's real capacity and contention, not "0.0 Gb/s".
 func TestTableHeaderRootTierUplink(t *testing.T) {
 	r := &Result{
 		Scenario: Scenario{
@@ -30,8 +30,7 @@ func TestTableHeaderRootTierUplink(t *testing.T) {
 	}
 
 	// A normalized run keeps the exact same header (the golden contract):
-	// Normalize mirrors the root into Scenario.Uplink, and Table now reads
-	// the root directly — both paths must agree.
+	// Table reads the root tier from Scenario.Tiers on both paths.
 	sc := r.Scenario
 	sc.Duration = 0.1
 	sc.Classes = []Class{{Name: "edge", Count: 1, FPS: 1, FrameBytes: 100, Tier: "gw"}}

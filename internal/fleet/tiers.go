@@ -68,45 +68,10 @@ type tierNode struct {
 	depth  int // hops below the root link; the root is 0
 }
 
-// topology resolves the scenario's network into its tier tree. The three
-// scenario forms normalize as follows:
-//
-//   - "tiers" present: the declared tree, in declaration order.
-//   - "gateways" present: a depth-2 tree — each gateway a leaf, the
-//     top-level "uplink" its shared root, named "wan".
-//   - neither: the single root link "wan" (the flat model).
-//
-// Node order is declaration order with the synthesized root last, so link
-// indices — and therefore simultaneous-completion tie-breaks — are stable
-// across releases for the legacy forms. Returns the nodes, the root's
-// index, and the first validation error.
+// topology resolves the scenario's tier tree, which Normalize has made
+// the one network form, into nodes in declaration order. Returns the
+// nodes, the root's index, and the first validation error.
 func (sc *Scenario) topology() ([]tierNode, int, error) {
-	if len(sc.Tiers) == 0 {
-		nodes := make([]tierNode, 0, len(sc.Gateways)+1)
-		root := len(sc.Gateways)
-		for _, gw := range sc.Gateways {
-			nodes = append(nodes, tierNode{
-				Tier:   Tier{Name: gw.Name, Parent: rootTierName, Uplink: gw.Uplink},
-				parent: root,
-				depth:  1,
-			})
-		}
-		nodes = append(nodes, tierNode{
-			Tier:   Tier{Name: rootTierName, Uplink: sc.Uplink},
-			parent: -1,
-		})
-		for _, gw := range sc.Gateways {
-			if gw.Name == rootTierName {
-				return nil, 0, fmt.Errorf("fleet: scenario %q: gateway name %q is reserved for the top tier",
-					sc.Name, rootTierName)
-			}
-		}
-		return nodes, root, nil
-	}
-
-	if len(sc.Gateways) > 0 {
-		return nil, 0, fmt.Errorf("fleet: scenario %q: tiers and gateways are mutually exclusive", sc.Name)
-	}
 	nodes := make([]tierNode, len(sc.Tiers))
 	index := make(map[string]int, len(sc.Tiers))
 	root := -1
@@ -158,23 +123,33 @@ func (sc *Scenario) topology() ([]tierNode, int, error) {
 	return nodes, root, nil
 }
 
-// rootTierName names the synthesized top tier of the flat and gateway
-// scenario forms (and the stat entry legacy callers look up).
+// rootTierName names the root tier Normalize synthesizes for the flat and
+// "gateways" scenario forms.
 const rootTierName = "wan"
 
-// validateTopologyNodes checks a resolved tree's links and delays plus
-// every class's attach point. The caller resolves nodes via topology(), so
-// Run shares one resolution between validation and the simulation.
-func (sc *Scenario) validateTopologyNodes(nodes []tierNode) error {
-	names := make(map[string]bool, len(nodes))
-	for _, nd := range nodes {
-		// Classes may attach to any declared tier, but in the legacy
-		// flat/gateway forms the synthesized root is not a valid attach
-		// name — "gateway": "wan" stays the typo it always was (empty
-		// already means the root).
-		if len(sc.Tiers) > 0 || nd.parent >= 0 {
-			names[nd.Name] = true
+// tierIndex resolves a tier name to its node index, or -1.
+func tierIndex(nodes []tierNode, name string) int {
+	for i := range nodes {
+		if nodes[i].Name == name {
+			return i
 		}
+	}
+	return -1
+}
+
+// classAttachIndex resolves the class's attach tier to a node index: the
+// tier it names, else the root.
+func classAttachIndex(nodes []tierNode, root int, c *Class) int {
+	if ti := tierIndex(nodes, c.Tier); ti >= 0 {
+		return ti
+	}
+	return root
+}
+
+// validateTopologyNodes checks a resolved tree's links and delays plus
+// every class's attach point.
+func (sc *Scenario) validateTopologyNodes(nodes []tierNode) error {
+	for _, nd := range nodes {
 		if err := validateUplink(nd.Uplink, fmt.Sprintf("tier %q", nd.Name)); err != nil {
 			return err
 		}
@@ -195,33 +170,11 @@ func (sc *Scenario) validateTopologyNodes(nodes []tierNode) error {
 					nd.Name, d.PropagationSec)
 			}
 		}
-		if len(sc.Tiers) > 0 && nd.parent < 0 &&
-			sc.Uplink != (UplinkConfig{}) && sc.Uplink != nd.Uplink {
-			// A zero-value Uplink is simply undeclared (Validate must also
-			// work before Normalize mirrors the root into it); anything
-			// else that disagrees with the root means the scenario declared
-			// both — reject rather than silently prefer one, mirroring the
-			// tiers/gateways exclusion.
-			return fmt.Errorf("fleet: scenario %q: top-level uplink conflicts with root tier %q; omit \"uplink\" when \"tiers\" is given",
-				sc.Name, nd.Name)
-		}
 	}
 	for _, c := range sc.Classes {
-		if c.Tier != "" && c.Gateway != "" && c.Tier != c.Gateway {
-			return fmt.Errorf("fleet: class %q: tier %q and gateway %q disagree", c.Name, c.Tier, c.Gateway)
-		}
-		if at := c.attach(); at != "" && !names[at] {
-			return fmt.Errorf("fleet: class %q: unknown tier %q", c.Name, at)
+		if c.Tier != "" && tierIndex(nodes, c.Tier) < 0 {
+			return fmt.Errorf("fleet: class %q: unknown tier %q", c.Name, c.Tier)
 		}
 	}
 	return nil
-}
-
-// attach returns the name of the tier the class's cameras transmit on
-// first; empty means the root.
-func (c *Class) attach() string {
-	if c.Tier != "" {
-		return c.Tier
-	}
-	return c.Gateway
 }
