@@ -17,10 +17,9 @@
 // counters (allocations only spuriously go up, e.g. via testing overhead
 // on a short run).
 //
-// The baseline file carries a "benchmarks" map keyed by benchmark name;
-// the legacy single-benchmark form ("benchmark" + "results" at top level)
-// still loads. Baseline entries without alloc fields gate on ns/op alone,
-// so re-recording allocations is opt-in per benchmark.
+// The baseline file carries a "benchmarks" map keyed by benchmark name.
+// Baseline entries without alloc fields gate on ns/op alone, so
+// re-recording allocations is opt-in per benchmark.
 //
 // With -update the gate runs in reverse: the bench output's best values
 // are written back into the baseline file (ns/op always; B/op and
@@ -45,13 +44,9 @@ import (
 )
 
 // baselineFile mirrors the BENCH_topology.json schema (the fields the
-// gate needs; the file carries more context for humans). Benchmarks is
-// the current multi-benchmark form; Benchmark/Results is the legacy
-// single-benchmark layout, still accepted.
+// gate needs; the file carries more context for humans).
 type baselineFile struct {
-	Benchmark  string                    `json:"benchmark,omitempty"`
-	Results    map[string]baselineResult `json:"results,omitempty"`
-	Benchmarks map[string]baselineBench  `json:"benchmarks,omitempty"`
+	Benchmarks map[string]baselineBench `json:"benchmarks,omitempty"`
 }
 
 type baselineBench struct {
@@ -65,18 +60,6 @@ type baselineResult struct {
 	NsPerOp     float64  `json:"ns_per_op"`
 	BPerOp      float64  `json:"b_per_op,omitempty"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-}
-
-// benches returns the baseline's benchmark map, lifting the legacy
-// single-benchmark layout into it.
-func (b *baselineFile) benches() map[string]baselineBench {
-	if len(b.Benchmarks) > 0 {
-		return b.Benchmarks
-	}
-	if b.Benchmark != "" && len(b.Results) > 0 {
-		return map[string]baselineBench{b.Benchmark: {Results: b.Results}}
-	}
-	return nil
 }
 
 // measurement is one variant's best observed cost across repetitions.
@@ -294,7 +277,7 @@ func updateBaseline(benchPath, baselinePath string, out io.Writer) error {
 	if err := json.Unmarshal(raw, &baseline); err != nil {
 		return fmt.Errorf("benchgate: %s: %w", baselinePath, err)
 	}
-	benches := baseline.benches()
+	benches := baseline.Benchmarks
 	if len(benches) == 0 {
 		return fmt.Errorf("benchgate: %s carries no baseline results", baselinePath)
 	}
@@ -314,23 +297,19 @@ func updateBaseline(benchPath, baselinePath string, out io.Writer) error {
 	}
 
 	// results locates one benchmark's results object inside the generic
-	// document, for both the multi-benchmark and legacy layouts.
+	// document.
 	results := func(bench string) map[string]any {
-		if all, ok := doc["benchmarks"].(map[string]any); ok {
-			if entry, ok := all[bench].(map[string]any); ok {
-				res, ok := entry["results"].(map[string]any)
-				if !ok {
-					res = map[string]any{}
-					entry["results"] = res
-				}
-				return res
-			}
+		all, _ := doc["benchmarks"].(map[string]any)
+		entry, ok := all[bench].(map[string]any)
+		if !ok {
 			return nil
 		}
-		if res, ok := doc["results"].(map[string]any); ok {
-			return res
+		res, ok := entry["results"].(map[string]any)
+		if !ok {
+			res = map[string]any{}
+			entry["results"] = res
 		}
-		return nil
+		return res
 	}
 	num := func(v float64) json.Number {
 		return json.Number(strconv.FormatFloat(v, 'f', -1, 64))
@@ -389,7 +368,7 @@ func run(benchPath, baselinePath string, maxRegress float64, out io.Writer) erro
 	if err := json.Unmarshal(raw, &baseline); err != nil {
 		return fmt.Errorf("benchgate: %s: %w", baselinePath, err)
 	}
-	benches := baseline.benches()
+	benches := baseline.Benchmarks
 	if len(benches) == 0 {
 		return fmt.Errorf("benchgate: %s carries no baseline results", baselinePath)
 	}

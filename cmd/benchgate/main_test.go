@@ -323,32 +323,25 @@ func TestUpdateKeepsUnmeasuredVariants(t *testing.T) {
 	}
 }
 
-func TestUpdateHandlesLegacyLayout(t *testing.T) {
+// TestLegacySingleBenchmarkBaselineRejected: a baseline in the retired
+// single-benchmark layout ("benchmark" + "results" at top level) carries
+// no "benchmarks" map, so both the gate and -update refuse it rather than
+// passing on an empty comparison.
+func TestLegacySingleBenchmarkBaselineRejected(t *testing.T) {
 	const baseline = `{
 	  "benchmark": "BenchmarkHugeFleet",
 	  "results": {"": {"ns_per_op": 1, "b_per_op": 1, "allocs_per_op": 1}}
 	}`
 	benchPath, basePath := writeUpdateFixture(t, baseline, sampleBench)
-	if err := updateBaseline(benchPath, basePath, io.Discard); err != nil {
-		t.Fatal(err)
+	if err := run(benchPath, basePath, 0.30, io.Discard); err == nil ||
+		!strings.Contains(err.Error(), "carries no baseline results") {
+		t.Fatalf("gate on a legacy baseline: err = %v", err)
 	}
-	raw, _ := os.ReadFile(basePath)
-	var typed baselineFile
-	if err := json.Unmarshal(raw, &typed); err != nil {
-		t.Fatal(err)
+	if err := updateBaseline(benchPath, basePath, io.Discard); err == nil ||
+		!strings.Contains(err.Error(), "carries no baseline results") {
+		t.Fatalf("-update on a legacy baseline: err = %v", err)
 	}
-	if typed.Results[""].NsPerOp != 474008193 {
-		t.Fatalf("legacy layout not updated: %+v", typed.Results)
-	}
-}
-
-func TestLegacySingleBenchmarkBaselineStillLoads(t *testing.T) {
-	legacy := baselineFile{
-		Benchmark: "BenchmarkDeepTopology",
-		Results:   map[string]baselineResult{"indexed": {NsPerOp: 1}},
-	}
-	benches := legacy.benches()
-	if len(benches) != 1 || benches["BenchmarkDeepTopology"].Results["indexed"].NsPerOp != 1 {
-		t.Fatalf("legacy layout not lifted: %v", benches)
+	if raw, _ := os.ReadFile(basePath); string(raw) != baseline {
+		t.Fatalf("rejected baseline was rewritten:\n%s", raw)
 	}
 }

@@ -241,7 +241,7 @@ func BenchmarkEventHeap(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for k := 0; k < holdBatch; k++ {
 					ev := h.pop()
-					h.push(newEvent(ev.t+gaps[seq&(int64(len(gaps))-1)], seq, ev.kind(), ev.id, ev.aux))
+					h.push(newEvent(ev.T+gaps[seq&(int64(len(gaps))-1)], seq, ev.kind(), ev.P.id, ev.P.aux))
 					seq++
 				}
 			}

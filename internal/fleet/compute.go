@@ -3,6 +3,8 @@ package fleet
 import (
 	"fmt"
 	"math"
+
+	"camsim/internal/fleet/queue"
 )
 
 // ComputeConfig is the optional per-tier "compute" scenario section: a
@@ -265,131 +267,53 @@ func newComputeServer(cc *ComputeConfig) Link {
 
 // --- FIFO core pool ---
 
-// busyItem is one frame in service on a fifoCompute core.
-type busyItem struct {
-	finish float64
-	seq    int64 // admission order, for deterministic tie-breaking
-	id     int
-	work   float64
-}
-
-// busyHeap is a specialized binary min-heap ordered by (finish, seq) —
-// the unique admission seq makes the order total, so equal finish times
-// pop in admission order, deterministically.
-type busyHeap []busyItem
-
-func (h busyHeap) less(i, j int) bool {
-	if h[i].finish != h[j].finish {
-		return h[i].finish < h[j].finish
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *busyHeap) push(it busyItem) {
-	s := append(*h, it)
-	j := len(s) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if !s.less(j, i) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		j = i
-	}
-	*h = s
-}
-
-func (h *busyHeap) pop() busyItem {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	i := 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && s.less(j2, j) {
-			j = j2
-		}
-		if !s.less(j, i) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		i = j
-	}
-	it := s[n]
-	*h = s[:n]
-	return it
-}
-
 // fifoCompute is a multi-server FIFO queue: up to cores frames are in
 // service concurrently, each on its own core at full rate; the rest wait
 // in arrival order and take the core freed by the earliest completion.
-// The waiting queue is the same power-of-two ring as fifoUplink.
 type fifoCompute struct {
-	cores   int
-	busy    busyHeap
-	ring    []fifoItem // waiting frames, arrival order
-	head, n int
-	seq     int64
-	served  float64 // core-seconds of completed service
+	cores  int
+	busy   queue.Heap[job] // in service, keyed by (finish time, admission seq)
+	wait   queue.Ring[job] // waiting frames, arrival order
+	seq    int64
+	served float64 // core-seconds of completed service
 }
 
-func (s *fifoCompute) Name() string { return ContentionFIFO }
-
-func (s *fifoCompute) push(it fifoItem) {
-	if s.n == len(s.ring) {
-		grown := make([]fifoItem, max(4, 2*len(s.ring)))
-		mask := len(s.ring) - 1
-		for i := 0; i < s.n; i++ {
-			grown[i] = s.ring[(s.head+i)&mask]
-		}
-		s.ring, s.head = grown, 0
-	}
-	s.ring[(s.head+s.n)&(len(s.ring)-1)] = it
-	s.n++
-}
-
-func (s *fifoCompute) pop() fifoItem {
-	it := s.ring[s.head]
-	s.head = (s.head + 1) & (len(s.ring) - 1)
-	s.n--
-	return it
+// serve puts j on a core until finish.
+func (s *fifoCompute) serve(finish float64, j job) {
+	s.busy.Push(queue.Item[job]{T: finish, Tie: s.seq, P: j})
+	s.seq++
 }
 
 func (s *fifoCompute) Start(now float64, id int, work float64) {
 	if len(s.busy) < s.cores {
-		s.busy.push(busyItem{finish: now + work, seq: s.seq, id: id, work: work})
-		s.seq++
+		s.serve(now+work, job{id: id, size: work})
 		return
 	}
-	s.push(fifoItem{id: id, bytes: work})
+	s.wait.Push(job{id: id, size: work})
 }
 
 func (s *fifoCompute) NextFinish() (float64, bool) {
 	if len(s.busy) == 0 {
 		return 0, false
 	}
-	return s.busy[0].finish, true
+	return s.busy[0].T, true
 }
 
 func (s *fifoCompute) Finish() int {
-	it := s.busy.pop()
-	s.served += it.work
-	if s.n > 0 && len(s.busy) < s.cores {
+	it := s.busy.Pop()
+	s.served += it.P.size
+	if s.wait.Len() > 0 && len(s.busy) < s.cores {
 		// The freed core immediately takes the longest-waiting frame. The
 		// cores check only bites after a dynamics shrink: frames already
 		// in service run to completion, and the pool promotes nothing
 		// until the busy population fits the new size.
-		next := s.pop()
-		s.busy.push(busyItem{finish: it.finish + next.bytes, seq: s.seq, id: next.id, work: next.bytes})
-		s.seq++
+		next := s.wait.Pop()
+		s.serve(it.T+next.size, next)
 	}
-	return it.id
+	return it.P.id
 }
 
-func (s *fifoCompute) InFlight() int        { return len(s.busy) + s.n }
+func (s *fifoCompute) InFlight() int        { return len(s.busy) + s.wait.Len() }
 func (s *fifoCompute) ServedBytes() float64 { return s.served }
 
 // setCores resizes the pool at time now. Growth promotes waiting frames
@@ -397,22 +321,21 @@ func (s *fifoCompute) ServedBytes() float64 { return s.served }
 // frames finish, and the pool re-admits only below the new size.
 func (s *fifoCompute) setCores(now float64, cores int) {
 	s.cores = cores
-	for len(s.busy) < s.cores && s.n > 0 {
-		next := s.pop()
-		s.busy.push(busyItem{finish: now + next.bytes, seq: s.seq, id: next.id, work: next.bytes})
-		s.seq++
+	for len(s.busy) < s.cores && s.wait.Len() > 0 {
+		next := s.wait.Pop()
+		s.serve(now+next.size, next)
 	}
 }
 
 // drain removes every frame — in-service completion order first, then
 // waiting order — crediting no served core-seconds.
 func (s *fifoCompute) drain() []int {
-	ids := make([]int, 0, len(s.busy)+s.n)
+	ids := make([]int, 0, len(s.busy)+s.wait.Len())
 	for len(s.busy) > 0 {
-		ids = append(ids, s.busy.pop().id)
+		ids = append(ids, s.busy.Pop().P.id)
 	}
-	for s.n > 0 {
-		ids = append(ids, s.pop().id)
+	for s.wait.Len() > 0 {
+		ids = append(ids, s.wait.Pop().id)
 	}
 	return ids
 }
@@ -426,14 +349,12 @@ func (s *fifoCompute) drain() []int {
 // pool runs every frame at full speed instead of splitting idle cores.
 type psCompute struct {
 	cores  float64
-	vnow   float64 // virtual service accrued by every in-flight frame
-	tlast  float64 // wall time at which vnow was computed
-	h      psHeap
+	vnow   float64         // virtual service accrued by every in-flight frame
+	tlast  float64         // wall time at which vnow was computed
+	h      queue.Heap[job] // keyed by (virtual finish level, admission seq)
 	seq    int64
 	served float64 // core-seconds of completed service
 }
-
-func (s *psCompute) Name() string { return ContentionFairShare }
 
 // rate is each in-flight frame's service rate in core-seconds/second.
 func (s *psCompute) rate() float64 {
@@ -453,7 +374,7 @@ func (s *psCompute) advance(t float64) {
 
 func (s *psCompute) Start(now float64, id int, work float64) {
 	s.advance(now)
-	s.h.push(psItem{id: id, bytes: work, vfinish: s.vnow + work, seq: s.seq})
+	s.h.Push(queue.Item[job]{T: s.vnow + work, Tie: s.seq, P: job{id: id, size: work}})
 	s.seq++
 }
 
@@ -461,7 +382,7 @@ func (s *psCompute) NextFinish() (float64, bool) {
 	if len(s.h) == 0 {
 		return 0, false
 	}
-	remaining := s.h[0].vfinish - s.vnow
+	remaining := s.h[0].T - s.vnow
 	if remaining < 0 {
 		remaining = 0 // float drift guard
 	}
@@ -471,10 +392,10 @@ func (s *psCompute) NextFinish() (float64, bool) {
 func (s *psCompute) Finish() int {
 	t, _ := s.NextFinish()
 	s.advance(t)
-	item := s.h.pop()
-	s.vnow = item.vfinish // pin exactly, absorbing float drift
-	s.served += item.bytes
-	return item.id
+	item := s.h.Pop()
+	s.vnow = item.T // pin exactly, absorbing float drift
+	s.served += item.P.size
+	return item.P.id
 }
 
 func (s *psCompute) InFlight() int        { return len(s.h) }
@@ -493,7 +414,7 @@ func (s *psCompute) setCores(now float64, cores int) {
 func (s *psCompute) drain() []int {
 	ids := make([]int, 0, len(s.h))
 	for len(s.h) > 0 {
-		ids = append(ids, s.h.pop().id)
+		ids = append(ids, s.h.Pop().P.id)
 	}
 	return ids
 }

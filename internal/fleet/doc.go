@@ -412,13 +412,16 @@
 // in a single variant; both are gated in CI by cmd/benchgate against
 // BENCH_topology.json):
 //
-//   - Per-event cost: one pop from the specialized event heap (O(log
-//     events), no interface boxing — container/heap cost one allocation
-//     per Push), plus O(log n) fair-share virtual-time accounting on the
-//     link (psHeap) and O(log links) completion lookup (liHeap). All
-//     three heaps preserve container/heap's exact pop order, proven
-//     differentially by TestHeapsMatchContainerHeap. The FIFO discipline
-//     keeps a power-of-two ring, so wrap-around is a mask, not a modulo.
+//   - Per-event cost: one pop from the event heap (O(log events), no
+//     interface boxing — container/heap cost one allocation per Push),
+//     plus O(log n) fair-share virtual-time accounting on the link and
+//     O(log links) completion lookup in the link index. All four heaps —
+//     events, fair-share links and pools, FIFO pools' busy cores, and
+//     the link index — are one queue.Heap over different payloads, held
+//     to container/heap's exact pop order by TestHeapsMatchContainerHeap,
+//     one case per payload. The FIFO link and pool queues are one
+//     queue.Ring, a power-of-two ring, so wrap-around is a mask, not a
+//     modulo.
 //   - Event size: an event is 24 bytes — time, the scheduling sequence
 //     number with the kind in its low 4 bits, and two int32s naming the
 //     subject (camera, class, participant, schedule entry or transfer)

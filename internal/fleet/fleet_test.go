@@ -390,15 +390,13 @@ func TestPerCameraSeedsCollisionFree(t *testing.T) {
 }
 
 func TestFIFOQueueBoundedOverLongRun(t *testing.T) {
-	// Regression for the queue = queue[1:] backing-array leak: with a
-	// bounded backlog, the ring must stay near the peak concurrency no
-	// matter how many transfers pass through (the old code retained every
-	// popped head for the life of the run).
+	// A long run through a FIFO link with a bounded backlog delivers every
+	// byte it admitted. The bound on the ring under the link is held by
+	// queue's TestRingBoundedOverLongRun.
 	up, err := NewLink(ContentionFIFO, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fifo := up.(*fifoUplink)
 	now := 0.0
 	const transfers = 200_000
 	for i := 0; i < transfers; i++ {
@@ -411,9 +409,6 @@ func TestFIFOQueueBoundedOverLongRun(t *testing.T) {
 	}
 	for up.InFlight() > 0 {
 		up.Finish()
-	}
-	if len(fifo.ring) > 16 {
-		t.Fatalf("ring grew to %d slots for a backlog that never exceeded 8", len(fifo.ring))
 	}
 	if up.ServedBytes() != transfers*100 {
 		t.Fatalf("served %v bytes, want %v", up.ServedBytes(), transfers*100)

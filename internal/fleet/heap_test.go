@@ -6,10 +6,12 @@ import (
 	"math/rand"
 	"testing"
 	"unsafe"
+
+	"camsim/internal/fleet/queue"
 )
 
 // refHeap adapts a slice + comparator to container/heap.Interface — the
-// reference implementation the specialized heaps must match pop for pop.
+// reference implementation queue.Heap must match pop for pop.
 type refHeap[T any] struct {
 	items []T
 	less  func(a, b T) bool
@@ -28,7 +30,7 @@ func (h *refHeap[T]) Pop() any {
 }
 
 // eventLess is the reference (t, seq) order the event heap must follow.
-func eventLess(a, b event) bool { return a.t < b.t || (a.t == b.t && a.seq < b.seq) }
+func eventLess(a, b event) bool { return a.T < b.T || (a.T == b.T && a.Tie < b.Tie) }
 
 // TestEventLayout pins the event record at 24 bytes and checks that the
 // kind packed under the scheduling counter round-trips at the field
@@ -43,9 +45,9 @@ func TestEventLayout(t *testing.T) {
 	const seq = 1<<40 + 3
 	for kind := evCapture; kind <= evDynamics; kind++ {
 		ev := newEvent(2.5, seq+int64(kind), kind, math.MaxInt32, math.MaxInt32)
-		if ev.kind() != kind || ev.seq>>kindBits != seq+int64(kind) ||
-			ev.id != math.MaxInt32 || ev.aux != math.MaxInt32 || ev.t != 2.5 {
-			t.Errorf("kind %d: round trip gave %+v (kind %d, seq %d)", kind, ev, ev.kind(), ev.seq>>kindBits)
+		if ev.kind() != kind || ev.Tie>>kindBits != seq+int64(kind) ||
+			ev.P.id != math.MaxInt32 || ev.P.aux != math.MaxInt32 || ev.T != 2.5 {
+			t.Errorf("kind %d: round trip gave %+v (kind %d, seq %d)", kind, ev, ev.kind(), ev.Tie>>kindBits)
 		}
 		// A later-scheduled event orders after an earlier one whatever the
 		// two kinds are.
@@ -57,48 +59,46 @@ func TestEventLayout(t *testing.T) {
 }
 
 // drive feeds an identical randomized push/pop interleaving (~60% pushes,
-// then a full drain) through the specialized heap and the container/heap
-// reference, comparing every popped element. The comparators impose a
-// total order (unique tie-break keys), so the pop sequences must be
-// identical element for element — the property that makes the heap swap
-// output-invariant.
-func drive[T comparable](t *testing.T, rng *rand.Rand, gen func(i int) T,
-	less func(a, b T) bool, push func(T), pop func() T, size func() int) {
+// then a full drain) through a queue.Heap and the container/heap
+// reference, comparing every popped item whole. With unique keys any
+// correct min-heap passes; where keys repeat, only one that makes
+// container/heap's comparisons pops equal keys in the same order.
+func drive[P comparable](t *testing.T, rng *rand.Rand, gen func(i int) queue.Item[P]) {
 	t.Helper()
-	ref := &refHeap[T]{less: less}
+	var h queue.Heap[P]
+	ref := &refHeap[queue.Item[P]]{less: func(a, b queue.Item[P]) bool {
+		return a.T < b.T || (a.T == b.T && a.Tie < b.Tie)
+	}}
 	const ops = 4000
 	pushed := 0
 	for i := 0; i < ops; i++ {
 		if ref.Len() == 0 || rng.Float64() < 0.6 {
 			it := gen(pushed)
 			pushed++
-			push(it)
+			h.Push(it)
 			heap.Push(ref, it)
-		} else {
-			got, want := pop(), heap.Pop(ref).(T)
-			if got != want {
-				t.Fatalf("op %d: popped %+v, reference popped %+v", i, got, want)
-			}
+		} else if got, want := h.Pop(), heap.Pop(ref).(queue.Item[P]); got != want {
+			t.Fatalf("op %d: popped %+v, reference popped %+v", i, got, want)
 		}
-		if size() != ref.Len() {
-			t.Fatalf("op %d: size %d, reference %d", i, size(), ref.Len())
+		if len(h) != ref.Len() {
+			t.Fatalf("op %d: size %d, reference %d", i, len(h), ref.Len())
 		}
 	}
 	for ref.Len() > 0 {
-		got, want := pop(), heap.Pop(ref).(T)
-		if got != want {
+		if got, want := h.Pop(), heap.Pop(ref).(queue.Item[P]); got != want {
 			t.Fatalf("drain: popped %+v, reference popped %+v", got, want)
 		}
 	}
-	if size() != 0 {
-		t.Fatalf("specialized heap retains %d items after drain", size())
+	if len(h) != 0 {
+		t.Fatalf("heap retains %d items after drain", len(h))
 	}
 }
 
-// TestHeapsMatchContainerHeap is the differential property test behind
-// the boxing-free heap swap: randomized event, fair-share and link-index
-// streams pop in exactly the order container/heap produced, so replacing
-// the boxed heaps cannot have changed any simulation output.
+// TestHeapsMatchContainerHeap holds every queue.Heap instantiation the
+// simulator uses to container/heap: randomized event, job (fair-share
+// links and pools, FIFO pools' busy cores) and link-index streams pop
+// exactly the items container/heap pops, so the heap cannot have changed
+// any simulation output.
 func TestHeapsMatchContainerHeap(t *testing.T) {
 	// Times are drawn from a small discrete set so ties are frequent and
 	// the tie-break keys do real work.
@@ -106,17 +106,11 @@ func TestHeapsMatchContainerHeap(t *testing.T) {
 
 	t.Run("eventHeap", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(101))
-		var h eventHeap
-		drive(t, rng,
-			func(i int) event {
-				// seq is unique: the loop's scheduling counter.
-				return newEvent(times[rng.Intn(len(times))], int64(i),
-					rng.Intn(evDynamics+1), int32(rng.Intn(50)), int32(rng.Intn(41)))
-			},
-			eventLess,
-			func(ev event) { h.push(ev) },
-			func() event { return h.pop() },
-			func() int { return len(h) })
+		drive(t, rng, func(i int) queue.Item[evRef] {
+			// seq is unique: the loop's scheduling counter.
+			return queue.Item[evRef](newEvent(times[rng.Intn(len(times))], int64(i),
+				rng.Intn(evDynamics+1), int32(rng.Intn(50)), int32(rng.Intn(41))))
+		})
 
 		// The hold model is the event loop's steady state: pop the
 		// minimum, push it back a random gap later, with a large resident
@@ -125,6 +119,7 @@ func TestHeapsMatchContainerHeap(t *testing.T) {
 		// resident events; the seq tie-break does real work at every depth.
 		gap := func() float64 { return math.Round(4*rng.ExpFloat64()) / 4 }
 		const resident, holds = 12_000, 60_000
+		var h eventHeap
 		ref := &refHeap[event]{less: eventLess}
 		var seq int64
 		push := func(t float64) {
@@ -141,12 +136,12 @@ func TestHeapsMatchContainerHeap(t *testing.T) {
 			if got != want {
 				t.Fatalf("hold %d: popped %+v, reference popped %+v", i, got, want)
 			}
-			push(got.t + gap())
+			push(got.T + gap())
 		}
 		if len(h) != resident || ref.Len() != resident {
 			t.Fatalf("resident %d, reference %d, want %d", len(h), ref.Len(), resident)
 		}
-		for prev := (event{t: math.Inf(-1)}); ref.Len() > 0; {
+		for prev := (event{T: math.Inf(-1)}); ref.Len() > 0; {
 			got, want := h.pop(), heap.Pop(ref).(event)
 			if got != want {
 				t.Fatalf("drain: popped %+v, reference popped %+v", got, want)
@@ -157,43 +152,26 @@ func TestHeapsMatchContainerHeap(t *testing.T) {
 			prev = got
 		}
 		if len(h) != 0 {
-			t.Fatalf("specialized heap retains %d events after drain", len(h))
+			t.Fatalf("event heap retains %d events after drain", len(h))
 		}
 	})
 
-	t.Run("psHeap", func(t *testing.T) {
+	t.Run("job", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(102))
-		var h psHeap
-		drive(t, rng,
-			func(i int) psItem {
-				return psItem{
-					id:      i,
-					bytes:   float64(rng.Intn(1000)),
-					vfinish: times[rng.Intn(len(times))],
-					seq:     int64(i), // unique: the uplink's admission counter
-				}
-			},
-			func(a, b psItem) bool {
-				return a.vfinish < b.vfinish || (a.vfinish == b.vfinish && a.seq < b.seq)
-			},
-			func(it psItem) { h.push(it) },
-			func() psItem { return h.pop() },
-			func() int { return len(h) })
+		drive(t, rng, func(i int) queue.Item[job] {
+			// Tie is unique: a link's or pool's admission counter.
+			return queue.Item[job]{T: times[rng.Intn(len(times))], Tie: int64(i),
+				P: job{id: i, size: float64(rng.Intn(1000))}}
+		})
 	})
 
-	t.Run("liHeap", func(t *testing.T) {
+	t.Run("linkIndex", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(103))
-		var h liHeap
-		drive(t, rng,
-			func(i int) liEntry {
-				// li is the unique tie-break here; in production stale
-				// entries can tie a live one exactly, but peek's result is
-				// invariant to their order, so unique keys lose no coverage.
-				return liEntry{t: times[rng.Intn(len(times))], li: i, ver: uint64(rng.Intn(4))}
-			},
-			func(a, b liEntry) bool { return a.t < b.t || (a.t == b.t && a.li < b.li) },
-			func(e liEntry) { h.push(e) },
-			func() liEntry { return h.pop() },
-			func() int { return len(h) })
+		drive(t, rng, func(i int) queue.Item[uint64] {
+			// Tie is one of a few link indices, so (T, Tie) keys repeat as a
+			// link's stale and live entries do. The version P is unique, so
+			// comparing whole items checks the order among equal keys.
+			return queue.Item[uint64]{T: times[rng.Intn(len(times))], Tie: int64(rng.Intn(4)), P: uint64(i)}
+		})
 	})
 }

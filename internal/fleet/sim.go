@@ -6,6 +6,7 @@ import (
 
 	"camsim/internal/fleet/fl"
 	"camsim/internal/fleet/quantile"
+	"camsim/internal/fleet/queue"
 )
 
 // event kinds: a camera captures a frame; an in-camera-processed frame
@@ -37,14 +38,15 @@ const (
 
 // event is one scheduled simulator step. It is 24 bytes, not a whole
 // cache line, because a large fleet keeps ~100k of them resident in the
-// heap. The heap orders on (t, seq); seq holds the loop's scheduling
+// heap. The heap orders on (T, Tie); Tie holds the loop's scheduling
 // counter shifted left kindBits with the event kind in the low bits,
 // which orders exactly like the bare counter because the counter is
-// unique. Payload that does not fit id and aux lives in the transfer
-// record the event names.
-type event struct {
-	t   float64
-	seq int64 // scheduling counter<<kindBits | kind: earlier-scheduled events fire first
+// unique. Payload that does not fit evRef lives in the transfer record
+// the event names.
+type event queue.Item[evRef]
+
+// evRef is an event's payload.
+type evRef struct {
 	// id names the subject: the camera (evCapture), class (evControl),
 	// federated participant (evFLReady), dynamics schedule entry
 	// (evDynamics), or transfer (evReady, evHop, evArrive, evFLUp,
@@ -59,77 +61,24 @@ type event struct {
 }
 
 // kindBits is the width of the event kind packed under the scheduling
-// counter in event.seq; every kind above must fit in it.
+// counter in event.Tie; every kind above must fit in it.
 const kindBits = 4
 
 // newEvent packs an event scheduled as the loop's seq-th push.
 func newEvent(t float64, seq int64, kind int, id, aux int32) event {
-	return event{t: t, seq: seq<<kindBits | int64(kind), id: id, aux: aux}
+	return event{T: t, Tie: seq<<kindBits | int64(kind), P: evRef{id: id, aux: aux}}
 }
 
-// kind unpacks the event kind from the low bits of seq.
-func (ev *event) kind() int { return int(ev.seq & (1<<kindBits - 1)) }
+// kind unpacks the event kind from the low bits of Tie.
+func (ev *event) kind() int { return int(ev.Tie & (1<<kindBits - 1)) }
 
-// eventHeap is a specialized binary min-heap ordered by (t, seq). The
-// order is total (seq is unique), so any correct min-heap pops the same
-// sequence — the one container/heap produced, held differentially by
-// TestHeapsMatchContainerHeap. Push and pop move event values directly
-// instead of boxing each one through an interface, and sift through a
-// hole: the moving element is held aside, parents (push) or smaller
-// children (pop) shift into the gap, and the element is written once
-// where it stops, instead of being swapped at every level.
-type eventHeap []event
+// eventHeap is the loop's event queue. Its two methods only convert
+// between event and queue.Item; they exist so that a CPU profile charges
+// the heap's samples to the event heap rather than to the loop.
+type eventHeap queue.Heap[evRef]
 
-func (eventHeap) less(a, b *event) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.seq < b.seq
-}
-
-func (h *eventHeap) push(ev event) {
-	s := append(*h, ev)
-	j := len(s) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if !s.less(&ev, &s[i]) {
-			break
-		}
-		s[j] = s[i]
-		j = i
-	}
-	s[j] = ev
-	*h = s
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	last := s[n]
-	s = s[:n]
-	*h = s
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && s.less(&s[j2], &s[j]) {
-			j = j2
-		}
-		if !s.less(&s[j], &last) {
-			break
-		}
-		s[i] = s[j]
-		i = j
-	}
-	s[i] = last
-	return top
-}
+func (h *eventHeap) push(ev event) { (*queue.Heap[evRef])(h).Push(queue.Item[evRef](ev)) }
+func (h *eventHeap) pop() event    { return event((*queue.Heap[evRef])(h).Pop()) }
 
 // camera is one simulated device. The random stream is embedded by value:
 // 8 bytes inline rather than a pointer to rand.NewSource's ~5 KB state,
@@ -1006,7 +955,7 @@ func (e *engine) drainStalled() {
 // same instant.
 func (e *engine) loop() error {
 	for len(e.events) > 0 || e.netInFlight > 0 {
-		if li, lt, ok := e.lidx.peek(); ok && (len(e.events) == 0 || lt <= e.events[0].t) {
+		if li, lt, ok := e.lidx.peek(); ok && (len(e.events) == 0 || lt <= e.events[0].T) {
 			if math.IsInf(lt, 1) {
 				e.drainStalled()
 				continue
@@ -1019,49 +968,49 @@ func (e *engine) loop() error {
 			continue
 		}
 		ev := e.events.pop()
-		e.acc.advance(ev.t)
+		e.acc.advance(ev.T)
 		switch ev.kind() {
 		case evCapture:
-			if e.cams[ev.id].departed {
+			if e.cams[ev.P.id].departed {
 				break
 			}
-			e.capture(ev.t, ev.id)
-			if nt := e.nextCapture(&e.cams[ev.id], ev.t); nt < e.sc.Duration {
-				e.push(nt, evCapture, ev.id, 0)
+			e.capture(ev.T, ev.P.id)
+			if nt := e.nextCapture(&e.cams[ev.P.id], ev.T); nt < e.sc.Duration {
+				e.push(nt, evCapture, ev.P.id, 0)
 			}
 		case evReady:
-			id := int(ev.id)
-			e.enterTier(ev.t, e.firstHop[e.cams[e.transfers[id].cam].class], id)
+			id := int(ev.P.id)
+			e.enterTier(ev.T, e.firstHop[e.cams[e.transfers[id].cam].class], id)
 		case evHop:
-			e.enterTier(ev.t, int(ev.aux), int(ev.id))
+			e.enterTier(ev.T, int(ev.P.aux), int(ev.P.id))
 		case evArrive:
-			e.complete(ev.t, int(ev.id))
+			e.complete(ev.T, int(ev.P.id))
 		case evControl:
-			ci := int(ev.id)
+			ci := int(ev.P.id)
 			cl := &e.sc.Classes[ci]
 			ctl := e.ctls[ci]
 			if dir := ctl.decide(cl, e.cams, e.classCams[ci]); dir != 0 {
 				ctl.move(cl, e.cams, e.classCams[ci], dir)
 			}
-			if nt := ev.t + cl.Policy.IntervalSec; nt < e.sc.Duration {
-				e.push(nt, evControl, ev.id, 0)
+			if nt := ev.T + cl.Policy.IntervalSec; nt < e.sc.Duration {
+				e.push(nt, evControl, ev.P.id, 0)
 			}
 		case evGlobal:
-			e.gctl.epoch(ev.t, &e.sc, e.cams, e.classCams)
-			if nt := ev.t + e.sc.Global.EpochSec; nt < e.sc.Duration {
+			e.gctl.epoch(ev.T, &e.sc, e.cams, e.classCams)
+			if nt := ev.T + e.sc.Global.EpochSec; nt < e.sc.Duration {
 				e.push(nt, evGlobal, 0, 0)
 			}
 		case evFLReady:
-			p := &e.flParts[ev.id]
+			p := &e.flParts[ev.P.id]
 			ub := e.fle.UpdateBytes()
-			id := e.newTransfer(transfer{cam: ev.id, round: ev.aux, bytes: ub})
-			e.startLink(int(p.tier), ev.t, id, ub)
+			id := e.newTransfer(transfer{cam: ev.P.id, round: ev.P.aux, bytes: ub})
+			e.startLink(int(p.tier), ev.T, id, ub)
 		case evFLUp:
-			e.flAbsorb(ev.t, int(ev.aux), int(ev.id))
+			e.flAbsorb(ev.T, int(ev.P.aux), int(ev.P.id))
 		case evFLDeliver:
-			e.flDeliver(ev.t, int(ev.aux), int(ev.id))
+			e.flDeliver(ev.T, int(ev.P.aux), int(ev.P.id))
 		case evDynamics:
-			e.dynFire(ev.t, int(ev.id))
+			e.dynFire(ev.T, int(ev.P.id))
 		default:
 			return fmt.Errorf("fleet: unknown event kind %d", ev.kind())
 		}

@@ -3,6 +3,8 @@ package fleet
 import (
 	"fmt"
 	"math"
+
+	"camsim/internal/fleet/queue"
 )
 
 // Contention model names.
@@ -22,8 +24,6 @@ const (
 // set, Finish pops it. Start may move an already-reported NextFinish, so
 // the caller must re-peek after every Start.
 type Link interface {
-	// Name returns the contention model name.
-	Name() string
 	// Start admits transfer id of the given size at time now. now must not
 	// precede any previously observed event time.
 	Start(now float64, id int, bytes float64)
@@ -52,24 +52,21 @@ func NewLink(model string, bytesPerSec float64) (Link, error) {
 	return nil, fmt.Errorf("fleet: unknown contention model %q", model)
 }
 
-// --- FIFO ---
-
-type fifoItem struct {
-	id    int
-	bytes float64
+// job is one transfer or frame queued on a link or pool: its id and
+// size, in payload bytes on a link and core-seconds in a pool.
+type job struct {
+	id   int
+	size float64
 }
+
+// --- FIFO ---
 
 // fifoUplink serializes transfers in arrival order; the head transfer gets
 // the full capacity. A large frame head-of-line-blocks everything behind it.
-//
-// The queue is a ring buffer sized by the peak concurrent backlog: the
-// earlier queue = queue[1:] pop pinned every already-served head in the
-// backing array for the life of the run, leaking one fifoItem per transfer.
 type fifoUplink struct {
 	cap        float64
-	ring       []fifoItem // circular: n live items starting at head
-	head, n    int
-	headFinish float64 // completion time of the head item, valid when n > 0
+	q          queue.Ring[job]
+	headFinish float64 // completion time of the head item, valid when q is not empty
 	// headRem is the head item's remaining bytes, maintained only while
 	// the link's capacity is zero (a dynamics outage) — headFinish is
 	// +Inf then, so the remaining work has to be carried explicitly for
@@ -78,58 +75,35 @@ type fifoUplink struct {
 	served  float64
 }
 
-func (u *fifoUplink) Name() string { return ContentionFIFO }
-
-// The ring capacity is always a power of two (4, then doubled), so index
-// wrap-around is a mask rather than an integer modulo on the hot path.
-func (u *fifoUplink) push(it fifoItem) {
-	if u.n == len(u.ring) {
-		grown := make([]fifoItem, max(4, 2*len(u.ring)))
-		mask := len(u.ring) - 1
-		for i := 0; i < u.n; i++ {
-			grown[i] = u.ring[(u.head+i)&mask]
-		}
-		u.ring, u.head = grown, 0
-	}
-	u.ring[(u.head+u.n)&(len(u.ring)-1)] = it
-	u.n++
-}
-
-func (u *fifoUplink) pop() fifoItem {
-	it := u.ring[u.head]
-	u.head = (u.head + 1) & (len(u.ring) - 1)
-	u.n--
-	return it
-}
-
 func (u *fifoUplink) Start(now float64, id int, bytes float64) {
-	if u.n == 0 {
+	if u.q.Len() == 0 {
 		u.headFinish = now + bytes/u.cap // +Inf on a zero-capacity link
 		u.headRem = bytes
 	}
-	u.push(fifoItem{id: id, bytes: bytes})
+	u.q.Push(job{id: id, size: bytes})
 }
 
 func (u *fifoUplink) NextFinish() (float64, bool) {
-	if u.n == 0 {
+	if u.q.Len() == 0 {
 		return 0, false
 	}
 	return u.headFinish, true
 }
 
 func (u *fifoUplink) Finish() int {
-	head := u.pop()
-	u.served += head.bytes
-	if u.n > 0 {
+	head := u.q.Pop()
+	u.served += head.size
+	if u.q.Len() > 0 {
 		// The next transfer was already queued, so its service starts the
 		// instant the head departs.
-		u.headFinish += u.ring[u.head].bytes / u.cap
-		u.headRem = u.ring[u.head].bytes
+		next := u.q.Front().size
+		u.headFinish += next / u.cap
+		u.headRem = next
 	}
 	return head.id
 }
 
-func (u *fifoUplink) InFlight() int        { return u.n }
+func (u *fifoUplink) InFlight() int        { return u.q.Len() }
 func (u *fifoUplink) ServedBytes() float64 { return u.served }
 
 // setCapacity rescales the link to bytesPerSec at time now, conserving
@@ -137,7 +111,7 @@ func (u *fifoUplink) ServedBytes() float64 { return u.served }
 // rate. Zero parks the link — the head's remaining work is carried in
 // headRem and its finish time becomes +Inf until a later restore.
 func (u *fifoUplink) setCapacity(now, bytesPerSec float64) {
-	if u.n > 0 {
+	if u.q.Len() > 0 {
 		rem := u.headRem
 		if u.cap > 0 {
 			rem = (u.headFinish - now) * u.cap
@@ -159,72 +133,14 @@ func (u *fifoUplink) setCapacity(now, bytesPerSec float64) {
 // order — crediting no served bytes: the payloads were lost, not
 // delivered.
 func (u *fifoUplink) drain() []int {
-	ids := make([]int, 0, u.n)
-	for u.n > 0 {
-		ids = append(ids, u.pop().id)
+	ids := make([]int, 0, u.q.Len())
+	for u.q.Len() > 0 {
+		ids = append(ids, u.q.Pop().id)
 	}
 	return ids
 }
 
 // --- fair share (egalitarian processor sharing) ---
-
-type psItem struct {
-	id      int
-	bytes   float64
-	vfinish float64 // virtual service level at which the transfer completes
-	seq     int64   // admission order, for deterministic tie-breaking
-}
-
-// psHeap is a specialized binary min-heap ordered by (vfinish, seq) —
-// the unique admission seq makes the order total, so the pop sequence
-// matches a container/heap reference exactly
-// (TestHeapsMatchContainerHeap) without boxing one psItem per admission.
-type psHeap []psItem
-
-func (h psHeap) less(i, j int) bool {
-	if h[i].vfinish != h[j].vfinish {
-		return h[i].vfinish < h[j].vfinish
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *psHeap) push(it psItem) {
-	s := append(*h, it)
-	j := len(s) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if !s.less(j, i) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		j = i
-	}
-	*h = s
-}
-
-func (h *psHeap) pop() psItem {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	i := 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && s.less(j2, j) {
-			j = j2
-		}
-		if !s.less(j, i) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		i = j
-	}
-	it := s[n]
-	*h = s[:n]
-	return it
-}
 
 // psUplink implements egalitarian processor sharing with virtual time:
 // each of the n in-flight transfers progresses at cap/n, so the virtual
@@ -233,14 +149,12 @@ func (h *psHeap) pop() psItem {
 // O(log n) instead of rescaling every in-flight transfer.
 type psUplink struct {
 	cap    float64
-	vnow   float64 // virtual service accrued by every in-flight transfer
-	tlast  float64 // wall time at which vnow was computed
-	h      psHeap
+	vnow   float64         // virtual service accrued by every in-flight transfer
+	tlast  float64         // wall time at which vnow was computed
+	h      queue.Heap[job] // keyed by (virtual finish level, admission seq)
 	seq    int64
 	served float64
 }
-
-func (u *psUplink) Name() string { return ContentionFairShare }
 
 // advance moves the virtual clock to wall time t.
 func (u *psUplink) advance(t float64) {
@@ -252,7 +166,7 @@ func (u *psUplink) advance(t float64) {
 
 func (u *psUplink) Start(now float64, id int, bytes float64) {
 	u.advance(now)
-	u.h.push(psItem{id: id, bytes: bytes, vfinish: u.vnow + bytes, seq: u.seq})
+	u.h.Push(queue.Item[job]{T: u.vnow + bytes, Tie: u.seq, P: job{id: id, size: bytes}})
 	u.seq++
 }
 
@@ -265,7 +179,7 @@ func (u *psUplink) NextFinish() (float64, bool) {
 		// nothing completes until a restore.
 		return math.Inf(1), true
 	}
-	remaining := u.h[0].vfinish - u.vnow
+	remaining := u.h[0].T - u.vnow
 	if remaining < 0 {
 		remaining = 0 // float drift guard
 	}
@@ -275,10 +189,10 @@ func (u *psUplink) NextFinish() (float64, bool) {
 func (u *psUplink) Finish() int {
 	t, _ := u.NextFinish()
 	u.advance(t)
-	item := u.h.pop()
-	u.vnow = item.vfinish // pin exactly, absorbing float drift
-	u.served += item.bytes
-	return item.id
+	item := u.h.Pop()
+	u.vnow = item.T // pin exactly, absorbing float drift
+	u.served += item.P.size
+	return item.P.id
 }
 
 func (u *psUplink) InFlight() int        { return len(u.h) }
@@ -294,12 +208,12 @@ func (u *psUplink) setCapacity(now, bytesPerSec float64) {
 	u.cap = bytesPerSec
 }
 
-// drain removes every in-flight transfer in completion order (vfinish,
-// then admission), crediting no served bytes.
+// drain removes every in-flight transfer in completion order (virtual
+// finish level, then admission), crediting no served bytes.
 func (u *psUplink) drain() []int {
 	ids := make([]int, 0, len(u.h))
 	for len(u.h) > 0 {
-		ids = append(ids, u.h.pop().id)
+		ids = append(ids, u.h.Pop().P.id)
 	}
 	return ids
 }
