@@ -360,7 +360,10 @@
 //
 // On every epoch tick it sees all classes' window stats across every
 // tier and projects the fleet's placement power — each camera's
-// per-frame energy at its current row times its capture rate. Congested
+// per-frame energy at its current row times its class's current capture
+// rate, an "fps_profile" multiplier included, so a class profiled ×2 is
+// priced exactly like one declared at twice the rate. Result.Energy's
+// projected power uses the same rate. Congested
 // classes (window p95 over HighSec, or queue drops) first get up to
 // MoveFraction of their cameras stepped toward in-camera compute,
 // admitted only while the projection stays under BudgetW. Then, while

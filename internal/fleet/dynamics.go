@@ -306,13 +306,10 @@ type dynamics struct {
 	tier   []int  // resolved tier index per entry, -1
 	fall   []int  // resolved fallback tier index per entry, -1
 
-	// fpsMul is each class's current capture-rate multiplier (1 nominal).
-	fpsMul []float64
-
-	// Per-tier uplink capacity state: the nominal bytes/sec, the current
-	// degradation factor, and a running ∫factor·dt so telemetry windows
-	// can report their mean available-capacity fraction.
-	baseCap  []float64
+	// Per-tier uplink capacity state: the current degradation factor and
+	// a running ∫factor·dt so telemetry windows can report their mean
+	// available-capacity fraction. The nominal capacity is the engine's
+	// link table's.
 	capFac   []float64
 	capLastT []float64
 	capInt   []float64
@@ -340,8 +337,6 @@ func newDynamics(sc *Scenario, nodes []tierNode, firstHop []int) *dynamics {
 		class:       make([]int, len(evs)),
 		tier:        make([]int, len(evs)),
 		fall:        make([]int, len(evs)),
-		fpsMul:      make([]float64, len(sc.Classes)),
-		baseCap:     make([]float64, len(nodes)),
 		capFac:      make([]float64, len(nodes)),
 		capLastT:    make([]float64, len(nodes)),
 		capInt:      make([]float64, len(nodes)),
@@ -352,11 +347,7 @@ func newDynamics(sc *Scenario, nodes []tierNode, firstHop []int) *dynamics {
 		home:        append([]int(nil), firstHop...),
 		stats:       DynamicsStats{Events: len(evs)},
 	}
-	for ci := range dyn.fpsMul {
-		dyn.fpsMul[ci] = 1
-	}
 	for ni := range nodes {
-		dyn.baseCap[ni] = nodes[ni].Uplink.BytesPerSecond()
 		dyn.capFac[ni] = 1
 	}
 	for i := range evs {

@@ -506,3 +506,86 @@ func TestDynamicsValidation(t *testing.T) {
 		t.Errorf("federated combo: err = %v", err)
 	}
 }
+
+// rehomePricing is a fleet whose adaptive class re-homes between a
+// gateway without a core pool and one with a pool and dearer
+// forwarding, so every outage and recovery reprices the class's energy
+// rows and switches its delay rows between none and set.
+func rehomePricing(seed int64, weight float64, start int, poolFPS float64, global *GlobalConfig) Scenario {
+	return Scenario{
+		Name: "rehome-pricing", Seed: seed, Duration: 6,
+		Tiers: []Tier{
+			{Name: "gw-a", Parent: "core", Uplink: UplinkConfig{Gbps: 0.4}, PropagationSec: 0.0002, TxPerByteJ: 2e-8},
+			{Name: "gw-b", Parent: "core", Uplink: UplinkConfig{Gbps: 0.4}, PropagationSec: 0.0002, TxPerByteJ: 5e-8,
+				Compute: &ComputeConfig{Cores: 4, ServiceRateFPS: poolFPS}},
+			{Name: "core", Uplink: UplinkConfig{Gbps: 0.8}, PropagationSec: 0.002, TxPerByteJ: 1e-8},
+		},
+		Classes: []Class{
+			{Name: "east", Count: 24, FPS: 2, Arrival: ArrivalPoisson, Tier: "gw-a",
+				CaptureJ: 1e-3, TxFixedJ: 1e-4, TxPerByteJ: 1e-9,
+				Placements: []PlacementCost{
+					{Name: "raw", FrameBytes: 100_000, ComputeSeconds: 0.002, ComputeJ: 1e-3},
+					{Name: "cam", FrameBytes: 10_000, ComputeSeconds: 0.03, ComputeJ: 8e-3},
+				},
+				Policy: PolicyConfig{Kind: PolicyEnergyLatency, IntervalSec: 0.25, HighSec: 0.2,
+					MoveFraction: 0.1, EnergyWeight: weight, Start: start}},
+			{Name: "bg", Count: 8, FPS: 5, FrameBytes: 50_000},
+		},
+		Global: global,
+		Dynamics: &DynamicsConfig{Events: []FleetEvent{
+			{Time: 0.6, Kind: DynTierOutage, Tier: "gw-a", Fallback: "gw-b"},
+			{Time: 4, Kind: DynTierRecover, Tier: "gw-a"},
+		}},
+	}
+}
+
+// TestRehomeRepricesControllers pins two re-homing runs' tables, one
+// driven by the class controller's energy-latency rule and one by the
+// global controller's knapsack. Each outage and recovery reprices east's
+// rows; a controller that kept scoring against the rows priced before
+// the move, or never saw the fallback's delay rows, decides differently
+// and moves its table.
+func TestRehomeRepricesControllers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sc   Scenario
+		want string
+	}{
+		{"class", rehomePricing(11, 40, 0, 10, nil), `scenario rehome-pricing               uplink 0.8 Gb/s fair-share util   5.4%  drained 6.00s
+  class                    cams  captured   offload   dropQ   dropE      p50      p95      p99    J/frame
+  east                       24       319       316       3       0  107.2ms  418.6ms  461.7ms    0.00497
+  bg                          8       240       240       0       0    2.5ms    2.5ms    2.8ms          0
+  fleet                      32       559       556       3       0    7.2ms  386.3ms  453.6ms    0.00284
+  tier gw-a->core               0.4 Gb/s fair-share util   2.9%  xfers 129  prop 200µs  fwd 0.172J  down 3.40s
+  tier gw-b->core               0.4 Gb/s fair-share util   3.9%  xfers 187  prop 200µs  fwd 0.589J  cpu 4xfifo util  49.0% wait-p95 337.6ms
+  tier core                     0.8 Gb/s fair-share util   5.4%  xfers 556  prop 2.0ms  fwd 0.324J
+  energy camera 1.59J + network 1.08J = 0.4W avg, projected 0.3W
+  dynamics events 2  joined 0  left 0  rehomed 48  outage-drops 0
+  policy east            energy-latency    moves   36  final raw:20 cam:4
+`},
+		{"global", rehomePricing(59, 10, 1, 20, &GlobalConfig{EpochSec: 0.5, BudgetW: 0.3, HighSec: 0.08, MoveFraction: 0.5}), `scenario rehome-pricing               uplink 0.8 Gb/s fair-share util   6.4%  drained 6.00s
+  class                    cams  captured   offload   dropQ   dropE      p50      p95      p99    J/frame
+  east                       24       306       306       0       0   57.2ms   73.1ms   86.9ms    0.00322
+  bg                          8       240       240       0       0    2.5ms    2.7ms    3.0ms          0
+  fleet                      32       546       546       0       0    7.2ms   63.7ms   85.3ms     0.0018
+  tier gw-a->core               0.4 Gb/s fair-share util   3.4%  xfers 126  prop 200µs  fwd 0.203J  down 3.40s
+  tier gw-b->core               0.4 Gb/s fair-share util   5.5%  xfers 180  prop 200µs  fwd 0.819J  cpu 4xfifo util  34.1% wait-p95 22.7ms
+  tier core                     0.8 Gb/s fair-share util   6.4%  xfers 546  prop 2.0ms  fwd 0.386J
+  energy camera 0.984J + network 1.41J = 0.4W avg, projected 0.3W
+  dynamics events 2  joined 0  left 0  rehomed 48  outage-drops 0
+  global budget 0.3W  epochs 11  moves 23
+    epoch t=0.50s 0.5W -> 0.4W  energy east-1x12
+    epoch t=1.50s 0.4W -> 0.4W  energy east-1x8
+    epoch t=4.00s 0.3W -> 0.3W  latency east+1x3
+  policy east            energy-latency    moves    7  final raw:24 cam:0
+`},
+	} {
+		res, err := Run(tc.sc)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := res.Table(); got != tc.want {
+			t.Errorf("%s: table moved.\ngot:\n%s\nwant:\n%s", tc.name, got, tc.want)
+		}
+	}
+}

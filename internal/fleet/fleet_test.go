@@ -220,9 +220,9 @@ func TestDropSinkRouting(t *testing.T) {
 		if tc.toControllers {
 			wantCtl = 1
 		}
-		if e.ctls[0].winDrops != wantCtl || e.gctl.winDrops[0] != wantCtl {
+		if e.ctls[0].win.drops != wantCtl || e.gctl.win[0].drops != wantCtl {
 			t.Errorf("cause %d: controller drops %d, global %d, want %d",
-				tc.cause, e.ctls[0].winDrops, e.gctl.winDrops[0], wantCtl)
+				tc.cause, e.ctls[0].win.drops, e.gctl.win[0].drops, wantCtl)
 		}
 	}
 }

@@ -1,11 +1,6 @@
 package fleet
 
-import (
-	"math"
-	"sort"
-
-	"camsim/internal/fleet/quantile"
-)
+import "math"
 
 // globalController is the fleet-wide energy-aware placement controller: a
 // single seeded decision loop above the per-class policies. On every
@@ -14,67 +9,47 @@ import (
 // joules per frame — camera capture, compute and radio plus the per-hop
 // forwarding energy of every link between the class's attach tier and the
 // root — and reassigns cameras so the fleet's projected placement power
-// stays under the configured budget.
+// stays under the configured budget. The row tables and capture rates it
+// prices are the engine's, read at each epoch.
 type globalController struct {
-	cfg GlobalConfig
-	rng prng
-	// rowJ prices every class's placement rows (one row for table-less
-	// classes) in expected J per captured frame, forwarding included.
-	rowJ [][]float64
-	// rowDelay prices every class's placement rows in deterministic delay
-	// seconds per frame (classRowDelays); nil — per class or whole — when
-	// no finite-compute tier sits on the class's path. With it the energy
-	// knapsack is joint network+compute: it refuses to shed watts into a
-	// step whose delay floor would break the latency target.
-	rowDelay [][]float64
-	// Per-class epoch windows, consumed at each tick.
-	winLat   [][]float64
-	winDrops []int64
-	stats    GlobalStats
+	cfg   GlobalConfig
+	rng   prng
+	win   []window // per class, consumed at each epoch
+	stats GlobalStats
 }
 
 // newGlobal builds the controller, or nil when the scenario does not
 // configure one. Its stream is derived like the per-class controller
 // streams — two full splitmix64 rounds — under its own tag, so the three
 // stream families (cameras, class controllers, global) stay disjoint.
-func newGlobal(sc *Scenario, rowJ, rowDelay [][]float64) *globalController {
+func newGlobal(sc *Scenario) *globalController {
 	if sc.Global == nil {
 		return nil
 	}
 	h := splitmix64(splitmix64(uint64(sc.Seed)^0x61017ba1) + uint64(len(sc.Classes)))
 	return &globalController{
-		cfg:      *sc.Global,
-		rng:      newPRNG(int64(h)),
-		rowJ:     rowJ,
-		rowDelay: rowDelay,
-		winLat:   make([][]float64, len(sc.Classes)),
-		winDrops: make([]int64, len(sc.Classes)),
-		stats:    GlobalStats{BudgetW: sc.Global.BudgetW},
+		cfg:   *sc.Global,
+		rng:   newPRNG(int64(h)),
+		win:   make([]window, len(sc.Classes)),
+		stats: GlobalStats{BudgetW: sc.Global.BudgetW},
 	}
 }
 
-// observe records one completed offload latency for the camera's class.
-func (g *globalController) observe(class int, lat float64) {
-	g.winLat[class] = append(g.winLat[class], lat)
-}
-
-// drop records one queue drop for the class.
-func (g *globalController) drop(class int) { g.winDrops[class]++ }
-
 // projectedPowerW prices the fleet's steady-state placement power: every
 // camera's per-frame energy at its current placement row times its
-// class's capture rate. Classes without a cost table contribute their
-// fixed per-frame energy — the budget is fleet-wide, not per knob.
-func projectedPowerW(sc *Scenario, rowJ [][]float64, cams []camera, classCams [][]int32) float64 {
+// class's current capture rate, an fps_profile multiplier included.
+// Classes without a cost table contribute their fixed per-frame energy —
+// the budget is fleet-wide, not per knob.
+func (e *engine) projectedPowerW() float64 {
 	total := 0.0
-	for ci := range sc.Classes {
-		fps := sc.Classes[ci].FPS
-		if len(sc.Classes[ci].Placements) == 0 {
-			total += fps * rowJ[ci][0] * float64(len(classCams[ci]))
+	for ci := range e.sc.Classes {
+		fps, rows := e.fps[ci], e.rowJ[ci]
+		if len(e.sc.Classes[ci].Placements) == 0 {
+			total += fps * rows[0] * float64(len(e.classCams[ci]))
 			continue
 		}
-		for _, idx := range classCams[ci] {
-			total += fps * rowJ[ci][cams[idx].placement]
+		for _, idx := range e.classCams[ci] {
+			total += fps * rows[e.cams[idx].placement]
 		}
 	}
 	return total
@@ -95,35 +70,26 @@ func projectedPowerW(sc *Scenario, rowJ [][]float64, cams []camera, classCams []
 // saving — ties to the class with the most p95 headroom, then declaration
 // order — moving cameras one at a time until the fleet fits the budget,
 // every class hits its per-epoch cap, or no energy-saving step remains.
-func (g *globalController) epoch(t float64, sc *Scenario, cams []camera, classCams [][]int32) {
+func (g *globalController) epoch(t float64, e *engine) {
+	sc, cams, classCams := &e.sc, e.cams, e.classCams
 	nClasses := len(sc.Classes)
 	p95 := make([]float64, nClasses)
 	congested := make([]bool, nClasses)
-	for ci := 0; ci < nClasses; ci++ {
-		lat := g.winLat[ci]
-		if len(lat) > 0 {
-			sort.Float64s(lat)
-			p95[ci] = quantile.NearestRank(lat, 0.95)
-		}
-		congested[ci] = g.winDrops[ci] > 0 || (len(lat) > 0 && g.cfg.HighSec > 0 && p95[ci] > g.cfg.HighSec)
-		g.winLat[ci] = g.winLat[ci][:0]
-		g.winDrops[ci] = 0
+	for ci := range sc.Classes {
+		n, q, drops := g.win[ci].consume()
+		p95[ci] = q
+		congested[ci] = drops > 0 || (n > 0 && g.cfg.HighSec > 0 && q > g.cfg.HighSec)
 	}
 
-	projected := projectedPowerW(sc, g.rowJ, cams, classCams)
+	projected := e.projectedPowerW()
 	ep := GlobalEpoch{Time: t, BeforeW: projected}
 
 	// Per-epoch, per-class reassignment caps.
 	capLeft := make([]int, nClasses)
 	for ci := range sc.Classes {
-		if len(sc.Classes[ci].Placements) == 0 {
-			continue
+		if len(sc.Classes[ci].Placements) > 0 {
+			capLeft[ci] = batchSize(g.cfg.MoveFraction, len(classCams[ci]))
 		}
-		k := int(g.cfg.MoveFraction*float64(len(classCams[ci])) + 0.5)
-		if k < 1 {
-			k = 1
-		}
-		capLeft[ci] = k
 	}
 
 	// Phase 1: latency relief for congested classes.
@@ -131,7 +97,7 @@ func (g *globalController) epoch(t float64, sc *Scenario, cams []camera, classCa
 		if !congested[ci] || capLeft[ci] == 0 {
 			continue
 		}
-		moved := g.moveAccept(sc, cams, classCams[ci], ci, +1, capLeft[ci], &projected, true)
+		moved := g.moveAccept(e, ci, +1, capLeft[ci], &projected, true)
 		capLeft[ci] -= moved
 		if moved > 0 {
 			ep.Moves = append(ep.Moves, GlobalMove{Class: sc.Classes[ci].Name, Dir: +1, Count: moved, Reason: "latency"})
@@ -158,7 +124,7 @@ func (g *globalController) epoch(t float64, sc *Scenario, cams []camera, classCa
 				if blocked[ci][di] {
 					continue
 				}
-				sum, n := rowDelta(g.rowJ[ci], cams, classCams[ci], dir)
+				sum, n := rowDelta(e.rowJ[ci], cams, classCams[ci], dir)
 				if n == 0 {
 					continue
 				}
@@ -166,16 +132,16 @@ func (g *globalController) epoch(t float64, sc *Scenario, cams []camera, classCa
 				if save <= 0 {
 					continue
 				}
-				if g.rowDelay != nil && g.rowDelay[ci] != nil && g.cfg.HighSec > 0 {
+				if rows := e.rowDelay[ci]; rows != nil && g.cfg.HighSec > 0 {
 					// Joint admission: a step that saves watts is still
 					// refused when its deterministic delay-floor increase,
 					// stacked on the observed p95 (which already carries
 					// compute queueing), would break the latency target.
-					if d, dn := rowDelta(g.rowDelay[ci], cams, classCams[ci], dir); dn > 0 && d > 0 && p95[ci]+d/float64(dn) > g.cfg.HighSec {
+					if d, dn := rowDelta(rows, cams, classCams[ci], dir); dn > 0 && d > 0 && p95[ci]+d/float64(dn) > g.cfg.HighSec {
 						continue
 					}
 				}
-				saveW := save * sc.Classes[ci].FPS
+				saveW := save * e.fps[ci]
 				if saveW > bestSave || (saveW == bestSave && best >= 0 && head > bestHead) {
 					best, bestDir, bestDirIdx, bestSave, bestHead = ci, dir, di, saveW, head
 				}
@@ -184,7 +150,7 @@ func (g *globalController) epoch(t float64, sc *Scenario, cams []camera, classCa
 		if best < 0 {
 			break // infeasible: nothing left to shed, hold best effort
 		}
-		moved := g.moveAccept(sc, cams, classCams[best], best, bestDir, capLeft[best], &projected, false)
+		moved := g.moveAccept(e, best, bestDir, capLeft[best], &projected, false)
 		if moved == 0 {
 			blocked[best][bestDirIdx] = true
 			continue
@@ -200,48 +166,30 @@ func (g *globalController) epoch(t float64, sc *Scenario, cams []camera, classCa
 	g.stats.Epochs = append(g.stats.Epochs, ep)
 }
 
-// moveAccept moves up to k of the class's cameras one step dir, drawing
-// the order from the controller's seeded stream (partial Fisher-Yates over
-// the movable candidates) and accepting each camera only while the
-// projected power permits: an energy-increasing step must keep the
-// projection under budget, and a non-latency (energy-shedding) move stops
-// at the budget line instead of overshooting it. projected is updated in
-// place with each accepted camera's exact delta.
-func (g *globalController) moveAccept(sc *Scenario, cams []camera, members []int32, ci, dir, k int, projected *float64, latency bool) int {
-	rows := g.rowJ[ci]
-	last := len(sc.Classes[ci].Placements) - 1
-	var candidates []int32
-	for _, idx := range members {
-		p := cams[idx].placement + dir
-		if p >= 0 && p <= last {
-			candidates = append(candidates, idx)
-		}
-	}
-	if k > len(candidates) {
-		k = len(candidates)
-	}
-	fps := sc.Classes[ci].FPS
-	moved := 0
-	for i := 0; i < len(candidates) && moved < k; i++ {
-		j := i + g.rng.Intn(len(candidates)-i)
-		candidates[i], candidates[j] = candidates[j], candidates[i]
-		idx := candidates[i]
-		at := cams[idx].placement
+// moveAccept moves up to k of class ci's cameras one step dir through
+// shuffleMove, admitting each drawn camera only while the projected power
+// permits: an energy-increasing step must keep the projection under
+// budget, and a non-latency (energy-shedding) move stops at the budget
+// line instead of overshooting it. projected is updated in place with
+// each admitted camera's exact delta, priced at the class's current rate.
+func (g *globalController) moveAccept(e *engine, ci, dir, k int, projected *float64, latency bool) int {
+	rows, fps := e.rowJ[ci], e.fps[ci]
+	admit := func(idx int32) (step, stop bool) {
+		at := e.cams[idx].placement
 		deltaW := (rows[at+dir] - rows[at]) * fps
 		if deltaW > 0 && *projected+deltaW > g.cfg.BudgetW {
 			// This camera's step would push the fleet over budget — but
 			// with three or more rows the candidates sit at different
-			// rows with different deltas, so skip it and keep scanning
+			// rows with different deltas, so skip it and keep drawing
 			// for cameras whose step still fits.
-			continue
+			return false, false
 		}
 		if !latency && *projected <= g.cfg.BudgetW {
 			// Energy phase only sheds to the budget line, not beyond it.
-			break
+			return false, true
 		}
-		cams[idx].placement += dir
 		*projected += deltaW
-		moved++
+		return true, false
 	}
-	return moved
+	return shuffleMove(&g.rng, e.cams, e.classCams[ci], len(e.sc.Classes[ci].Placements)-1, dir, k, admit)
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -229,19 +230,24 @@ func TestMoveAcceptSkipsOverBudgetRows(t *testing.T) {
 	// the batch must skip the over-budget cameras and still shed — the
 	// old first-overshoot break returned 0 moves and stranded the fleet
 	// over a feasible budget.
-	sc := &Scenario{Classes: []Class{{
+	sc := Scenario{Classes: []Class{{
 		Name: "mixed", Count: 4, FPS: 1,
 		Placements: []PlacementCost{{FrameBytes: 1}, {FrameBytes: 1}, {FrameBytes: 1}},
 	}}}
 	for seed := int64(1); seed <= 20; seed++ {
 		g := &globalController{
-			cfg:  GlobalConfig{BudgetW: 20, EpochSec: 1, MoveFraction: 1},
-			rng:  newPRNG(seed),
-			rowJ: [][]float64{{10, 1, 5}},
+			cfg: GlobalConfig{BudgetW: 20, EpochSec: 1, MoveFraction: 1},
+			rng: newPRNG(seed),
 		}
-		cams := []camera{{placement: 1}, {placement: 0}, {placement: 1}, {placement: 0}}
+		e := &engine{
+			sc:        sc,
+			cams:      []camera{{placement: 1}, {placement: 0}, {placement: 1}, {placement: 0}},
+			classCams: [][]int32{{0, 1, 2, 3}},
+			fps:       []float64{1},
+			rowJ:      [][]float64{{10, 1, 5}},
+		}
 		projected := 22.0 // 1 + 10 + 1 + 10
-		moved := g.moveAccept(sc, cams, []int32{0, 1, 2, 3}, 0, +1, 4, &projected, false)
+		moved := g.moveAccept(e, 0, +1, 4, &projected, false)
 		if moved == 0 {
 			t.Fatalf("seed %d: over-budget rows aborted the whole batch", seed)
 		}
@@ -315,5 +321,52 @@ func TestPlacementEnergyPerFrame(t *testing.T) {
 	want = 1e-3 + 0.9 + 0.5*(1e-4+(1e-8+2e-8)*100)
 	if got := c.PlacementEnergyPerFrame(1, 2e-8); math.Abs(got-want) > 1e-15 {
 		t.Fatalf("row energy %v, want %v", got, want)
+	}
+}
+
+// TestGlobalReadsFPSProfile pins the capture rate the global controller
+// and Energy.ProjectedW price: ten cameras declared at 1 FPS and profiled
+// ×2 from t=0 capture at 2 FPS, so they must project the same power and
+// shed the same cameras under the budget as the same fleet declared at
+// 2 FPS. Pricing the declared rate halves the projection, which then
+// sits under the budget and sheds nothing.
+func TestGlobalReadsFPSProfile(t *testing.T) {
+	fleet := func(fps, profile float64) Scenario {
+		sc := Scenario{
+			Name: "fps-profile", Seed: 7, Duration: 4,
+			Tiers: []Tier{{Name: "core", Uplink: UplinkConfig{Gbps: 1}}},
+			Classes: []Class{{Name: "cams", Count: 10, FPS: fps, CaptureJ: 1e-3, TxPerByteJ: 5e-8,
+				Placements: []PlacementCost{
+					{Name: "raw", FrameBytes: 20_000},
+					{Name: "cam", FrameBytes: 2_000, ComputeJ: 3e-4},
+				}}},
+			Global: &GlobalConfig{EpochSec: 1, BudgetW: 0.03, MoveFraction: 0.5},
+		}
+		if profile != 0 {
+			sc.Dynamics = &DynamicsConfig{Events: []FleetEvent{
+				{Time: 0, Kind: DynFPSProfile, Class: "cams", Multiplier: profile},
+			}}
+		}
+		return sc
+	}
+	declared, err := Run(fleet(2, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiled, err := Run(fleet(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if declared.Global.Moves == 0 {
+		t.Fatal("the declared 2 FPS fleet shed nothing; the budget no longer binds")
+	}
+	if profiled.Energy.ProjectedW != declared.Energy.ProjectedW {
+		t.Errorf("projected %v W profiled, %v W declared", profiled.Energy.ProjectedW, declared.Energy.ProjectedW)
+	}
+	if !reflect.DeepEqual(profiled.Global, declared.Global) {
+		t.Errorf("global decisions differ:\nprofiled %+v\ndeclared %+v", *profiled.Global, *declared.Global)
+	}
+	if p, d := profiled.Classes[0].PlacementCounts, declared.Classes[0].PlacementCounts; !reflect.DeepEqual(p, d) {
+		t.Errorf("final placements %v profiled, %v declared", p, d)
 	}
 }

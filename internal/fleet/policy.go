@@ -6,47 +6,90 @@ import (
 	"camsim/internal/fleet/quantile"
 )
 
+// window is one decider's observation window: the offload latencies
+// completed and the queue and outage drops counted since its last
+// decision. Both controller kinds keep one per class they watch.
+type window struct {
+	lat   []float64
+	drops int64
+}
+
+func (w *window) observe(lat float64) { w.lat = append(w.lat, lat) }
+
+// consume empties the window and returns how many latencies it held,
+// their nearest-rank p95 (0 when there were none) and its drop count.
+func (w *window) consume() (n int, p95 float64, drops int64) {
+	n, drops = len(w.lat), w.drops
+	if n > 0 {
+		sort.Float64s(w.lat)
+		p95 = quantile.NearestRank(w.lat, 0.95)
+	}
+	w.lat, w.drops = w.lat[:0], 0
+	return n, p95, drops
+}
+
+// batchSize is how many of a class's n cameras one decision may move:
+// frac × n rounded, at least 1.
+func batchSize(frac float64, n int) int {
+	if k := int(frac*float64(n) + 0.5); k > 1 {
+		return k
+	}
+	return 1
+}
+
+// shuffleMove is the one place a placement move is drawn. It steps up to
+// k of the member cameras one row dir, within rows [0, last], and returns
+// how many stepped. The cameras are drawn from rng one at a time, by a
+// partial Fisher-Yates over those that can move. admit rules on each
+// drawn camera before it steps: it may skip the camera or stop the
+// batch. A nil admit steps every camera drawn.
+func shuffleMove(rng *prng, cams []camera, members []int32, last, dir, k int, admit func(idx int32) (step, stop bool)) int {
+	var cand []int32
+	for _, idx := range members {
+		if p := cams[idx].placement + dir; p >= 0 && p <= last {
+			cand = append(cand, idx)
+		}
+	}
+	moved := 0
+	for i := 0; i < len(cand) && moved < k; i++ {
+		j := i + rng.Intn(len(cand)-i)
+		cand[i], cand[j] = cand[j], cand[i]
+		if admit != nil {
+			step, stop := admit(cand[i])
+			if stop {
+				break
+			}
+			if !step {
+				continue
+			}
+		}
+		cams[cand[i]].placement += dir
+		moved++
+	}
+	return moved
+}
+
 // controller is the per-class adaptive-placement state: the observation
-// window since the last decision, the seeded stream every decision draws
-// from (a compact value-embedded prng, like the cameras'), and the
-// class's per-row energy model (energy-latency policy).
+// window since the last decision and the seeded stream every decision
+// draws from (a compact value-embedded prng, like the cameras'). The row
+// tables it scores against are the engine's, read when it decides.
 type controller struct {
-	rng      prng
-	winLat   []float64 // offload latencies completed in the window
-	winDrops int64     // queue drops in the window
-	moves    int64     // camera moves decided so far
-	// rowJ is the expected joules per captured frame at each placement
-	// row, including per-hop network forwarding along the class's uplink
-	// path — the quantity the energy-latency rule weighs against latency.
-	rowJ []float64
-	// rowDelay is the deterministic delay floor per placement row
-	// (in-camera compute plus expected tier service, classRowDelays) —
-	// nil unless a finite-compute tier sits on the class's offload path,
-	// keeping pre-compute scenarios' decisions bit-identical.
-	rowDelay []float64
+	rng   prng
+	win   window
+	moves int64 // camera moves decided so far
 }
 
 // newControllers builds one controller per adaptive class (nil entries for
 // static or table-less classes). Controller streams are derived from the
 // scenario seed and the class index through two splitmix64 rounds — the
 // same full-width mixing as the per-camera streams, kept disjoint from
-// them by the controller tag folded into the seed round. rowJ is the
-// per-class, per-row energy table (classRowEnergies for every class);
-// rowDelay the per-class, per-row delay floors — nil, per class or
-// whole, when no tier compute prices the class's path.
-func newControllers(sc *Scenario, rowJ, rowDelay [][]float64) []*controller {
+// them by the controller tag folded into the seed round.
+func newControllers(sc *Scenario) []*controller {
 	ctls := make([]*controller, len(sc.Classes))
 	for ci := range sc.Classes {
-		if !sc.Classes[ci].adaptive() {
-			continue
-		}
-		h := splitmix64(splitmix64(uint64(sc.Seed)^0xc0117801) + uint64(ci))
-		ctls[ci] = &controller{
-			rng:  newPRNG(int64(h)),
-			rowJ: rowJ[ci],
-		}
-		if rowDelay != nil {
-			ctls[ci].rowDelay = rowDelay[ci]
+		if sc.Classes[ci].adaptive() {
+			h := splitmix64(splitmix64(uint64(sc.Seed)^0xc0117801) + uint64(ci))
+			ctls[ci] = &controller{rng: newPRNG(int64(h))}
 		}
 	}
 	return ctls
@@ -84,28 +127,12 @@ func classRowEnergies(c *Class, netPerByteJ float64) []float64 {
 	return rows
 }
 
-// observe records one completed offload latency.
-func (c *controller) observe(lat float64) {
-	c.winLat = append(c.winLat, lat)
-}
-
-// decide maps the window onto a placement step: +1 toward in-camera
-// compute, -1 toward offload, 0 to hold. The window is consumed. cams and
-// members carry the class's current placement population, which the
-// energy-latency rule prices.
-func (c *controller) decide(cl *Class, cams []camera, members []int32) int {
-	p := cl.Policy
-	lat := c.winLat
-	drops := c.winDrops
-	c.winLat = c.winLat[:0]
-	c.winDrops = 0
-
-	var p95 float64
-	if len(lat) > 0 {
-		sort.Float64s(lat)
-		p95 = quantile.NearestRank(lat, 0.95)
-	}
-	congested := drops > 0 || (len(lat) > 0 && p95 > p.HighSec)
+// decide consumes the window and maps it onto a placement step for class
+// ci: +1 toward in-camera compute, -1 toward offload, 0 to hold.
+func (c *controller) decide(e *engine, ci int) int {
+	p := e.sc.Classes[ci].Policy
+	n, p95, drops := c.win.consume()
+	congested := drops > 0 || (n > 0 && p95 > p.HighSec)
 	switch p.Kind {
 	case PolicyLatencyThreshold:
 		// One-way escalation: congestion pushes cameras toward in-camera
@@ -120,7 +147,7 @@ func (c *controller) decide(cl *Class, cams []camera, members []int32) int {
 		if congested {
 			return 1
 		}
-		if len(lat) > 0 && p95 < p.LowSec {
+		if n > 0 && p95 < p.LowSec {
 			return -1
 		}
 	case PolicyEnergyLatency:
@@ -129,24 +156,26 @@ func (c *controller) decide(cl *Class, cams []camera, members []int32) int {
 		if congested {
 			return 1
 		}
-		if p.EnergyWeight > 0 && len(lat) > 0 {
-			return c.energyStep(p, cams, members, p95)
+		if p.EnergyWeight > 0 && n > 0 {
+			return energyStep(e, ci, p95)
 		}
 	}
 	return 0
 }
 
-// energyStep scores the two adjacent placements on the weighted
-// energy-latency objective: moving dir is worth EnergyWeight × the mean
-// per-frame joules it saves across the movable cameras, minus the latency
-// it risks re-adding — the observed p95 for a step toward offload (which
-// loads the network), nothing for a step toward in-camera compute (which
-// relieves it). The larger strictly-positive gain wins; in-camera is
-// evaluated first so ties resolve to the congestion-safe direction.
-func (c *controller) energyStep(p PolicyConfig, cams []camera, members []int32, p95 float64) int {
+// energyStep scores class ci's two adjacent placements on the weighted
+// energy-latency objective, against the engine's row tables as they stand
+// now: moving dir is worth EnergyWeight × the mean per-frame joules it
+// saves across the movable cameras, minus the latency it risks re-adding
+// — the observed p95 for a step toward offload (which loads the network),
+// nothing for a step toward in-camera compute (which relieves it). The
+// larger strictly-positive gain wins; in-camera is evaluated first so
+// ties resolve to the congestion-safe direction.
+func energyStep(e *engine, ci int, p95 float64) int {
+	weight, cams, members := e.sc.Classes[ci].Policy.EnergyWeight, e.cams, e.classCams[ci]
 	best, bestGain := 0, 0.0
 	for _, dir := range [2]int{+1, -1} {
-		sum, n := rowDelta(c.rowJ, cams, members, dir)
+		sum, n := rowDelta(e.rowJ[ci], cams, members, dir)
 		if n == 0 {
 			continue
 		}
@@ -155,60 +184,26 @@ func (c *controller) energyStep(p PolicyConfig, cams []camera, members []int32, 
 		if dir < 0 {
 			risk = p95
 		}
-		if c.rowDelay != nil {
+		if rows := e.rowDelay[ci]; rows != nil {
 			// Finite tier compute gives the step a deterministic delay
 			// floor: pay a positive mean increase as extra risk, whichever
 			// direction it comes from (toward offload it is path service;
 			// toward in-camera it is the row's own compute seconds).
-			if d, dn := rowDelta(c.rowDelay, cams, members, dir); dn > 0 && d > 0 {
+			if d, dn := rowDelta(rows, cams, members, dir); dn > 0 && d > 0 {
 				risk += d / float64(dn)
 			}
 		}
-		if gain := p.EnergyWeight*saved/float64(n) - risk; gain > bestGain {
+		if gain := weight*saved/float64(n) - risk; gain > bestGain {
 			best, bestGain = dir, gain
 		}
 	}
 	return best
 }
 
-// move shifts a MoveFraction-sized batch of the class's cameras one step
-// in the decided direction, choosing which cameras from the controller's
-// seeded stream. Returns the number of cameras moved.
-func (c *controller) move(cl *Class, cams []camera, members []int32, dir int) int {
-	k := int(cl.Policy.MoveFraction*float64(len(members)) + 0.5)
-	if k < 1 {
-		k = 1
-	}
-	moved := moveBatch(&c.rng, cams, members, len(cl.Placements)-1, dir, k)
-	c.moves += int64(moved)
-	return moved
-}
-
-// moveBatch moves up to k of the member cameras one placement step in
-// direction dir, clamped to table rows [0, last], and returns how many
-// moved. Which cameras move is a uniform k-subset of the movable
-// candidates drawn from rng via a partial Fisher-Yates, in an order fixed
-// by the stream. The global controller's moveAccept interleaves the same
-// draw with per-camera budget acceptance, which this unconditional form
-// cannot express — keep their shuffle steps identical if either changes.
-func moveBatch(rng *prng, cams []camera, members []int32, last, dir, k int) int {
-	var candidates []int32
-	for _, idx := range members {
-		p := cams[idx].placement + dir
-		if p >= 0 && p <= last {
-			candidates = append(candidates, idx)
-		}
-	}
-	if len(candidates) == 0 || k <= 0 {
-		return 0
-	}
-	if k > len(candidates) {
-		k = len(candidates)
-	}
-	for i := 0; i < k; i++ {
-		j := i + rng.Intn(len(candidates)-i)
-		candidates[i], candidates[j] = candidates[j], candidates[i]
-		cams[candidates[i]].placement += dir
-	}
-	return k
+// move steps a MoveFraction-sized batch of class ci's cameras one row dir,
+// every camera the controller's stream draws.
+func (c *controller) move(e *engine, ci, dir int) {
+	cl := &e.sc.Classes[ci]
+	k := batchSize(cl.Policy.MoveFraction, len(e.classCams[ci]))
+	c.moves += int64(shuffleMove(&c.rng, e.cams, e.classCams[ci], len(cl.Placements)-1, dir, k, nil))
 }

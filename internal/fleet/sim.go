@@ -192,13 +192,13 @@ type engine struct {
 	// links holds one uplink per tier node in tier order, then the
 	// declared downlinks, then the compute pools: simultaneous
 	// completions resolve to the lowest index, so this layout is the
-	// tie-break. downLink and compLink map a tier to its downlink's or
-	// pool's link index (-1 without one); downOwner and compOwner map
-	// back.
-	links                []Link
-	lidx                 *linkIndex
-	downLink, compLink   []int
-	downOwner, compOwner []int
+	// tie-break. slots is the link table, one entry per link in the same
+	// order, filled as each link is added; downLink and compLink map a
+	// tier to its downlink's or pool's link index (-1 without one).
+	links              []Link
+	slots              []linkSlot
+	lidx               *linkIndex
+	downLink, compLink []int
 	// compPlan is the per-tier, per-class service demand in core-seconds
 	// per byte (computePlan); nil without any compute section, the
 	// infinite-compute fast path. compWait sketches each pool's queueing
@@ -209,18 +209,20 @@ type engine struct {
 	// crossing k tiers counts once per currently occupied link).
 	// Transfers mid-propagation between links sit in the event heap
 	// instead, so the loop condition still sees them.
-	netInFlight   int
-	linkTransfers []int64
+	netInFlight int
 
-	// firstHop maps each class to the link its cameras transmit on. rowJ
-	// prices every class's placement rows in joules per captured frame,
-	// forwarding along its uplink path included; rowDelay prices them in
-	// deterministic delay seconds (classRowDelays), nil per class — or
-	// whole — unless a compute tier sits on the class's offload path, so
-	// scenarios without the section keep the controllers' legacy
-	// arithmetic bit for bit. These are the tables the placement
-	// controllers score against.
+	// firstHop maps each class to the link its cameras transmit on, and
+	// fps to its live capture rate: the declared FPS times the current
+	// fps_profile multiplier. rowJ prices every class's placement rows in
+	// joules per captured frame, forwarding along its uplink path
+	// included; rowDelay prices them in deterministic delay seconds
+	// (classRowDelays), a nil row unless a compute tier sits on the
+	// class's offload path, so scenarios without the section keep the
+	// controllers' legacy arithmetic bit for bit. Both placement
+	// controllers read these tables in place when they decide; price is
+	// the only writer.
 	firstHop       []int
+	fps            []float64
 	rowJ, rowDelay [][]float64
 
 	cams      []camera
@@ -256,11 +258,15 @@ func newEngine(sc Scenario) (*engine, error) {
 	nodes := e.nodes
 	e.res = newResult(*s)
 
-	e.links = make([]Link, len(nodes))
+	e.links = make([]Link, 0, len(nodes))
+	e.slots = make([]linkSlot, 0, len(nodes))
 	for i, nd := range nodes {
-		if e.links[i], err = NewLink(nd.Uplink.Contention, nd.Uplink.BytesPerSecond()); err != nil {
+		bps := nd.Uplink.BytesPerSecond()
+		up, err := NewLink(nd.Uplink.Contention, bps)
+		if err != nil {
 			return nil, err
 		}
+		e.addLink(up, i, roleUp, bps)
 	}
 	// Declared downlinks are appended after every uplink, in tier order:
 	// uplink indices — and therefore simultaneous-completion tie-breaks —
@@ -272,13 +278,12 @@ func newEngine(sc Scenario) (*engine, error) {
 		if nd.Downlink == nil {
 			continue
 		}
-		dn, err := NewLink(nd.Downlink.Contention, nd.Downlink.BytesPerSecond())
+		bps := nd.Downlink.BytesPerSecond()
+		dn, err := NewLink(nd.Downlink.Contention, bps)
 		if err != nil {
 			return nil, err
 		}
-		e.downLink[i] = len(e.links)
-		e.downOwner = append(e.downOwner, i)
-		e.links = append(e.links, dn)
+		e.downLink[i] = e.addLink(dn, i, roleDown, bps)
 	}
 	// Tier core pools are links too ("bytes" = core-seconds of service
 	// demand), appended after every downlink: uplink and downlink indices
@@ -296,18 +301,20 @@ func newEngine(sc Scenario) (*engine, error) {
 		if e.compWait == nil {
 			e.compWait = make([]*quantile.Sketch, len(nodes))
 		}
-		e.compLink[i] = len(e.links)
-		e.compOwner = append(e.compOwner, i)
-		e.links = append(e.links, newComputeServer(nodes[i].Compute))
+		// A pool's capacity is cores × 1 core-second per second, so the
+		// shared utilization math reports its busy fraction.
+		e.compLink[i] = e.addLink(newComputeServer(nodes[i].Compute), i, rolePool, float64(nodes[i].Compute.Cores))
 		e.compWait[i] = quantile.NewSketch()
 	}
 	e.lidx = newLinkIndex(e.links)
-	e.linkTransfers = make([]int64, len(e.links))
 	e.flUpBytes = make([]float64, len(nodes))
 
 	e.firstHop = make([]int, len(s.Classes))
+	e.fps = make([]float64, len(s.Classes))
 	e.rowJ = make([][]float64, len(s.Classes))
+	e.rowDelay = make([][]float64, len(s.Classes))
 	for ci := range s.Classes {
+		e.fps[ci] = s.Classes[ci].FPS
 		e.price(ci, classAttachIndex(nodes, e.root, &s.Classes[ci]))
 	}
 
@@ -343,23 +350,11 @@ func newEngine(sc Scenario) (*engine, error) {
 	// changes how latency statistics are accumulated (sketches instead of
 	// sample slices) and, with a window, adds the time series.
 	if s.Telemetry != nil && s.Telemetry.Streaming {
-		labels := make([]string, 0, len(e.links))
-		caps := make([]float64, 0, len(e.links))
-		for _, nd := range nodes {
-			labels = append(labels, nd.Name)
-			caps = append(caps, nd.Uplink.BytesPerSecond())
+		labels := make([]string, len(e.slots))
+		for li, sl := range e.slots {
+			labels[li] = nodes[sl.owner].Name + roleSuffix[sl.role]
 		}
-		for _, ti := range e.downOwner {
-			labels = append(labels, nodes[ti].Name+":down")
-			caps = append(caps, nodes[ti].Downlink.BytesPerSecond())
-		}
-		for _, ti := range e.compOwner {
-			// A pool's "capacity" is cores×1 core-seconds per second, so
-			// the shared utilization math reports busy fraction.
-			labels = append(labels, nodes[ti].Name+":compute")
-			caps = append(caps, float64(nodes[ti].Compute.Cores))
-		}
-		e.acc = newCollector(s, e.links, labels, caps, e.dyn)
+		e.acc = newCollector(s, e.links, e.slots, labels, e.dyn)
 	} else {
 		e.acc = newExactLatencies(s, e.res)
 	}
@@ -389,14 +384,14 @@ func newEngine(sc Scenario) (*engine, error) {
 	e.transfers = make([]transfer, 0, s.Cameras())
 	e.cams = make([]camera, 0, s.Cameras())
 	e.classCams = make([][]int32, len(s.Classes))
-	e.ctls = newControllers(s, e.rowJ, e.rowDelay)
-	e.gctl = newGlobal(s, e.rowJ, e.rowDelay)
+	e.ctls = newControllers(s)
+	e.gctl = newGlobal(s)
 	e.events = make(eventHeap, 0, heapCap)
 	for ci := range s.Classes {
 		cl := &s.Classes[ci]
 		e.classCams[ci] = make([]int32, 0, cl.Count)
 		for k := 0; k < cl.Count; k++ {
-			e.addCamera(ci, 0, cl.FPS)
+			e.addCamera(ci, 0)
 		}
 		if e.ctls[ci] != nil && cl.Policy.IntervalSec < s.Duration {
 			e.push(cl.Policy.IntervalSec, evControl, int32(ci), 0)
@@ -450,8 +445,7 @@ func newEngine(sc Scenario) (*engine, error) {
 // price points class ci's first hop at tier ti and prices the tables the
 // placement controllers score against: forwarding joules follow the
 // uplink path from ti, and the deterministic delay rows follow that
-// path's compute scale. rowJ and rowDelay are the outer slices the global
-// controller holds, so element reassignment is visible to it.
+// path's compute scale (a nil row when no pool sits on the path).
 func (e *engine) price(ci, ti int) {
 	e.firstHop[ci] = ti
 	pathFwdJ := 0.0
@@ -460,39 +454,64 @@ func (e *engine) price(ci, ti int) {
 	}
 	cl := &e.sc.Classes[ci]
 	e.rowJ[ci] = classRowEnergies(cl, pathFwdJ)
+	e.rowDelay[ci] = nil
 	if scale := classPathScale(e.nodes, e.compPlan, ci, ti); scale > 0 {
-		if e.rowDelay == nil {
-			e.rowDelay = make([][]float64, len(e.sc.Classes))
-			if e.gctl != nil {
-				e.gctl.rowDelay = e.rowDelay
-			}
-		}
 		e.rowDelay[ci] = classRowDelays(cl, scale)
-	} else if e.rowDelay != nil {
-		e.rowDelay[ci] = nil
 	}
 }
 
-// addCamera adds one camera of class ci at time t capturing at fps. Its
-// stream continues the global camera-seed sequence, so every existing
-// camera's stream is untouched, and its first capture falls a random
-// phase inside one period (periodic) or one exponential gap (Poisson)
-// after t.
-func (e *engine) addCamera(ci int, t, fps float64) {
+// addCamera adds one camera of class ci at time t, capturing at the
+// class's live rate. Its stream continues the global camera-seed
+// sequence, so every existing camera's stream is untouched, and its first
+// capture falls a random phase inside one period (periodic) or one
+// exponential gap (Poisson) after t.
+func (e *engine) addCamera(ci int, t float64) {
 	cl := &e.sc.Classes[ci]
 	idx := len(e.cams)
 	c := camera{class: ci, rng: newPRNG(cameraSeed(e.sc.Seed, idx)), stored: cl.StoreJ, lastTop: t, placement: cl.Policy.Start}
 	var first float64
 	if cl.Arrival == ArrivalPoisson {
-		first = c.rng.ExpFloat64() / fps
+		first = c.rng.ExpFloat64() / e.fps[ci]
 	} else {
-		first = c.rng.Float64() / fps
+		first = c.rng.Float64() / e.fps[ci]
 	}
 	e.cams = append(e.cams, c)
 	e.classCams[ci] = append(e.classCams[ci], int32(idx))
 	if t+first < e.sc.Duration {
 		e.push(t+first, evCapture, int32(idx), 0)
 	}
+}
+
+// linkRole is what a link carries, and so where a transfer it finishes
+// goes next.
+type linkRole uint8
+
+const (
+	roleUp   linkRole = iota // a tier's uplink
+	roleDown                 // a tier's declared downlink
+	rolePool                 // a tier's core pool
+)
+
+// roleSuffix labels a link in the streaming time series after its owner
+// tier's name.
+var roleSuffix = [...]string{roleUp: "", roleDown: ":down", rolePool: ":compute"}
+
+// linkSlot is the engine's record of one link: the tier that owns it, its
+// role, its nominal capacity (bytes per second, or cores for a pool) and
+// the transfers it has completed.
+type linkSlot struct {
+	owner     int
+	role      linkRole
+	cap       float64
+	transfers int64
+}
+
+// addLink appends link l, owned by tier ti in role r with nominal
+// capacity c, and returns its index.
+func (e *engine) addLink(l Link, ti int, r linkRole, c float64) int {
+	e.links = append(e.links, l)
+	e.slots = append(e.slots, linkSlot{owner: ti, role: r, cap: c})
+	return len(e.links) - 1
 }
 
 func (e *engine) push(t float64, kind int, id, aux int32) {
@@ -511,7 +530,7 @@ func (e *engine) startLink(li int, now float64, id int, bytes float64) {
 func (e *engine) finishLink(li int) int {
 	id := e.links[li].Finish()
 	e.netInFlight--
-	e.linkTransfers[li]++
+	e.slots[li].transfers++
 	e.lidx.invalidate(li)
 	return id
 }
@@ -533,19 +552,13 @@ func (e *engine) release(id int) transfer {
 	return e.transfers[id]
 }
 
-// nextCapture returns the time of camera c's capture after now.
+// nextCapture returns the time of camera c's capture after now, at its
+// class's live rate.
 func (e *engine) nextCapture(c *camera, now float64) float64 {
-	cl := &e.sc.Classes[c.class]
-	fps := cl.FPS
-	if e.dyn != nil {
-		// ×1.0 is exact, so a schedule that never touches a class's
-		// rate leaves its capture times bit-identical.
-		fps *= e.dyn.fpsMul[c.class]
+	if e.sc.Classes[c.class].Arrival == ArrivalPoisson {
+		return now + c.rng.ExpFloat64()/e.fps[c.class]
 	}
-	if cl.Arrival == ArrivalPoisson {
-		return now + c.rng.ExpFloat64()/fps
-	}
-	return now + 1/fps
+	return now + 1/e.fps[c.class]
 }
 
 // dropCause is why a captured frame was lost; each lost frame has
@@ -578,10 +591,10 @@ func (e *engine) drop(ci int, cause dropCause) {
 		return
 	}
 	if ctl := e.ctls[ci]; ctl != nil {
-		ctl.winDrops++
+		ctl.win.drops++
 	}
 	if e.gctl != nil {
-		e.gctl.drop(ci)
+		e.gctl.win[ci].drops++
 	}
 }
 
@@ -642,10 +655,10 @@ func (e *engine) complete(arrive float64, id int) {
 	lat := arrive - tr.capturedAt
 	e.acc.observe(c.class, lat)
 	if ctl := e.ctls[c.class]; ctl != nil {
-		ctl.observe(lat)
+		ctl.win.observe(lat)
 	}
 	if e.gctl != nil {
-		e.gctl.observe(c.class, lat)
+		e.gctl.win[c.class].observe(lat)
 	}
 	if arrive > e.res.SimEnd {
 		e.res.SimEnd = arrive
@@ -720,44 +733,39 @@ func (e *engine) capture(t float64, camIdx int32) {
 func (e *engine) forward(li int, t float64) {
 	id := e.finishLink(li)
 	tr := e.transfers[id]
-	if nn := len(e.nodes) + len(e.downOwner); li >= nn {
+	sl := &e.slots[li]
+	ti, nd := sl.owner, &e.nodes[sl.owner]
+	switch {
+	case sl.role == rolePool:
 		// A core pool drained: record the frame's queueing wait (sojourn
 		// minus service, clamped against fair-share float drift), then
 		// the frame starts transmission on the owning tier's uplink at
 		// the same instant.
-		ti := e.compOwner[li-nn]
 		w := t - tr.compAt - e.compPlan[ti][e.cams[tr.cam].class]*tr.bytes
 		if w < 0 {
 			w = 0
 		}
 		e.compWait[ti].Add(w)
 		e.startLink(ti, t, id, tr.bytes)
-		return
-	}
-	if li >= len(e.nodes) {
+	case sl.role == roleDown:
 		// A downlink drained: the model blob is delivered at the owning
 		// tier one downlink propagation later.
-		ti := e.downOwner[li-len(e.nodes)]
-		if d := e.nodes[ti].Downlink; d.PropagationSec == 0 {
+		if d := nd.Downlink; d.PropagationSec == 0 {
 			e.flDeliver(t, ti, id)
 		} else {
 			e.push(t+d.PropagationSec, evFLDeliver, int32(id), int32(ti))
 		}
-		return
-	}
-	nd := &e.nodes[li]
-	switch {
 	case tr.round > 0:
 		// A federated blob cleared one uplink hop: it is absorbed for
 		// aggregation where it lands, never forwarded onward — the
 		// in-network aggregation that shrinks bytes per hop.
-		e.flUpBytes[li] += tr.bytes
+		e.flUpBytes[ti] += tr.bytes
 		if nd.PropagationSec == 0 {
-			e.flAbsorb(t, li, id)
+			e.flAbsorb(t, ti, id)
 		} else {
-			e.push(t+nd.PropagationSec, evFLUp, int32(id), int32(li))
+			e.push(t+nd.PropagationSec, evFLUp, int32(id), int32(ti))
 		}
-	case li != e.root:
+	case ti != e.root:
 		// This hop's transmission is done: the frame arrives at the
 		// parent tier one propagation delay later. With no delay it
 		// enters the parent link at the instant it drains, preserving
@@ -826,16 +834,9 @@ func (e *engine) flDeliver(t float64, ti, id int) {
 }
 
 // rehome repoints class ci's first hop at tier ti and reprices its
-// tables (price); each class controller aliases its inner rows and is
-// repointed explicitly.
+// tables (price), which both controllers read at their next decision.
 func (e *engine) rehome(ci, ti int) {
 	e.price(ci, ti)
-	if ctl := e.ctls[ci]; ctl != nil {
-		ctl.rowJ = e.rowJ[ci]
-		if e.rowDelay != nil {
-			ctl.rowDelay = e.rowDelay[ci]
-		}
-	}
 	moved := int64(len(e.classCams[ci]))
 	e.dyn.stats.Rehomed += moved
 	e.res.Classes[ci].Rehomed += moved
@@ -850,7 +851,7 @@ func (e *engine) dynFire(t float64, i int) {
 	case DynCameraJoin:
 		ci := dyn.class[i]
 		for k := 0; k < ev.Count; k++ {
-			e.addCamera(ci, t, e.sc.Classes[ci].FPS*dyn.fpsMul[ci])
+			e.addCamera(ci, t)
 			e.res.Classes[ci].Cameras++
 			e.res.Classes[ci].Joined++
 			dyn.stats.Joined++
@@ -882,7 +883,7 @@ func (e *engine) dynFire(t float64, i int) {
 		}
 		ti := dyn.tier[i]
 		dyn.rescale(t, ti, factor)
-		e.links[ti].(capScaler).setCapacity(t, dyn.baseCap[ti]*factor)
+		e.links[ti].(capScaler).setCapacity(t, e.slots[ti].cap*factor)
 		e.lidx.invalidate(ti)
 	case DynTierOutage:
 		ti := dyn.tier[i]
@@ -914,7 +915,8 @@ func (e *engine) dynFire(t float64, i int) {
 			}
 		}
 	case DynFPSProfile:
-		dyn.fpsMul[dyn.class[i]] = ev.Multiplier
+		ci := dyn.class[i]
+		e.fps[ci] = e.sc.Classes[ci].FPS * ev.Multiplier
 	case DynComputeScale:
 		li := e.compLink[dyn.tier[i]]
 		e.links[li].(coreScaler).setCores(t, ev.Cores)
@@ -933,18 +935,10 @@ func (e *engine) dynFire(t float64, i int) {
 // drain as outage losses at their link's tier — accounted, never
 // silently lost — and the loop terminates.
 func (e *engine) drainStalled() {
-	nn, nd := len(e.nodes), len(e.downOwner)
-	for li := range e.links {
-		if e.links[li].InFlight() == 0 {
-			continue
+	for li, l := range e.links {
+		if l.InFlight() > 0 {
+			e.drainLink(li, e.slots[li].owner)
 		}
-		ti := li
-		if li >= nn+nd {
-			ti = e.compOwner[li-nn-nd]
-		} else if li >= nn {
-			ti = e.downOwner[li-nn]
-		}
-		e.drainLink(li, ti)
 	}
 }
 
@@ -987,16 +981,14 @@ func (e *engine) loop() error {
 			e.complete(ev.T, int(ev.P.id))
 		case evControl:
 			ci := int(ev.P.id)
-			cl := &e.sc.Classes[ci]
-			ctl := e.ctls[ci]
-			if dir := ctl.decide(cl, e.cams, e.classCams[ci]); dir != 0 {
-				ctl.move(cl, e.cams, e.classCams[ci], dir)
+			if dir := e.ctls[ci].decide(e, ci); dir != 0 {
+				e.ctls[ci].move(e, ci, dir)
 			}
-			if nt := ev.T + cl.Policy.IntervalSec; nt < e.sc.Duration {
+			if nt := ev.T + e.sc.Classes[ci].Policy.IntervalSec; nt < e.sc.Duration {
 				e.push(nt, evControl, ev.P.id, 0)
 			}
 		case evGlobal:
-			e.gctl.epoch(ev.T, &e.sc, e.cams, e.classCams)
+			e.gctl.epoch(ev.T, e)
 			if nt := ev.T + e.sc.Global.EpochSec; nt < e.sc.Duration {
 				e.push(nt, evGlobal, 0, 0)
 			}
@@ -1056,8 +1048,8 @@ func (e *engine) result() *Result {
 			Contention:     nd.Uplink.Contention,
 			PropagationSec: nd.PropagationSec,
 			ServedBytes:    links[i].ServedBytes(),
-			Transfers:      e.linkTransfers[i],
-			Utilization:    utilization(links[i].ServedBytes(), nd.Uplink.BytesPerSecond(), res.SimEnd),
+			Transfers:      e.slots[i].transfers,
+			Utilization:    utilization(links[i].ServedBytes(), e.slots[i].cap, res.SimEnd),
 			TxPerByteJ:     nd.TxPerByteJ,
 			ForwardJ:       links[i].ServedBytes() * nd.TxPerByteJ,
 			FLUpBytes:      e.flUpBytes[i],
@@ -1067,13 +1059,13 @@ func (e *engine) result() *Result {
 			ts.OutageDrops = e.dyn.outageDrops[i]
 		}
 		if d := nd.Downlink; d != nil {
-			dl := links[e.downLink[i]]
+			dl, ds := links[e.downLink[i]], e.slots[e.downLink[i]]
 			ts.DownGbps = d.Gbps
 			ts.DownContention = d.Contention
 			ts.DownPropagationSec = d.PropagationSec
 			ts.DownServedBytes = dl.ServedBytes()
-			ts.DownTransfers = e.linkTransfers[e.downLink[i]]
-			ts.DownlinkUtilization = utilization(dl.ServedBytes(), d.BytesPerSecond(), res.SimEnd)
+			ts.DownTransfers = ds.transfers
+			ts.DownlinkUtilization = utilization(dl.ServedBytes(), ds.cap, res.SimEnd)
 		}
 		if li := e.compLink[i]; li >= 0 {
 			cc := nd.Compute
@@ -1084,9 +1076,9 @@ func (e *engine) result() *Result {
 			cs := &ComputeStats{
 				Cores:       cc.Cores,
 				Discipline:  cc.Discipline,
-				Frames:      e.linkTransfers[li],
+				Frames:      e.slots[li].transfers,
 				BusySec:     busy,
-				Utilization: utilization(busy, float64(cc.Cores), res.SimEnd),
+				Utilization: utilization(busy, e.slots[li].cap, res.SimEnd),
 			}
 			if s := e.compWait[i]; s.Count() > 0 {
 				cs.WaitP50 = s.Quantile(0.50)
@@ -1124,7 +1116,7 @@ func (e *engine) result() *Result {
 	if res.SimEnd > 0 {
 		res.Energy.AvgPowerW = (res.Energy.CameraJ + res.Energy.NetworkJ) / res.SimEnd
 	}
-	res.Energy.ProjectedW = projectedPowerW(sc, e.rowJ, e.cams, e.classCams)
+	res.Energy.ProjectedW = e.projectedPowerW()
 	if e.gctl != nil {
 		st := e.gctl.stats
 		res.Global = &st

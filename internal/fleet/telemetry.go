@@ -166,10 +166,10 @@ type collector struct {
 	win      []*quantile.Sketch
 	winClass []WindowClass
 	// Per-link served-byte snapshots at the last window close, so a
-	// window's traffic is the delta. links and linkBps alias the
-	// simulator's live links.
+	// window's traffic is the delta. links and slots alias the
+	// simulator's live links and its link table.
 	links     []Link
-	linkBps   []float64
+	slots     []linkSlot
 	linkBytes []float64
 
 	// Dynamics availability state, set only for a run with a fault
@@ -183,12 +183,12 @@ type collector struct {
 }
 
 // newCollector builds the run's collector: per-class run-wide sketches
-// always, window state when the scenario sets a window. links must be
-// the simulator's live link slice (uplinks, then declared downlinks,
-// then compute pools); labels and caps name and size them in the same
+// always, window state when the scenario sets a window. links and slots
+// must be the simulator's live links and link table (uplinks, then
+// declared downlinks, then compute pools); labels names them in the same
 // order. dyn, non-nil only for a run with a fault schedule, adds the
 // per-window availability columns.
-func newCollector(sc *Scenario, links []Link, labels []string, caps []float64, dyn *dynamics) *collector {
+func newCollector(sc *Scenario, links []Link, slots []linkSlot, labels []string, dyn *dynamics) *collector {
 	tel := &collector{window: sc.Telemetry.WindowSec}
 	tel.run = make([]*quantile.Sketch, len(sc.Classes))
 	for i := range tel.run {
@@ -203,7 +203,7 @@ func newCollector(sc *Scenario, links []Link, labels []string, caps []float64, d
 	}
 	tel.winClass = make([]WindowClass, len(sc.Classes))
 	tel.links = links
-	tel.linkBps = caps
+	tel.slots = slots
 	tel.linkBytes = make([]float64, len(links))
 	classes := make([]string, len(sc.Classes))
 	for i := range sc.Classes {
@@ -262,7 +262,7 @@ func (tel *collector) closeWindow(end float64) {
 	}
 	for li, l := range tel.links {
 		served := l.ServedBytes()
-		win.TierUtil[li] = utilization(served-tel.linkBytes[li], tel.linkBps[li], end-start)
+		win.TierUtil[li] = utilization(served-tel.linkBytes[li], tel.slots[li].cap, end-start)
 		tel.linkBytes[li] = served
 	}
 	if dyn := tel.dyn; dyn != nil {

@@ -83,17 +83,6 @@ func VRAdaptiveClass(count int, pls []core.Placement, targetFPS float64, policy 
 // policy names the VR classes' adaptation rule: PolicyStatic pins them at
 // raw offload, PolicyLatencyThreshold and PolicyHysteresis adapt.
 func TopologyDemoScenario(seed int64, policy string) (Scenario, error) {
-	pls := []core.Placement{
-		{}, // raw sensor offload
-		{InCamera: 4, Impl: []string{"CPU", "CPU", "FPGA", "FPGA"}}, // full in-camera pipeline
-	}
-	pol := PolicyConfig{
-		Kind:         policy,
-		IntervalSec:  0.5,
-		HighSec:      0.2,
-		LowSec:       0.01,
-		MoveFraction: 0.5,
-	}
 	sc := Scenario{
 		Name:     "topo-2gw/" + policy,
 		Seed:     seed,
@@ -104,19 +93,46 @@ func TopologyDemoScenario(seed int64, policy string) (Scenario, error) {
 			{Name: "gw-b", Uplink: UplinkConfig{Gbps: 2, Contention: ContentionFairShare}},
 		},
 	}
-	for _, gw := range []string{"gw-a", "gw-b"} {
-		vr, err := VRAdaptiveClass(4, pls, 30, pol)
-		if err != nil {
-			return Scenario{}, err
-		}
-		vr.Name = "vr-" + gw
-		vr.Gateway = gw
-		fa := FaceAuthClass(60)
-		fa.Name = "fa-" + gw
-		fa.Gateway = gw
-		sc.Classes = append(sc.Classes, vr, fa)
+	if err := addGatewayClasses(&sc, 4, 30, demoVRPolicy(policy), func() Class { return FaceAuthClass(60) }); err != nil {
+		return Scenario{}, err
 	}
 	return sc, nil
+}
+
+// demoPlacements is the VR heads' table in every two-gateway demo: raw
+// sensor offload, then the full in-camera pipeline.
+var demoPlacements = []core.Placement{
+	{}, // raw sensor offload
+	{InCamera: 4, Impl: []string{"CPU", "CPU", "FPGA", "FPGA"}}, // full in-camera pipeline
+}
+
+// demoVRPolicy is the adaptive VR heads' rule in the two-gateway demos: a
+// decision every 0.5 s against a 200 ms p95 target (10 ms to step back),
+// moving half the class at a time.
+func demoVRPolicy(kind string) PolicyConfig {
+	return PolicyConfig{Kind: kind, IntervalSec: 0.5, HighSec: 0.2, LowSec: 0.01, MoveFraction: 0.5}
+}
+
+// addGatewayClasses appends, for each of gw-a and gw-b, a class vr-<gw>
+// of vrCount VR heads capturing at vrFPS under vrPol, then a face-auth
+// class fa-<gw> built fresh by fa, both attached at the gateway in the
+// network form the scenario declares.
+func addGatewayClasses(sc *Scenario, vrCount int, vrFPS float64, vrPol PolicyConfig, fa func() Class) error {
+	for _, gw := range []string{"gw-a", "gw-b"} {
+		vr, err := VRAdaptiveClass(vrCount, demoPlacements, vrFPS, vrPol)
+		if err != nil {
+			return err
+		}
+		f := fa()
+		vr.Name, f.Name = "vr-"+gw, "fa-"+gw
+		if len(sc.Gateways) > 0 {
+			vr.Gateway, f.Gateway = gw, gw
+		} else {
+			vr.Tier, f.Tier = gw, gw
+		}
+		sc.Classes = append(sc.Classes, vr, f)
+	}
+	return nil
 }
 
 // GlobalModeBudget selects the global-controller variant of
@@ -141,10 +157,6 @@ const GlobalModeBudget = "global"
 //     epoch, but only down to its fleet-wide budget — the heads that fit
 //     keep the low-latency raw placement.
 func EnergyDemoScenario(seed int64, mode string) (Scenario, error) {
-	pls := []core.Placement{
-		{}, // raw sensor offload
-		{InCamera: 4, Impl: []string{"CPU", "CPU", "FPGA", "FPGA"}}, // full in-camera pipeline
-	}
 	pol := PolicyConfig{Kind: PolicyStatic}
 	switch mode {
 	case PolicyStatic, GlobalModeBudget:
@@ -177,17 +189,8 @@ func EnergyDemoScenario(seed int64, mode string) (Scenario, error) {
 		// must move some heads and leave the rest fast.
 		sc.Global = &GlobalConfig{EpochSec: 1, BudgetW: 24, HighSec: 0.5, MoveFraction: 0.5}
 	}
-	for _, gw := range []string{"gw-a", "gw-b"} {
-		vr, err := VRAdaptiveClass(2, pls, 10, pol)
-		if err != nil {
-			return Scenario{}, err
-		}
-		vr.Name = "vr-" + gw
-		vr.Tier = gw
-		fa := FaceAuthClass(40)
-		fa.Name = "fa-" + gw
-		fa.Tier = gw
-		sc.Classes = append(sc.Classes, vr, fa)
+	if err := addGatewayClasses(&sc, 2, 10, pol, func() Class { return FaceAuthClass(40) }); err != nil {
+		return Scenario{}, err
 	}
 	return sc, nil
 }
@@ -246,22 +249,12 @@ const ComputeModeAdaptive = "adaptive"
 //     whose energy knapsack refuses steps whose delay floor breaks the
 //     target — the joint network+compute placement decision.
 func ComputeDemoScenario(seed int64, mode string) (Scenario, error) {
-	pls := []core.Placement{
-		{}, // raw sensor offload
-		{InCamera: 4, Impl: []string{"CPU", "CPU", "FPGA", "FPGA"}}, // full in-camera pipeline
-	}
 	vrPol := PolicyConfig{Kind: PolicyStatic}
 	faPol := PolicyConfig{Kind: PolicyStatic}
 	switch mode {
 	case PolicyStatic, GlobalModeBudget:
 	case ComputeModeAdaptive:
-		vrPol = PolicyConfig{
-			Kind:         PolicyHysteresis,
-			IntervalSec:  0.5,
-			HighSec:      0.2,
-			LowSec:       0.01,
-			MoveFraction: 0.5,
-		}
+		vrPol = demoVRPolicy(PolicyHysteresis)
 		faPol = PolicyConfig{
 			Kind:         PolicyEnergyLatency,
 			IntervalSec:  1,
@@ -296,17 +289,8 @@ func ComputeDemoScenario(seed int64, mode string) (Scenario, error) {
 		// gw-a breaks: both controller phases have work to do.
 		sc.Global = &GlobalConfig{EpochSec: 1, BudgetW: 26, HighSec: 0.25, MoveFraction: 0.5}
 	}
-	for _, gw := range []string{"gw-a", "gw-b"} {
-		vr, err := VRAdaptiveClass(2, pls, 10, vrPol)
-		if err != nil {
-			return Scenario{}, err
-		}
-		vr.Name = "vr-" + gw
-		vr.Tier = gw
-		fa := FaceAuthAdaptiveClass(40, faPol)
-		fa.Name = "fa-" + gw
-		fa.Tier = gw
-		sc.Classes = append(sc.Classes, vr, fa)
+	if err := addGatewayClasses(&sc, 2, 10, vrPol, func() Class { return FaceAuthAdaptiveClass(40, faPol) }); err != nil {
+		return Scenario{}, err
 	}
 	return sc, nil
 }
@@ -451,17 +435,6 @@ func DeepTopologyScenario(seed int64, depth int, policy string) (Scenario, error
 	if depth < 2 {
 		return Scenario{}, fmt.Errorf("fleet: deep topology needs depth ≥ 2, got %d", depth)
 	}
-	pls := []core.Placement{
-		{}, // raw sensor offload
-		{InCamera: 4, Impl: []string{"CPU", "CPU", "FPGA", "FPGA"}}, // full in-camera pipeline
-	}
-	pol := PolicyConfig{
-		Kind:         policy,
-		IntervalSec:  0.5,
-		HighSec:      0.2,
-		LowSec:       0.01,
-		MoveFraction: 0.5,
-	}
 	sc := Scenario{
 		Name:     fmt.Sprintf("topo-deep%d/%s", depth, policy),
 		Seed:     seed,
@@ -498,17 +471,8 @@ func DeepTopologyScenario(seed int64, depth int, policy string) (Scenario, error
 		Uplink:         UplinkConfig{Gbps: 8, Contention: ContentionFairShare},
 		PropagationSec: 0.01,
 	})
-	for _, gw := range []string{"gw-a", "gw-b"} {
-		vr, err := VRAdaptiveClass(4, pls, 30, pol)
-		if err != nil {
-			return Scenario{}, err
-		}
-		vr.Name = "vr-" + gw
-		vr.Tier = gw
-		fa := FaceAuthClass(60)
-		fa.Name = "fa-" + gw
-		fa.Tier = gw
-		sc.Classes = append(sc.Classes, vr, fa)
+	if err := addGatewayClasses(&sc, 4, 30, demoVRPolicy(policy), func() Class { return FaceAuthClass(60) }); err != nil {
+		return Scenario{}, err
 	}
 	return sc, nil
 }
