@@ -3,6 +3,8 @@ package fleet
 import (
 	"fmt"
 	"testing"
+
+	"camsim/internal/fleet/queue"
 )
 
 // deepFleetScenario spreads cams cameras across 32 leaf gateways feeding 8
@@ -216,6 +218,14 @@ func BenchmarkComputeTiers(b *testing.B) {
 // through a small table drawn ahead of the timer, so neither the PRNG nor
 // a growing heap is in the measured loop, and allocs/op must stay 0. Baselines live in
 // BENCH_topology.json and are gated by cmd/benchgate in CI.
+//
+// The two chain variants add a frame's fixed-delay stages at huge-fleet's
+// proportions: 100k resident captures, each re-armed a mean 0.5 s gap
+// later and each starting a four-stage chain (in-camera compute, then
+// gateway, metro and core propagation: 5, 0.2, 2 and 10 ms).
+// 100k-chain-heap pushes every stage on the heap, the schedule before
+// delay lines; 100k-chain-lines files each stage on its delay's line.
+// ns/event counts captures and stages alike.
 func BenchmarkEventHeap(b *testing.B) {
 	const holdBatch = 1 << 14
 	gapRNG := newPRNG(1)
@@ -231,7 +241,7 @@ func BenchmarkEventHeap(b *testing.B) {
 			// Memoryless gaps make n independent exponential offsets the
 			// hold model's steady state, so the prefill starts there.
 			rng := newPRNG(2)
-			h := make(eventHeap, 0, size.n)
+			h := eventHeap{heap: make(queue.Heap[evRef], 0, size.n)}
 			var seq int64
 			for ; seq < int64(size.n); seq++ {
 				h.push(newEvent(rng.ExpFloat64(), seq, evCapture, int32(seq), 0))
@@ -246,6 +256,58 @@ func BenchmarkEventHeap(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/holdBatch, "ns/pop+push")
+		})
+	}
+	chain := [...]float64{0.005, 0.0002, 0.002, 0.01}
+	for _, v := range []struct {
+		name  string
+		lines bool
+	}{{"100k-chain-heap", false}, {"100k-chain-lines", true}} {
+		b.Run(v.name, func(b *testing.B) {
+			const n = 100_000
+			rng := newPRNG(2)
+			h := eventHeap{heap: make(queue.Heap[evRef], 0, 2*n)}
+			var line [len(chain)]int32
+			for k, d := range chain {
+				line[k] = h.line(d)
+			}
+			var seq int64
+			for ; seq < n; seq++ {
+				h.push(newEvent(0.5*rng.ExpFloat64(), seq, evCapture, int32(seq), 0))
+			}
+			// stage schedules stage k of camera id's frame at loop time now.
+			stage := func(now float64, id, k int32) {
+				if v.lines {
+					h.file(line[k], now, seq, evHop, id, k)
+				} else {
+					h.push(newEvent(now+chain[k], seq, evHop, id, k))
+				}
+				seq++
+			}
+			step := func() {
+				ev := h.pop()
+				switch {
+				case ev.kind() == evCapture:
+					h.push(newEvent(ev.T+0.5*gaps[seq&(int64(len(gaps))-1)], seq, evCapture, ev.P.id, 0))
+					seq++
+					stage(ev.T, ev.P.id, 0)
+				case int(ev.P.aux)+1 < len(chain):
+					stage(ev.T, ev.P.id, ev.P.aux+1)
+				}
+			}
+			// Warm up past one chain length, so the timed loop starts with
+			// the stages' steady population and the lines at their size.
+			for k := 0; k < 4*holdBatch; k++ {
+				step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < holdBatch; k++ {
+					step()
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/holdBatch, "ns/event")
 		})
 	}
 }

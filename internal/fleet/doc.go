@@ -415,16 +415,22 @@
 // in a single variant; both are gated in CI by cmd/benchgate against
 // BENCH_topology.json):
 //
-//   - Per-event cost: one pop from the event heap (O(log events), no
-//     interface boxing — container/heap cost one allocation per Push),
-//     plus O(log n) fair-share virtual-time accounting on the link and
-//     O(log links) completion lookup in the link index. All four heaps —
-//     events, fair-share links and pools, FIFO pools' busy cores, and
-//     the link index — are one queue.Heap over different payloads, held
-//     to container/heap's exact pop order by TestHeapsMatchContainerHeap,
-//     one case per payload. The FIFO link and pool queues are one
-//     queue.Ring, a power-of-two ring, so wrap-around is a mask, not a
-//     modulo.
+//   - Per-event cost: a capture (or a control tick, epoch, federated
+//     ready or dynamics entry) is one pop from the event heap (O(log
+//     events), no interface boxing — container/heap cost one allocation
+//     per Push). A frame's fixed-delay stage — in-camera compute, a
+//     hop's propagation, the root's, a federated blob's — is one pop
+//     from a delay line: a ring read plus a re-key in the heap of line
+//     heads, O(log lines) with one line per distinct delay value (4 on
+//     a 100k-camera fleet, where 80% of events are stages). On top come
+//     O(log n) fair-share virtual-time accounting on the link and
+//     O(log links) completion lookup in the link index. All five heaps —
+//     events, line heads, fair-share links and pools, FIFO pools' busy
+//     cores, and the link index — are one queue.Heap over different
+//     payloads, held to container/heap's exact pop order by
+//     TestHeapsMatchContainerHeap, one case per payload. The delay lines
+//     and the FIFO link and pool queues are one queue.Ring, a
+//     power-of-two ring, so wrap-around is a mask, not a modulo.
 //   - Event size: an event is 24 bytes — time, the scheduling sequence
 //     number with the kind in its low 4 bits, and two int32s naming the
 //     subject (camera, class, participant, schedule entry or transfer)
@@ -438,9 +444,14 @@
 //   - Pop order: (time, sequence) is a total order — sequence numbers
 //     are unique, so packing the kind under them orders exactly like
 //     the bare counter — and every correct min-heap pops a total order
-//     in the same sequence. The layout and sift changes therefore cannot
-//     change any output; TestHeapsMatchContainerHeap and the goldens
-//     hold that.
+//     in the same sequence. A delay line keeps each event's sequence
+//     number, and is sorted as filed: loop time never decreases, and
+//     adding the line's constant delay is monotone in floating point. So
+//     the earlier of the heap's top and the earliest line front is the
+//     same event one heap of everything would pop. The layout, sift and
+//     line changes therefore cannot change any output;
+//     TestHeapsMatchContainerHeap, TestRandomScenarioInvariants' pinned
+//     digests and the goldens hold that.
 //   - Percentiles: finalize selects the three nearest ranks it reports
 //     (p50, p95, p99) in increasing order, each within the part of the
 //     samples right of the previous one, instead of sorting every
@@ -452,9 +463,15 @@
 //     cameras cost ~800 KB of inline state rather than ~500 MB of
 //     pointer-chased boxes. Transfer ids are recycled through a free
 //     list, bounding transfer storage by the peak in-flight population
-//     instead of the total frame count, and the event heap and per-class
-//     latency slices are preallocated from FPS × Duration × Count
-//     estimates, so the loop never regrows them.
+//     instead of the total frame count. The event heap is preallocated
+//     to its structural bound — one pending capture per camera, one
+//     control tick per class, one global epoch, one ready event per
+//     federated participant and one entry per schedule entry — because
+//     frames in flight wait on delay lines, not on the heap; only camera
+//     joins regrow it. Each line's ring grows to its own peak, which
+//     on a line of delay d fed at r events per second is about r × d.
+//     The per-class latency slices are preallocated from FPS × Duration
+//     × Count estimates, so the loop never regrows them.
 //   - Seeded-stream shift: moving from rand.Rand's ziggurat draws to the
 //     prng's inversion-based ExpFloat64 / 53-bit Float64 shifted every
 //     seeded stream once (goldens were regenerated, as for the PR 3 seed

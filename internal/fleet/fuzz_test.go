@@ -89,6 +89,13 @@ var fuzzSeeds = []fuzzSeed{
 	{`{"duration_sec": 2, "uplink": {"gbps": 1}, "gateways": [{"name": ""}], "classes": []}`, "has no name"},
 	{`not json at all`, "decoding scenario"},
 	{`{"classes": [{"count": 1e999}]}`, "decoding scenario"},
+	// camera populations past the int32 ids events carry: two counts
+	// whose sum overflows int, and one count too large to allocate
+	{`{"duration_sec": 1, "uplink": {"gbps": 1},
+	  "classes": [{"name": "a", "count": 6917529027641081856, "fps": 1},
+	              {"name": "b", "count": 6917529027641081856, "fps": 1}]}`, "more than 2147483647 cameras"},
+	{`{"duration_sec": 1, "uplink": {"gbps": 1},
+	  "classes": [{"name": "a", "count": 1099511627776, "fps": 1}]}`, "more than 2147483647 cameras"},
 	// tier trees the topology resolver must reject: no root, a parent
 	// cycle, a duplicate name, mixing tiers with gateways, negative delay
 	{`{"duration_sec": 1, "tiers": [{"name": "a", "parent": "b", "uplink": {"gbps": 1}},
@@ -366,6 +373,110 @@ func FuzzScenarioDecode(f *testing.F) {
 		}
 		if _, err := ParseScenario(out); err != nil {
 			t.Fatalf("re-marshaled scenario does not re-parse: %v\njson: %s", err, out)
+		}
+	})
+}
+
+// shrinkForRun clamps a decoded scenario so one fuzz input runs in
+// milliseconds and stays valid. Counts and capture rates bound the
+// frames; duration bounds the captures; floors on recurring periods
+// (schedule re-arms, control ticks, global epochs, telemetry windows)
+// bound the periodic events. The windowed series closes a window for
+// every period up to the last event, so delays, schedule times, payload
+// sizes, link and pool rates and degrade factors are bounded too, which
+// bounds how long the run takes to drain.
+func shrinkForRun(sc *Scenario) {
+	const period, delay, maxBytes = 0.05, 1.0, 100_000
+	floor := func(x *float64) {
+		if *x > 0 {
+			*x = max(*x, period)
+		}
+	}
+	sc.Duration = min(sc.Duration, 2)
+	for i := range sc.Classes {
+		c := &sc.Classes[i]
+		c.Count = min(c.Count, 16)
+		c.FPS = min(c.FPS, 30)
+		c.FrameBytes = min(c.FrameBytes, maxBytes)
+		c.ComputeSeconds = min(c.ComputeSeconds, delay)
+		for j := range c.Placements {
+			p := &c.Placements[j]
+			p.FrameBytes = min(p.FrameBytes, maxBytes)
+			p.ComputeSeconds = min(p.ComputeSeconds, delay)
+		}
+		floor(&c.Policy.IntervalSec)
+	}
+	for i := range sc.Tiers {
+		t := &sc.Tiers[i]
+		t.Uplink.Gbps = max(t.Uplink.Gbps, 0.01)
+		t.PropagationSec = min(t.PropagationSec, delay)
+		if d := t.Downlink; d != nil {
+			d.Gbps = max(d.Gbps, 0.01)
+			d.PropagationSec = min(d.PropagationSec, delay)
+		}
+		if cc := t.Compute; cc != nil {
+			if cc.ServiceRateFPS > 0 {
+				cc.ServiceRateFPS = max(cc.ServiceRateFPS, 100)
+			}
+			for j := range cc.ServiceSec {
+				cc.ServiceSec[j].Sec = min(cc.ServiceSec[j].Sec, 0.01)
+			}
+		}
+	}
+	if g := sc.Global; g != nil {
+		floor(&g.EpochSec)
+	}
+	if f := sc.Federated; f != nil {
+		f.Rounds = min(f.Rounds, 3)
+		f.ComputeSec = min(f.ComputeSec, delay)
+		f.JitterSec = min(f.JitterSec, delay)
+		f.UpdateBytes = min(f.ResolvedUpdateBytes(), maxBytes)
+		f.ModelBytes = min(f.ResolvedModelBytes(), maxBytes)
+		f.Model = nil
+	}
+	if tc := sc.Telemetry; tc != nil {
+		floor(&tc.WindowSec)
+	}
+	if d := sc.Dynamics; d != nil {
+		for i := range d.Events {
+			ev := &d.Events[i]
+			ev.Time = min(ev.Time, sc.Duration) // keeps the schedule in time order
+			ev.Count = min(ev.Count, 4)
+			floor(&ev.EverySec)
+			ev.Multiplier = min(ev.Multiplier, 4)
+			if ev.Factor > 0 {
+				ev.Factor = max(ev.Factor, 0.01)
+			}
+		}
+	}
+}
+
+// FuzzScenarioRun runs every scenario the decoder accepts, shrunk by
+// shrinkForRun: whatever the input, Run must finish without a panic or an
+// error, every captured frame must land in exactly one accounting bucket,
+// per class and in total, and a second run must reproduce the same
+// Table().
+func FuzzScenarioRun(f *testing.F) {
+	for _, s := range fuzzSeeds {
+		f.Add([]byte(s.json))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := ParseScenario(data)
+		if err != nil {
+			return
+		}
+		shrinkForRun(&sc)
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		assertConserved(t, "run", res)
+		again, err := Run(sc)
+		if err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+		if res.Table() != again.Table() {
+			t.Fatalf("replay moved the table:\n%s\nvs\n%s", res.Table(), again.Table())
 		}
 	})
 }

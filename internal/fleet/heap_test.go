@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -29,7 +30,16 @@ func (h *refHeap[T]) Pop() any {
 	return x
 }
 
-// eventLess is the reference (t, seq) order the event heap must follow.
+// len returns the number of pending events, on the heap and every line.
+func (h *eventHeap) len() int {
+	n := len(h.heap)
+	for i := range h.lines {
+		n += h.lines[i].q.Len()
+	}
+	return n
+}
+
+// eventLess is the reference (t, seq) order the event queue must follow.
 func eventLess(a, b event) bool { return a.T < b.T || (a.T == b.T && a.Tie < b.Tie) }
 
 // TestEventLayout pins the event record at 24 bytes and checks that the
@@ -55,6 +65,24 @@ func TestEventLayout(t *testing.T) {
 		if !eventLess(earlier, ev) || eventLess(ev, earlier) {
 			t.Errorf("kind %d: seq order lost against an earlier evDynamics", kind)
 		}
+	}
+}
+
+// TestDelayLinesPerDelay pins one delay line per distinct delay value:
+// BenchmarkHugeFleet's 41-link tree, with 32 classes sharing one compute
+// time, files every stage on 4 lines (5 ms compute; 0.2, 2 and 10 ms
+// propagation), where one line per link and class row would make 73.
+func TestDelayLinesPerDelay(t *testing.T) {
+	e, err := newEngine(deepFleetScenario(320))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []float64
+	for _, l := range e.events.lines {
+		got = append(got, l.delay)
+	}
+	if want := []float64{0.002, 0.01, 0.0002, 0.005}; !slices.Equal(got, want) {
+		t.Fatalf("line delays %v, want %v", got, want)
 	}
 }
 
@@ -98,7 +126,9 @@ func drive[P comparable](t *testing.T, rng *rand.Rand, gen func(i int) queue.Ite
 // simulator uses to container/heap: randomized event, job (fair-share
 // links and pools, FIFO pools' busy cores) and link-index streams pop
 // exactly the items container/heap pops, so the heap cannot have changed
-// any simulation output.
+// any simulation output. The event case also holds the whole event
+// queue, heap and delay lines merged, to one reference heap of every
+// event.
 func TestHeapsMatchContainerHeap(t *testing.T) {
 	// Times are drawn from a small discrete set so ties are frequent and
 	// the tie-break keys do real work.
@@ -117,9 +147,17 @@ func TestHeapsMatchContainerHeap(t *testing.T) {
 		// population. Gaps are exponential but quantized to a quarter
 		// second, so popped times stay on that grid and pushes keep tying
 		// resident events; the seq tie-break does real work at every depth.
+		// About half the pops also file a fixed-delay stage on one of three
+		// lines, whose delays sit on the same grid and include 0, so line
+		// events tie heap events and one another too. The reference heap
+		// receives every event, filed or pushed.
 		gap := func() float64 { return math.Round(4*rng.ExpFloat64()) / 4 }
 		const resident, holds = 12_000, 60_000
 		var h eventHeap
+		var lines [3]int32
+		for i, d := range []float64{0, 0.25, 1} {
+			lines[i] = h.line(d)
+		}
 		ref := &refHeap[event]{less: eventLess}
 		var seq int64
 		push := func(t float64) {
@@ -128,18 +166,30 @@ func TestHeapsMatchContainerHeap(t *testing.T) {
 			h.push(ev)
 			heap.Push(ref, ev)
 		}
+		file := func(now float64) {
+			l := lines[rng.Intn(len(lines))]
+			kind, id, aux := int(seq%(evDynamics+1)), int32(rng.Intn(1<<20)), int32(rng.Intn(41))
+			h.file(l, now, seq, kind, id, aux)
+			heap.Push(ref, newEvent(now+h.lines[l].delay, seq, kind, id, aux))
+			seq++
+		}
 		for i := 0; i < resident; i++ {
 			push(gap())
 		}
+		filed := 0
 		for i := 0; i < holds; i++ {
 			got, want := h.pop(), heap.Pop(ref).(event)
 			if got != want {
 				t.Fatalf("hold %d: popped %+v, reference popped %+v", i, got, want)
 			}
 			push(got.T + gap())
+			if rng.Intn(2) == 0 {
+				file(got.T)
+				filed++
+			}
 		}
-		if len(h) != resident || ref.Len() != resident {
-			t.Fatalf("resident %d, reference %d, want %d", len(h), ref.Len(), resident)
+		if filed == 0 || h.len() != ref.Len() {
+			t.Fatalf("filed %d: queue holds %d, reference %d", filed, h.len(), ref.Len())
 		}
 		for prev := (event{T: math.Inf(-1)}); ref.Len() > 0; {
 			got, want := h.pop(), heap.Pop(ref).(event)
@@ -151,8 +201,8 @@ func TestHeapsMatchContainerHeap(t *testing.T) {
 			}
 			prev = got
 		}
-		if len(h) != 0 {
-			t.Fatalf("event heap retains %d events after drain", len(h))
+		if _, ok := h.next(); ok || h.len() != 0 || len(h.heads) != 0 {
+			t.Fatalf("event queue retains %d events and %d line heads after drain", h.len(), len(h.heads))
 		}
 	})
 

@@ -1,10 +1,13 @@
 package fleet
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"camsim/internal/fleet/fl"
 )
 
 // Property tests over randomized workloads: whatever the arrival pattern,
@@ -118,24 +121,37 @@ func TestUplinkPropertyConservation(t *testing.T) {
 	}
 }
 
-// randomScenario builds a random-but-valid scenario with one or two tiers.
+// stageDelays is the small set the tiered branch of randomScenario draws
+// every propagation delay and in-camera compute time from, so stages of
+// different tiers and classes share a delay and tie one another often.
+var stageDelays = []float64{0, 0.00025, 0.001}
+
+// randomScenario builds a random-but-valid scenario: half the time the
+// flat uplink form with an optional gateway, otherwise a random tier tree
+// (randomTiers) whose stages propagate, queue for pools and, sometimes,
+// carry a federated job's blobs up and its model down.
 func randomScenario(rng *rand.Rand) Scenario {
 	sc := Scenario{
 		Name:     fmt.Sprintf("prop-%d", rng.Int63()),
 		Seed:     rng.Int63n(1 << 30),
 		Duration: 0.5 + rng.Float64()*2,
-		Uplink: UplinkConfig{
-			Gbps:       0.001 + rng.Float64()*0.05,
-			Contention: []string{ContentionFairShare, ContentionFIFO}[rng.Intn(2)],
-		},
 	}
+	var tiers []string // the tiered branch's attach points
 	gateway := ""
-	if rng.Intn(2) == 1 {
-		gateway = "gw"
-		sc.Gateways = []Gateway{{Name: "gw", Uplink: UplinkConfig{
-			Gbps:       0.001 + rng.Float64()*0.05,
-			Contention: []string{ContentionFairShare, ContentionFIFO}[rng.Intn(2)],
-		}}}
+	if rng.Intn(2) == 0 {
+		tiers = randomTiers(rng, &sc)
+	} else {
+		sc.Uplink = randomLink(rng)
+		if rng.Intn(2) == 1 {
+			gateway = "gw"
+			sc.Gateways = []Gateway{{Name: "gw", Uplink: randomLink(rng)}}
+		}
+	}
+	computeSec := func(scale float64) float64 {
+		if tiers != nil {
+			return stageDelays[rng.Intn(len(stageDelays))]
+		}
+		return rng.Float64() * scale
 	}
 	nClasses := 1 + rng.Intn(3)
 	for i := 0; i < nClasses; i++ {
@@ -146,12 +162,15 @@ func randomScenario(rng *rand.Rand) Scenario {
 			Arrival:        []string{ArrivalPeriodic, ArrivalPoisson}[rng.Intn(2)],
 			FrameBytes:     int64(1 + rng.Intn(500_000)),
 			OffloadProb:    rng.Float64(),
-			ComputeSeconds: rng.Float64() * 0.05,
+			ComputeSeconds: computeSec(0.05),
 			QueueDepth:     1 + rng.Intn(6),
 			CaptureJ:       rng.Float64() * 1e-3,
 			ComputeJ:       rng.Float64() * 1e-3,
 		}
-		if rng.Intn(2) == 1 {
+		switch {
+		case tiers != nil:
+			c.Tier = tiers[rng.Intn(len(tiers))]
+		case rng.Intn(2) == 1:
 			c.Gateway = gateway
 		}
 		if rng.Intn(3) == 0 {
@@ -160,8 +179,8 @@ func randomScenario(rng *rand.Rand) Scenario {
 		}
 		if rng.Intn(2) == 0 {
 			c.Placements = []PlacementCost{
-				{Name: "a", FrameBytes: int64(1 + rng.Intn(500_000)), ComputeSeconds: rng.Float64() * 0.01},
-				{Name: "b", FrameBytes: int64(1 + rng.Intn(50_000)), ComputeSeconds: rng.Float64() * 0.05},
+				{Name: "a", FrameBytes: int64(1 + rng.Intn(500_000)), ComputeSeconds: computeSec(0.01)},
+				{Name: "b", FrameBytes: int64(1 + rng.Intn(50_000)), ComputeSeconds: computeSec(0.05)},
 			}
 			c.Policy = PolicyConfig{
 				Kind:         []string{PolicyStatic, PolicyLatencyThreshold, PolicyHysteresis, PolicyEnergyLatency}[rng.Intn(4)],
@@ -190,7 +209,125 @@ func randomScenario(rng *rand.Rand) Scenario {
 			MoveFraction: 0.1 + rng.Float64()*0.9,
 		}
 	}
+	if tiers != nil && rng.Intn(3) == 0 {
+		// Sometimes a federated job over every class: each tier gets a
+		// downlink for the model broadcast, so blobs propagate both ways.
+		for i := range sc.Tiers {
+			l := randomLink(rng)
+			sc.Tiers[i].Downlink = &DownlinkConfig{Gbps: l.Gbps, Contention: l.Contention,
+				PropagationSec: stageDelays[rng.Intn(len(stageDelays))]}
+		}
+		sc.Federated = &fl.Config{
+			Rounds:      1 + rng.Intn(3),
+			ComputeSec:  0.05 + rng.Float64()*0.3,
+			JitterSec:   rng.Float64() * 0.2,
+			UpdateBytes: int64(1000 + rng.Intn(50_000)),
+			ModelBytes:  int64(1000 + rng.Intn(100_000)),
+		}
+	}
 	return sc
+}
+
+// randomLink draws a 1–51 Mb/s link under either contention discipline.
+func randomLink(rng *rand.Rand) UplinkConfig {
+	return UplinkConfig{
+		Gbps:       0.001 + rng.Float64()*0.05,
+		Contention: []string{ContentionFairShare, ContentionFIFO}[rng.Intn(2)],
+	}
+}
+
+// randomTiers gives sc a random tree of 2–5 tiers, listed in a random
+// order: each tier's parent is one built before it, every propagation
+// delay comes from stageDelays, and about a third of the tiers carry a
+// core pool. It returns the tier names.
+func randomTiers(rng *rand.Rand, sc *Scenario) []string {
+	n := 2 + rng.Intn(4)
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("t%d", i)
+		t := Tier{Name: names[i], Uplink: randomLink(rng),
+			PropagationSec: stageDelays[rng.Intn(len(stageDelays))]}
+		if i > 0 {
+			t.Parent = names[rng.Intn(i)]
+		}
+		if rng.Intn(3) == 0 {
+			t.Compute = &ComputeConfig{
+				Cores:          1 + rng.Intn(4),
+				ServiceRateFPS: 20 + rng.Float64()*500,
+				Discipline:     []string{ContentionFairShare, ContentionFIFO}[rng.Intn(2)],
+			}
+		}
+		sc.Tiers = append(sc.Tiers, t)
+	}
+	rng.Shuffle(n, func(i, j int) { sc.Tiers[i], sc.Tiers[j] = sc.Tiers[j], sc.Tiers[i] })
+	return names
+}
+
+// randomScenarioDigests pins the SHA-256 of every
+// TestRandomScenarioInvariants iteration's Table(), recorded before the
+// fixed-delay stages moved from the event heap onto delay lines: a
+// change to the event order, or to any stage's arithmetic, moves them.
+var randomScenarioDigests = []string{
+	"0393537ac65e7352117c2b66e70268ebc63d17de1b3044b1eb0905ad5299afdd",
+	"8dd34f807737db428d2b70ebe0e3df4cae75c4937444481dda436ea6de97f7fc",
+	"70ebc3853c4194f7a7532d000d30fe40991a3e0b85df490dc9ae2afb7f3ad066",
+	"40f99de9f2c220fb49dd82eb1bb3cea29b6f627c2818b3bbc98695d19474b78c",
+	"5a483f7ae086bca655cc51ad156c29a06645f7239bfa6f5f0c7b6247852447b3",
+	"41069ec105d39e3c911cf5c286f883865dcf1b1dd2478c6050794037f2b2b9a1",
+	"977e6c88565d94d7d4cec0c073833c6448e59bf000131d4a66798fb39fd19487",
+	"7c6fc8a06a87a29f2c33b7e88ad591312ed3eaffdd199d9db507956f4c9bc041",
+	"14d413e42ce387bfb585618a6b6869c73d01e52aa5bfbfb382ca439786218f58",
+	"bcf54177555d8d6d8e45103b8cc13c6d48472377fdb86d880e98eb363c6fdb84",
+	"574b95536fed1fdfb6b8ac09121f705d4c67ee8b3e2fc339659c8ce75ef86609",
+	"9263c7f1a4dc6b3ba8f7f9e4f5e2a5324c8c57ba6562424ec61c0b753a38941a",
+	"b44affc07af27aae7d232263789587f1e79ccd957acfe6634af5b6e2b771b871",
+	"f08077b68b3ccf60a569e9d4e20ff520c0f1b4868b7b47e9ca5655fc281ce7bf",
+	"c2188cf10b860523d50398b39b65413b9b56185b938f99a2a7a7342bd3dcae15",
+	"dd2de07893e4201d8092c9308ee6a416fd4bfaeb7e4ff53361fab8c5a17bdda5",
+	"e2db56a950e8d1434da9210b8aeec1b8de0324e234c9516d7dede57cbafa3970",
+	"b71cb41c9d65c6d53f60f84688405e415bccda65cedd43f93376b9830c0abb23",
+	"88a7bd3a5c21c67ce208cb8fbf1f43163485cb0f13245a6614ce8b5cca5b01b8",
+	"82665f9868f3becdaa0a5048f063ad7ab73e0e807c4efe4dec4c846921a81946",
+	"4b2d0a718aedce1c628811d1fe43206467fbe4d8e41467a589ad068ddefbbc8a",
+	"f3cd4c58e69f591ccfaaa8e2a66919fd96d4eed3f022116145e63f162d27c6af",
+	"07acf0eb4709044807989978feb5e4a4b40cebe1a44870a8cba98460e92d0849",
+	"b149661390e37fea69a1a3ba9aca3c26ad707b5657dfa35ceb37f90fcdb57c0e",
+	"8eb18e0f4e143d772db99bd8ca99da14baffb8ddcc64f77b323f0dc00c1ddd58",
+	"f4cd378b759685a42784540e7a44533ea7ec0125d99aa625a85655f59ca2bb85",
+	"c3d18f94587440966c0f6a2ebf688c48a9c53b263a3aee9a51d3939745f004b0",
+	"f3f1b5f5050589dc6496d58260eaab065573a5c3415dc3794884cb72373838e1",
+	"6f5391154eb18859d22bede034f7b00ce0a0cc1e2223b079284e088d9ad16293",
+	"7fd695963fa88463c539a4de46da3acfcf5707c926e222358ca64c9827d09e87",
+	"eb2bad4d08db2a53a436fd90b3829c495f2b142f85195eb962c5ae97a8979f04",
+	"e90ecf84f3bc5d43f8f0b5c08c56103280c34603360a464e8188057ef4041d19",
+	"7979a895c56063f817909553a99e993bd54adb8210703e83e1cdc222c7d1ac11",
+	"958aed4703c2a714515efbd3aa4a8219bba81192acc5e72ef23409149700fe31",
+	"990db5f1c5a787ce9be72ab329c7b0bb3cb3ccd382827a854ce6ec24dec7913c",
+	"552e323ebea0fd4c0abefe4f52ff68bd91c911ba4cb62ca3758a2c68d76ef216",
+	"4edb9d95ccc06d6c9cc490ed73389ead5c7a13274dd7a6906bbe694590a49437",
+	"983b8201a447d633547f18db4110dc6d0e333ebc9b026411ef3884580f9573bb",
+	"274cb68106152a4a06e4611c384cfe68035064f1014c5ad7d46045b275bf3a3f",
+	"20bddf24ef7732cfc906a25c2f5d80b52ce0d0caef3ab8da718af243db9388de",
+	"b88a6df55209a97f6995862d344e647046520c3f70140ae46839a397553198f3",
+	"3641b189fdec8f5e3816c3e8d393e447cbf70da9522f93a223e0dbf7aceb5f23",
+	"bd9aefec445189e478f2f264b9dd6b90c43e33ac5482f62f1efab5d667f46d59",
+	"80cb732a289c8bb0931692789c8e71fa1f7ff7d3c718e5303b4d93cc8d9e2f00",
+	"eca87df357d9bb0d3efada9420ef9d26bd54a6ed3d4c95165b87264c26dc782c",
+	"928a7a6903c527dfc276c2aacf4277178df4a562a87c82525156dc9bcf4931cd",
+	"bf98df038a85694a45bdaa2e6ebd5f8c9c676056ecf6a5f6e5061fea6378066e",
+	"0153fcaffd8956378bf583213642791af0cd7eeb15dfb1890448ba45e26b15f1",
+	"8b95ffd6909682b9e6a42ae1290152efc676620f821aa34d0352b34dbab2750c",
+	"c182144c06666db507b8e2cde6799498bf48a898a68841db79295bc05bda5e0b",
+	"303ca071bdabef5bbff81a1c008964103852639164e30201ca02cbab9a36b735",
+	"74bc97a3bc016463608d20392fd8515375f197a98978c6e84ebe946432ac9b9e",
+	"5be33c38f98c8bd46e67e97fe3217d5d3187966aed5539d583421125e9ce42ad",
+	"0eb0b38a09c8033b7fd59c42f6a30651b1051b4ef2845e9b4c50b14fb54d78d2",
+	"e47a636b5b6f7008f37b91ad6a1d9225d321f82c941a9b74c2d496338ceacfac",
+	"67ab36df8428d4c077d8075ee360dfd6d83c4b20de222f7fc16e72019ffd1750",
+	"b3a46d180d8863c1f91915167b5667544e9245146f04d9d703ff20152e5d93d0",
+	"427b870e70ba68bfbdee102d6d312a5e64638e9ff504a537d0bbb0363e3459b9",
+	"13c55a5b087ecbbb8c2305140b3de2945790346683d78433a4717107fbd0cc4f",
+	"3bad9f064095f234d2f4d22a1281cc247bb0e7aa9f05959f38e9d71c96fe66d3",
 }
 
 func TestRandomScenarioInvariants(t *testing.T) {
@@ -224,6 +361,9 @@ func TestRandomScenarioInvariants(t *testing.T) {
 		}
 		if res.Table() != again.Table() {
 			t.Fatalf("iter %d: nondeterministic result:\n%s\nvs\n%s", iter, res.Table(), again.Table())
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(res.Table()))); iter >= len(randomScenarioDigests) || got != randomScenarioDigests[iter] {
+			t.Errorf("iter %d: table digest %s moved:\n%s", iter, got, res.Table())
 		}
 	}
 }

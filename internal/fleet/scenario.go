@@ -482,6 +482,11 @@ func (sc *Scenario) validate() ([]tierNode, int, error) {
 		if err := c.validatePlacements(); err != nil {
 			return nil, 0, err
 		}
+		// Events and transfers name cameras by int32, and the check keeps
+		// the running sum itself from overflowing.
+		if c.Count > math.MaxInt32-total {
+			return nil, 0, fmt.Errorf("fleet: scenario %q: more than %d cameras", sc.Name, math.MaxInt32)
+		}
 		total += c.Count
 	}
 	if total == 0 {

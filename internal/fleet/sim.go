@@ -38,11 +38,11 @@ const (
 
 // event is one scheduled simulator step. It is 24 bytes, not a whole
 // cache line, because a large fleet keeps ~100k of them resident in the
-// heap. The heap orders on (T, Tie); Tie holds the loop's scheduling
-// counter shifted left kindBits with the event kind in the low bits,
-// which orders exactly like the bare counter because the counter is
-// unique. Payload that does not fit evRef lives in the transfer record
-// the event names.
+// event queue. The queue orders on (T, Tie); Tie holds the loop's
+// scheduling counter shifted left kindBits with the event kind in the
+// low bits, which orders exactly like the bare counter because the
+// counter is unique. Payload that does not fit evRef lives in the
+// transfer record the event names.
 type event queue.Item[evRef]
 
 // evRef is an event's payload.
@@ -72,13 +72,91 @@ func newEvent(t float64, seq int64, kind int, id, aux int32) event {
 // kind unpacks the event kind from the low bits of Tie.
 func (ev *event) kind() int { return int(ev.Tie & (1<<kindBits - 1)) }
 
-// eventHeap is the loop's event queue. Its two methods only convert
-// between event and queue.Item; they exist so that a CPU profile charges
-// the heap's samples to the event heap rather than to the loop.
-type eventHeap queue.Heap[evRef]
+// eventHeap is the loop's whole event queue. heap holds the events that
+// can fall at any time: captures, control ticks, global epochs,
+// federated ready and dynamics entries. A stage with a constant delay —
+// a class row's in-camera compute, a tier's uplink propagation, a
+// declared downlink's propagation — waits on lines instead, one FIFO per
+// distinct delay value, keyed by byDelay. A line adds its own delay to
+// the loop time it is filed at, and loop time never decreases, so each
+// line is sorted by (T, Tie) as filed. heads keys every non-empty line
+// by its front, so the earliest event is the earlier of the two heaps'
+// tops, and events pop in the order one heap of every event would give.
+//
+// Everything that touches a line is a method of eventHeap, so a CPU
+// profile charges the lines to the event queue rather than to the loop.
+type eventHeap struct {
+	heap    queue.Heap[evRef]
+	lines   []delayLine
+	heads   queue.Heap[int32] // P is the line index
+	byDelay map[float64]int32
+}
 
-func (h *eventHeap) push(ev event) { (*queue.Heap[evRef])(h).Push(queue.Item[evRef](ev)) }
-func (h *eventHeap) pop() event    { return event((*queue.Heap[evRef])(h).Pop()) }
+// delayLine is one FIFO of events that each wait the same delay after
+// the loop time they were filed at.
+type delayLine struct {
+	delay float64
+	q     queue.Ring[event]
+}
+
+// line returns the index of the line whose delay is d, adding one on
+// first use.
+func (h *eventHeap) line(d float64) int32 {
+	if l, ok := h.byDelay[d]; ok {
+		return l
+	}
+	if h.byDelay == nil {
+		h.byDelay = make(map[float64]int32)
+	}
+	l := int32(len(h.lines))
+	h.lines = append(h.lines, delayLine{delay: d})
+	h.byDelay[d] = l
+	return l
+}
+
+// push schedules ev on the heap.
+func (h *eventHeap) push(ev event) { h.heap.Push(queue.Item[evRef](ev)) }
+
+// file schedules an event on line l, the line's delay after the loop
+// time now, as the loop's seq-th scheduling.
+func (h *eventHeap) file(l int32, now float64, seq int64, kind int, id, aux int32) {
+	ln := &h.lines[l]
+	ev := newEvent(now+ln.delay, seq, kind, id, aux)
+	if ln.q.Len() == 0 {
+		h.heads.Push(queue.Item[int32]{T: ev.T, Tie: ev.Tie, P: l})
+	}
+	ln.q.Push(ev)
+}
+
+// next returns the time of the earliest pending event; ok is false when
+// none is pending.
+func (h *eventHeap) next() (t float64, ok bool) {
+	t = math.Inf(1)
+	if len(h.heap) > 0 {
+		t, ok = h.heap[0].T, true
+	}
+	if len(h.heads) > 0 {
+		t, ok = min(t, h.heads[0].T), true
+	}
+	return t, ok
+}
+
+// pop removes and returns the earliest pending event, which must exist.
+// Without lines it is the heap's pop behind one branch.
+func (h *eventHeap) pop() event {
+	if len(h.heads) == 0 || len(h.heap) > 0 &&
+		(h.heap[0].T < h.heads[0].T || h.heap[0].T == h.heads[0].T && h.heap[0].Tie < h.heads[0].Tie) {
+		return event(h.heap.Pop())
+	}
+	l := h.heads.Pop().P
+	ln := &h.lines[l]
+	ev := ln.q.Pop()
+	if ln.q.Len() > 0 {
+		f := ln.q.Front()
+		h.heads.Push(queue.Item[int32]{T: f.T, Tie: f.Tie, P: l})
+	}
+	return ev
+}
 
 // camera is one simulated device. The random stream is embedded by value:
 // 8 bytes inline rather than a pointer to rand.NewSource's ~5 KB state,
@@ -181,7 +259,7 @@ func Run(sc Scenario) (*Result, error) {
 }
 
 // engine is one run's state: the resolved tier tree and its links, the
-// camera population, the in-flight transfer slab, the event heap, the
+// camera population, the in-flight transfer slab, the event queue, the
 // Result being filled in, and typed pointers to the optional subsystems,
 // each nil unless the scenario configures it.
 type engine struct {
@@ -207,8 +285,8 @@ type engine struct {
 	compWait []*quantile.Sketch
 	// netInFlight counts transfers resident in any link (one transfer
 	// crossing k tiers counts once per currently occupied link).
-	// Transfers mid-propagation between links sit in the event heap
-	// instead, so the loop condition still sees them.
+	// Transfers mid-propagation between links wait on a delay line
+	// instead, so the loop condition still sees them as pending events.
 	netInFlight int
 
 	// firstHop maps each class to the link its cameras transmit on, and
@@ -224,6 +302,11 @@ type engine struct {
 	firstHop       []int
 	fps            []float64
 	rowJ, rowDelay [][]float64
+	// readyLine is the delay line of each class row's in-camera compute,
+	// flat: class ci's rows start at rowBase[ci], and a class without a
+	// placements table has one row.
+	readyLine []int32
+	rowBase   []int
 
 	cams      []camera
 	classCams [][]int32
@@ -266,7 +349,7 @@ func newEngine(sc Scenario) (*engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.addLink(up, i, roleUp, bps)
+		e.addLink(up, i, roleUp, bps, nd.PropagationSec)
 	}
 	// Declared downlinks are appended after every uplink, in tier order:
 	// uplink indices — and therefore simultaneous-completion tie-breaks —
@@ -283,7 +366,7 @@ func newEngine(sc Scenario) (*engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.downLink[i] = e.addLink(dn, i, roleDown, bps)
+		e.downLink[i] = e.addLink(dn, i, roleDown, bps, nd.Downlink.PropagationSec)
 	}
 	// Tier core pools are links too ("bytes" = core-seconds of service
 	// demand), appended after every downlink: uplink and downlink indices
@@ -303,7 +386,7 @@ func newEngine(sc Scenario) (*engine, error) {
 		}
 		// A pool's capacity is cores × 1 core-second per second, so the
 		// shared utilization math reports its busy fraction.
-		e.compLink[i] = e.addLink(newComputeServer(nodes[i].Compute), i, rolePool, float64(nodes[i].Compute.Cores))
+		e.compLink[i] = e.addLink(newComputeServer(nodes[i].Compute), i, rolePool, float64(nodes[i].Compute.Cores), 0)
 		e.compWait[i] = quantile.NewSketch()
 	}
 	e.lidx = newLinkIndex(e.links)
@@ -313,26 +396,31 @@ func newEngine(sc Scenario) (*engine, error) {
 	e.fps = make([]float64, len(s.Classes))
 	e.rowJ = make([][]float64, len(s.Classes))
 	e.rowDelay = make([][]float64, len(s.Classes))
+	e.rowBase = make([]int, len(s.Classes))
+	rows := 0
 	for ci := range s.Classes {
-		e.fps[ci] = s.Classes[ci].FPS
-		e.price(ci, classAttachIndex(nodes, e.root, &s.Classes[ci]))
+		rows += max(1, len(s.Classes[ci].Placements))
+	}
+	e.readyLine = make([]int32, 0, rows)
+	for ci := range s.Classes {
+		cl := &s.Classes[ci]
+		e.fps[ci] = cl.FPS
+		e.price(ci, classAttachIndex(nodes, e.root, cl))
+		e.rowBase[ci] = len(e.readyLine)
+		if len(cl.Placements) == 0 {
+			e.readyLine = append(e.readyLine, e.events.line(cl.ComputeSeconds))
+		}
+		for _, pc := range cl.Placements {
+			e.readyLine = append(e.readyLine, e.events.line(pc.ComputeSeconds))
+		}
 	}
 
 	// The event heap's population is structurally bounded — each camera
-	// owns at most one pending capture plus one live event per in-flight
-	// offload (≤ QueueDepth), each subsystem below adds its own bound —
-	// and the expected frame count FPS × Duration × Count caps that bound
-	// for short runs, so the loop never regrows the heap.
-	heapCap := 1 + len(s.Classes)
-	for ci := range s.Classes {
-		cl := &s.Classes[ci]
-		frames := cl.FPS * s.Duration * float64(cl.Count)
-		slots := float64(cl.Count) * float64(1+cl.QueueDepth)
-		if frames+float64(cl.Count) < slots {
-			slots = frames + float64(cl.Count)
-		}
-		heapCap += clampEst(slots)
-	}
+	// owns at most one pending capture, each adaptive class one control
+	// tick, and each subsystem below adds its own bound — so the loop
+	// regrows it only when cameras join. A frame's stages wait on delay
+	// lines, whose rings grow to their own peak.
+	heapCap := 1 + len(s.Classes) + s.Cameras()
 
 	// The dynamics engine, created only for a non-empty fault schedule:
 	// every other run — including one with a present-but-empty dynamics
@@ -386,7 +474,8 @@ func newEngine(sc Scenario) (*engine, error) {
 	e.classCams = make([][]int32, len(s.Classes))
 	e.ctls = newControllers(s)
 	e.gctl = newGlobal(s)
-	e.events = make(eventHeap, 0, heapCap)
+	e.events.heap = make(queue.Heap[evRef], 0, heapCap)
+	e.events.heads = make(queue.Heap[int32], 0, len(e.events.lines))
 	for ci := range s.Classes {
 		cl := &s.Classes[ci]
 		e.classCams[ci] = make([]int32, 0, cl.Count)
@@ -497,25 +586,38 @@ const (
 var roleSuffix = [...]string{roleUp: "", roleDown: ":down", rolePool: ":compute"}
 
 // linkSlot is the engine's record of one link: the tier that owns it, its
-// role, its nominal capacity (bytes per second, or cores for a pool) and
-// the transfers it has completed.
+// role, its nominal capacity (bytes per second, or cores for a pool), the
+// delay line a transfer it finishes propagates on (-1 without a
+// propagation delay) and the transfers it has completed.
 type linkSlot struct {
 	owner     int
 	role      linkRole
+	line      int32
 	cap       float64
 	transfers int64
 }
 
 // addLink appends link l, owned by tier ti in role r with nominal
-// capacity c, and returns its index.
-func (e *engine) addLink(l Link, ti int, r linkRole, c float64) int {
+// capacity c and propagation delay prop, and returns its index.
+func (e *engine) addLink(l Link, ti int, r linkRole, c, prop float64) int {
+	line := int32(-1)
+	if prop > 0 {
+		line = e.events.line(prop)
+	}
 	e.links = append(e.links, l)
-	e.slots = append(e.slots, linkSlot{owner: ti, role: r, cap: c})
+	e.slots = append(e.slots, linkSlot{owner: ti, role: r, line: line, cap: c})
 	return len(e.links) - 1
 }
 
+// push schedules an event at time t on the heap, and file one on delay
+// line l, that line's delay after the loop time now.
 func (e *engine) push(t float64, kind int, id, aux int32) {
 	e.events.push(newEvent(t, e.seq, kind, id, aux))
+	e.seq++
+}
+
+func (e *engine) file(l int32, now float64, kind int, id, aux int32) {
+	e.events.file(l, now, e.seq, kind, id, aux)
 	e.seq++
 }
 
@@ -674,15 +776,16 @@ func (e *engine) capture(t float64, camIdx int32) {
 	st.Captured++
 
 	// Per-frame costs come from the camera's current placement when the
-	// class carries a runtime cost table, else from the class fields.
+	// class carries a runtime cost table, else from the class fields; the
+	// row's in-camera compute time is its ready line's delay.
 	frameBytes := float64(cl.FrameBytes)
-	computeSec := cl.ComputeSeconds
 	computeJ := cl.ComputeJ
+	row := 0
 	if len(cl.Placements) > 0 {
 		pc := &cl.Placements[c.placement]
 		frameBytes = float64(pc.FrameBytes)
-		computeSec = pc.ComputeSeconds
 		computeJ = pc.ComputeJ
+		row = c.placement
 	}
 
 	offload := frameBytes > 0 && cl.OffloadProb > 0 && c.rng.Float64() < cl.OffloadProb
@@ -720,7 +823,7 @@ func (e *engine) capture(t float64, camIdx int32) {
 	case offload:
 		c.inflight++
 		id := e.newTransfer(transfer{cam: camIdx, capturedAt: t, bytes: frameBytes})
-		e.push(t+computeSec, evReady, int32(id), 0)
+		e.file(e.readyLine[e.rowBase[c.class]+row], t, evReady, int32(id), 0)
 	default:
 		st.KeptInCamera++
 	}
@@ -750,39 +853,39 @@ func (e *engine) forward(li int, t float64) {
 	case sl.role == roleDown:
 		// A downlink drained: the model blob is delivered at the owning
 		// tier one downlink propagation later.
-		if d := nd.Downlink; d.PropagationSec == 0 {
+		if sl.line < 0 {
 			e.flDeliver(t, ti, id)
 		} else {
-			e.push(t+d.PropagationSec, evFLDeliver, int32(id), int32(ti))
+			e.file(sl.line, t, evFLDeliver, int32(id), int32(ti))
 		}
 	case tr.round > 0:
 		// A federated blob cleared one uplink hop: it is absorbed for
 		// aggregation where it lands, never forwarded onward — the
 		// in-network aggregation that shrinks bytes per hop.
 		e.flUpBytes[ti] += tr.bytes
-		if nd.PropagationSec == 0 {
+		if sl.line < 0 {
 			e.flAbsorb(t, ti, id)
 		} else {
-			e.push(t+nd.PropagationSec, evFLUp, int32(id), int32(ti))
+			e.file(sl.line, t, evFLUp, int32(id), int32(ti))
 		}
 	case ti != e.root:
 		// This hop's transmission is done: the frame arrives at the
 		// parent tier one propagation delay later. With no delay it
 		// enters the parent link at the instant it drains, preserving
 		// the legacy two-tier event order exactly.
-		if nd.PropagationSec == 0 {
+		if sl.line < 0 {
 			e.enterTier(t, nd.parent, id)
 		} else {
-			e.push(t+nd.PropagationSec, evHop, int32(id), int32(nd.parent))
+			e.file(sl.line, t, evHop, int32(id), int32(nd.parent))
 		}
-	case nd.PropagationSec == 0:
+	case sl.line < 0:
 		// Root transmission done: the frame still propagates the root hop
 		// before it lands in the cloud, which is when its
 		// capture-to-arrival latency stops accruing and its completion
 		// becomes observable (queue slot, controller telemetry).
 		e.complete(t, id)
 	default:
-		e.push(t+nd.PropagationSec, evArrive, int32(id), 0)
+		e.file(sl.line, t, evArrive, int32(id), 0)
 	}
 }
 
@@ -948,8 +1051,12 @@ func (e *engine) drainStalled() {
 // transfers are admitted, and a completion runs before an event at the
 // same instant.
 func (e *engine) loop() error {
-	for len(e.events) > 0 || e.netInFlight > 0 {
-		if li, lt, ok := e.lidx.peek(); ok && (len(e.events) == 0 || lt <= e.events[0].T) {
+	for {
+		t, pending := e.events.next()
+		if !pending && e.netInFlight == 0 {
+			return nil
+		}
+		if li, lt, ok := e.lidx.peek(); ok && (!pending || lt <= t) {
 			if math.IsInf(lt, 1) {
 				e.drainStalled()
 				continue
@@ -1007,7 +1114,6 @@ func (e *engine) loop() error {
 			return fmt.Errorf("fleet: unknown event kind %d", ev.kind())
 		}
 	}
-	return nil
 }
 
 // result closes out the drained run: the end time, per-tier accounting,
