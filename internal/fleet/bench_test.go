@@ -311,3 +311,50 @@ func BenchmarkEventHeap(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkServers prices the links and core pools alone: FIFO and fair
+// share, each as a link and as a 4-core pool, with 1, 16 or 256 jobs
+// resident. Each step finishes the earliest job and admits a fresh one at
+// that instant, so the population holds. One op is serverBatch steps, so
+// even CI's -benchtime=1x times a thousand of them; ns/transfer reports
+// the cost of one step. Sizes cycle through a table drawn ahead of the
+// timer, and allocs/op must stay 0.
+func BenchmarkServers(b *testing.B) {
+	const serverBatch = 1 << 10
+	rng := newPRNG(3)
+	sizes := make([]float64, 1<<10)
+	for i := range sizes {
+		sizes[i] = rng.ExpFloat64()
+	}
+	for _, model := range []string{ContentionFIFO, ContentionFairShare} {
+		for _, shape := range []string{"link", "pool4"} {
+			for _, n := range []int{1, 16, 256} {
+				b.Run(fmt.Sprintf("%s/%s/%d", model, shape, n), func(b *testing.B) {
+					var s Link
+					if shape == "link" {
+						var err error
+						if s, err = NewLink(model, 1); err != nil {
+							b.Fatal(err)
+						}
+					} else {
+						s = newComputeServer(&ComputeConfig{Cores: 4, Discipline: model})
+					}
+					for id := 0; id < n; id++ {
+						s.Start(0, id, sizes[id])
+					}
+					k := n
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						for j := 0; j < serverBatch; j++ {
+							t, _ := s.NextFinish()
+							s.Start(t, s.Finish(), sizes[k&(len(sizes)-1)])
+							k++
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/serverBatch, "ns/transfer")
+				})
+			}
+		}
+	}
+}

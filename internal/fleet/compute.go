@@ -3,8 +3,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-
-	"camsim/internal/fleet/queue"
 )
 
 // ComputeConfig is the optional per-tier "compute" scenario section: a
@@ -251,170 +249,4 @@ func (sc Scenario) RowDelaySeconds(class string) ([]float64, error) {
 		return nil, nil
 	}
 	return classRowDelays(c, scale), nil
-}
-
-// newComputeServer builds a tier's core pool as a Link whose "bytes" are
-// core-seconds of service demand: the event loop drives it with the
-// same Start/NextFinish/Finish protocol as the network links, so
-// compute completions need no new event kinds and inherit the
-// deterministic (time, link index) tie-break.
-func newComputeServer(cc *ComputeConfig) Link {
-	if cc.Discipline == ContentionFairShare {
-		return &psCompute{cores: float64(cc.Cores)}
-	}
-	return &fifoCompute{cores: cc.Cores}
-}
-
-// --- FIFO core pool ---
-
-// fifoCompute is a multi-server FIFO queue: up to cores frames are in
-// service concurrently, each on its own core at full rate; the rest wait
-// in arrival order and take the core freed by the earliest completion.
-type fifoCompute struct {
-	cores  int
-	busy   queue.Heap[job] // in service, keyed by (finish time, admission seq)
-	wait   queue.Ring[job] // waiting frames, arrival order
-	seq    int64
-	served float64 // core-seconds of completed service
-}
-
-// serve puts j on a core until finish.
-func (s *fifoCompute) serve(finish float64, j job) {
-	s.busy.Push(queue.Item[job]{T: finish, Tie: s.seq, P: j})
-	s.seq++
-}
-
-func (s *fifoCompute) Start(now float64, id int, work float64) {
-	if len(s.busy) < s.cores {
-		s.serve(now+work, job{id: id, size: work})
-		return
-	}
-	s.wait.Push(job{id: id, size: work})
-}
-
-func (s *fifoCompute) NextFinish() (float64, bool) {
-	if len(s.busy) == 0 {
-		return 0, false
-	}
-	return s.busy[0].T, true
-}
-
-func (s *fifoCompute) Finish() int {
-	it := s.busy.Pop()
-	s.served += it.P.size
-	if s.wait.Len() > 0 && len(s.busy) < s.cores {
-		// The freed core immediately takes the longest-waiting frame. The
-		// cores check only bites after a dynamics shrink: frames already
-		// in service run to completion, and the pool promotes nothing
-		// until the busy population fits the new size.
-		next := s.wait.Pop()
-		s.serve(it.T+next.size, next)
-	}
-	return it.P.id
-}
-
-func (s *fifoCompute) InFlight() int        { return len(s.busy) + s.wait.Len() }
-func (s *fifoCompute) ServedBytes() float64 { return s.served }
-
-// setCores resizes the pool at time now. Growth promotes waiting frames
-// onto the new cores immediately; shrink never preempts — in-service
-// frames finish, and the pool re-admits only below the new size.
-func (s *fifoCompute) setCores(now float64, cores int) {
-	s.cores = cores
-	for len(s.busy) < s.cores && s.wait.Len() > 0 {
-		next := s.wait.Pop()
-		s.serve(now+next.size, next)
-	}
-}
-
-// drain removes every frame — in-service completion order first, then
-// waiting order — crediting no served core-seconds.
-func (s *fifoCompute) drain() []int {
-	ids := make([]int, 0, len(s.busy)+s.wait.Len())
-	for len(s.busy) > 0 {
-		ids = append(ids, s.busy.Pop().P.id)
-	}
-	for s.wait.Len() > 0 {
-		ids = append(ids, s.wait.Pop().id)
-	}
-	return ids
-}
-
-// --- fair-share core pool ---
-
-// psCompute shares the pool by egalitarian processor sharing with the
-// same virtual-time machinery as psUplink, with one extra constraint: a
-// frame cannot run faster than one core, so with n frames in flight each
-// progresses at min(1, cores/n) core-seconds per second — an underloaded
-// pool runs every frame at full speed instead of splitting idle cores.
-type psCompute struct {
-	cores  float64
-	vnow   float64         // virtual service accrued by every in-flight frame
-	tlast  float64         // wall time at which vnow was computed
-	h      queue.Heap[job] // keyed by (virtual finish level, admission seq)
-	seq    int64
-	served float64 // core-seconds of completed service
-}
-
-// rate is each in-flight frame's service rate in core-seconds/second.
-func (s *psCompute) rate() float64 {
-	if n := float64(len(s.h)); n > s.cores {
-		return s.cores / n
-	}
-	return 1
-}
-
-// advance moves the virtual clock to wall time t.
-func (s *psCompute) advance(t float64) {
-	if len(s.h) > 0 && t > s.tlast {
-		s.vnow += (t - s.tlast) * s.rate()
-	}
-	s.tlast = t
-}
-
-func (s *psCompute) Start(now float64, id int, work float64) {
-	s.advance(now)
-	s.h.Push(queue.Item[job]{T: s.vnow + work, Tie: s.seq, P: job{id: id, size: work}})
-	s.seq++
-}
-
-func (s *psCompute) NextFinish() (float64, bool) {
-	if len(s.h) == 0 {
-		return 0, false
-	}
-	remaining := s.h[0].T - s.vnow
-	if remaining < 0 {
-		remaining = 0 // float drift guard
-	}
-	return s.tlast + remaining/s.rate(), true
-}
-
-func (s *psCompute) Finish() int {
-	t, _ := s.NextFinish()
-	s.advance(t)
-	item := s.h.Pop()
-	s.vnow = item.T // pin exactly, absorbing float drift
-	s.served += item.P.size
-	return item.P.id
-}
-
-func (s *psCompute) InFlight() int        { return len(s.h) }
-func (s *psCompute) ServedBytes() float64 { return s.served }
-
-// setCores resizes the pool at time now, conserving virtual progress:
-// the clock advances at the old rate first, then every in-flight frame
-// continues at the new min(1, cores/n).
-func (s *psCompute) setCores(now float64, cores int) {
-	s.advance(now)
-	s.cores = float64(cores)
-}
-
-// drain removes every in-flight frame in completion order, crediting no
-// served core-seconds.
-func (s *psCompute) drain() []int {
-	ids := make([]int, 0, len(s.h))
-	for len(s.h) > 0 {
-		ids = append(ids, s.h.Pop().P.id)
-	}
-	return ids
 }

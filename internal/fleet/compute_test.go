@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"math"
-	"math/rand"
 	"runtime"
 	"testing"
 )
@@ -12,8 +11,9 @@ import (
 // never queues (λ < μ) or builds a deterministic ramp of waits
 // (λ > μ, the n-th frame waiting (n-1)(s-a) seconds). The unit tests pin
 // those numbers on the servers directly; the sim-level test pins them
-// end to end through Run; the trace test holds the same conservation
-// invariants as the uplinks under arbitrary interleavings.
+// end to end through Run. TestComputePropertyConservation
+// (property_test.go) holds the pools to the links' conservation
+// invariants under arbitrary interleavings.
 
 // TestFIFOComputeAnalytic drives the single-core FIFO pool with periodic
 // arrivals and checks every finish time against the hand computation.
@@ -195,108 +195,6 @@ func TestComputeSingleServerSim(t *testing.T) {
 	if long.Tiers[0].Compute.WaitP95 <= cs.WaitP95 {
 		t.Fatalf("overloaded queue stopped growing: p95 %v after 6s vs %v after 3s",
 			long.Tiers[0].Compute.WaitP95, cs.WaitP95)
-	}
-}
-
-// computeTrace drives one compute pool through a random admit/finish
-// sequence — the compute-server mirror of uplinkTrace — and checks the
-// conservation invariants: no job finishes in less than its own work, a
-// pool of c cores never serves more than c work-seconds per busy second,
-// and every admitted work-second drains.
-func computeTrace(t *testing.T, discipline string, rng *rand.Rand) {
-	t.Helper()
-	cores := 1 + rng.Intn(4)
-	pool := newComputeServer(&ComputeConfig{
-		Cores: cores, ServiceRateFPS: 1, Discipline: discipline,
-	})
-	const eps = 1e-6
-
-	type admitted struct {
-		at   float64
-		work float64
-	}
-	open := map[int]admitted{}
-	now, busyStart, busyTime := 0.0, 0.0, 0.0
-	var sumWork float64
-
-	processFinish := func() {
-		ft, ok := pool.NextFinish()
-		if !ok {
-			t.Fatalf("%s/%d: %d jobs open but no next finish", discipline, cores, len(open))
-		}
-		if ft < now-eps {
-			t.Fatalf("%s/%d: finish time %v precedes current time %v", discipline, cores, ft, now)
-		}
-		served := pool.ServedBytes()
-		fid := pool.Finish()
-		a, ok := open[fid]
-		if !ok {
-			t.Fatalf("%s/%d: finished unknown job %d", discipline, cores, fid)
-		}
-		delete(open, fid)
-		// A job never spans cores, so its fastest possible service is its
-		// own work at rate 1.
-		if ft-a.at < a.work-eps {
-			t.Fatalf("%s/%d: job %d got %v work in %v s", discipline, cores, fid, a.work, ft-a.at)
-		}
-		if got := pool.ServedBytes() - served; math.Abs(got-a.work) > eps {
-			t.Fatalf("%s/%d: served advanced %v for a %v-work job", discipline, cores, got, a.work)
-		}
-		if ft > now {
-			now = ft
-		}
-		if len(open) == 0 {
-			busyTime += now - busyStart
-		}
-	}
-
-	n := 20 + rng.Intn(150)
-	for id := 0; id < n || len(open) > 0; {
-		if id < n && (len(open) == 0 || rng.Float64() < 0.6) {
-			tnext := now + rng.ExpFloat64()*0.1
-			for {
-				ft, ok := pool.NextFinish()
-				if !ok || ft > tnext {
-					break
-				}
-				processFinish()
-			}
-			now = tnext
-			work := 0.001 + rng.Float64()*0.5
-			if len(open) == 0 {
-				busyStart = now
-			}
-			pool.Start(now, id, work)
-			open[id] = admitted{at: now, work: work}
-			sumWork += work
-			id++
-		} else {
-			processFinish()
-		}
-		if pool.InFlight() != len(open) {
-			t.Fatalf("%s/%d: InFlight %d, expected %d", discipline, cores, pool.InFlight(), len(open))
-		}
-	}
-	if math.Abs(pool.ServedBytes()-sumWork) > eps {
-		t.Fatalf("%s/%d: served %v of %v admitted work", discipline, cores, pool.ServedBytes(), sumWork)
-	}
-	if pool.ServedBytes() > float64(cores)*busyTime*(1+1e-9)+eps {
-		t.Fatalf("%s/%d: served %v work-seconds in %v busy seconds",
-			discipline, cores, pool.ServedBytes(), busyTime)
-	}
-}
-
-// TestComputePropertyConservation holds the busy-time conservation
-// invariants over randomized traces for both disciplines; CI runs it
-// under -race with the rest of the suite.
-func TestComputePropertyConservation(t *testing.T) {
-	for _, discipline := range []string{ContentionFIFO, ContentionFairShare} {
-		t.Run(discipline, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(987))
-			for iter := 0; iter < 150; iter++ {
-				computeTrace(t, discipline, rng)
-			}
-		})
 	}
 }
 

@@ -278,10 +278,10 @@
 // multiplier (piecewise diurnal/bursty load), and "compute_scale"
 // resizes a tier's core pool. Validation is strict per kind: unknown
 // kinds, out-of-order times, ghost tiers/classes, out-of-range factors,
-// misplaced knobs, a failing root, or an outage stranding attached
-// cameras without a fallback all fail before the run starts; dynamics
-// cannot combine with a federated job (dropping a round's blobs would
-// deadlock its barrier).
+// misplaced knobs, joins past 2^31−1 cameras, a failing root, or an
+// outage stranding attached cameras without a fallback all fail before
+// the run starts; dynamics cannot combine with a federated job (dropping
+// a round's blobs would deadlock its barrier).
 //
 // Accounting conserves every emitted frame: captured = completed +
 // kept in camera + dropped (ClassStats.Offloaded, KeptInCamera and the
@@ -425,11 +425,11 @@
 //     a 100k-camera fleet, where 80% of events are stages). On top come
 //     O(log n) fair-share virtual-time accounting on the link and
 //     O(log links) completion lookup in the link index. All five heaps —
-//     events, line heads, fair-share links and pools, FIFO pools' busy
-//     cores, and the link index — are one queue.Heap over different
-//     payloads, held to container/heap's exact pop order by
+//     events, line heads, fair-share servers, FIFO servers' busy cores,
+//     and the link index — are one queue.Heap over different payloads,
+//     held to container/heap's exact pop order by
 //     TestHeapsMatchContainerHeap, one case per payload. The delay lines
-//     and the FIFO link and pool queues are one queue.Ring, a
+//     and the FIFO servers' waiting queues are one queue.Ring, a
 //     power-of-two ring, so wrap-around is a mask, not a modulo.
 //   - Event size: an event is 24 bytes — time, the scheduling sequence
 //     number with the kind in its low 4 bits, and two int32s naming the

@@ -113,12 +113,13 @@ func (d *DynamicsConfig) normalize() {
 }
 
 // validateDynamics checks the dynamics schedule against the resolved tier
-// tree: known kinds, finite non-decreasing times, resolvable classes and
-// tiers, in-range factors, per-tier outage/recover alternation, and a
+// tree and the declared camera total: known kinds, finite non-decreasing
+// times, resolvable classes and tiers, in-range factors, joins that keep
+// the camera ids inside int32, per-tier outage/recover alternation, and a
 // usable fallback for every outage that strands attached cameras. Each
 // kind also rejects the other kinds' knobs — a misplaced field must fail,
 // not silently do nothing.
-func (sc *Scenario) validateDynamics(nodes []tierNode) error {
+func (sc *Scenario) validateDynamics(nodes []tierNode, cameras int) error {
 	d := sc.Dynamics
 	if d == nil {
 		return nil
@@ -174,6 +175,15 @@ func (sc *Scenario) validateDynamics(nodes []tierNode) error {
 			}
 			if e.Count <= 0 {
 				return bad("count %d must be positive", e.Count)
+			}
+			// Joined cameras take the ids after the declared ones. Each
+			// entry's first firing counts here; recurring re-firings are
+			// not bounded.
+			if e.Kind == DynCameraJoin {
+				if e.Count > math.MaxInt32-cameras {
+					return bad("count %d makes more than %d cameras", e.Count, math.MaxInt32)
+				}
+				cameras += e.Count
 			}
 			if !(e.EverySec >= 0) || math.IsInf(e.EverySec, 0) {
 				return bad("every_sec %v must be finite and non-negative", e.EverySec)
@@ -278,23 +288,6 @@ type DynamicsStats struct {
 	// transfers through a failing tier, arrivals at a down tier, and
 	// transfers stalled forever on a never-restored zero-capacity link.
 	DroppedOutage int64
-}
-
-// capScaler, coreScaler and drainable are the runtime capabilities the
-// dynamics engine needs from links: every uplink contention model
-// rescales capacity with conserved progress, every core pool resizes,
-// and both sides drain their in-flight population deterministically (in
-// completion order, then waiting order) without crediting served bytes.
-type capScaler interface {
-	setCapacity(now, bytesPerSec float64)
-}
-
-type coreScaler interface {
-	setCores(now float64, cores int)
-}
-
-type drainable interface {
-	drain() []int
 }
 
 // dynamics is the live fault-schedule state of one run, created only for

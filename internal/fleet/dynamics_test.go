@@ -239,6 +239,116 @@ func TestDynamicsLinkDegradeRestore(t *testing.T) {
 	}
 }
 
+// TestServerRescaleByHand checks finish times across a rescale against
+// hand computation, on the servers directly. Each link discipline is
+// degraded to half, parked at zero (NextFinish +Inf) and restored while a
+// second transfer waits behind the first (FIFO) or shares the link with
+// it (fair share); then an idle link is parked, admits a transfer and is
+// restored. The FIFO pool grows, which promotes waiting frames at once,
+// and shrinks, which preempts nothing.
+func TestServerRescaleByHand(t *testing.T) {
+	const idle = -1.0
+	inf := math.Inf(1)
+	type step struct {
+		op   byte    // 's' Start, 'c' setCapacity, 'k' setCores, 'f' Finish
+		at   float64 // the operation's time; 'f' repeats the finish the step before reports
+		id   int     // 's': the admitted id; 'f': the id that must finish
+		x    float64 // 's': size; 'c': capacity; 'k': cores
+		next float64 // NextFinish after the step; idle when nothing is in flight
+	}
+	link := func(model string) func() Link {
+		return func() Link {
+			l, err := NewLink(model, 1000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return l
+		}
+	}
+	cases := []struct {
+		name  string
+		build func() Link
+		steps []step
+	}{
+		{"fifo link", link(ContentionFIFO), []step{
+			{'s', 0, 0, 1000, 1},
+			{'s', 0, 1, 500, 1},
+			// 500 bytes left at 0.5 s continue at 500 B/s.
+			{'c', 0.5, 0, 500, 1.5},
+			// 250 bytes left at 1 s are parked.
+			{'c', 1, 0, 0, inf},
+			{'c', 2, 0, 1000, 2.25},
+			// The queued transfer starts the instant the head departs.
+			{'f', 2.25, 0, 0, 2.75},
+			{'f', 2.75, 1, 0, idle},
+			{'c', 3, 0, 0, idle},
+			{'s', 3, 2, 1000, inf},
+			{'c', 4, 0, 1000, 5},
+			{'f', 5, 2, 0, idle},
+		}},
+		{"fair-share link", link(ContentionFairShare), []step{
+			{'s', 0, 0, 1000, 1},
+			// 500 and 400 bytes left share 1000 B/s.
+			{'s', 0.5, 1, 400, 1.3},
+			// 250 and 150 left share 500 B/s.
+			{'c', 1, 0, 500, 1.6},
+			// 125 and 25 left are parked.
+			{'c', 1.5, 0, 0, inf},
+			{'c', 3, 0, 1000, 3.05},
+			// 100 bytes left run alone.
+			{'f', 3.05, 1, 0, 3.15},
+			{'f', 3.15, 0, 0, idle},
+			{'c', 4, 0, 0, idle},
+			{'s', 4, 2, 500, inf},
+			{'c', 5, 0, 2000, 5.25},
+			{'f', 5.25, 2, 0, idle},
+		}},
+		{"fifo pool", func() Link {
+			return newComputeServer(&ComputeConfig{Cores: 1, ServiceRateFPS: 1, Discipline: ContentionFIFO})
+		}, []step{
+			{'s', 0, 0, 1, 1},
+			{'s', 0, 1, 2, 1},
+			{'s', 0, 2, 0.25, 1},
+			// Growth to three cores serves both waiting frames from 0.5 s.
+			{'k', 0.5, 0, 3, 0.75},
+			{'f', 0.75, 2, 0, 1},
+			// Shrink to one core preempts neither frame in service, and
+			// the frame admitted next waits for both to finish.
+			{'k', 0.75, 0, 1, 1},
+			{'s', 0.75, 3, 1, 1},
+			{'f', 1, 0, 0, 2.5},
+			{'f', 2.5, 1, 0, 3.5},
+			{'f', 3.5, 3, 0, idle},
+		}},
+	}
+	for _, c := range cases {
+		l := c.build()
+		for i, s := range c.steps {
+			switch s.op {
+			case 's':
+				l.Start(s.at, s.id, s.x)
+			case 'c':
+				l.setCapacity(s.at, s.x)
+			case 'k':
+				l.setCores(s.at, int(s.x))
+			case 'f':
+				if id := l.Finish(); id != s.id {
+					t.Fatalf("%s step %d: finished %d, want %d", c.name, i, id, s.id)
+				}
+			}
+			ft, ok := l.NextFinish()
+			switch {
+			case s.next == idle:
+				if ok {
+					t.Fatalf("%s step %d: next finish %v, want idle", c.name, i, ft)
+				}
+			case !ok || (ft != s.next && math.Abs(ft-s.next) > 1e-12):
+				t.Fatalf("%s step %d: next finish %v (busy %v), want %v", c.name, i, ft, ok, s.next)
+			}
+		}
+	}
+}
+
 // TestDynamicsStallDrain pins the terminal stall path: a link degraded
 // to zero and never restored must not hang the run — everything parked
 // on it drains as accounted outage drops and the loop terminates.
@@ -474,6 +584,11 @@ func TestDynamicsValidation(t *testing.T) {
 		{"fallback is self", []FleetEvent{{Time: 1, Kind: DynTierOutage, Tier: "gw-a", Fallback: "gw-a"}}, "failing tier itself"},
 		{"zero multiplier", []FleetEvent{{Time: 1, Kind: DynFPSProfile, Class: "east", Multiplier: 0}}, "must be positive"},
 		{"compute scale without pool", []FleetEvent{{Time: 1, Kind: DynComputeScale, Tier: "gw-a", Cores: 2}}, "no compute section"},
+		// 24 declared cameras, then two joins whose sum passes the int32 ids.
+		{"joins past the camera ids", []FleetEvent{
+			{Time: 1, Kind: DynCameraJoin, Class: "east", Count: math.MaxInt32 - 30},
+			{Time: 2, Kind: DynCameraJoin, Class: "west", Count: 10},
+		}, "count 10 makes more than 2147483647 cameras"},
 	} {
 		sc := dynamicsDemo(1)
 		sc.Dynamics = &DynamicsConfig{Events: tc.evs}

@@ -307,6 +307,11 @@ var fuzzSeeds = []fuzzSeed{
 	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
 	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "camera_join", "class": "c", "factor": 0.5}]}}`, "factor belongs to"},
+	// a camera_join count that takes the camera population past the int32
+	// ids events carry
+	{`{"duration_sec": 1, "uplink": {"gbps": 1},
+	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
+	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "camera_join", "class": "c", "count": 1099511627776}]}}`, "more than 2147483647 cameras"},
 }
 
 // TestFuzzSeedVerdicts pins every seed's verdict: the valid seeds parse,

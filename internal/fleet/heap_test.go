@@ -124,7 +124,7 @@ func drive[P comparable](t *testing.T, rng *rand.Rand, gen func(i int) queue.Ite
 
 // TestHeapsMatchContainerHeap holds every queue.Heap instantiation the
 // simulator uses to container/heap: randomized event, job (fair-share
-// links and pools, FIFO pools' busy cores) and link-index streams pop
+// servers, FIFO servers' busy cores) and link-index streams pop
 // exactly the items container/heap pops, so the heap cannot have changed
 // any simulation output. The event case also holds the whole event
 // queue, heap and delay lines merged, to one reference heap of every

@@ -94,16 +94,16 @@ func TestLinkIndexMatchesScan(t *testing.T) {
 				now = next
 			case op < 17: // outage drain
 				li := rng.Intn(len(links))
-				links[li].(drainable).drain()
+				links[li].drain()
 				x.invalidate(li)
 			case op < 19: // degrade, park at zero, or restore
 				li := uplinks[rng.Intn(len(uplinks))]
 				factor := [...]float64{0, 0.5, 1, 1, 2}[rng.Intn(5)]
-				links[li].(capScaler).setCapacity(now, baseCap[li]*factor)
+				links[li].setCapacity(now, baseCap[li]*factor)
 				x.invalidate(li)
 			default: // rescale a core pool
 				li := pools[rng.Intn(len(pools))]
-				links[li].(coreScaler).setCores(now, 1+rng.Intn(4))
+				links[li].setCores(now, 1+rng.Intn(4))
 				x.invalidate(li)
 			}
 			wli, wt, wok := scanNextFinish(links)

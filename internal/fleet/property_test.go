@@ -11,55 +11,51 @@ import (
 )
 
 // Property tests over randomized workloads: whatever the arrival pattern,
-// both contention disciplines must behave like a physical link — they
-// cannot serve more than capacity while busy, and no single transfer can
-// receive more than capacity × its time in system. CI runs these under
-// -race alongside the rest of the suite.
+// every server — a FIFO or fair-share link or core pool — must behave like
+// physical hardware: it cannot serve more than cores × speed while busy,
+// and no single job can receive more than one core's speed × its time in
+// system. CI runs these under -race alongside the rest of the suite.
 
-// uplinkTrace drives one uplink through a random admit/finish sequence and
-// checks the conservation invariants event by event.
-func uplinkTrace(t *testing.T, model string, rng *rand.Rand) {
+// serverTrace admits jobs jobs at random times to s, a server of cores
+// cores at speed, with sizes drawn from size, finishes them as the event
+// loop would, and checks the conservation invariants event by event.
+// Served work must advance by each finished job's size to within tol.
+func serverTrace(t *testing.T, s Link, cores int, speed float64, jobs int, size func() float64, tol float64, rng *rand.Rand) {
 	t.Helper()
-	capacity := float64(1+rng.Intn(1000)) * 10 // 10..10000 B/s
-	up, err := NewLink(model, capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const eps = 1e-6
 
 	type admitted struct {
-		at    float64
-		bytes float64
+		at   float64
+		size float64
 	}
 	open := map[int]admitted{}
 	now, busyStart, busyTime := 0.0, 0.0, 0.0
-	var sumBytes float64
+	var sum float64
 
 	// processFinish pops the next completion, as the sim's event loop
-	// does, and checks the per-transfer service bound.
+	// does, and checks the per-job service bound.
 	processFinish := func() {
-		ft, ok := up.NextFinish()
+		ft, ok := s.NextFinish()
 		if !ok {
-			t.Fatalf("%s: %d transfers open but no next finish", model, len(open))
+			t.Fatalf("%d cores at %v: %d jobs open but no next finish", cores, speed, len(open))
 		}
 		if ft < now-eps {
-			t.Fatalf("%s: finish time %v precedes current time %v", model, ft, now)
+			t.Fatalf("%d cores at %v: finish time %v precedes current time %v", cores, speed, ft, now)
 		}
-		served := up.ServedBytes()
-		fid := up.Finish()
+		served := s.ServedBytes()
+		fid := s.Finish()
 		a, ok := open[fid]
 		if !ok {
-			t.Fatalf("%s: finished unknown transfer %d", model, fid)
+			t.Fatalf("%d cores at %v: finished unknown job %d", cores, speed, fid)
 		}
 		delete(open, fid)
-		// Per-transfer service never exceeds capacity: B bytes need at
-		// least B/capacity seconds in the system.
-		if ft-a.at < a.bytes/capacity-eps {
-			t.Fatalf("%s: transfer %d served %v bytes in %v s at capacity %v",
-				model, fid, a.bytes, ft-a.at, capacity)
+		// A job never spans cores: S units of work need at least S/speed
+		// seconds in the system.
+		if ft-a.at < a.size/speed-eps {
+			t.Fatalf("%d cores at %v: job %d served %v in %v s", cores, speed, fid, a.size, ft-a.at)
 		}
-		if got := up.ServedBytes() - served; got != a.bytes {
-			t.Fatalf("%s: ServedBytes advanced %v for a %v-byte transfer", model, got, a.bytes)
+		if got := s.ServedBytes() - served; math.Abs(got-a.size) > tol {
+			t.Fatalf("%d cores at %v: served advanced %v for a job of %v", cores, speed, got, a.size)
 		}
 		if ft > now {
 			now = ft
@@ -69,53 +65,75 @@ func uplinkTrace(t *testing.T, model string, rng *rand.Rand) {
 		}
 	}
 
-	n := 20 + rng.Intn(200)
-	for id := 0; id < n || len(open) > 0; {
-		if id < n && (len(open) == 0 || rng.Float64() < 0.6) {
-			// Admit a new transfer: like the event loop, first drain every
-			// completion the link delivers before the admission instant
+	for id := 0; id < jobs || len(open) > 0; {
+		if id < jobs && (len(open) == 0 || rng.Float64() < 0.6) {
+			// Admit a new job: like the event loop, first drain every
+			// completion the server delivers before the admission instant
 			// (Start must never precede an observed event time).
 			tnext := now + rng.ExpFloat64()*0.1
 			for {
-				ft, ok := up.NextFinish()
+				ft, ok := s.NextFinish()
 				if !ok || ft > tnext {
 					break
 				}
 				processFinish()
 			}
 			now = tnext
-			bytes := float64(1 + rng.Intn(100_000))
+			z := size()
 			if len(open) == 0 {
 				busyStart = now
 			}
-			up.Start(now, id, bytes)
-			open[id] = admitted{at: now, bytes: bytes}
-			sumBytes += bytes
+			s.Start(now, id, z)
+			open[id] = admitted{at: now, size: z}
+			sum += z
 			id++
 		} else {
 			processFinish()
 		}
-		if up.InFlight() != len(open) {
-			t.Fatalf("%s: InFlight %d, expected %d", model, up.InFlight(), len(open))
+		if s.InFlight() != len(open) {
+			t.Fatalf("%d cores at %v: InFlight %d, expected %d", cores, speed, s.InFlight(), len(open))
 		}
 	}
-	// Aggregate conservation: the link cannot serve more than capacity
-	// while busy, and everything admitted must have drained.
-	if up.ServedBytes() != sumBytes {
-		t.Fatalf("%s: served %v of %v admitted bytes", model, up.ServedBytes(), sumBytes)
+	// Aggregate conservation: the server cannot serve more than cores ×
+	// speed while busy, and everything admitted must have drained.
+	if math.Abs(s.ServedBytes()-sum) > tol {
+		t.Fatalf("%d cores at %v: served %v of %v admitted", cores, speed, s.ServedBytes(), sum)
 	}
-	if up.ServedBytes() > capacity*busyTime*(1+1e-9)+eps {
-		t.Fatalf("%s: served %v bytes in %v busy seconds at capacity %v",
-			model, up.ServedBytes(), busyTime, capacity)
+	if s.ServedBytes() > float64(cores)*speed*busyTime*(1+1e-9)+eps {
+		t.Fatalf("%d cores at %v: served %v in %v busy seconds", cores, speed, s.ServedBytes(), busyTime)
 	}
 }
 
+// TestUplinkPropertyConservation traces one-core links of 10..10000 B/s.
+// Sizes are whole bytes, so every served-bytes sum is exact.
 func TestUplinkPropertyConservation(t *testing.T) {
 	for _, model := range []string{ContentionFairShare, ContentionFIFO} {
 		t.Run(model, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(1234))
 			for iter := 0; iter < 150; iter++ {
-				uplinkTrace(t, model, rng)
+				capacity := float64(1+rng.Intn(1000)) * 10
+				up, err := NewLink(model, capacity)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bytes := func() float64 { return float64(1 + rng.Intn(100_000)) }
+				serverTrace(t, up, 1, capacity, 20+rng.Intn(200), bytes, 0, rng)
+			}
+		})
+	}
+}
+
+// TestComputePropertyConservation traces pools of 1–4 cores at one
+// core-second per second.
+func TestComputePropertyConservation(t *testing.T) {
+	for _, discipline := range []string{ContentionFIFO, ContentionFairShare} {
+		t.Run(discipline, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(987))
+			for iter := 0; iter < 150; iter++ {
+				cores := 1 + rng.Intn(4)
+				pool := newComputeServer(&ComputeConfig{Cores: cores, ServiceRateFPS: 1, Discipline: discipline})
+				work := func() float64 { return 0.001 + rng.Float64()*0.5 }
+				serverTrace(t, pool, cores, 1, 20+rng.Intn(150), work, 1e-6, rng)
 			}
 		})
 	}

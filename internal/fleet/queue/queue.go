@@ -1,9 +1,9 @@
 // Package queue holds the two queue shapes the fleet simulator runs on:
 // Heap, a binary min-heap keyed by (time, tie-break), and Ring, a FIFO
 // ring buffer. The event loop's heap and its delay lines' heads, the
-// fair-share links and pools, the FIFO pools' busy cores and the
+// fair-share servers, the FIFO servers' busy cores and the
 // link-completion index are Heaps over their own payloads; the delay
-// lines and the FIFO link and pool waiting queues are Rings.
+// lines and the FIFO servers' waiting queues are Rings.
 //
 // It is a package of its own so that a CPU profile attributed by source
 // file (fleetbench's layer map) charges a queue's samples to the code

@@ -501,7 +501,7 @@ func (sc *Scenario) validate() ([]tierNode, int, error) {
 	if err := sc.validateTelemetry(); err != nil {
 		return nil, 0, err
 	}
-	if err := sc.validateDynamics(nodes); err != nil {
+	if err := sc.validateDynamics(nodes, total); err != nil {
 		return nil, 0, err
 	}
 	return nodes, root, nil

@@ -718,7 +718,7 @@ func (e *engine) dropOutage(ti, id int) {
 // outage at tier ti, in completion order then waiting order, with no
 // served credit.
 func (e *engine) drainLink(li, ti int) {
-	ids := e.links[li].(drainable).drain()
+	ids := e.links[li].drain()
 	e.netInFlight -= len(ids)
 	for _, id := range ids {
 		e.dropOutage(ti, id)
@@ -986,7 +986,7 @@ func (e *engine) dynFire(t float64, i int) {
 		}
 		ti := dyn.tier[i]
 		dyn.rescale(t, ti, factor)
-		e.links[ti].(capScaler).setCapacity(t, e.slots[ti].cap*factor)
+		e.links[ti].setCapacity(t, e.slots[ti].cap*factor)
 		e.lidx.invalidate(ti)
 	case DynTierOutage:
 		ti := dyn.tier[i]
@@ -1022,7 +1022,7 @@ func (e *engine) dynFire(t float64, i int) {
 		e.fps[ci] = e.sc.Classes[ci].FPS * ev.Multiplier
 	case DynComputeScale:
 		li := e.compLink[dyn.tier[i]]
-		e.links[li].(coreScaler).setCores(t, ev.Cores)
+		e.links[li].setCores(t, ev.Cores)
 		e.lidx.invalidate(li)
 	}
 	if ev.EverySec > 0 {
