@@ -358,3 +358,84 @@ func BenchmarkServers(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLinkIndex prices the link-completion index over tier-pools'
+// 123 servers: 41 links (a quarter FIFO), 41 fair-share 4-core pools, 40
+// FIFO 16-core pools and one FIFO 128-core pool, with 1 or 8 jobs
+// resident per server. Each step peeks the earliest completion, finishes
+// that job and invalidates its server, then admits a job on a server at
+// that instant and invalidates it too, so the population holds. Servers
+// and sizes cycle through tables drawn ahead of the timer. One op is
+// indexBatch steps; ns/step reports one step, the servers' own Finish and
+// Start included, and allocs/op must stay 0. It uses only newLinkIndex,
+// invalidate, peek and the server constructors, so it prices any index
+// behind that interface.
+func BenchmarkLinkIndex(b *testing.B) {
+	const indexBatch = 1 << 10
+	build := func() []Link {
+		var links []Link
+		for i := 0; i < 41; i++ {
+			model := ContentionFairShare
+			if i%4 == 3 {
+				model = ContentionFIFO
+			}
+			l, err := NewLink(model, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			links = append(links, l)
+		}
+		for _, p := range []struct {
+			n, cores int
+			disc     string
+		}{{41, 4, ContentionFairShare}, {40, 16, ContentionFIFO}, {1, 128, ContentionFIFO}} {
+			for i := 0; i < p.n; i++ {
+				links = append(links, newComputeServer(&ComputeConfig{Cores: p.cores, Discipline: p.disc}))
+			}
+		}
+		return links
+	}
+	rng, n := newPRNG(4), len(build())
+	sizes := make([]float64, 1<<10)
+	servers := make([]int, len(sizes))
+	for i := range sizes {
+		sizes[i], servers[i] = rng.ExpFloat64(), rng.Intn(n)
+	}
+	for _, resident := range []int{1, 8} {
+		b.Run(fmt.Sprintf("%d-resident", resident), func(b *testing.B) {
+			links := build()
+			x := newLinkIndex(links)
+			k := 0
+			for li, l := range links {
+				for j := 0; j < resident; j++ {
+					l.Start(0, k, sizes[k&(len(sizes)-1)])
+					k++
+				}
+				x.invalidate(li)
+			}
+			step := func() {
+				li, t, _ := x.peek()
+				links[li].Finish()
+				x.invalidate(li)
+				s := servers[k&(len(servers)-1)]
+				links[s].Start(t, k, sizes[k&(len(sizes)-1)])
+				x.invalidate(s)
+				k++
+			}
+			// Warm up until the jobs have spread over the servers the
+			// admissions draw, and the servers' queues have grown to
+			// their peaks.
+			for j := 0; j < 64*indexBatch; j++ {
+				step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < indexBatch; j++ {
+					step()
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/indexBatch, "ns/step")
+		})
+	}
+}

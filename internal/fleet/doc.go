@@ -420,16 +420,19 @@
 //     events), no interface boxing — container/heap cost one allocation
 //     per Push). A frame's fixed-delay stage — in-camera compute, a
 //     hop's propagation, the root's, a federated blob's — is one pop
-//     from a delay line: a ring read plus a re-key in the heap of line
-//     heads, O(log lines) with one line per distinct delay value (4 on
-//     a 100k-camera fleet, where 80% of events are stages). On top come
-//     O(log n) fair-share virtual-time accounting on the link and
-//     O(log links) completion lookup in the link index. All five heaps —
-//     events, line heads, fair-share servers, FIFO servers' busy cores,
-//     and the link index — are one queue.Heap over different payloads,
-//     held to container/heap's exact pop order by
-//     TestHeapsMatchContainerHeap, one case per payload. The delay lines
-//     and the FIFO servers' waiting queues are one queue.Ring, a
+//     from a delay line: a ring read plus a re-key in place in the index
+//     of line heads, O(log lines) with one line per distinct delay value
+//     (4 on a 100k-camera fleet, where 80% of events are stages). On top
+//     come O(log n) fair-share virtual-time accounting on the link and
+//     the link index: an O(1) peek at the earliest completion, and an
+//     O(log busy links) re-key in place after each Start or Finish. The
+//     event heap, the fair-share servers and the FIFO servers' busy cores
+//     are one queue.Heap over different payloads, held to
+//     container/heap's exact pop order by TestHeapsMatchContainerHeap,
+//     one case per payload. The line heads and the link index are one
+//     queue.Index, a heap holding at most one key per numbered source,
+//     held to a scan of its keys by TestIndexMatchesScan. The delay
+//     lines and the FIFO servers' waiting queues are one queue.Ring, a
 //     power-of-two ring, so wrap-around is a mask, not a modulo.
 //   - Event size: an event is 24 bytes — time, the scheduling sequence
 //     number with the kind in its low 4 bits, and two int32s naming the
@@ -451,7 +454,9 @@
 //     same event one heap of everything would pop. The layout, sift and
 //     line changes therefore cannot change any output;
 //     TestHeapsMatchContainerHeap, TestRandomScenarioInvariants' pinned
-//     digests and the goldens hold that.
+//     digests and the goldens hold that. The link index's keys, (finish
+//     time, link index), are unique too, so its minimum is the one an
+//     O(links) scan finds (TestLinkIndexMatchesScan).
 //   - Percentiles: finalize selects the three nearest ranks it reports
 //     (p50, p95, p99) in increasing order, each within the part of the
 //     samples right of the previous one, instead of sorting every

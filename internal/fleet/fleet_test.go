@@ -3,6 +3,7 @@ package fleet
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"camsim/internal/core"
@@ -56,6 +57,48 @@ func TestScenarioParseDefaultsAndValidate(t *testing.T) {
 		"classes": [{"name": "c", "count": 1, "fps": 1}]
 	}`)); err == nil {
 		t.Fatal("accepted unknown contention model")
+	}
+}
+
+// TestClassFieldsMustBeFinite pins the class checks against NaN and
+// infinities, which JSON cannot carry but the Go API can. An infinite FPS
+// once re-armed every capture at the same instant, so Run never returned,
+// and a NaN FPS silently captured nothing. Validate and Run must both
+// return the error.
+func TestClassFieldsMustBeFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		mut  func(c *Class)
+		want string
+	}{
+		{"fps +Inf", func(c *Class) { c.FPS = inf }, "fps"},
+		{"fps NaN", func(c *Class) { c.FPS = nan }, "fps"},
+		{"compute time NaN", func(c *Class) { c.ComputeSeconds = nan }, "compute time"},
+		{"compute time +Inf", func(c *Class) { c.ComputeSeconds = inf }, "compute time"},
+		{"offload probability NaN", func(c *Class) { c.OffloadProb = nan }, "offload probability"},
+		{"capture energy +Inf", func(c *Class) { c.CaptureJ = inf }, "energy parameters"},
+		{"compute energy NaN", func(c *Class) { c.ComputeJ = nan }, "energy parameters"},
+		{"fixed transmit energy +Inf", func(c *Class) { c.TxFixedJ = inf }, "energy parameters"},
+		{"per-byte transmit energy NaN", func(c *Class) { c.TxPerByteJ = nan }, "energy parameters"},
+		{"harvest power +Inf", func(c *Class) { c.HarvestW = inf; c.StoreJ = 0.05 }, "harvest power"},
+		{"harvest power NaN", func(c *Class) { c.HarvestW = nan }, "harvest power"},
+		{"store +Inf", func(c *Class) { c.HarvestW = 1e-3; c.StoreJ = inf }, "store"},
+		{"store NaN", func(c *Class) { c.HarvestW = 1e-3; c.StoreJ = nan }, "store"},
+		{"placement compute time +Inf", func(c *Class) { c.Placements[0].ComputeSeconds = inf }, "placement 0"},
+		{"placement compute energy +Inf", func(c *Class) { c.Placements[1].ComputeJ = inf }, "placement 1"},
+	}
+	for _, tc := range cases {
+		sc := twoTierScenario(1, PolicyLatencyThreshold, 0)
+		tc.mut(&sc.Classes[0])
+		verr := sc.Validate()
+		if verr == nil || !strings.Contains(verr.Error(), tc.want) {
+			t.Errorf("%s: Validate err = %v, want substring %q", tc.name, verr, tc.want)
+			continue
+		}
+		if _, err := Run(sc); err == nil || err.Error() != verr.Error() {
+			t.Errorf("%s: Run err = %v, want Validate's %v", tc.name, err, verr)
+		}
 	}
 }
 

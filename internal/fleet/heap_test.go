@@ -123,12 +123,13 @@ func drive[P comparable](t *testing.T, rng *rand.Rand, gen func(i int) queue.Ite
 }
 
 // TestHeapsMatchContainerHeap holds every queue.Heap instantiation the
-// simulator uses to container/heap: randomized event, job (fair-share
-// servers, FIFO servers' busy cores) and link-index streams pop
-// exactly the items container/heap pops, so the heap cannot have changed
-// any simulation output. The event case also holds the whole event
-// queue, heap and delay lines merged, to one reference heap of every
-// event.
+// simulator uses to container/heap: randomized event and job (fair-share
+// servers, FIFO servers' busy cores) streams pop exactly the items
+// container/heap pops, so the heap cannot have changed any simulation
+// output. The event case also holds the whole event queue, heap and delay
+// lines merged, to one reference heap of every event. The queue.Index
+// instantiations, the link index and the line heads, are held to a scan
+// by TestIndexMatchesScan (package queue) and TestLinkIndexMatchesScan.
 func TestHeapsMatchContainerHeap(t *testing.T) {
 	// Times are drawn from a small discrete set so ties are frequent and
 	// the tie-break keys do real work.
@@ -201,8 +202,8 @@ func TestHeapsMatchContainerHeap(t *testing.T) {
 			}
 			prev = got
 		}
-		if _, ok := h.next(); ok || h.len() != 0 || len(h.heads) != 0 {
-			t.Fatalf("event queue retains %d events and %d line heads after drain", h.len(), len(h.heads))
+		if _, ok := h.next(); ok || h.len() != 0 || h.heads.Len() != 0 {
+			t.Fatalf("event queue retains %d events and %d line heads after drain", h.len(), h.heads.Len())
 		}
 	})
 
@@ -212,16 +213,6 @@ func TestHeapsMatchContainerHeap(t *testing.T) {
 			// Tie is unique: a link's or pool's admission counter.
 			return queue.Item[job]{T: times[rng.Intn(len(times))], Tie: int64(i),
 				P: job{id: i, size: float64(rng.Intn(1000))}}
-		})
-	})
-
-	t.Run("linkIndex", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(103))
-		drive(t, rng, func(i int) queue.Item[uint64] {
-			// Tie is one of a few link indices, so (T, Tie) keys repeat as a
-			// link's stale and live entries do. The version P is unique, so
-			// comparing whole items checks the order among equal keys.
-			return queue.Item[uint64]{T: times[rng.Intn(len(times))], Tie: int64(rng.Intn(4)), P: uint64(i)}
 		})
 	})
 }

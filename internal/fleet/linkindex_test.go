@@ -112,6 +112,25 @@ func TestLinkIndexMatchesScan(t *testing.T) {
 				t.Fatalf("seed %d step %d: peek = (%d, %v, %v), scan = (%d, %v, %v)",
 					seed, step, gli, gt, gok, wli, wt, wok)
 			}
+			// The index holds exactly the busy links, one key each: a
+			// second invalidate of any link leaves its length alone. It
+			// would insert a busy link the index lacked and remove an idle
+			// one it held, and on a link already keyed at its NextFinish
+			// it does no heap work.
+			busy := 0
+			for li, l := range links {
+				if l.InFlight() > 0 {
+					busy++
+				}
+				n := x.busy.Len()
+				if x.invalidate(li); x.busy.Len() != n {
+					t.Fatalf("seed %d step %d: link %d (%d in flight) was held wrongly: index length %d became %d",
+						seed, step, li, l.InFlight(), n, x.busy.Len())
+				}
+			}
+			if x.busy.Len() != busy {
+				t.Fatalf("seed %d step %d: index holds %d links, %d are busy", seed, step, x.busy.Len(), busy)
+			}
 		}
 	}
 }

@@ -1,9 +1,11 @@
-// Package queue holds the two queue shapes the fleet simulator runs on:
-// Heap, a binary min-heap keyed by (time, tie-break), and Ring, a FIFO
-// ring buffer. The event loop's heap and its delay lines' heads, the
-// fair-share servers, the FIFO servers' busy cores and the
-// link-completion index are Heaps over their own payloads; the delay
-// lines and the FIFO servers' waiting queues are Rings.
+// Package queue holds the queue shapes the fleet simulator runs on: Heap,
+// a binary min-heap keyed by (time, tie-break); Index, the same heap over
+// numbered sources that each hold at most one key, re-keyed in place; and
+// Ring, a FIFO ring buffer. The event loop's heap, the fair-share servers
+// and the FIFO servers' busy cores are Heaps over their own payloads; the
+// link-completion index (one source per link) and the delay lines' heads
+// (one source per line) are Indexes; the delay lines and the FIFO
+// servers' waiting queues are Rings.
 //
 // It is a package of its own so that a CPU profile attributed by source
 // file (fleetbench's layer map) charges a queue's samples to the code
@@ -85,6 +87,114 @@ func (h *Heap[P]) Pop() Item[P] {
 	}
 	s[i] = last
 	return top
+}
+
+// Index is a binary min-heap over sources numbered from 0 in the order
+// Add returns them, each holding at most one key (T, Tie). Where a Heap
+// client that re-keys must push a fresh item and skip the old one later,
+// Index moves a source's one item in place: pos records where each
+// source sits, so Set sifts the item up or down from there and Remove
+// takes it out from the middle. It orders and sifts like Heap: before,
+// through a hole.
+type Index struct {
+	h   []Item[int32] // P is the item's source
+	pos []int32       // pos[src] is src's slot in h, or -1 when it holds no key
+}
+
+// Add adds a source holding no key and returns its number.
+func (x *Index) Add() int32 {
+	x.pos = append(x.pos, -1)
+	return int32(len(x.pos) - 1)
+}
+
+// Len returns the number of sources holding a key.
+func (x *Index) Len() int { return len(x.h) }
+
+// Min returns the minimum key, with its source as P. The index must not
+// be empty.
+func (x *Index) Min() Item[int32] { return x.h[0] }
+
+// Set keys src at (t, tie): it inserts the key when src holds none, and
+// otherwise re-keys src in place, doing nothing when the key is
+// unchanged.
+func (x *Index) Set(src int32, t float64, tie int64) {
+	it := Item[int32]{T: t, Tie: tie, P: src}
+	switch i := int(x.pos[src]); {
+	case i < 0:
+		x.h = append(x.h, it)
+		x.up(len(x.h)-1, it)
+	case t != x.h[i].T || tie != x.h[i].Tie:
+		x.fix(i, it)
+	}
+}
+
+// Remove drops src's key; a source holding none is left as it is.
+func (x *Index) Remove(src int32) {
+	i := int(x.pos[src])
+	if i < 0 {
+		return
+	}
+	x.pos[src] = -1
+	n := len(x.h) - 1
+	last := x.h[n]
+	x.h = x.h[:n]
+	if i < n {
+		// The last item fills the hole. It comes from another subtree, so
+		// it can order ahead of the hole's parent as well as behind a
+		// child.
+		x.fix(i, last)
+	}
+}
+
+// fix writes it into the hole at slot i, sifting it up when it orders
+// ahead of the hole's parent and down otherwise.
+func (x *Index) fix(i int, it Item[int32]) {
+	if p := (i - 1) / 2; i > 0 && before(it.T, it.Tie, x.h[p].T, x.h[p].Tie) {
+		x.up(i, it)
+	} else {
+		x.down(i, it)
+	}
+}
+
+// up sifts it toward the root from the hole at slot j, recording every
+// item's new slot.
+func (x *Index) up(j int, it Item[int32]) {
+	s := x.h
+	for j > 0 {
+		i := (j - 1) / 2
+		if !before(it.T, it.Tie, s[i].T, s[i].Tie) {
+			break
+		}
+		s[j] = s[i]
+		x.pos[s[j].P] = int32(j)
+		j = i
+	}
+	s[j] = it
+	x.pos[it.P] = int32(j)
+}
+
+// down sifts it toward the leaves from the hole at slot i, recording
+// every item's new slot.
+func (x *Index) down(i int, it Item[int32]) {
+	s := x.h
+	n := len(s)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && before(s[j2].T, s[j2].Tie, s[j].T, s[j].Tie) {
+			j = j2
+		}
+		if !before(s[j].T, s[j].Tie, it.T, it.Tie) {
+			break
+		}
+		s[i] = s[j]
+		x.pos[s[i].P] = int32(i)
+		i = j
+	}
+	s[i] = it
+	x.pos[it.P] = int32(i)
 }
 
 // Ring is a FIFO queue in a circular buffer. The buffer grows only when

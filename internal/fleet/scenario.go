@@ -461,22 +461,27 @@ func (sc *Scenario) validate() ([]tierNode, int, error) {
 		if c.Count <= 0 {
 			return nil, 0, fmt.Errorf("fleet: class %q: count %d must be positive", c.Name, c.Count)
 		}
-		if c.FPS <= 0 {
-			return nil, 0, fmt.Errorf("fleet: class %q: fps %v must be positive", c.Name, c.FPS)
+		if !(c.FPS > 0) || math.IsInf(c.FPS, 0) {
+			return nil, 0, fmt.Errorf("fleet: class %q: fps %v must be positive and finite", c.Name, c.FPS)
 		}
 		if c.Arrival != ArrivalPeriodic && c.Arrival != ArrivalPoisson {
 			return nil, 0, fmt.Errorf("fleet: class %q: unknown arrival pattern %q", c.Name, c.Arrival)
 		}
-		if c.FrameBytes < 0 || c.ComputeSeconds < 0 || c.QueueDepth < 0 {
-			return nil, 0, fmt.Errorf("fleet: class %q: negative frame bytes, compute time or queue depth", c.Name)
+		if c.FrameBytes < 0 || c.QueueDepth < 0 {
+			return nil, 0, fmt.Errorf("fleet: class %q: negative frame bytes or queue depth", c.Name)
 		}
-		if c.OffloadProb < 0 || c.OffloadProb > 1 {
+		if !(c.ComputeSeconds >= 0) || math.IsInf(c.ComputeSeconds, 0) {
+			return nil, 0, fmt.Errorf("fleet: class %q: compute time %v must be finite and non-negative", c.Name, c.ComputeSeconds)
+		}
+		if !(c.OffloadProb >= 0 && c.OffloadProb <= 1) {
 			return nil, 0, fmt.Errorf("fleet: class %q: offload probability %v outside [0,1]", c.Name, c.OffloadProb)
 		}
-		if c.CaptureJ < 0 || c.ComputeJ < 0 || c.TxFixedJ < 0 || c.TxPerByteJ < 0 {
-			return nil, 0, fmt.Errorf("fleet: class %q: negative energy parameters", c.Name)
+		for _, v := range [...]float64{c.CaptureJ, c.ComputeJ, c.TxFixedJ, c.TxPerByteJ, c.HarvestW, c.StoreJ} {
+			if !(v >= 0) || math.IsInf(v, 0) {
+				return nil, 0, fmt.Errorf("fleet: class %q: energy parameters, harvest power and store must be finite and non-negative", c.Name)
+			}
 		}
-		if c.HarvestW < 0 || (c.HarvestW > 0 && c.StoreJ <= 0) {
+		if c.HarvestW > 0 && c.StoreJ == 0 {
 			return nil, 0, fmt.Errorf("fleet: class %q: harvesting needs positive harvest power and store", c.Name)
 		}
 		if err := c.validatePlacements(); err != nil {
@@ -609,8 +614,8 @@ func (c *Class) validatePlacements() error {
 			return fmt.Errorf("fleet: class %q: placement %d (%s) frame bytes %d must be positive",
 				c.Name, i, pc.Name, pc.FrameBytes)
 		}
-		if pc.ComputeSeconds < 0 || pc.ComputeJ < 0 || math.IsNaN(pc.ComputeSeconds) || math.IsNaN(pc.ComputeJ) {
-			return fmt.Errorf("fleet: class %q: placement %d (%s) has negative compute cost",
+		if !(pc.ComputeSeconds >= 0) || math.IsInf(pc.ComputeSeconds, 0) || !(pc.ComputeJ >= 0) || math.IsInf(pc.ComputeJ, 0) {
+			return fmt.Errorf("fleet: class %q: placement %d (%s) compute cost must be finite and non-negative",
 				c.Name, i, pc.Name)
 		}
 	}

@@ -80,15 +80,16 @@ func (ev *event) kind() int { return int(ev.Tie & (1<<kindBits - 1)) }
 // distinct delay value, keyed by byDelay. A line adds its own delay to
 // the loop time it is filed at, and loop time never decreases, so each
 // line is sorted by (T, Tie) as filed. heads keys every non-empty line
-// by its front, so the earliest event is the earlier of the two heaps'
-// tops, and events pop in the order one heap of every event would give.
+// by its front, re-keyed in place as the front moves on, so the earliest
+// event is the earlier of the heap's top and heads' minimum, and events
+// pop in the order one heap of every event would give.
 //
 // Everything that touches a line is a method of eventHeap, so a CPU
 // profile charges the lines to the event queue rather than to the loop.
 type eventHeap struct {
 	heap    queue.Heap[evRef]
 	lines   []delayLine
-	heads   queue.Heap[int32] // P is the line index
+	heads   queue.Index // one source per line
 	byDelay map[float64]int32
 }
 
@@ -108,7 +109,7 @@ func (h *eventHeap) line(d float64) int32 {
 	if h.byDelay == nil {
 		h.byDelay = make(map[float64]int32)
 	}
-	l := int32(len(h.lines))
+	l := h.heads.Add()
 	h.lines = append(h.lines, delayLine{delay: d})
 	h.byDelay[d] = l
 	return l
@@ -123,7 +124,7 @@ func (h *eventHeap) file(l int32, now float64, seq int64, kind int, id, aux int3
 	ln := &h.lines[l]
 	ev := newEvent(now+ln.delay, seq, kind, id, aux)
 	if ln.q.Len() == 0 {
-		h.heads.Push(queue.Item[int32]{T: ev.T, Tie: ev.Tie, P: l})
+		h.heads.Set(l, ev.T, ev.Tie)
 	}
 	ln.q.Push(ev)
 }
@@ -135,25 +136,30 @@ func (h *eventHeap) next() (t float64, ok bool) {
 	if len(h.heap) > 0 {
 		t, ok = h.heap[0].T, true
 	}
-	if len(h.heads) > 0 {
-		t, ok = min(t, h.heads[0].T), true
+	if h.heads.Len() > 0 {
+		t, ok = min(t, h.heads.Min().T), true
 	}
 	return t, ok
 }
 
 // pop removes and returns the earliest pending event, which must exist.
-// Without lines it is the heap's pop behind one branch.
+// Without lines it is the heap's pop behind one branch. A line's pop
+// re-keys the line to its next front, or removes it when it empties.
 func (h *eventHeap) pop() event {
-	if len(h.heads) == 0 || len(h.heap) > 0 &&
-		(h.heap[0].T < h.heads[0].T || h.heap[0].T == h.heads[0].T && h.heap[0].Tie < h.heads[0].Tie) {
+	if h.heads.Len() == 0 {
 		return event(h.heap.Pop())
 	}
-	l := h.heads.Pop().P
-	ln := &h.lines[l]
+	f := h.heads.Min()
+	if len(h.heap) > 0 && (h.heap[0].T < f.T || h.heap[0].T == f.T && h.heap[0].Tie < f.Tie) {
+		return event(h.heap.Pop())
+	}
+	ln := &h.lines[f.P]
 	ev := ln.q.Pop()
 	if ln.q.Len() > 0 {
-		f := ln.q.Front()
-		h.heads.Push(queue.Item[int32]{T: f.T, Tie: f.Tie, P: l})
+		next := ln.q.Front()
+		h.heads.Set(f.P, next.T, next.Tie)
+	} else {
+		h.heads.Remove(f.P)
 	}
 	return ev
 }
@@ -475,7 +481,6 @@ func newEngine(sc Scenario) (*engine, error) {
 	e.ctls = newControllers(s)
 	e.gctl = newGlobal(s)
 	e.events.heap = make(queue.Heap[evRef], 0, heapCap)
-	e.events.heads = make(queue.Heap[int32], 0, len(e.events.lines))
 	for ci := range s.Classes {
 		cl := &s.Classes[ci]
 		e.classCams[ci] = make([]int32, 0, cl.Count)
