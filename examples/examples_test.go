@@ -4,9 +4,11 @@ package examples
 import (
 	"bytes"
 	"flag"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -17,6 +19,7 @@ var update = flag.Bool("update", false, "rewrite stdout.golden files")
 // change that moves any example's numbers shows up in `go test ./...`.
 // Regenerate with `go test ./examples -update`.
 func TestExampleOutputs(t *testing.T) {
+	statModuleSources(t)
 	bin := t.TempDir()
 	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./...")
 	if out, err := build.CombinedOutput(); err != nil {
@@ -63,5 +66,29 @@ func TestExampleOutputs(t *testing.T) {
 				t.Fatalf("%s stdout diverged from %s.\ngot:\n%s\nwant:\n%s", name, golden, first, want)
 			}
 		})
+	}
+}
+
+// statModuleSources stats every .go file of the module. The examples are
+// built by a child go build, so this test binary imports nothing of the
+// module, and Go's test cache would key a pass only on the goldens it
+// reads: an edit that moves an example's output would replay a stale
+// pass. A file the test stats is part of the cache key, so after this
+// any source edit re-runs the test. Dot-directories (.git, benchmark
+// build caches) are skipped.
+func statModuleSources(t *testing.T) {
+	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != ".." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case !d.IsDir() && strings.HasSuffix(path, ".go"):
+			_, err = os.Stat(path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -278,9 +278,9 @@ func BenchmarkEventHeap(b *testing.B) {
 			// stage schedules stage k of camera id's frame at loop time now.
 			stage := func(now float64, id, k int32) {
 				if v.lines {
-					h.file(line[k], now, seq, evHop, id, k)
+					h.file(line[k], now, seq, evLand, id, k)
 				} else {
-					h.push(newEvent(now+chain[k], seq, evHop, id, k))
+					h.push(newEvent(now+chain[k], seq, evLand, id, k))
 				}
 				seq++
 			}

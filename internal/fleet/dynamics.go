@@ -92,15 +92,6 @@ const (
 	DynComputeScale = "compute_scale"
 )
 
-// dynSeed derives a schedule entry's churn-stream seed from the scenario
-// seed and the entry index — two full splitmix64 rounds under the
-// dynamics family tag, the fourth seed family (cameras, class
-// controllers, global, dynamics), so recurring churn draws never perturb
-// any other stream.
-func dynSeed(seed int64, entry int) int64 {
-	return int64(splitmix64(splitmix64(uint64(seed)^0xd11aa1c5) + uint64(entry)))
-}
-
 // normalize fills the section's defaulted fields in place (idempotent):
 // a churn entry's unset Count means one camera per firing.
 func (d *DynamicsConfig) normalize() {
@@ -294,7 +285,7 @@ type DynamicsStats struct {
 // a non-empty schedule so every other run bypasses it entirely.
 type dynamics struct {
 	events []FleetEvent
-	rngs   []prng // per-entry churn streams (dynSeed family)
+	rngs   []prng // per-entry churn streams (seedDynamics family)
 	class  []int  // resolved class index per entry, -1 when kind has none
 	tier   []int  // resolved tier index per entry, -1
 	fall   []int  // resolved fallback tier index per entry, -1
@@ -345,7 +336,7 @@ func newDynamics(sc *Scenario, nodes []tierNode, firstHop []int) *dynamics {
 	}
 	for i := range evs {
 		e := &evs[i]
-		dyn.rngs[i] = newPRNG(dynSeed(sc.Seed, i))
+		dyn.rngs[i] = newPRNG(streamSeed(sc.Seed, seedDynamics, i))
 		dyn.class[i] = -1
 		dyn.tier[i] = -1
 		dyn.fall[i] = -1

@@ -419,15 +419,15 @@ func TestPerCameraSeedsCollisionFree(t *testing.T) {
 	seen := map[int64][2]any{}
 	for _, s := range seeds {
 		for _, i := range idxs {
-			h := cameraSeed(s, i)
+			h := streamSeed(s, seedCamera, i)
 			if prev, dup := seen[h]; dup {
-				t.Fatalf("cameraSeed(%d,%d) == cameraSeed(%v,%v) == %d", s, i, prev[0], prev[1], h)
+				t.Fatalf("camera streams (%d,%d) and (%v,%v) share seed %d", s, i, prev[0], prev[1], h)
 			}
 			seen[h] = [2]any{s, i}
 		}
 	}
 	// And the old failure mode specifically: same seed, indexes 2^20 apart.
-	if cameraSeed(7, 3) == cameraSeed(7, 3+1<<20) {
+	if streamSeed(7, seedCamera, 3) == streamSeed(7, seedCamera, 3+1<<20) {
 		t.Fatal("camera indexes 2^20 apart still collide")
 	}
 }

@@ -19,17 +19,15 @@ type globalController struct {
 }
 
 // newGlobal builds the controller, or nil when the scenario does not
-// configure one. Its stream is derived like the per-class controller
-// streams — two full splitmix64 rounds — under its own tag, so the three
-// stream families (cameras, class controllers, global) stay disjoint.
+// configure one. Its stream is the global family's (streamSeed), indexed
+// by the class count.
 func newGlobal(sc *Scenario) *globalController {
 	if sc.Global == nil {
 		return nil
 	}
-	h := splitmix64(splitmix64(uint64(sc.Seed)^0x61017ba1) + uint64(len(sc.Classes)))
 	return &globalController{
 		cfg:   *sc.Global,
-		rng:   newPRNG(int64(h)),
+		rng:   newPRNG(streamSeed(sc.Seed, seedGlobal, len(sc.Classes))),
 		win:   make([]window, len(sc.Classes)),
 		stats: GlobalStats{BudgetW: sc.Global.BudgetW},
 	}

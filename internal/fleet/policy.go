@@ -80,16 +80,13 @@ type controller struct {
 }
 
 // newControllers builds one controller per adaptive class (nil entries for
-// static or table-less classes). Controller streams are derived from the
-// scenario seed and the class index through two splitmix64 rounds — the
-// same full-width mixing as the per-camera streams, kept disjoint from
-// them by the controller tag folded into the seed round.
+// static or table-less classes). Each controller's stream is the
+// controller family's (streamSeed), indexed by its class.
 func newControllers(sc *Scenario) []*controller {
 	ctls := make([]*controller, len(sc.Classes))
 	for ci := range sc.Classes {
 		if sc.Classes[ci].adaptive() {
-			h := splitmix64(splitmix64(uint64(sc.Seed)^0xc0117801) + uint64(ci))
-			ctls[ci] = &controller{rng: newPRNG(int64(h))}
+			ctls[ci] = &controller{rng: newPRNG(streamSeed(sc.Seed, seedController, ci))}
 		}
 	}
 	return ctls

@@ -16,9 +16,8 @@ import (
 // gamma) and returns a finalizing mix of the new state, so every seed
 // yields a full-period (2^64) stream and two streams whose mixed seeds
 // differ anywhere are statistically independent. Seeds come from
-// cameraSeed and the controller derivations, which are themselves
-// splitmix64-mixed, so consecutive camera indexes start at unrelated
-// stream positions.
+// streamSeed, itself splitmix64-mixed, so consecutive camera indexes
+// start at unrelated stream positions.
 //
 // prng implements rand.Source64, so a stream can still feed rand.New
 // where the full math/rand surface is needed; the direct Float64 /
@@ -34,13 +33,41 @@ var _ rand.Source64 = (*prng)(nil)
 // newPRNG returns a stream positioned by the given (pre-mixed) seed.
 func newPRNG(seed int64) prng { return prng{state: uint64(seed)} }
 
+// splitmix64 is one round of the splitmix64 mixer: step x by the gamma,
+// then finalize.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // Uint64 advances the stream one step and returns 64 random bits.
 func (p *prng) Uint64() uint64 {
+	z := splitmix64(p.state)
 	p.state += 0x9e3779b97f4a7c15
-	z := p.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return z
+}
+
+// The seed families: each kind of stream is derived under its own tag,
+// so the families stay disjoint and adding a subsystem never perturbs
+// another family's draws.
+const (
+	seedCamera     = 0          // per camera, by global camera index
+	seedController = 0xc0117801 // per adaptive class, by class index
+	seedGlobal     = 0x61017ba1 // the global controller, by class count
+	seedFederated  = 0xfedc0de5 // per federated participant, by camera index
+	seedDynamics   = 0xd11aa1c5 // per schedule entry, by entry index
+)
+
+// streamSeed derives the seed of stream idx of a family from the
+// scenario seed, so a stream is a function of (seed, family, index)
+// alone — stable under reordering, class edits elsewhere, or parallel
+// sweeps. Two full mixing rounds keep every seed bit live: the earlier
+// seed<<20+idx camera pre-mix discarded the seed's top 20 bits and
+// collided outright for camera indexes ≥ 2^20.
+func streamSeed(seed int64, family uint64, idx int) int64 {
+	return int64(splitmix64(splitmix64(uint64(seed)^family) + uint64(idx)))
 }
 
 // Int63 implements rand.Source.

@@ -527,7 +527,7 @@ func (sc *Scenario) validateFederated(nodes []tierNode) error {
 	if !slices.ContainsFunc(sc.Tiers, func(t Tier) bool { return t.Downlink != nil }) {
 		return fmt.Errorf("fleet: scenario %q: federated learning needs a \"tiers\" topology with downlinks (the model broadcast rides them)", sc.Name)
 	}
-	topo, err := sc.flTopology(nodes)
+	topo, _, err := sc.flTopology(nodes)
 	if err != nil {
 		return err
 	}
@@ -539,10 +539,11 @@ func (sc *Scenario) validateFederated(nodes []tierNode) error {
 
 // flTopology builds the federated engine's view of the resolved tier
 // tree: names, parent pointers, downlink presence, and the participating
-// camera census per attach tier (every class when Federated.Classes is
-// empty, else exactly the named ones).
-func (sc *Scenario) flTopology(nodes []tierNode) (fl.Topology, error) {
-	topo := fl.Topology{
+// camera census per attach tier. joins marks the participating classes:
+// every class when Federated.Classes is empty, else exactly the named
+// ones.
+func (sc *Scenario) flTopology(nodes []tierNode) (topo fl.Topology, joins []bool, err error) {
+	topo = fl.Topology{
 		Names:   make([]string, len(nodes)),
 		Parent:  make([]int, len(nodes)),
 		Cams:    make([]int, len(nodes)),
@@ -557,21 +558,21 @@ func (sc *Scenario) flTopology(nodes []tierNode) (fl.Topology, error) {
 			topo.Root = i
 		}
 	}
-	part := make(map[string]bool, len(sc.Federated.Classes))
-	for _, name := range sc.Federated.Classes {
+	named := sc.Federated.Classes
+	for _, name := range named {
 		if classIndex(sc.Classes, name) < 0 {
-			return fl.Topology{}, fmt.Errorf("fleet: scenario %q: federated class %q not in the scenario", sc.Name, name)
+			return fl.Topology{}, nil, fmt.Errorf("fleet: scenario %q: federated class %q not in the scenario", sc.Name, name)
 		}
-		part[name] = true
 	}
+	joins = make([]bool, len(sc.Classes))
 	for i := range sc.Classes {
 		c := &sc.Classes[i]
-		if len(part) > 0 && !part[c.Name] {
-			continue
+		joins[i] = len(named) == 0 || slices.Contains(named, c.Name)
+		if joins[i] {
+			topo.Cams[classAttachIndex(nodes, topo.Root, c)] += c.Count
 		}
-		topo.Cams[classAttachIndex(nodes, topo.Root, c)] += c.Count
 	}
-	return topo, nil
+	return topo, joins, nil
 }
 
 // validateGlobal checks the fleet-wide controller configuration.

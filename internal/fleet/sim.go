@@ -10,29 +10,21 @@ import (
 )
 
 // event kinds: a camera captures a frame; an in-camera-processed frame
-// becomes ready for its first-hop link; a transfer finishes propagating
-// between tiers and enters the next link; a transfer clears the root
-// hop's propagation and arrives in the cloud; an adaptive class's
-// controller makes a placement decision; the global energy-aware
-// controller runs one epoch; a federated camera's local training ends
-// and its update blob enters the attach uplink; a federated blob clears
-// its uplink hop's propagation and is absorbed for aggregation one tier
-// up (or at the cloud); a broadcast model blob clears a downlink's
-// propagation and is delivered at the owning tier; a dynamics schedule
-// entry fires (churn, link degradation, tier outage/recovery, rate
-// profile or core rescale). Link completions themselves are not events —
-// the loop peeks them off the links, whose finish times shift as
-// transfers are admitted.
+// becomes ready for its first-hop link; a transfer clears a link's
+// propagation and lands (land); an adaptive class's controller makes a
+// placement decision; the global energy-aware controller runs one epoch;
+// a federated camera's local training ends and its update blob enters
+// the attach uplink; a dynamics schedule entry fires (churn, link
+// degradation, tier outage/recovery, rate profile or core rescale). Link
+// completions themselves are not events — the loop peeks them off the
+// links, whose finish times shift as transfers are admitted.
 const (
 	evCapture = iota
 	evReady
-	evHop
-	evArrive
+	evLand
 	evControl
 	evGlobal
 	evFLReady
-	evFLUp
-	evFLDeliver
 	evDynamics
 )
 
@@ -49,14 +41,12 @@ type event queue.Item[evRef]
 type evRef struct {
 	// id names the subject: the camera (evCapture), class (evControl),
 	// federated participant (evFLReady), dynamics schedule entry
-	// (evDynamics), or transfer (evReady, evHop, evArrive, evFLUp,
-	// evFLDeliver) — a frame's transfer record exists from capture, so it
-	// carries the capture time and payload an evReady needs.
+	// (evDynamics), or transfer (evReady, evLand) — a frame's transfer
+	// record exists from capture, so it carries the capture time and
+	// payload an evReady needs.
 	id int32
-	// aux is the tier a propagating transfer enters (evHop), the uplink
-	// it cleared (evFLUp) or the tier it is delivered at (evFLDeliver),
-	// and the round a federated participant's update belongs to
-	// (evFLReady).
+	// aux is the link a landing transfer cleared (evLand), and the round a
+	// federated participant's update belongs to (evFLReady).
 	aux int32
 }
 
@@ -201,27 +191,11 @@ type transfer struct {
 }
 
 // flPart is one federated participant: a camera's attach tier plus its
-// own jitter stream, a third seed family (cameras, controllers,
-// federated) so enabling a federated job never perturbs frame traffic
-// draws.
+// own jitter stream, in the federated seed family so enabling a
+// federated job never perturbs frame traffic draws.
 type flPart struct {
 	tier int32
 	rng  prng
-}
-
-// flSeed derives a participant's jitter-stream seed from the scenario
-// seed and the camera's global index, two full splitmix64 rounds under
-// the federated family tag.
-func flSeed(seed int64, idx int) int64 {
-	return int64(splitmix64(splitmix64(uint64(seed)^0xfedc0de5) + uint64(idx)))
-}
-
-// splitmix64 is one round of the splitmix64 mixer.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // clampEst converts a float capacity estimate to an int usable as a make
@@ -239,15 +213,6 @@ func clampEst(x float64) int {
 		return estCap
 	}
 	return int(x)
-}
-
-// cameraSeed derives a well-separated per-camera seed, so a camera's random
-// stream is a function of (seed, index) alone — stable under reordering,
-// class edits elsewhere, or parallel sweeps. Two full mixing rounds keep
-// every seed bit live: the earlier seed<<20+idx pre-mix discarded the
-// seed's top 20 bits and collided outright for camera indexes ≥ 2^20.
-func cameraSeed(seed int64, idx int) int64 {
-	return int64(splitmix64(splitmix64(uint64(seed)) + uint64(idx)))
 }
 
 // Run executes one scenario to completion: captures stop at
@@ -289,11 +254,6 @@ type engine struct {
 	// delay.
 	compPlan [][]float64
 	compWait []*quantile.Sketch
-	// netInFlight counts transfers resident in any link (one transfer
-	// crossing k tiers counts once per currently occupied link).
-	// Transfers mid-propagation between links wait on a delay line
-	// instead, so the loop condition still sees them as pending events.
-	netInFlight int
 
 	// firstHop maps each class to the link its cameras transmit on, and
 	// fps to its live capture rate: the declared FPS times the current
@@ -457,9 +417,10 @@ func newEngine(sc Scenario) (*engine, error) {
 	// is pure accounting — the loop reports blob landings and model
 	// deliveries to it and starts the transfers it asks for. One pending
 	// ready event per federated participant at a time.
+	var joins []bool
 	if s.Federated != nil {
-		topo, err := s.flTopology(nodes)
-		if err != nil {
+		var topo fl.Topology
+		if topo, joins, err = s.flTopology(nodes); err != nil {
 			return nil, err
 		}
 		if e.fle, err = fl.NewEngine(*s.Federated, topo); err != nil {
@@ -502,20 +463,16 @@ func newEngine(sc Scenario) (*engine, error) {
 	// starts at t = 0; rounds run to completion past Duration, the event
 	// loop draining them like any other traffic.
 	if e.fle != nil {
-		part := make(map[string]bool, len(s.Federated.Classes))
-		for _, name := range s.Federated.Classes {
-			part[name] = true
-		}
 		e.flByTier = make([][]int32, len(nodes))
 		e.flParts = make([]flPart, 0, e.fle.Cameras())
 		for ci := range s.Classes {
-			if len(part) > 0 && !part[s.Classes[ci].Name] {
+			if !joins[ci] {
 				continue
 			}
 			ti := e.firstHop[ci]
 			for _, camIdx := range e.classCams[ci] {
 				pi := int32(len(e.flParts))
-				e.flParts = append(e.flParts, flPart{tier: int32(ti), rng: newPRNG(flSeed(s.Seed, int(camIdx)))})
+				e.flParts = append(e.flParts, flPart{tier: int32(ti), rng: newPRNG(streamSeed(s.Seed, seedFederated, int(camIdx)))})
 				e.flByTier[ti] = append(e.flByTier[ti], pi)
 			}
 		}
@@ -562,7 +519,7 @@ func (e *engine) price(ci, ti int) {
 func (e *engine) addCamera(ci int, t float64) {
 	cl := &e.sc.Classes[ci]
 	idx := len(e.cams)
-	c := camera{class: ci, rng: newPRNG(cameraSeed(e.sc.Seed, idx)), stored: cl.StoreJ, lastTop: t, placement: cl.Policy.Start}
+	c := camera{class: ci, rng: newPRNG(streamSeed(e.sc.Seed, seedCamera, idx)), stored: cl.StoreJ, lastTop: t, placement: cl.Policy.Start}
 	var first float64
 	if cl.Arrival == ArrivalPoisson {
 		first = c.rng.ExpFloat64() / e.fps[ci]
@@ -627,16 +584,14 @@ func (e *engine) file(l int32, now float64, kind int, id, aux int32) {
 }
 
 // startLink and finishLink admit and complete a transfer on link li,
-// keeping the in-flight counter and the completion index current.
+// keeping the completion index current.
 func (e *engine) startLink(li int, now float64, id int, bytes float64) {
 	e.links[li].Start(now, id, bytes)
-	e.netInFlight++
 	e.lidx.invalidate(li)
 }
 
 func (e *engine) finishLink(li int) int {
 	id := e.links[li].Finish()
-	e.netInFlight--
 	e.slots[li].transfers++
 	e.lidx.invalidate(li)
 	return id
@@ -707,9 +662,7 @@ func (e *engine) drop(ci int, cause dropCause) {
 
 // dropOutage loses frame transfer id to an outage at tier ti: the
 // camera's queue slot frees (the frame will never arrive) and the drop is
-// charged to the class, the tier and the schedule's totals. The caller
-// settles netInFlight for ids drained out of a link; an id dropped on
-// arrival was in no link.
+// charged to the class, the tier and the schedule's totals.
 func (e *engine) dropOutage(ti, id int) {
 	tr := e.release(id)
 	c := &e.cams[tr.cam]
@@ -723,9 +676,7 @@ func (e *engine) dropOutage(ti, id int) {
 // outage at tier ti, in completion order then waiting order, with no
 // served credit.
 func (e *engine) drainLink(li, ti int) {
-	ids := e.links[li].drain()
-	e.netInFlight -= len(ids)
-	for _, id := range ids {
+	for _, id := range e.links[li].drain() {
 		e.dropOutage(ti, id)
 	}
 	e.lidx.invalidate(li)
@@ -835,73 +786,66 @@ func (e *engine) capture(t float64, camIdx int32) {
 }
 
 // forward moves the transfer link li just finished at time t on to its
-// next stage: from a core pool onto the owning tier's uplink, from a
-// downlink or a federated uplink hop to its landing, from a frame's
-// uplink hop to the parent tier, and from the root into the cloud.
+// next stage: from a core pool onto the owning tier's uplink, and from
+// any other link to its landing one propagation delay later.
 func (e *engine) forward(li int, t float64) {
 	id := e.finishLink(li)
-	tr := e.transfers[id]
 	sl := &e.slots[li]
-	ti, nd := sl.owner, &e.nodes[sl.owner]
 	switch {
 	case sl.role == rolePool:
 		// A core pool drained: record the frame's queueing wait (sojourn
 		// minus service, clamped against fair-share float drift), then
 		// the frame starts transmission on the owning tier's uplink at
 		// the same instant.
+		tr, ti := &e.transfers[id], sl.owner
 		w := t - tr.compAt - e.compPlan[ti][e.cams[tr.cam].class]*tr.bytes
 		if w < 0 {
 			w = 0
 		}
 		e.compWait[ti].Add(w)
 		e.startLink(ti, t, id, tr.bytes)
-	case sl.role == roleDown:
-		// A downlink drained: the model blob is delivered at the owning
-		// tier one downlink propagation later.
-		if sl.line < 0 {
-			e.flDeliver(t, ti, id)
-		} else {
-			e.file(sl.line, t, evFLDeliver, int32(id), int32(ti))
-		}
-	case tr.round > 0:
-		// A federated blob cleared one uplink hop: it is absorbed for
-		// aggregation where it lands, never forwarded onward — the
-		// in-network aggregation that shrinks bytes per hop.
-		e.flUpBytes[ti] += tr.bytes
-		if sl.line < 0 {
-			e.flAbsorb(t, ti, id)
-		} else {
-			e.file(sl.line, t, evFLUp, int32(id), int32(ti))
-		}
-	case ti != e.root:
-		// This hop's transmission is done: the frame arrives at the
-		// parent tier one propagation delay later. With no delay it
-		// enters the parent link at the instant it drains, preserving
-		// the legacy two-tier event order exactly.
-		if sl.line < 0 {
-			e.enterTier(t, nd.parent, id)
-		} else {
-			e.file(sl.line, t, evHop, int32(id), int32(nd.parent))
-		}
 	case sl.line < 0:
-		// Root transmission done: the frame still propagates the root hop
-		// before it lands in the cloud, which is when its
-		// capture-to-arrival latency stops accruing and its completion
-		// becomes observable (queue slot, controller telemetry).
-		e.complete(t, id)
+		// Without a propagation delay the transfer lands at the instant
+		// it drains, before any same-instant link completion; a
+		// zero-delay line would let those run first.
+		e.land(t, li, id)
 	default:
-		e.file(sl.line, t, evArrive, int32(id), 0)
+		e.file(sl.line, t, evLand, int32(id), int32(li))
+	}
+}
+
+// land delivers transfer id, which cleared link li and its propagation,
+// at time t. A downlink's model blob is delivered at the link's owner
+// tier; a federated update is absorbed for aggregation one tier up,
+// never forwarded onward — the in-network aggregation that shrinks bytes
+// per hop; a frame enters the parent tier, or from the root lands in the
+// cloud, which is when its capture-to-arrival latency stops accruing and
+// its completion becomes observable (queue slot, controller telemetry).
+func (e *engine) land(t float64, li, id int) {
+	sl := &e.slots[li]
+	ti := sl.owner
+	switch {
+	case sl.role == roleDown:
+		e.flDeliver(t, ti, id)
+	case e.transfers[id].round > 0:
+		e.flAbsorb(t, ti, id)
+	case ti != e.root:
+		e.enterTier(t, e.nodes[ti].parent, id)
+	default:
+		e.complete(t, id)
 	}
 }
 
 // flAbsorb lands federated transfer id — which just cleared uplink li
 // and its propagation — at the parent tier (the cloud above the root)
-// at time t, where it is aggregated. When the landing completes the
-// round's fan-in there, the tier emits one merged blob on its own
-// uplink; when the cloud's fan-in completes, the merged model starts
-// down the root's downlink.
+// at time t, where it is aggregated, and counts its bytes in the
+// uplink's federated share. When the landing completes the round's
+// fan-in there, the tier emits one merged blob on its own uplink; when
+// the cloud's fan-in completes, the merged model starts down the root's
+// downlink.
 func (e *engine) flAbsorb(t float64, li, id int) {
 	tr := e.release(id)
+	e.flUpBytes[li] += tr.bytes
 	target := e.nodes[li].parent
 	from := -1
 	if tr.cam >= 0 {
@@ -1051,17 +995,14 @@ func (e *engine) drainStalled() {
 }
 
 // loop runs events and link completions in time order until no event is
-// pending and no link holds a transfer. Link completions are not events:
-// the loop peeks them off the links, whose finish times shift as
-// transfers are admitted, and a completion runs before an event at the
-// same instant.
+// pending and the link index holds no busy link. Link completions are
+// not events: the loop peeks them off the links, whose finish times
+// shift as transfers are admitted, and a completion runs before an event
+// at the same instant.
 func (e *engine) loop() error {
 	for {
 		t, pending := e.events.next()
-		if !pending && e.netInFlight == 0 {
-			return nil
-		}
-		if li, lt, ok := e.lidx.peek(); ok && (!pending || lt <= t) {
+		if li, lt, busy := e.lidx.peek(); busy && (!pending || lt <= t) {
 			if math.IsInf(lt, 1) {
 				e.drainStalled()
 				continue
@@ -1072,6 +1013,9 @@ func (e *engine) loop() error {
 			e.acc.advance(lt)
 			e.forward(li, lt)
 			continue
+		}
+		if !pending {
+			return nil
 		}
 		ev := e.events.pop()
 		e.acc.advance(ev.T)
@@ -1087,10 +1031,8 @@ func (e *engine) loop() error {
 		case evReady:
 			id := int(ev.P.id)
 			e.enterTier(ev.T, e.firstHop[e.cams[e.transfers[id].cam].class], id)
-		case evHop:
-			e.enterTier(ev.T, int(ev.P.aux), int(ev.P.id))
-		case evArrive:
-			e.complete(ev.T, int(ev.P.id))
+		case evLand:
+			e.land(ev.T, int(ev.P.aux), int(ev.P.id))
 		case evControl:
 			ci := int(ev.P.id)
 			if dir := e.ctls[ci].decide(e, ci); dir != 0 {
@@ -1109,10 +1051,6 @@ func (e *engine) loop() error {
 			ub := e.fle.UpdateBytes()
 			id := e.newTransfer(transfer{cam: ev.P.id, round: ev.P.aux, bytes: ub})
 			e.startLink(int(p.tier), ev.T, id, ub)
-		case evFLUp:
-			e.flAbsorb(ev.T, int(ev.P.aux), int(ev.P.id))
-		case evFLDeliver:
-			e.flDeliver(ev.T, int(ev.P.aux), int(ev.P.id))
 		case evDynamics:
 			e.dynFire(ev.T, int(ev.P.id))
 		default:
