@@ -461,14 +461,22 @@
 //     (p50, p95, p99) in increasing order, each within the part of the
 //     samples right of the previous one, instead of sorting every
 //     class's samples and the merged total; the values are identical to
-//     sorted nearest-rank reads.
-//   - Memory model: each camera embeds its random stream by value — an
-//     8-byte splitmix64 state (prng) instead of a *rand.Rand whose
-//     lagged-Fibonacci source is ~5 KB of heap per camera — so 100k
-//     cameras cost ~800 KB of inline state rather than ~500 MB of
-//     pointer-chased boxes. Transfer ids are recycled through a free
-//     list, bounding transfer storage by the peak in-flight population
-//     instead of the total frame count. The event heap is preallocated
+//     sorted nearest-rank reads. The controllers' window p95 is selected
+//     the same way, and a sketch answers p50, p95 and p99 from one sort
+//     of its retained items (quantile.Sketch.Quantiles).
+//   - Memory model: a camera is 24 bytes — its random stream embedded by
+//     value (an 8-byte splitmix64 state, prng, instead of a *rand.Rand
+//     whose lagged-Fibonacci source is ~5 KB of heap per camera), an
+//     int32 class, placement row and in-flight count, and a departed
+//     flag — so 100k cameras cost 2.4 MB of inline state rather than
+//     ~500 MB of pointer-chased boxes. A harvesting run adds 16 bytes
+//     per camera for its store, in a side table that other runs never
+//     allocate. A frame's 40-byte transfer record carries its class, so
+//     after capture the frame reads its camera only to free its queue
+//     slot. Transfer ids are recycled through a free list and the slab
+//     grows by append, so transfer storage follows the peak in-flight
+//     population (~3.7k records on a 100k-camera fleet) instead of the
+//     camera count or the total frame count. The event heap is preallocated
 //     to its structural bound — one pending capture per camera, one
 //     control tick per class, one global epoch, one ready event per
 //     federated participant and one entry per schedule entry — because
@@ -476,7 +484,8 @@
 //     joins regrow it. Each line's ring grows to its own peak, which
 //     on a line of delay d fed at r events per second is about r × d.
 //     The per-class latency slices are preallocated from FPS × Duration
-//     × Count estimates, so the loop never regrows them.
+//     × Count estimates plus four Poisson standard deviations, so the
+//     loop does not regrow them.
 //   - Seeded-stream shift: moving from rand.Rand's ziggurat draws to the
 //     prng's inversion-based ExpFloat64 / 53-bit Float64 shifted every
 //     seeded stream once (goldens were regenerated, as for the PR 3 seed

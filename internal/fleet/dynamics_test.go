@@ -704,3 +704,44 @@ func TestRehomeRepricesControllers(t *testing.T) {
 		}
 	}
 }
+
+// TestDynamicsHarvestChurn pins the table of a harvesting class under
+// recurring joins and leaves. Each joiner starts with its own full store
+// from its join time and drains it independently; a joiner that shared
+// or skipped a store, or topped one up from the wrong instant, moves the
+// energy drops, the captured counts and J/frame.
+func TestDynamicsHarvestChurn(t *testing.T) {
+	sc := dynamicsDemo(13)
+	sc.Tiers[0].Uplink.Gbps = 0.02
+	sc.Tiers[1].Uplink.Gbps = 0.02
+	sc.Tiers[2].Uplink.Gbps = 0.05
+	sc.Classes = []Class{
+		{Name: "bg", Count: 6, FPS: 4, FrameBytes: 20_000, Tier: "gw-b", QueueDepth: 4},
+		{Name: "solar", Count: 8, FPS: 8, Arrival: ArrivalPoisson, FrameBytes: 20_000,
+			OffloadProb: 0.7, ComputeSeconds: 0.004, Tier: "gw-a", QueueDepth: 3,
+			CaptureJ: 1e-3, ComputeJ: 2e-3, TxFixedJ: 1e-3, TxPerByteJ: 1e-7,
+			HarvestW: 0.02, StoreJ: 0.04},
+	}
+	sc.Dynamics = &DynamicsConfig{Events: []FleetEvent{
+		{Time: 0.5, Kind: DynCameraJoin, Class: "solar", Count: 2, EverySec: 0.8},
+		{Time: 1.0, Kind: DynCameraLeave, Class: "solar", EverySec: 1.2},
+	}}
+	res, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertConserved(t, sc.Name, res)
+	const want = `scenario dynamics-demo                uplink 0.1 Gb/s fair-share util  27.2%  drained 8.00s
+  class                    cams  captured   offload   dropQ   dropE      p50      p95      p99    J/frame
+  bg                          6       192       192       0       0   11.2ms   15.9ms   18.2ms          0
+  solar                      24      1170       489       0     381   18.4ms   42.9ms   55.5ms    0.00328
+  fleet                      30      1362       681       0     381   15.7ms   40.0ms   53.8ms    0.00281
+  tier gw-a->core               0.0 Gb/s fair-share util  48.9%  xfers 489
+  tier gw-b->core               0.0 Gb/s fifo       util  19.2%  xfers 192
+  tier core                     0.1 Gb/s fair-share util  27.2%  xfers 681
+  dynamics events 2  joined 22  left 6  rehomed 0  outage-drops 0
+`
+	if got := res.Table(); got != want {
+		t.Errorf("table moved.\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}

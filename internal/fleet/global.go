@@ -173,7 +173,7 @@ func (g *globalController) epoch(t float64, e *engine) {
 func (g *globalController) moveAccept(e *engine, ci, dir, k int, projected *float64, latency bool) int {
 	rows, fps := e.rowJ[ci], e.fps[ci]
 	admit := func(idx int32) (step, stop bool) {
-		at := e.cams[idx].placement
+		at := int(e.cams[idx].placement)
 		deltaW := (rows[at+dir] - rows[at]) * fps
 		if deltaW > 0 && *projected+deltaW > g.cfg.BudgetW {
 			// This camera's step would push the fleet over budget — but

@@ -39,6 +39,18 @@ func (h *eventHeap) len() int {
 	return n
 }
 
+// TestRecordLayout pins the per-camera and per-transfer records: a
+// 24-byte camera keeps a 100k-camera fleet's capture reads cache-resident,
+// and a frame's transfer carries its class in 40 bytes.
+func TestRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(camera{}); got != 24 {
+		t.Errorf("camera is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(transfer{}); got != 40 {
+		t.Errorf("transfer is %d bytes, want 40", got)
+	}
+}
+
 // eventLess is the reference (t, seq) order the event queue must follow.
 func eventLess(a, b event) bool { return a.T < b.T || (a.T == b.T && a.Tie < b.Tie) }
 

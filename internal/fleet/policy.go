@@ -1,10 +1,6 @@
 package fleet
 
-import (
-	"sort"
-
-	"camsim/internal/fleet/quantile"
-)
+import "camsim/internal/fleet/quantile"
 
 // window is one decider's observation window: the offload latencies
 // completed and the queue and outage drops counted since its last
@@ -18,11 +14,12 @@ func (w *window) observe(lat float64) { w.lat = append(w.lat, lat) }
 
 // consume empties the window and returns how many latencies it held,
 // their nearest-rank p95 (0 when there were none) and its drop count.
+// The p95 is read by selection, which returns the order statistic a
+// sort would put at its rank.
 func (w *window) consume() (n int, p95 float64, drops int64) {
 	n, drops = len(w.lat), w.drops
 	if n > 0 {
-		sort.Float64s(w.lat)
-		p95 = quantile.NearestRank(w.lat, 0.95)
+		p95 = selectRank(w.lat, quantile.Rank(n, 0.95)-1)
 	}
 	w.lat, w.drops = w.lat[:0], 0
 	return n, p95, drops
@@ -46,7 +43,7 @@ func batchSize(frac float64, n int) int {
 func shuffleMove(rng *prng, cams []camera, members []int32, last, dir, k int, admit func(idx int32) (step, stop bool)) int {
 	var cand []int32
 	for _, idx := range members {
-		if p := cams[idx].placement + dir; p >= 0 && p <= last {
+		if p := int(cams[idx].placement) + dir; p >= 0 && p <= last {
 			cand = append(cand, idx)
 		}
 	}
@@ -63,7 +60,7 @@ func shuffleMove(rng *prng, cams []camera, members []int32, last, dir, k int, ad
 				continue
 			}
 		}
-		cams[cand[i]].placement += dir
+		cams[cand[i]].placement += int32(dir)
 		moved++
 	}
 	return moved
@@ -98,7 +95,7 @@ func newControllers(sc *Scenario) []*controller {
 // move.
 func rowDelta(rows []float64, cams []camera, members []int32, dir int) (sum float64, n int) {
 	for _, idx := range members {
-		at := cams[idx].placement
+		at := int(cams[idx].placement)
 		to := at + dir
 		if to < 0 || to >= len(rows) {
 			continue

@@ -1,7 +1,9 @@
 package quantile
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -53,23 +55,15 @@ type Sketch struct {
 	maxSize    int    // sum of compactor capacities at the current height
 	count      uint64 // total weight = items observed (Add + Merge)
 	coin       uint64 // splitmix64 state for compaction offsets
-	scratch    []wv   // Quantile's flatten buffer, reused across calls
+	scratch    []wv   // Quantiles' flatten buffer, reused across calls
 }
 
-// wv is one retained value with its compactor weight, Quantile's sort
+// wv is one retained value with its compactor weight, Quantiles' sort
 // unit.
 type wv struct {
 	v float64
 	w uint64
 }
-
-// byValue sorts wv items by value without sort.Slice's per-call
-// reflection swapper allocation.
-type byValue []wv
-
-func (a byValue) Len() int           { return len(a) }
-func (a byValue) Less(i, j int) bool { return a[i].v < a[j].v }
-func (a byValue) Swap(i, j int)      { a[i], a[j] = a[j], a[i] }
 
 // NewSketch returns an empty sketch. The compaction coin is seeded by a
 // fixed constant so identical insertion orders produce identical
@@ -202,8 +196,18 @@ func (s *Sketch) Merge(o *Sketch) {
 // Merge, Quantile is not safe for concurrent use — it reuses a
 // per-sketch flatten buffer across calls.
 func (s *Sketch) Quantile(q float64) float64 {
+	var v [1]float64
+	s.Quantiles(v[:], q)
+	return v[0]
+}
+
+// Quantiles sets out[i] to Quantile(qs[i]) for every i, in any order of
+// qs, from one flatten and sort of the retained items where as many
+// Quantile calls pay for one each. out must hold len(qs) values.
+func (s *Sketch) Quantiles(out []float64, qs ...float64) {
 	if s.count == 0 {
-		return 0
+		clear(out[:len(qs)])
+		return
 	}
 	items := s.scratch[:0]
 	for h, c := range s.compactors {
@@ -213,7 +217,17 @@ func (s *Sketch) Quantile(q float64) float64 {
 		}
 	}
 	s.scratch = items
-	sort.Sort(byValue(items))
+	// Equal values may sort in any order: the value at a weight crossing
+	// is the same whichever of them crosses.
+	slices.SortFunc(items, func(a, b wv) int { return cmp.Compare(a.v, b.v) })
+	for i, q := range qs {
+		out[i] = s.at(items, q)
+	}
+}
+
+// at returns the smallest value of the sorted items whose cumulative
+// weight reaches the q-quantile's nearest rank.
+func (s *Sketch) at(items []wv, q float64) float64 {
 	target := uint64(math.Ceil(q * float64(s.count)))
 	if target < 1 {
 		target = 1

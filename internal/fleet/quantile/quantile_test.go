@@ -289,3 +289,44 @@ func TestSketchEmptyAndNil(t *testing.T) {
 		t.Fatalf("single-sample quantile %v", got)
 	}
 }
+
+// TestSketchQuantilesOneSort pins Quantiles against the weighted
+// nearest rank written out longhand: every retained item repeated by its
+// weight, sorted, read by NearestRank. The stream repeats a few values,
+// so equal values sit on several levels at different weights and the
+// sort may order them either way; qs come in no particular order.
+func TestSketchQuantilesOneSort(t *testing.T) {
+	rng := newTestRNG(3)
+	s := NewSketch()
+	qs := []float64{0.99, 0.5, 0, 0.95, 1, 0.01}
+	out := make([]float64, len(qs))
+	s.Quantiles(out, qs...)
+	for i, v := range out {
+		if v != 0 {
+			t.Fatalf("empty sketch: q=%v gave %v", qs[i], v)
+		}
+	}
+	for n := 1; n <= 50_000; n *= 7 {
+		for s.Count() < uint64(n) {
+			s.Add(math.Round(20*rng.float64()) / 4)
+		}
+		var expanded []float64
+		for h, c := range s.compactors {
+			for _, v := range c {
+				for range 1 << h {
+					expanded = append(expanded, v)
+				}
+			}
+		}
+		sort.Float64s(expanded)
+		s.Quantiles(out, qs...)
+		for i, q := range qs {
+			if want := NearestRank(expanded, q); out[i] != want {
+				t.Errorf("n=%d q=%v: Quantiles gave %v, weighted nearest rank %v", n, q, out[i], want)
+			}
+			if got := s.Quantile(q); got != out[i] {
+				t.Errorf("n=%d q=%v: Quantile %v, Quantiles %v", n, q, got, out[i])
+			}
+		}
+	}
+}

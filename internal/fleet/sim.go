@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"camsim/internal/fleet/fl"
 	"camsim/internal/fleet/quantile"
@@ -154,19 +155,27 @@ func (h *eventHeap) pop() event {
 	return ev
 }
 
-// camera is one simulated device. The random stream is embedded by value:
-// 8 bytes inline rather than a pointer to rand.NewSource's ~5 KB state,
-// so a 100k-camera fleet stays cache-resident.
+// camera is one simulated device, 24 bytes: what a capture reads and
+// nothing else, so a 100k-camera fleet stays cache-resident. The random
+// stream is embedded by value, 8 bytes inline rather than a pointer to
+// rand.NewSource's ~5 KB state. A harvesting camera's store lives in the
+// engine's harvest table, and a frame carries its class in its transfer
+// record, so after capture a frame reads its camera only to free its
+// queue slot.
 type camera struct {
-	class     int
 	rng       prng
-	inflight  int
-	placement int     // current index into the class's Placements table
-	stored    float64 // harvested joules in the store (harvesting classes)
-	lastTop   float64 // wall time of the last store top-up
+	class     int32
+	placement int32 // current index into the class's Placements table
+	inflight  int32
 	// departed marks a camera retired by dynamics churn: it captures
 	// nothing further, but frames already in flight still complete.
 	departed bool
+}
+
+// store is one harvesting camera's energy store: the joules held and the
+// time of the last top-up.
+type store struct {
+	joules, lastTop float64
 }
 
 // transfer is one in-flight payload, indexed by transfer id. A frame
@@ -179,6 +188,9 @@ type camera struct {
 type transfer struct {
 	cam   int32
 	round int32
+	// class is a frame's camera class, fixed at capture, so the hops,
+	// pools and landing never read the camera.
+	class int32
 	// capturedAt (the latency epoch) and bytes are fixed at capture time,
 	// so a placement switch mid-flight cannot retroactively resize a
 	// frame.
@@ -276,6 +288,9 @@ type engine struct {
 
 	cams      []camera
 	classCams [][]int32
+	// harvest holds each camera's energy store by camera index; nil
+	// unless some class harvests.
+	harvest   []store
 	transfers []transfer
 	freeIDs   []int
 	events    eventHeap
@@ -430,14 +445,17 @@ func newEngine(sc Scenario) (*engine, error) {
 	}
 
 	// Transfer ids are recycled through a free list the moment a transfer
-	// completes, so the transfers slice scales with the peak in-flight
-	// population instead of growing one slot per frame for the life of the
-	// run. Recycling cannot perturb results: a completed id is referenced
-	// nowhere (not in any link, not in any pending event), and no output
-	// ordering keys off id values, so a frame's record can be allocated at
-	// capture and carry its payload through in-camera compute.
-	e.transfers = make([]transfer, 0, s.Cameras())
+	// completes, so the transfers slice grows to the peak in-flight
+	// population, far below the camera count, instead of one slot per
+	// frame for the life of the run. Recycling cannot perturb results: a
+	// completed id is referenced nowhere (not in any link, not in any
+	// pending event), and no output ordering keys off id values, so a
+	// frame's record can be allocated at capture and carry its payload
+	// through in-camera compute.
 	e.cams = make([]camera, 0, s.Cameras())
+	if slices.ContainsFunc(s.Classes, func(c Class) bool { return c.HarvestW > 0 }) {
+		e.harvest = make([]store, 0, s.Cameras())
+	}
 	e.classCams = make([][]int32, len(s.Classes))
 	e.ctls = newControllers(s)
 	e.gctl = newGlobal(s)
@@ -512,14 +530,18 @@ func (e *engine) price(ci, ti int) {
 }
 
 // addCamera adds one camera of class ci at time t, capturing at the
-// class's live rate. Its stream continues the global camera-seed
-// sequence, so every existing camera's stream is untouched, and its first
-// capture falls a random phase inside one period (periodic) or one
-// exponential gap (Poisson) after t.
+// class's live rate, with a full store from t when the run harvests. Its
+// stream continues the global camera-seed sequence, so every existing
+// camera's stream is untouched, and its first capture falls a random
+// phase inside one period (periodic) or one exponential gap (Poisson)
+// after t.
 func (e *engine) addCamera(ci int, t float64) {
 	cl := &e.sc.Classes[ci]
 	idx := len(e.cams)
-	c := camera{class: ci, rng: newPRNG(streamSeed(e.sc.Seed, seedCamera, idx)), stored: cl.StoreJ, lastTop: t, placement: cl.Policy.Start}
+	c := camera{class: int32(ci), rng: newPRNG(streamSeed(e.sc.Seed, seedCamera, idx)), placement: int32(cl.Policy.Start)}
+	if e.harvest != nil {
+		e.harvest = append(e.harvest, store{joules: cl.StoreJ, lastTop: t})
+	}
 	var first float64
 	if cl.Arrival == ArrivalPoisson {
 		first = c.rng.ExpFloat64() / e.fps[ci]
@@ -665,11 +687,10 @@ func (e *engine) drop(ci int, cause dropCause) {
 // charged to the class, the tier and the schedule's totals.
 func (e *engine) dropOutage(ti, id int) {
 	tr := e.release(id)
-	c := &e.cams[tr.cam]
-	c.inflight--
+	e.cams[tr.cam].inflight--
 	e.dyn.stats.DroppedOutage++
 	e.dyn.outageDrops[ti]++
-	e.drop(c.class, dropOutage)
+	e.drop(int(tr.class), dropOutage)
 }
 
 // drainLink drops every transfer in flight on link li as lost to an
@@ -695,7 +716,7 @@ func (e *engine) enterTier(now float64, ti, id int) {
 	tr := &e.transfers[id]
 	if li := e.compLink[ti]; li >= 0 {
 		tr.compAt = now
-		e.startLink(li, now, id, e.compPlan[ti][e.cams[tr.cam].class]*tr.bytes)
+		e.startLink(li, now, id, e.compPlan[ti][tr.class]*tr.bytes)
 		return
 	}
 	e.startLink(ti, now, id, tr.bytes)
@@ -707,16 +728,16 @@ func (e *engine) enterTier(now float64, ti, id int) {
 // arrived.
 func (e *engine) complete(arrive float64, id int) {
 	tr := e.release(id)
-	c := &e.cams[tr.cam]
-	c.inflight--
-	e.res.Classes[c.class].Offloaded++
+	e.cams[tr.cam].inflight--
+	ci := int(tr.class)
+	e.res.Classes[ci].Offloaded++
 	lat := arrive - tr.capturedAt
-	e.acc.observe(c.class, lat)
-	if ctl := e.ctls[c.class]; ctl != nil {
+	e.acc.observe(ci, lat)
+	if ctl := e.ctls[ci]; ctl != nil {
 		ctl.win.observe(lat)
 	}
 	if e.gctl != nil {
-		e.gctl.win[c.class].observe(lat)
+		e.gctl.win[ci].observe(lat)
 	}
 	if arrive > e.res.SimEnd {
 		e.res.SimEnd = arrive
@@ -727,8 +748,9 @@ func (e *engine) complete(arrive float64, id int) {
 // then dropped, offloaded, or kept in the camera.
 func (e *engine) capture(t float64, camIdx int32) {
 	c := &e.cams[camIdx]
-	cl := &e.sc.Classes[c.class]
-	st := &e.res.Classes[c.class]
+	ci := int(c.class)
+	cl := &e.sc.Classes[ci]
+	st := &e.res.Classes[ci]
 	st.Captured++
 
 	// Per-frame costs come from the camera's current placement when the
@@ -741,12 +763,12 @@ func (e *engine) capture(t float64, camIdx int32) {
 		pc := &cl.Placements[c.placement]
 		frameBytes = float64(pc.FrameBytes)
 		computeJ = pc.ComputeJ
-		row = c.placement
+		row = int(c.placement)
 	}
 
 	offload := frameBytes > 0 && cl.OffloadProb > 0 && c.rng.Float64() < cl.OffloadProb
 	queueDropped := false
-	if offload && c.inflight >= cl.QueueDepth {
+	if offload && int(c.inflight) >= cl.QueueDepth {
 		// Backpressure: the frame is still processed in-camera, but its
 		// offload is abandoned (no transmit cost below).
 		queueDropped = true
@@ -757,29 +779,30 @@ func (e *engine) capture(t float64, camIdx int32) {
 		need += cl.TxFixedJ + cl.TxPerByteJ*frameBytes
 	}
 	if cl.HarvestW > 0 {
-		c.stored += cl.HarvestW * (t - c.lastTop)
-		if c.stored > cl.StoreJ {
-			c.stored = cl.StoreJ
+		h := &e.harvest[camIdx]
+		h.joules += cl.HarvestW * (t - h.lastTop)
+		if h.joules > cl.StoreJ {
+			h.joules = cl.StoreJ
 		}
-		c.lastTop = t
-		if c.stored < need {
+		h.lastTop = t
+		if h.joules < need {
 			// The store cannot pay for this frame: skip it entirely and
 			// keep charging. Energy starvation is the binding constraint,
 			// so a frame dropped here is never also counted against the
 			// queue — each drop has exactly one cause.
-			e.drop(c.class, dropEnergy)
+			e.drop(ci, dropEnergy)
 			return
 		}
-		c.stored -= need
+		h.joules -= need
 	}
 	st.EnergyJ += need
 	switch {
 	case queueDropped:
-		e.drop(c.class, dropQueue)
+		e.drop(ci, dropQueue)
 	case offload:
 		c.inflight++
-		id := e.newTransfer(transfer{cam: camIdx, capturedAt: t, bytes: frameBytes})
-		e.file(e.readyLine[e.rowBase[c.class]+row], t, evReady, int32(id), 0)
+		id := e.newTransfer(transfer{cam: camIdx, class: c.class, capturedAt: t, bytes: frameBytes})
+		e.file(e.readyLine[e.rowBase[ci]+row], t, evReady, int32(id), 0)
 	default:
 		st.KeptInCamera++
 	}
@@ -798,7 +821,7 @@ func (e *engine) forward(li int, t float64) {
 		// the frame starts transmission on the owning tier's uplink at
 		// the same instant.
 		tr, ti := &e.transfers[id], sl.owner
-		w := t - tr.compAt - e.compPlan[ti][e.cams[tr.cam].class]*tr.bytes
+		w := t - tr.compAt - e.compPlan[ti][tr.class]*tr.bytes
 		if w < 0 {
 			w = 0
 		}
@@ -1030,7 +1053,7 @@ func (e *engine) loop() error {
 			}
 		case evReady:
 			id := int(ev.P.id)
-			e.enterTier(ev.T, e.firstHop[e.cams[e.transfers[id].cam].class], id)
+			e.enterTier(ev.T, e.firstHop[e.transfers[id].class], id)
 		case evLand:
 			e.land(ev.T, int(ev.P.aux), int(ev.P.id))
 		case evControl:
@@ -1130,8 +1153,9 @@ func (e *engine) result() *Result {
 				Utilization: utilization(busy, e.slots[li].cap, res.SimEnd),
 			}
 			if s := e.compWait[i]; s.Count() > 0 {
-				cs.WaitP50 = s.Quantile(0.50)
-				cs.WaitP95 = s.Quantile(0.95)
+				var p [2]float64
+				s.Quantiles(p[:], 0.50, 0.95)
+				cs.WaitP50, cs.WaitP95 = p[0], p[1]
 			}
 			ts.Compute = cs
 		}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"strings"
@@ -358,13 +359,16 @@ type accumulator interface {
 type exactLatencies struct{ res *Result }
 
 // newExactLatencies preallocates each class's sample slice for its
-// expected completed-offload count, FPS × Duration × Count × OffloadProb,
-// so the loop never regrows it: the frame-scaled allocation the streaming
-// path avoids.
+// expected completed-offload count m = FPS × Duration × Count ×
+// OffloadProb, plus four standard deviations of a Poisson count of mean
+// m: the frame-scaled allocation the streaming path avoids. The margin
+// keeps a Poisson class whose realized count passes its mean, about half
+// of them, from copying its slice into a larger one.
 func newExactLatencies(sc *Scenario, res *Result) exactLatencies {
 	for ci := range sc.Classes {
 		cl := &sc.Classes[ci]
-		res.Classes[ci].latencies = make([]float64, 0, clampEst(cl.FPS*sc.Duration*float64(cl.Count)*cl.OffloadProb))
+		m := cl.FPS * sc.Duration * float64(cl.Count) * cl.OffloadProb
+		res.Classes[ci].latencies = make([]float64, 0, clampEst(m+4*math.Sqrt(m)))
 	}
 	return exactLatencies{res}
 }

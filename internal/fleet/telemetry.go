@@ -162,7 +162,8 @@ type collector struct {
 	run []*quantile.Sketch
 
 	// Current-window state, active only when window > 0.
-	widx     int // current window index (samples in [widx·W, (widx+1)·W))
+	widx     int     // current window index (samples in [widx·W, (widx+1)·W))
+	next     float64 // the current window's end, (widx+1)·W
 	win      []*quantile.Sketch
 	winClass []WindowClass
 	// Per-link served-byte snapshots at the last window close, so a
@@ -189,7 +190,7 @@ type collector struct {
 // order. dyn, non-nil only for a run with a fault schedule, adds the
 // per-window availability columns.
 func newCollector(sc *Scenario, links []Link, slots []linkSlot, labels []string, dyn *dynamics) *collector {
-	tel := &collector{window: sc.Telemetry.WindowSec}
+	tel := &collector{window: sc.Telemetry.WindowSec, next: sc.Telemetry.WindowSec}
 	tel.run = make([]*quantile.Sketch, len(sc.Classes))
 	for i := range tel.run {
 		tel.run[i] = quantile.NewSketch()
@@ -226,8 +227,8 @@ func (tel *collector) advance(t float64) {
 	if tel.window <= 0 {
 		return
 	}
-	for t >= float64(tel.widx+1)*tel.window {
-		tel.closeWindow(float64(tel.widx+1) * tel.window)
+	for t >= tel.next {
+		tel.closeWindow(tel.next)
 	}
 }
 
@@ -247,9 +248,8 @@ func (tel *collector) closeWindow(end float64) {
 	for ci, s := range tel.win {
 		wc := tel.winClass[ci]
 		if s.Count() > 0 {
-			wc.P50 = s.Quantile(0.50)
-			wc.P95 = s.Quantile(0.95)
-			wc.P99 = s.Quantile(0.99)
+			p := sketchQuantiles(s)
+			wc.P50, wc.P95, wc.P99 = p[0], p[1], p[2]
 		}
 		win.Classes[ci] = wc
 		// The window's samples fold into the run-wide sketch here — the
@@ -291,6 +291,7 @@ func (tel *collector) closeWindow(end float64) {
 	}
 	tel.series.Windows = append(tel.series.Windows, win)
 	tel.widx++
+	tel.next = float64(tel.widx+1) * tel.window
 }
 
 // observe records one completed offload of class ci at time t with the
@@ -343,9 +344,14 @@ func (tel *collector) quantiles() (perClass [][3]float64, total [3]float64) {
 	perClass = make([][3]float64, len(tel.run))
 	all := quantile.NewSketch()
 	for ci, s := range tel.run {
-		perClass[ci] = [3]float64{s.Quantile(0.50), s.Quantile(0.95), s.Quantile(0.99)}
+		perClass[ci] = sketchQuantiles(s)
 		all.Merge(s)
 	}
-	total = [3]float64{all.Quantile(0.50), all.Quantile(0.95), all.Quantile(0.99)}
-	return perClass, total
+	return perClass, sketchQuantiles(all)
+}
+
+// sketchQuantiles reads s's finalQuantiles from one sort of its items.
+func sketchQuantiles(s *quantile.Sketch) (p [3]float64) {
+	s.Quantiles(p[:], finalQuantiles[:]...)
+	return p
 }
