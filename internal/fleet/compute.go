@@ -85,14 +85,12 @@ func (cc *ComputeConfig) serviceSecFor(class string) float64 {
 }
 
 // referenceBytes is the payload the class's compute service times are
-// quoted against: the largest placement row, or FrameBytes without a
+// quoted against: its largest row (Class.rows), so FrameBytes without a
 // table. Zero means the class never offloads a frame.
 func (c *Class) referenceBytes() float64 {
-	ref := float64(c.FrameBytes)
-	for _, p := range c.Placements {
-		if b := float64(p.FrameBytes); b > ref {
-			ref = b
-		}
+	ref := 0.0
+	for _, r := range c.rows() {
+		ref = max(ref, float64(r.FrameBytes))
 	}
 	return ref
 }
@@ -211,17 +209,15 @@ func classPathScale(nodes []tierNode, plan [][]float64, ci int, attach int) floa
 // delay floor: the row's in-camera compute plus the expected path
 // service time of its payload (offload probability × per-byte path
 // demand × row bytes). Queueing rides on top of this floor at run time;
-// the floor is what the controllers can price before observing it. A
-// class without a placements table gets a single-row table.
+// the floor is what the controllers can price before observing it. It
+// has one entry per row of Class.rows.
 func classRowDelays(c *Class, pathScale float64) []float64 {
-	if len(c.Placements) == 0 {
-		return []float64{c.ComputeSeconds + c.OffloadProb*pathScale*float64(c.FrameBytes)}
+	rows := c.rows()
+	d := make([]float64, len(rows))
+	for i, r := range rows {
+		d[i] = r.ComputeSeconds + c.OffloadProb*pathScale*float64(r.FrameBytes)
 	}
-	rows := make([]float64, len(c.Placements))
-	for i, p := range c.Placements {
-		rows[i] = p.ComputeSeconds + c.OffloadProb*pathScale*float64(p.FrameBytes)
-	}
-	return rows
+	return d
 }
 
 // RowDelaySeconds reports the named class's per-placement-row delay

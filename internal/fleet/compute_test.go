@@ -3,6 +3,7 @@ package fleet
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -131,6 +132,42 @@ func computeAnalyticScenario(fps, rate, duration float64) Scenario {
 			Name: "c", Count: 1, FPS: fps, FrameBytes: 1_000_000,
 			OffloadProb: 1, QueueDepth: 10_000, Tier: "t",
 		}},
+	}
+}
+
+// TestReferencePayloadIsLargestRow pins the payload a tabled class's
+// service time is quoted against to its largest row: the class's own
+// FrameBytes, which no row uses, must not scale its pool service or its
+// delay floors.
+func TestReferencePayloadIsLargestRow(t *testing.T) {
+	sc := computeAnalyticScenario(10, 100, 3)
+	cl := &sc.Classes[0]
+	cl.FrameBytes = 10_000
+	cl.Placements = []PlacementCost{
+		{Name: "raw", FrameBytes: 4000},
+		{Name: "chip", FrameBytes: 1000, ComputeSeconds: 0.002},
+	}
+	res, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every camera holds row 0, the largest, so each frame costs the
+	// configured 1/100 s of service.
+	cs := res.Tiers[0].Compute
+	if got := cs.BusySec / float64(cs.Frames); cs.Frames == 0 || math.Abs(got-0.01) > 1e-12 {
+		t.Fatalf("%d frames at %v s of service each, want 0.01", cs.Frames, got)
+	}
+	got, err := sc.RowDelaySeconds("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.FrameBytes = 0
+	want, err := sc.RowDelaySeconds("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("row delays %v with class frame bytes 10000, %v with 0", got, want)
 	}
 }
 

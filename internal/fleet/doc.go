@@ -143,7 +143,8 @@
 //	             "service_sec": [{"class": "fa", "sec": 0.002}]}}
 //
 // "service_rate_fps" prices a frame of the class's reference payload (its
-// largest placement row, or its fixed frame bytes) at 1/rate core-seconds;
+// largest placement row, or its fixed frame bytes without a table; a
+// tabled class's own frame bytes never count) at 1/rate core-seconds;
 // a "service_sec" entry overrides that per class. Service demand scales
 // with the bytes a frame actually ships — a placement that offloads an
 // 11×-smaller payload needs 11× less tier service — so moving cameras
@@ -302,7 +303,10 @@
 //
 // A class may carry a runtime cost table ("placements", ordered from
 // most-offload to most-in-camera — each row a Fig. 10-style placement's
-// frame bytes, compute seconds and compute joules) plus a "policy":
+// frame bytes, compute seconds and compute joules) plus a "policy". The
+// table then prices every frame, and the class's own "frame_bytes",
+// "compute_sec" and "compute_j" go unused; a class without one is a table
+// of one row of those fields:
 //
 //	"placements": [
 //	  {"name": "raw",       "frame_bytes": 12400000, "compute_sec": 0.0001},
@@ -444,6 +448,12 @@
 //     so the ready event carries only the transfer id. Push and pop sift
 //     through a hole: the moving event is held aside, parents or smaller
 //     children shift into the gap, and the event is written once.
+//   - Row table: a capture reads its camera's row from one flat table of
+//     every class's rows — payload bytes, compute joules and the delay
+//     line of its in-camera compute — at the class's base plus the
+//     camera's placement, built once from Class.rows. A class without a
+//     placements table owns one row there, so a capture never asks
+//     whether its class has a table.
 //   - Pop order: (time, sequence) is a total order — sequence numbers
 //     are unique, so packing the kind under them orders exactly like
 //     the bare counter — and every correct min-heap pops a total order

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -553,6 +554,48 @@ func TestDynamicsTelemetryAvailability(t *testing.T) {
 	header, _, _ := strings.Cut(csv.String(), "\n")
 	if !strings.HasSuffix(header, ",utilization,dropped_outage,down_sec,cap_frac") {
 		t.Fatalf("CSV header missing availability columns: %q", header)
+	}
+}
+
+// TestDynamicsOpenOutageWindows pins the windows of an outage still open
+// when the run ends: the loop closes the windows up to its last event
+// and the collector closes the rest after the run drains, and each
+// window must report at most its own length down while the windows sum
+// to the tier's run-wide downtime.
+func TestDynamicsOpenOutageWindows(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		sc := Scenario{
+			Name:     "open-outage",
+			Seed:     seed,
+			Duration: 1,
+			Tiers: []Tier{
+				{Name: "gw", Parent: "core", Uplink: UplinkConfig{Gbps: 1}},
+				{Name: "core", Uplink: UplinkConfig{Gbps: 1}},
+			},
+			Classes:   []Class{{Name: "c", Count: 1, FPS: 1, FrameBytes: 1000, Tier: "core"}},
+			Telemetry: &TelemetryConfig{Streaming: true, WindowSec: 0.1},
+			Dynamics:  &DynamicsConfig{Events: []FleetEvent{{Time: 0.3, Kind: DynTierOutage, Tier: "gw"}}},
+		}
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		down := res.TierNamed("gw").DowntimeSec
+		if math.Abs(down-0.7) > 1e-9 {
+			t.Fatalf("seed %d: gw downtime %v, want 0.7", seed, down)
+		}
+		li := slices.Index(res.TimeSeries.Tiers, "gw")
+		sum := 0.0
+		for _, w := range res.TimeSeries.Windows {
+			d := w.TierDownSec[li]
+			if d > w.End-w.Start+1e-9 {
+				t.Errorf("seed %d: window [%v, %v) reports %v s down", seed, w.Start, w.End, d)
+			}
+			sum += d
+		}
+		if math.Abs(sum-down) > 1e-9 {
+			t.Errorf("seed %d: windows sum to %v s down, run-wide %v", seed, sum, down)
+		}
 	}
 }
 

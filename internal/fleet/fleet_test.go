@@ -270,6 +270,29 @@ func TestDropSinkRouting(t *testing.T) {
 	}
 }
 
+// TestTablelessClassHoldsRowZero pins the one row of a class without a
+// placements table: its Policy.Start is never validated, so its cameras
+// hold row 0 whatever Start says.
+func TestTablelessClassHoldsRowZero(t *testing.T) {
+	base, err := Run(mixedScenario(5, ContentionFairShare))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, start := range []int{3, -2} {
+		sc := mixedScenario(5, ContentionFairShare)
+		for i := range sc.Classes {
+			sc.Classes[i].Policy.Start = start
+		}
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatalf("start %d: %v", start, err)
+		}
+		if res.Table() != base.Table() {
+			t.Errorf("start %d moved the table:\n%s\nvs start 0:\n%s", start, res.Table(), base.Table())
+		}
+	}
+}
+
 func TestRunDoesNotMutateCallerClasses(t *testing.T) {
 	// Scenario values built by hand often share backing arrays and
 	// section pointers (copy-and-tweak); Run and RowDelaySeconds must

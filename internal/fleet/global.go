@@ -36,8 +36,10 @@ func newGlobal(sc *Scenario) *globalController {
 // projectedPowerW prices the fleet's steady-state placement power: every
 // camera's per-frame energy at its current placement row times its
 // class's current capture rate, an fps_profile multiplier included.
-// Classes without a cost table contribute their fixed per-frame energy —
-// the budget is fleet-wide, not per knob.
+// Classes without a cost table contribute their one row's energy — the
+// budget is fleet-wide, not per knob — as one multiply by the camera
+// count, not a per-camera sum: the two differ in the last bits, and the
+// global controller acts on this number.
 func (e *engine) projectedPowerW() float64 {
 	total := 0.0
 	for ci := range e.sc.Classes {
@@ -82,7 +84,8 @@ func (g *globalController) epoch(t float64, e *engine) {
 	projected := e.projectedPowerW()
 	ep := GlobalEpoch{Time: t, BeforeW: projected}
 
-	// Per-epoch, per-class reassignment caps.
+	// Per-epoch, per-class reassignment caps; a class without a table has
+	// nothing to reassign, so it keeps a cap of 0 through both phases.
 	capLeft := make([]int, nClasses)
 	for ci := range sc.Classes {
 		if len(sc.Classes[ci].Placements) > 0 {
@@ -111,7 +114,7 @@ func (g *globalController) epoch(t float64, e *engine) {
 		best, bestDir, bestDirIdx := -1, 0, 0
 		bestSave, bestHead := 0.0, 0.0
 		for ci := range sc.Classes {
-			if congested[ci] || capLeft[ci] == 0 || len(sc.Classes[ci].Placements) == 0 {
+			if congested[ci] || capLeft[ci] == 0 {
 				continue
 			}
 			head := math.MaxFloat64

@@ -106,15 +106,11 @@ func rowDelta(rows []float64, cams []camera, members []int32, dir int) (sum floa
 	return sum, n
 }
 
-// classRowEnergies prices every placement row of the class in expected
-// joules per captured frame, netPerByteJ of per-hop forwarding included.
-// Table-less classes get a single entry from the class-level fields.
+// classRowEnergies prices every row of the class (Class.rows) in
+// expected joules per captured frame, netPerByteJ of per-hop forwarding
+// included.
 func classRowEnergies(c *Class, netPerByteJ float64) []float64 {
-	n := len(c.Placements)
-	if n == 0 {
-		n = 1
-	}
-	rows := make([]float64, n)
+	rows := make([]float64, len(c.rows()))
 	for i := range rows {
 		rows[i] = c.PlacementEnergyPerFrame(i, netPerByteJ)
 	}

@@ -1,9 +1,6 @@
 package fleet
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // prng is the simulator's compact per-entity random stream: a splitmix64
 // generator whose entire state is one uint64 embedded by value in its
@@ -19,16 +16,12 @@ import (
 // streamSeed, itself splitmix64-mixed, so consecutive camera indexes
 // start at unrelated stream positions.
 //
-// prng implements rand.Source64, so a stream can still feed rand.New
-// where the full math/rand surface is needed; the direct Float64 /
-// ExpFloat64 / Intn methods are what the hot path calls, and they draw
-// different values than rand.Rand's ziggurat-based ones — switching to
-// them was the one-time seeded-stream shift noted in doc.go.
+// Uint64, Float64, ExpFloat64 and Intn are its whole surface. The float
+// and Intn draws differ from rand.Rand's ziggurat-based ones — switching
+// to them was the one-time seeded-stream shift noted in doc.go.
 type prng struct {
 	state uint64
 }
-
-var _ rand.Source64 = (*prng)(nil)
 
 // newPRNG returns a stream positioned by the given (pre-mixed) seed.
 func newPRNG(seed int64) prng { return prng{state: uint64(seed)} }
@@ -69,12 +62,6 @@ const (
 func streamSeed(seed int64, family uint64, idx int) int64 {
 	return int64(splitmix64(splitmix64(uint64(seed)^family) + uint64(idx)))
 }
-
-// Int63 implements rand.Source.
-func (p *prng) Int63() int64 { return int64(p.Uint64() >> 1) }
-
-// Seed implements rand.Source, repositioning the stream.
-func (p *prng) Seed(seed int64) { p.state = uint64(seed) }
 
 // Float64 returns a uniform draw in [0, 1) with 53 bits of precision.
 func (p *prng) Float64() float64 {

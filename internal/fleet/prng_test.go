@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -74,24 +73,6 @@ func TestPRNGDistributionsInRange(t *testing.T) {
 	mean /= draws
 	if mean < 0.99 || mean > 1.01 {
 		t.Fatalf("ExpFloat64 mean %v far from 1", mean)
-	}
-}
-
-// TestPRNGIsSource64 keeps the stream pluggable into math/rand for any
-// caller that needs the full rand.Rand surface over the compact state.
-func TestPRNGIsSource64(t *testing.T) {
-	p := newPRNG(3)
-	r := rand.New(&p)
-	for i := 0; i < 1000; i++ {
-		if v := r.Int63(); v < 0 {
-			t.Fatalf("Int63 negative: %d", v)
-		}
-	}
-	p.Seed(3)
-	first := p.Uint64()
-	p.Seed(3)
-	if again := p.Uint64(); again != first {
-		t.Fatalf("Seed does not reposition the stream: %x vs %x", first, again)
 	}
 }
 

@@ -285,6 +285,10 @@ func randomTiers(rng *rand.Rand, sc *Scenario) []string {
 // TestRandomScenarioInvariants iteration's Table(), recorded before the
 // fixed-delay stages moved from the event heap onto delay lines: a
 // change to the event order, or to any stage's arithmetic, moves them.
+// Iterations 9, 10, 37, 40 and 53 were re-recorded when a tabled class's
+// reference payload became its largest row: each has such a class whose
+// own FrameBytes, now unused, exceeds every row, on a path through a
+// pool.
 var randomScenarioDigests = []string{
 	"0393537ac65e7352117c2b66e70268ebc63d17de1b3044b1eb0905ad5299afdd",
 	"8dd34f807737db428d2b70ebe0e3df4cae75c4937444481dda436ea6de97f7fc",
@@ -295,8 +299,8 @@ var randomScenarioDigests = []string{
 	"977e6c88565d94d7d4cec0c073833c6448e59bf000131d4a66798fb39fd19487",
 	"7c6fc8a06a87a29f2c33b7e88ad591312ed3eaffdd199d9db507956f4c9bc041",
 	"14d413e42ce387bfb585618a6b6869c73d01e52aa5bfbfb382ca439786218f58",
-	"bcf54177555d8d6d8e45103b8cc13c6d48472377fdb86d880e98eb363c6fdb84",
-	"574b95536fed1fdfb6b8ac09121f705d4c67ee8b3e2fc339659c8ce75ef86609",
+	"2024d7944459c5e5c4e6fab67ede51ccbece3e83a68b691a74d27e31cf6f7e26",
+	"c5bf5390412be72e4c9ce71fd811fd665515e84f1553415d03abd7d181e985ef",
 	"9263c7f1a4dc6b3ba8f7f9e4f5e2a5324c8c57ba6562424ec61c0b753a38941a",
 	"b44affc07af27aae7d232263789587f1e79ccd957acfe6634af5b6e2b771b871",
 	"f08077b68b3ccf60a569e9d4e20ff520c0f1b4868b7b47e9ca5655fc281ce7bf",
@@ -323,10 +327,10 @@ var randomScenarioDigests = []string{
 	"990db5f1c5a787ce9be72ab329c7b0bb3cb3ccd382827a854ce6ec24dec7913c",
 	"552e323ebea0fd4c0abefe4f52ff68bd91c911ba4cb62ca3758a2c68d76ef216",
 	"4edb9d95ccc06d6c9cc490ed73389ead5c7a13274dd7a6906bbe694590a49437",
-	"983b8201a447d633547f18db4110dc6d0e333ebc9b026411ef3884580f9573bb",
+	"5fab343b5ee8e41231f0ad25bcfa953a0262e63323df1c1f654ee696b35b2a14",
 	"274cb68106152a4a06e4611c384cfe68035064f1014c5ad7d46045b275bf3a3f",
 	"20bddf24ef7732cfc906a25c2f5d80b52ce0d0caef3ab8da718af243db9388de",
-	"b88a6df55209a97f6995862d344e647046520c3f70140ae46839a397553198f3",
+	"e052b0b0f15b32872f08247331299b95afb12f3afbef807958f3e8d51915553f",
 	"3641b189fdec8f5e3816c3e8d393e447cbf70da9522f93a223e0dbf7aceb5f23",
 	"bd9aefec445189e478f2f264b9dd6b90c43e33ac5482f62f1efab5d667f46d59",
 	"80cb732a289c8bb0931692789c8e71fa1f7ff7d3c718e5303b4d93cc8d9e2f00",
@@ -339,7 +343,7 @@ var randomScenarioDigests = []string{
 	"303ca071bdabef5bbff81a1c008964103852639164e30201ca02cbab9a36b735",
 	"74bc97a3bc016463608d20392fd8515375f197a98978c6e84ebe946432ac9b9e",
 	"5be33c38f98c8bd46e67e97fe3217d5d3187966aed5539d583421125e9ce42ad",
-	"0eb0b38a09c8033b7fd59c42f6a30651b1051b4ef2845e9b4c50b14fb54d78d2",
+	"5efdc43997c0ad25d2f8a3f23fd052bcf2cece1155110d43b5efe7f7405f16a6",
 	"e47a636b5b6f7008f37b91ad6a1d9225d321f82c941a9b74c2d496338ceacfac",
 	"67ab36df8428d4c077d8075ee360dfd6d83c4b20de222f7fc16e72019ffd1750",
 	"b3a46d180d8863c1f91915167b5667544e9245146f04d9d703ff20152e5d93d0",

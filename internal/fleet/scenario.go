@@ -217,6 +217,17 @@ func (c *Class) adaptive() bool {
 	return len(c.Placements) > 0 && c.Policy.Kind != PolicyStatic
 }
 
+// rows is the class's per-frame cost table: Placements, or for a class
+// without one a single row of its FrameBytes, ComputeSeconds and
+// ComputeJ. Every reader of per-frame costs goes through it, so those
+// class fields never price a frame of a class that has a table.
+func (c *Class) rows() []PlacementCost {
+	if len(c.Placements) > 0 {
+		return c.Placements
+	}
+	return []PlacementCost{{FrameBytes: c.FrameBytes, ComputeSeconds: c.ComputeSeconds, ComputeJ: c.ComputeJ}}
+}
+
 // Arrival pattern names.
 const (
 	ArrivalPeriodic = "periodic"
@@ -783,12 +794,8 @@ func VRClass(count int, pl core.Placement, targetFPS float64) (Class, error) {
 // the row's compute, and — for the offloading fraction of frames — the
 // camera radio plus netPerByteJ of per-byte forwarding summed over every
 // network hop the payload crosses (the tier tree's per-link TxPerByteJ).
-// With no cost table, i is ignored and the class-level fields price the
-// frame.
+// With no cost table, the class-level fields are row 0.
 func (c *Class) PlacementEnergyPerFrame(i int, netPerByteJ float64) float64 {
-	bytes, computeJ := c.FrameBytes, c.ComputeJ
-	if len(c.Placements) > 0 {
-		bytes, computeJ = c.Placements[i].FrameBytes, c.Placements[i].ComputeJ
-	}
-	return energy.FrameEnergy(c.CaptureJ, computeJ, c.TxFixedJ, c.TxPerByteJ+netPerByteJ, bytes, c.OffloadProb)
+	r := c.rows()[i]
+	return energy.FrameEnergy(c.CaptureJ, r.ComputeJ, c.TxFixedJ, c.TxPerByteJ+netPerByteJ, r.FrameBytes, c.OffloadProb)
 }

@@ -165,7 +165,7 @@ func (h *eventHeap) pop() event {
 type camera struct {
 	rng       prng
 	class     int32
-	placement int32 // current index into the class's Placements table
+	placement int32 // current row of the class (Class.rows)
 	inflight  int32
 	// departed marks a camera retired by dynamics churn: it captures
 	// nothing further, but frames already in flight still complete.
@@ -176,6 +176,14 @@ type camera struct {
 // time of the last top-up.
 type store struct {
 	joules, lastTop float64
+}
+
+// frameRow is one class row (Class.rows) as capture charges it: the
+// payload it offloads, its in-camera compute joules, and the delay line
+// of its in-camera compute seconds.
+type frameRow struct {
+	bytes, computeJ float64
+	ready           int32
 }
 
 // transfer is one in-flight payload, indexed by transfer id. A frame
@@ -280,11 +288,11 @@ type engine struct {
 	firstHop       []int
 	fps            []float64
 	rowJ, rowDelay [][]float64
-	// readyLine is the delay line of each class row's in-camera compute,
-	// flat: class ci's rows start at rowBase[ci], and a class without a
-	// placements table has one row.
-	readyLine []int32
-	rowBase   []int
+	// rows holds every class's rows (Class.rows) as capture charges them,
+	// flat: class ci's rows start at rowBase[ci], and a camera's placement
+	// indexes from there.
+	rows    []frameRow
+	rowBase []int
 
 	cams      []camera
 	classCams [][]int32
@@ -378,21 +386,13 @@ func newEngine(sc Scenario) (*engine, error) {
 	e.rowJ = make([][]float64, len(s.Classes))
 	e.rowDelay = make([][]float64, len(s.Classes))
 	e.rowBase = make([]int, len(s.Classes))
-	rows := 0
-	for ci := range s.Classes {
-		rows += max(1, len(s.Classes[ci].Placements))
-	}
-	e.readyLine = make([]int32, 0, rows)
 	for ci := range s.Classes {
 		cl := &s.Classes[ci]
 		e.fps[ci] = cl.FPS
 		e.price(ci, classAttachIndex(nodes, e.root, cl))
-		e.rowBase[ci] = len(e.readyLine)
-		if len(cl.Placements) == 0 {
-			e.readyLine = append(e.readyLine, e.events.line(cl.ComputeSeconds))
-		}
-		for _, pc := range cl.Placements {
-			e.readyLine = append(e.readyLine, e.events.line(pc.ComputeSeconds))
+		e.rowBase[ci] = len(e.rows)
+		for _, r := range cl.rows() {
+			e.rows = append(e.rows, frameRow{bytes: float64(r.FrameBytes), computeJ: r.ComputeJ, ready: e.events.line(r.ComputeSeconds)})
 		}
 	}
 
@@ -466,12 +466,12 @@ func newEngine(sc Scenario) (*engine, error) {
 		for k := 0; k < cl.Count; k++ {
 			e.addCamera(ci, 0)
 		}
-		if e.ctls[ci] != nil && cl.Policy.IntervalSec < s.Duration {
-			e.push(cl.Policy.IntervalSec, evControl, int32(ci), 0)
+		if e.ctls[ci] != nil {
+			e.arm(cl.Policy.IntervalSec, evControl, int32(ci), 0)
 		}
 	}
-	if e.gctl != nil && s.Global.EpochSec < s.Duration {
-		e.push(s.Global.EpochSec, evGlobal, 0, 0)
+	if e.gctl != nil {
+		e.arm(s.Global.EpochSec, evGlobal, 0, 0)
 	}
 
 	// Federated participants, in class then camera order: each owns a
@@ -534,11 +534,15 @@ func (e *engine) price(ci, ti int) {
 // stream continues the global camera-seed sequence, so every existing
 // camera's stream is untouched, and its first capture falls a random
 // phase inside one period (periodic) or one exponential gap (Poisson)
-// after t.
+// after t. It starts at the class's Policy.Start row, or at its one row
+// without a table, where Policy.Start is never validated.
 func (e *engine) addCamera(ci int, t float64) {
 	cl := &e.sc.Classes[ci]
 	idx := len(e.cams)
-	c := camera{class: int32(ci), rng: newPRNG(streamSeed(e.sc.Seed, seedCamera, idx)), placement: int32(cl.Policy.Start)}
+	c := camera{class: int32(ci), rng: newPRNG(streamSeed(e.sc.Seed, seedCamera, idx))}
+	if len(cl.Placements) > 0 {
+		c.placement = int32(cl.Policy.Start)
+	}
 	if e.harvest != nil {
 		e.harvest = append(e.harvest, store{joules: cl.StoreJ, lastTop: t})
 	}
@@ -550,9 +554,7 @@ func (e *engine) addCamera(ci int, t float64) {
 	}
 	e.cams = append(e.cams, c)
 	e.classCams[ci] = append(e.classCams[ci], int32(idx))
-	if t+first < e.sc.Duration {
-		e.push(t+first, evCapture, int32(idx), 0)
-	}
+	e.arm(t+first, evCapture, int32(idx), 0)
 }
 
 // linkRole is what a link carries, and so where a transfer it finishes
@@ -603,6 +605,16 @@ func (e *engine) push(t float64, kind int, id, aux int32) {
 func (e *engine) file(l int32, now float64, kind int, id, aux int32) {
 	e.events.file(l, now, e.seq, kind, id, aux)
 	e.seq++
+}
+
+// arm pushes an event at time t only if t falls before Duration, the
+// capture horizon: captures, control ticks, global epochs and recurring
+// churn stop there, while the drain runs on. Federated ready events and
+// schedule entries are pushed past it.
+func (e *engine) arm(t float64, kind int, id, aux int32) {
+	if t < e.sc.Duration {
+		e.push(t, kind, id, aux)
+	}
 }
 
 // startLink and finishLink admit and complete a transfer on link li,
@@ -753,20 +765,10 @@ func (e *engine) capture(t float64, camIdx int32) {
 	st := &e.res.Classes[ci]
 	st.Captured++
 
-	// Per-frame costs come from the camera's current placement when the
-	// class carries a runtime cost table, else from the class fields; the
-	// row's in-camera compute time is its ready line's delay.
-	frameBytes := float64(cl.FrameBytes)
-	computeJ := cl.ComputeJ
-	row := 0
-	if len(cl.Placements) > 0 {
-		pc := &cl.Placements[c.placement]
-		frameBytes = float64(pc.FrameBytes)
-		computeJ = pc.ComputeJ
-		row = int(c.placement)
-	}
-
-	offload := frameBytes > 0 && cl.OffloadProb > 0 && c.rng.Float64() < cl.OffloadProb
+	// Per-frame costs come from the camera's current row; the row's
+	// in-camera compute time is its ready line's delay.
+	r := &e.rows[e.rowBase[ci]+int(c.placement)]
+	offload := r.bytes > 0 && cl.OffloadProb > 0 && c.rng.Float64() < cl.OffloadProb
 	queueDropped := false
 	if offload && int(c.inflight) >= cl.QueueDepth {
 		// Backpressure: the frame is still processed in-camera, but its
@@ -774,9 +776,9 @@ func (e *engine) capture(t float64, camIdx int32) {
 		queueDropped = true
 		offload = false
 	}
-	need := cl.CaptureJ + computeJ
+	need := cl.CaptureJ + r.computeJ
 	if offload {
-		need += cl.TxFixedJ + cl.TxPerByteJ*frameBytes
+		need += cl.TxFixedJ + cl.TxPerByteJ*r.bytes
 	}
 	if cl.HarvestW > 0 {
 		h := &e.harvest[camIdx]
@@ -801,8 +803,8 @@ func (e *engine) capture(t float64, camIdx int32) {
 		e.drop(ci, dropQueue)
 	case offload:
 		c.inflight++
-		id := e.newTransfer(transfer{cam: camIdx, class: c.class, capturedAt: t, bytes: frameBytes})
-		e.file(e.readyLine[e.rowBase[ci]+row], t, evReady, int32(id), 0)
+		id := e.newTransfer(transfer{cam: camIdx, class: c.class, capturedAt: t, bytes: r.bytes})
+		e.file(r.ready, t, evReady, int32(id), 0)
 	default:
 		st.KeptInCamera++
 	}
@@ -998,9 +1000,7 @@ func (e *engine) dynFire(t float64, i int) {
 		e.lidx.invalidate(li)
 	}
 	if ev.EverySec > 0 {
-		if nt := t + dyn.rngs[i].ExpFloat64()*ev.EverySec; nt < e.sc.Duration {
-			e.push(nt, evDynamics, int32(i), 0)
-		}
+		e.arm(t+dyn.rngs[i].ExpFloat64()*ev.EverySec, evDynamics, int32(i), 0)
 	}
 }
 
@@ -1048,9 +1048,7 @@ func (e *engine) loop() error {
 				break
 			}
 			e.capture(ev.T, ev.P.id)
-			if nt := e.nextCapture(&e.cams[ev.P.id], ev.T); nt < e.sc.Duration {
-				e.push(nt, evCapture, ev.P.id, 0)
-			}
+			e.arm(e.nextCapture(&e.cams[ev.P.id], ev.T), evCapture, ev.P.id, 0)
 		case evReady:
 			id := int(ev.P.id)
 			e.enterTier(ev.T, e.firstHop[e.transfers[id].class], id)
@@ -1061,14 +1059,10 @@ func (e *engine) loop() error {
 			if dir := e.ctls[ci].decide(e, ci); dir != 0 {
 				e.ctls[ci].move(e, ci, dir)
 			}
-			if nt := ev.T + e.sc.Classes[ci].Policy.IntervalSec; nt < e.sc.Duration {
-				e.push(nt, evControl, ev.P.id, 0)
-			}
+			e.arm(ev.T+e.sc.Classes[ci].Policy.IntervalSec, evControl, ev.P.id, 0)
 		case evGlobal:
 			e.gctl.epoch(ev.T, e)
-			if nt := ev.T + e.sc.Global.EpochSec; nt < e.sc.Duration {
-				e.push(nt, evGlobal, 0, 0)
-			}
+			e.arm(ev.T+e.sc.Global.EpochSec, evGlobal, 0, 0)
 		case evFLReady:
 			p := &e.flParts[ev.P.id]
 			ub := e.fle.UpdateBytes()
@@ -1098,15 +1092,6 @@ func (e *engine) result() *Result {
 		}
 	}
 	if dyn := e.dyn; dyn != nil {
-		// A tier still down at the end accrues downtime to the run's end.
-		for i := range e.nodes {
-			if dyn.down[i] {
-				if d := res.SimEnd - dyn.downAt[i]; d > 0 {
-					dyn.downtime[i] += d
-				}
-				dyn.down[i] = false
-			}
-		}
 		st := dyn.stats
 		res.Dynamics = &st
 	}
@@ -1127,7 +1112,10 @@ func (e *engine) result() *Result {
 			FLUpBytes:      e.flUpBytes[i],
 		}
 		if e.dyn != nil {
-			ts.DowntimeSec = e.dyn.downtime[i]
+			// A tier still down at the end accrues downtime to the run's
+			// end; the outage stays open, so the time series' last windows
+			// see it too.
+			ts.DowntimeSec = e.dyn.downtimeAt(i, res.SimEnd)
 			ts.OutageDrops = e.dyn.outageDrops[i]
 		}
 		if d := nd.Downlink; d != nil {

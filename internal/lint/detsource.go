@@ -11,9 +11,9 @@ import (
 // the rand.New/rand.NewSource constructors alike. Every seeded draw in
 // the deterministic core must flow through the value-embedded splitmix64
 // prng, whose streams are pinned by reference vectors; prng.go itself,
-// the one sanctioned home of that stream (it implements rand.Source64),
-// is exempt. Referring to math/rand *types* (interfaces like
-// rand.Source64) is fine anywhere — only calls draw values.
+// the one sanctioned home of that stream, is exempt. Referring to
+// math/rand *types* (rand.Rand, rand.Source) is fine anywhere — only
+// calls draw values.
 var Detsource = &Analyzer{
 	Name:  "detsource",
 	Doc:   "seeded draws must come from the value-embedded prng, never the clock or math/rand",

@@ -33,8 +33,8 @@
 // rand.New/rand.NewSource constructor family (a second PRNG kind means
 // a second stream to pin and regenerate goldens for). prng.go — the
 // value-embedded splitmix64 stream every seeded draw must flow through
-// — is the one exempt file; referring to math/rand types (the
-// rand.Source64 interface it implements) is fine anywhere.
+// — is the one exempt file; referring to math/rand types is fine
+// anywhere.
 //
 // detconc — flags concurrency in the deterministic core: go statements,
 // channel types and operations (send, receive, range, select), and
