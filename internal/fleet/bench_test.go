@@ -210,6 +210,38 @@ func BenchmarkComputeTiers(b *testing.B) {
 	b.ReportMetric(busy/float64(b.N), "core-sec/run")
 }
 
+// BenchmarkExactQuantiles prices the exact path's percentiles alone, at
+// huge-fleet's shape: 32 classes of 6,250 latencies each, every class's
+// p50, p95 and p99 and the fleet total's. Selection reorders the samples
+// in place, so each op restores their arrival order off the timer. B/op
+// must not grow with the sample count: the fleet total is selected
+// across the class slices, not from a copy of them all.
+func BenchmarkExactQuantiles(b *testing.B) {
+	const classes, perClass = 32, 6250
+	rng := newPRNG(5)
+	res := &Result{Classes: make([]ClassStats, classes)}
+	arrival := make([][]float64, classes)
+	for c := range arrival {
+		arrival[c] = make([]float64, perClass)
+		for i := range arrival[c] {
+			// Huge-fleet's latencies: a fixed path delay plus queueing.
+			arrival[c][i] = 0.0172 + 0.0005*rng.ExpFloat64()
+		}
+		res.Classes[c].latencies = make([]float64, perClass)
+	}
+	x := exactLatencies{res}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for c := range arrival {
+			copy(res.Classes[c].latencies, arrival[c])
+		}
+		b.StartTimer()
+		x.quantiles()
+	}
+}
+
 // BenchmarkEventHeap prices the event queue alone under the hold model,
 // the event loop's steady state: with n events resident, each step pops
 // the minimum and pushes it back an exponential gap later. One op is

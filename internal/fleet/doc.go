@@ -471,9 +471,13 @@
 //     (p50, p95, p99) in increasing order, each within the part of the
 //     samples right of the previous one, instead of sorting every
 //     class's samples and the merged total; the values are identical to
-//     sorted nearest-rank reads. The controllers' window p95 is selected
-//     the same way, and a sketch answers p50, p95 and p99 from one sort
-//     of its retained items (quantile.Sketch.Quantiles).
+//     sorted nearest-rank reads. The fleet total is selected across the
+//     class slices at once, each round partitioning every slice's window
+//     around one pivot, so no slice of all the samples is made. The
+//     controllers' window p95 is selected by the same routine over one
+//     slice. A sketch answers p50, p95 and p99 by sorting each of its
+//     levels in place and walking them merged
+//     (quantile.Sketch.Quantiles), with no buffer of its own.
 //   - Memory model: a camera is 24 bytes — its random stream embedded by
 //     value (an 8-byte splitmix64 state, prng, instead of a *rand.Rand
 //     whose lagged-Fibonacci source is ~5 KB of heap per camera), an
@@ -495,7 +499,11 @@
 //     on a line of delay d fed at r events per second is about r × d.
 //     The per-class latency slices are preallocated from FPS × Duration
 //     × Count estimates plus four Poisson standard deviations, so the
-//     loop does not regrow them.
+//     loop does not regrow them, and the percentiles read them where
+//     they lie. A sketch's levels are made with room for its top
+//     capacity, so they seldom regrow, and a run reads a fault schedule
+//     from the caller's scenario unless a churn entry needs its Count
+//     filled in.
 //   - Seeded-stream shift: moving from rand.Rand's ziggurat draws to the
 //     prng's inversion-based ExpFloat64 / 53-bit Float64 shifted every
 //     seeded stream once (goldens were regenerated, as for the PR 3 seed

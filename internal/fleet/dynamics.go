@@ -96,11 +96,16 @@ const (
 // a churn entry's unset Count means one camera per firing.
 func (d *DynamicsConfig) normalize() {
 	for i := range d.Events {
-		e := &d.Events[i]
-		if (e.Kind == DynCameraJoin || e.Kind == DynCameraLeave) && e.Count == 0 {
+		if e := &d.Events[i]; e.countless() {
 			e.Count = 1
 		}
 	}
+}
+
+// countless reports whether e is a churn entry whose Count normalize
+// fills in: the only write normalize makes into the schedule.
+func (e FleetEvent) countless() bool {
+	return (e.Kind == DynCameraJoin || e.Kind == DynCameraLeave) && e.Count == 0
 }
 
 // validateDynamics checks the dynamics schedule against the resolved tier

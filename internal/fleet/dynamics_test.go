@@ -599,6 +599,52 @@ func TestDynamicsOpenOutageWindows(t *testing.T) {
 	}
 }
 
+// TestDynamicsLateEntryEndsRun pins that a schedule entry firing after
+// the last frame lands ends the run at its own time: gw fails at 0.5 s
+// of a 1 s run and recovers at 5 s, so the run's downtime, utilization
+// and time series all close at 5 s, not where the traffic drained.
+func TestDynamicsLateEntryEndsRun(t *testing.T) {
+	sc := Scenario{
+		Name:     "late-recover",
+		Seed:     1,
+		Duration: 1,
+		Tiers: []Tier{
+			{Name: "gw", Parent: "wan", Uplink: UplinkConfig{Gbps: 1}},
+			{Name: "gw2", Parent: "wan", Uplink: UplinkConfig{Gbps: 1}},
+			{Name: "wan", Uplink: UplinkConfig{Gbps: 1}},
+		},
+		Classes:   []Class{{Name: "c", Count: 10, FPS: 10, FrameBytes: 1000, Tier: "gw"}},
+		Telemetry: &TelemetryConfig{Streaming: true, WindowSec: 0.1},
+		Dynamics: &DynamicsConfig{Events: []FleetEvent{
+			{Time: 0.5, Kind: DynTierOutage, Tier: "gw", Fallback: "gw2"},
+			{Time: 5, Kind: DynTierRecover, Tier: "gw"},
+		}},
+	}
+	res, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SimEnd != 5 {
+		t.Errorf("SimEnd %v, want the recovery's 5 s", res.SimEnd)
+	}
+	for _, ts := range res.Tiers {
+		if ts.DowntimeSec > res.SimEnd {
+			t.Errorf("%s: down %v s in a run that ended at %v s", ts.Name, ts.DowntimeSec, res.SimEnd)
+		}
+		bps := UplinkConfig{Gbps: ts.Gbps}.BytesPerSecond()
+		if want := ts.ServedBytes / (bps * res.SimEnd); ts.Utilization != want {
+			t.Errorf("%s: utilization %v, want served bytes over capacity × SimEnd %v", ts.Name, ts.Utilization, want)
+		}
+	}
+	if down := res.TierNamed("gw").DowntimeSec; math.Abs(down-4.5) > 1e-9 {
+		t.Errorf("gw down %v s, want 4.5", down)
+	}
+	ws := res.TimeSeries.Windows
+	if last := ws[len(ws)-1].End; last != res.SimEnd {
+		t.Errorf("last window ends at %v, SimEnd %v", last, res.SimEnd)
+	}
+}
+
 // TestDynamicsValidation walks the schedule's rejection surface.
 func TestDynamicsValidation(t *testing.T) {
 	for _, tc := range []struct {

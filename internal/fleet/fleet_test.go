@@ -346,6 +346,35 @@ func TestRunDoesNotMutateCallerClasses(t *testing.T) {
 	}
 }
 
+// TestRunSharesNormalizedSchedule pins that a run reads a schedule with
+// nothing left to normalize where the caller keeps it, instead of copying
+// it on every Run, and that a churn entry whose Count normalize fills in
+// still gets a private copy.
+func TestRunSharesNormalizedSchedule(t *testing.T) {
+	sc := dynamicsDemo(1)
+	sc.Dynamics = &DynamicsConfig{Events: []FleetEvent{
+		{Time: 1, Kind: DynCameraJoin, Class: "east", Count: 2},
+		{Time: 2, Kind: DynLinkDegrade, Tier: "gw-a", Factor: 0.5},
+	}}
+	e, err := newEngine(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &e.sc.Dynamics.Events[0] != &sc.Dynamics.Events[0] {
+		t.Error("a normalized schedule was copied")
+	}
+	sc.Dynamics.Events[0].Count = 0
+	if e, err = newEngine(sc); err != nil {
+		t.Fatal(err)
+	}
+	if &e.sc.Dynamics.Events[0] == &sc.Dynamics.Events[0] {
+		t.Error("a schedule normalize writes into is shared with the caller")
+	}
+	if got, caller := e.sc.Dynamics.Events[0].Count, sc.Dynamics.Events[0].Count; got != 1 || caller != 0 {
+		t.Errorf("join count %d in the run and %d at the caller, want 1 and 0", got, caller)
+	}
+}
+
 func TestFairShareProtectsSmallFlowsVsFIFO(t *testing.T) {
 	// The design motivation for pluggable contention: behind multi-second
 	// VR frames, a FIFO uplink head-of-line-blocks the face-auth chips;

@@ -1,7 +1,5 @@
 package fleet
 
-import "camsim/internal/fleet/quantile"
-
 // window is one decider's observation window: the offload latencies
 // completed and the queue and outage drops counted since its last
 // decision. Both controller kinds keep one per class they watch.
@@ -18,11 +16,11 @@ func (w *window) observe(lat float64) { w.lat = append(w.lat, lat) }
 // sort would put at its rank.
 func (w *window) consume() (n int, p95 float64, drops int64) {
 	n, drops = len(w.lat), w.drops
-	if n > 0 {
-		p95 = selectRank(w.lat, quantile.Rank(n, 0.95)-1)
-	}
+	sp := [1]span{{xs: w.lat}}
+	var p [1]float64
+	nearestRanks(sp[:], p[:], 0.95)
 	w.lat, w.drops = w.lat[:0], 0
-	return n, p95, drops
+	return n, p[0], drops
 }
 
 // batchSize is how many of a class's n cameras one decision may move:

@@ -21,7 +21,10 @@
 // coin — to the level above at doubled weight. Capacities decay
 // geometrically (c = 2/3) below the top compactor of K = 400, so a
 // sketch holds O(K) items regardless of stream length, and queries
-// answer nearest-rank over the weighted survivors.
+// answer nearest-rank over the weighted survivors. A query sorts each
+// level in place and answers from one merged walk over the sorted
+// levels, so it allocates nothing; like Add and Merge, it is not safe
+// for concurrent use.
 //
 // The error model is rank error: for any q, Quantile(q) is a value
 // whose true rank lies within Eps·n of ⌈q·n⌉ with high probability —

@@ -1,7 +1,6 @@
 package quantile
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -49,20 +48,12 @@ func Rank(n int, q float64) int {
 // algorithm and the error model.
 type Sketch struct {
 	// compactors[h] holds items of weight 2^h, unsorted between
-	// compactions.
+	// compactions and queries.
 	compactors [][]float64
 	size       int    // items held across all compactors
 	maxSize    int    // sum of compactor capacities at the current height
 	count      uint64 // total weight = items observed (Add + Merge)
 	coin       uint64 // splitmix64 state for compaction offsets
-	scratch    []wv   // Quantiles' flatten buffer, reused across calls
-}
-
-// wv is one retained value with its compactor weight, Quantiles' sort
-// unit.
-type wv struct {
-	v float64
-	w uint64
 }
 
 // NewSketch returns an empty sketch. The compaction coin is seeded by a
@@ -102,10 +93,11 @@ func (s *Sketch) capacity(h int) int {
 	return c
 }
 
-// grow adds one compactor level and recomputes maxSize (growing the
-// height shrinks every lower level's capacity).
+// grow adds one compactor level, with room for the top capacity K, and
+// recomputes maxSize (growing the height shrinks every lower level's
+// capacity).
 func (s *Sketch) grow() {
-	s.compactors = append(s.compactors, nil)
+	s.compactors = append(s.compactors, make([]float64, 0, K))
 	s.maxSize = 0
 	for h := range s.compactors {
 		s.maxSize += s.capacity(h)
@@ -193,8 +185,8 @@ func (s *Sketch) Merge(o *Sketch) {
 // q-quantile (0..1): the smallest retained value whose cumulative
 // weight reaches ⌈q·Count⌉, clamped to [1, Count]. An empty sketch
 // returns 0, matching NearestRank on an empty slice. Like Add and
-// Merge, Quantile is not safe for concurrent use — it reuses a
-// per-sketch flatten buffer across calls.
+// Merge, Quantile is not safe for concurrent use: it sorts the
+// sketch's levels in place.
 func (s *Sketch) Quantile(q float64) float64 {
 	var v [1]float64
 	s.Quantiles(v[:], q)
@@ -202,45 +194,61 @@ func (s *Sketch) Quantile(q float64) float64 {
 }
 
 // Quantiles sets out[i] to Quantile(qs[i]) for every i, in any order of
-// qs, from one flatten and sort of the retained items where as many
-// Quantile calls pay for one each. out must hold len(qs) values.
+// qs. It sorts each level in place and answers every rank from one
+// merged walk over the sorted levels, taking the targets in increasing
+// order, where as many Quantile calls pay for a walk each. out must hold
+// len(qs) values. It allocates nothing.
 func (s *Sketch) Quantiles(out []float64, qs ...float64) {
 	if s.count == 0 {
 		clear(out[:len(qs)])
 		return
 	}
-	items := s.scratch[:0]
-	for h, c := range s.compactors {
-		w := uint64(1) << uint(h)
-		for _, v := range c {
-			items = append(items, wv{v, w})
-		}
+	// Compaction sorts a level before it promotes from it, so the order
+	// a query leaves behind changes no later answer.
+	for _, c := range s.compactors {
+		slices.Sort(c)
 	}
-	s.scratch = items
-	// Equal values may sort in any order: the value at a weight crossing
-	// is the same whichever of them crosses.
-	slices.SortFunc(items, func(a, b wv) int { return cmp.Compare(a.v, b.v) })
-	for i, q := range qs {
-		out[i] = s.at(items, q)
+	var pos [64]int // each level's walk cursor: a uint64 count allows 64 levels
+	var cum uint64  // weight walked so far
+	var v float64   // the value whose weight was walked last
+	for done := uint64(0); ; {
+		// The least target not yet answered; every q asking it is
+		// answered together.
+		target := uint64(math.MaxUint64)
+		for _, q := range qs {
+			if t := s.rank(q); t > done && t < target {
+				target = t
+			}
+		}
+		if target == math.MaxUint64 {
+			return
+		}
+		// Levels hold exactly count weight, so the walk reaches every
+		// target. Equal values on several levels may be walked in any
+		// order: the value at a weight crossing is the same.
+		for cum < target {
+			b := -1
+			for h, c := range s.compactors {
+				if pos[h] < len(c) && (b < 0 || c[pos[h]] < s.compactors[b][pos[b]]) {
+					b = h
+				}
+			}
+			v = s.compactors[b][pos[b]]
+			pos[b]++
+			cum += 1 << uint(b)
+		}
+		for i, q := range qs {
+			if s.rank(q) == target {
+				out[i] = v
+			}
+		}
+		done = target
 	}
 }
 
-// at returns the smallest value of the sorted items whose cumulative
-// weight reaches the q-quantile's nearest rank.
-func (s *Sketch) at(items []wv, q float64) float64 {
+// rank returns the q-quantile's nearest rank in the sketch's weight,
+// ⌈q·Count⌉ clamped to [1, Count].
+func (s *Sketch) rank(q float64) uint64 {
 	target := uint64(math.Ceil(q * float64(s.count)))
-	if target < 1 {
-		target = 1
-	}
-	if target > s.count {
-		target = s.count
-	}
-	var cum uint64
-	for _, it := range items {
-		cum += it.w
-		if cum >= target {
-			return it.v
-		}
-	}
-	return items[len(items)-1].v
+	return min(max(target, 1), s.count)
 }

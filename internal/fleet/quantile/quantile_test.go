@@ -310,15 +310,7 @@ func TestSketchQuantilesOneSort(t *testing.T) {
 		for s.Count() < uint64(n) {
 			s.Add(math.Round(20*rng.float64()) / 4)
 		}
-		var expanded []float64
-		for h, c := range s.compactors {
-			for _, v := range c {
-				for range 1 << h {
-					expanded = append(expanded, v)
-				}
-			}
-		}
-		sort.Float64s(expanded)
+		expanded := expand(s)
 		s.Quantiles(out, qs...)
 		for i, q := range qs {
 			if want := NearestRank(expanded, q); out[i] != want {
@@ -328,5 +320,91 @@ func TestSketchQuantilesOneSort(t *testing.T) {
 				t.Errorf("n=%d q=%v: Quantile %v, Quantiles %v", n, q, got, out[i])
 			}
 		}
+	}
+}
+
+// expand returns the sketch's retained items, each repeated by its
+// weight, sorted: the longhand weighted nearest rank reads NearestRank
+// from it.
+func expand(s *Sketch) []float64 {
+	var xs []float64
+	for h, c := range s.compactors {
+		for _, v := range c {
+			for range 1 << h {
+				xs = append(xs, v)
+			}
+		}
+	}
+	sort.Float64s(xs)
+	return xs
+}
+
+// TestSketchQueryThenUpdate pins that a query leaves a sketch that
+// still answers right once it grows: a query sorts the levels in place,
+// and later Adds and Merges append to them unsorted, so a walk that
+// assumed a level stays sorted would read a wrong value here.
+func TestSketchQueryThenUpdate(t *testing.T) {
+	rng := newTestRNG(19)
+	s, o := NewSketch(), NewSketch()
+	qs := []float64{0.5, 0.01, 0.95, 0.99}
+	out := make([]float64, len(qs))
+	check := func(stage string) {
+		t.Helper()
+		expanded := expand(s)
+		s.Quantiles(out, qs...)
+		for i, q := range qs {
+			if want := NearestRank(expanded, q); out[i] != want {
+				t.Errorf("%s: q=%v: Quantiles gave %v, weighted nearest rank %v", stage, q, out[i], want)
+			}
+		}
+	}
+	for range 3000 {
+		s.Add(math.Exp(6 * rng.float64()))
+	}
+	check("first query")
+	for range 700 {
+		s.Add(math.Exp(6 * rng.float64()))
+	}
+	check("after adds")
+	for range 5000 {
+		o.Add(math.Exp(7 * rng.float64()))
+	}
+	o.Quantile(0.5)
+	s.Merge(o)
+	check("after a merge")
+	for range 11 {
+		s.Add(math.Exp(6 * rng.float64()))
+	}
+	check("after a few adds")
+}
+
+// TestSketchQuantilesAllocFree pins that a query allocates nothing, the
+// first one on a sketch included: it sorts the levels in place and walks
+// them, with no buffer of its own.
+func TestSketchQuantilesAllocFree(t *testing.T) {
+	const runs = 10
+	rng := newTestRNG(23)
+	fresh := make([]*Sketch, runs+1) // AllocsPerRun calls f runs+1 times
+	for i := range fresh {
+		fresh[i] = NewSketch()
+		for range 20_000 {
+			fresh[i].Add(rng.float64())
+		}
+	}
+	qs := []float64{0.5, 0.95, 0.99}
+	out := make([]float64, len(qs))
+	next := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		fresh[next].Quantiles(out, qs...)
+		next++
+	}); n != 0 {
+		t.Errorf("a first query allocates %v times, want 0", n)
+	}
+	s := fresh[0]
+	if n := testing.AllocsPerRun(runs, func() { s.Quantiles(out, qs...) }); n != 0 {
+		t.Errorf("Quantiles allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(runs, func() { s.Quantile(0.9) }); n != 0 {
+		t.Errorf("Quantile allocates %v times per call, want 0", n)
 	}
 }

@@ -261,7 +261,8 @@ func ParseScenario(data []byte) (Scenario, error) {
 // touching the caller's scenario: sc arrives by value, but its slices
 // share backing arrays with the caller (and, under Sweep, with sibling
 // scenarios), and its sections are shared pointers. Everything Normalize
-// or a run writes through is re-backed.
+// or a run writes through is re-backed. A run only reads the dynamics
+// schedule, so it is re-backed only when normalize will fill a Count in.
 func (sc Scenario) clone() Scenario {
 	sc.Classes = append([]Class(nil), sc.Classes...)
 	sc.Tiers = append([]Tier(nil), sc.Tiers...)
@@ -273,7 +274,9 @@ func (sc Scenario) clone() Scenario {
 	sc.Telemetry = shallowCopy(sc.Telemetry)
 	if sc.Dynamics != nil {
 		sc.Dynamics = shallowCopy(sc.Dynamics)
-		sc.Dynamics.Events = append([]FleetEvent(nil), sc.Dynamics.Events...)
+		if slices.ContainsFunc(sc.Dynamics.Events, FleetEvent.countless) {
+			sc.Dynamics.Events = slices.Clone(sc.Dynamics.Events)
+		}
 	}
 	sc.Federated = sc.Federated.Clone()
 	return sc

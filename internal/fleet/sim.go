@@ -1070,6 +1070,10 @@ func (e *engine) loop() error {
 			e.startLink(int(p.tier), ev.T, id, ub)
 		case evDynamics:
 			e.dynFire(ev.T, int(ev.P.id))
+			// An entry past the last landing still ends the run no
+			// sooner than its own time: the outage it closes accrues up
+			// to it.
+			e.res.SimEnd = max(e.res.SimEnd, ev.T)
 		default:
 			return fmt.Errorf("fleet: unknown event kind %d", ev.kind())
 		}

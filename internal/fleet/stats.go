@@ -224,7 +224,9 @@ type Result struct {
 	// has exactly one entry, its root "wan"; a "gateways" scenario has its
 	// gateways in scenario order, then "wan".
 	Tiers []TierStats
-	// SimEnd is when the last offload drained (≥ Scenario.Duration).
+	// SimEnd is when the run ended (≥ Scenario.Duration): the latest of
+	// the last offload's landing, the federated job's final model
+	// delivery and the last fault-schedule entry to fire.
 	SimEnd float64
 	// UplinkUtilization is the root tier's uplink utilization (the only
 	// link's, in a flat scenario) — served payload over capacity × SimEnd.
@@ -269,68 +271,128 @@ func newResult(sc Scenario) *Result {
 // order: ClassStats' LatencyP50, LatencyP95 and LatencyP99.
 var finalQuantiles = [3]float64{0.50, 0.95, 0.99}
 
-// nearestRanks returns the nearest-rank value of each finalQuantiles
-// entry over xs — exactly quantile.NearestRank on a sorted copy — without
-// sorting: it selects the three ranks in increasing order, each within
-// the part of xs right of the previous one, and leaves xs partially
-// reordered. An empty xs yields zeros.
-func nearestRanks(xs []float64) (p [3]float64) {
-	if len(xs) == 0 {
-		return p
-	}
-	lo := 0
-	for i, q := range finalQuantiles {
-		k := quantile.Rank(len(xs), q) - 1
-		p[i] = selectRank(xs[lo:], k-lo)
-		lo = k
-	}
-	return p
+// span is one slice of a selection across several: the window
+// xs[lo:hi] still holds the rank sought, and a partition splits the
+// window at lt and gt.
+type span struct {
+	xs             []float64
+	lo, hi, lt, gt int
 }
 
-// selectRank reorders xs so that xs[k] holds the value a sort would put
-// there, with nothing greater before it and nothing smaller after it, and
-// returns that value. It is Hoare's selection with a median-of-three
-// pivot: scans stop on values equal to the pivot, so heavy duplicates
-// still split evenly. Deterministic, allocation-free and O(n) expected;
-// a window still unresolved after 2·log2(n) partitions, or down to a
-// handful of values, is finished with slices.Sort, which bounds the
-// worst case at O(n log n).
-func selectRank(xs []float64, k int) float64 {
-	lo, hi := 0, len(xs)-1
-	for budget := 2 * bits.Len(uint(len(xs))); budget > 0 && hi-lo > 16; budget-- {
-		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi]
-		if a > b {
-			a, b = b, a
+// partition reorders the window around p: afterwards xs[lo:lt] ≤ p,
+// xs[lt:gt] = p and xs[gt:hi] ≥ p. Scans stop on values equal to p, so
+// heavy duplicates still split evenly, and they are bounded, because p
+// need not be a value of this slice.
+func (s *span) partition(p float64) {
+	xs, i, j := s.xs, s.lo, s.hi-1
+	for i <= j {
+		for i <= j && xs[i] < p {
+			i++
 		}
-		p := max(a, min(b, c))
-		// p is a value inside the window and every swap leaves a stopper
-		// behind each scan, so neither scan needs a bounds check.
-		i, j := lo, hi
-		for i <= j {
-			for xs[i] < p {
-				i++
-			}
-			for xs[j] > p {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
+		for i <= j && xs[j] > p {
+			j--
 		}
-		// Now xs[lo..j] ≤ p ≤ xs[i..hi], and anything between equals p.
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return xs[k]
+		if i <= j {
+			xs[i], xs[j] = xs[j], xs[i]
+			i++
+			j--
 		}
 	}
-	slices.Sort(xs[lo : hi+1])
-	return xs[k]
+	s.lt, s.gt = j+1, i
+}
+
+// nearestRanks sets out[i] to the nearest-rank qs[i]-quantile of all the
+// spans' samples together, for qs in increasing order: exactly
+// quantile.NearestRank on a sorted concatenation, which it never makes.
+// It reorders each slice in place and copies none; no samples yield
+// zeros. Each rank is selected right of the previous one.
+func nearestRanks(sp []span, out []float64, qs ...float64) {
+	n := 0
+	for i := range sp {
+		sp[i].lo = 0
+		n += len(sp[i].xs)
+	}
+	if n == 0 {
+		clear(out[:len(qs)])
+		return
+	}
+	for i, q := range qs {
+		out[i] = selectRank(sp, quantile.Rank(n, q)-1, 2*bits.Len(uint(n)))
+	}
+}
+
+// selectRank returns the value a sort of all the spans' slices together
+// would put at 0-based rank k. Every value left of a span's lo must be ≤
+// every value at or right of any lo, and rank below k; selectRank keeps
+// that so for the next rank, moving each lo past values it finds to rank
+// below k. It is Hoare's selection run across the slices at once: each
+// round takes one median-of-three pivot from the largest window,
+// partitions every window around it and narrows all of them to the side
+// that holds the rank. Windows down to a handful of values in all, or
+// still unresolved after budget rounds, are sorted and walked in merged
+// order, which bounds the worst case at O(n log n).
+func selectRank(sp []span, k, budget int) float64 {
+	r := k // the rank sought within the windows
+	for i := range sp {
+		sp[i].hi = len(sp[i].xs)
+		r -= sp[i].lo
+	}
+	for ; budget > 0; budget-- {
+		tot, big := 0, 0
+		for i := range sp {
+			m := sp[i].hi - sp[i].lo
+			tot += m
+			if m > sp[big].hi-sp[big].lo {
+				big = i
+			}
+		}
+		if tot <= 16 {
+			break
+		}
+		b := &sp[big]
+		x, y, z := b.xs[b.lo], b.xs[b.lo+(b.hi-b.lo)/2], b.xs[b.hi-1]
+		if x > y {
+			x, y = y, x
+		}
+		p := max(x, min(y, z))
+		below, equal := 0, 0
+		for i := range sp {
+			sp[i].partition(p)
+			below += sp[i].lt - sp[i].lo
+			equal += sp[i].gt - sp[i].lt
+		}
+		switch {
+		case r < below:
+			for i := range sp {
+				sp[i].hi = sp[i].lt
+			}
+		case r >= below+equal:
+			for i := range sp {
+				sp[i].lo = sp[i].gt
+			}
+			r -= below + equal
+		default:
+			for i := range sp {
+				sp[i].lo = sp[i].lt
+			}
+			return p
+		}
+	}
+	for i := range sp {
+		slices.Sort(sp[i].xs[sp[i].lo:sp[i].hi])
+	}
+	for ; ; r-- {
+		m := -1
+		for i := range sp {
+			if s := &sp[i]; s.lo < s.hi && (m < 0 || s.xs[s.lo] < sp[m].xs[sp[m].lo]) {
+				m = i
+			}
+		}
+		if r == 0 {
+			return sp[m].xs[sp[m].lo]
+		}
+		sp[m].lo++
+	}
 }
 
 // accumulator is how a run accumulates offload latencies and per-window
@@ -383,20 +445,18 @@ func (exactLatencies) advance(float64)            {}
 func (exactLatencies) finish(float64) *TimeSeries { return nil }
 
 // quantiles selects the ranks of each class's samples and of all of them
-// together, leaving the sample slices in selection order, not sorted.
+// together, across the class slices in place: no slice of all n samples
+// is made. It leaves the sample slices in selection order, not sorted.
 func (x exactLatencies) quantiles() (perClass [][3]float64, total [3]float64) {
 	classes := x.res.Classes
 	perClass = make([][3]float64, len(classes))
-	n := 0
+	all := make([]span, len(classes))
 	for i := range classes {
-		n += len(classes[i].latencies)
+		all[i].xs = classes[i].latencies
+		nearestRanks(all[i:i+1], perClass[i][:], finalQuantiles[:]...)
 	}
-	all := make([]float64, 0, n)
-	for i := range classes {
-		perClass[i] = nearestRanks(classes[i].latencies)
-		all = append(all, classes[i].latencies...)
-	}
-	return perClass, nearestRanks(all)
+	nearestRanks(all, total[:], finalQuantiles[:]...)
+	return perClass, total
 }
 
 // finalize computes percentiles and the fleet-wide Total from the

@@ -3,6 +3,7 @@ package fleet
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -93,7 +94,8 @@ func TestNearestRanksMatchSortedNearestRank(t *testing.T) {
 		sorted := slices.Clone(tc.xs)
 		slices.Sort(sorted)
 		xs := slices.Clone(tc.xs)
-		got := nearestRanks(xs)
+		var got [3]float64
+		nearestRanks([]span{{xs: xs}}, got[:], finalQuantiles[:]...)
 		for i, q := range finalQuantiles {
 			if want := quantile.NearestRank(sorted, q); got[i] != want {
 				t.Errorf("%s (n=%d): q=%v selected %v, sorted nearest rank %v", tc.name, len(xs), q, got[i], want)
@@ -104,4 +106,108 @@ func TestNearestRanksMatchSortedNearestRank(t *testing.T) {
 			t.Errorf("%s (n=%d): selection changed the multiset of samples", tc.name, len(xs))
 		}
 	}
+}
+
+// TestNearestRanksAcrossSlices holds the selection across several
+// slices to a sort of their concatenation, over 1 to 40 slices: every
+// rank asked matches quantile.NearestRank on the sorted concatenation,
+// and each slice is only reordered. The shapes cover empty slices,
+// all-equal values, heavy duplicates, one large slice beside many tiny
+// ones, and slices of disjoint ranges, where the pivot taken from one
+// slice lies in no other.
+func TestNearestRanksAcrossSlices(t *testing.T) {
+	rng := rand.New(rand.NewSource(907))
+	shapes := []struct {
+		name string
+		size func(p int) int
+		val  func(p int) float64
+	}{
+		{"uniform", func(int) int { return rng.Intn(3) * rng.Intn(300) }, func(int) float64 { return rng.Float64() }},
+		{"all equal", func(int) int { return rng.Intn(200) }, func(int) float64 { return 0.25 }},
+		{"heavy duplicates", func(int) int { return rng.Intn(500) }, func(int) float64 { return float64(rng.Intn(3)) }},
+		{"one large", func(p int) int {
+			if p == 0 {
+				return 5000 + rng.Intn(5000)
+			}
+			return rng.Intn(4)
+		}, func(int) float64 { return math.Round(rng.ExpFloat64()*8) / 8 }},
+		{"disjoint", func(int) int { return rng.Intn(400) }, func(p int) float64 { return float64(p) + rng.Float64() }},
+	}
+	for iter := 0; iter < 400; iter++ {
+		sh := shapes[iter%len(shapes)]
+		parts := make([][]float64, 1+rng.Intn(40))
+		var all []float64
+		for p := range parts {
+			parts[p] = make([]float64, sh.size(p))
+			for i := range parts[p] {
+				parts[p][i] = sh.val(p)
+			}
+			all = append(all, parts[p]...)
+		}
+		slices.Sort(all)
+		qs := []float64{0, 1}
+		for range rng.Intn(8) {
+			qs = append(qs, rng.Float64())
+		}
+		qs = append(qs, finalQuantiles[:]...)
+		slices.Sort(qs)
+
+		sp := make([]span, len(parts))
+		for p := range parts {
+			sp[p].xs = slices.Clone(parts[p])
+		}
+		got := make([]float64, len(qs))
+		nearestRanks(sp, got, qs...)
+		for i, q := range qs {
+			if want := quantile.NearestRank(all, q); got[i] != want {
+				t.Errorf("iter %d %s (%d slices, n=%d): q=%v selected %v, sorted nearest rank %v",
+					iter, sh.name, len(parts), len(all), q, got[i], want)
+			}
+		}
+		for p := range parts {
+			slices.Sort(sp[p].xs)
+			slices.Sort(parts[p])
+			if !slices.Equal(sp[p].xs, parts[p]) {
+				t.Errorf("iter %d %s: selection changed the samples of slice %d", iter, sh.name, p)
+			}
+		}
+	}
+}
+
+// TestExactQuantilesAllocationFlat pins that the exact path's quantiles
+// allocate per class, not per sample: the fleet total is selected across
+// the class slices, so 100k samples cost what 1k do.
+func TestExactQuantilesAllocationFlat(t *testing.T) {
+	cost := func(perClass int) (allocs float64, bytes uint64) {
+		rng := rand.New(rand.NewSource(5))
+		res := &Result{Classes: make([]ClassStats, 8)}
+		for i := range res.Classes {
+			xs := make([]float64, perClass)
+			for j := range xs {
+				xs[j] = rng.ExpFloat64()
+			}
+			res.Classes[i].latencies = xs
+		}
+		x := exactLatencies{res}
+		return testing.AllocsPerRun(5, func() { x.quantiles() }), bytesPerRun(5, func() { x.quantiles() })
+	}
+	smallN, smallB := cost(125)
+	bigN, bigB := cost(12_500)
+	if bigN != smallN || bigB != smallB {
+		t.Errorf("quantiles: %v allocations, %d B on 100k samples; %v, %d B on 1k", bigN, bigB, smallN, smallB)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call
+// of f allocates, averaged over runs after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

@@ -276,7 +276,7 @@ func (tel *collector) closeWindow(end float64) {
 		for ni := range dyn.down {
 			dd := dyn.downtimeAt(ni, end) - tel.downSnap[ni]
 			if dd < 0 {
-				dd = 0 // a schedule entry past the run's end moved the snapshot
+				dd = 0 // rounding: the snapshot is a running sum of deltas
 			}
 			win.TierDownSec[ni] = dd
 			tel.downSnap[ni] += dd
@@ -339,7 +339,7 @@ func (tel *collector) finish(simEnd float64) *TimeSeries {
 // quantiles returns the run-wide per-class and fleet-total latency
 // quantiles from the streaming sketches, in finalize's (p50, p95, p99)
 // shape. The fleet total merges every class's sketch — the same
-// samples the exact path concatenates.
+// samples the exact path selects across.
 func (tel *collector) quantiles() (perClass [][3]float64, total [3]float64) {
 	perClass = make([][3]float64, len(tel.run))
 	all := quantile.NewSketch()
@@ -350,7 +350,7 @@ func (tel *collector) quantiles() (perClass [][3]float64, total [3]float64) {
 	return perClass, sketchQuantiles(all)
 }
 
-// sketchQuantiles reads s's finalQuantiles from one sort of its items.
+// sketchQuantiles reads s's finalQuantiles from one walk of its levels.
 func sketchQuantiles(s *quantile.Sketch) (p [3]float64) {
 	s.Quantiles(p[:], finalQuantiles[:]...)
 	return p
