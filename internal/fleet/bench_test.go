@@ -219,7 +219,7 @@ func BenchmarkComputeTiers(b *testing.B) {
 func BenchmarkExactQuantiles(b *testing.B) {
 	const classes, perClass = 32, 6250
 	rng := newPRNG(5)
-	res := &Result{Classes: make([]ClassStats, classes)}
+	x := make(exactLatencies, classes)
 	arrival := make([][]float64, classes)
 	for c := range arrival {
 		arrival[c] = make([]float64, perClass)
@@ -227,15 +227,14 @@ func BenchmarkExactQuantiles(b *testing.B) {
 			// Huge-fleet's latencies: a fixed path delay plus queueing.
 			arrival[c][i] = 0.0172 + 0.0005*rng.ExpFloat64()
 		}
-		res.Classes[c].latencies = make([]float64, perClass)
+		x[c] = make([]float64, perClass)
 	}
-	x := exactLatencies{res}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		for c := range arrival {
-			copy(res.Classes[c].latencies, arrival[c])
+			copy(x[c], arrival[c])
 		}
 		b.StartTimer()
 		x.quantiles()

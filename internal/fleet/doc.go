@@ -237,9 +237,13 @@
 // every link's utilization over just that window (bytes credit at
 // transfer completion, so a single window can exceed 1; the
 // time-weighted mean across windows equals the run-wide utilization
-// exactly). Window sketches merge into the run-wide sketches at window
-// close — the mergeability that makes per-window statistics free — and
-// come back in Result.TimeSeries, renderable as JSON or long-form CSV
+// exactly). A window's counts are not kept apart from the run's: they
+// are the change in the class counters since the previous window
+// closed, as its utilization is the change in each link's served bytes,
+// so the windows sum to the run totals by construction. Window sketches
+// merge into the run-wide sketches at window close — the mergeability
+// that makes per-window statistics free — and come back in
+// Result.TimeSeries, renderable as JSON or long-form CSV
 // (TimeSeries.WriteJSON / WriteCSV); `camsim fleet|topo -scenario
 // file.json -timeseries out.csv` writes them from the command line, and
 // examples/long-horizon walks a two-minute run window by window.
@@ -288,9 +292,12 @@
 // kept in camera + dropped (ClassStats.Offloaded, KeptInCamera and the
 // three Dropped counters), with outage losses in ClassStats.DroppedOutage,
 // per-tier downtime seconds and drops in TierStats, the run-wide totals
-// in Result.Dynamics, and — with windowed telemetry — per-window
-// availability columns (outage drops per class, downtime seconds and
-// mean capacity fraction per tier) in the JSON and CSV series. Tier
+// in Result.Dynamics (Result.Total's churn and outage counts, so the
+// ledger and the class table cannot disagree), and — with windowed
+// telemetry — per-window availability columns (outage drops per class,
+// downtime seconds and mean capacity fraction per tier) in the JSON and
+// CSV series, each the change in a running total since the previous
+// window. Tier
 // utilization stays denominated in nominal capacity while degraded (the
 // capacity-fraction column carries the degradation). A scenario without
 // the section — or with an empty event list — is byte-identical to every
@@ -500,7 +507,10 @@
 //     The per-class latency slices are preallocated from FPS × Duration
 //     × Count estimates plus four Poisson standard deviations, so the
 //     loop does not regrow them, and the percentiles read them where
-//     they lie. A sketch's levels are made with room for its top
+//     they lie; they belong to the run's accumulator, so a Result keeps
+//     no samples once returned. Each controller window is sized the
+//     same way over one decision period (IntervalSec for a class's
+//     controller, EpochSec for each of the global controller's). A sketch's levels are made with room for its top
 //     capacity, so they seldom regrow, and a run reads a fault schedule
 //     from the caller's scenario unless a churn entry needs its Count
 //     filled in.

@@ -271,7 +271,8 @@ func (sc *Scenario) validateDynamics(nodes []tierNode, cameras int) error {
 // DynamicsStats is the run-wide accounting of the dynamics schedule; set
 // on Result.Dynamics only when the scenario carries a non-empty schedule.
 // Per-tier downtime and outage drops land on TierStats; per-class churn
-// and outage-drop counters on ClassStats.
+// and outage-drop counters on ClassStats, and the counts below are their
+// sums, Result.Total's.
 type DynamicsStats struct {
 	// Events is the schedule length (recurring firings not counted).
 	Events int
@@ -295,26 +296,33 @@ type dynamics struct {
 	tier   []int  // resolved tier index per entry, -1
 	fall   []int  // resolved fallback tier index per entry, -1
 
-	// Per-tier uplink capacity state: the current degradation factor and
-	// a running ∫factor·dt so telemetry windows can report their mean
-	// available-capacity fraction. The nominal capacity is the engine's
-	// link table's.
-	capFac   []float64
-	capLastT []float64
-	capInt   []float64
-
-	// Per-tier outage state and accounting.
-	down        []bool
-	downAt      []float64
-	downtime    []float64
-	outageDrops []int64
+	// Per-tier availability: down is 1 while the tier is out and 0 while
+	// it serves, so its integral is the tier's downtime; capacity is its
+	// uplink's degradation factor, whose integral telemetry windows read
+	// as their mean available-capacity fraction. The nominal capacity is
+	// the engine's link table's.
+	down, capacity []level
+	outageDrops    []int64
 
 	// home is each class's original first-hop tier, the one it re-homes
 	// back to on recovery.
 	home []int
-
-	stats DynamicsStats
 }
+
+// level is a piecewise-constant quantity over simulated time: its value
+// v since the time since, and its integral up to then.
+type level struct{ v, since, integral float64 }
+
+// set changes the level to v at time t, accruing the outgoing value's
+// integral first.
+func (l *level) set(t, v float64) {
+	l.integral += l.v * (t - l.since)
+	l.since, l.v = t, v
+}
+
+// at projects the integral forward to time t, which must not precede
+// the last set.
+func (l *level) at(t float64) float64 { return l.integral + l.v*(t-l.since) }
 
 // newDynamics resolves the schedule against the run's tier tree. Names
 // were validated; resolution here cannot fail.
@@ -326,18 +334,13 @@ func newDynamics(sc *Scenario, nodes []tierNode, firstHop []int) *dynamics {
 		class:       make([]int, len(evs)),
 		tier:        make([]int, len(evs)),
 		fall:        make([]int, len(evs)),
-		capFac:      make([]float64, len(nodes)),
-		capLastT:    make([]float64, len(nodes)),
-		capInt:      make([]float64, len(nodes)),
-		down:        make([]bool, len(nodes)),
-		downAt:      make([]float64, len(nodes)),
-		downtime:    make([]float64, len(nodes)),
+		down:        make([]level, len(nodes)),
+		capacity:    make([]level, len(nodes)),
 		outageDrops: make([]int64, len(nodes)),
 		home:        append([]int(nil), firstHop...),
-		stats:       DynamicsStats{Events: len(evs)},
 	}
 	for ni := range nodes {
-		dyn.capFac[ni] = 1
+		dyn.capacity[ni].v = 1
 	}
 	for i := range evs {
 		e := &evs[i]
@@ -356,27 +359,4 @@ func newDynamics(sc *Scenario, nodes []tierNode, firstHop []int) *dynamics {
 		}
 	}
 	return dyn
-}
-
-// rescale records a capacity-factor change on tier ti at time t,
-// accruing the outgoing factor's integral first.
-func (dyn *dynamics) rescale(t float64, ti int, factor float64) {
-	dyn.capInt[ti] += dyn.capFac[ti] * (t - dyn.capLastT[ti])
-	dyn.capLastT[ti] = t
-	dyn.capFac[ti] = factor
-}
-
-// capIntegralAt projects ∫factor·dt for tier ti forward to time t
-// without mutating state (t must not precede the last recorded change).
-func (dyn *dynamics) capIntegralAt(ti int, t float64) float64 {
-	return dyn.capInt[ti] + dyn.capFac[ti]*(t-dyn.capLastT[ti])
-}
-
-// downtimeAt projects tier ti's accrued downtime seconds to time t.
-func (dyn *dynamics) downtimeAt(ti int, t float64) float64 {
-	dt := dyn.downtime[ti]
-	if dyn.down[ti] && t > dyn.downAt[ti] {
-		dt += t - dyn.downAt[ti]
-	}
-	return dt
 }

@@ -230,9 +230,9 @@ func TestDropCausesAreExclusive(t *testing.T) {
 }
 
 // TestDropSinkRouting pins which receivers each drop cause reaches:
-// every cause lands in its class counter and the telemetry window; queue
-// and outage drops also reach the class controller and the global
-// controller, energy drops do not.
+// every cause lands in its class counter, and the telemetry window that
+// closes next reads it from there; queue and outage drops also reach the
+// class controller and the global controller, energy drops do not.
 func TestDropSinkRouting(t *testing.T) {
 	sc := Scenario{
 		Name: "drops", Duration: 1, Uplink: UplinkConfig{Gbps: 1},
@@ -251,7 +251,8 @@ func TestDropSinkRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.drop(0, tc.cause)
-		st, win := e.res.Classes[0], e.acc.(*collector).winClass[0]
+		e.acc.advance(1)
+		st, win := e.res.Classes[0], e.acc.(*collector).series.Windows[0].Classes[0]
 		got := [3]int64{st.DroppedQueue, st.DroppedEnergy, st.DroppedOutage}
 		gotWin := [3]int64{win.DroppedQueue, win.DroppedEnergy, win.DroppedOutage}
 		var want [3]int64

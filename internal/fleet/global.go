@@ -25,12 +25,16 @@ func newGlobal(sc *Scenario) *globalController {
 	if sc.Global == nil {
 		return nil
 	}
-	return &globalController{
+	g := &globalController{
 		cfg:   *sc.Global,
 		rng:   newPRNG(streamSeed(sc.Seed, seedGlobal, len(sc.Classes))),
 		win:   make([]window, len(sc.Classes)),
 		stats: GlobalStats{BudgetW: sc.Global.BudgetW},
 	}
+	for ci := range g.win {
+		g.win[ci] = newWindow(&sc.Classes[ci], sc.Global.EpochSec)
+	}
+	return g
 }
 
 // projectedPowerW prices the fleet's steady-state placement power: every

@@ -8,6 +8,12 @@ type window struct {
 	drops int64
 }
 
+// newWindow sizes a window for class cl's completions over one decision
+// period of sec seconds, so it rarely regrows.
+func newWindow(cl *Class, sec float64) window {
+	return window{lat: make([]float64, 0, expectedOffloads(cl, sec))}
+}
+
 func (w *window) observe(lat float64) { w.lat = append(w.lat, lat) }
 
 // consume empties the window and returns how many latencies it held,
@@ -80,8 +86,8 @@ type controller struct {
 func newControllers(sc *Scenario) []*controller {
 	ctls := make([]*controller, len(sc.Classes))
 	for ci := range sc.Classes {
-		if sc.Classes[ci].adaptive() {
-			ctls[ci] = &controller{rng: newPRNG(streamSeed(sc.Seed, seedController, ci))}
+		if cl := &sc.Classes[ci]; cl.adaptive() {
+			ctls[ci] = &controller{rng: newPRNG(streamSeed(sc.Seed, seedController, ci)), win: newWindow(cl, cl.Policy.IntervalSec)}
 		}
 	}
 	return ctls

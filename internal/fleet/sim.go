@@ -414,18 +414,19 @@ func newEngine(sc Scenario) (*engine, error) {
 	}
 
 	// Latency accumulation is chosen here, once. The streaming collector
-	// observes the same completions and drops at the same event times the
-	// exact path counts, so it cannot perturb the simulation — it only
-	// changes how latency statistics are accumulated (sketches instead of
-	// sample slices) and, with a window, adds the time series.
+	// observes the same completions at the same event times the exact path
+	// keeps, and reads its window counts from the class counters, so it
+	// cannot perturb the simulation — it only changes how latency
+	// statistics are accumulated (sketches instead of sample slices) and,
+	// with a window, adds the time series.
 	if s.Telemetry != nil && s.Telemetry.Streaming {
 		labels := make([]string, len(e.slots))
 		for li, sl := range e.slots {
 			labels[li] = nodes[sl.owner].Name + roleSuffix[sl.role]
 		}
-		e.acc = newCollector(s, e.links, e.slots, labels, e.dyn)
+		e.acc = newCollector(s, e.res.Classes, e.links, e.slots, labels, e.dyn)
 	} else {
-		e.acc = newExactLatencies(s, e.res)
+		e.acc = newExactLatencies(s)
 	}
 
 	// The federated round engine, when the scenario configures a job. It
@@ -668,10 +669,11 @@ const (
 )
 
 // drop is the one sink for a lost frame of class ci. Every cause reaches
-// the class counter and the accumulator's window. Queue and outage drops
-// also reach both controller kinds, so they see and react to congestion
-// and regime shifts; an energy drop does not, since it says the store ran
-// dry, not that the network is congested.
+// the class counter, the one count that telemetry windows, the fleet
+// total and the dynamics ledger all read. Queue and outage drops also
+// reach both controller kinds, so they see and react to congestion and regime
+// shifts; an energy drop does not, since it says the store ran dry, not
+// that the network is congested.
 func (e *engine) drop(ci int, cause dropCause) {
 	st := &e.res.Classes[ci]
 	switch cause {
@@ -682,7 +684,6 @@ func (e *engine) drop(ci int, cause dropCause) {
 	case dropOutage:
 		st.DroppedOutage++
 	}
-	e.acc.drop(ci, cause)
 	if cause == dropEnergy {
 		return
 	}
@@ -696,11 +697,10 @@ func (e *engine) drop(ci int, cause dropCause) {
 
 // dropOutage loses frame transfer id to an outage at tier ti: the
 // camera's queue slot frees (the frame will never arrive) and the drop is
-// charged to the class, the tier and the schedule's totals.
+// charged to the class and the tier.
 func (e *engine) dropOutage(ti, id int) {
 	tr := e.release(id)
 	e.cams[tr.cam].inflight--
-	e.dyn.stats.DroppedOutage++
 	e.dyn.outageDrops[ti]++
 	e.drop(int(tr.class), dropOutage)
 }
@@ -721,7 +721,7 @@ func (e *engine) drainLink(li, ti int) {
 // no-compute degenerate case, identical to the pre-compute routing.
 // A tier taken down by the dynamics schedule drops arrivals outright.
 func (e *engine) enterTier(now float64, ti, id int) {
-	if e.dyn != nil && e.dyn.down[ti] {
+	if e.dyn != nil && e.dyn.down[ti].v > 0 {
 		e.dropOutage(ti, id)
 		return
 	}
@@ -914,9 +914,7 @@ func (e *engine) flDeliver(t float64, ti, id int) {
 // tables (price), which both controllers read at their next decision.
 func (e *engine) rehome(ci, ti int) {
 	e.price(ci, ti)
-	moved := int64(len(e.classCams[ci]))
-	e.dyn.stats.Rehomed += moved
-	e.res.Classes[ci].Rehomed += moved
+	e.res.Classes[ci].Rehomed += int64(len(e.classCams[ci]))
 }
 
 // dynFire executes schedule entry i at time t, then re-arms a
@@ -929,9 +927,7 @@ func (e *engine) dynFire(t float64, i int) {
 		ci := dyn.class[i]
 		for k := 0; k < ev.Count; k++ {
 			e.addCamera(ci, t)
-			e.res.Classes[ci].Cameras++
 			e.res.Classes[ci].Joined++
-			dyn.stats.Joined++
 		}
 	case DynCameraLeave:
 		ci := dyn.class[i]
@@ -949,9 +945,7 @@ func (e *engine) dynFire(t float64, i int) {
 			members[pick] = members[n-1]
 			e.classCams[ci] = members[:n-1]
 			e.cams[camIdx].departed = true
-			e.res.Classes[ci].Cameras--
 			e.res.Classes[ci].Left++
-			dyn.stats.Left++
 		}
 	case DynLinkDegrade, DynLinkRestore:
 		factor := 1.0
@@ -959,13 +953,12 @@ func (e *engine) dynFire(t float64, i int) {
 			factor = ev.Factor
 		}
 		ti := dyn.tier[i]
-		dyn.rescale(t, ti, factor)
+		dyn.capacity[ti].set(t, factor)
 		e.links[ti].setCapacity(t, e.slots[ti].cap*factor)
 		e.lidx.invalidate(ti)
 	case DynTierOutage:
 		ti := dyn.tier[i]
-		dyn.down[ti] = true
-		dyn.downAt[ti] = t
+		dyn.down[ti].set(t, 1)
 		// In-flight transfers through the dead tier — its uplink and
 		// its core pool — are lost.
 		for _, li := range [2]int{ti, e.compLink[ti]} {
@@ -982,10 +975,7 @@ func (e *engine) dynFire(t float64, i int) {
 		}
 	case DynTierRecover:
 		ti := dyn.tier[i]
-		dyn.down[ti] = false
-		if d := t - dyn.downAt[ti]; d > 0 {
-			dyn.downtime[ti] += d
-		}
+		dyn.down[ti].set(t, 0)
 		for ci := range e.sc.Classes {
 			if dyn.home[ci] == ti && e.firstHop[ci] != ti {
 				e.rehome(ci, ti)
@@ -1095,10 +1085,6 @@ func (e *engine) result() *Result {
 			res.SimEnd = res.Federated.DoneAt
 		}
 	}
-	if dyn := e.dyn; dyn != nil {
-		st := dyn.stats
-		res.Dynamics = &st
-	}
 	links := e.links
 	for i, nd := range e.nodes {
 		ts := TierStats{
@@ -1119,7 +1105,7 @@ func (e *engine) result() *Result {
 			// A tier still down at the end accrues downtime to the run's
 			// end; the outage stays open, so the time series' last windows
 			// see it too.
-			ts.DowntimeSec = e.dyn.downtimeAt(i, res.SimEnd)
+			ts.DowntimeSec = e.dyn.down[i].at(res.SimEnd)
 			ts.OutageDrops = e.dyn.outageDrops[i]
 		}
 		if d := nd.Downlink; d != nil {
@@ -1160,6 +1146,7 @@ func (e *engine) result() *Result {
 	}
 	for ci := range sc.Classes {
 		cl := &sc.Classes[ci]
+		res.Classes[ci].Cameras = len(e.classCams[ci])
 		if len(cl.Placements) == 0 {
 			continue
 		}
@@ -1174,6 +1161,12 @@ func (e *engine) result() *Result {
 	}
 	res.TimeSeries = e.acc.finish(res.SimEnd)
 	res.finalize(e.acc)
+	if e.dyn != nil {
+		// The ledger's counts are the fleet total's: each was counted once,
+		// on its class.
+		tot := &res.Total
+		res.Dynamics = &DynamicsStats{Events: len(e.dyn.events), Joined: tot.Joined, Left: tot.Left, Rehomed: tot.Rehomed, DroppedOutage: tot.DroppedOutage}
+	}
 	for _, ti := range res.Tiers {
 		res.Energy.NetworkJ += ti.ForwardJ
 	}

@@ -46,8 +46,6 @@ type ClassStats struct {
 	// PlacementCounts is the final population per placement index, set
 	// only for classes carrying a runtime cost table.
 	PlacementCounts []int
-
-	latencies []float64
 }
 
 // EnergyPerFrame returns the mean energy per captured frame in joules.
@@ -262,7 +260,7 @@ func (r *Result) TierNamed(name string) *TierStats {
 func newResult(sc Scenario) *Result {
 	res := &Result{Scenario: sc}
 	for _, c := range sc.Classes {
-		res.Classes = append(res.Classes, ClassStats{Name: c.Name, Cameras: c.Count})
+		res.Classes = append(res.Classes, ClassStats{Name: c.Name})
 	}
 	return res
 }
@@ -395,16 +393,15 @@ func selectRank(sp []span, k, budget int) float64 {
 	}
 }
 
-// accumulator is how a run accumulates offload latencies and per-window
-// drop counts: exactly (exactLatencies, every sample kept) or streaming
-// (the telemetry collector's sketches and windows). The engine chooses
-// one at construction and reports every completion, drop and clock
-// advance to it without knowing which.
+// accumulator is how a run accumulates offload latencies: exactly
+// (exactLatencies, every sample kept) or streaming (the telemetry
+// collector's sketches and windows). The engine chooses one at
+// construction and reports every completion and clock advance to it
+// without knowing which. Neither counts outcomes: a window reads its
+// counts from the run's class counters.
 type accumulator interface {
 	// observe records one completed offload of class ci.
 	observe(ci int, lat float64)
-	// drop records one frame of class ci lost to cause.
-	drop(ci int, cause dropCause)
 	// advance moves the accumulator's clock to t, the time of the event
 	// about to run.
 	advance(t float64)
@@ -416,31 +413,34 @@ type accumulator interface {
 	quantiles() (perClass [][3]float64, total [3]float64)
 }
 
-// exactLatencies keeps every completed offload's latency in its class's
-// ClassStats sample slice, and reads the nearest ranks by selection.
-type exactLatencies struct{ res *Result }
+// exactLatencies keeps every completed offload's latency, one slice per
+// class, and reads the nearest ranks by selection. The samples live as
+// long as the run's engine, not in its Result.
+type exactLatencies [][]float64
 
-// newExactLatencies preallocates each class's sample slice for its
-// expected completed-offload count m = FPS × Duration × Count ×
-// OffloadProb, plus four standard deviations of a Poisson count of mean
-// m: the frame-scaled allocation the streaming path avoids. The margin
+// expectedOffloads sizes a slice for class cl's completed offloads over
+// sec seconds: their expected count m = FPS × sec × Count × OffloadProb,
+// plus four standard deviations of a Poisson count of mean m. The margin
 // keeps a Poisson class whose realized count passes its mean, about half
 // of them, from copying its slice into a larger one.
-func newExactLatencies(sc *Scenario, res *Result) exactLatencies {
+func expectedOffloads(cl *Class, sec float64) int {
+	m := cl.FPS * sec * float64(cl.Count) * cl.OffloadProb
+	return clampEst(m + 4*math.Sqrt(m))
+}
+
+// newExactLatencies preallocates each class's sample slice for its
+// expected completions over the run's Duration: the frame-scaled
+// allocation the streaming path avoids.
+func newExactLatencies(sc *Scenario) exactLatencies {
+	x := make(exactLatencies, len(sc.Classes))
 	for ci := range sc.Classes {
-		cl := &sc.Classes[ci]
-		m := cl.FPS * sc.Duration * float64(cl.Count) * cl.OffloadProb
-		res.Classes[ci].latencies = make([]float64, 0, clampEst(m+4*math.Sqrt(m)))
+		x[ci] = make([]float64, 0, expectedOffloads(&sc.Classes[ci], sc.Duration))
 	}
-	return exactLatencies{res}
+	return x
 }
 
-func (x exactLatencies) observe(ci int, lat float64) {
-	s := &x.res.Classes[ci]
-	s.latencies = append(s.latencies, lat)
-}
+func (x exactLatencies) observe(ci int, lat float64) { x[ci] = append(x[ci], lat) }
 
-func (exactLatencies) drop(int, dropCause)        {}
 func (exactLatencies) advance(float64)            {}
 func (exactLatencies) finish(float64) *TimeSeries { return nil }
 
@@ -448,11 +448,10 @@ func (exactLatencies) finish(float64) *TimeSeries { return nil }
 // together, across the class slices in place: no slice of all n samples
 // is made. It leaves the sample slices in selection order, not sorted.
 func (x exactLatencies) quantiles() (perClass [][3]float64, total [3]float64) {
-	classes := x.res.Classes
-	perClass = make([][3]float64, len(classes))
-	all := make([]span, len(classes))
-	for i := range classes {
-		all[i].xs = classes[i].latencies
+	perClass = make([][3]float64, len(x))
+	all := make([]span, len(x))
+	for i := range x {
+		all[i].xs = x[i]
 		nearestRanks(all[i:i+1], perClass[i][:], finalQuantiles[:]...)
 	}
 	nearestRanks(all, total[:], finalQuantiles[:]...)

@@ -180,15 +180,13 @@ func TestNearestRanksAcrossSlices(t *testing.T) {
 func TestExactQuantilesAllocationFlat(t *testing.T) {
 	cost := func(perClass int) (allocs float64, bytes uint64) {
 		rng := rand.New(rand.NewSource(5))
-		res := &Result{Classes: make([]ClassStats, 8)}
-		for i := range res.Classes {
-			xs := make([]float64, perClass)
-			for j := range xs {
-				xs[j] = rng.ExpFloat64()
+		x := make(exactLatencies, 8)
+		for i := range x {
+			x[i] = make([]float64, perClass)
+			for j := range x[i] {
+				x[i][j] = rng.ExpFloat64()
 			}
-			res.Classes[i].latencies = xs
 		}
-		x := exactLatencies{res}
 		return testing.AllocsPerRun(5, func() { x.quantiles() }), bytesPerRun(5, func() { x.quantiles() })
 	}
 	smallN, smallB := cost(125)

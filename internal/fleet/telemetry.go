@@ -152,23 +152,30 @@ func (ts *TimeSeries) WriteCSV(w io.Writer) error {
 }
 
 // collector is the run's streaming-telemetry state. It observes the
-// same completions and drops the exact path counts — at the same event
-// times, in the same order — so enabling it cannot perturb the
-// simulation itself, only how statistics are accumulated.
+// same completions the exact path keeps — at the same event times, in
+// the same order — and counts nothing itself: a window's offloads and
+// drops are the change in the run's class counters since the last close,
+// as its utilization is the change in each link's served bytes. So
+// enabling it cannot perturb the simulation, only how latency statistics
+// are accumulated.
 type collector struct {
 	window float64
 
-	// Run-wide per-class sketches, replacing ClassStats.latencies.
+	// Run-wide per-class sketches: the streaming path's latency samples.
 	run []*quantile.Sketch
 
-	// Current-window state, active only when window > 0.
-	widx     int     // current window index (samples in [widx·W, (widx+1)·W))
-	next     float64 // the current window's end, (widx+1)·W
-	win      []*quantile.Sketch
-	winClass []WindowClass
-	// Per-link served-byte snapshots at the last window close, so a
-	// window's traffic is the delta. links and slots alias the
-	// simulator's live links and its link table.
+	// Current-window state. Without a window, win aliases run and next
+	// stays +Inf, so observations land in the run-wide sketches and no
+	// window ever closes.
+	widx int     // current window index (samples in [widx·W, (widx+1)·W))
+	next float64 // the current window's end, (widx+1)·W
+	win  []*quantile.Sketch
+	// Snapshots at the last window close, so a window's columns are the
+	// deltas: each class's four outcome counters (classes aliases the
+	// run's ClassStats) and each link's served bytes (links and slots
+	// alias the simulator's live links and its link table).
+	classes   []ClassStats
+	counts    []WindowClass
 	links     []Link
 	slots     []linkSlot
 	linkBytes []float64
@@ -184,38 +191,41 @@ type collector struct {
 }
 
 // newCollector builds the run's collector: per-class run-wide sketches
-// always, window state when the scenario sets a window. links and slots
-// must be the simulator's live links and link table (uplinks, then
-// declared downlinks, then compute pools); labels names them in the same
-// order. dyn, non-nil only for a run with a fault schedule, adds the
-// per-window availability columns.
-func newCollector(sc *Scenario, links []Link, slots []linkSlot, labels []string, dyn *dynamics) *collector {
-	tel := &collector{window: sc.Telemetry.WindowSec, next: sc.Telemetry.WindowSec}
+// always, window state when the scenario sets a window. classes must be
+// the run's live class counters; links and slots the simulator's live
+// links and link table (uplinks, then declared downlinks, then compute
+// pools); labels names them in the same order. dyn, non-nil only for a
+// run with a fault schedule, adds the per-window availability columns.
+func newCollector(sc *Scenario, classes []ClassStats, links []Link, slots []linkSlot, labels []string, dyn *dynamics) *collector {
+	tel := &collector{window: sc.Telemetry.WindowSec, next: math.Inf(1)}
 	tel.run = make([]*quantile.Sketch, len(sc.Classes))
 	for i := range tel.run {
 		tel.run[i] = quantile.NewSketch()
 	}
+	tel.win = tel.run
 	if tel.window <= 0 {
 		return tel
 	}
+	tel.next = tel.window
 	tel.win = make([]*quantile.Sketch, len(sc.Classes))
 	for i := range tel.win {
 		tel.win[i] = quantile.NewSketch()
 	}
-	tel.winClass = make([]WindowClass, len(sc.Classes))
+	tel.classes = classes
+	tel.counts = make([]WindowClass, len(sc.Classes))
 	tel.links = links
 	tel.slots = slots
 	tel.linkBytes = make([]float64, len(links))
-	classes := make([]string, len(sc.Classes))
+	names := make([]string, len(sc.Classes))
 	for i := range sc.Classes {
-		classes[i] = sc.Classes[i].Name
+		names[i] = sc.Classes[i].Name
 	}
 	if dyn != nil {
 		tel.dyn = dyn
 		tel.downSnap = make([]float64, len(dyn.down))
 		tel.capSnap = make([]float64, len(dyn.down))
 	}
-	tel.series = &TimeSeries{WindowSec: tel.window, Classes: classes, Tiers: labels}
+	tel.series = &TimeSeries{WindowSec: tel.window, Classes: names, Tiers: labels}
 	return tel
 }
 
@@ -224,18 +234,15 @@ func newCollector(sc *Scenario, links []Link, slots []linkSlot, labels []string,
 // in the window covering their timestamp: a sample exactly on a
 // boundary belongs to the next window (half-open intervals).
 func (tel *collector) advance(t float64) {
-	if tel.window <= 0 {
-		return
-	}
 	for t >= tel.next {
 		tel.closeWindow(tel.next)
 	}
 }
 
 // closeWindow seals the current window: quantiles from its sketches,
-// link utilization from the served-byte deltas over [start, end), and a
-// fresh window begins. end below the nominal boundary is the run's
-// final clipped window.
+// counts from the class counters' deltas, link utilization from the
+// served-byte deltas over [start, end), and a fresh window begins. end
+// below the nominal boundary is the run's final clipped window.
 func (tel *collector) closeWindow(end float64) {
 	start := float64(tel.widx) * tel.window
 	win := Window{
@@ -246,7 +253,15 @@ func (tel *collector) closeWindow(end float64) {
 		TierUtil: make([]float64, len(tel.links)),
 	}
 	for ci, s := range tel.win {
-		wc := tel.winClass[ci]
+		c, last := &tel.classes[ci], tel.counts[ci]
+		now := WindowClass{Offloaded: c.Offloaded, DroppedQueue: c.DroppedQueue, DroppedEnergy: c.DroppedEnergy, DroppedOutage: c.DroppedOutage}
+		wc := WindowClass{
+			Offloaded:     now.Offloaded - last.Offloaded,
+			DroppedQueue:  now.DroppedQueue - last.DroppedQueue,
+			DroppedEnergy: now.DroppedEnergy - last.DroppedEnergy,
+			DroppedOutage: now.DroppedOutage - last.DroppedOutage,
+		}
+		tel.counts[ci] = now
 		if s.Count() > 0 {
 			p := sketchQuantiles(s)
 			wc.P50, wc.P95, wc.P99 = p[0], p[1], p[2]
@@ -258,7 +273,6 @@ func (tel *collector) closeWindow(end float64) {
 		// place and its storage reused for the next window.
 		tel.run[ci].Merge(s)
 		s.Reset()
-		tel.winClass[ci] = WindowClass{}
 	}
 	for li, l := range tel.links {
 		served := l.ServedBytes()
@@ -274,13 +288,13 @@ func (tel *collector) closeWindow(end float64) {
 			win.TierCapFrac[li] = 1
 		}
 		for ni := range dyn.down {
-			dd := dyn.downtimeAt(ni, end) - tel.downSnap[ni]
+			dd := dyn.down[ni].at(end) - tel.downSnap[ni]
 			if dd < 0 {
 				dd = 0 // rounding: the snapshot is a running sum of deltas
 			}
 			win.TierDownSec[ni] = dd
 			tel.downSnap[ni] += dd
-			ci := dyn.capIntegralAt(ni, end)
+			ci := dyn.capacity[ni].at(end)
 			if end > start {
 				if frac := (ci - tel.capSnap[ni]) / (end - start); frac >= 0 {
 					win.TierCapFrac[ni] = frac
@@ -294,33 +308,9 @@ func (tel *collector) closeWindow(end float64) {
 	tel.next = float64(tel.widx+1) * tel.window
 }
 
-// observe records one completed offload of class ci at time t with the
-// given capture-to-arrival latency.
-func (tel *collector) observe(ci int, lat float64) {
-	if tel.window > 0 {
-		tel.win[ci].Add(lat)
-		tel.winClass[ci].Offloaded++
-		return
-	}
-	tel.run[ci].Add(lat)
-}
-
-// drop records one frame of class ci lost to cause in the current
-// window.
-func (tel *collector) drop(ci int, cause dropCause) {
-	if tel.window <= 0 {
-		return
-	}
-	wc := &tel.winClass[ci]
-	switch cause {
-	case dropQueue:
-		wc.DroppedQueue++
-	case dropEnergy:
-		wc.DroppedEnergy++
-	case dropOutage:
-		wc.DroppedOutage++
-	}
-}
+// observe records one completed offload of class ci with the given
+// capture-to-arrival latency.
+func (tel *collector) observe(ci int, lat float64) { tel.win[ci].Add(lat) }
 
 // finish closes out the collector at the run's end: the in-progress
 // window (if any traffic or time remains in it) is sealed clipped at

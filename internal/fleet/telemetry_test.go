@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -46,6 +48,19 @@ func checkQuantileWithinEps(t *testing.T, label string, exact []float64, q, est 
 	}
 }
 
+// runExact runs sc down the exact statistics path, as Run does, and
+// returns its result with the latency samples the accumulator kept.
+func runExact(sc Scenario) (*Result, exactLatencies, error) {
+	e, err := newEngine(sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := e.loop(); err != nil {
+		return nil, nil, err
+	}
+	return e.result(), e.acc.(exactLatencies), nil
+}
+
 // TestStreamingDifferential runs randomized scenarios down both
 // statistics paths: the streaming run must reproduce every exact
 // counter bit-for-bit (the collector only changes how latencies are
@@ -56,7 +71,7 @@ func TestStreamingDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	for iter := 0; iter < 25; iter++ {
 		sc := randomScenario(rng)
-		exact, err := Run(sc)
+		exact, samples, err := runExact(sc)
 		if err != nil {
 			t.Fatalf("iter %d: exact: %v", iter, err)
 		}
@@ -86,10 +101,10 @@ func TestStreamingDifferential(t *testing.T) {
 			}
 			// finalize left the exact path's samples in selection order;
 			// checkQuantileWithinEps reads ranks from a sorted copy.
-			checkQuantileWithinEps(t, e.Name, e.latencies, 0.50, s.LatencyP50)
-			checkQuantileWithinEps(t, e.Name, e.latencies, 0.95, s.LatencyP95)
-			checkQuantileWithinEps(t, e.Name, e.latencies, 0.99, s.LatencyP99)
-			all = append(all, e.latencies...)
+			checkQuantileWithinEps(t, e.Name, samples[ci], 0.50, s.LatencyP50)
+			checkQuantileWithinEps(t, e.Name, samples[ci], 0.95, s.LatencyP95)
+			checkQuantileWithinEps(t, e.Name, samples[ci], 0.99, s.LatencyP99)
+			all = append(all, samples[ci]...)
 		}
 		checkQuantileWithinEps(t, "fleet", all, 0.50, stream.Total.LatencyP50)
 		checkQuantileWithinEps(t, "fleet", all, 0.95, stream.Total.LatencyP95)
@@ -230,6 +245,92 @@ func TestWindowedTimeSeries(t *testing.T) {
 	}
 	if !strings.Contains(js.String(), "\"window_sec\": 0.5") {
 		t.Fatalf("JSON missing window_sec: %.120s", js.String())
+	}
+}
+
+// dropWindowsDemo is a windowed dynamics run whose windows see every drop
+// cause: queue drops behind saturated gateways, energy drops of a
+// harvesting class, outage drops in flight when gw-a fails at 1 s and on
+// arrival at it from the leaf tier below, and the transfers stalled on
+// gw-c, parked at factor 0 at 1.5 s and never restored, which drain as
+// outage drops into the last window. gw-a never recovers, so its
+// downtime is still accruing when the run ends.
+func dropWindowsDemo() Scenario {
+	return Scenario{
+		Name:     "drop-windows",
+		Seed:     9,
+		Duration: 3,
+		Tiers: []Tier{
+			{Name: "leaf", Parent: "gw-a", Uplink: UplinkConfig{Gbps: 0.01}},
+			{Name: "gw-a", Parent: "core", Uplink: UplinkConfig{Gbps: 0.002}},
+			{Name: "gw-b", Parent: "core", Uplink: UplinkConfig{Gbps: 0.004, Contention: ContentionFIFO}},
+			{Name: "gw-c", Parent: "core", Uplink: UplinkConfig{Gbps: 0.004}},
+			{Name: "core", Uplink: UplinkConfig{Gbps: 0.02}},
+		},
+		Classes: []Class{
+			{Name: "east", Count: 8, FPS: 6, FrameBytes: 40_000, Tier: "gw-a", QueueDepth: 2},
+			{Name: "leaf", Count: 6, FPS: 5, FrameBytes: 20_000, Tier: "leaf", QueueDepth: 3, Arrival: ArrivalPoisson},
+			{Name: "solar", Count: 6, FPS: 8, FrameBytes: 10_000, Tier: "gw-b", QueueDepth: 3,
+				CaptureJ: 1e-3, TxFixedJ: 1e-3, TxPerByteJ: 1e-7, HarvestW: 0.01, StoreJ: 0.02},
+			{Name: "parked", Count: 4, FPS: 4, FrameBytes: 20_000, Tier: "gw-c", QueueDepth: 4},
+		},
+		Telemetry: &TelemetryConfig{Streaming: true, WindowSec: 0.4},
+		Dynamics: &DynamicsConfig{Events: []FleetEvent{
+			{Time: 1, Kind: DynTierOutage, Tier: "gw-a", Fallback: "gw-b"},
+			{Time: 1.5, Kind: DynLinkDegrade, Tier: "gw-c", Factor: 0},
+		}},
+	}
+}
+
+// TestTimeSeriesDigests pins the CSV of three windowed runs byte for
+// byte, so a count that lands in the wrong window fails here even when
+// every column still sums to its run total: windowedDemo's queue drops,
+// dropWindowsDemo's every drop cause and open outage, and a recovered
+// outage beside a degraded-then-restored link. The digests were recorded
+// while each window kept its own copy of the counts.
+func TestTimeSeriesDigests(t *testing.T) {
+	recovered := dynamicsDemo(12)
+	recovered.Telemetry = &TelemetryConfig{Streaming: true, WindowSec: 1}
+	recovered.Dynamics = &DynamicsConfig{Events: []FleetEvent{
+		{Time: 2, Kind: DynTierOutage, Tier: "gw-a", Fallback: "gw-b"},
+		{Time: 4, Kind: DynTierRecover, Tier: "gw-a"},
+		{Time: 5, Kind: DynLinkDegrade, Tier: "gw-b", Factor: 0.5},
+		{Time: 7, Kind: DynLinkRestore, Tier: "gw-b"},
+	}}
+	for _, tc := range []struct {
+		sc   Scenario
+		want string
+	}{
+		{windowedDemo(), "94d21ec080282b307e7fc7896246ca69fd8450d99cf8affa1b8a5fb2ac337ac0"},
+		{dropWindowsDemo(), "5e29b9162d987031f238b7559c5621bd66f30d5bf56654def3e1279cf317bb26"},
+		{recovered, "61c6be40fbade28ff5d901b3bc80e4786a596ab7800651b7f641433d89cb0840"},
+	} {
+		res, err := Run(tc.sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var csv strings.Builder
+		if err := res.TimeSeries.WriteCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(csv.String()))); got != tc.want {
+			t.Errorf("%s: time-series digest %s, want %s:\n%s", tc.sc.Name, got, tc.want, csv.String())
+		}
+	}
+	// The drop run must keep reaching every cause, the stalled drain
+	// included: its last window holds outage drops of the parked class.
+	res, err := Run(dropWindowsDemo())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertConserved(t, "drop-windows", res)
+	tot := res.Total
+	if tot.DroppedQueue == 0 || tot.DroppedEnergy == 0 || res.TierNamed("gw-a").OutageDrops == 0 || res.TierNamed("gw-c").OutageDrops == 0 {
+		t.Fatalf("drop run no longer reaches every cause: %+v", tot)
+	}
+	last := res.TimeSeries.Windows[len(res.TimeSeries.Windows)-1]
+	if last.Classes[3].DroppedOutage == 0 {
+		t.Fatalf("the parked link's stalled drain left the last window: %+v", last.Classes[3])
 	}
 }
 
