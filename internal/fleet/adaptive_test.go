@@ -138,6 +138,59 @@ func TestHysteresisMovesBothDirections(t *testing.T) {
 	}
 }
 
+// TestControllerReadsCongestionDrops runs the drops a decision sees end
+// to end. Each class is tabled under a latency-threshold policy whose
+// HighSec no completion reaches, and its queues are deep enough never to
+// drop, so only the drops under test can move it. Outage drops are
+// congestion: a class whose attach tier fails mid-run moves, and without
+// the outage it holds. Energy drops are not: a harvesting class that
+// loses frames only to an empty store holds.
+func TestControllerReadsCongestionDrops(t *testing.T) {
+	class := func(name, tier string) Class {
+		return Class{Name: name, Count: 10, FPS: 10, Arrival: ArrivalPoisson, Tier: tier, QueueDepth: 32,
+			Placements: []PlacementCost{{Name: "raw", FrameBytes: 13_000}, {Name: "cam", FrameBytes: 1_000}},
+			Policy:     PolicyConfig{Kind: PolicyLatencyThreshold, IntervalSec: 0.1, HighSec: 10, MoveFraction: 0.3}}
+	}
+	tiers := []Tier{
+		{Name: "gw", Parent: "core", Uplink: UplinkConfig{Gbps: 0.01}},
+		{Name: "spare", Parent: "core", Uplink: UplinkConfig{Gbps: 0.01}},
+		{Name: "core", Uplink: UplinkConfig{Gbps: 1}},
+	}
+	// The raw row loads gw's uplink just past capacity, so the outage,
+	// between two decision ticks, catches a backlog in flight there; the
+	// class re-homes to spare until gw recovers.
+	outage := Scenario{Name: "outage", Seed: 2, Duration: 4, Tiers: tiers,
+		Classes: []Class{class("cams", "gw")},
+		Dynamics: &DynamicsConfig{Events: []FleetEvent{
+			{Time: 1.03, Kind: DynTierOutage, Tier: "gw", Fallback: "spare"},
+			{Time: 2, Kind: DynTierRecover, Tier: "gw"},
+		}}}
+	calm := outage
+	calm.Dynamics = nil
+	solar := class("solar", "spare")
+	solar.CaptureJ, solar.HarvestW, solar.StoreJ = 1e-3, 2e-3, 1e-2
+	starved := Scenario{Name: "starved", Seed: 2, Duration: 4, Tiers: tiers, Classes: []Class{solar}}
+
+	for _, tc := range []struct {
+		name  string
+		sc    Scenario
+		moves bool
+	}{{"outage", outage, true}, {"calm", calm, false}, {"starved", starved, false}} {
+		res, err := Run(tc.sc)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		s := res.Classes[0]
+		if s.DroppedQueue != 0 || s.LatencyP95 >= 10 {
+			t.Fatalf("%s: congested by more than the drops under test: %d queue drops, p95 %v", tc.name, s.DroppedQueue, s.LatencyP95)
+		}
+		if (s.Switches > 0) != tc.moves {
+			t.Errorf("%s: %d moves on %d outage and %d energy drops, want moves %v",
+				tc.name, s.Switches, s.DroppedOutage, s.DroppedEnergy, tc.moves)
+		}
+	}
+}
+
 func TestTopologyDemoLatencyThresholdBeatsStatic(t *testing.T) {
 	// The acceptance scenario: a congested two-gateway fleet where the
 	// latency-threshold policy shifts the VR cameras toward in-camera

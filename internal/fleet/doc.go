@@ -324,10 +324,12 @@
 //	           "high_sec": 0.2, "move_fraction": 0.5}
 //
 // Every IntervalSec a per-class controller inspects the offload latencies
-// and queue drops observed since its last decision and moves a
-// MoveFraction batch of cameras one table step: "latency-threshold"
-// escalates one way toward in-camera compute when the window p95 exceeds
-// HighSec (or anything was queue-dropped); "hysteresis" also steps back
+// completed since its last decision, and the queue and outage drops its
+// class's counters gained since then (energy drops are not congestion),
+// and moves a MoveFraction batch of cameras one table step, counted in
+// ClassStats.Switches: "latency-threshold" escalates one way toward
+// in-camera compute when the window p95 exceeds HighSec (or any frame
+// was dropped for queue or outage); "hysteresis" also steps back
 // toward offload when the window p95 falls below LowSec, holding inside
 // the dead band; "energy-latency" (below) also weighs per-frame energy;
 // "static" (the default) never moves. Which cameras move is drawn from a
@@ -369,13 +371,14 @@
 //	"global": {"epoch_sec": 1, "budget_w": 26, "high_sec": 0.5,
 //	           "move_fraction": 0.5}
 //
-// On every epoch tick it sees all classes' window stats across every
-// tier and projects the fleet's placement power — each camera's
-// per-frame energy at its current row times its class's current capture
-// rate, an "fps_profile" multiplier included, so a class profiled ×2 is
-// priced exactly like one declared at twice the rate. Result.Energy's
-// projected power uses the same rate. Congested
-// classes (window p95 over HighSec, or queue drops) first get up to
+// On every epoch tick it sees the window stats of every class with a
+// placements table (a class without one can never move, so it is not
+// watched) across every tier and projects the fleet's placement power —
+// each camera's per-frame energy at its current row times its class's
+// current capture rate, an "fps_profile" multiplier included, so a class
+// profiled ×2 is priced exactly like one declared at twice the rate.
+// Result.Energy's projected power uses the same rate. Congested classes
+// (window p95 over HighSec, or queue or outage drops) first get up to
 // MoveFraction of their cameras stepped toward in-camera compute,
 // admitted only while the projection stays under BudgetW. Then, while
 // the projection exceeds the budget, a greedy knapsack sheds watts:
@@ -510,10 +513,14 @@
 //     they lie; they belong to the run's accumulator, so a Result keeps
 //     no samples once returned. Each controller window is sized the
 //     same way over one decision period (IntervalSec for a class's
-//     controller, EpochSec for each of the global controller's). A sketch's levels are made with room for its top
-//     capacity, so they seldom regrow, and a run reads a fault schedule
-//     from the caller's scenario unless a churn entry needs its Count
-//     filled in.
+//     controller, EpochSec for each of the global controller's, which
+//     keeps one only per class with a table); a window holds latencies
+//     only, since a decision reads its drops from the class counters.
+//     Every decision gathers its move candidates in one engine buffer,
+//     so a decision allocates nothing once the buffer has grown. A
+//     sketch's levels are made with room for its top capacity, so they
+//     seldom regrow, and a run reads a fault schedule from the caller's
+//     scenario unless a churn entry needs its Count filled in.
 //   - Seeded-stream shift: moving from rand.Rand's ziggurat draws to the
 //     prng's inversion-based ExpFloat64 / 53-bit Float64 shifted every
 //     seeded stream once (goldens were regenerated, as for the PR 3 seed

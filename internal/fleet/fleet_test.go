@@ -229,10 +229,11 @@ func TestDropCausesAreExclusive(t *testing.T) {
 	}
 }
 
-// TestDropSinkRouting pins which receivers each drop cause reaches:
-// every cause lands in its class counter, and the telemetry window that
-// closes next reads it from there; queue and outage drops also reach the
-// class controller and the global controller, energy drops do not.
+// TestDropSinkRouting pins which readers see each drop cause. A drop is
+// one increment of its class counter: the telemetry window that closes
+// next reads it from there, and both controller kinds read queue and
+// outage drops from it at their next decision, once each, and energy
+// drops not at all.
 func TestDropSinkRouting(t *testing.T) {
 	sc := Scenario{
 		Name: "drops", Duration: 1, Uplink: UplinkConfig{Gbps: 1},
@@ -242,31 +243,31 @@ func TestDropSinkRouting(t *testing.T) {
 		Global:    &GlobalConfig{BudgetW: 1},
 		Telemetry: &TelemetryConfig{Streaming: true, WindowSec: 1},
 	}
-	for _, tc := range []struct {
-		cause         dropCause
-		toControllers bool
-	}{{dropQueue, true}, {dropEnergy, false}, {dropOutage, true}} {
+	for cause, toControllers := range [3]bool{true, false, true} { // queue, energy, outage
 		e, err := newEngine(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.drop(0, tc.cause)
+		st := &e.res.Classes[0]
+		counters := [3]*int64{&st.DroppedQueue, &st.DroppedEnergy, &st.DroppedOutage}
+		*counters[cause]++
 		e.acc.advance(1)
-		st, win := e.res.Classes[0], e.acc.(*collector).series.Windows[0].Classes[0]
-		got := [3]int64{st.DroppedQueue, st.DroppedEnergy, st.DroppedOutage}
-		gotWin := [3]int64{win.DroppedQueue, win.DroppedEnergy, win.DroppedOutage}
+		win := e.acc.(*collector).series.Windows[0].Classes[0]
 		var want [3]int64
-		want[tc.cause] = 1
-		if got != want || gotWin != want {
-			t.Errorf("cause %d: class counters %v, window %v, want %v", tc.cause, got, gotWin, want)
+		want[cause] = 1
+		if got := [3]int64{win.DroppedQueue, win.DroppedEnergy, win.DroppedOutage}; got != want {
+			t.Errorf("cause %d: window %v, want %v", cause, got, want)
 		}
 		wantCtl := int64(0)
-		if tc.toControllers {
+		if toControllers {
 			wantCtl = 1
 		}
-		if e.ctls[0].win.drops != wantCtl || e.gctl.win[0].drops != wantCtl {
-			t.Errorf("cause %d: controller drops %d, global %d, want %d",
-				tc.cause, e.ctls[0].win.drops, e.gctl.win[0].drops, wantCtl)
+		for name, w := range map[string]*window{"class": &e.ctls[0].win, "global": &e.gctl.win[0]} {
+			_, _, first := w.consume(st)
+			_, _, second := w.consume(st)
+			if first != wantCtl || second != 0 {
+				t.Errorf("cause %d: %s controller read %d then %d drops, want %d then 0", cause, name, first, second, wantCtl)
+			}
 		}
 	}
 }

@@ -4,23 +4,25 @@ import "math"
 
 // globalController is the fleet-wide energy-aware placement controller: a
 // single seeded decision loop above the per-class policies. On every
-// epoch tick it sees each class's window stats (offload latencies and
-// queue drops across every tier), prices each placement row in expected
-// joules per frame — camera capture, compute and radio plus the per-hop
-// forwarding energy of every link between the class's attach tier and the
-// root — and reassigns cameras so the fleet's projected placement power
-// stays under the configured budget. The row tables and capture rates it
-// prices are the engine's, read at each epoch.
+// epoch tick it sees each tabled class's window stats (offload latencies
+// and queue and outage drops across every tier), prices each placement
+// row in expected joules per frame — camera capture, compute and radio
+// plus the per-hop forwarding energy of every link between the class's
+// attach tier and the root — and reassigns cameras so the fleet's
+// projected placement power stays under the configured budget. The row
+// tables and capture rates it prices are the engine's, read at each
+// epoch.
 type globalController struct {
 	cfg   GlobalConfig
 	rng   prng
-	win   []window // per class, consumed at each epoch
+	win   []window // per class with a table, consumed at each epoch
 	stats GlobalStats
 }
 
 // newGlobal builds the controller, or nil when the scenario does not
 // configure one. Its stream is the global family's (streamSeed), indexed
-// by the class count.
+// by the class count. A class without a table can never move, so its
+// window stays empty and is never fed.
 func newGlobal(sc *Scenario) *globalController {
 	if sc.Global == nil {
 		return nil
@@ -32,7 +34,9 @@ func newGlobal(sc *Scenario) *globalController {
 		stats: GlobalStats{BudgetW: sc.Global.BudgetW},
 	}
 	for ci := range g.win {
-		g.win[ci] = newWindow(&sc.Classes[ci], sc.Global.EpochSec)
+		if cl := &sc.Classes[ci]; len(cl.Placements) > 0 {
+			g.win[ci] = newWindow(cl, sc.Global.EpochSec)
+		}
 	}
 	return g
 }
@@ -75,27 +79,26 @@ func (e *engine) projectedPowerW() float64 {
 // order — moving cameras one at a time until the fleet fits the budget,
 // every class hits its per-epoch cap, or no energy-saving step remains.
 func (g *globalController) epoch(t float64, e *engine) {
-	sc, cams, classCams := &e.sc, e.cams, e.classCams
+	sc := &e.sc
 	nClasses := len(sc.Classes)
+	// Per-epoch, per-class reassignment caps; a class without a table has
+	// nothing to reassign, so it keeps a cap of 0 through both phases and
+	// neither phase reads its window.
+	capLeft := make([]int, nClasses)
 	p95 := make([]float64, nClasses)
 	congested := make([]bool, nClasses)
 	for ci := range sc.Classes {
-		n, q, drops := g.win[ci].consume()
+		if len(sc.Classes[ci].Placements) == 0 {
+			continue
+		}
+		capLeft[ci] = batchSize(g.cfg.MoveFraction, len(e.classCams[ci]))
+		n, q, drops := g.win[ci].consume(&e.res.Classes[ci])
 		p95[ci] = q
 		congested[ci] = drops > 0 || (n > 0 && g.cfg.HighSec > 0 && q > g.cfg.HighSec)
 	}
 
 	projected := e.projectedPowerW()
 	ep := GlobalEpoch{Time: t, BeforeW: projected}
-
-	// Per-epoch, per-class reassignment caps; a class without a table has
-	// nothing to reassign, so it keeps a cap of 0 through both phases.
-	capLeft := make([]int, nClasses)
-	for ci := range sc.Classes {
-		if len(sc.Classes[ci].Placements) > 0 {
-			capLeft[ci] = batchSize(g.cfg.MoveFraction, len(classCams[ci]))
-		}
-	}
 
 	// Phase 1: latency relief for congested classes.
 	for ci := range sc.Classes {
@@ -129,7 +132,7 @@ func (g *globalController) epoch(t float64, e *engine) {
 				if blocked[ci][di] {
 					continue
 				}
-				sum, n := rowDelta(e.rowJ[ci], cams, classCams[ci], dir)
+				sum, n := e.rowDelta(ci, e.rowJ[ci], dir)
 				if n == 0 {
 					continue
 				}
@@ -137,14 +140,13 @@ func (g *globalController) epoch(t float64, e *engine) {
 				if save <= 0 {
 					continue
 				}
-				if rows := e.rowDelay[ci]; rows != nil && g.cfg.HighSec > 0 {
-					// Joint admission: a step that saves watts is still
-					// refused when its deterministic delay-floor increase,
-					// stacked on the observed p95 (which already carries
-					// compute queueing), would break the latency target.
-					if d, dn := rowDelta(rows, cams, classCams[ci], dir); dn > 0 && d > 0 && p95[ci]+d/float64(dn) > g.cfg.HighSec {
-						continue
-					}
+				// Joint admission: a step that saves watts is still refused
+				// when its delay-floor rise, stacked on the observed p95
+				// (which already carries compute queueing), would break the
+				// latency target. Without a rise this never refuses: the
+				// class is not congested, so its p95 is within HighSec.
+				if g.cfg.HighSec > 0 && p95[ci]+e.floorRise(ci, dir) > g.cfg.HighSec {
+					continue
 				}
 				saveW := save * e.fps[ci]
 				if saveW > bestSave || (saveW == bestSave && best >= 0 && head > bestHead) {
@@ -172,10 +174,10 @@ func (g *globalController) epoch(t float64, e *engine) {
 }
 
 // moveAccept moves up to k of class ci's cameras one step dir through
-// shuffleMove, admitting each drawn camera only while the projected power
-// permits: an energy-increasing step must keep the projection under
-// budget, and a non-latency (energy-shedding) move stops at the budget
-// line instead of overshooting it. projected is updated in place with
+// the engine's shuffleMove, admitting each drawn camera only while the
+// projected power permits: an energy-increasing step must keep the
+// projection under budget, and a non-latency (energy-shedding) move stops
+// at the budget line instead of overshooting it. projected is updated in place with
 // each admitted camera's exact delta, priced at the class's current rate.
 func (g *globalController) moveAccept(e *engine, ci, dir, k int, projected *float64, latency bool) int {
 	rows, fps := e.rowJ[ci], e.fps[ci]
@@ -196,5 +198,5 @@ func (g *globalController) moveAccept(e *engine, ci, dir, k int, projected *floa
 		*projected += deltaW
 		return true, false
 	}
-	return shuffleMove(&g.rng, e.cams, e.classCams[ci], len(e.sc.Classes[ci].Placements)-1, dir, k, admit)
+	return e.shuffleMove(ci, dir, k, &g.rng, admit)
 }

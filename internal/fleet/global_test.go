@@ -3,6 +3,7 @@ package fleet
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -254,6 +255,30 @@ func TestMoveAcceptSkipsOverBudgetRows(t *testing.T) {
 		if projected > 20 {
 			t.Fatalf("seed %d: still over budget after shedding: %v W", seed, projected)
 		}
+	}
+}
+
+// TestGlobalWatchesTabledClassesOnly runs the global controller over one
+// tabled class and one without a table. A class without a table can
+// never move, so its window is never fed; the tabled class's is.
+func TestGlobalWatchesTabledClassesOnly(t *testing.T) {
+	sc := energyScenario(3, 24, 0.5)
+	sc.Classes = []Class{sc.Classes[0], {Name: "plain", Count: 50, FPS: 10, Arrival: ArrivalPoisson, Tier: "gw-b", FrameBytes: 10_000}}
+	e, err := newEngine(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.loop(); err != nil {
+		t.Fatal(err)
+	}
+	// consume keeps a window's backing array, so a latency it once held
+	// is still there after the last epoch emptied it.
+	held := func(w window) bool {
+		return slices.ContainsFunc(w.lat[:cap(w.lat)], func(x float64) bool { return x > 0 })
+	}
+	if e.res.Classes[1].Offloaded == 0 || !held(e.gctl.win[0]) || held(e.gctl.win[1]) {
+		t.Fatalf("tabled window held latencies %v; table-less window, over %d offloads, held latencies %v",
+			held(e.gctl.win[0]), e.res.Classes[1].Offloaded, held(e.gctl.win[1]))
 	}
 }
 

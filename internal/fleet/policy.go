@@ -1,11 +1,12 @@
 package fleet
 
 // window is one decider's observation window: the offload latencies
-// completed and the queue and outage drops counted since its last
-// decision. Both controller kinds keep one per class they watch.
+// completed since its last decision, and its class's queue and outage
+// drop count as that decision read it. Both controller kinds keep one
+// per class they watch.
 type window struct {
-	lat   []float64
-	drops int64
+	lat  []float64
+	seen int64 // DroppedQueue + DroppedOutage at the last decision
 }
 
 // newWindow sizes a window for class cl's completions over one decision
@@ -17,15 +18,19 @@ func newWindow(cl *Class, sec float64) window {
 func (w *window) observe(lat float64) { w.lat = append(w.lat, lat) }
 
 // consume empties the window and returns how many latencies it held,
-// their nearest-rank p95 (0 when there were none) and its drop count.
-// The p95 is read by selection, which returns the order statistic a
-// sort would put at its rank.
-func (w *window) consume() (n int, p95 float64, drops int64) {
-	n, drops = len(w.lat), w.drops
+// their nearest-rank p95 (0 when there were none) and the queue and
+// outage drops its class's counters st gained since the last decision.
+// Energy drops are not read: an empty store is not congestion. The p95
+// is read by selection, which returns the order statistic a sort would
+// put at its rank.
+func (w *window) consume(st *ClassStats) (n int, p95 float64, drops int64) {
+	n = len(w.lat)
 	sp := [1]span{{xs: w.lat}}
 	var p [1]float64
 	nearestRanks(sp[:], p[:], 0.95)
-	w.lat, w.drops = w.lat[:0], 0
+	w.lat = w.lat[:0]
+	now := st.DroppedQueue + st.DroppedOutage
+	drops, w.seen = now-w.seen, now
 	return n, p[0], drops
 }
 
@@ -39,18 +44,20 @@ func batchSize(frac float64, n int) int {
 }
 
 // shuffleMove is the one place a placement move is drawn. It steps up to
-// k of the member cameras one row dir, within rows [0, last], and returns
-// how many stepped. The cameras are drawn from rng one at a time, by a
-// partial Fisher-Yates over those that can move. admit rules on each
-// drawn camera before it steps: it may skip the camera or stop the
-// batch. A nil admit steps every camera drawn.
-func shuffleMove(rng *prng, cams []camera, members []int32, last, dir, k int, admit func(idx int32) (step, stop bool)) int {
-	var cand []int32
-	for _, idx := range members {
-		if p := int(cams[idx].placement) + dir; p >= 0 && p <= last {
+// k of class ci's cameras one row dir, within the class's table, and
+// returns how many stepped. The cameras are drawn from rng one at a time,
+// by a partial Fisher-Yates over those that can move, gathered in the
+// engine's one candidate buffer. admit rules on each drawn camera before
+// it steps: it may skip the camera or stop the batch. A nil admit steps
+// every camera drawn.
+func (e *engine) shuffleMove(ci, dir, k int, rng *prng, admit func(idx int32) (step, stop bool)) int {
+	last, cand := len(e.sc.Classes[ci].Placements)-1, e.cand[:0]
+	for _, idx := range e.classCams[ci] {
+		if p := int(e.cams[idx].placement) + dir; p >= 0 && p <= last {
 			cand = append(cand, idx)
 		}
 	}
+	e.cand = cand
 	moved := 0
 	for i := 0; i < len(cand) && moved < k; i++ {
 		j := i + rng.Intn(len(cand)-i)
@@ -64,7 +71,7 @@ func shuffleMove(rng *prng, cams []camera, members []int32, last, dir, k int, ad
 				continue
 			}
 		}
-		cams[cand[i]].placement += int32(dir)
+		e.cams[cand[i]].placement += int32(dir)
 		moved++
 	}
 	return moved
@@ -75,9 +82,8 @@ func shuffleMove(rng *prng, cams []camera, members []int32, last, dir, k int, ad
 // draws from (a compact value-embedded prng, like the cameras'). The row
 // tables it scores against are the engine's, read when it decides.
 type controller struct {
-	rng   prng
-	win   window
-	moves int64 // camera moves decided so far
+	rng prng
+	win window
 }
 
 // newControllers builds one controller per adaptive class (nil entries for
@@ -94,12 +100,12 @@ func newControllers(sc *Scenario) []*controller {
 }
 
 // rowDelta sums the per-frame table delta rows[to]−rows[at] of stepping
-// each movable member camera one step dir — positive when the step costs
-// more of whatever the table prices — and counts the cameras that could
-// move.
-func rowDelta(rows []float64, cams []camera, members []int32, dir int) (sum float64, n int) {
-	for _, idx := range members {
-		at := int(cams[idx].placement)
+// each of class ci's movable cameras one step dir — positive when the
+// step costs more of whatever the table prices — and counts the cameras
+// that could move.
+func (e *engine) rowDelta(ci int, rows []float64, dir int) (sum float64, n int) {
+	for _, idx := range e.classCams[ci] {
+		at := int(e.cams[idx].placement)
 		to := at + dir
 		if to < 0 || to >= len(rows) {
 			continue
@@ -108,6 +114,21 @@ func rowDelta(rows []float64, cams []camera, members []int32, dir int) (sum floa
 		n++
 	}
 	return sum, n
+}
+
+// floorRise is the mean rise in class ci's deterministic delay floor
+// (rowDelay) of stepping its movable cameras one row dir: finite tier
+// compute makes a step pay it whichever direction it comes from (toward
+// offload it is path service, toward in-camera the row's own compute
+// seconds). It is 0 when no pool sits on the class's path or the step
+// does not raise the floor.
+func (e *engine) floorRise(ci, dir int) float64 {
+	if rows := e.rowDelay[ci]; rows != nil {
+		if d, n := e.rowDelta(ci, rows, dir); n > 0 && d > 0 {
+			return d / float64(n)
+		}
+	}
+	return 0
 }
 
 // classRowEnergies prices every row of the class (Class.rows) in
@@ -125,7 +146,7 @@ func classRowEnergies(c *Class, netPerByteJ float64) []float64 {
 // ci: +1 toward in-camera compute, -1 toward offload, 0 to hold.
 func (c *controller) decide(e *engine, ci int) int {
 	p := e.sc.Classes[ci].Policy
-	n, p95, drops := c.win.consume()
+	n, p95, drops := c.win.consume(&e.res.Classes[ci])
 	congested := drops > 0 || (n > 0 && p95 > p.HighSec)
 	switch p.Kind {
 	case PolicyLatencyThreshold:
@@ -162,30 +183,22 @@ func (c *controller) decide(e *engine, ci int) int {
 // now: moving dir is worth EnergyWeight × the mean per-frame joules it
 // saves across the movable cameras, minus the latency it risks re-adding
 // — the observed p95 for a step toward offload (which loads the network),
-// nothing for a step toward in-camera compute (which relieves it). The
-// larger strictly-positive gain wins; in-camera is evaluated first so
-// ties resolve to the congestion-safe direction.
+// nothing for a step toward in-camera compute (which relieves it), plus
+// the step's delay-floor rise either way. The larger strictly-positive
+// gain wins; in-camera is evaluated first so ties resolve to the
+// congestion-safe direction.
 func energyStep(e *engine, ci int, p95 float64) int {
-	weight, cams, members := e.sc.Classes[ci].Policy.EnergyWeight, e.cams, e.classCams[ci]
+	weight := e.sc.Classes[ci].Policy.EnergyWeight
 	best, bestGain := 0, 0.0
 	for _, dir := range [2]int{+1, -1} {
-		sum, n := rowDelta(e.rowJ[ci], cams, members, dir)
+		sum, n := e.rowDelta(ci, e.rowJ[ci], dir)
 		if n == 0 {
 			continue
 		}
 		saved := -sum
-		risk := 0.0
+		risk := e.floorRise(ci, dir)
 		if dir < 0 {
-			risk = p95
-		}
-		if rows := e.rowDelay[ci]; rows != nil {
-			// Finite tier compute gives the step a deterministic delay
-			// floor: pay a positive mean increase as extra risk, whichever
-			// direction it comes from (toward offload it is path service;
-			// toward in-camera it is the row's own compute seconds).
-			if d, dn := rowDelta(rows, cams, members, dir); dn > 0 && d > 0 {
-				risk += d / float64(dn)
-			}
+			risk += p95
 		}
 		if gain := weight*saved/float64(n) - risk; gain > bestGain {
 			best, bestGain = dir, gain
@@ -195,9 +208,9 @@ func energyStep(e *engine, ci int, p95 float64) int {
 }
 
 // move steps a MoveFraction-sized batch of class ci's cameras one row dir,
-// every camera the controller's stream draws.
+// every camera the controller's stream draws, and counts the moves on the
+// class.
 func (c *controller) move(e *engine, ci, dir int) {
-	cl := &e.sc.Classes[ci]
-	k := batchSize(cl.Policy.MoveFraction, len(e.classCams[ci]))
-	c.moves += int64(shuffleMove(&c.rng, e.cams, e.classCams[ci], len(cl.Placements)-1, dir, k, nil))
+	k := batchSize(e.sc.Classes[ci].Policy.MoveFraction, len(e.classCams[ci]))
+	e.res.Classes[ci].Switches += int64(e.shuffleMove(ci, dir, k, &c.rng, nil))
 }

@@ -50,6 +50,23 @@ func TestPRNGReferenceVectors(t *testing.T) {
 			t.Fatalf("Float64 draw %d: %.17g, want %.17g", i, got, want)
 		}
 	}
+
+	// ExpFloat64 draws every Poisson gap, through math.Log, so its bits
+	// are pinned as well as its range and mean. Recorded on amd64.
+	p = newPRNG(42)
+	for i, want := range []uint64{0x3ff5a6574c7543bc, 0x3fc64db768f3aec5, 0x3fd4e668d23c24a3, 0x3fdb002b073625c3} {
+		if got := p.ExpFloat64(); math.Float64bits(got) != want {
+			t.Fatalf("ExpFloat64 draw %d: %#016x (%.17g), want %#016x", i, math.Float64bits(got), got, want)
+		}
+	}
+	// Intn draws every shuffle and leaver pick; Intn(1) still advances
+	// the stream.
+	p = newPRNG(42)
+	for i, tc := range []struct{ n, want int }{{1, 0}, {2, 1}, {7, 0}, {1000, 764}, {1 << 30, 608707570}} {
+		if got := p.Intn(tc.n); got != tc.want {
+			t.Fatalf("Intn(%d) draw %d: %d, want %d", tc.n, i, got, tc.want)
+		}
+	}
 }
 
 func TestPRNGDistributionsInRange(t *testing.T) {

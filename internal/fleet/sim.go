@@ -309,6 +309,7 @@ type engine struct {
 
 	ctls      []*controller
 	gctl      *globalController
+	cand      []int32 // shuffleMove's candidates, one buffer for every decision
 	dyn       *dynamics
 	fle       *fl.Engine
 	flParts   []flPart
@@ -658,43 +659,6 @@ func (e *engine) nextCapture(c *camera, now float64) float64 {
 	return now + 1/e.fps[c.class]
 }
 
-// dropCause is why a captured frame was lost; each lost frame has
-// exactly one.
-type dropCause int
-
-const (
-	dropQueue  dropCause = iota // per-camera backpressure
-	dropEnergy                  // an empty harvest store
-	dropOutage                  // a dynamics outage
-)
-
-// drop is the one sink for a lost frame of class ci. Every cause reaches
-// the class counter, the one count that telemetry windows, the fleet
-// total and the dynamics ledger all read. Queue and outage drops also
-// reach both controller kinds, so they see and react to congestion and regime
-// shifts; an energy drop does not, since it says the store ran dry, not
-// that the network is congested.
-func (e *engine) drop(ci int, cause dropCause) {
-	st := &e.res.Classes[ci]
-	switch cause {
-	case dropQueue:
-		st.DroppedQueue++
-	case dropEnergy:
-		st.DroppedEnergy++
-	case dropOutage:
-		st.DroppedOutage++
-	}
-	if cause == dropEnergy {
-		return
-	}
-	if ctl := e.ctls[ci]; ctl != nil {
-		ctl.win.drops++
-	}
-	if e.gctl != nil {
-		e.gctl.win[ci].drops++
-	}
-}
-
 // dropOutage loses frame transfer id to an outage at tier ti: the
 // camera's queue slot frees (the frame will never arrive) and the drop is
 // charged to the class and the tier.
@@ -702,7 +666,7 @@ func (e *engine) dropOutage(ti, id int) {
 	tr := e.release(id)
 	e.cams[tr.cam].inflight--
 	e.dyn.outageDrops[ti]++
-	e.drop(int(tr.class), dropOutage)
+	e.res.Classes[tr.class].DroppedOutage++
 }
 
 // drainLink drops every transfer in flight on link li as lost to an
@@ -737,7 +701,7 @@ func (e *engine) enterTier(now float64, ti, id int) {
 // complete lands transfer id in the cloud at time arrive: only then
 // does the camera's queue slot free, the latency sample exist, and the
 // adaptive controllers see it — never before the frame has actually
-// arrived.
+// arrived. The global controller watches only classes it can move.
 func (e *engine) complete(arrive float64, id int) {
 	tr := e.release(id)
 	e.cams[tr.cam].inflight--
@@ -748,7 +712,7 @@ func (e *engine) complete(arrive float64, id int) {
 	if ctl := e.ctls[ci]; ctl != nil {
 		ctl.win.observe(lat)
 	}
-	if e.gctl != nil {
+	if e.gctl != nil && len(e.sc.Classes[ci].Placements) > 0 {
 		e.gctl.win[ci].observe(lat)
 	}
 	if arrive > e.res.SimEnd {
@@ -792,7 +756,7 @@ func (e *engine) capture(t float64, camIdx int32) {
 			// keep charging. Energy starvation is the binding constraint,
 			// so a frame dropped here is never also counted against the
 			// queue — each drop has exactly one cause.
-			e.drop(ci, dropEnergy)
+			st.DroppedEnergy++
 			return
 		}
 		h.joules -= need
@@ -800,7 +764,7 @@ func (e *engine) capture(t float64, camIdx int32) {
 	st.EnergyJ += need
 	switch {
 	case queueDropped:
-		e.drop(ci, dropQueue)
+		st.DroppedQueue++
 	case offload:
 		c.inflight++
 		id := e.newTransfer(transfer{cam: camIdx, class: c.class, capturedAt: t, bytes: r.bytes})
@@ -1155,9 +1119,6 @@ func (e *engine) result() *Result {
 			hist[e.cams[idx].placement]++
 		}
 		res.Classes[ci].PlacementCounts = hist
-		if e.ctls[ci] != nil {
-			res.Classes[ci].Switches = e.ctls[ci].moves
-		}
 	}
 	res.TimeSeries = e.acc.finish(res.SimEnd)
 	res.finalize(e.acc)
