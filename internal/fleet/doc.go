@@ -518,9 +518,13 @@
 //     only, since a decision reads its drops from the class counters.
 //     Every decision gathers its move candidates in one engine buffer,
 //     so a decision allocates nothing once the buffer has grown. A
-//     sketch's levels are made with room for its top capacity, so they
-//     seldom regrow, and a run reads a fault schedule from the caller's
-//     scenario unless a churn entry needs its Count filled in.
+//     sketch keeps all of its levels in one array: K slots, all that a
+//     window sketch that never compacts uses, then room for the largest
+//     size any height reaches (1303 items), doubled only by a merge
+//     that needs more. So a warm sketch allocates nothing, and the
+//     time-series CSV is written row by row through one reused buffer.
+//     A run reads a fault schedule from the caller's scenario unless a
+//     churn entry needs its Count filled in.
 //   - Seeded-stream shift: moving from rand.Rand's ziggurat draws to the
 //     prng's inversion-based ExpFloat64 / 53-bit Float64 shifted every
 //     seeded stream once (goldens were regenerated, as for the PR 3 seed

@@ -1,7 +1,11 @@
 package quantile
 
 import (
+	"fmt"
 	"math"
+	"math/big"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -328,8 +332,8 @@ func TestSketchQuantilesOneSort(t *testing.T) {
 // from it.
 func expand(s *Sketch) []float64 {
 	var xs []float64
-	for h, c := range s.compactors {
-		for _, v := range c {
+	for h := range s.height {
+		for _, v := range s.level(h) {
 			for range 1 << h {
 				xs = append(xs, v)
 			}
@@ -406,5 +410,392 @@ func TestSketchQuantilesAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(runs, func() { s.Quantile(0.9) }); n != 0 {
 		t.Errorf("Quantile allocates %v times per call, want 0", n)
+	}
+}
+
+// TestSketchWarmCycleAllocFree pins that a warm sketch allocates
+// nothing: once a window sketch and a run sketch hold their final arrays
+// (maxItems and 2·maxItems slots), a telemetry window's cycle of Adds,
+// query, Merge into the run sketch, Reset and a run-wide query makes no
+// allocation.
+func TestSketchWarmCycleAllocFree(t *testing.T) {
+	rng := newTestRNG(29)
+	xs := make([]float64, 4096)
+	for i := range xs {
+		xs[i] = math.Exp(8 * rng.float64())
+	}
+	win, run := NewSketch(), NewSketch()
+	qs := []float64{0.5, 0.95, 0.99}
+	out := make([]float64, len(qs))
+	k := 0
+	cycle := func() {
+		for range 1000 {
+			win.Add(xs[k%len(xs)])
+			k++
+		}
+		win.Quantiles(out, qs...)
+		run.Merge(win)
+		win.Reset()
+		run.Quantiles(out, qs...)
+	}
+	for range 10 {
+		cycle()
+	}
+	if len(win.items) != maxItems || len(run.items) != 2*maxItems {
+		t.Fatalf("warm-up left arrays of %d and %d slots, want %d and %d", len(win.items), len(run.items), maxItems, 2*maxItems)
+	}
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Errorf("a warm window cycle allocates %v times, want 0", n)
+	}
+}
+
+// TestSketchAddsAllocateOnce pins that a million Adds into a new sketch
+// allocate at most once: the array grows once, past K to maxItems, and
+// no level regrows.
+func TestSketchAddsAllocateOnce(t *testing.T) {
+	rng := newTestRNG(31)
+	fresh := []*Sketch{NewSketch(), NewSketch()} // AllocsPerRun calls f runs+1 times
+	next := 0
+	n := testing.AllocsPerRun(1, func() {
+		s := fresh[next]
+		next++
+		for range 1_000_000 {
+			s.Add(math.Exp(8 * rng.float64()))
+		}
+	})
+	if n > 1 {
+		t.Errorf("a million Adds allocate %v times, want at most 1", n)
+	}
+}
+
+// refSketch is the sketch as it was before its levels shared one array:
+// one slice per level, each made with room for K and regrown by append,
+// and capacities from math.Pow. It is kept as the reference
+// TestSketchMatchesReference holds Sketch to.
+type refSketch struct {
+	compactors [][]float64
+	size       int
+	maxSize    int
+	count      uint64
+	coin       uint64
+}
+
+// capDecay shrinks the reference's capacities geometrically below the
+// top.
+const capDecay = 2.0 / 3.0
+
+func newRefSketch() *refSketch {
+	s := &refSketch{coin: coinSeed}
+	s.grow()
+	return s
+}
+
+func (s *refSketch) Reset() {
+	for h := range s.compactors {
+		s.compactors[h] = s.compactors[h][:0]
+	}
+	s.size = 0
+	s.count = 0
+	s.coin = coinSeed
+}
+
+func (s *refSketch) capacity(h int) int {
+	depth := len(s.compactors) - 1 - h
+	c := int(math.Ceil(K * math.Pow(capDecay, float64(depth))))
+	if c < 2 {
+		c = 2
+	}
+	return c
+}
+
+func (s *refSketch) grow() {
+	s.compactors = append(s.compactors, make([]float64, 0, K))
+	s.maxSize = 0
+	for h := range s.compactors {
+		s.maxSize += s.capacity(h)
+	}
+}
+
+func (s *refSketch) flip() int {
+	s.coin += 0x9e3779b97f4a7c15
+	x := s.coin
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	x ^= x >> 31
+	return int(x & 1)
+}
+
+func (s *refSketch) Add(v float64) {
+	s.compactors[0] = append(s.compactors[0], v)
+	s.size++
+	s.count++
+	if s.size >= s.maxSize {
+		s.compress()
+	}
+}
+
+func (s *refSketch) compress() {
+	for h := range s.compactors {
+		if len(s.compactors[h]) >= s.capacity(h) {
+			s.compressLevel(h)
+			return
+		}
+	}
+}
+
+func (s *refSketch) compressLevel(h int) {
+	if h == len(s.compactors)-1 {
+		s.grow()
+	}
+	c := s.compactors[h]
+	sort.Float64s(c)
+	lo := len(c) & 1
+	off := s.flip()
+	next := s.compactors[h+1]
+	for i := lo + off; i < len(c); i += 2 {
+		next = append(next, c[i])
+	}
+	s.compactors[h+1] = next
+	promoted := (len(c) - lo - off + 1) / 2
+	s.size -= (len(c) - lo) - promoted
+	s.compactors[h] = c[:lo]
+}
+
+func (s *refSketch) Merge(o *refSketch) {
+	if o == nil || o.count == 0 {
+		return
+	}
+	for len(s.compactors) < len(o.compactors) {
+		s.grow()
+	}
+	for h, c := range o.compactors {
+		s.compactors[h] = append(s.compactors[h], c...)
+	}
+	s.size += o.size
+	s.count += o.count
+	for s.size >= s.maxSize {
+		s.compress()
+	}
+}
+
+func (s *refSketch) Quantiles(out []float64, qs ...float64) {
+	if s.count == 0 {
+		clear(out[:len(qs)])
+		return
+	}
+	for _, c := range s.compactors {
+		slices.Sort(c)
+	}
+	var pos [64]int
+	var cum uint64
+	var v float64
+	for done := uint64(0); ; {
+		target := uint64(math.MaxUint64)
+		for _, q := range qs {
+			if t := s.rank(q); t > done && t < target {
+				target = t
+			}
+		}
+		if target == math.MaxUint64 {
+			return
+		}
+		for cum < target {
+			b := -1
+			for h, c := range s.compactors {
+				if pos[h] < len(c) && (b < 0 || c[pos[h]] < s.compactors[b][pos[b]]) {
+					b = h
+				}
+			}
+			v = s.compactors[b][pos[b]]
+			pos[b]++
+			cum += 1 << uint(b)
+		}
+		for i, q := range qs {
+			if s.rank(q) == target {
+				out[i] = v
+			}
+		}
+		done = target
+	}
+}
+
+func (s *refSketch) rank(q float64) uint64 {
+	target := uint64(math.Ceil(q * float64(s.count)))
+	return min(max(target, 1), s.count)
+}
+
+// clone returns a deep copy of s.
+func (s *refSketch) clone() *refSketch {
+	c := *s
+	c.compactors = make([][]float64, len(s.compactors))
+	for h, l := range s.compactors {
+		c.compactors[h] = append(make([]float64, 0, cap(l)), l...)
+	}
+	return &c
+}
+
+// twin is one Sketch and one reference fed the same operations.
+type twin struct {
+	s *Sketch
+	r *refSketch
+}
+
+func newTwin() twin { return twin{NewSketch(), newRefSketch()} }
+
+// probeQs are the ranks every comparison asks both sketches for.
+var probeQs = []float64{0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1}
+
+// sameBits reports whether a and b hold the same float64 bits in order.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// matchTwin fails the test unless tw's sketch and its reference hold the
+// same height and maxSize, the same sorted contents on every level and
+// the same count, and, if probe is set, the same answer to every probe
+// rank. The probes query copies, so checking sorts no level of either
+// sketch in place.
+func matchTwin(t *testing.T, step string, tw twin, probe bool) {
+	t.Helper()
+	s, r := tw.s, tw.r
+	if s.height != len(r.compactors) || s.maxSize != r.maxSize {
+		t.Fatalf("%s: height %d and maxSize %d, reference %d and %d", step, s.height, s.maxSize, len(r.compactors), r.maxSize)
+	}
+	for h := range s.height {
+		got := slices.Sorted(slices.Values(s.level(h)))
+		want := slices.Sorted(slices.Values(r.compactors[h]))
+		if !sameBits(got, want) {
+			t.Fatalf("%s: level %d holds %v, reference %v", step, h, got, want)
+		}
+	}
+	if s.Count() != r.count || s.size() != r.size {
+		t.Fatalf("%s: count %d and size %d, reference %d and %d", step, s.Count(), s.size(), r.count, r.size)
+	}
+	if !probe {
+		return
+	}
+	c := *s
+	c.items = slices.Clone(s.items)
+	got, want := make([]float64, len(probeQs)), make([]float64, len(probeQs))
+	c.Quantiles(got, probeQs...)
+	r.clone().Quantiles(want, probeQs...)
+	if !sameBits(got, want) {
+		t.Fatalf("%s: answers %v, reference %v", step, got, want)
+	}
+}
+
+// TestSketchMatchesReference drives Sketch and the reference through
+// seeded random programs of Adds, Merges, merges into a fresh sketch,
+// Resets and queries, and checks every sketch in play after every step:
+// each level's sorted contents, the count and every answer must be equal
+// bit for bit. Levels hold the same multisets, so no output can move.
+// Values repeat often, so equal values sit on several levels; none is
+// −0 or NaN, the two whose order among equals a sort may change.
+func TestSketchMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		rng := newTestRNG(seed)
+		intn := func(n int) int { return int(rng.next() % uint64(n)) }
+		value := func() float64 {
+			switch intn(3) {
+			case 0:
+				return math.Round(20*rng.float64()) / 4 // 21 values, 0 included
+			case 1:
+				return math.Exp(10 * rng.float64())
+			}
+			return rng.float64()
+		}
+		pool := []twin{newTwin(), newTwin(), newTwin(), newTwin(), newTwin()}
+		for step := range 300 {
+			i := intn(len(pool))
+			tw := pool[i]
+			old := slices.Clone(pool)
+			var what string
+			switch op := intn(12); {
+			case op < 4:
+				// Mostly short runs of Adds, now and then long enough to
+				// grow a sketch several levels taller than the others.
+				n := 1 + intn(600)
+				if op == 0 {
+					n = 1 + intn(20_000)
+				}
+				for range n {
+					v := value()
+					tw.s.Add(v)
+					tw.r.Add(v)
+				}
+				what = fmt.Sprintf("%d adds", n)
+			case op < 7:
+				// Any sketch in the pool: empty, shorter, taller, queried,
+				// or this one itself.
+				j := intn(len(pool))
+				tw.s.Merge(pool[j].s)
+				tw.r.Merge(pool[j].r)
+				what = fmt.Sprintf("merge of sketch %d", j)
+			case op == 7:
+				// A fresh sketch takes this one, as the fleet total is
+				// made, and replaces another in the pool.
+				f := newTwin()
+				f.s.Merge(tw.s)
+				f.r.Merge(tw.r)
+				j := intn(len(pool))
+				pool[j] = f
+				what = fmt.Sprintf("merge into a fresh sketch %d", j)
+			case op == 8:
+				tw.s.Reset()
+				tw.r.Reset()
+				what = fmt.Sprintf("reset at height %d", tw.s.height)
+			case op == 9:
+				pool[i] = newTwin()
+				what = "a new sketch"
+			default:
+				qs := make([]float64, 1+intn(6))
+				for k := range qs {
+					qs[k] = rng.float64()
+				}
+				qs[0] = probeQs[intn(len(probeQs))]
+				got, want := make([]float64, len(qs)), make([]float64, len(qs))
+				tw.s.Quantiles(got, qs...)
+				tw.r.Quantiles(want, qs...)
+				if !sameBits(got, want) {
+					t.Fatalf("seed %d step %d: Quantiles(%v) = %v, reference %v", seed, step, qs, got, want)
+				}
+				what = "a query"
+			}
+			// Every sketch is checked, so a step that writes into another
+			// sketch's storage fails too; the ones the step changed are
+			// queried as well.
+			for k, p := range pool {
+				matchTwin(t, fmt.Sprintf("seed %d step %d (%s on sketch %d), sketch %d", seed, step, what, i, k), p, p == tw || p != old[k])
+			}
+		}
+	}
+}
+
+// TestCapacityTable pins the capacity table at all maxLevels depths to
+// ⌈K·2^d/3^d⌉ (floor 2) in exact integer arithmetic, and on amd64 to the
+// float expression it replaced, and maxItems to the sum.
+func TestCapacityTable(t *testing.T) {
+	sum := 0
+	for d := range maxLevels {
+		num := new(big.Int).Lsh(big.NewInt(K), uint(d))
+		den := new(big.Int).Exp(big.NewInt(3), big.NewInt(int64(d)), nil)
+		q, m := new(big.Int).QuoRem(num, den, new(big.Int))
+		want := q.Int64()
+		if m.Sign() != 0 {
+			want++
+		}
+		want = max(want, 2)
+		if got := capacity(d); int64(got) != want {
+			t.Errorf("capacity(%d) = %d, exact %d", d, got, want)
+		}
+		if runtime.GOARCH == "amd64" {
+			if f := max(int(math.Ceil(K*math.Pow(capDecay, float64(d)))), 2); capacity(d) != f {
+				t.Errorf("capacity(%d) = %d, float expression %d", d, capacity(d), f)
+			}
+		}
+		sum += capacity(d)
+	}
+	if maxItems != sum || maxItems != 1303 {
+		t.Errorf("maxItems %d, want the sum %d (1303)", maxItems, sum)
 	}
 }

@@ -1,11 +1,12 @@
 package fleet
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"strings"
+	"strconv"
 
 	"camsim/internal/fleet/quantile"
 )
@@ -122,33 +123,58 @@ func (ts *TimeSeries) WriteJSON(w io.Writer) error {
 // series keep the exact legacy shape.
 func (ts *TimeSeries) WriteCSV(w io.Writer) error {
 	avail := len(ts.Windows) > 0 && ts.Windows[0].TierDownSec != nil
-	var b strings.Builder
-	b.WriteString("window,start_sec,end_sec,kind,name,offloaded,dropped_queue,dropped_energy,p50_sec,p95_sec,p99_sec,utilization")
+	bw := bufio.NewWriter(w)
+	bw.WriteString("window,start_sec,end_sec,kind,name,offloaded,dropped_queue,dropped_energy,p50_sec,p95_sec,p99_sec,utilization")
 	if avail {
-		b.WriteString(",dropped_outage,down_sec,cap_frac")
+		bw.WriteString(",dropped_outage,down_sec,cap_frac")
 	}
-	b.WriteString("\n")
-	for _, win := range ts.Windows {
+	bw.WriteByte('\n')
+	// Each row is formatted into one reused buffer and written through
+	// bw, which keeps a write error until Flush reports it.
+	var row []byte
+	for i := range ts.Windows {
+		win := &ts.Windows[i]
 		for ci, wc := range win.Classes {
-			fmt.Fprintf(&b, "%d,%g,%g,class,%s,%d,%d,%d,%g,%g,%g,",
-				win.Index, win.Start, win.End, ts.Classes[ci],
-				wc.Offloaded, wc.DroppedQueue, wc.DroppedEnergy, wc.P50, wc.P95, wc.P99)
-			if avail {
-				fmt.Fprintf(&b, ",%d,,", wc.DroppedOutage)
+			row = appendRowHead(row[:0], win, "class", ts.Classes[ci])
+			for _, n := range [...]int64{wc.Offloaded, wc.DroppedQueue, wc.DroppedEnergy} {
+				row = strconv.AppendInt(append(row, ','), n, 10)
 			}
-			b.WriteString("\n")
+			for _, v := range [...]float64{wc.P50, wc.P95, wc.P99} {
+				row = appendG(row, v)
+			}
+			row = append(row, ',') // no utilization on a class row
+			if avail {
+				row = strconv.AppendInt(append(row, ','), wc.DroppedOutage, 10)
+				row = append(row, ",,"...) // nor downtime and capacity
+			}
+			bw.Write(append(row, '\n'))
 		}
 		for ti, u := range win.TierUtil {
-			fmt.Fprintf(&b, "%d,%g,%g,tier,%s,,,,,,,%g",
-				win.Index, win.Start, win.End, ts.Tiers[ti], u)
+			row = appendRowHead(row[:0], win, "tier", ts.Tiers[ti])
+			row = appendG(append(row, ",,,,,,"...), u) // six empty class columns first
 			if avail {
-				fmt.Fprintf(&b, ",,%g,%g", win.TierDownSec[ti], win.TierCapFrac[ti])
+				row = append(row, ',') // no outage drops on a tier row
+				row = appendG(appendG(row, win.TierDownSec[ti]), win.TierCapFrac[ti])
 			}
-			b.WriteString("\n")
+			bw.Write(append(row, '\n'))
 		}
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return bw.Flush()
+}
+
+// appendRowHead appends a CSV row's first five fields: the window's
+// index, start and end, the row kind and the column name.
+func appendRowHead(row []byte, win *Window, kind, name string) []byte {
+	row = strconv.AppendInt(row, int64(win.Index), 10)
+	row = appendG(appendG(row, win.Start), win.End)
+	row = append(append(row, ','), kind...)
+	return append(append(row, ','), name...)
+}
+
+// appendG appends a comma and v as fmt's %g renders it: the shortest
+// form that reads back as v.
+func appendG(row []byte, v float64) []byte {
+	return strconv.AppendFloat(append(row, ','), v, 'g', -1, 64)
 }
 
 // collector is the run's streaming-telemetry state. It observes the

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -245,6 +246,89 @@ func TestWindowedTimeSeries(t *testing.T) {
 	}
 	if !strings.Contains(js.String(), "\"window_sec\": 0.5") {
 		t.Fatalf("JSON missing window_sec: %.120s", js.String())
+	}
+}
+
+// csvByFmt renders ts as WriteCSV did with fmt, every row formatted into
+// one string: the reference TestWriteCSVMatchesFmt holds the streamed
+// writer to.
+func csvByFmt(ts *TimeSeries) string {
+	avail := len(ts.Windows) > 0 && ts.Windows[0].TierDownSec != nil
+	var b strings.Builder
+	b.WriteString("window,start_sec,end_sec,kind,name,offloaded,dropped_queue,dropped_energy,p50_sec,p95_sec,p99_sec,utilization")
+	if avail {
+		b.WriteString(",dropped_outage,down_sec,cap_frac")
+	}
+	b.WriteString("\n")
+	for _, win := range ts.Windows {
+		for ci, wc := range win.Classes {
+			fmt.Fprintf(&b, "%d,%g,%g,class,%s,%d,%d,%d,%g,%g,%g,",
+				win.Index, win.Start, win.End, ts.Classes[ci],
+				wc.Offloaded, wc.DroppedQueue, wc.DroppedEnergy, wc.P50, wc.P95, wc.P99)
+			if avail {
+				fmt.Fprintf(&b, ",%d,,", wc.DroppedOutage)
+			}
+			b.WriteString("\n")
+		}
+		for ti, u := range win.TierUtil {
+			fmt.Fprintf(&b, "%d,%g,%g,tier,%s,,,,,,,%g",
+				win.Index, win.Start, win.End, ts.Tiers[ti], u)
+			if avail {
+				fmt.Fprintf(&b, ",,%g,%g", win.TierDownSec[ti], win.TierCapFrac[ti])
+			}
+			b.WriteString("\n")
+		}
+	}
+	return b.String()
+}
+
+// failWriter fails every write.
+type failWriter struct{ err error }
+
+func (w failWriter) Write([]byte) (int, error) { return 0, w.err }
+
+// TestWriteCSVMatchesFmt renders series holding the values whose %g
+// forms differ most — 0, −0, the least subnormal, 1e-5 and 1e21 (where
+// %g turns to exponents), ±Inf, NaN — and counts up to the int64
+// limits, with and without the availability columns, and holds WriteCSV
+// to the fmt rendering byte for byte. A failing writer's error comes
+// back from WriteCSV.
+func TestWriteCSVMatchesFmt(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 5e-324, 1e-5, 1e21, math.Inf(1), math.Inf(-1), math.NaN(), 0.1, 1.0 / 3, 123456.789, 2.5e-7}
+	counts := []int64{0, 1, -1, math.MaxInt64, math.MinInt64, 1<<53 + 1, 42}
+	k := 0
+	v := func() float64 { k++; return vals[k%len(vals)] }
+	n := func() int64 { k++; return counts[k%len(counts)] }
+	for _, avail := range []bool{false, true} {
+		ts := &TimeSeries{WindowSec: 0.5, Classes: []string{"east", "west"}, Tiers: []string{"gw", "gw:down", "gw:compute"}}
+		for i := range 14 {
+			win := Window{Index: i << (3 * i), Start: v(), End: v()}
+			for range ts.Classes {
+				win.Classes = append(win.Classes, WindowClass{
+					Offloaded: n(), DroppedQueue: n(), DroppedEnergy: n(), DroppedOutage: n(),
+					P50: v(), P95: v(), P99: v(),
+				})
+			}
+			for range ts.Tiers {
+				win.TierUtil = append(win.TierUtil, v())
+				if avail {
+					win.TierDownSec = append(win.TierDownSec, v())
+					win.TierCapFrac = append(win.TierCapFrac, v())
+				}
+			}
+			ts.Windows = append(ts.Windows, win)
+		}
+		var got strings.Builder
+		if err := ts.WriteCSV(&got); err != nil {
+			t.Fatal(err)
+		}
+		if want := csvByFmt(ts); got.String() != want {
+			t.Errorf("availability columns %v: WriteCSV wrote\n%s\nfmt renders\n%s", avail, got.String(), want)
+		}
+		full := errors.New("disk full")
+		if err := ts.WriteCSV(failWriter{full}); !errors.Is(err, full) {
+			t.Errorf("availability columns %v: a failing writer gave %v, want %v", avail, err, full)
+		}
 	}
 }
 
