@@ -44,6 +44,8 @@
 //	  ]
 //	}
 //
+// Class names are unique: dynamics entries, compute service_sec entries
+// and federated participants name classes, so a name means one class.
 // Each class instantiates Count identical cameras that capture frames at
 // FPS (periodic with a random phase, or Poisson), spend ComputeSeconds of
 // in-camera processing per frame, then offload FrameBytes with probability
@@ -283,7 +285,9 @@
 // multiplier (piecewise diurnal/bursty load), and "compute_scale"
 // resizes a tier's core pool. Validation is strict per kind: unknown
 // kinds, out-of-order times, ghost tiers/classes, out-of-range factors,
-// misplaced knobs, joins past 2^31−1 cameras, a failing root, or an
+// misplaced knobs (a "class" is accepted only on "camera_join",
+// "camera_leave" and "fps_profile", a "tier" only on the other five
+// kinds), joins past 2^31−1 cameras, a failing root, or an
 // outage stranding attached cameras without a fallback all fail before
 // the run starts; dynamics cannot combine with a federated job (dropping
 // a round's blobs would deadlock its barrier).

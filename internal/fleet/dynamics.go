@@ -108,103 +108,105 @@ func (e FleetEvent) countless() bool {
 	return (e.Kind == DynCameraJoin || e.Kind == DynCameraLeave) && e.Count == 0
 }
 
+// dynRef is one schedule entry's names as validation resolved them: its
+// class, tier and fallback tier indices, each -1 where the kind has none.
+type dynRef struct{ class, tier, fall int }
+
 // validateDynamics checks the dynamics schedule against the resolved tier
 // tree and the declared camera total: known kinds, finite non-decreasing
 // times, resolvable classes and tiers, in-range factors, joins that keep
 // the camera ids inside int32, per-tier outage/recover alternation, and a
 // usable fallback for every outage that strands attached cameras. Each
 // kind also rejects the other kinds' knobs — a misplaced field must fail,
-// not silently do nothing.
-func (sc *Scenario) validateDynamics(nodes []tierNode, cameras int) error {
+// not silently do nothing. It returns each entry's resolved names, which
+// the run reads instead of looking them up again.
+func (sc *Scenario) validateDynamics(nodes []tierNode, cameras int) ([]dynRef, error) {
 	d := sc.Dynamics
 	if d == nil {
-		return nil
+		return nil, nil
 	}
 	if len(d.Events) > 0 && sc.Federated != nil {
-		return fmt.Errorf("fleet: scenario %q: dynamics cannot combine with a federated job (dropping a round's blobs in an outage would deadlock its barrier)", sc.Name)
+		return nil, fmt.Errorf("fleet: scenario %q: dynamics cannot combine with a federated job (dropping a round's blobs in an outage would deadlock its barrier)", sc.Name)
 	}
+	refs := make([]dynRef, len(d.Events))
 	down := make(map[int]bool, 2)
 	prev := 0.0
 	for i := range d.Events {
-		e := &d.Events[i]
+		e, ref := &d.Events[i], &refs[i]
+		*ref = dynRef{class: -1, tier: -1, fall: -1}
 		bad := func(format string, args ...any) error {
 			return fmt.Errorf("fleet: scenario %q: dynamics event %d (%s): %s",
 				sc.Name, i, e.Kind, fmt.Sprintf(format, args...))
 		}
 		if !(e.Time >= 0) || math.IsInf(e.Time, 0) {
-			return bad("time %v sec must be finite and non-negative", e.Time)
+			return nil, bad("time %v sec must be finite and non-negative", e.Time)
 		}
 		if e.Time < prev {
-			return bad("time %v sec before the previous event's %v (the schedule must be time-ordered)", e.Time, prev)
+			return nil, bad("time %v sec before the previous event's %v (the schedule must be time-ordered)", e.Time, prev)
 		}
 		prev = e.Time
 		churn := e.Kind == DynCameraJoin || e.Kind == DynCameraLeave
 		if !churn && (e.Count != 0 || e.EverySec != 0) {
-			return bad("count/every_sec belong to %s and %s only", DynCameraJoin, DynCameraLeave)
+			return nil, bad("count/every_sec belong to %s and %s only", DynCameraJoin, DynCameraLeave)
+		}
+		if !churn && e.Kind != DynFPSProfile && e.Class != "" {
+			return nil, bad("class belongs to %s, %s and %s only", DynCameraJoin, DynCameraLeave, DynFPSProfile)
 		}
 		if e.Kind != DynLinkDegrade && e.Factor != 0 {
-			return bad("factor belongs to %s only", DynLinkDegrade)
+			return nil, bad("factor belongs to %s only", DynLinkDegrade)
 		}
 		if e.Kind != DynTierOutage && e.Fallback != "" {
-			return bad("fallback belongs to %s only", DynTierOutage)
+			return nil, bad("fallback belongs to %s only", DynTierOutage)
 		}
 		if e.Kind != DynFPSProfile && e.Multiplier != 0 {
-			return bad("multiplier belongs to %s only", DynFPSProfile)
+			return nil, bad("multiplier belongs to %s only", DynFPSProfile)
 		}
 		if e.Kind != DynComputeScale && e.Cores != 0 {
-			return bad("cores belongs to %s only", DynComputeScale)
+			return nil, bad("cores belongs to %s only", DynComputeScale)
 		}
-		needTier := func() (int, error) {
-			ti := tierIndex(nodes, e.Tier)
-			if ti < 0 {
-				return -1, bad("unknown tier %q", e.Tier)
-			}
-			return ti, nil
-		}
+		// Each kind names a class or a tier, resolved here once for the run.
 		switch e.Kind {
-		case DynCameraJoin, DynCameraLeave:
+		case DynCameraJoin, DynCameraLeave, DynFPSProfile:
 			if e.Tier != "" {
-				return bad("tier belongs to the link and tier kinds")
+				return nil, bad("tier belongs to the link and tier kinds")
 			}
-			if classIndex(sc.Classes, e.Class) < 0 {
-				return bad("unknown class %q", e.Class)
+			if ref.class = classIndex(sc.Classes, e.Class); ref.class < 0 {
+				return nil, bad("unknown class %q", e.Class)
 			}
+		case DynLinkDegrade, DynLinkRestore, DynTierOutage, DynTierRecover, DynComputeScale:
+			if ref.tier = tierIndex(nodes, e.Tier); ref.tier < 0 {
+				return nil, bad("unknown tier %q", e.Tier)
+			}
+		default:
+			return nil, bad("unknown event kind")
+		}
+		switch ti := ref.tier; e.Kind {
+		case DynCameraJoin, DynCameraLeave:
 			if e.Count <= 0 {
-				return bad("count %d must be positive", e.Count)
+				return nil, bad("count %d must be positive", e.Count)
 			}
 			// Joined cameras take the ids after the declared ones. Each
 			// entry's first firing counts here; recurring re-firings are
 			// not bounded.
 			if e.Kind == DynCameraJoin {
 				if e.Count > math.MaxInt32-cameras {
-					return bad("count %d makes more than %d cameras", e.Count, math.MaxInt32)
+					return nil, bad("count %d makes more than %d cameras", e.Count, math.MaxInt32)
 				}
 				cameras += e.Count
 			}
 			if !(e.EverySec >= 0) || math.IsInf(e.EverySec, 0) {
-				return bad("every_sec %v must be finite and non-negative", e.EverySec)
+				return nil, bad("every_sec %v must be finite and non-negative", e.EverySec)
 			}
 		case DynLinkDegrade:
-			if _, err := needTier(); err != nil {
-				return err
-			}
 			if !(e.Factor >= 0) || math.IsInf(e.Factor, 0) {
-				return bad("factor %v out of range (a capacity scale must be finite and non-negative; 0 is an outage)", e.Factor)
-			}
-		case DynLinkRestore:
-			if _, err := needTier(); err != nil {
-				return err
+				return nil, bad("factor %v out of range (a capacity scale must be finite and non-negative; 0 is an outage)", e.Factor)
 			}
 		case DynTierOutage:
-			ti, err := needTier()
-			if err != nil {
-				return err
-			}
 			if nodes[ti].parent < 0 {
-				return bad("the root tier cannot fail (degrade its link to factor 0 instead)")
+				return nil, bad("the root tier cannot fail (degrade its link to factor 0 instead)")
 			}
 			if down[ti] {
-				return bad("tier %q is already down", e.Tier)
+				return nil, bad("tier %q is already down", e.Tier)
 			}
 			down[ti] = true
 			attached := false
@@ -215,57 +217,42 @@ func (sc *Scenario) validateDynamics(nodes []tierNode, cameras int) error {
 				}
 			}
 			if attached && e.Fallback == "" {
-				return bad("tier %q has attached classes and needs a fallback to re-home them to", e.Tier)
+				return nil, bad("tier %q has attached classes and needs a fallback to re-home them to", e.Tier)
 			}
 			if e.Fallback != "" {
 				fb := tierIndex(nodes, e.Fallback)
 				if fb < 0 {
-					return bad("unknown fallback tier %q", e.Fallback)
+					return nil, bad("unknown fallback tier %q", e.Fallback)
 				}
 				if fb == ti {
-					return bad("fallback %q is the failing tier itself", e.Fallback)
+					return nil, bad("fallback %q is the failing tier itself", e.Fallback)
 				}
 				for li := fb; li >= 0; li = nodes[li].parent {
 					if li == ti {
-						return bad("fallback %q offloads through the failing tier %q", e.Fallback, e.Tier)
+						return nil, bad("fallback %q offloads through the failing tier %q", e.Fallback, e.Tier)
 					}
 				}
+				ref.fall = fb
 			}
 		case DynTierRecover:
-			ti, err := needTier()
-			if err != nil {
-				return err
-			}
 			if !down[ti] {
-				return bad("tier %q is not down", e.Tier)
+				return nil, bad("tier %q is not down", e.Tier)
 			}
 			down[ti] = false
 		case DynFPSProfile:
-			if e.Tier != "" {
-				return bad("tier belongs to the link and tier kinds")
-			}
-			if classIndex(sc.Classes, e.Class) < 0 {
-				return bad("unknown class %q", e.Class)
-			}
 			if !(e.Multiplier > 0) || math.IsInf(e.Multiplier, 0) {
-				return bad("multiplier %v must be positive and finite", e.Multiplier)
+				return nil, bad("multiplier %v must be positive and finite", e.Multiplier)
 			}
 		case DynComputeScale:
-			ti, err := needTier()
-			if err != nil {
-				return err
-			}
 			if nodes[ti].Compute == nil {
-				return bad("tier %q has no compute section to scale", e.Tier)
+				return nil, bad("tier %q has no compute section to scale", e.Tier)
 			}
 			if e.Cores <= 0 {
-				return bad("cores %d must be positive", e.Cores)
+				return nil, bad("cores %d must be positive", e.Cores)
 			}
-		default:
-			return bad("unknown event kind")
 		}
 	}
-	return nil
+	return refs, nil
 }
 
 // DynamicsStats is the run-wide accounting of the dynamics schedule; set
@@ -291,10 +278,8 @@ type DynamicsStats struct {
 // a non-empty schedule so every other run bypasses it entirely.
 type dynamics struct {
 	events []FleetEvent
-	rngs   []prng // per-entry churn streams (seedDynamics family)
-	class  []int  // resolved class index per entry, -1 when kind has none
-	tier   []int  // resolved tier index per entry, -1
-	fall   []int  // resolved fallback tier index per entry, -1
+	refs   []dynRef // per-entry names, as validation resolved them
+	rngs   []prng   // per-entry churn streams (seedDynamics family)
 
 	// Per-tier availability: down is 1 while the tier is out and 0 while
 	// it serves, so its integral is the tier's downtime; capacity is its
@@ -324,39 +309,25 @@ func (l *level) set(t, v float64) {
 // the last set.
 func (l *level) at(t float64) float64 { return l.integral + l.v*(t-l.since) }
 
-// newDynamics resolves the schedule against the run's tier tree. Names
-// were validated; resolution here cannot fail.
-func newDynamics(sc *Scenario, nodes []tierNode, firstHop []int) *dynamics {
+// newDynamics builds the schedule's live state for a tree of tiers
+// nodes: the entries' names as validation resolved them (refs), and each
+// class's home tier (firstHop).
+func newDynamics(sc *Scenario, refs []dynRef, tiers int, firstHop []int) *dynamics {
 	evs := sc.Dynamics.Events
 	dyn := &dynamics{
 		events:      evs,
+		refs:        refs,
 		rngs:        make([]prng, len(evs)),
-		class:       make([]int, len(evs)),
-		tier:        make([]int, len(evs)),
-		fall:        make([]int, len(evs)),
-		down:        make([]level, len(nodes)),
-		capacity:    make([]level, len(nodes)),
-		outageDrops: make([]int64, len(nodes)),
+		down:        make([]level, tiers),
+		capacity:    make([]level, tiers),
+		outageDrops: make([]int64, tiers),
 		home:        append([]int(nil), firstHop...),
 	}
-	for ni := range nodes {
-		dyn.capacity[ni].v = 1
+	for ti := range dyn.capacity {
+		dyn.capacity[ti].v = 1
 	}
-	for i := range evs {
-		e := &evs[i]
+	for i := range dyn.rngs {
 		dyn.rngs[i] = newPRNG(streamSeed(sc.Seed, seedDynamics, i))
-		dyn.class[i] = -1
-		dyn.tier[i] = -1
-		dyn.fall[i] = -1
-		if e.Class != "" {
-			dyn.class[i] = classIndex(sc.Classes, e.Class)
-		}
-		if e.Tier != "" {
-			dyn.tier[i] = tierIndex(nodes, e.Tier)
-		}
-		if e.Fallback != "" {
-			dyn.fall[i] = tierIndex(nodes, e.Fallback)
-		}
 	}
 	return dyn
 }

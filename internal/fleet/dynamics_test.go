@@ -438,6 +438,24 @@ func TestDynamicsChurnCounters(t *testing.T) {
 	}
 }
 
+// TestDynamicsLeaveEmptiesClass pins a leave that asks for more cameras
+// than its class has left: it retires every member and stops there.
+func TestDynamicsLeaveEmptiesClass(t *testing.T) {
+	sc := dynamicsDemo(4)
+	sc.Classes[1].Count = 2
+	sc.Dynamics = &DynamicsConfig{Events: []FleetEvent{
+		{Time: 1, Kind: DynCameraLeave, Class: "west", Count: 5},
+	}}
+	res, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertConserved(t, sc.Name, res)
+	if w := res.Classes[1]; w.Left != 2 || w.Cameras != 0 {
+		t.Fatalf("west left %d, cameras %d; want 2 and 0", w.Left, w.Cameras)
+	}
+}
+
 // TestDynamicsJoinDoesNotPerturbExistingCameras pins seed-family
 // isolation: adding a second, traffic-free class plus a churn schedule
 // for it leaves the first class's results bit-identical — existing
@@ -663,6 +681,12 @@ func TestDynamicsValidation(t *testing.T) {
 		{"negative factor", []FleetEvent{{Time: 1, Kind: DynLinkDegrade, Tier: "gw-a", Factor: -0.5}}, "out of range"},
 		{"misplaced factor", []FleetEvent{{Time: 1, Kind: DynCameraJoin, Class: "east", Factor: 0.5}}, "factor belongs"},
 		{"misplaced multiplier", []FleetEvent{{Time: 1, Kind: DynTierRecover, Tier: "gw-a", Multiplier: 2}}, "multiplier belongs"},
+		// A class on a link or tier kind would be ignored, not applied.
+		{"class on link_degrade", []FleetEvent{{Time: 1, Kind: DynLinkDegrade, Tier: "gw-a", Factor: 0.5, Class: "east"}}, "class belongs"},
+		{"class on link_restore", []FleetEvent{{Time: 1, Kind: DynLinkRestore, Tier: "gw-a", Class: "east"}}, "class belongs"},
+		{"class on tier_outage", []FleetEvent{{Time: 1, Kind: DynTierOutage, Tier: "gw-a", Fallback: "gw-b", Class: "east"}}, "class belongs"},
+		{"class on tier_recover", []FleetEvent{{Time: 1, Kind: DynTierRecover, Tier: "gw-a", Class: "east"}}, "class belongs"},
+		{"class on compute_scale", []FleetEvent{{Time: 1, Kind: DynComputeScale, Tier: "gw-a", Cores: 2, Class: "east"}}, "class belongs"},
 		{"root outage", []FleetEvent{{Time: 1, Kind: DynTierOutage, Tier: "core"}}, "root tier cannot fail"},
 		{"double outage", []FleetEvent{
 			{Time: 1, Kind: DynTierOutage, Tier: "gw-a", Fallback: "gw-b"},

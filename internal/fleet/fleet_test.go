@@ -125,6 +125,17 @@ func TestRunDeterministicAcrossRepeats(t *testing.T) {
 	}
 }
 
+// TestNewLinkChecksItsInput pins the checks NewLink keeps for its callers
+// outside the engine, which builds its own links from validated tiers.
+func TestNewLinkChecksItsInput(t *testing.T) {
+	if _, err := NewLink(ContentionFIFO, 0); err == nil || !strings.Contains(err.Error(), "must be positive") {
+		t.Errorf("zero capacity: err = %v", err)
+	}
+	if _, err := NewLink("magic", 1000); err == nil || !strings.Contains(err.Error(), `unknown contention model "magic"`) {
+		t.Errorf("unknown model: err = %v", err)
+	}
+}
+
 func TestUplinkSingleAndSharedService(t *testing.T) {
 	// One 1000-byte transfer on a 1000 B/s link takes 1 s under both
 	// models; two admitted together take 1 s and 2 s under FIFO, and both

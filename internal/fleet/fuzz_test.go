@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -312,6 +313,16 @@ var fuzzSeeds = []fuzzSeed{
 	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
 	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "camera_join", "class": "c", "count": 1099511627776}]}}`, "more than 2147483647 cameras"},
+	// two classes sharing a name, which dynamics, compute and federated
+	// entries could then not tell apart
+	{`{"duration_sec": 1, "uplink": {"gbps": 1},
+	  "classes": [{"name": "a", "count": 2, "fps": 10}, {"name": "a", "count": 3, "fps": 10}]}`, "duplicate class"},
+	// a class on a tier kind, which would be ignored
+	{`{"duration_sec": 1,
+	  "tiers": [{"name": "gw", "parent": "core", "uplink": {"gbps": 1}},
+	            {"name": "core", "uplink": {"gbps": 1}}],
+	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
+	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "tier_outage", "tier": "gw", "class": "zzz-not-a-class"}]}}`, "class belongs to"},
 }
 
 // TestFuzzSeedVerdicts pins every seed's verdict: the valid seeds parse,
@@ -327,6 +338,26 @@ func TestFuzzSeedVerdicts(t *testing.T) {
 			t.Errorf("seed %d: accepted, want an error containing %q", i, s.wantErr)
 		case s.wantErr != "" && !strings.Contains(err.Error(), s.wantErr):
 			t.Errorf("seed %d: err = %v, want substring %q", i, err, s.wantErr)
+		}
+	}
+}
+
+// TestValidateAgreesWithRun holds validation and construction to one
+// verdict. Run fails only where its validation does, so every seed that
+// decodes must get the same answer from Validate and from Run: both nil,
+// or the same error.
+func TestValidateAgreesWithRun(t *testing.T) {
+	for i, s := range fuzzSeeds {
+		var sc Scenario
+		dec := json.NewDecoder(strings.NewReader(s.json))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&sc) != nil {
+			continue
+		}
+		verr := sc.Validate()
+		_, rerr := Run(sc)
+		if fmt.Sprint(verr) != fmt.Sprint(rerr) {
+			t.Errorf("seed %d: Validate says %v, Run says %v", i, verr, rerr)
 		}
 	}
 }

@@ -112,13 +112,17 @@ func (g *globalController) epoch(t float64, e *engine) {
 		}
 	}
 
-	// Phase 2: greedy energy shedding down to the budget. A (class, dir)
-	// whose batch admits nothing — a positive mean saving can hide
-	// per-row steps that all overshoot — is blocked for the rest of the
-	// epoch so the next-best candidate gets its turn.
-	blocked := make([][2]bool, len(sc.Classes))
+	// Phase 2: greedy energy shedding down to the budget. Every pick moves
+	// at least one camera, so each pass spends cap and the loop ends. A
+	// pick saves power on average over the class's movable cameras, so one
+	// of them has a step that does not raise its power: a float sum of
+	// deltas is negative only if one of them is. shuffleMove draws from
+	// those same cameras, all of them before it gives up, and until
+	// moveAccept admits one the projection stays over budget, so it
+	// neither skips that camera nor stops: the batch moves it, or one
+	// drawn before it.
 	for projected > g.cfg.BudgetW {
-		best, bestDir, bestDirIdx := -1, 0, 0
+		best, bestDir := -1, 0
 		bestSave, bestHead := 0.0, 0.0
 		for ci := range sc.Classes {
 			if congested[ci] || capLeft[ci] == 0 {
@@ -128,10 +132,7 @@ func (g *globalController) epoch(t float64, e *engine) {
 			if g.cfg.HighSec > 0 {
 				head = g.cfg.HighSec - p95[ci]
 			}
-			for di, dir := range [2]int{-1, +1} {
-				if blocked[ci][di] {
-					continue
-				}
+			for _, dir := range [2]int{-1, +1} {
 				sum, n := e.rowDelta(ci, e.rowJ[ci], dir)
 				if n == 0 {
 					continue
@@ -150,7 +151,7 @@ func (g *globalController) epoch(t float64, e *engine) {
 				}
 				saveW := save * e.fps[ci]
 				if saveW > bestSave || (saveW == bestSave && best >= 0 && head > bestHead) {
-					best, bestDir, bestDirIdx, bestSave, bestHead = ci, dir, di, saveW, head
+					best, bestDir, bestSave, bestHead = ci, dir, saveW, head
 				}
 			}
 		}
@@ -158,10 +159,6 @@ func (g *globalController) epoch(t float64, e *engine) {
 			break // infeasible: nothing left to shed, hold best effort
 		}
 		moved := g.moveAccept(e, best, bestDir, capLeft[best], &projected, false)
-		if moved == 0 {
-			blocked[best][bestDirIdx] = true
-			continue
-		}
 		capLeft[best] -= moved
 		ep.Moves = append(ep.Moves, GlobalMove{Class: sc.Classes[best].Name, Dir: bestDir, Count: moved, Reason: "energy"})
 	}

@@ -258,6 +258,37 @@ func TestMoveAcceptSkipsOverBudgetRows(t *testing.T) {
 	}
 }
 
+// TestGlobalEnergyPhaseProgress pins the argument that lets the energy
+// phase keep no list of blocked picks: a pick saves power on average over
+// its class's movable cameras, so one of them has a step that does not
+// raise its power, and the batch moves that camera. On rows of 10, 5 and
+// 8 mJ a row-0 camera's step saves 5 mW and a row-1 camera's costs 3 mW:
+// whichever the shuffle draws first, the phase moves the row-0 camera,
+// skips the row-1 camera and stops at the budget.
+func TestGlobalEnergyPhaseProgress(t *testing.T) {
+	sc := Scenario{
+		Name: "progress", Seed: 1, Duration: 1,
+		Uplink: UplinkConfig{Gbps: 1},
+		Classes: []Class{{Name: "cam", Count: 2, FPS: 1, Placements: []PlacementCost{
+			{FrameBytes: 1, ComputeJ: 0.010}, {FrameBytes: 1, ComputeJ: 0.005}, {FrameBytes: 1, ComputeJ: 0.008},
+		}}},
+		Global: &GlobalConfig{BudgetW: 0.012, MoveFraction: 1},
+	}
+	e, err := newEngine(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.cams[0].placement, e.cams[1].placement = 0, 1
+	e.gctl.epoch(0.5, e)
+	want := []GlobalMove{{Class: "cam", Dir: +1, Count: 1, Reason: "energy"}}
+	if eps := e.gctl.stats.Epochs; len(eps) != 1 || !reflect.DeepEqual(eps[0].Moves, want) {
+		t.Fatalf("epochs %+v, want one with moves %+v", eps, want)
+	}
+	if p0, p1 := e.cams[0].placement, e.cams[1].placement; p0 != 1 || p1 != 1 {
+		t.Fatalf("placements %d and %d, want both cameras on row 1", p0, p1)
+	}
+}
+
 // TestGlobalWatchesTabledClassesOnly runs the global controller over one
 // tabled class and one without a table. A class without a table can
 // never move, so its window is never fed; the tabled class's is.
@@ -268,9 +299,7 @@ func TestGlobalWatchesTabledClassesOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.loop(); err != nil {
-		t.Fatal(err)
-	}
+	e.loop()
 	// consume keeps a window's backing array, so a latency it once held
 	// is still there after the last epoch emptied it.
 	held := func(w window) bool {

@@ -251,7 +251,7 @@ func ParseScenario(data []byte) (Scenario, error) {
 		return Scenario{}, fmt.Errorf("fleet: decoding scenario: trailing data after the scenario object")
 	}
 	sc.Normalize()
-	if _, _, err := sc.validate(); err != nil {
+	if _, err := sc.validate(); err != nil {
 		return Scenario{}, err
 	}
 	return sc, nil
@@ -429,126 +429,146 @@ func validateUplink(u UplinkConfig, tier string) error {
 func (sc *Scenario) Validate() error {
 	c := sc.clone()
 	c.Normalize()
-	_, _, err := c.validate()
+	_, err := c.validate()
 	return err
 }
 
-// validate rejects a normalized scenario the simulator cannot run. It
-// returns the tier tree it resolved, and the root's index, so Run
-// resolves the tree once.
-func (sc *Scenario) validate() ([]tierNode, int, error) {
+// resolved is what validate proves of a scenario, in the form the engine
+// builds from: the tier tree and its root's index, the federated round
+// engine (nil without a job) with the classes that join it, and each
+// dynamics schedule entry's names. The engine resolves nothing again, so
+// it has no way to fail.
+type resolved struct {
+	nodes []tierNode
+	root  int
+	fle   *fl.Engine
+	joins []bool
+	refs  []dynRef
+}
+
+// validate rejects a normalized scenario the simulator cannot run, and
+// returns what it resolved on the way.
+func (sc *Scenario) validate() (resolved, error) {
 	// Legacy network input Normalize could not rewrite into the tree.
 	switch {
 	case len(sc.Tiers) == 0:
-		return nil, 0, fmt.Errorf("fleet: scenario %q: name %q is reserved for the top tier of the \"uplink\" and \"gateways\" forms",
+		return resolved{}, fmt.Errorf("fleet: scenario %q: name %q is reserved for the top tier of the \"uplink\" and \"gateways\" forms",
 			sc.Name, rootTierName)
 	case len(sc.Gateways) > 0:
-		return nil, 0, fmt.Errorf("fleet: scenario %q: tiers and gateways are mutually exclusive", sc.Name)
+		return resolved{}, fmt.Errorf("fleet: scenario %q: tiers and gateways are mutually exclusive", sc.Name)
 	case sc.Uplink != (UplinkConfig{}):
-		return nil, 0, fmt.Errorf("fleet: scenario %q: top-level uplink conflicts with the root tier; omit \"uplink\" when \"tiers\" is given",
+		return resolved{}, fmt.Errorf("fleet: scenario %q: top-level uplink conflicts with the root tier; omit \"uplink\" when \"tiers\" is given",
 			sc.Name)
 	}
 	for _, c := range sc.Classes {
 		if c.Gateway != "" {
-			return nil, 0, fmt.Errorf("fleet: class %q: tier %q and gateway %q disagree", c.Name, c.Tier, c.Gateway)
+			return resolved{}, fmt.Errorf("fleet: class %q: tier %q and gateway %q disagree", c.Name, c.Tier, c.Gateway)
 		}
 	}
 
 	if !(sc.Duration > 0) || math.IsInf(sc.Duration, 0) {
-		return nil, 0, fmt.Errorf("fleet: scenario %q: duration %v must be positive and finite", sc.Name, sc.Duration)
+		return resolved{}, fmt.Errorf("fleet: scenario %q: duration %v must be positive and finite", sc.Name, sc.Duration)
 	}
-	nodes, root, err := sc.topology()
-	if err != nil {
-		return nil, 0, err
+	var rv resolved
+	var err error
+	if rv.nodes, rv.root, err = sc.topology(); err != nil {
+		return resolved{}, err
 	}
-	if err := sc.validateTopologyNodes(nodes); err != nil {
-		return nil, 0, err
+	if err := sc.validateTopologyNodes(rv.nodes); err != nil {
+		return resolved{}, err
 	}
-	if err := sc.validateComputeNodes(nodes, root); err != nil {
-		return nil, 0, err
+	if err := sc.validateComputeNodes(rv.nodes, rv.root); err != nil {
+		return resolved{}, err
 	}
 	if len(sc.Classes) == 0 {
-		return nil, 0, fmt.Errorf("fleet: scenario %q has no camera classes", sc.Name)
+		return resolved{}, fmt.Errorf("fleet: scenario %q has no camera classes", sc.Name)
 	}
 	total := 0
-	for _, c := range sc.Classes {
+	for i, c := range sc.Classes {
+		// Dynamics entries, service_sec entries and federated participants
+		// name classes, so a name must mean one class: the first class
+		// classIndex finds under it must be this one.
+		if classIndex(sc.Classes, c.Name) != i {
+			return resolved{}, fmt.Errorf("fleet: scenario %q: duplicate class %q", sc.Name, c.Name)
+		}
 		if c.Count <= 0 {
-			return nil, 0, fmt.Errorf("fleet: class %q: count %d must be positive", c.Name, c.Count)
+			return resolved{}, fmt.Errorf("fleet: class %q: count %d must be positive", c.Name, c.Count)
 		}
 		if !(c.FPS > 0) || math.IsInf(c.FPS, 0) {
-			return nil, 0, fmt.Errorf("fleet: class %q: fps %v must be positive and finite", c.Name, c.FPS)
+			return resolved{}, fmt.Errorf("fleet: class %q: fps %v must be positive and finite", c.Name, c.FPS)
 		}
 		if c.Arrival != ArrivalPeriodic && c.Arrival != ArrivalPoisson {
-			return nil, 0, fmt.Errorf("fleet: class %q: unknown arrival pattern %q", c.Name, c.Arrival)
+			return resolved{}, fmt.Errorf("fleet: class %q: unknown arrival pattern %q", c.Name, c.Arrival)
 		}
 		if c.FrameBytes < 0 || c.QueueDepth < 0 {
-			return nil, 0, fmt.Errorf("fleet: class %q: negative frame bytes or queue depth", c.Name)
+			return resolved{}, fmt.Errorf("fleet: class %q: negative frame bytes or queue depth", c.Name)
 		}
 		if !(c.ComputeSeconds >= 0) || math.IsInf(c.ComputeSeconds, 0) {
-			return nil, 0, fmt.Errorf("fleet: class %q: compute time %v must be finite and non-negative", c.Name, c.ComputeSeconds)
+			return resolved{}, fmt.Errorf("fleet: class %q: compute time %v must be finite and non-negative", c.Name, c.ComputeSeconds)
 		}
 		if !(c.OffloadProb >= 0 && c.OffloadProb <= 1) {
-			return nil, 0, fmt.Errorf("fleet: class %q: offload probability %v outside [0,1]", c.Name, c.OffloadProb)
+			return resolved{}, fmt.Errorf("fleet: class %q: offload probability %v outside [0,1]", c.Name, c.OffloadProb)
 		}
 		for _, v := range [...]float64{c.CaptureJ, c.ComputeJ, c.TxFixedJ, c.TxPerByteJ, c.HarvestW, c.StoreJ} {
 			if !(v >= 0) || math.IsInf(v, 0) {
-				return nil, 0, fmt.Errorf("fleet: class %q: energy parameters, harvest power and store must be finite and non-negative", c.Name)
+				return resolved{}, fmt.Errorf("fleet: class %q: energy parameters, harvest power and store must be finite and non-negative", c.Name)
 			}
 		}
 		if c.HarvestW > 0 && c.StoreJ == 0 {
-			return nil, 0, fmt.Errorf("fleet: class %q: harvesting needs positive harvest power and store", c.Name)
+			return resolved{}, fmt.Errorf("fleet: class %q: harvesting needs positive harvest power and store", c.Name)
 		}
 		if err := c.validatePlacements(); err != nil {
-			return nil, 0, err
+			return resolved{}, err
 		}
 		// Events and transfers name cameras by int32, and the check keeps
 		// the running sum itself from overflowing.
 		if c.Count > math.MaxInt32-total {
-			return nil, 0, fmt.Errorf("fleet: scenario %q: more than %d cameras", sc.Name, math.MaxInt32)
+			return resolved{}, fmt.Errorf("fleet: scenario %q: more than %d cameras", sc.Name, math.MaxInt32)
 		}
 		total += c.Count
 	}
 	if total == 0 {
-		return nil, 0, fmt.Errorf("fleet: scenario %q has no cameras", sc.Name)
+		return resolved{}, fmt.Errorf("fleet: scenario %q has no cameras", sc.Name)
 	}
 	if err := sc.validateGlobal(); err != nil {
-		return nil, 0, err
+		return resolved{}, err
 	}
-	if err := sc.validateFederated(nodes); err != nil {
-		return nil, 0, err
+	if rv.fle, rv.joins, err = sc.validateFederated(rv.nodes); err != nil {
+		return resolved{}, err
 	}
 	if err := sc.validateTelemetry(); err != nil {
-		return nil, 0, err
+		return resolved{}, err
 	}
-	if err := sc.validateDynamics(nodes, total); err != nil {
-		return nil, 0, err
+	if rv.refs, err = sc.validateDynamics(rv.nodes, total); err != nil {
+		return resolved{}, err
 	}
-	return nodes, root, nil
+	return rv, nil
 }
 
 // validateFederated checks the federated-learning section against the
-// resolved tier tree by building (and discarding) the round engine — the
-// same constructor Run uses, so validation and simulation cannot
-// disagree about what is runnable.
-func (sc *Scenario) validateFederated(nodes []tierNode) error {
+// resolved tier tree by building the round engine, and returns it with
+// the classes that join the job: the engine the run uses is the one
+// validation built, so the two cannot disagree about what is runnable.
+func (sc *Scenario) validateFederated(nodes []tierNode) (*fl.Engine, []bool, error) {
 	f := sc.Federated
 	if f == nil {
-		return nil
+		return nil, nil, nil
 	}
 	if err := f.Validate(); err != nil {
-		return fmt.Errorf("fleet: scenario %q: %w", sc.Name, err)
+		return nil, nil, fmt.Errorf("fleet: scenario %q: %w", sc.Name, err)
 	}
 	if !slices.ContainsFunc(sc.Tiers, func(t Tier) bool { return t.Downlink != nil }) {
-		return fmt.Errorf("fleet: scenario %q: federated learning needs a \"tiers\" topology with downlinks (the model broadcast rides them)", sc.Name)
+		return nil, nil, fmt.Errorf("fleet: scenario %q: federated learning needs a \"tiers\" topology with downlinks (the model broadcast rides them)", sc.Name)
 	}
-	topo, _, err := sc.flTopology(nodes)
+	topo, joins, err := sc.flTopology(nodes)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	if _, err := fl.NewEngine(*f, topo); err != nil {
-		return fmt.Errorf("fleet: scenario %q: %w", sc.Name, err)
+	fle, err := fl.NewEngine(*f, topo)
+	if err != nil {
+		return nil, nil, fmt.Errorf("fleet: scenario %q: %w", sc.Name, err)
 	}
-	return nil
+	return fle, joins, nil
 }
 
 // flTopology builds the federated engine's view of the resolved tier

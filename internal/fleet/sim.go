@@ -243,9 +243,7 @@ func Run(sc Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := e.loop(); err != nil {
-		return nil, err
-	}
+	e.loop()
 	return e.result(), nil
 }
 
@@ -317,17 +315,20 @@ type engine struct {
 	flUpBytes []float64 // the federated share of each uplink's served bytes
 }
 
-// newEngine normalizes a private copy of sc, resolves and validates its
-// tier tree, builds every link and subsystem the scenario configures, and
-// schedules the initial events.
+// newEngine normalizes and validates a private copy of sc, builds every
+// link and subsystem the scenario configures from what validation
+// resolved, and schedules the initial events. Validation is its only
+// failure: past it, every name is resolved and every link, pool and
+// subsystem parameter is proved buildable.
 func newEngine(sc Scenario) (*engine, error) {
 	e := &engine{sc: sc.clone()}
 	s := &e.sc
 	s.Normalize()
-	var err error
-	if e.nodes, e.root, err = s.validate(); err != nil {
+	rv, err := s.validate()
+	if err != nil {
 		return nil, err
 	}
+	e.nodes, e.root, e.fle = rv.nodes, rv.root, rv.fle
 	nodes := e.nodes
 	e.res = newResult(*s)
 
@@ -335,11 +336,7 @@ func newEngine(sc Scenario) (*engine, error) {
 	e.slots = make([]linkSlot, 0, len(nodes))
 	for i, nd := range nodes {
 		bps := nd.Uplink.BytesPerSecond()
-		up, err := NewLink(nd.Uplink.Contention, bps)
-		if err != nil {
-			return nil, err
-		}
-		e.addLink(up, i, roleUp, bps, nd.PropagationSec)
+		e.addLink(newServer(nd.Uplink.Contention, 1, bps), i, roleUp, bps, nd.PropagationSec)
 	}
 	// Declared downlinks are appended after every uplink, in tier order:
 	// uplink indices — and therefore simultaneous-completion tie-breaks —
@@ -352,11 +349,7 @@ func newEngine(sc Scenario) (*engine, error) {
 			continue
 		}
 		bps := nd.Downlink.BytesPerSecond()
-		dn, err := NewLink(nd.Downlink.Contention, bps)
-		if err != nil {
-			return nil, err
-		}
-		e.downLink[i] = e.addLink(dn, i, roleDown, bps, nd.Downlink.PropagationSec)
+		e.downLink[i] = e.addLink(newServer(nd.Downlink.Contention, 1, bps), i, roleDown, bps, nd.Downlink.PropagationSec)
 	}
 	// Tier core pools are links too ("bytes" = core-seconds of service
 	// demand), appended after every downlink: uplink and downlink indices
@@ -364,11 +357,13 @@ func newEngine(sc Scenario) (*engine, error) {
 	// compute completion tying a network completion resolves last.
 	// Without any compute section no servers exist, no routing changes,
 	// and the run is byte-identical to a build that predates the section.
+	// compPlan is nil only when no tier has a pool, so a pool always has
+	// its plan row.
 	e.compPlan = computePlan(nodes, s.Classes)
 	e.compLink = make([]int, len(nodes))
 	for i := range nodes {
 		e.compLink[i] = -1
-		if e.compPlan == nil || nodes[i].Compute == nil {
+		if nodes[i].Compute == nil {
 			continue
 		}
 		if e.compWait == nil {
@@ -410,7 +405,7 @@ func newEngine(sc Scenario) (*engine, error) {
 	// firing per schedule entry at a time (a recurring entry re-pushes
 	// itself only as it fires).
 	if s.Dynamics != nil && len(s.Dynamics.Events) > 0 {
-		e.dyn = newDynamics(s, nodes, e.firstHop)
+		e.dyn = newDynamics(s, rv.refs, len(nodes), e.firstHop)
 		heapCap += len(e.dyn.events)
 	}
 
@@ -430,19 +425,11 @@ func newEngine(sc Scenario) (*engine, error) {
 		e.acc = newExactLatencies(s)
 	}
 
-	// The federated round engine, when the scenario configures a job. It
-	// is pure accounting — the loop reports blob landings and model
-	// deliveries to it and starts the transfers it asks for. One pending
-	// ready event per federated participant at a time.
-	var joins []bool
-	if s.Federated != nil {
-		var topo fl.Topology
-		if topo, joins, err = s.flTopology(nodes); err != nil {
-			return nil, err
-		}
-		if e.fle, err = fl.NewEngine(*s.Federated, topo); err != nil {
-			return nil, err
-		}
+	// The federated round engine validation built, when the scenario
+	// configures a job. It is pure accounting — the loop reports blob
+	// landings and model deliveries to it and starts the transfers it asks
+	// for. One pending ready event per federated participant at a time.
+	if e.fle != nil {
 		heapCap += e.fle.Cameras()
 	}
 
@@ -486,7 +473,7 @@ func newEngine(sc Scenario) (*engine, error) {
 		e.flByTier = make([][]int32, len(nodes))
 		e.flParts = make([]flPart, 0, e.fle.Cameras())
 		for ci := range s.Classes {
-			if !joins[ci] {
+			if !rv.joins[ci] {
 				continue
 			}
 			ti := e.firstHop[ci]
@@ -885,16 +872,16 @@ func (e *engine) rehome(ci, ti int) {
 // recurring churn entry from its own seeded stream.
 func (e *engine) dynFire(t float64, i int) {
 	dyn := e.dyn
-	ev := &dyn.events[i]
+	ev, ref := &dyn.events[i], dyn.refs[i]
 	switch ev.Kind {
 	case DynCameraJoin:
-		ci := dyn.class[i]
+		ci := ref.class
 		for k := 0; k < ev.Count; k++ {
 			e.addCamera(ci, t)
 			e.res.Classes[ci].Joined++
 		}
 	case DynCameraLeave:
-		ci := dyn.class[i]
+		ci := ref.class
 		for k := 0; k < ev.Count; k++ {
 			members := e.classCams[ci]
 			n := len(members)
@@ -916,12 +903,12 @@ func (e *engine) dynFire(t float64, i int) {
 		if ev.Kind == DynLinkDegrade {
 			factor = ev.Factor
 		}
-		ti := dyn.tier[i]
+		ti := ref.tier
 		dyn.capacity[ti].set(t, factor)
 		e.links[ti].setCapacity(t, e.slots[ti].cap*factor)
 		e.lidx.invalidate(ti)
 	case DynTierOutage:
-		ti := dyn.tier[i]
+		ti := ref.tier
 		dyn.down[ti].set(t, 1)
 		// In-flight transfers through the dead tier — its uplink and
 		// its core pool — are lost.
@@ -930,15 +917,15 @@ func (e *engine) dynFire(t float64, i int) {
 				e.drainLink(li, ti)
 			}
 		}
-		if dyn.fall[i] >= 0 {
+		if ref.fall >= 0 {
 			for ci := range e.sc.Classes {
 				if e.firstHop[ci] == ti {
-					e.rehome(ci, dyn.fall[i])
+					e.rehome(ci, ref.fall)
 				}
 			}
 		}
 	case DynTierRecover:
-		ti := dyn.tier[i]
+		ti := ref.tier
 		dyn.down[ti].set(t, 0)
 		for ci := range e.sc.Classes {
 			if dyn.home[ci] == ti && e.firstHop[ci] != ti {
@@ -946,10 +933,10 @@ func (e *engine) dynFire(t float64, i int) {
 			}
 		}
 	case DynFPSProfile:
-		ci := dyn.class[i]
+		ci := ref.class
 		e.fps[ci] = e.sc.Classes[ci].FPS * ev.Multiplier
 	case DynComputeScale:
-		li := e.compLink[dyn.tier[i]]
+		li := e.compLink[ref.tier]
 		e.links[li].setCores(t, ev.Cores)
 		e.lidx.invalidate(li)
 	}
@@ -976,7 +963,7 @@ func (e *engine) drainStalled() {
 // not events: the loop peeks them off the links, whose finish times
 // shift as transfers are admitted, and a completion runs before an event
 // at the same instant.
-func (e *engine) loop() error {
+func (e *engine) loop() {
 	for {
 		t, pending := e.events.next()
 		if li, lt, busy := e.lidx.peek(); busy && (!pending || lt <= t) {
@@ -992,7 +979,7 @@ func (e *engine) loop() error {
 			continue
 		}
 		if !pending {
-			return nil
+			return
 		}
 		ev := e.events.pop()
 		e.acc.advance(ev.T)
@@ -1029,7 +1016,8 @@ func (e *engine) loop() error {
 			// to it.
 			e.res.SimEnd = max(e.res.SimEnd, ev.T)
 		default:
-			return fmt.Errorf("fleet: unknown event kind %d", ev.kind())
+			// Only the loop schedules events, and only of the kinds above.
+			panic(fmt.Sprintf("fleet: unknown event kind %d", ev.kind()))
 		}
 	}
 }

@@ -158,13 +158,11 @@ func (t TierStats) DownPropDelayTotal() float64 {
 	return float64(t.DownTransfers) * t.DownPropagationSec
 }
 
-// utilization is served payload over capacity × elapsed time, guarded so a
-// degenerate run (zero elapsed time or capacity) reports 0 instead of
-// NaN/Inf.
+// utilization is served payload over capacity × elapsed time, both
+// positive: validation admits only positive link capacities and core
+// counts, and elapsed is SimEnd (≥ Duration > 0) or the length of a
+// closed telemetry window.
 func utilization(servedBytes, bytesPerSec, elapsed float64) float64 {
-	if elapsed <= 0 || bytesPerSec <= 0 {
-		return 0
-	}
 	return servedBytes / (bytesPerSec * elapsed)
 }
 

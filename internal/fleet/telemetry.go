@@ -268,7 +268,9 @@ func (tel *collector) advance(t float64) {
 // closeWindow seals the current window: quantiles from its sketches,
 // counts from the class counters' deltas, link utilization from the
 // served-byte deltas over [start, end), and a fresh window begins. end
-// below the nominal boundary is the run's final clipped window.
+// below the nominal boundary is the run's final clipped window. end is
+// always past start: advance closes a window at (widx+1)·W, and finish
+// only once simEnd has passed the window's start.
 func (tel *collector) closeWindow(end float64) {
 	start := float64(tel.widx) * tel.window
 	win := Window{
@@ -321,10 +323,8 @@ func (tel *collector) closeWindow(end float64) {
 			win.TierDownSec[ni] = dd
 			tel.downSnap[ni] += dd
 			ci := dyn.capacity[ni].at(end)
-			if end > start {
-				if frac := (ci - tel.capSnap[ni]) / (end - start); frac >= 0 {
-					win.TierCapFrac[ni] = frac
-				}
+			if frac := (ci - tel.capSnap[ni]) / (end - start); frac >= 0 {
+				win.TierCapFrac[ni] = frac
 			}
 			tel.capSnap[ni] = ci
 		}

@@ -56,18 +56,16 @@ type Link interface {
 }
 
 // NewLink builds the named contention model over a capacity in bytes/sec:
-// one core at that speed.
+// one core at that speed. It checks what it is given; the engine, whose
+// links validation has already checked, calls newServer directly.
 func NewLink(model string, bytesPerSec float64) (Link, error) {
 	if bytesPerSec <= 0 {
 		return nil, fmt.Errorf("fleet: link capacity %v must be positive", bytesPerSec)
 	}
-	switch model {
-	case ContentionFairShare:
-		return &psServer{cores: 1, speed: bytesPerSec}, nil
-	case ContentionFIFO:
-		return &fifoServer{cores: 1, speed: bytesPerSec}, nil
+	if model != ContentionFairShare && model != ContentionFIFO {
+		return nil, fmt.Errorf("fleet: unknown contention model %q", model)
 	}
-	return nil, fmt.Errorf("fleet: unknown contention model %q", model)
+	return newServer(model, 1, bytesPerSec), nil
 }
 
 // newComputeServer builds a tier's core pool as a Link whose "bytes" are
@@ -75,11 +73,17 @@ func NewLink(model string, bytesPerSec float64) (Link, error) {
 // second. The event loop drives it with the same Start/NextFinish/Finish
 // protocol as the network links, so compute completions need no new
 // event kinds and inherit the deterministic (time, link index) tie-break.
-func newComputeServer(cc *ComputeConfig) Link {
-	if cc.Discipline == ContentionFairShare {
-		return &psServer{cores: float64(cc.Cores), speed: 1}
+func newComputeServer(cc *ComputeConfig) Link { return newServer(cc.Discipline, cc.Cores, 1) }
+
+// newServer builds every link and pool: cores cores, each serving speed
+// units of work per second, fair-shared or in FIFO order. It checks
+// nothing: validation admits only the two disciplines and positive
+// speeds and core counts.
+func newServer(discipline string, cores int, speed float64) Link {
+	if discipline == ContentionFairShare {
+		return &psServer{cores: float64(cores), speed: speed}
 	}
-	return &fifoServer{cores: cc.Cores, speed: 1}
+	return &fifoServer{cores: cores, speed: speed}
 }
 
 // job is one transfer or frame queued on a link or pool: its id and
