@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"camsim/internal/core"
+	"camsim/internal/fleet/quantile"
 )
 
 // twoTierScenario is a small hand-built tiered scenario: one adaptive
@@ -308,5 +310,55 @@ func TestVRAdaptiveClassOrdersCostTable(t *testing.T) {
 	}
 	if _, err := VRAdaptiveClass(1, nil, 30, PolicyConfig{}); err == nil {
 		t.Fatal("accepted an empty placement list")
+	}
+}
+
+// TestSharedLogReadsEachWatchersOwnSamples feeds one class's log to two
+// watchers on crossing decision periods and checks every decision's
+// count, p95 and drops against what that watcher alone saw. Selection
+// reorders the values it reads, so a decision must move no value across
+// the other watcher's start; and after each decision the log holds only
+// what a watcher has still to read.
+func TestSharedLogReadsEachWatchersOwnSamples(t *testing.T) {
+	l := latLog{watchers: 2}
+	var st ClassStats
+	var own [2][]float64
+	var drops [2]int64
+	period := [2]float64{0.3, 1.0}
+	next := period
+	rng := newPRNG(1)
+	decisions := 0
+	for step := 1; step <= 20_000; step++ {
+		now := float64(step) * 0.0005
+		for range rng.Intn(3) {
+			x := rng.Float64()
+			l.lat = append(l.lat, x)
+			own[0], own[1] = append(own[0], x), append(own[1], x)
+		}
+		if rng.Intn(50) == 0 {
+			st.DroppedQueue++
+			drops[0]++
+			drops[1]++
+		}
+		for k := range next {
+			if now < next[k] {
+				continue
+			}
+			next[k] += period[k]
+			n, p95, d := l.consume(k, &st)
+			want := slices.Sorted(slices.Values(own[k]))
+			if n != len(want) || p95 != quantile.NearestRank(want, 0.95) || d != drops[k] {
+				t.Fatalf("watcher %d at %.4fs: read n %d, p95 %v, drops %d; its own samples give %d, %v, %d",
+					k, now, n, p95, d, len(want), quantile.NearestRank(want, 0.95), drops[k])
+			}
+			own[k], drops[k] = own[k][:0], 0
+			if other := len(own[1-k]); len(l.lat) != other {
+				t.Fatalf("watcher %d at %.4fs: the log holds %d latencies, the other watcher has %d to read", k, now, len(l.lat), other)
+			}
+			decisions++
+		}
+	}
+	if decisions < 40 {
+		t.Fatalf("only %d decisions", decisions)
 	}
 }

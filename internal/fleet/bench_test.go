@@ -146,17 +146,12 @@ func BenchmarkFederatedRound(b *testing.B) {
 // Joins append cameras and leaves swap-remove them, so the cost to
 // watch is churn bookkeeping against the flat per-camera state; the
 // outage exercises the drain/re-home path at scale. The alloc counters
-// are the regression surface: a join allocates at most its camera
-// record, and firing an event must not allocate at all. Baselines live
-// in BENCH_topology.json and are gated by cmd/benchgate in CI.
+// are the regression surface: the camera structures are sized for the
+// joiners before the run, so neither a join nor any other firing
+// allocates. Baselines live in BENCH_topology.json and are gated by
+// cmd/benchgate in CI.
 func BenchmarkChurnFleet(b *testing.B) {
-	sc := deepFleetScenario(10_000)
-	sc.Dynamics = &DynamicsConfig{Events: []FleetEvent{
-		{Time: 0.2, Kind: DynCameraJoin, Class: "cams-gw-0", Count: 8, EverySec: 0.1},
-		{Time: 0.3, Kind: DynCameraLeave, Class: "cams-gw-1", Count: 8, EverySec: 0.1},
-		{Time: 1.5, Kind: DynTierOutage, Tier: "gw-2", Fallback: "gw-10"},
-		{Time: 2.5, Kind: DynTierRecover, Tier: "gw-2"},
-	}}
+	sc := churnFleetScenario()
 	b.ReportAllocs()
 	var churn int64
 	for i := 0; i < b.N; i++ {
@@ -167,6 +162,18 @@ func BenchmarkChurnFleet(b *testing.B) {
 		churn += res.Dynamics.Joined + res.Dynamics.Left
 	}
 	b.ReportMetric(float64(churn)/float64(b.N), "churn/run")
+}
+
+// churnFleetScenario is BenchmarkChurnFleet's scenario.
+func churnFleetScenario() Scenario {
+	sc := deepFleetScenario(10_000)
+	sc.Dynamics = &DynamicsConfig{Events: []FleetEvent{
+		{Time: 0.2, Kind: DynCameraJoin, Class: "cams-gw-0", Count: 8, EverySec: 0.1},
+		{Time: 0.3, Kind: DynCameraLeave, Class: "cams-gw-1", Count: 8, EverySec: 0.1},
+		{Time: 1.5, Kind: DynTierOutage, Tier: "gw-2", Fallback: "gw-10"},
+		{Time: 2.5, Kind: DynTierRecover, Tier: "gw-2"},
+	}}
+	return sc
 }
 
 // BenchmarkComputeTiers prices the finite-core-pool path: the 10k-camera

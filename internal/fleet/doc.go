@@ -487,11 +487,14 @@
 //     class's samples and the merged total; the values are identical to
 //     sorted nearest-rank reads. The fleet total is selected across the
 //     class slices at once, each round partitioning every slice's window
-//     around one pivot, so no slice of all the samples is made. The
-//     controllers' window p95 is selected by the same routine over one
-//     slice. A sketch answers p50, p95 and p99 by sorting each of its
-//     levels in place and walking them merged
-//     (quantile.Sketch.Quantiles), with no buffer of its own.
+//     around one pivot, so no slice of all the samples is made. A
+//     controller's p95 is selected by the same routine over its part of
+//     its class's latency log, as two spans split at the other watching
+//     controller's start when that falls inside it, so no value moves
+//     across the start of what the other has still to read. A sketch
+//     answers p50, p95 and p99 by sorting each of its levels in place
+//     and walking them merged (quantile.Sketch.Quantiles), with no
+//     buffer of its own.
 //   - Memory model: a camera is 24 bytes — its random stream embedded by
 //     value (an 8-byte splitmix64 state, prng, instead of a *rand.Rand
 //     whose lagged-Fibonacci source is ~5 KB of heap per camera), an
@@ -504,22 +507,36 @@
 //     slot. Transfer ids are recycled through a free list and the slab
 //     grows by append, so transfer storage follows the peak in-flight
 //     population (~3.7k records on a 100k-camera fleet) instead of the
-//     camera count or the total frame count. The event heap is preallocated
-//     to its structural bound — one pending capture per camera, one
-//     control tick per class, one global epoch, one ready event per
-//     federated participant and one entry per schedule entry — because
-//     frames in flight wait on delay lines, not on the heap; only camera
-//     joins regrow it. Each line's ring grows to its own peak, which
+//     camera count or the total frame count. The camera slab, the
+//     harvest table and each class's camera list are sized exactly
+//     before the run and never regrow: the declared cameras plus those
+//     the schedule's joins add, counted by replaying each camera_join
+//     entry's firings on a copy of its stream (nothing else draws from
+//     it, and its re-arms stop at Duration), at most 2^22 joiners. The
+//     event heap is preallocated to its structural bound and never
+//     regrows either — one pending capture per camera, joiners
+//     included, one control tick per class, one global epoch, one ready
+//     event per federated participant, and for the fault schedule one
+//     pending first firing plus one re-firing per recurring entry —
+//     because frames in flight wait on delay lines, not on the heap. The
+//     schedule waits behind a cursor: each entry's first firing pushes
+//     the next entry's, under the scheduling number reserved for it
+//     before the run, so entries pop in the order a heap of the whole
+//     schedule would give. Each line's ring grows to its own peak, which
 //     on a line of delay d fed at r events per second is about r × d.
 //     The per-class latency slices are preallocated from FPS × Duration
 //     × Count estimates plus four Poisson standard deviations, so the
 //     loop does not regrow them, and the percentiles read them where
 //     they lie; they belong to the run's accumulator, so a Result keeps
-//     no samples once returned. Each controller window is sized the
-//     same way over one decision period (IntervalSec for a class's
-//     controller, EpochSec for each of the global controller's, which
-//     keeps one only per class with a table); a window holds latencies
-//     only, since a decision reads its drops from the class counters.
+//     no samples once returned. A class that a controller watches keeps
+//     one latency log, whether its own controller, the global one (which
+//     watches only classes with a table) or both watch it: each reads
+//     from where its last decision left off, and the log then drops the
+//     prefix every watcher has read. The log is sized the same way over
+//     the longer of its watchers' decision periods (IntervalSec,
+//     EpochSec), a class no controller watches has none, and a log
+//     holds latencies only, since a decision reads its drops from the
+//     class counters.
 //     Every decision gathers its move candidates in one engine buffer,
 //     so a decision allocates nothing once the buffer has grown. A
 //     sketch keeps all of its levels in one array: K slots, all that a

@@ -110,7 +110,9 @@ func (e FleetEvent) countless() bool {
 
 // dynRef is one schedule entry's names as validation resolved them: its
 // class, tier and fallback tier indices, each -1 where the kind has none.
-type dynRef struct{ class, tier, fall int }
+// Validation builds one per entry on every parse and every run, so the
+// indices are int32, like the engine's camera and class ids.
+type dynRef struct{ class, tier, fall int32 }
 
 // validateDynamics checks the dynamics schedule against the resolved tier
 // tree and the declared camera total: known kinds, finite non-decreasing
@@ -170,17 +172,17 @@ func (sc *Scenario) validateDynamics(nodes []tierNode, cameras int) ([]dynRef, e
 			if e.Tier != "" {
 				return nil, bad("tier belongs to the link and tier kinds")
 			}
-			if ref.class = classIndex(sc.Classes, e.Class); ref.class < 0 {
+			if ref.class = int32(classIndex(sc.Classes, e.Class)); ref.class < 0 {
 				return nil, bad("unknown class %q", e.Class)
 			}
 		case DynLinkDegrade, DynLinkRestore, DynTierOutage, DynTierRecover, DynComputeScale:
-			if ref.tier = tierIndex(nodes, e.Tier); ref.tier < 0 {
+			if ref.tier = int32(tierIndex(nodes, e.Tier)); ref.tier < 0 {
 				return nil, bad("unknown tier %q", e.Tier)
 			}
 		default:
 			return nil, bad("unknown event kind")
 		}
-		switch ti := ref.tier; e.Kind {
+		switch ti := int(ref.tier); e.Kind {
 		case DynCameraJoin, DynCameraLeave:
 			if e.Count <= 0 {
 				return nil, bad("count %d must be positive", e.Count)
@@ -232,7 +234,7 @@ func (sc *Scenario) validateDynamics(nodes []tierNode, cameras int) ([]dynRef, e
 						return nil, bad("fallback %q offloads through the failing tier %q", e.Fallback, e.Tier)
 					}
 				}
-				ref.fall = fb
+				ref.fall = int32(fb)
 			}
 		case DynTierRecover:
 			if !down[ti] {
@@ -280,6 +282,9 @@ type dynamics struct {
 	events []FleetEvent
 	refs   []dynRef // per-entry names, as validation resolved them
 	rngs   []prng   // per-entry churn streams (seedDynamics family)
+	// seq0 is the scheduling number reserved for entry 0's first firing;
+	// entry i's is seq0+i (engine.schedule).
+	seq0 int64
 
 	// Per-tier availability: down is 1 while the tier is out and 0 while
 	// it serves, so its integral is the tier's downtime; capacity is its
@@ -308,6 +313,47 @@ func (l *level) set(t, v float64) {
 // at projects the integral forward to time t, which must not precede
 // the last set.
 func (l *level) at(t float64) float64 { return l.integral + l.v*(t-l.since) }
+
+// next returns the time a recurring churn entry fires again after a
+// firing at t: an exponential gap of mean EverySec, drawn from the
+// entry's stream rng. The conversion rounds the gap before the sum, so
+// no architecture fuses the two into one rounding, and the run and its
+// replay compute the same bits.
+func (ev *FleetEvent) next(t float64, rng *prng) float64 {
+	return t + float64(rng.ExpFloat64()*ev.EverySec)
+}
+
+// replay runs the schedule ahead of the run: it returns the cameras the
+// camera_join firings add to each class and in all, and how many entries
+// recur. An entry's first firing always runs; a recurring one fires
+// again at next's times while they fall before duration (arm); and
+// nothing else draws from a join entry's stream. So a replay on a copy of
+// the stream counts exactly the run's joins. The count stops at estCap,
+// the most an estimate preallocates.
+func (dyn *dynamics) replay(classes int, duration float64) (joins []int, joined, recurring int) {
+	joins = make([]int, classes)
+	for i := range dyn.events {
+		ev := &dyn.events[i]
+		if ev.EverySec > 0 {
+			recurring++
+		}
+		if ev.Kind != DynCameraJoin {
+			continue
+		}
+		t, rng := ev.Time, dyn.rngs[i]
+		for joined < estCap {
+			joins[dyn.refs[i].class] += ev.Count
+			joined += ev.Count
+			if ev.EverySec == 0 {
+				break
+			}
+			if t = ev.next(t, &rng); !(t < duration) {
+				break
+			}
+		}
+	}
+	return joins, joined, recurring
+}
 
 // newDynamics builds the schedule's live state for a tree of tiers
 // nodes: the entries' names as validation resolved them (refs), and each

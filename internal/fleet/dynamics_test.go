@@ -858,3 +858,85 @@ func TestDynamicsHarvestChurn(t *testing.T) {
 		t.Errorf("table moved.\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestCameraStructuresNeverRegrow runs schedules that add cameras and
+// checks that the camera slab, the harvest table, every class's camera
+// list and the event heap end the run at the capacities newEngine gave
+// them, and that the slab is exactly full: the replay of the joins
+// counted every camera the run added, and no more.
+func TestCameraStructuresNeverRegrow(t *testing.T) {
+	harvest := dynamicsDemo(13)
+	harvest.Classes = []Class{
+		{Name: "bg", Count: 6, FPS: 4, FrameBytes: 20_000, Tier: "gw-b", QueueDepth: 4},
+		{Name: "solar", Count: 8, FPS: 8, Arrival: ArrivalPoisson, FrameBytes: 20_000,
+			OffloadProb: 0.7, Tier: "gw-a", QueueDepth: 3, CaptureJ: 1e-3, HarvestW: 0.02, StoreJ: 0.04},
+	}
+	harvest.Dynamics = &DynamicsConfig{Events: []FleetEvent{
+		{Time: 0.5, Kind: DynCameraJoin, Class: "solar", Count: 2, EverySec: 0.8},
+		{Time: 1.0, Kind: DynCameraLeave, Class: "solar", EverySec: 1.2},
+		{Time: 2.0, Kind: DynCameraJoin, Class: "bg", Count: 3, EverySec: 0.3},
+	}}
+	oneShot := dynamicsDemo(3)
+	oneShot.Dynamics = &DynamicsConfig{Events: []FleetEvent{
+		{Time: 2, Kind: DynCameraJoin, Class: "west", Count: 5},
+	}}
+	late := dynamicsDemo(3)
+	late.Dynamics = &DynamicsConfig{Events: []FleetEvent{
+		{Time: 1, Kind: DynCameraJoin, Class: "east", Count: 2, EverySec: 0.5},
+		{Time: 9, Kind: DynCameraJoin, Class: "west", Count: 3, EverySec: 0.5},
+	}}
+	for name, sc := range map[string]Scenario{"harvest": harvest, "one-shot": oneShot, "late": late, "churn-fleet": churnFleetScenario()} {
+		e, err := newEngine(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		caps := func() []int {
+			c := []int{cap(e.cams), cap(e.harvest), cap(e.events.heap)}
+			for _, cc := range e.classCams {
+				c = append(c, cap(cc))
+			}
+			return c
+		}
+		before := caps()
+		e.loop()
+		res := e.result()
+		if after := caps(); !slices.Equal(after, before) {
+			t.Errorf("%s: capacities (cameras, harvest, heap, class lists) went from %v to %v", name, before, after)
+		}
+		if len(e.cams) != cap(e.cams) || res.Dynamics.Joined == 0 {
+			t.Errorf("%s: %d cameras (%d joined) in a slab built for %d", name, len(e.cams), res.Dynamics.Joined, cap(e.cams))
+		}
+		if len(e.rows) != cap(e.rows) {
+			t.Errorf("%s: %d rows in a table built for %d", name, len(e.rows), cap(e.rows))
+		}
+	}
+}
+
+// TestScheduleCursorKeepsTieOrder pins the order of a schedule entry that
+// ties, to the bit, with a control tick armed during the run. The entry
+// is pushed only when the one before it fires, but under the scheduling
+// number reserved for it before the run, so it still fires ahead of the
+// tick, as it would with the whole schedule pushed up front: the leave
+// at 1.0 shrinks class c before its controller sizes that decision's
+// batch.
+func TestScheduleCursorKeepsTieOrder(t *testing.T) {
+	sc := dynamicsDemo(3)
+	sc.Duration = 2
+	sc.Classes = []Class{
+		{Name: "c", Count: 8, FPS: 4, Tier: "gw-a",
+			Placements: []PlacementCost{{Name: "raw", FrameBytes: 100}, {Name: "cam", FrameBytes: 10}},
+			Policy:     PolicyConfig{Kind: PolicyLatencyThreshold, IntervalSec: 0.5, HighSec: 1e-9, MoveFraction: 0.5}},
+		{Name: "d", Count: 2, FPS: 1, FrameBytes: 100, Tier: "gw-b"},
+	}
+	sc.Dynamics = &DynamicsConfig{Events: []FleetEvent{
+		{Time: 0.9, Kind: DynFPSProfile, Class: "d", Multiplier: 1},
+		{Time: 1.0, Kind: DynCameraLeave, Class: "c", Count: 4},
+	}}
+	res, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Classes[0].Switches; got != 7 {
+		t.Errorf("class c switched %d cameras, want 7", got)
+	}
+}

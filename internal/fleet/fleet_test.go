@@ -273,9 +273,9 @@ func TestDropSinkRouting(t *testing.T) {
 		if toControllers {
 			wantCtl = 1
 		}
-		for name, w := range map[string]*window{"class": &e.ctls[0].win, "global": &e.gctl.win[0]} {
-			_, _, first := w.consume(st)
-			_, _, second := w.consume(st)
+		for name, k := range map[string]int{"class": watchClass, "global": watchGlobal} {
+			_, _, first := e.logs[0].consume(k, st)
+			_, _, second := e.logs[0].consume(k, st)
 			if first != wantCtl || second != 0 {
 				t.Errorf("cause %d: %s controller read %d then %d drops, want %d then 0", cause, name, first, second, wantCtl)
 			}

@@ -4,41 +4,33 @@ import "math"
 
 // globalController is the fleet-wide energy-aware placement controller: a
 // single seeded decision loop above the per-class policies. On every
-// epoch tick it sees each tabled class's window stats (offload latencies
-// and queue and outage drops across every tier), prices each placement
-// row in expected joules per frame — camera capture, compute and radio
-// plus the per-hop forwarding energy of every link between the class's
-// attach tier and the root — and reassigns cameras so the fleet's
-// projected placement power stays under the configured budget. The row
-// tables and capture rates it prices are the engine's, read at each
-// epoch.
+// epoch tick it reads each tabled class's log (the offload latencies
+// since its last epoch, and queue and outage drops across every tier),
+// prices each placement row in expected joules per frame — camera
+// capture, compute and radio plus the per-hop forwarding energy of every
+// link between the class's attach tier and the root — and reassigns
+// cameras so the fleet's projected placement power stays under the
+// configured budget. The row tables and capture rates it prices are the
+// engine's, read at each epoch.
 type globalController struct {
 	cfg   GlobalConfig
 	rng   prng
-	win   []window // per class with a table, consumed at each epoch
 	stats GlobalStats
 }
 
 // newGlobal builds the controller, or nil when the scenario does not
 // configure one. Its stream is the global family's (streamSeed), indexed
-// by the class count. A class without a table can never move, so its
-// window stays empty and is never fed.
+// by the class count. It watches only the classes with a table (newLogs):
+// a class without one can never move.
 func newGlobal(sc *Scenario) *globalController {
 	if sc.Global == nil {
 		return nil
 	}
-	g := &globalController{
+	return &globalController{
 		cfg:   *sc.Global,
 		rng:   newPRNG(streamSeed(sc.Seed, seedGlobal, len(sc.Classes))),
-		win:   make([]window, len(sc.Classes)),
 		stats: GlobalStats{BudgetW: sc.Global.BudgetW},
 	}
-	for ci := range g.win {
-		if cl := &sc.Classes[ci]; len(cl.Placements) > 0 {
-			g.win[ci] = newWindow(cl, sc.Global.EpochSec)
-		}
-	}
-	return g
 }
 
 // projectedPowerW prices the fleet's steady-state placement power: every
@@ -83,7 +75,7 @@ func (g *globalController) epoch(t float64, e *engine) {
 	nClasses := len(sc.Classes)
 	// Per-epoch, per-class reassignment caps; a class without a table has
 	// nothing to reassign, so it keeps a cap of 0 through both phases and
-	// neither phase reads its window.
+	// has no log to read.
 	capLeft := make([]int, nClasses)
 	p95 := make([]float64, nClasses)
 	congested := make([]bool, nClasses)
@@ -92,7 +84,7 @@ func (g *globalController) epoch(t float64, e *engine) {
 			continue
 		}
 		capLeft[ci] = batchSize(g.cfg.MoveFraction, len(e.classCams[ci]))
-		n, q, drops := g.win[ci].consume(&e.res.Classes[ci])
+		n, q, drops := e.logs[ci].consume(watchGlobal, &e.res.Classes[ci])
 		p95[ci] = q
 		congested[ci] = drops > 0 || (n > 0 && g.cfg.HighSec > 0 && q > g.cfg.HighSec)
 	}

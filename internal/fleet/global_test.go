@@ -291,7 +291,8 @@ func TestGlobalEnergyPhaseProgress(t *testing.T) {
 
 // TestGlobalWatchesTabledClassesOnly runs the global controller over one
 // tabled class and one without a table. A class without a table can
-// never move, so its window is never fed; the tabled class's is.
+// never move, so it has no log and nothing is fed to one; the tabled
+// class's log is fed.
 func TestGlobalWatchesTabledClassesOnly(t *testing.T) {
 	sc := energyScenario(3, 24, 0.5)
 	sc.Classes = []Class{sc.Classes[0], {Name: "plain", Count: 50, FPS: 10, Arrival: ArrivalPoisson, Tier: "gw-b", FrameBytes: 10_000}}
@@ -300,14 +301,14 @@ func TestGlobalWatchesTabledClassesOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.loop()
-	// consume keeps a window's backing array, so a latency it once held
-	// is still there after the last epoch emptied it.
-	held := func(w window) bool {
-		return slices.ContainsFunc(w.lat[:cap(w.lat)], func(x float64) bool { return x > 0 })
+	// consume keeps a log's backing array, so a latency it once held is
+	// still there after the last epoch emptied it.
+	held := func(l latLog) bool {
+		return slices.ContainsFunc(l.lat[:cap(l.lat)], func(x float64) bool { return x > 0 })
 	}
-	if e.res.Classes[1].Offloaded == 0 || !held(e.gctl.win[0]) || held(e.gctl.win[1]) {
-		t.Fatalf("tabled window held latencies %v; table-less window, over %d offloads, held latencies %v",
-			held(e.gctl.win[0]), e.res.Classes[1].Offloaded, held(e.gctl.win[1]))
+	if e.res.Classes[1].Offloaded == 0 || !held(e.logs[0]) || e.logs[1].watchers != 0 || e.logs[1].lat != nil {
+		t.Fatalf("tabled log held latencies %v; table-less class, over %d offloads, has %d watchers and a log of capacity %d",
+			held(e.logs[0]), e.res.Classes[1].Offloaded, e.logs[1].watchers, cap(e.logs[1].lat))
 	}
 }
 

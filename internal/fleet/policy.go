@@ -1,36 +1,70 @@
 package fleet
 
-// window is one decider's observation window: the offload latencies
-// completed since its last decision, and its class's queue and outage
-// drop count as that decision read it. Both controller kinds keep one
-// per class they watch.
-type window struct {
-	lat  []float64
-	seen int64 // DroppedQueue + DroppedOutage at the last decision
+// latLog is one watched class's offload latencies, kept once for every
+// controller that watches the class: its own (watcher watchClass, an
+// adaptive class), the global one (watchGlobal, a class with a table), or
+// both. Watcher k reads the latencies completed since its last decision,
+// lat[from[k]:], and after each decision the log drops the prefix that
+// every watcher has read.
+type latLog struct {
+	lat      []float64
+	from     [2]int
+	seen     [2]int64 // DroppedQueue + DroppedOutage at each watcher's last decision
+	watchers int      // 0 for a class no controller watches, which logs nothing
 }
 
-// newWindow sizes a window for class cl's completions over one decision
-// period of sec seconds, so it rarely regrows.
-func newWindow(cl *Class, sec float64) window {
-	return window{lat: make([]float64, 0, expectedOffloads(cl, sec))}
+// The watchers of a latLog.
+const watchClass, watchGlobal = 0, 1
+
+// newLogs builds one log per class a controller watches, sized for the
+// class's completions over the longer of its watchers' decision periods,
+// so it rarely regrows. A class no controller watches allocates nothing,
+// and the result is nil when no controller watches any class.
+func newLogs(sc *Scenario) []latLog {
+	var logs []latLog
+	for ci := range sc.Classes {
+		cl, sec, n := &sc.Classes[ci], 0.0, 0
+		if cl.adaptive() {
+			sec, n = cl.Policy.IntervalSec, 1
+		}
+		if sc.Global != nil && len(cl.Placements) > 0 {
+			sec, n = max(sec, sc.Global.EpochSec), n+1
+		}
+		if n == 0 {
+			continue
+		}
+		if logs == nil {
+			logs = make([]latLog, len(sc.Classes))
+		}
+		logs[ci] = latLog{lat: make([]float64, 0, expectedOffloads(cl, sec)), watchers: n}
+	}
+	return logs
 }
 
-func (w *window) observe(lat float64) { w.lat = append(w.lat, lat) }
-
-// consume empties the window and returns how many latencies it held,
-// their nearest-rank p95 (0 when there were none) and the queue and
-// outage drops its class's counters st gained since the last decision.
-// Energy drops are not read: an empty store is not congestion. The p95
-// is read by selection, which returns the order statistic a sort would
-// put at its rank.
-func (w *window) consume(st *ClassStats) (n int, p95 float64, drops int64) {
-	n = len(w.lat)
-	sp := [1]span{{xs: w.lat}}
+// consume reads watcher k's latencies and returns how many it read, their
+// nearest-rank p95 (0 when there were none) and the queue and outage
+// drops its class's counters st gained since its last decision. Energy
+// drops are not read: an empty store is not congestion. The p95 is read
+// by selection, which returns the order statistic a sort would put at
+// its rank but reorders the values in place; so when the other watcher's
+// latencies start inside this watcher's range, the selection runs over
+// two spans split at that start, and no value crosses it.
+func (l *latLog) consume(k int, st *ClassStats) (n int, p95 float64, drops int64) {
+	from, cut := l.from[k], len(l.lat) // cut: what every watcher will have read
+	sp := [2]span{{xs: l.lat[from:]}}
+	if l.watchers == 2 {
+		if cut = l.from[1-k]; cut > from {
+			sp[0].xs, sp[1].xs = l.lat[from:cut], l.lat[cut:]
+		}
+		l.from[1-k] = 0
+	}
 	var p [1]float64
 	nearestRanks(sp[:], p[:], 0.95)
-	w.lat = w.lat[:0]
+	n = len(l.lat) - from
+	l.lat = l.lat[:copy(l.lat, l.lat[cut:])]
+	l.from[k] = len(l.lat)
 	now := st.DroppedQueue + st.DroppedOutage
-	drops, w.seen = now-w.seen, now
+	drops, l.seen[k] = now-l.seen[k], now
 	return n, p[0], drops
 }
 
@@ -77,13 +111,12 @@ func (e *engine) shuffleMove(ci, dir, k int, rng *prng, admit func(idx int32) (s
 	return moved
 }
 
-// controller is the per-class adaptive-placement state: the observation
-// window since the last decision and the seeded stream every decision
-// draws from (a compact value-embedded prng, like the cameras'). The row
-// tables it scores against are the engine's, read when it decides.
+// controller is the per-class adaptive-placement state: the seeded
+// stream every decision draws from (a compact value-embedded prng, like
+// the cameras'). The latencies it reads are its class's log's, and the
+// row tables it scores against are the engine's, read when it decides.
 type controller struct {
 	rng prng
-	win window
 }
 
 // newControllers builds one controller per adaptive class (nil entries for
@@ -92,8 +125,8 @@ type controller struct {
 func newControllers(sc *Scenario) []*controller {
 	ctls := make([]*controller, len(sc.Classes))
 	for ci := range sc.Classes {
-		if cl := &sc.Classes[ci]; cl.adaptive() {
-			ctls[ci] = &controller{rng: newPRNG(streamSeed(sc.Seed, seedController, ci)), win: newWindow(cl, cl.Policy.IntervalSec)}
+		if sc.Classes[ci].adaptive() {
+			ctls[ci] = &controller{rng: newPRNG(streamSeed(sc.Seed, seedController, ci))}
 		}
 	}
 	return ctls
@@ -142,11 +175,11 @@ func classRowEnergies(c *Class, netPerByteJ float64) []float64 {
 	return rows
 }
 
-// decide consumes the window and maps it onto a placement step for class
-// ci: +1 toward in-camera compute, -1 toward offload, 0 to hold.
+// decide consumes the class's log and maps it onto a placement step for
+// class ci: +1 toward in-camera compute, -1 toward offload, 0 to hold.
 func (c *controller) decide(e *engine, ci int) int {
 	p := e.sc.Classes[ci].Policy
-	n, p95, drops := c.win.consume(&e.res.Classes[ci])
+	n, p95, drops := e.logs[ci].consume(watchClass, &e.res.Classes[ci])
 	congested := drops > 0 || (n > 0 && p95 > p.HighSec)
 	switch p.Kind {
 	case PolicyLatencyThreshold:

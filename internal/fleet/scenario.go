@@ -413,13 +413,15 @@ func classIndex(classes []Class, name string) int {
 	return -1
 }
 
-// validateUplink checks one tier's link configuration.
-func validateUplink(u UplinkConfig, tier string) error {
+// validateUplink checks one link of tier name: its uplink (link "") or
+// its declared downlink (link " downlink"). The link is named only in an
+// error, so a valid link formats nothing.
+func validateUplink(u UplinkConfig, name, link string) error {
 	if !(u.Gbps > 0) || math.IsInf(u.Gbps, 0) {
-		return fmt.Errorf("fleet: %s: uplink %v Gbps must be positive and finite", tier, u.Gbps)
+		return fmt.Errorf("fleet: tier %q%s: uplink %v Gbps must be positive and finite", name, link, u.Gbps)
 	}
 	if u.Contention != ContentionFairShare && u.Contention != ContentionFIFO {
-		return fmt.Errorf("fleet: %s: unknown contention model %q", tier, u.Contention)
+		return fmt.Errorf("fleet: tier %q%s: unknown contention model %q", name, link, u.Contention)
 	}
 	return nil
 }

@@ -46,8 +46,9 @@ type evRef struct {
 	// record exists from capture, so it carries the capture time and
 	// payload an evReady needs.
 	id int32
-	// aux is the link a landing transfer cleared (evLand), and the round a
-	// federated participant's update belongs to (evFLReady).
+	// aux is the link a landing transfer cleared (evLand), the round a
+	// federated participant's update belongs to (evFLReady), and 1 on a
+	// schedule entry's first firing (evDynamics).
 	aux int32
 }
 
@@ -218,14 +219,16 @@ type flPart struct {
 	rng  prng
 }
 
+// estCap is the most any estimate preallocates: 2^22 items.
+const estCap = 1 << 22
+
 // clampEst converts a float capacity estimate to an int usable as a make
 // cap. A valid scenario can push FPS × Duration × Count past int range —
 // int() of an out-of-range float is unspecified (negative caps panic
 // make) — and no estimate is worth an absurd up-front allocation, so the
-// result is clamped to [0, 2^22]; NaN maps to 0. Estimates only size
+// result is clamped to [0, estCap]; NaN maps to 0. Estimates only size
 // preallocations, never bound growth, so clamping cannot change results.
 func clampEst(x float64) int {
-	const estCap = 1 << 22
 	if !(x > 0) { // also rejects NaN
 		return 0
 	}
@@ -307,7 +310,8 @@ type engine struct {
 
 	ctls      []*controller
 	gctl      *globalController
-	cand      []int32 // shuffleMove's candidates, one buffer for every decision
+	logs      []latLog // per class, its controllers' one latency log (newLogs)
+	cand      []int32  // shuffleMove's candidates, one buffer for every decision
 	dyn       *dynamics
 	fle       *fl.Engine
 	flParts   []flPart
@@ -382,6 +386,11 @@ func newEngine(sc Scenario) (*engine, error) {
 	e.rowJ = make([][]float64, len(s.Classes))
 	e.rowDelay = make([][]float64, len(s.Classes))
 	e.rowBase = make([]int, len(s.Classes))
+	nrows := 0
+	for ci := range s.Classes {
+		nrows += len(s.Classes[ci].rows())
+	}
+	e.rows = make([]frameRow, 0, nrows)
 	for ci := range s.Classes {
 		cl := &s.Classes[ci]
 		e.fps[ci] = cl.FPS
@@ -392,22 +401,28 @@ func newEngine(sc Scenario) (*engine, error) {
 		}
 	}
 
-	// The event heap's population is structurally bounded — each camera
-	// owns at most one pending capture, each adaptive class one control
-	// tick, and each subsystem below adds its own bound — so the loop
-	// regrows it only when cameras join. A frame's stages wait on delay
+	// The event heap's population is structurally bounded — each camera,
+	// joiners included, owns at most one pending capture, each adaptive
+	// class one control tick, and each subsystem below adds its own bound
+	// — so the loop never regrows it. A frame's stages wait on delay
 	// lines, whose rings grow to their own peak.
-	heapCap := 1 + len(s.Classes) + s.Cameras()
+	cams, heapCap := s.Cameras(), 1+len(s.Classes)
+	var joins []int
 
 	// The dynamics engine, created only for a non-empty fault schedule:
 	// every other run — including one with a present-but-empty dynamics
-	// section — stays byte-identical to the legacy path. One pending
-	// firing per schedule entry at a time (a recurring entry re-pushes
-	// itself only as it fires).
+	// section — stays byte-identical to the legacy path. A replay of its
+	// joins sizes every camera structure for the cameras they add, so
+	// none regrows. On the heap it keeps one first firing pending at a
+	// time (the cursor below) and one re-firing per recurring entry.
 	if s.Dynamics != nil && len(s.Dynamics.Events) > 0 {
 		e.dyn = newDynamics(s, rv.refs, len(nodes), e.firstHop)
-		heapCap += len(e.dyn.events)
+		var joined, recurring int
+		joins, joined, recurring = e.dyn.replay(len(s.Classes), s.Duration)
+		cams += joined
+		heapCap += 1 + recurring
 	}
+	heapCap += cams
 
 	// Latency accumulation is chosen here, once. The streaming collector
 	// observes the same completions at the same event times the exact path
@@ -441,17 +456,22 @@ func newEngine(sc Scenario) (*engine, error) {
 	// pending event), and no output ordering keys off id values, so a
 	// frame's record can be allocated at capture and carry its payload
 	// through in-camera compute.
-	e.cams = make([]camera, 0, s.Cameras())
+	e.cams = make([]camera, 0, cams)
 	if slices.ContainsFunc(s.Classes, func(c Class) bool { return c.HarvestW > 0 }) {
-		e.harvest = make([]store, 0, s.Cameras())
+		e.harvest = make([]store, 0, cams)
 	}
 	e.classCams = make([][]int32, len(s.Classes))
 	e.ctls = newControllers(s)
 	e.gctl = newGlobal(s)
+	e.logs = newLogs(s)
 	e.events.heap = make(queue.Heap[evRef], 0, heapCap)
 	for ci := range s.Classes {
 		cl := &s.Classes[ci]
-		e.classCams[ci] = make([]int32, 0, cl.Count)
+		n := cl.Count
+		if joins != nil {
+			n += joins[ci]
+		}
+		e.classCams[ci] = make([]int32, 0, n)
 		for k := 0; k < cl.Count; k++ {
 			e.addCamera(ci, 0)
 		}
@@ -490,12 +510,17 @@ func newEngine(sc Scenario) (*engine, error) {
 		}
 	}
 	if e.dyn != nil {
-		// The whole schedule is pushed up front, so same-time entries fire
-		// in declaration order via the seq tie-break. Entries past
-		// Duration still fire — the drain phase is part of the run.
-		for i := range e.dyn.events {
-			e.push(e.dyn.events[i].Time, evDynamics, int32(i), 0)
-		}
+		// The schedule waits behind a cursor: one entry's first firing is
+		// pending at a time, and it pushes the next as it fires (dynFire).
+		// Every entry's scheduling number is reserved here, so same-time
+		// entries fire in declaration order, and each orders against every
+		// other event as if the whole schedule were pushed now: the next
+		// entry is on the heap before anything ordered after it can pop.
+		// Entries past Duration still fire — the drain phase is part of
+		// the run.
+		e.dyn.seq0 = e.seq
+		e.seq += int64(len(e.dyn.events))
+		e.schedule(0)
 	}
 	return e, nil
 }
@@ -596,6 +621,12 @@ func (e *engine) file(l int32, now float64, kind int, id, aux int32) {
 	e.seq++
 }
 
+// schedule pushes schedule entry i's first firing, marked by aux 1, under
+// the scheduling number newEngine reserved for it.
+func (e *engine) schedule(i int) {
+	e.events.push(newEvent(e.dyn.events[i].Time, e.dyn.seq0+int64(i), evDynamics, int32(i), 1))
+}
+
 // arm pushes an event at time t only if t falls before Duration, the
 // capture horizon: captures, control ticks, global epochs and recurring
 // churn stop there, while the drain runs on. Federated ready events and
@@ -687,8 +718,8 @@ func (e *engine) enterTier(now float64, ti, id int) {
 
 // complete lands transfer id in the cloud at time arrive: only then
 // does the camera's queue slot free, the latency sample exist, and the
-// adaptive controllers see it — never before the frame has actually
-// arrived. The global controller watches only classes it can move.
+// adaptive controllers see it, in their class's one log — never before
+// the frame has actually arrived.
 func (e *engine) complete(arrive float64, id int) {
 	tr := e.release(id)
 	e.cams[tr.cam].inflight--
@@ -696,11 +727,8 @@ func (e *engine) complete(arrive float64, id int) {
 	e.res.Classes[ci].Offloaded++
 	lat := arrive - tr.capturedAt
 	e.acc.observe(ci, lat)
-	if ctl := e.ctls[ci]; ctl != nil {
-		ctl.win.observe(lat)
-	}
-	if e.gctl != nil && len(e.sc.Classes[ci].Placements) > 0 {
-		e.gctl.win[ci].observe(lat)
+	if l := e.logs; l != nil && l[ci].watchers > 0 {
+		l[ci].lat = append(l[ci].lat, lat)
 	}
 	if arrive > e.res.SimEnd {
 		e.res.SimEnd = arrive
@@ -869,13 +897,17 @@ func (e *engine) rehome(ci, ti int) {
 }
 
 // dynFire executes schedule entry i at time t, then re-arms a
-// recurring churn entry from its own seeded stream.
-func (e *engine) dynFire(t float64, i int) {
+// recurring churn entry from its own seeded stream. On an entry's first
+// firing it first pushes the next entry's (the schedule's cursor).
+func (e *engine) dynFire(t float64, i int, first bool) {
 	dyn := e.dyn
+	if first && i+1 < len(dyn.events) {
+		e.schedule(i + 1)
+	}
 	ev, ref := &dyn.events[i], dyn.refs[i]
 	switch ev.Kind {
 	case DynCameraJoin:
-		ci := ref.class
+		ci := int(ref.class)
 		for k := 0; k < ev.Count; k++ {
 			e.addCamera(ci, t)
 			e.res.Classes[ci].Joined++
@@ -903,12 +935,12 @@ func (e *engine) dynFire(t float64, i int) {
 		if ev.Kind == DynLinkDegrade {
 			factor = ev.Factor
 		}
-		ti := ref.tier
+		ti := int(ref.tier)
 		dyn.capacity[ti].set(t, factor)
 		e.links[ti].setCapacity(t, e.slots[ti].cap*factor)
 		e.lidx.invalidate(ti)
 	case DynTierOutage:
-		ti := ref.tier
+		ti := int(ref.tier)
 		dyn.down[ti].set(t, 1)
 		// In-flight transfers through the dead tier — its uplink and
 		// its core pool — are lost.
@@ -920,12 +952,12 @@ func (e *engine) dynFire(t float64, i int) {
 		if ref.fall >= 0 {
 			for ci := range e.sc.Classes {
 				if e.firstHop[ci] == ti {
-					e.rehome(ci, ref.fall)
+					e.rehome(ci, int(ref.fall))
 				}
 			}
 		}
 	case DynTierRecover:
-		ti := ref.tier
+		ti := int(ref.tier)
 		dyn.down[ti].set(t, 0)
 		for ci := range e.sc.Classes {
 			if dyn.home[ci] == ti && e.firstHop[ci] != ti {
@@ -941,7 +973,7 @@ func (e *engine) dynFire(t float64, i int) {
 		e.lidx.invalidate(li)
 	}
 	if ev.EverySec > 0 {
-		e.arm(t+dyn.rngs[i].ExpFloat64()*ev.EverySec, evDynamics, int32(i), 0)
+		e.arm(ev.next(t, &dyn.rngs[i]), evDynamics, int32(i), 0)
 	}
 }
 
@@ -1010,7 +1042,7 @@ func (e *engine) loop() {
 			id := e.newTransfer(transfer{cam: ev.P.id, round: ev.P.aux, bytes: ub})
 			e.startLink(int(p.tier), ev.T, id, ub)
 		case evDynamics:
-			e.dynFire(ev.T, int(ev.P.id))
+			e.dynFire(ev.T, int(ev.P.id), ev.P.aux > 0)
 			// An entry past the last landing still ends the run no
 			// sooner than its own time: the outage it closes accrues up
 			// to it.

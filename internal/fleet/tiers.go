@@ -150,7 +150,7 @@ func classAttachIndex(nodes []tierNode, root int, c *Class) int {
 // every class's attach point.
 func (sc *Scenario) validateTopologyNodes(nodes []tierNode) error {
 	for _, nd := range nodes {
-		if err := validateUplink(nd.Uplink, fmt.Sprintf("tier %q", nd.Name)); err != nil {
+		if err := validateUplink(nd.Uplink, nd.Name, ""); err != nil {
 			return err
 		}
 		if !(nd.PropagationSec >= 0) || math.IsInf(nd.PropagationSec, 0) {
@@ -162,7 +162,7 @@ func (sc *Scenario) validateTopologyNodes(nodes []tierNode) error {
 				nd.Name, nd.TxPerByteJ)
 		}
 		if d := nd.Downlink; d != nil {
-			if err := validateUplink(d.uplinkConfig(), fmt.Sprintf("tier %q downlink", nd.Name)); err != nil {
+			if err := validateUplink(d.uplinkConfig(), nd.Name, " downlink"); err != nil {
 				return err
 			}
 			if !(d.PropagationSec >= 0) || math.IsInf(d.PropagationSec, 0) {
