@@ -57,6 +57,21 @@
 // core.ThroughputPipeline.Cost plus vr.PaperByteModel and
 // platform.PaperThroughput for a Fig. 10 VR placement).
 //
+// A periodic camera captures every 1/FPS seconds from a phase its own
+// stream draws. A Poisson class's N cameras are each a Poisson process
+// at FPS, and together they are one Poisson process at N × FPS whose
+// every arrival marks a camera drawn uniformly (superposition and
+// uniform marking). The run draws exactly that: one arrival stream per
+// Poisson class, seeded by the scenario seed and the class index in a
+// family of its own, with one arrival pending at a time, not one
+// capture per camera. The stream is memoryless, so a join, a leave or an
+// "fps_profile" step only redraws the pending arrival from that instant,
+// and the new rate holds from the step on; a periodic camera finishes
+// its current period first. Every camera's own stream still draws each
+// of its frames' offload decisions. So a Poisson class's captures are a
+// function of the seed, its class index and its membership: a joiner
+// re-deals its own class's arrivals and no other class's.
+//
 // # Tiered topology
 //
 // A "gateways" section makes the network two-tier: classes name the
@@ -270,7 +285,7 @@
 // camera-seed sequence (existing cameras' streams untouched) and leavers
 // are drawn from the entry's own seeded stream; "every_sec" makes a churn
 // entry recurring with exponential inter-arrival gaps from that stream —
-// a fourth seed family, so churn never perturbs frame-traffic draws. A
+// a seed family of its own, so churn never perturbs frame-traffic draws. A
 // departed camera's in-flight frames still complete; it just captures
 // nothing further. "link_degrade" rescales a tier's uplink to base ×
 // factor with in-flight progress conserved (the fair-share virtual clock
@@ -282,7 +297,9 @@
 // "fallback" tier — repricing their forwarding-energy and delay tables,
 // which both controller kinds then score against — until "tier_recover"
 // re-homes them back. "fps_profile" sets a class's capture-rate
-// multiplier (piecewise diurnal/bursty load), and "compute_scale"
+// multiplier (piecewise diurnal/bursty load; a Poisson class's rate
+// steps at once, a periodic camera's after its current period), and
+// "compute_scale"
 // resizes a tier's core pool. Validation is strict per kind: unknown
 // kinds, out-of-order times, ghost tiers/classes, out-of-range factors,
 // misplaced knobs (a "class" is accepted only on "camera_join",
@@ -415,8 +432,9 @@
 // # Determinism and parallelism
 //
 // A run is deterministic in its Scenario: every random draw comes from a
-// compact per-camera (and per-controller) splitmix64 stream derived from
-// Scenario.Seed by index (never the global source), the event loop breaks
+// compact per-camera (and per-Poisson-class, per-controller) splitmix64
+// stream derived from Scenario.Seed by index (never the global source),
+// the event loop breaks
 // ties by sequence number, and simultaneous completions across tiers
 // resolve in tier order. The same seed produces byte-identical stat
 // tables — `go test ./cmd/camsim -run Golden` pins this against
@@ -433,10 +451,12 @@
 // in a single variant; both are gated in CI by cmd/benchgate against
 // BENCH_topology.json):
 //
-//   - Per-event cost: a capture (or a control tick, epoch, federated
-//     ready or dynamics entry) is one pop from the event heap (O(log
-//     events), no interface boxing — container/heap cost one allocation
-//     per Push). A frame's fixed-delay stage — in-camera compute, a
+//   - Per-event cost: a periodic capture (or a control tick, epoch,
+//     federated ready or dynamics entry) is one pop from the event heap
+//     (O(log events), no interface boxing — container/heap cost one
+//     allocation per Push). A Poisson arrival is a re-key in place of
+//     its class's key in the index of class streams, O(log classes). A
+//     frame's fixed-delay stage — in-camera compute, a
 //     hop's propagation, the root's, a federated blob's — is one pop
 //     from a delay line: a ring read plus a re-key in place in the index
 //     of line heads, O(log lines) with one line per distinct delay value
@@ -447,17 +467,18 @@
 //     event heap, the fair-share servers and the FIFO servers' busy cores
 //     are one queue.Heap over different payloads, held to
 //     container/heap's exact pop order by TestHeapsMatchContainerHeap,
-//     one case per payload. The line heads and the link index are one
-//     queue.Index, a heap holding at most one key per numbered source,
+//     one case per payload. The line heads, the class streams and the
+//     link index are one queue.Index, a heap holding at most one key per numbered source,
 //     held to a scan of its keys by TestIndexMatchesScan. The delay
 //     lines and the FIFO servers' waiting queues are one queue.Ring, a
 //     power-of-two ring, so wrap-around is a mask, not a modulo.
 //   - Event size: an event is 24 bytes — time, the scheduling sequence
 //     number with the kind in its low 4 bits, and two int32s naming the
 //     subject (camera, class, participant, schedule entry or transfer)
-//     and a link or round. A 100k-camera fleet keeps ~100k events
-//     resident, so the earlier 64-byte, one-cache-line event made the
-//     heap cache-miss bound. A frame's capture time and payload live in
+//     and a link or round. A 100k-camera periodic fleet keeps ~100k
+//     events resident, so the earlier 64-byte, one-cache-line event made
+//     the heap cache-miss bound; a Poisson fleet keeps one arrival per
+//     class instead (32 on huge-fleet's 100k cameras, down from 100k). A frame's capture time and payload live in
 //     its transfer record, allocated from the recycled slab at capture,
 //     so the ready event carries only the transfer id. Push and pop sift
 //     through a hole: the moving event is held aside, parents or smaller
@@ -474,8 +495,9 @@
 //     in the same sequence. A delay line keeps each event's sequence
 //     number, and is sorted as filed: loop time never decreases, and
 //     adding the line's constant delay is monotone in floating point. So
-//     the earlier of the heap's top and the earliest line front is the
-//     same event one heap of everything would pop. The layout, sift and
+//     the earliest of the heap's top, the earliest line front and the
+//     earliest pending arrival is the same event one heap of everything
+//     would pop. The layout, sift and
 //     line changes therefore cannot change any output;
 //     TestHeapsMatchContainerHeap, TestRandomScenarioInvariants' pinned
 //     digests and the goldens hold that. The link index's keys, (finish
@@ -512,13 +534,16 @@
 //     before the run and never regrow: the declared cameras plus those
 //     the schedule's joins add, counted by replaying each camera_join
 //     entry's firings on a copy of its stream (nothing else draws from
-//     it, and its re-arms stop at Duration), at most 2^22 joiners. The
+//     it, and its re-arms stop at Duration), at most 2^22 joiners. Only
+//     a churn entry owns a stream, since no other kind draws. The
 //     event heap is preallocated to its structural bound and never
-//     regrows either — one pending capture per camera, joiners
+//     regrows either — one pending capture per periodic camera, joiners
 //     included, one control tick per class, one global epoch, one ready
 //     event per federated participant, and for the fault schedule one
 //     pending first firing plus one re-firing per recurring entry —
-//     because frames in flight wait on delay lines, not on the heap. The
+//     because frames in flight wait on delay lines and a Poisson class's
+//     one pending arrival waits in the class streams' index, sized once
+//     and re-keyed in place, never on the heap. The
 //     schedule waits behind a cursor: each entry's first firing pushes
 //     the next entry's, under the scheduling number reserved for it
 //     before the run, so entries pop in the order a heap of the whole

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // DynamicsConfig is the optional "dynamics" scenario section: a
@@ -37,7 +38,7 @@ type FleetEvent struct {
 	Count int `json:"count,omitempty"`
 	// EverySec > 0 makes a churn entry recurring: after each firing the
 	// next is drawn as an exponential gap with this mean, from the
-	// entry's own seeded stream — a fourth seed family, so recurring
+	// entry's own seeded stream — a seed family of its own, so recurring
 	// churn never perturbs frame-traffic draws (camera_join,
 	// camera_leave).
 	EverySec float64 `json:"every_sec,omitempty"`
@@ -57,7 +58,9 @@ type FleetEvent struct {
 	Fallback string `json:"fallback,omitempty"`
 
 	// Multiplier rescales the class's capture rate (its FPS) from this
-	// time on — piecewise-constant diurnal/bursty load (fps_profile).
+	// time on — piecewise-constant diurnal/bursty load (fps_profile). A
+	// Poisson class's arrivals follow the new rate at once; a periodic
+	// camera finishes its current period first.
 	Multiplier float64 `json:"multiplier,omitempty"`
 	// Cores is the tier core pool's new size (compute_scale).
 	Cores int `json:"cores,omitempty"`
@@ -104,9 +107,11 @@ func (d *DynamicsConfig) normalize() {
 
 // countless reports whether e is a churn entry whose Count normalize
 // fills in: the only write normalize makes into the schedule.
-func (e FleetEvent) countless() bool {
-	return (e.Kind == DynCameraJoin || e.Kind == DynCameraLeave) && e.Count == 0
-}
+func (e FleetEvent) countless() bool { return e.churns() && e.Count == 0 }
+
+// churns reports whether e is a churn entry, a camera_join or a
+// camera_leave: the only kinds that draw from a stream.
+func (e *FleetEvent) churns() bool { return e.Kind == DynCameraJoin || e.Kind == DynCameraLeave }
 
 // dynRef is one schedule entry's names as validation resolved them: its
 // class, tier and fallback tier indices, each -1 where the kind has none.
@@ -147,7 +152,7 @@ func (sc *Scenario) validateDynamics(nodes []tierNode, cameras int) ([]dynRef, e
 			return nil, bad("time %v sec before the previous event's %v (the schedule must be time-ordered)", e.Time, prev)
 		}
 		prev = e.Time
-		churn := e.Kind == DynCameraJoin || e.Kind == DynCameraLeave
+		churn := e.churns()
 		if !churn && (e.Count != 0 || e.EverySec != 0) {
 			return nil, bad("count/every_sec belong to %s and %s only", DynCameraJoin, DynCameraLeave)
 		}
@@ -281,7 +286,11 @@ type DynamicsStats struct {
 type dynamics struct {
 	events []FleetEvent
 	refs   []dynRef // per-entry names, as validation resolved them
-	rngs   []prng   // per-entry churn streams (seedDynamics family)
+	// churn lists the churn entries' indices in schedule order, and rngs
+	// their streams (seedDynamics family, by entry index): no other kind
+	// draws, so no other entry owns one.
+	churn []int32
+	rngs  []prng
 	// seq0 is the scheduling number reserved for entry 0's first firing;
 	// entry i's is seq0+i (engine.schedule).
 	seq0 int64
@@ -323,16 +332,22 @@ func (ev *FleetEvent) next(t float64, rng *prng) float64 {
 	return t + float64(rng.ExpFloat64()*ev.EverySec)
 }
 
+// stream returns churn entry i's stream.
+func (dyn *dynamics) stream(i int) *prng {
+	k, _ := slices.BinarySearch(dyn.churn, int32(i))
+	return &dyn.rngs[k]
+}
+
 // replay runs the schedule ahead of the run: it returns the cameras the
 // camera_join firings add to each class and in all, and how many entries
-// recur. An entry's first firing always runs; a recurring one fires
-// again at next's times while they fall before duration (arm); and
-// nothing else draws from a join entry's stream. So a replay on a copy of
-// the stream counts exactly the run's joins. The count stops at estCap,
-// the most an estimate preallocates.
+// recur, all of them churn entries. An entry's first firing always runs;
+// a recurring one fires again at next's times while they fall before
+// duration (arm); and nothing else draws from a join entry's stream. So
+// a replay on a copy of the stream counts exactly the run's joins. The
+// count stops at estCap, the most an estimate preallocates.
 func (dyn *dynamics) replay(classes int, duration float64) (joins []int, joined, recurring int) {
 	joins = make([]int, classes)
-	for i := range dyn.events {
+	for k, i := range dyn.churn {
 		ev := &dyn.events[i]
 		if ev.EverySec > 0 {
 			recurring++
@@ -340,7 +355,7 @@ func (dyn *dynamics) replay(classes int, duration float64) (joins []int, joined,
 		if ev.Kind != DynCameraJoin {
 			continue
 		}
-		t, rng := ev.Time, dyn.rngs[i]
+		t, rng := ev.Time, dyn.rngs[k]
 		for joined < estCap {
 			joins[dyn.refs[i].class] += ev.Count
 			joined += ev.Count
@@ -360,10 +375,17 @@ func (dyn *dynamics) replay(classes int, duration float64) (joins []int, joined,
 // class's home tier (firstHop).
 func newDynamics(sc *Scenario, refs []dynRef, tiers int, firstHop []int) *dynamics {
 	evs := sc.Dynamics.Events
+	churn := 0
+	for i := range evs {
+		if evs[i].churns() {
+			churn++
+		}
+	}
 	dyn := &dynamics{
 		events:      evs,
 		refs:        refs,
-		rngs:        make([]prng, len(evs)),
+		churn:       make([]int32, 0, churn),
+		rngs:        make([]prng, 0, churn),
 		down:        make([]level, tiers),
 		capacity:    make([]level, tiers),
 		outageDrops: make([]int64, tiers),
@@ -372,8 +394,13 @@ func newDynamics(sc *Scenario, refs []dynRef, tiers int, firstHop []int) *dynami
 	for ti := range dyn.capacity {
 		dyn.capacity[ti].v = 1
 	}
-	for i := range dyn.rngs {
-		dyn.rngs[i] = newPRNG(streamSeed(sc.Seed, seedDynamics, i))
+	// A stream is seeded by its entry's index in the whole schedule, not
+	// by its rank among the churn entries.
+	for i := range evs {
+		if evs[i].churns() {
+			dyn.churn = append(dyn.churn, int32(i))
+			dyn.rngs = append(dyn.rngs, newPRNG(streamSeed(sc.Seed, seedDynamics, i)))
+		}
 	}
 	return dyn
 }

@@ -403,6 +403,45 @@ func TestDynamicsFPSProfile(t *testing.T) {
 	}
 }
 
+// TestDynamicsFPSStepIsImmediate pins what "from this time on" means for
+// a Poisson class: an fps_profile step rescales its arrival rate at the
+// step, not after each camera spends a gap drawn at the old rate. N
+// cameras at λ stepped to 4λ must capture N·4λ·δ frames in the next δ,
+// within 4 standard errors of a Poisson count. Had every camera first
+// finished its old-rate gap, a 1→4 step would yield about 2.1 frames per
+// camera in the first 1/λ, not 4.
+func TestDynamicsFPSStepIsImmediate(t *testing.T) {
+	const (
+		cams  = 400
+		fps   = 1.0
+		step  = 5.0
+		mul   = 4.0
+		delta = 1 / fps
+	)
+	captured := func(duration float64) int64 {
+		sc := Scenario{
+			Name: "fps-step", Seed: 3, Duration: duration,
+			Uplink:  UplinkConfig{Gbps: 1},
+			Classes: []Class{{Name: "p", Count: cams, FPS: fps, Arrival: ArrivalPoisson}},
+			Dynamics: &DynamicsConfig{Events: []FleetEvent{
+				{Time: step, Kind: DynFPSProfile, Class: "p", Multiplier: mul},
+			}},
+		}
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Classes[0].Captured
+	}
+	// The runs share every draw before the step, so the difference is the
+	// count in [step, step+δ).
+	got := float64(captured(step+delta) - captured(step))
+	want := cams * mul * fps * delta
+	if z := (got - want) / math.Sqrt(want); math.Abs(z) > 4 {
+		t.Fatalf("%v frames in the %vs after a ×%v step, want %v (z %.2f)", got, delta, mul, want, z)
+	}
+}
+
 // TestDynamicsChurnCounters pins churn bookkeeping: joins and leaves
 // land in the class and run-wide counters, the final camera count moves
 // accordingly, and joiners actually capture frames.
@@ -459,25 +498,65 @@ func TestDynamicsLeaveEmptiesClass(t *testing.T) {
 // TestDynamicsJoinDoesNotPerturbExistingCameras pins seed-family
 // isolation: adding a second, traffic-free class plus a churn schedule
 // for it leaves the first class's results bit-identical — existing
-// cameras' streams and the shared links never see the difference.
+// cameras' streams, the first class's arrival stream and the shared
+// links never see the difference. Each arrival pattern is checked on
+// both classes: a joiner re-deals its own class's Poisson arrivals, and
+// no other class's.
 func TestDynamicsJoinDoesNotPerturbExistingCameras(t *testing.T) {
-	base := dynamicsDemo(8)
-	base.Classes = base.Classes[:1]
-	plain, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
+	for _, arrival := range []string{ArrivalPeriodic, ArrivalPoisson} {
+		base := dynamicsDemo(8)
+		base.Classes = base.Classes[:1]
+		base.Classes[0].Arrival = arrival
+		plain, err := Run(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := dynamicsDemo(8)
+		sc.Classes = append(sc.Classes[:1], Class{Name: "ghost", Count: 2, FPS: 1, Arrival: arrival, Tier: "gw-b"})
+		sc.Classes[0].Arrival = arrival
+		sc.Dynamics = &DynamicsConfig{Events: []FleetEvent{
+			{Time: 1, Kind: DynCameraJoin, Class: "ghost", Count: 4, EverySec: 1},
+		}}
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plain.Classes[0], res.Classes[0]) {
+			t.Fatalf("%s: ghost churn perturbed east:\n%+v\nvs\n%+v", arrival, plain.Classes[0], res.Classes[0])
+		}
 	}
-	sc := dynamicsDemo(8)
-	sc.Classes = append(sc.Classes[:1], Class{Name: "ghost", Count: 2, FPS: 1, Tier: "gw-b"})
-	sc.Dynamics = &DynamicsConfig{Events: []FleetEvent{
-		{Time: 1, Kind: DynCameraJoin, Class: "ghost", Count: 4, EverySec: 1},
-	}}
-	res, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestDynamicsPoissonClassRefills pins a Poisson class emptied by a
+// leave and refilled by a later join: with no camera its stream keeps no
+// arrival pending, and the join redraws one, so the class captures
+// nothing while empty and captures again, at the joiners' rate, once
+// refilled.
+func TestDynamicsPoissonClassRefills(t *testing.T) {
+	const fps, joiners = 20.0, 2
+	captured := func(duration float64) int64 {
+		sc := dynamicsDemo(5)
+		sc.Duration = duration
+		sc.Classes[0].Arrival = ArrivalPoisson
+		sc.Classes[0].FPS = fps
+		sc.Dynamics = &DynamicsConfig{Events: []FleetEvent{
+			{Time: 2, Kind: DynCameraLeave, Class: "east", Count: 12},
+			{Time: 4, Kind: DynCameraJoin, Class: "east", Count: joiners},
+		}}
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertConserved(t, sc.Name, res)
+		return res.Classes[0].Captured
 	}
-	if !reflect.DeepEqual(plain.Classes[0], res.Classes[0]) {
-		t.Fatalf("ghost churn perturbed east:\n%+v\nvs\n%+v", plain.Classes[0], res.Classes[0])
+	before, empty, refilled := captured(2), captured(4), captured(8)
+	if empty != before {
+		t.Errorf("the emptied class captured %d frames while it had no camera", empty-before)
+	}
+	want := joiners * fps * 4
+	if got := float64(refilled - empty); math.Abs(got-want) > 4*math.Sqrt(want) {
+		t.Errorf("the refilled class captured %v frames in 4s, want about %v", got, want)
 	}
 }
 
@@ -779,33 +858,32 @@ func TestRehomeRepricesControllers(t *testing.T) {
 		sc   Scenario
 		want string
 	}{
-		{"class", rehomePricing(11, 40, 0, 10, nil), `scenario rehome-pricing               uplink 0.8 Gb/s fair-share util   5.4%  drained 6.00s
+		{"class", rehomePricing(11, 40, 0, 10, nil), `scenario rehome-pricing               uplink 0.8 Gb/s fair-share util   5.9%  drained 6.00s
   class                    cams  captured   offload   dropQ   dropE      p50      p95      p99    J/frame
-  east                       24       319       316       3       0  107.2ms  418.6ms  461.7ms    0.00497
-  bg                          8       240       240       0       0    2.5ms    2.5ms    2.8ms          0
-  fleet                      32       559       556       3       0    7.2ms  386.3ms  453.6ms    0.00284
-  tier gw-a->core               0.4 Gb/s fair-share util   2.9%  xfers 129  prop 200µs  fwd 0.172J  down 3.40s
-  tier gw-b->core               0.4 Gb/s fair-share util   3.9%  xfers 187  prop 200µs  fwd 0.589J  cpu 4xfifo util  49.0% wait-p95 337.6ms
-  tier core                     0.8 Gb/s fair-share util   5.4%  xfers 556  prop 2.0ms  fwd 0.324J
-  energy camera 1.59J + network 1.08J = 0.4W avg, projected 0.3W
+  east                       24       268       268       0       0   42.5ms  182.1ms  228.1ms    0.00315
+  bg                          8       240       240       0       0    2.5ms    2.9ms    3.0ms          0
+  fleet                      32       508       508       0       0    7.2ms  159.3ms  199.9ms    0.00166
+  tier gw-a->core               0.4 Gb/s fair-share util   3.9%  xfers 128  prop 200µs  fwd 0.233J  down 3.40s
+  tier gw-b->core               0.4 Gb/s fair-share util   3.9%  xfers 140  prop 200µs  fwd 0.592J  cpu 4xfifo util  49.3% wait-p95 92.7ms
+  tier core                     0.8 Gb/s fair-share util   5.9%  xfers 508  prop 2.0ms  fwd 0.355J
+  energy camera 0.845J + network 1.18J = 0.3W avg, projected 0.3W
   dynamics events 2  joined 0  left 0  rehomed 48  outage-drops 0
-  policy east            energy-latency    moves   36  final raw:20 cam:4
+  policy east            energy-latency    moves   12  final raw:24 cam:0
 `},
-		{"global", rehomePricing(59, 10, 1, 20, &GlobalConfig{EpochSec: 0.5, BudgetW: 0.3, HighSec: 0.08, MoveFraction: 0.5}), `scenario rehome-pricing               uplink 0.8 Gb/s fair-share util   6.4%  drained 6.00s
+		{"global", rehomePricing(59, 10, 1, 20, &GlobalConfig{EpochSec: 0.5, BudgetW: 0.3, HighSec: 0.08, MoveFraction: 0.5}), `scenario rehome-pricing               uplink 0.8 Gb/s fair-share util   6.5%  drained 6.00s
   class                    cams  captured   offload   dropQ   dropE      p50      p95      p99    J/frame
-  east                       24       306       306       0       0   57.2ms   73.1ms   86.9ms    0.00322
+  east                       24       297       297       0       0   57.2ms   68.3ms   93.1ms     0.0029
   bg                          8       240       240       0       0    2.5ms    2.7ms    3.0ms          0
-  fleet                      32       546       546       0       0    7.2ms   63.7ms   85.3ms     0.0018
-  tier gw-a->core               0.4 Gb/s fair-share util   3.4%  xfers 126  prop 200µs  fwd 0.203J  down 3.40s
-  tier gw-b->core               0.4 Gb/s fair-share util   5.5%  xfers 180  prop 200µs  fwd 0.819J  cpu 4xfifo util  34.1% wait-p95 22.7ms
-  tier core                     0.8 Gb/s fair-share util   6.4%  xfers 546  prop 2.0ms  fwd 0.386J
-  energy camera 0.984J + network 1.41J = 0.4W avg, projected 0.3W
+  fleet                      32       537       537       0       0    7.2ms   61.1ms   74.5ms     0.0016
+  tier gw-a->core               0.4 Gb/s fair-share util   3.8%  xfers 133  prop 200µs  fwd 0.228J  down 3.40s
+  tier gw-b->core               0.4 Gb/s fair-share util   5.2%  xfers 164  prop 200µs  fwd 0.779J  cpu 4xfifo util  32.5% wait-p95 12.3ms
+  tier core                     0.8 Gb/s fair-share util   6.5%  xfers 537  prop 2.0ms  fwd 0.39J
+  energy camera 0.861J + network 1.4J = 0.4W avg, projected 0.3W
   dynamics events 2  joined 0  left 0  rehomed 48  outage-drops 0
-  global budget 0.3W  epochs 11  moves 23
+  global budget 0.3W  epochs 11  moves 20
     epoch t=0.50s 0.5W -> 0.4W  energy east-1x12
-    epoch t=1.50s 0.4W -> 0.4W  energy east-1x8
-    epoch t=4.00s 0.3W -> 0.3W  latency east+1x3
-  policy east            energy-latency    moves    7  final raw:24 cam:0
+    epoch t=1.00s 0.4W -> 0.4W  energy east-1x8
+  policy east            energy-latency    moves    4  final raw:24 cam:0
 `},
 	} {
 		res, err := Run(tc.sc)
@@ -844,14 +922,14 @@ func TestDynamicsHarvestChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertConserved(t, sc.Name, res)
-	const want = `scenario dynamics-demo                uplink 0.1 Gb/s fair-share util  27.2%  drained 8.00s
+	const want = `scenario dynamics-demo                uplink 0.1 Gb/s fair-share util  26.9%  drained 8.01s
   class                    cams  captured   offload   dropQ   dropE      p50      p95      p99    J/frame
-  bg                          6       192       192       0       0   11.2ms   15.9ms   18.2ms          0
-  solar                      24      1170       489       0     381   18.4ms   42.9ms   55.5ms    0.00328
-  fleet                      30      1362       681       0     381   15.7ms   40.0ms   53.8ms    0.00281
-  tier gw-a->core               0.0 Gb/s fair-share util  48.9%  xfers 489
+  bg                          6       192       192       0       0   11.2ms   15.8ms   18.2ms          0
+  solar                      24      1144       482       0     349   19.3ms   42.3ms   55.1ms    0.00335
+  fleet                      30      1336       674       0     349   15.9ms   39.3ms   53.1ms    0.00287
+  tier gw-a->core               0.0 Gb/s fair-share util  48.1%  xfers 482
   tier gw-b->core               0.0 Gb/s fifo       util  19.2%  xfers 192
-  tier core                     0.1 Gb/s fair-share util  27.2%  xfers 681
+  tier core                     0.1 Gb/s fair-share util  26.9%  xfers 674
   dynamics events 2  joined 22  left 6  rehomed 0  outage-drops 0
 `
 	if got := res.Table(); got != want {
@@ -876,6 +954,18 @@ func TestCameraStructuresNeverRegrow(t *testing.T) {
 		{Time: 1.0, Kind: DynCameraLeave, Class: "solar", EverySec: 1.2},
 		{Time: 2.0, Kind: DynCameraJoin, Class: "bg", Count: 3, EverySec: 0.3},
 	}}
+	// A Poisson class under recurring churn and rate steps: every join,
+	// leave and step redraws its pending arrival, and none may leave a
+	// stale one behind on the heap.
+	poisson := dynamicsDemo(7)
+	poisson.Classes[0].Arrival = ArrivalPoisson
+	poisson.Dynamics = &DynamicsConfig{Events: []FleetEvent{
+		{Time: 0.5, Kind: DynCameraJoin, Class: "east", Count: 2, EverySec: 0.4},
+		{Time: 0.7, Kind: DynCameraLeave, Class: "east", Count: 2, EverySec: 0.5},
+		{Time: 1, Kind: DynFPSProfile, Class: "east", Multiplier: 3},
+		{Time: 3, Kind: DynFPSProfile, Class: "east", Multiplier: 0.5},
+		{Time: 5, Kind: DynFPSProfile, Class: "east", Multiplier: 2},
+	}}
 	oneShot := dynamicsDemo(3)
 	oneShot.Dynamics = &DynamicsConfig{Events: []FleetEvent{
 		{Time: 2, Kind: DynCameraJoin, Class: "west", Count: 5},
@@ -885,7 +975,7 @@ func TestCameraStructuresNeverRegrow(t *testing.T) {
 		{Time: 1, Kind: DynCameraJoin, Class: "east", Count: 2, EverySec: 0.5},
 		{Time: 9, Kind: DynCameraJoin, Class: "west", Count: 3, EverySec: 0.5},
 	}}
-	for name, sc := range map[string]Scenario{"harvest": harvest, "one-shot": oneShot, "late": late, "churn-fleet": churnFleetScenario()} {
+	for name, sc := range map[string]Scenario{"harvest": harvest, "poisson": poisson, "one-shot": oneShot, "late": late, "churn-fleet": churnFleetScenario()} {
 		e, err := newEngine(sc)
 		if err != nil {
 			t.Fatal(err)

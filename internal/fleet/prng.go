@@ -50,7 +50,8 @@ const (
 	seedController = 0xc0117801 // per adaptive class, by class index
 	seedGlobal     = 0x61017ba1 // the global controller, by class count
 	seedFederated  = 0xfedc0de5 // per federated participant, by camera index
-	seedDynamics   = 0xd11aa1c5 // per schedule entry, by entry index
+	seedDynamics   = 0xd11aa1c5 // per churn schedule entry, by entry index
+	seedArrival    = 0xa771fa15 // per Poisson class, by class index
 )
 
 // streamSeed derives the seed of stream idx of a family from the

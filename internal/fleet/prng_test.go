@@ -59,6 +59,20 @@ func TestPRNGReferenceVectors(t *testing.T) {
 			t.Fatalf("ExpFloat64 draw %d: %#016x (%.17g), want %#016x", i, math.Float64bits(got), got, want)
 		}
 	}
+	// The arrival family: seed 1's streams for classes 0 and 1. A Poisson
+	// class's first draw is its first gap, then each arrival picks a
+	// camera and draws the next gap.
+	for ci, want := range [][3]uint64{
+		{0x02296711dbf22292, 0x6c9bb574390adabb, 0x66b68735d5c595da},
+		{0xb955d393dbbaf6e8, 0x38906f3317c36e1b, 0x88be4f6ae26bda6d},
+	} {
+		p := newPRNG(streamSeed(1, seedArrival, ci))
+		for i, w := range want {
+			if got := p.Uint64(); got != w {
+				t.Fatalf("arrival stream of class %d draw %d: %#016x, want %#016x", ci, i, got, w)
+			}
+		}
+	}
 	// Intn draws every shuffle and leaver pick; Intn(1) still advances
 	// the stream.
 	p = newPRNG(42)

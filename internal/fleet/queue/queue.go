@@ -3,9 +3,10 @@
 // numbered sources that each hold at most one key, re-keyed in place; and
 // Ring, a FIFO ring buffer. The event loop's heap, the fair-share servers
 // and the FIFO servers' busy cores are Heaps over their own payloads; the
-// link-completion index (one source per link) and the delay lines' heads
-// (one source per line) are Indexes; the delay lines and the FIFO
-// servers' waiting queues are Rings.
+// link-completion index (one source per link), the delay lines' heads
+// (one source per line) and the Poisson classes' pending arrivals (one
+// source per class) are Indexes; the delay lines and the FIFO servers'
+// waiting queues are Rings.
 //
 // It is a package of its own so that a CPU profile attributed by source
 // file (fleetbench's layer map) charges a queue's samples to the code
@@ -99,6 +100,16 @@ func (h *Heap[P]) Pop() Item[P] {
 type Index struct {
 	h   []Item[int32] // P is the item's source
 	pos []int32       // pos[src] is src's slot in h, or -1 when it holds no key
+}
+
+// NewIndex returns an index of n sources, numbered 0 to n-1 and holding
+// no key, sized so that no Set regrows it.
+func NewIndex(n int) Index {
+	pos := make([]int32, n)
+	for i := range pos {
+		pos[i] = -1
+	}
+	return Index{h: make([]Item[int32], 0, n), pos: pos}
 }
 
 // Add adds a source holding no key and returns its number.

@@ -235,3 +235,27 @@ func TestIndexMatchesScan(t *testing.T) {
 		}
 	}
 }
+
+// TestNewIndexIsSizedOnce pins NewIndex: its n sources start keyless, so
+// Remove is a no-op and Len is 0; keying every one of them never
+// regrows the heap it was built with; and Add numbers the next source n.
+func TestNewIndexIsSizedOnce(t *testing.T) {
+	const n = 5
+	x := NewIndex(n)
+	for src := int32(0); src < n; src++ {
+		x.Remove(src)
+	}
+	if x.Len() != 0 {
+		t.Fatalf("a new index holds %d keys", x.Len())
+	}
+	h := &x.h[:1][0]
+	for src := int32(n - 1); src >= 0; src-- {
+		x.Set(src, float64(src), int64(src))
+	}
+	if x.Len() != n || x.Min().P != 0 || &x.h[0] != h {
+		t.Fatalf("%d keys, minimum at source %d, heap regrown %v", x.Len(), x.Min().P, &x.h[0] != h)
+	}
+	if got := x.Add(); got != n {
+		t.Fatalf("Add after NewIndex(%d) returned source %d", n, got)
+	}
+}

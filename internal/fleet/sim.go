@@ -10,17 +10,20 @@ import (
 	"camsim/internal/fleet/queue"
 )
 
-// event kinds: a camera captures a frame; an in-camera-processed frame
-// becomes ready for its first-hop link; a transfer clears a link's
-// propagation and lands (land); an adaptive class's controller makes a
-// placement decision; the global energy-aware controller runs one epoch;
-// a federated camera's local training ends and its update blob enters
-// the attach uplink; a dynamics schedule entry fires (churn, link
-// degradation, tier outage/recovery, rate profile or core rescale). Link
-// completions themselves are not events — the loop peeks them off the
-// links, whose finish times shift as transfers are admitted.
+// event kinds: a periodic camera captures a frame; a Poisson class's
+// arrival stream marks one of its cameras to capture; an
+// in-camera-processed frame becomes ready for its first-hop link; a
+// transfer clears a link's propagation and lands (land); an adaptive
+// class's controller makes a placement decision; the global energy-aware
+// controller runs one epoch; a federated camera's local training ends
+// and its update blob enters the attach uplink; a dynamics schedule
+// entry fires (churn, link degradation, tier outage/recovery, rate
+// profile or core rescale). Link completions themselves are not events —
+// the loop peeks them off the links, whose finish times shift as
+// transfers are admitted.
 const (
 	evCapture = iota
+	evArrive
 	evReady
 	evLand
 	evControl
@@ -30,21 +33,21 @@ const (
 )
 
 // event is one scheduled simulator step. It is 24 bytes, not a whole
-// cache line, because a large fleet keeps ~100k of them resident in the
-// event queue. The queue orders on (T, Tie); Tie holds the loop's
-// scheduling counter shifted left kindBits with the event kind in the
-// low bits, which orders exactly like the bare counter because the
-// counter is unique. Payload that does not fit evRef lives in the
-// transfer record the event names.
+// cache line, because a large periodic fleet keeps one pending capture
+// per camera resident in the event queue. The queue orders on (T, Tie);
+// Tie holds the loop's scheduling counter shifted left kindBits with the
+// event kind in the low bits, which orders exactly like the bare counter
+// because the counter is unique. Payload that does not fit evRef lives
+// in the transfer record the event names.
 type event queue.Item[evRef]
 
 // evRef is an event's payload.
 type evRef struct {
-	// id names the subject: the camera (evCapture), class (evControl),
-	// federated participant (evFLReady), dynamics schedule entry
-	// (evDynamics), or transfer (evReady, evLand) — a frame's transfer
-	// record exists from capture, so it carries the capture time and
-	// payload an evReady needs.
+	// id names the subject: the camera (evCapture), class (evArrive,
+	// evControl), federated participant (evFLReady), dynamics schedule
+	// entry (evDynamics), or transfer (evReady, evLand) — a frame's
+	// transfer record exists from capture, so it carries the capture time
+	// and payload an evReady needs.
 	id int32
 	// aux is the link a landing transfer cleared (evLand), the round a
 	// federated participant's update belongs to (evFLReady), and 1 on a
@@ -65,23 +68,29 @@ func newEvent(t float64, seq int64, kind int, id, aux int32) event {
 func (ev *event) kind() int { return int(ev.Tie & (1<<kindBits - 1)) }
 
 // eventHeap is the loop's whole event queue. heap holds the events that
-// can fall at any time: captures, control ticks, global epochs,
+// can fall at any time: periodic captures, control ticks, global epochs,
 // federated ready and dynamics entries. A stage with a constant delay —
 // a class row's in-camera compute, a tier's uplink propagation, a
 // declared downlink's propagation — waits on lines instead, one FIFO per
 // distinct delay value, keyed by byDelay. A line adds its own delay to
 // the loop time it is filed at, and loop time never decreases, so each
 // line is sorted by (T, Tie) as filed. heads keys every non-empty line
-// by its front, re-keyed in place as the front moves on, so the earliest
-// event is the earlier of the heap's top and heads' minimum, and events
-// pop in the order one heap of every event would give.
+// by its front, re-keyed in place as the front moves on. A Poisson
+// class's cameras capture on one arrival stream, whose one pending
+// arrival streams keys by class, re-keyed in place by every arrival and
+// every rate change. The earliest event is the earliest of the heap's
+// top and the two indexes' minimums, so events pop in the order one heap
+// of every event would give, and a Poisson fleet of any size keeps one
+// arrival per class in the queue, not one capture per camera.
 //
-// Everything that touches a line is a method of eventHeap, so a CPU
-// profile charges the lines to the event queue rather than to the loop.
+// Everything that touches a line or a stream's key is a method of
+// eventHeap, so a CPU profile charges them to the event queue rather
+// than to the loop.
 type eventHeap struct {
 	heap    queue.Heap[evRef]
 	lines   []delayLine
 	heads   queue.Index // one source per line
+	streams queue.Index // one source per class when some class is Poisson
 	byDelay map[float64]int32
 }
 
@@ -110,6 +119,14 @@ func (h *eventHeap) line(d float64) int32 {
 // push schedules ev on the heap.
 func (h *eventHeap) push(ev event) { h.heap.Push(queue.Item[evRef](ev)) }
 
+// arrive keys class ci's pending arrival at time t, as the loop's seq-th
+// scheduling; retire leaves the class with none pending.
+func (h *eventHeap) arrive(ci int, t float64, seq int64) {
+	h.streams.Set(int32(ci), t, seq<<kindBits|evArrive)
+}
+
+func (h *eventHeap) retire(ci int) { h.streams.Remove(int32(ci)) }
+
 // file schedules an event on line l, the line's delay after the loop
 // time now, as the loop's seq-th scheduling.
 func (h *eventHeap) file(l int32, now float64, seq int64, kind int, id, aux int32) {
@@ -131,18 +148,29 @@ func (h *eventHeap) next() (t float64, ok bool) {
 	if h.heads.Len() > 0 {
 		t, ok = min(t, h.heads.Min().T), true
 	}
+	if h.streams.Len() > 0 {
+		t, ok = min(t, h.streams.Min().T), true
+	}
 	return t, ok
 }
 
 // pop removes and returns the earliest pending event, which must exist.
-// Without lines it is the heap's pop behind one branch. A line's pop
-// re-keys the line to its next front, or removes it when it empties.
+// Without lines or streams it is the heap's pop behind two branches. A
+// stream's arrival stays keyed until the loop redraws it, before the
+// next pop. A line's pop re-keys the line to its next front, or removes
+// it when it empties.
 func (h *eventHeap) pop() event {
+	if h.streams.Len() > 0 {
+		a := h.streams.Min()
+		if (len(h.heap) == 0 || ahead(a, h.heap[0])) && (h.heads.Len() == 0 || ahead(a, h.heads.Min())) {
+			return event{T: a.T, Tie: a.Tie, P: evRef{id: a.P}}
+		}
+	}
 	if h.heads.Len() == 0 {
 		return event(h.heap.Pop())
 	}
 	f := h.heads.Min()
-	if len(h.heap) > 0 && (h.heap[0].T < f.T || h.heap[0].T == f.T && h.heap[0].Tie < f.Tie) {
+	if len(h.heap) > 0 && ahead(h.heap[0], f) {
 		return event(h.heap.Pop())
 	}
 	ln := &h.lines[f.P]
@@ -156,13 +184,20 @@ func (h *eventHeap) pop() event {
 	return ev
 }
 
+// ahead reports whether a orders before b in (T, Tie).
+func ahead[P, Q any](a queue.Item[P], b queue.Item[Q]) bool {
+	return a.T < b.T || a.T == b.T && a.Tie < b.Tie
+}
+
 // camera is one simulated device, 24 bytes: what a capture reads and
 // nothing else, so a 100k-camera fleet stays cache-resident. The random
 // stream is embedded by value, 8 bytes inline rather than a pointer to
-// rand.NewSource's ~5 KB state. A harvesting camera's store lives in the
-// engine's harvest table, and a frame carries its class in its transfer
-// record, so after capture a frame reads its camera only to free its
-// queue slot.
+// rand.NewSource's ~5 KB state; it draws a periodic camera's phase and
+// every capture's offload decision, while a Poisson camera's capture
+// times come from its class's arrival stream. A harvesting camera's store
+// lives in the engine's harvest table, and a frame carries its class in
+// its transfer record, so after capture a frame reads its camera only to
+// free its queue slot.
 type camera struct {
 	rng       prng
 	class     int32
@@ -297,6 +332,9 @@ type engine struct {
 
 	cams      []camera
 	classCams [][]int32
+	// arrivals holds each class's arrival stream (seedArrival family),
+	// drawn only for Poisson classes; nil unless some class is Poisson.
+	arrivals []prng
 	// harvest holds each camera's energy store by camera index; nil
 	// unless some class harvests.
 	harvest   []store
@@ -401,11 +439,13 @@ func newEngine(sc Scenario) (*engine, error) {
 		}
 	}
 
-	// The event heap's population is structurally bounded — each camera,
-	// joiners included, owns at most one pending capture, each adaptive
-	// class one control tick, and each subsystem below adds its own bound
-	// — so the loop never regrows it. A frame's stages wait on delay
-	// lines, whose rings grow to their own peak.
+	// The event heap's population is structurally bounded — each periodic
+	// camera, joiners included, owns at most one pending capture, each
+	// adaptive class one control tick, and each subsystem below adds its
+	// own bound — so the loop never regrows it. A Poisson class's one
+	// pending arrival is keyed in the streams index, not on the heap, and
+	// a frame's stages wait on delay lines, whose rings grow to their own
+	// peak.
 	cams, heapCap := s.Cameras(), 1+len(s.Classes)
 	var joins []int
 
@@ -422,7 +462,21 @@ func newEngine(sc Scenario) (*engine, error) {
 		cams += joined
 		heapCap += 1 + recurring
 	}
-	heapCap += cams
+	e.classCams = make([][]int32, len(s.Classes))
+	for ci := range s.Classes {
+		cl := &s.Classes[ci]
+		n := cl.Count
+		if joins != nil {
+			n += joins[ci]
+		}
+		e.classCams[ci] = make([]int32, 0, n)
+		if cl.Arrival != ArrivalPoisson {
+			heapCap += n
+		} else if e.arrivals == nil {
+			e.arrivals = make([]prng, len(s.Classes))
+			e.events.streams = queue.NewIndex(len(s.Classes))
+		}
+	}
 
 	// Latency accumulation is chosen here, once. The streaming collector
 	// observes the same completions at the same event times the exact path
@@ -460,20 +514,20 @@ func newEngine(sc Scenario) (*engine, error) {
 	if slices.ContainsFunc(s.Classes, func(c Class) bool { return c.HarvestW > 0 }) {
 		e.harvest = make([]store, 0, cams)
 	}
-	e.classCams = make([][]int32, len(s.Classes))
 	e.ctls = newControllers(s)
 	e.gctl = newGlobal(s)
 	e.logs = newLogs(s)
 	e.events.heap = make(queue.Heap[evRef], 0, heapCap)
 	for ci := range s.Classes {
 		cl := &s.Classes[ci]
-		n := cl.Count
-		if joins != nil {
-			n += joins[ci]
-		}
-		e.classCams[ci] = make([]int32, 0, n)
 		for k := 0; k < cl.Count; k++ {
 			e.addCamera(ci, 0)
+		}
+		if cl.Arrival == ArrivalPoisson {
+			// A class's stream is seeded by its index, so its arrivals do
+			// not move when another class gains or loses cameras.
+			e.arrivals[ci] = newPRNG(streamSeed(s.Seed, seedArrival, ci))
+			e.redraw(ci, 0)
 		}
 		if e.ctls[ci] != nil {
 			e.arm(cl.Policy.IntervalSec, evControl, int32(ci), 0)
@@ -543,13 +597,14 @@ func (e *engine) price(ci, ti int) {
 	}
 }
 
-// addCamera adds one camera of class ci at time t, capturing at the
-// class's live rate, with a full store from t when the run harvests. Its
-// stream continues the global camera-seed sequence, so every existing
-// camera's stream is untouched, and its first capture falls a random
-// phase inside one period (periodic) or one exponential gap (Poisson)
-// after t. It starts at the class's Policy.Start row, or at its one row
-// without a table, where Policy.Start is never validated.
+// addCamera adds one camera of class ci at time t, with a full store
+// from t when the run harvests. Its stream continues the global
+// camera-seed sequence, so every existing camera's stream is untouched.
+// A periodic camera's first capture falls a random phase inside one
+// period after t; a Poisson camera captures when its class's stream
+// marks it, and the caller redraws that stream. It starts at the class's
+// Policy.Start row, or at its one row without a table, where
+// Policy.Start is never validated.
 func (e *engine) addCamera(ci int, t float64) {
 	cl := &e.sc.Classes[ci]
 	idx := len(e.cams)
@@ -560,15 +615,28 @@ func (e *engine) addCamera(ci int, t float64) {
 	if e.harvest != nil {
 		e.harvest = append(e.harvest, store{joules: cl.StoreJ, lastTop: t})
 	}
-	var first float64
-	if cl.Arrival == ArrivalPoisson {
-		first = c.rng.ExpFloat64() / e.fps[ci]
-	} else {
-		first = c.rng.Float64() / e.fps[ci]
+	if cl.Arrival != ArrivalPoisson {
+		e.arm(t+c.rng.Float64()/e.fps[ci], evCapture, int32(idx), 0)
 	}
 	e.cams = append(e.cams, c)
 	e.classCams[ci] = append(e.classCams[ci], int32(idx))
-	e.arm(t+first, evCapture, int32(idx), 0)
+}
+
+// redraw draws Poisson class ci's next arrival after time t. Its n
+// cameras, each Poisson at the class's live rate, are together one
+// Poisson stream at n times that rate whose every arrival marks a camera
+// drawn uniformly, and the stream is memoryless: a join, a leave or a
+// rate step only redraws the pending arrival from now. An empty class,
+// or a draw at or past Duration (arm's horizon), leaves none pending.
+func (e *engine) redraw(ci int, t float64) {
+	if n := len(e.classCams[ci]); n > 0 {
+		if next := t + e.arrivals[ci].ExpFloat64()/(float64(n)*e.fps[ci]); next < e.sc.Duration {
+			e.events.arrive(ci, next, e.seq)
+			e.seq++
+			return
+		}
+	}
+	e.events.retire(ci)
 }
 
 // linkRole is what a link carries, and so where a transfer it finishes
@@ -666,15 +734,6 @@ func (e *engine) newTransfer(tr transfer) int {
 func (e *engine) release(id int) transfer {
 	e.freeIDs = append(e.freeIDs, id)
 	return e.transfers[id]
-}
-
-// nextCapture returns the time of camera c's capture after now, at its
-// class's live rate.
-func (e *engine) nextCapture(c *camera, now float64) float64 {
-	if e.sc.Classes[c.class].Arrival == ArrivalPoisson {
-		return now + c.rng.ExpFloat64()/e.fps[c.class]
-	}
-	return now + 1/e.fps[c.class]
 }
 
 // dropOutage loses frame transfer id to an outage at tier ti: the
@@ -913,7 +972,7 @@ func (e *engine) dynFire(t float64, i int, first bool) {
 			e.res.Classes[ci].Joined++
 		}
 	case DynCameraLeave:
-		ci := ref.class
+		ci, rng := ref.class, dyn.stream(i)
 		for k := 0; k < ev.Count; k++ {
 			members := e.classCams[ci]
 			n := len(members)
@@ -923,7 +982,7 @@ func (e *engine) dynFire(t float64, i int, first bool) {
 			// The leaver is drawn from the entry's own stream
 			// (swap-remove keeps the pick O(1)); its in-flight frames
 			// still complete, it just captures nothing further.
-			pick := dyn.rngs[i].Intn(n)
+			pick := rng.Intn(n)
 			camIdx := members[pick]
 			members[pick] = members[n-1]
 			e.classCams[ci] = members[:n-1]
@@ -972,8 +1031,14 @@ func (e *engine) dynFire(t float64, i int, first bool) {
 		e.links[li].setCores(t, ev.Cores)
 		e.lidx.invalidate(li)
 	}
+	// A join, a leave or a rate step changes its class's rate from now
+	// on: a Poisson class redraws its pending arrival at once, while a
+	// periodic camera finishes its current period first.
+	if ci := int(ref.class); ci >= 0 && e.sc.Classes[ci].Arrival == ArrivalPoisson {
+		e.redraw(ci, t)
+	}
 	if ev.EverySec > 0 {
-		e.arm(ev.next(t, &dyn.rngs[i]), evDynamics, int32(i), 0)
+		e.arm(ev.next(t, dyn.stream(i)), evDynamics, int32(i), 0)
 	}
 }
 
@@ -1021,7 +1086,12 @@ func (e *engine) loop() {
 				break
 			}
 			e.capture(ev.T, ev.P.id)
-			e.arm(e.nextCapture(&e.cams[ev.P.id], ev.T), evCapture, ev.P.id, 0)
+			e.arm(ev.T+1/e.fps[e.cams[ev.P.id].class], evCapture, ev.P.id, 0)
+		case evArrive:
+			ci := ev.P.id
+			members := e.classCams[ci]
+			e.capture(ev.T, members[e.arrivals[ci].Intn(len(members))])
+			e.redraw(int(ci), ev.T)
 		case evReady:
 			id := int(ev.P.id)
 			e.enterTier(ev.T, e.firstHop[e.transfers[id].class], id)

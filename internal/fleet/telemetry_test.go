@@ -369,7 +369,9 @@ func dropWindowsDemo() Scenario {
 // every column still sums to its run total: windowedDemo's queue drops,
 // dropWindowsDemo's every drop cause and open outage, and a recovered
 // outage beside a degraded-then-restored link. The digests were recorded
-// while each window kept its own copy of the counts.
+// while each window kept its own copy of the counts; dropWindowsDemo's,
+// whose fleet has a Poisson class, was re-recorded when that class moved
+// onto one arrival stream.
 func TestTimeSeriesDigests(t *testing.T) {
 	recovered := dynamicsDemo(12)
 	recovered.Telemetry = &TelemetryConfig{Streaming: true, WindowSec: 1}
@@ -384,7 +386,7 @@ func TestTimeSeriesDigests(t *testing.T) {
 		want string
 	}{
 		{windowedDemo(), "94d21ec080282b307e7fc7896246ca69fd8450d99cf8affa1b8a5fb2ac337ac0"},
-		{dropWindowsDemo(), "5e29b9162d987031f238b7559c5621bd66f30d5bf56654def3e1279cf317bb26"},
+		{dropWindowsDemo(), "5c04756965c71294aee2ffee7104a3b8abf8d43e3bc4b69b178d3a28c4195b08"},
 		{recovered, "61c6be40fbade28ff5d901b3bc80e4786a596ab7800651b7f641433d89cb0840"},
 	} {
 		res, err := Run(tc.sc)
