@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"reflect"
@@ -439,6 +440,188 @@ func TestDynamicsFPSStepIsImmediate(t *testing.T) {
 	want := cams * mul * fps * delta
 	if z := (got - want) / math.Sqrt(want); math.Abs(z) > 4 {
 		t.Fatalf("%v frames in the %vs after a ×%v step, want %v (z %.2f)", got, delta, mul, want, z)
+	}
+}
+
+// periodicStep is a fleet of one periodic class, cams cameras at fps,
+// whose fps_profile steps to each of muls at the matching times, run for
+// duration.
+func periodicStep(cams int, fps, duration float64, at, muls []float64) Scenario {
+	sc := Scenario{
+		Name: "periodic-step", Seed: 3, Duration: duration,
+		Uplink:   UplinkConfig{Gbps: 1},
+		Classes:  []Class{{Name: "p", Count: cams, FPS: fps, FrameBytes: 1000}},
+		Dynamics: &DynamicsConfig{},
+	}
+	for k, m := range muls {
+		sc.Dynamics.Events = append(sc.Dynamics.Events, FleetEvent{Time: at[k], Kind: DynFPSProfile, Class: "p", Multiplier: m})
+	}
+	return sc
+}
+
+// periodicCaptured runs sc and returns its one class's captured frames.
+func periodicCaptured(t *testing.T, sc Scenario) int64 {
+	t.Helper()
+	res, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertConserved(t, sc.Name, res)
+	return res.Classes[0].Captured
+}
+
+// TestDynamicsPeriodicFPSStepIsImmediate is the periodic analogue of
+// TestDynamicsFPSStepIsImmediate: a ×4 step at t = 5 shortens what is
+// left of every camera's pending period at once, so each of 400 cameras
+// at 1 FPS captures exactly once in the quarter second after the step.
+// Had every camera first finished its 1 s period, only those whose phase
+// fell in that quarter, about 100, would.
+func TestDynamicsPeriodicFPSStepIsImmediate(t *testing.T) {
+	const cams, step, mul = 400, 5.0, 4.0
+	captured := func(duration float64) int64 {
+		return periodicCaptured(t, periodicStep(cams, 1, duration, []float64{step}, []float64{mul}))
+	}
+	// The runs share every draw before the step, so the difference is the
+	// count in [step, step+1/mul).
+	if got := captured(step+1/mul) - captured(step); got < cams-2 || got > cams+2 {
+		t.Fatalf("%d frames in the %vs after a ×%v step, want %d", got, 1/mul, mul, cams)
+	}
+}
+
+// TestDynamicsPeriodicRateStepMatchesDeclaredRate pins the rate clock to
+// the bit: a class declared at 2 FPS and the same class declared at 1
+// FPS under a ×2 fps_profile from t = 0 give identical ClassStats.
+// Halving commutes with rounding, so every capture time of the stepped
+// class is exactly the declared class's.
+func TestDynamicsPeriodicRateStepMatchesDeclaredRate(t *testing.T) {
+	declared := dynamicsDemo(9)
+	declared.Classes[0].FPS = 2
+	stepped := dynamicsDemo(9)
+	stepped.Classes[0].FPS = 1
+	stepped.Dynamics = &DynamicsConfig{Events: []FleetEvent{{Time: 0, Kind: DynFPSProfile, Class: "east", Multiplier: 2}}}
+	a, err := Run(declared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(stepped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Classes, b.Classes) {
+		t.Fatalf("2 FPS declared and 1 FPS ×2 differ:\n%+v\nvs\n%+v", a.Classes, b.Classes)
+	}
+}
+
+// TestDynamicsPeriodicStepAtHorizon pins a step shortly before Duration
+// at both edges. A ×4 step a quarter second before the horizon pulls
+// every camera's next capture inside it, three quarters of which lay past
+// the horizon at the step. A ×¼ step there pushes every pending capture
+// past it but those within a sixteenth of a second, which fire: exactly
+// the captures an unstepped run makes in that sixteenth. Every time
+// involved is exact in binary, so both counts are exact.
+func TestDynamicsPeriodicStepAtHorizon(t *testing.T) {
+	const cams, step, end = 400, 9.75, 10.0
+	before := periodicCaptured(t, periodicStep(cams, 1, step, nil, nil))
+	if got := periodicCaptured(t, periodicStep(cams, 1, end, []float64{step}, []float64{4})) - before; got != cams {
+		t.Errorf("×4 at %v: %d frames before the horizon at %v, want %d", step, got, end, cams)
+	}
+	want := periodicCaptured(t, periodicStep(cams, 1, step+(end-step)/4, nil, nil)) - before
+	if got := periodicCaptured(t, periodicStep(cams, 1, end, []float64{step}, []float64{0.25})) - before; got != want {
+		t.Errorf("×¼ at %v: %d frames before the horizon at %v, want %d", step, got, end, want)
+	}
+}
+
+// TestDynamicsPeriodicPauseResumes pins a pause: a ×1e-300 step parks a
+// periodic class, which captures nothing while parked, and a ×1 step
+// resumes it at its declared rate. No time is NaN, and every frame is
+// accounted. Pushing each camera's next capture about 1e300 s out and
+// dropping it at the horizon would leave the class silent after the
+// resume.
+func TestDynamicsPeriodicPauseResumes(t *testing.T) {
+	const cams, fps = 50, 2.0
+	run := func(duration float64) *Result {
+		sc := periodicStep(cams, fps, duration, []float64{2, 3}, []float64{1e-300, 1})
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertConserved(t, sc.Name, res)
+		return res
+	}
+	paused, resumed, end := run(2), run(3), run(6)
+	if got := resumed.Classes[0].Captured - paused.Classes[0].Captured; got != 0 {
+		t.Errorf("the paused class captured %d frames", got)
+	}
+	// Three seconds at 2 FPS is six captures per camera, give or take one
+	// at either edge.
+	if got := end.Classes[0].Captured - resumed.Classes[0].Captured; got < cams*5 || got > cams*7 {
+		t.Errorf("the resumed class captured %d frames in 3s, want about %d", got, cams*6)
+	}
+	for _, res := range []*Result{paused, resumed, end} {
+		c := res.Classes[0]
+		for _, v := range []float64{res.SimEnd, c.EnergyJ, c.LatencyP50, c.LatencyP95, c.LatencyP99} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("a time or total is %v: SimEnd %v, class %+v", v, res.SimEnd, c)
+			}
+		}
+	}
+}
+
+// TestDynamicsPeriodicRepeatedStepIsNoOp pins a step to the multiplier
+// already live: it moves no capture, to the bit. A non-dyadic rate keeps
+// the check sharp, since restarting the class's clock there would round
+// its capture times differently.
+func TestDynamicsPeriodicRepeatedStepIsNoOp(t *testing.T) {
+	once, err := Run(periodicStep(40, 3, 4, []float64{0.7}, []float64{1.3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice, err := Run(periodicStep(40, 3, 4, []float64{0.7, 2.1}, []float64{1.3, 1.3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(once.Classes, twice.Classes) {
+		t.Fatalf("a repeated ×1.3 moved the class:\n%+v\nvs\n%+v", once.Classes, twice.Classes)
+	}
+}
+
+// periodicChurn is TestCameraStructuresNeverRegrow's harvest fleet, on
+// TestDynamicsHarvestChurn's faster links, with a recurring leave on its
+// periodic class too, so both of its classes gain
+// and lose cameras throughout the run, at a constant rate.
+func periodicChurn() Scenario {
+	sc := dynamicsDemo(13)
+	sc.Tiers[0].Uplink.Gbps = 0.02
+	sc.Tiers[1].Uplink.Gbps = 0.02
+	sc.Tiers[2].Uplink.Gbps = 0.05
+	sc.Classes = []Class{
+		{Name: "bg", Count: 6, FPS: 4, FrameBytes: 20_000, Tier: "gw-b", QueueDepth: 4},
+		{Name: "solar", Count: 8, FPS: 8, Arrival: ArrivalPoisson, FrameBytes: 20_000,
+			OffloadProb: 0.7, Tier: "gw-a", QueueDepth: 3, CaptureJ: 1e-3, HarvestW: 0.02, StoreJ: 0.04},
+	}
+	sc.Dynamics = &DynamicsConfig{Events: []FleetEvent{
+		{Time: 0.5, Kind: DynCameraJoin, Class: "solar", Count: 2, EverySec: 0.8},
+		{Time: 1.0, Kind: DynCameraLeave, Class: "solar", EverySec: 1.2},
+		{Time: 1.5, Kind: DynCameraLeave, Class: "bg", Count: 2, EverySec: 0.9},
+		{Time: 2.0, Kind: DynCameraJoin, Class: "bg", Count: 3, EverySec: 0.3},
+	}}
+	return sc
+}
+
+// TestPeriodicChurnDigest pins the table of a periodic class under
+// recurring joins and leaves with no rate step: each joiner's first
+// capture falls a random phase inside one period after its join, and a
+// leaver's pending capture is skipped, so a joiner filed out of time
+// order, or a leaver that kept capturing, moves the digest.
+func TestPeriodicChurnDigest(t *testing.T) {
+	res, err := Run(periodicChurn())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertConserved(t, "periodic-churn", res)
+	const want = "f56508732b02e08d6dd59ce680587f12bbdadcfda4e82ceb95390d1de0447f28"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(res.Table()))); got != want {
+		t.Errorf("table digest %s, want %s:\n%s", got, want, res.Table())
 	}
 }
 
