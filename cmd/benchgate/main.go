@@ -21,12 +21,15 @@
 // Baseline entries without alloc fields gate on ns/op alone, so
 // re-recording allocations is opt-in per benchmark.
 //
-// With -update the gate runs in reverse: the bench output's best values
-// are written back into the baseline file (ns/op always; B/op and
-// allocs/op when measured), the "recorded" date is stamped, and every
-// hand-written field — descriptions, scenario shapes, history, notes —
-// is preserved. A new benchmark lands by adding a skeleton entry with an
-// empty "results" object and running -update.
+// With -update the gate runs in reverse: the bench output's best B/op and
+// allocs/op are written back into the baseline file, the "recorded" date
+// is stamped, and every hand-written field — descriptions, scenario
+// shapes, history, notes — is preserved. A variant's ns/op is written
+// only when the baseline records none for it yet: allocation repeats run
+// to run, but one host's best of three times does not, so re-recording an
+// allocation change must not re-baseline timing. Re-baselining ns/op is a
+// hand edit of the file. A new benchmark lands by adding a skeleton entry
+// with an empty "results" object and running -update.
 package main
 
 import (
@@ -250,13 +253,14 @@ func gate(bench string, baseline baselineBench, measured map[string]measurement,
 var timeNow = time.Now
 
 // updateBaseline rewrites the measured metrics in the baseline file from a
-// fresh `go test -bench` run: every recorded variant's ns_per_op — plus
-// b_per_op and allocs_per_op when the run reports them — is replaced by
-// the run's best (minimum) value, the top-level "recorded" date is
-// stamped, and every human-facing field (descriptions, scenario shapes,
-// history, notes) is carried through untouched. Variants measured in the
-// run but absent from a recorded benchmark's results are added bare, so a
-// new benchmark lands by writing a skeleton entry and running -update.
+// fresh `go test -bench` run: every measured variant's b_per_op and
+// allocs_per_op, when the run reports them, are replaced by the run's
+// best (minimum) value, and its ns_per_op is written only when the
+// variant records none; the top-level "recorded" date is stamped, and
+// every human-facing field (descriptions, scenario shapes, history,
+// notes) is carried through untouched. Variants measured in the run but
+// absent from a recorded benchmark's results are added bare, so a new
+// benchmark lands by writing a skeleton entry and running -update.
 // Recorded variants the run did not measure keep their old numbers, with
 // a warning — refreshing a subset is legitimate (a narrower -bench regex),
 // silently aging the rest is not.
@@ -331,16 +335,19 @@ func updateBaseline(benchPath, baselinePath string, out io.Writer) error {
 				entry = map[string]any{}
 				res[variant] = entry
 			}
-			entry["ns_per_op"] = num(got.nsPerOp)
-			if got.hasAllocs {
-				entry["b_per_op"] = num(got.bPerOp)
-				entry["allocs_per_op"] = num(got.allocsPerOp)
-			}
 			label := bench
 			if variant != "" {
 				label += "/" + variant
 			}
-			fmt.Fprintf(out, "benchgate: updated %-34s %12.0f ns/op\n", label, got.nsPerOp)
+			if _, timed := entry["ns_per_op"]; !timed {
+				entry["ns_per_op"] = num(got.nsPerOp)
+				fmt.Fprintf(out, "benchgate: recorded %-34s %12.0f ns/op\n", label, got.nsPerOp)
+			}
+			if got.hasAllocs {
+				entry["b_per_op"] = num(got.bPerOp)
+				entry["allocs_per_op"] = num(got.allocsPerOp)
+				fmt.Fprintf(out, "benchgate: updated %-34s %12.0f B/op %9.0f allocs/op\n", label, got.bPerOp, got.allocsPerOp)
+			}
 		}
 		for variant := range benches[bench].Results {
 			if _, ok := measured[bench][variant]; !ok {

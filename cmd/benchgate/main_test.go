@@ -218,8 +218,8 @@ func TestUpdateRewritesMetricsAndKeepsProse(t *testing.T) {
 	    "BenchmarkDeepTopology": {
 	      "scenario": {"cameras": 10000},
 	      "results": {
-	        "indexed": {"description": "production path", "ns_per_op": 1, "b_per_op": 2, "allocs_per_op": 3},
-	        "scan": {"description": "baseline path", "ns_per_op": 4, "b_per_op": 5, "allocs_per_op": 6}
+	        "indexed": {"description": "production path", "ns_per_op": 110000000, "b_per_op": 2, "allocs_per_op": 3},
+	        "scan": {"description": "baseline path", "ns_per_op": 210000000, "b_per_op": 5, "allocs_per_op": 6}
 	      }
 	    }
 	  },
@@ -249,8 +249,8 @@ func TestUpdateRewritesMetricsAndKeepsProse(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx := typed.Benchmarks["BenchmarkDeepTopology"].Results["indexed"]
-	if idx.NsPerOp != 104232684 || idx.BPerOp != 5801064 || *idx.AllocsPerOp != 384 {
-		t.Fatalf("indexed metrics not refreshed to the run's best: %+v", idx)
+	if idx.NsPerOp != 110000000 || idx.BPerOp != 5801064 || *idx.AllocsPerOp != 384 {
+		t.Fatalf("indexed allocation not refreshed to the run's best, or its timing moved: %+v", idx)
 	}
 	entry := doc["benchmarks"].(map[string]any)["BenchmarkDeepTopology"].(map[string]any)
 	if entry["scenario"].(map[string]any)["cameras"].(float64) != 10000 {
@@ -294,6 +294,47 @@ func TestUpdateFillsSkeletonBenchmark(t *testing.T) {
 	huge := typed.Benchmarks["BenchmarkHugeFleet"].Results[""]
 	if huge.NsPerOp != 474008193 || *huge.AllocsPerOp != 483 {
 		t.Fatalf("skeleton not filled: %+v", huge)
+	}
+}
+
+// TestUpdateKeepsRecordedTiming pins what -update may move: a recorded
+// variant keeps its ns_per_op whatever the run measured, faster or
+// slower, while its B/op and allocs/op follow the run; a variant that
+// records no ns_per_op yet takes the run's.
+func TestUpdateKeepsRecordedTiming(t *testing.T) {
+	const baseline = `{
+	  "benchmarks": {
+	    "BenchmarkDeepTopology": {
+	      "results": {
+	        "indexed": {"ns_per_op": 90000000, "b_per_op": 1, "allocs_per_op": 1},
+	        "scan": {"description": "untimed", "b_per_op": 1, "allocs_per_op": 1}
+	      }
+	    },
+	    "BenchmarkHugeFleet": {"results": {"": {"ns_per_op": 600000000}}}
+	  }
+	}`
+	benchPath, basePath := writeUpdateFixture(t, baseline, sampleBench)
+	var out strings.Builder
+	if err := updateBaseline(benchPath, basePath, &out); err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := os.ReadFile(basePath)
+	var typed baselineFile
+	if err := json.Unmarshal(raw, &typed); err != nil {
+		t.Fatal(err)
+	}
+	deep, huge := typed.Benchmarks["BenchmarkDeepTopology"].Results, typed.Benchmarks["BenchmarkHugeFleet"].Results[""]
+	if idx := deep["indexed"]; idx.NsPerOp != 90000000 || idx.BPerOp != 5801064 || *idx.AllocsPerOp != 384 {
+		t.Errorf("indexed: %+v, want ns/op kept at 90000000 and allocation from the run", idx)
+	}
+	if huge.NsPerOp != 600000000 || huge.BPerOp != 31441466 || *huge.AllocsPerOp != 483 {
+		t.Errorf("huge fleet: %+v, want ns/op kept at 600000000 and allocation from the run", huge)
+	}
+	if scan := deep["scan"]; scan.NsPerOp != 190398320 || *scan.AllocsPerOp != 379 {
+		t.Errorf("scan: %+v, want the run's ns/op recorded where none was", scan)
+	}
+	if !strings.Contains(out.String(), "recorded BenchmarkDeepTopology/scan") || strings.Contains(out.String(), "recorded BenchmarkDeepTopology/indexed") {
+		t.Errorf("report does not say which timings were recorded:\n%s", out.String())
 	}
 }
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"camsim/internal/fleet/queue"
@@ -176,6 +177,47 @@ func churnFleetScenario() Scenario {
 	return sc
 }
 
+// BenchmarkPeriodicFleet prices the periodic capture path at scale: the
+// deep topology with 30k periodic cameras, each of its 32 classes
+// stepped by an fps_profile every 0.1 s along a diurnal curve of its own
+// phase, so every class's capture clock moves about 40 times a run. It is
+// the one gated fleet benchmark whose captures are periodic. The alloc
+// counters are the regression surface: the per-class capture rings are
+// sized before the run, so no capture and no rate step allocates.
+// Baselines live in BENCH_topology.json and are gated by cmd/benchgate in
+// CI.
+func BenchmarkPeriodicFleet(b *testing.B) {
+	sc := periodicFleetScenario()
+	b.ReportAllocs()
+	b.ResetTimer() // the baseline counts runs only, not building sc
+	var frames int64
+	for i := 0; i < b.N; i++ {
+		res, err := Run(sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		frames += res.Total.Captured
+	}
+	b.ReportMetric(float64(frames)/float64(b.N), "frames/run")
+}
+
+// periodicFleetScenario is BenchmarkPeriodicFleet's scenario.
+func periodicFleetScenario() Scenario {
+	sc := deepFleetScenario(30_000)
+	sc.Dynamics = &DynamicsConfig{}
+	for ci := range sc.Classes {
+		sc.Classes[ci].Arrival = ArrivalPeriodic
+	}
+	for k := 1; float64(k)*0.1 < sc.Duration; k++ {
+		at := float64(k) * 0.1
+		for ci, c := range sc.Classes {
+			sc.Dynamics.Events = append(sc.Dynamics.Events, FleetEvent{Time: at, Kind: DynFPSProfile, Class: c.Name,
+				Multiplier: 1 + 0.25*math.Sin(2*math.Pi*at/sc.Duration+float64(ci))})
+		}
+	}
+	return sc
+}
+
 // BenchmarkComputeTiers prices the finite-core-pool path: the 10k-camera
 // deep topology with a compute section on all 41 tiers, sized so every
 // pool runs near 80% utilization — each frame queues for service at
@@ -255,7 +297,9 @@ func BenchmarkExactQuantiles(b *testing.B) {
 // ns/pop+push reports the cost of one step. Gaps in the timed loop cycle
 // through a small table drawn ahead of the timer, so neither the PRNG nor
 // a growing heap is in the measured loop, and allocs/op must stay 0. Baselines live in
-// BENCH_topology.json and are gated by cmd/benchgate in CI.
+// BENCH_topology.json and are gated by cmd/benchgate in CI. The resident
+// events stand for any heap event, and are labelled control ticks: no
+// capture waits on the heap.
 //
 // The two chain variants add a frame's fixed-delay stages at huge-fleet's
 // proportions: 100k resident captures, each re-armed a mean 0.5 s gap
@@ -264,6 +308,13 @@ func BenchmarkExactQuantiles(b *testing.B) {
 // 100k-chain-heap pushes every stage on the heap, the schedule before
 // delay lines; 100k-chain-lines files each stage on its delay's line.
 // ns/event counts captures and stages alike.
+//
+// The two periodic variants hold a periodic fleet's captures: 32 classes
+// of 937 or 938 cameras (30k in all) at 2 FPS, each capture re-armed one
+// period later. 30k-periodic-heap keeps one event per camera on the heap,
+// the schedule before capture rings; 30k-periodic-rings keeps each
+// class's captures in its ring behind one class key, as newEngine builds
+// them. ns/capture reports one step.
 func BenchmarkEventHeap(b *testing.B) {
 	const holdBatch = 1 << 14
 	gapRNG := newPRNG(1)
@@ -282,7 +333,7 @@ func BenchmarkEventHeap(b *testing.B) {
 			h := eventHeap{heap: make(queue.Heap[evRef], 0, size.n)}
 			var seq int64
 			for ; seq < int64(size.n); seq++ {
-				h.push(newEvent(rng.ExpFloat64(), seq, evCapture, int32(seq), 0))
+				h.push(newEvent(rng.ExpFloat64(), seq, evControl, int32(seq), 0))
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -311,7 +362,7 @@ func BenchmarkEventHeap(b *testing.B) {
 			}
 			var seq int64
 			for ; seq < n; seq++ {
-				h.push(newEvent(0.5*rng.ExpFloat64(), seq, evCapture, int32(seq), 0))
+				h.push(newEvent(0.5*rng.ExpFloat64(), seq, evControl, int32(seq), 0))
 			}
 			// stage schedules stage k of camera id's frame at loop time now.
 			stage := func(now float64, id, k int32) {
@@ -325,8 +376,8 @@ func BenchmarkEventHeap(b *testing.B) {
 			step := func() {
 				ev := h.pop()
 				switch {
-				case ev.kind() == evCapture:
-					h.push(newEvent(ev.T+0.5*gaps[seq&(int64(len(gaps))-1)], seq, evCapture, ev.P.id, 0))
+				case ev.kind() == evControl:
+					h.push(newEvent(ev.T+0.5*gaps[seq&(int64(len(gaps))-1)], seq, evControl, ev.P.id, 0))
 					seq++
 					stage(ev.T, ev.P.id, 0)
 				case int(ev.P.aux)+1 < len(chain):
@@ -346,6 +397,61 @@ func BenchmarkEventHeap(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/holdBatch, "ns/event")
+		})
+	}
+	const classes, cams, fps = 32, 30_000, 2.0
+	for _, v := range []struct {
+		name  string
+		rings bool
+	}{{"30k-periodic-heap", false}, {"30k-periodic-rings", true}} {
+		b.Run(v.name, func(b *testing.B) {
+			rng := newPRNG(2)
+			sizes, rates := make([]int, classes), make([]float64, classes)
+			for ci := range sizes {
+				sizes[ci], rates[ci] = cams/classes, fps
+				if ci < cams%classes {
+					sizes[ci]++
+				}
+			}
+			h := eventHeap{streams: queue.NewIndex(classes), horizon: math.Inf(1)}
+			var step func()
+			var seq int64
+			if v.rings {
+				h.periodic(sizes, rates)
+				for ci, n := range sizes {
+					for k := 0; k < n; k++ {
+						h.join(ci, 0, rng.Float64(), seq, int32(seq))
+						seq++
+					}
+				}
+				h.start()
+				step = func() {
+					ev := h.pop()
+					h.rearm(int(ev.P.aux), seq)
+					seq++
+				}
+			} else {
+				h.heap = make(queue.Heap[evRef], 0, cams)
+				for ci, n := range sizes {
+					for k := 0; k < n; k++ {
+						h.push(newEvent(rng.Float64()/fps, seq, evControl, int32(seq), int32(ci)))
+						seq++
+					}
+				}
+				step = func() {
+					ev := h.pop()
+					h.push(newEvent(ev.T+1/fps, seq, evControl, ev.P.id, ev.P.aux))
+					seq++
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < holdBatch; k++ {
+					step()
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/holdBatch, "ns/capture")
 		})
 	}
 }

@@ -58,19 +58,27 @@
 // platform.PaperThroughput for a Fig. 10 VR placement).
 //
 // A periodic camera captures every 1/FPS seconds from a phase its own
-// stream draws. A Poisson class's N cameras are each a Poisson process
-// at FPS, and together they are one Poisson process at N × FPS whose
-// every arrival marks a camera drawn uniformly (superposition and
-// uniform marking). The run draws exactly that: one arrival stream per
-// Poisson class, seeded by the scenario seed and the class index in a
-// family of its own, with one arrival pending at a time, not one
-// capture per camera. The stream is memoryless, so a join, a leave or an
-// "fps_profile" step only redraws the pending arrival from that instant,
-// and the new rate holds from the step on; a periodic camera finishes
-// its current period first. Every camera's own stream still draws each
-// of its frames' offload decisions. So a Poisson class's captures are a
-// function of the seed, its class index and its membership: a joiner
-// re-deals its own class's arrivals and no other class's.
+// stream draws, a joiner from a phase inside one period after its join.
+// Its class keeps time on a clock of its own that runs at the declared
+// FPS: an "fps_profile" step of multiplier m makes that clock run m times
+// as fast from the step on, so what is left of every camera's pending
+// period shortens or stretches at once, and a capture the step pushes
+// past Duration does not fire while one it pulls before Duration does.
+// Without a step the clock is real time, and each camera captures at
+// exactly the times its phase and period give. A Poisson class's N
+// cameras are each a Poisson process at FPS, and together they are one
+// Poisson process at N × FPS whose every arrival marks a camera drawn
+// uniformly (superposition and uniform marking). The run draws exactly
+// that: one arrival stream per Poisson class, seeded by the scenario seed
+// and the class index in a family of its own, with one arrival pending
+// at a time, not one capture per camera. The stream is memoryless, so a
+// join, a leave or an "fps_profile" step only redraws the pending arrival
+// from that instant, and the new rate holds from the step on. So a step
+// takes effect at once under either arrival pattern. Every camera's own
+// stream still draws each of its frames' offload decisions. So a Poisson
+// class's captures are a function of the seed, its class index and its
+// membership: a joiner re-deals its own class's arrivals and no other
+// class's.
 //
 // # Tiered topology
 //
@@ -297,17 +305,17 @@
 // "fallback" tier — repricing their forwarding-energy and delay tables,
 // which both controller kinds then score against — until "tier_recover"
 // re-homes them back. "fps_profile" sets a class's capture-rate
-// multiplier (piecewise diurnal/bursty load; a Poisson class's rate
-// steps at once, a periodic camera's after its current period), and
-// "compute_scale"
-// resizes a tier's core pool. Validation is strict per kind: unknown
-// kinds, out-of-order times, ghost tiers/classes, out-of-range factors,
-// misplaced knobs (a "class" is accepted only on "camera_join",
-// "camera_leave" and "fps_profile", a "tier" only on the other five
-// kinds), joins past 2^31−1 cameras, a failing root, or an
-// outage stranding attached cameras without a fallback all fail before
-// the run starts; dynamics cannot combine with a federated job (dropping
-// a round's blobs would deadlock its barrier).
+// multiplier (piecewise diurnal/bursty load; the class's rate steps at
+// once, periodic or Poisson), and "compute_scale" resizes a tier's core
+// pool. Validation is strict per kind: unknown kinds, out-of-order times,
+// ghost tiers/classes, out-of-range factors, misplaced knobs (a "class"
+// is accepted only on "camera_join", "camera_leave" and "fps_profile", a
+// "tier" only on the other five kinds), joins that add more than 2^22
+// cameras over the run (recurring firings replayed and counted) or take
+// the fleet past 2^31−1 cameras, a failing root, or an outage stranding
+// attached cameras without a fallback all fail before the run starts;
+// dynamics cannot combine with a federated job (dropping a round's blobs
+// would deadlock its barrier).
 //
 // Accounting conserves every emitted frame: captured = completed +
 // kept in camera + dropped (ClassStats.Offloaded, KeptInCamera and the
@@ -443,6 +451,19 @@
 // parallelism never reorders arithmetic within a run, so sweeps stay
 // reproducible too.
 //
+// A run is also exact in its units. Multiplying by a power of two
+// commutes with correct rounding, so a scenario whose times are all
+// doubled and whose rates are all halved runs to a Result whose times are
+// doubled bit for bit and whose counts, joules and utilizations are
+// unchanged. Likewise doubling every payload, capacity and blob size
+// while halving the per-byte joules doubles exactly the bytes reported,
+// and doubling every joule and watt doubles exactly the energy and power
+// reported, leaving the rest unchanged. TestScalingRelations checks these
+// relations on the golden scenarios and random ones, from a table giving
+// every numeric field of Scenario and Result its unit. A unit error
+// anywhere breaks them; a wrong formula with the right units does not,
+// which the analytic and queueing-theory tests are for.
+//
 // # Performance
 //
 // The event loop is engineered to run allocation-free in steady state, so
@@ -451,12 +472,19 @@
 // in a single variant; both are gated in CI by cmd/benchgate against
 // BENCH_topology.json):
 //
-//   - Per-event cost: a periodic capture (or a control tick, epoch,
-//     federated ready or dynamics entry) is one pop from the event heap
-//     (O(log events), no interface boxing — container/heap cost one
-//     allocation per Push). A Poisson arrival is a re-key in place of
-//     its class's key in the index of class streams, O(log classes). A
-//     frame's fixed-delay stage — in-camera compute, a
+//   - Per-event cost: a control tick, epoch, federated ready or dynamics
+//     entry is one pop from the event heap (O(log events), no interface
+//     boxing — container/heap cost one allocation per Push), and no
+//     capture waits there. A capture is a re-key in place of its class's
+//     key in the index of class keys, O(log classes): a Poisson class's
+//     key is its pending arrival, and a periodic class's is its ring's
+//     front, which a capture moves one period on to the ring's back (an
+//     append, since a re-arm follows every pending capture of its class)
+//     before re-keying the class at the new front's time, t0 + (x − x0) /
+//     m on the class's clock. A rate step is O(log classes) too: it
+//     restarts the clock and re-keys one class. A joiner's first capture
+//     shifts the captures after it in its ring, O(class size), at a few
+//     hundred joins a run. A frame's fixed-delay stage — in-camera compute, a
 //     hop's propagation, the root's, a federated blob's — is one pop
 //     from a delay line: a ring read plus a re-key in place in the index
 //     of line heads, O(log lines) with one line per distinct delay value
@@ -467,7 +495,7 @@
 //     event heap, the fair-share servers and the FIFO servers' busy cores
 //     are one queue.Heap over different payloads, held to
 //     container/heap's exact pop order by TestHeapsMatchContainerHeap,
-//     one case per payload. The line heads, the class streams and the
+//     one case per payload. The line heads, the class keys and the
 //     link index are one queue.Index, a heap holding at most one key per numbered source,
 //     held to a scan of its keys by TestIndexMatchesScan. The delay
 //     lines and the FIFO servers' waiting queues are one queue.Ring, a
@@ -475,10 +503,13 @@
 //   - Event size: an event is 24 bytes — time, the scheduling sequence
 //     number with the kind in its low 4 bits, and two int32s naming the
 //     subject (camera, class, participant, schedule entry or transfer)
-//     and a link or round. A 100k-camera periodic fleet keeps ~100k
-//     events resident, so the earlier 64-byte, one-cache-line event made
-//     the heap cache-miss bound; a Poisson fleet keeps one arrival per
-//     class instead (32 on huge-fleet's 100k cameras, down from 100k). A frame's capture time and payload live in
+//     and a class, link or round. A 100k-camera periodic fleet keeps
+//     ~100k captures resident, one per camera in its class's ring, so the
+//     earlier 64-byte, one-cache-line event made the queue cache-miss
+//     bound; the rings are read and written in order, front to back, and
+//     only their fronts are keyed, one key per class (32 on a fleet of
+//     32 classes of any size, down from one heap event per camera). A
+//     Poisson fleet keeps one arrival per class. A frame's capture time and payload live in
 //     its transfer record, allocated from the recycled slab at capture,
 //     so the ready event carries only the transfer id. Push and pop sift
 //     through a hole: the moving event is held aside, parents or smaller
@@ -494,11 +525,19 @@
 //     the bare counter — and every correct min-heap pops a total order
 //     in the same sequence. A delay line keeps each event's sequence
 //     number, and is sorted as filed: loop time never decreases, and
-//     adding the line's constant delay is monotone in floating point. So
-//     the earliest of the heap's top, the earliest line front and the
-//     earliest pending arrival is the same event one heap of everything
-//     would pop. The layout, sift and
-//     line changes therefore cannot change any output;
+//     adding the line's constant delay is monotone in floating point. A
+//     ring keeps each capture's sequence number and its time x on the
+//     class's clock, sorted by (x, sequence): newEngine sorts it once, a
+//     capture that fires at x re-arms at x + 1/FPS, after every other
+//     pending capture of its class, each armed at an x no later and
+//     rounding being monotone, and a joiner is filed at its place. The
+//     clock maps x to real time monotonically, and with no rate step it
+//     is the identity, t0 = x0 = 0 and m = 1, so each capture's key is
+//     its x to the bit, the time one heap event per camera would carry.
+//     So the earliest of the heap's top, the earliest line front and
+//     the earliest class key is the same event one heap of everything
+//     would pop. The layout, sift, line and ring changes therefore cannot
+//     change any output of a run without a periodic rate step;
 //     TestHeapsMatchContainerHeap, TestRandomScenarioInvariants' pinned
 //     digests and the goldens hold that. The link index's keys, (finish
 //     time, link index), are unique too, so its minimum is the one an
@@ -532,18 +571,21 @@
 //     camera count or the total frame count. The camera slab, the
 //     harvest table and each class's camera list are sized exactly
 //     before the run and never regrow: the declared cameras plus those
-//     the schedule's joins add, counted by replaying each camera_join
-//     entry's firings on a copy of its stream (nothing else draws from
-//     it, and its re-arms stop at Duration), at most 2^22 joiners. Only
-//     a churn entry owns a stream, since no other kind draws. The
-//     event heap is preallocated to its structural bound and never
-//     regrows either — one pending capture per periodic camera, joiners
-//     included, one control tick per class, one global epoch, one ready
-//     event per federated participant, and for the fault schedule one
-//     pending first firing plus one re-firing per recurring entry —
-//     because frames in flight wait on delay lines and a Poisson class's
-//     one pending arrival waits in the class streams' index, sized once
-//     and re-keyed in place, never on the heap. The
+//     the schedule's joins add, counted when the scenario is validated
+//     by replaying each camera_join entry's firings on a copy of its
+//     stream (nothing else draws from it, and its re-arms stop at
+//     Duration); validation rejects joins that add more than 2^22
+//     cameras. Only a churn entry owns a stream, since no other kind
+//     draws. A periodic class's ring is a segment of one slab of 24-byte
+//     captures, sized the same way, since each camera, departed or not,
+//     has at most one capture pending. The event heap is preallocated to
+//     its structural bound and never regrows either — one control tick
+//     per class, one global epoch, one ready event per federated
+//     participant, and for the fault schedule one pending first firing
+//     plus one re-firing per recurring entry — because frames in flight
+//     wait on delay lines and captures behind their classes' keys, sized
+//     once and re-keyed in place, never on the heap: the bound counts
+//     classes and subsystems, not cameras. The
 //     schedule waits behind a cursor: each entry's first firing pushes
 //     the next entry's, under the scheduling number reserved for it
 //     before the run, so entries pop in the order a heap of the whole

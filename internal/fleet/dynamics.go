@@ -58,9 +58,11 @@ type FleetEvent struct {
 	Fallback string `json:"fallback,omitempty"`
 
 	// Multiplier rescales the class's capture rate (its FPS) from this
-	// time on — piecewise-constant diurnal/bursty load (fps_profile). A
-	// Poisson class's arrivals follow the new rate at once; a periodic
-	// camera finishes its current period first.
+	// time on — piecewise-constant diurnal/bursty load (fps_profile). The
+	// new rate holds at once: a Poisson class redraws its pending arrival,
+	// and a periodic class's clock runs Multiplier times as fast as its
+	// declared rate, so what is left of each camera's pending period
+	// scales by the old multiplier over the new.
 	Multiplier float64 `json:"multiplier,omitempty"`
 	// Cores is the tier core pool's new size (compute_scale).
 	Cores int `json:"cores,omitempty"`
@@ -119,23 +121,31 @@ func (e *FleetEvent) churns() bool { return e.Kind == DynCameraJoin || e.Kind ==
 // indices are int32, like the engine's camera and class ids.
 type dynRef struct{ class, tier, fall int32 }
 
+// maxJoiners is the most cameras a schedule's joins may add, first and
+// recurring firings together: the engine sizes every camera structure for
+// them before the run.
+const maxJoiners = 1 << 22
+
 // validateDynamics checks the dynamics schedule against the resolved tier
 // tree and the declared camera total: known kinds, finite non-decreasing
-// times, resolvable classes and tiers, in-range factors, joins that keep
-// the camera ids inside int32, per-tier outage/recover alternation, and a
-// usable fallback for every outage that strands attached cameras. Each
-// kind also rejects the other kinds' knobs — a misplaced field must fail,
-// not silently do nothing. It returns each entry's resolved names, which
-// the run reads instead of looking them up again.
-func (sc *Scenario) validateDynamics(nodes []tierNode, cameras int) ([]dynRef, error) {
+// times, resolvable classes and tiers, in-range factors, joins that add
+// at most maxJoiners cameras and keep the camera ids inside int32,
+// per-tier outage/recover alternation, and a usable fallback for every
+// outage that strands attached cameras. Each kind also rejects the other
+// kinds' knobs — a misplaced field must fail, not silently do nothing. It
+// returns each entry's resolved names, which the run reads instead of
+// looking them up again, and the cameras the joins add to each class (nil
+// without a schedule).
+func (sc *Scenario) validateDynamics(nodes []tierNode, cameras int) ([]dynRef, []int, error) {
 	d := sc.Dynamics
-	if d == nil {
-		return nil, nil
+	if d == nil || len(d.Events) == 0 {
+		return nil, nil, nil
 	}
-	if len(d.Events) > 0 && sc.Federated != nil {
-		return nil, fmt.Errorf("fleet: scenario %q: dynamics cannot combine with a federated job (dropping a round's blobs in an outage would deadlock its barrier)", sc.Name)
+	if sc.Federated != nil {
+		return nil, nil, fmt.Errorf("fleet: scenario %q: dynamics cannot combine with a federated job (dropping a round's blobs in an outage would deadlock its barrier)", sc.Name)
 	}
 	refs := make([]dynRef, len(d.Events))
+	declared := cameras
 	down := make(map[int]bool, 2)
 	prev := 0.0
 	for i := range d.Events {
@@ -146,74 +156,74 @@ func (sc *Scenario) validateDynamics(nodes []tierNode, cameras int) ([]dynRef, e
 				sc.Name, i, e.Kind, fmt.Sprintf(format, args...))
 		}
 		if !(e.Time >= 0) || math.IsInf(e.Time, 0) {
-			return nil, bad("time %v sec must be finite and non-negative", e.Time)
+			return nil, nil, bad("time %v sec must be finite and non-negative", e.Time)
 		}
 		if e.Time < prev {
-			return nil, bad("time %v sec before the previous event's %v (the schedule must be time-ordered)", e.Time, prev)
+			return nil, nil, bad("time %v sec before the previous event's %v (the schedule must be time-ordered)", e.Time, prev)
 		}
 		prev = e.Time
 		churn := e.churns()
 		if !churn && (e.Count != 0 || e.EverySec != 0) {
-			return nil, bad("count/every_sec belong to %s and %s only", DynCameraJoin, DynCameraLeave)
+			return nil, nil, bad("count/every_sec belong to %s and %s only", DynCameraJoin, DynCameraLeave)
 		}
 		if !churn && e.Kind != DynFPSProfile && e.Class != "" {
-			return nil, bad("class belongs to %s, %s and %s only", DynCameraJoin, DynCameraLeave, DynFPSProfile)
+			return nil, nil, bad("class belongs to %s, %s and %s only", DynCameraJoin, DynCameraLeave, DynFPSProfile)
 		}
 		if e.Kind != DynLinkDegrade && e.Factor != 0 {
-			return nil, bad("factor belongs to %s only", DynLinkDegrade)
+			return nil, nil, bad("factor belongs to %s only", DynLinkDegrade)
 		}
 		if e.Kind != DynTierOutage && e.Fallback != "" {
-			return nil, bad("fallback belongs to %s only", DynTierOutage)
+			return nil, nil, bad("fallback belongs to %s only", DynTierOutage)
 		}
 		if e.Kind != DynFPSProfile && e.Multiplier != 0 {
-			return nil, bad("multiplier belongs to %s only", DynFPSProfile)
+			return nil, nil, bad("multiplier belongs to %s only", DynFPSProfile)
 		}
 		if e.Kind != DynComputeScale && e.Cores != 0 {
-			return nil, bad("cores belongs to %s only", DynComputeScale)
+			return nil, nil, bad("cores belongs to %s only", DynComputeScale)
 		}
 		// Each kind names a class or a tier, resolved here once for the run.
 		switch e.Kind {
 		case DynCameraJoin, DynCameraLeave, DynFPSProfile:
 			if e.Tier != "" {
-				return nil, bad("tier belongs to the link and tier kinds")
+				return nil, nil, bad("tier belongs to the link and tier kinds")
 			}
 			if ref.class = int32(classIndex(sc.Classes, e.Class)); ref.class < 0 {
-				return nil, bad("unknown class %q", e.Class)
+				return nil, nil, bad("unknown class %q", e.Class)
 			}
 		case DynLinkDegrade, DynLinkRestore, DynTierOutage, DynTierRecover, DynComputeScale:
 			if ref.tier = int32(tierIndex(nodes, e.Tier)); ref.tier < 0 {
-				return nil, bad("unknown tier %q", e.Tier)
+				return nil, nil, bad("unknown tier %q", e.Tier)
 			}
 		default:
-			return nil, bad("unknown event kind")
+			return nil, nil, bad("unknown event kind")
 		}
 		switch ti := int(ref.tier); e.Kind {
 		case DynCameraJoin, DynCameraLeave:
 			if e.Count <= 0 {
-				return nil, bad("count %d must be positive", e.Count)
+				return nil, nil, bad("count %d must be positive", e.Count)
 			}
 			// Joined cameras take the ids after the declared ones. Each
-			// entry's first firing counts here; recurring re-firings are
-			// not bounded.
+			// entry's first firing counts here, and replayJoins bounds the
+			// re-firings.
 			if e.Kind == DynCameraJoin {
 				if e.Count > math.MaxInt32-cameras {
-					return nil, bad("count %d makes more than %d cameras", e.Count, math.MaxInt32)
+					return nil, nil, bad("count %d makes more than %d cameras", e.Count, math.MaxInt32)
 				}
 				cameras += e.Count
 			}
 			if !(e.EverySec >= 0) || math.IsInf(e.EverySec, 0) {
-				return nil, bad("every_sec %v must be finite and non-negative", e.EverySec)
+				return nil, nil, bad("every_sec %v must be finite and non-negative", e.EverySec)
 			}
 		case DynLinkDegrade:
 			if !(e.Factor >= 0) || math.IsInf(e.Factor, 0) {
-				return nil, bad("factor %v out of range (a capacity scale must be finite and non-negative; 0 is an outage)", e.Factor)
+				return nil, nil, bad("factor %v out of range (a capacity scale must be finite and non-negative; 0 is an outage)", e.Factor)
 			}
 		case DynTierOutage:
 			if nodes[ti].parent < 0 {
-				return nil, bad("the root tier cannot fail (degrade its link to factor 0 instead)")
+				return nil, nil, bad("the root tier cannot fail (degrade its link to factor 0 instead)")
 			}
 			if down[ti] {
-				return nil, bad("tier %q is already down", e.Tier)
+				return nil, nil, bad("tier %q is already down", e.Tier)
 			}
 			down[ti] = true
 			attached := false
@@ -224,42 +234,81 @@ func (sc *Scenario) validateDynamics(nodes []tierNode, cameras int) ([]dynRef, e
 				}
 			}
 			if attached && e.Fallback == "" {
-				return nil, bad("tier %q has attached classes and needs a fallback to re-home them to", e.Tier)
+				return nil, nil, bad("tier %q has attached classes and needs a fallback to re-home them to", e.Tier)
 			}
 			if e.Fallback != "" {
 				fb := tierIndex(nodes, e.Fallback)
 				if fb < 0 {
-					return nil, bad("unknown fallback tier %q", e.Fallback)
+					return nil, nil, bad("unknown fallback tier %q", e.Fallback)
 				}
 				if fb == ti {
-					return nil, bad("fallback %q is the failing tier itself", e.Fallback)
+					return nil, nil, bad("fallback %q is the failing tier itself", e.Fallback)
 				}
 				for li := fb; li >= 0; li = nodes[li].parent {
 					if li == ti {
-						return nil, bad("fallback %q offloads through the failing tier %q", e.Fallback, e.Tier)
+						return nil, nil, bad("fallback %q offloads through the failing tier %q", e.Fallback, e.Tier)
 					}
 				}
 				ref.fall = int32(fb)
 			}
 		case DynTierRecover:
 			if !down[ti] {
-				return nil, bad("tier %q is not down", e.Tier)
+				return nil, nil, bad("tier %q is not down", e.Tier)
 			}
 			down[ti] = false
 		case DynFPSProfile:
 			if !(e.Multiplier > 0) || math.IsInf(e.Multiplier, 0) {
-				return nil, bad("multiplier %v must be positive and finite", e.Multiplier)
+				return nil, nil, bad("multiplier %v must be positive and finite", e.Multiplier)
 			}
 		case DynComputeScale:
 			if nodes[ti].Compute == nil {
-				return nil, bad("tier %q has no compute section to scale", e.Tier)
+				return nil, nil, bad("tier %q has no compute section to scale", e.Tier)
 			}
 			if e.Cores <= 0 {
-				return nil, bad("cores %d must be positive", e.Cores)
+				return nil, nil, bad("cores %d must be positive", e.Cores)
 			}
 		}
 	}
-	return refs, nil
+	joiners, err := sc.replayJoins(refs, declared)
+	return refs, joiners, err
+}
+
+// replayJoins runs the schedule's joins ahead of the run and returns the
+// cameras they add to each class. An entry's first firing always runs; a
+// recurring one fires again at next's times while they fall before
+// Duration (arm); and nothing else draws from a join entry's stream
+// (churnStream). So a replay on its own copy of the stream counts exactly
+// the run's joins. It rejects joins that add more
+// than maxJoiners cameras, stopping at the firing that passes the bound,
+// or whose re-firings take the camera ids past int32 after the declared
+// cameras.
+func (sc *Scenario) replayJoins(refs []dynRef, declared int) ([]int, error) {
+	joiners := make([]int, len(sc.Classes))
+	joined := 0
+	for i := range sc.Dynamics.Events {
+		ev := &sc.Dynamics.Events[i]
+		if ev.Kind != DynCameraJoin {
+			continue
+		}
+		t, rng := ev.Time, churnStream(sc.Seed, i)
+		for {
+			if ev.Count > maxJoiners-joined {
+				return nil, fmt.Errorf("fleet: scenario %q: dynamics event %d (%s): joins add more than %d cameras", sc.Name, i, ev.Kind, maxJoiners)
+			}
+			joiners[refs[i].class] += ev.Count
+			joined += ev.Count
+			if ev.EverySec == 0 {
+				break
+			}
+			if t = ev.next(t, &rng); !(t < sc.Duration) {
+				break
+			}
+		}
+	}
+	if joined > math.MaxInt32-declared {
+		return nil, fmt.Errorf("fleet: scenario %q: %d declared cameras and %d joiners make more than %d cameras", sc.Name, declared, joined, math.MaxInt32)
+	}
+	return joiners, nil
 }
 
 // DynamicsStats is the run-wide accounting of the dynamics schedule; set
@@ -332,42 +381,25 @@ func (ev *FleetEvent) next(t float64, rng *prng) float64 {
 	return t + float64(rng.ExpFloat64()*ev.EverySec)
 }
 
+// churnStream seeds schedule entry i's churn stream, for the run and for
+// the replay of its joins alike.
+func churnStream(seed int64, i int) prng { return newPRNG(streamSeed(seed, seedDynamics, i)) }
+
 // stream returns churn entry i's stream.
 func (dyn *dynamics) stream(i int) *prng {
 	k, _ := slices.BinarySearch(dyn.churn, int32(i))
 	return &dyn.rngs[k]
 }
 
-// replay runs the schedule ahead of the run: it returns the cameras the
-// camera_join firings add to each class and in all, and how many entries
-// recur, all of them churn entries. An entry's first firing always runs;
-// a recurring one fires again at next's times while they fall before
-// duration (arm); and nothing else draws from a join entry's stream. So
-// a replay on a copy of the stream counts exactly the run's joins. The
-// count stops at estCap, the most an estimate preallocates.
-func (dyn *dynamics) replay(classes int, duration float64) (joins []int, joined, recurring int) {
-	joins = make([]int, classes)
-	for k, i := range dyn.churn {
-		ev := &dyn.events[i]
-		if ev.EverySec > 0 {
-			recurring++
-		}
-		if ev.Kind != DynCameraJoin {
-			continue
-		}
-		t, rng := ev.Time, dyn.rngs[k]
-		for joined < estCap {
-			joins[dyn.refs[i].class] += ev.Count
-			joined += ev.Count
-			if ev.EverySec == 0 {
-				break
-			}
-			if t = ev.next(t, &rng); !(t < duration) {
-				break
-			}
+// recurring returns how many entries recur, all of them churn entries.
+func (dyn *dynamics) recurring() int {
+	n := 0
+	for _, i := range dyn.churn {
+		if dyn.events[i].EverySec > 0 {
+			n++
 		}
 	}
-	return joins, joined, recurring
+	return n
 }
 
 // newDynamics builds the schedule's live state for a tree of tiers
@@ -399,7 +431,7 @@ func newDynamics(sc *Scenario, refs []dynRef, tiers int, firstHop []int) *dynami
 	for i := range evs {
 		if evs[i].churns() {
 			dyn.churn = append(dyn.churn, int32(i))
-			dyn.rngs = append(dyn.rngs, newPRNG(streamSeed(sc.Seed, seedDynamics, i)))
+			dyn.rngs = append(dyn.rngs, churnStream(sc.Seed, i))
 		}
 	}
 	return dyn

@@ -964,6 +964,11 @@ func TestDynamicsValidation(t *testing.T) {
 			{Time: 1, Kind: DynCameraJoin, Class: "east", Count: math.MaxInt32 - 30},
 			{Time: 2, Kind: DynCameraJoin, Class: "west", Count: 10},
 		}, "count 10 makes more than 2147483647 cameras"},
+		// Every firing counts toward the joiner bound, recurring ones too:
+		// 1000 cameras about every microsecond for 7 s.
+		{"recurring joins past the bound", []FleetEvent{
+			{Time: 1, Kind: DynCameraJoin, Class: "east", Count: 1000, EverySec: 1e-6},
+		}, "dynamics event 0 (camera_join): joins add more than 4194304 cameras"},
 	} {
 		sc := dynamicsDemo(1)
 		sc.Dynamics = &DynamicsConfig{Events: tc.evs}
@@ -971,8 +976,26 @@ func TestDynamicsValidation(t *testing.T) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
-	// A fallback whose offload path crosses the failing tier is useless.
+	// The bound is on the cameras the joins add: exactly 2^22 validate, one
+	// more does not, and re-firings that pass the int32 ids after the
+	// declared cameras fail though each first firing fits.
 	sc := dynamicsDemo(1)
+	sc.Dynamics = &DynamicsConfig{Events: []FleetEvent{{Time: 1, Kind: DynCameraJoin, Class: "east", Count: 1 << 22}}}
+	if err := sc.Validate(); err != nil {
+		t.Errorf("2^22 joiners: %v", err)
+	}
+	sc.Dynamics.Events = append(sc.Dynamics.Events, FleetEvent{Time: 2, Kind: DynCameraJoin, Class: "west", Count: 1})
+	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "dynamics event 1 (camera_join): joins add more than 4194304 cameras") {
+		t.Errorf("2^22+1 joiners: err = %v", err)
+	}
+	sc.Classes[0].Count = math.MaxInt32 - 30
+	sc.Dynamics.Events = []FleetEvent{{Time: 1, Kind: DynCameraJoin, Class: "east", Count: 5, EverySec: 0.01}}
+	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "2147483629 declared cameras and") ||
+		!strings.Contains(err.Error(), "joiners make more than 2147483647 cameras") {
+		t.Errorf("re-firings past the camera ids: err = %v", err)
+	}
+	// A fallback whose offload path crosses the failing tier is useless.
+	sc = dynamicsDemo(1)
 	sc.Tiers = []Tier{
 		{Name: "leaf", Parent: "mid", Uplink: UplinkConfig{Gbps: 1}},
 		{Name: "mid", Parent: "core", Uplink: UplinkConfig{Gbps: 1}},
@@ -1124,7 +1147,9 @@ func TestDynamicsHarvestChurn(t *testing.T) {
 // checks that the camera slab, the harvest table, every class's camera
 // list and the event heap end the run at the capacities newEngine gave
 // them, and that the slab is exactly full: the replay of the joins
-// counted every camera the run added, and no more.
+// counted every camera the run added, and no more. Each periodic class's
+// ring, which holds at most one capture per camera the class ever had,
+// is sized for exactly those cameras.
 func TestCameraStructuresNeverRegrow(t *testing.T) {
 	harvest := dynamicsDemo(13)
 	harvest.Classes = []Class{
@@ -1158,7 +1183,8 @@ func TestCameraStructuresNeverRegrow(t *testing.T) {
 		{Time: 1, Kind: DynCameraJoin, Class: "east", Count: 2, EverySec: 0.5},
 		{Time: 9, Kind: DynCameraJoin, Class: "west", Count: 3, EverySec: 0.5},
 	}}
-	for name, sc := range map[string]Scenario{"harvest": harvest, "poisson": poisson, "one-shot": oneShot, "late": late, "churn-fleet": churnFleetScenario()} {
+	for name, sc := range map[string]Scenario{"harvest": harvest, "poisson": poisson, "one-shot": oneShot, "late": late,
+		"churn-fleet": churnFleetScenario(), "periodic-churn": periodicChurn()} {
 		e, err := newEngine(sc)
 		if err != nil {
 			t.Fatal(err)
@@ -1168,19 +1194,28 @@ func TestCameraStructuresNeverRegrow(t *testing.T) {
 			for _, cc := range e.classCams {
 				c = append(c, cap(cc))
 			}
+			for _, r := range e.events.rings {
+				c = append(c, cap(r.q))
+			}
 			return c
 		}
 		before := caps()
 		e.loop()
 		res := e.result()
 		if after := caps(); !slices.Equal(after, before) {
-			t.Errorf("%s: capacities (cameras, harvest, heap, class lists) went from %v to %v", name, before, after)
+			t.Errorf("%s: capacities (cameras, harvest, heap, class lists, rings) went from %v to %v", name, before, after)
 		}
 		if len(e.cams) != cap(e.cams) || res.Dynamics.Joined == 0 {
 			t.Errorf("%s: %d cameras (%d joined) in a slab built for %d", name, len(e.cams), res.Dynamics.Joined, cap(e.cams))
 		}
 		if len(e.rows) != cap(e.rows) {
 			t.Errorf("%s: %d rows in a table built for %d", name, len(e.rows), cap(e.rows))
+		}
+		for ci, r := range e.events.rings {
+			st := res.Classes[ci]
+			if had := len(r.q); e.sc.Classes[ci].Arrival == ArrivalPeriodic && had != st.Cameras+int(st.Left) {
+				t.Errorf("%s: class %s's ring holds %d entries for %d cameras", name, st.Name, had, st.Cameras+int(st.Left))
+			}
 		}
 	}
 }

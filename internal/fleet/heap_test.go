@@ -65,7 +65,7 @@ func TestEventLayout(t *testing.T) {
 		t.Fatalf("event kind %d does not fit in %d bits", evDynamics, kindBits)
 	}
 	const seq = 1<<40 + 3
-	for kind := evCapture; kind <= evDynamics; kind++ {
+	for kind := evPeriodic; kind <= evDynamics; kind++ {
 		ev := newEvent(2.5, seq+int64(kind), kind, math.MaxInt32, math.MaxInt32)
 		if ev.kind() != kind || ev.Tie>>kindBits != seq+int64(kind) ||
 			ev.P.id != math.MaxInt32 || ev.P.aux != math.MaxInt32 || ev.T != 2.5 {
@@ -95,6 +95,31 @@ func TestDelayLinesPerDelay(t *testing.T) {
 	}
 	if want := []float64{0.002, 0.01, 0.0002, 0.005}; !slices.Equal(got, want) {
 		t.Fatalf("line delays %v, want %v", got, want)
+	}
+}
+
+// TestHeapCountsClassesNotCameras pins what newEngine puts on a periodic
+// fleet's event heap: nothing per camera. BenchmarkPeriodicFleet's 30k
+// periodic cameras in 32 classes leave the heap holding one event, the
+// schedule cursor's first entry, in room for a control tick per class,
+// one global epoch and the cursor, while every class is keyed once and
+// the rings hold the cameras.
+func TestHeapCountsClassesNotCameras(t *testing.T) {
+	sc := periodicFleetScenario()
+	e, err := newEngine(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &e.events
+	if len(h.heap) != 1 || cap(h.heap) != 1+len(sc.Classes)+1 {
+		t.Errorf("heap holds %d events in room for %d, want 1 in room for %d", len(h.heap), cap(h.heap), 1+len(sc.Classes)+1)
+	}
+	held := 0
+	for _, r := range h.rings {
+		held += r.n
+	}
+	if h.streams.Len() != len(sc.Classes) || held != sc.Cameras() {
+		t.Errorf("%d class keys over rings of %d captures, want %d keys and %d captures", h.streams.Len(), held, len(sc.Classes), sc.Cameras())
 	}
 }
 
@@ -139,7 +164,9 @@ func drive[P comparable](t *testing.T, rng *rand.Rand, gen func(i int) queue.Ite
 // servers, FIFO servers' busy cores) streams pop exactly the items
 // container/heap pops, so the heap cannot have changed any simulation
 // output. The event case also holds the whole event queue, heap and delay
-// lines merged, to one reference heap of every event. The queue.Index
+// lines merged, to one reference heap of every event, and the rings case
+// holds periodic captures in their classes' rings, merged with both, to
+// one as well. The queue.Index
 // instantiations, the link index and the line heads, are held to a scan
 // by TestIndexMatchesScan (package queue) and TestLinkIndexMatchesScan.
 func TestHeapsMatchContainerHeap(t *testing.T) {
@@ -217,6 +244,90 @@ func TestHeapsMatchContainerHeap(t *testing.T) {
 		if _, ok := h.next(); ok || h.len() != 0 || h.heads.Len() != 0 {
 			t.Fatalf("event queue retains %d events and %d line heads after drain", h.len(), h.heads.Len())
 		}
+	})
+
+	// The rings hold periodic captures behind one key per class. With no
+	// rate step each class's clock is the identity, so the queue must pop
+	// every capture, joiner and departure included, where one reference
+	// heap of every capture puts it, interleaved with heap events and line
+	// events on the same quarter-second grid. Captures at or past the
+	// horizon stay in their rings and never pop, as arm never pushed them.
+	t.Run("rings", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(103))
+		const horizon = 400
+		sizes, fps := []int{300, 0, 200, 150}, []float64{2, 0, 4, 1}
+		h := eventHeap{streams: queue.NewIndex(len(sizes)), horizon: horizon}
+		extra := 40 // joiners per class
+		for ci := range sizes {
+			if sizes[ci] > 0 {
+				sizes[ci] += extra
+			}
+		}
+		h.periodic(sizes, fps)
+		line := h.line(0.25)
+		ref := &refHeap[event]{less: eventLess}
+		var seq int64
+		var cams []int32 // each camera's class
+		departed := map[int32]bool{}
+		join := func(ci int, now float64) {
+			cam := int32(len(cams))
+			cams = append(cams, int32(ci))
+			u := rng.Float64()
+			h.join(ci, now, u, seq, cam)
+			if at := now + u/fps[ci]; at < horizon {
+				heap.Push(ref, newEvent(at, seq, evPeriodic, cam, int32(ci)))
+			}
+			seq++
+		}
+		for ci, n := range sizes {
+			for k := 0; k < n-extra; k++ {
+				join(ci, 0)
+			}
+		}
+		h.start()
+		push := func(at float64) {
+			ev := newEvent(at, seq, evControl, int32(rng.Intn(1<<20)), 0)
+			seq++
+			h.push(ev)
+			heap.Push(ref, ev)
+		}
+		for i := 0; i < 2000; i++ {
+			push(math.Round(4*rng.ExpFloat64()*50) / 4)
+		}
+		joined, pops := 0, 0
+		for ; ref.Len() > 0; pops++ {
+			got, want := h.pop(), heap.Pop(ref).(event)
+			if got != want {
+				t.Fatalf("popped %+v, reference popped %+v", got, want)
+			}
+			switch {
+			case got.kind() == evPeriodic && departed[got.P.id]:
+				h.skip(int(got.P.aux))
+			case got.kind() == evPeriodic:
+				ci := int(got.P.aux)
+				h.rearm(ci, seq)
+				if at := got.T + 1/fps[ci]; at < horizon {
+					heap.Push(ref, newEvent(at, seq, evPeriodic, got.P.id, got.P.aux))
+				}
+				seq++
+				if rng.Intn(50) == 0 {
+					departed[got.P.id] = true
+				}
+				if joined < 3*extra && rng.Intn(100) == 0 {
+					join(ci, got.T)
+					joined++
+				}
+				if rng.Intn(4) == 0 {
+					h.file(line, got.T, seq, evLand, got.P.id, 0)
+					heap.Push(ref, newEvent(got.T+0.25, seq, evLand, got.P.id, 0))
+					seq++
+				}
+			}
+		}
+		if _, ok := h.next(); ok || joined == 0 || len(departed) == 0 {
+			t.Fatalf("queue not drained (%v), or no joiner (%d) or departure (%d)", ok, joined, len(departed))
+		}
+		t.Logf("%d pops, %d joiners, %d departures", pops, joined, len(departed))
 	})
 
 	t.Run("job", func(t *testing.T) {

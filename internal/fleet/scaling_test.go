@@ -121,7 +121,7 @@ func numeric(t reflect.Type) bool {
 // fieldKey names field f of struct type t as the unit tables do.
 func fieldKey(t reflect.Type, f reflect.StructField) string { return t.String() + "." + f.Name }
 
-// checkUnits walks the type graph from root, as fleetvet's scenariocopy
+// checkUnits walks the type graph from roots, as fleetvet's scenariocopy
 // does, and reports every numeric field without a unit and every unit
 // naming no field it reached.
 func checkUnits(t *testing.T, units map[string]dims, roots ...reflect.Type) {
@@ -171,8 +171,10 @@ func (sc scaling) factor(d dims) float64 {
 	return math.Pow(sc.time, float64(d.s)) * math.Pow(sc.bytes, float64(d.b)) * math.Pow(sc.energy, float64(d.j))
 }
 
-// apply returns a deep copy of v in which every numeric field of unit
-// d, under struct type and field key, is scaled by factor(d).
+// apply returns a deep copy of v, a value of unit d, with every number in
+// it scaled by its unit's factor: a struct field's unit is the one
+// sc.units gives its "package.Type.Field" key, and a slice's or a
+// pointer's elements take the unit of the field holding them.
 func (sc scaling) apply(v reflect.Value, d dims) reflect.Value {
 	switch v.Kind() {
 	case reflect.Float64:

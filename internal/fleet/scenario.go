@@ -437,15 +437,17 @@ func (sc *Scenario) Validate() error {
 
 // resolved is what validate proves of a scenario, in the form the engine
 // builds from: the tier tree and its root's index, the federated round
-// engine (nil without a job) with the classes that join it, and each
-// dynamics schedule entry's names. The engine resolves nothing again, so
-// it has no way to fail.
+// engine (nil without a job) with the classes that join it, each dynamics
+// schedule entry's names, and the cameras the schedule's joins add to
+// each class. The engine resolves nothing again, so it has no way to
+// fail.
 type resolved struct {
-	nodes []tierNode
-	root  int
-	fle   *fl.Engine
-	joins []bool
-	refs  []dynRef
+	nodes   []tierNode
+	root    int
+	fle     *fl.Engine
+	joins   []bool
+	refs    []dynRef
+	joiners []int
 }
 
 // validate rejects a normalized scenario the simulator cannot run, and
@@ -541,7 +543,7 @@ func (sc *Scenario) validate() (resolved, error) {
 	if err := sc.validateTelemetry(); err != nil {
 		return resolved{}, err
 	}
-	if rv.refs, err = sc.validateDynamics(rv.nodes, total); err != nil {
+	if rv.refs, rv.joiners, err = sc.validateDynamics(rv.nodes, total); err != nil {
 		return resolved{}, err
 	}
 	return rv, nil

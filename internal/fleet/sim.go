@@ -10,8 +10,8 @@ import (
 	"camsim/internal/fleet/queue"
 )
 
-// event kinds: a periodic camera captures a frame; a Poisson class's
-// arrival stream marks one of its cameras to capture; an
+// event kinds: a periodic class's earliest pending capture comes due; a
+// Poisson class's arrival stream marks one of its cameras to capture; an
 // in-camera-processed frame becomes ready for its first-hop link; a
 // transfer clears a link's propagation and lands (land); an adaptive
 // class's controller makes a placement decision; the global energy-aware
@@ -22,7 +22,7 @@ import (
 // the loop peeks them off the links, whose finish times shift as
 // transfers are admitted.
 const (
-	evCapture = iota
+	evPeriodic = iota
 	evArrive
 	evReady
 	evLand
@@ -34,7 +34,7 @@ const (
 
 // event is one scheduled simulator step. It is 24 bytes, not a whole
 // cache line, because a large periodic fleet keeps one pending capture
-// per camera resident in the event queue. The queue orders on (T, Tie);
+// per camera resident in its classes' rings. The queue orders on (T, Tie);
 // Tie holds the loop's scheduling counter shifted left kindBits with the
 // event kind in the low bits, which orders exactly like the bare counter
 // because the counter is unique. Payload that does not fit evRef lives
@@ -43,21 +43,25 @@ type event queue.Item[evRef]
 
 // evRef is an event's payload.
 type evRef struct {
-	// id names the subject: the camera (evCapture), class (evArrive,
+	// id names the subject: the camera (evPeriodic), class (evArrive,
 	// evControl), federated participant (evFLReady), dynamics schedule
 	// entry (evDynamics), or transfer (evReady, evLand) — a frame's
 	// transfer record exists from capture, so it carries the capture time
 	// and payload an evReady needs.
 	id int32
-	// aux is the link a landing transfer cleared (evLand), the round a
-	// federated participant's update belongs to (evFLReady), and 1 on a
+	// aux is the class of a periodic capture popped from its ring
+	// (evPeriodic), the link a landing transfer cleared (evLand), the round
+	// a federated participant's update belongs to (evFLReady), and 1 on a
 	// schedule entry's first firing (evDynamics).
 	aux int32
 }
 
 // kindBits is the width of the event kind packed under the scheduling
 // counter in event.Tie; every kind above must fit in it.
-const kindBits = 4
+const (
+	kindBits = 4
+	kindMask = 1<<kindBits - 1
+)
 
 // newEvent packs an event scheduled as the loop's seq-th push.
 func newEvent(t float64, seq int64, kind int, id, aux int32) event {
@@ -65,33 +69,63 @@ func newEvent(t float64, seq int64, kind int, id, aux int32) event {
 }
 
 // kind unpacks the event kind from the low bits of Tie.
-func (ev *event) kind() int { return int(ev.Tie & (1<<kindBits - 1)) }
+func (ev *event) kind() int { return int(ev.Tie & kindMask) }
 
 // eventHeap is the loop's whole event queue. heap holds the events that
-// can fall at any time: periodic captures, control ticks, global epochs,
-// federated ready and dynamics entries. A stage with a constant delay —
-// a class row's in-camera compute, a tier's uplink propagation, a
-// declared downlink's propagation — waits on lines instead, one FIFO per
-// distinct delay value, keyed by byDelay. A line adds its own delay to
-// the loop time it is filed at, and loop time never decreases, so each
-// line is sorted by (T, Tie) as filed. heads keys every non-empty line
-// by its front, re-keyed in place as the front moves on. A Poisson
-// class's cameras capture on one arrival stream, whose one pending
-// arrival streams keys by class, re-keyed in place by every arrival and
-// every rate change. The earliest event is the earliest of the heap's
-// top and the two indexes' minimums, so events pop in the order one heap
-// of every event would give, and a Poisson fleet of any size keeps one
-// arrival per class in the queue, not one capture per camera.
+// can fall at any time: control ticks, global epochs, federated ready and
+// dynamics entries. A stage with a constant delay — a class row's
+// in-camera compute, a tier's uplink propagation, a declared downlink's
+// propagation — waits on lines instead, one FIFO per distinct delay
+// value, keyed by byDelay. A line adds its own delay to the loop time it
+// is filed at, and loop time never decreases, so each line is sorted by
+// (T, Tie) as filed. heads keys every non-empty line by its front,
+// re-keyed in place as the front moves on. streams keys every class by
+// its next capture, re-keyed in place as that moves on: a Poisson class's
+// cameras capture on one arrival stream, whose one pending arrival is
+// its key, and a periodic class's cameras wait in its ring, whose front
+// is. The earliest event is the earliest of the heap's top and the two
+// indexes' minimums, so events pop in the order one heap of every event
+// would give, and a fleet of any size keeps one capture per class in the
+// indexes, not one per camera.
 //
-// Everything that touches a line or a stream's key is a method of
+// Everything that touches a line, a ring or a class's key is a method of
 // eventHeap, so a CPU profile charges them to the event queue rather
 // than to the loop.
 type eventHeap struct {
 	heap    queue.Heap[evRef]
 	lines   []delayLine
 	heads   queue.Index // one source per line
-	streams queue.Index // one source per class when some class is Poisson
+	streams queue.Index // one source per class
+	// rings holds each class's pending periodic captures; nil unless some
+	// class is periodic, and a Poisson class's ring is empty. sorted is
+	// false while newEngine files the declared cameras, unsorted, and
+	// start sorts them.
+	rings  []ring
+	sorted bool
+	// horizon is Duration: no capture falls at or past it, so a class
+	// whose next capture does holds no key.
+	horizon float64
 	byDelay map[float64]int32
+}
+
+// ring is one periodic class's pending captures, one per camera, in
+// (x, Tie) order, where x is the capture's time on the class's own clock.
+// That clock runs at the declared rate: a capture at x re-arms at x +
+// period, and a real time t reads x0 + (t − t0) × m on it, m being the
+// live fps_profile multiplier, so a capture at x falls at t0 + (x − x0) /
+// m, and never before floor, the time of the clock's last step or join.
+// A rate step moves only (t0, x0, m), which shortens or stretches what is
+// left of every pending period at once. With no step the clock is the
+// identity and each capture falls at x itself, the time one heap of every
+// camera's capture would give it. The ring is a segment of one slab
+// shared by every ring, sized before the run for every camera the class
+// will hold, so it never grows and never overflows: each camera, departed
+// or not, has at most one pending capture.
+type ring struct {
+	q                []event // n entries from head, wrapping at len(q)
+	head, n          int
+	period, fps      float64 // 1/FPS and FPS, at the declared rate
+	t0, x0, m, floor float64
 }
 
 // delayLine is one FIFO of events that each wait the same delay after
@@ -155,14 +189,19 @@ func (h *eventHeap) next() (t float64, ok bool) {
 }
 
 // pop removes and returns the earliest pending event, which must exist.
-// Without lines or streams it is the heap's pop behind two branches. A
-// stream's arrival stays keyed until the loop redraws it, before the
-// next pop. A line's pop re-keys the line to its next front, or removes
-// it when it empties.
+// Without lines or class keys it is the heap's pop behind two branches. A
+// class's key stays set until the loop moves it on, before the next pop:
+// a Poisson class's arrival by a redraw, a periodic class's front capture
+// by a re-arm or a skip. A line's pop re-keys the line to its next front,
+// or removes it when it empties.
 func (h *eventHeap) pop() event {
 	if h.streams.Len() > 0 {
 		a := h.streams.Min()
 		if (len(h.heap) == 0 || ahead(a, h.heap[0])) && (h.heads.Len() == 0 || ahead(a, h.heads.Min())) {
+			if a.Tie&kindMask == evPeriodic {
+				r := &h.rings[a.P]
+				return event{T: a.T, Tie: a.Tie, P: evRef{id: r.q[r.head].P.id, aux: a.P}}
+			}
 			return event{T: a.T, Tie: a.Tie, P: evRef{id: a.P}}
 		}
 	}
@@ -184,6 +223,154 @@ func (h *eventHeap) pop() event {
 	return ev
 }
 
+// periodic gives each class a capture ring of sizes[ci] entries, at the
+// declared rate fps[ci], all in one slab; a class of size 0 gets an empty
+// one, and a fleet with no periodic class no rings.
+func (h *eventHeap) periodic(sizes []int, fps []float64) {
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
+	if total == 0 {
+		return
+	}
+	slab := make([]event, total)
+	h.rings = make([]ring, len(sizes))
+	for ci, n := range sizes {
+		if n > 0 {
+			h.rings[ci] = ring{q: slab[:n:n], period: 1 / fps[ci], fps: fps[ci], m: 1}
+			slab = slab[n:]
+		}
+	}
+}
+
+// start sorts every ring once by (x, Tie), since newEngine files each
+// class's cameras in camera order at random phases, and keys every
+// periodic class whose first capture falls before the horizon. Later
+// filings go to their sorted place.
+func (h *eventHeap) start() {
+	for ci := range h.rings {
+		r := &h.rings[ci]
+		if len(r.q) == 0 {
+			continue // a Poisson class, keyed by its stream
+		}
+		slices.SortFunc(r.q[:r.n], func(a, b event) int {
+			if ahead(queue.Item[evRef](a), queue.Item[evRef](b)) {
+				return -1
+			}
+			return 1
+		})
+		h.key(ci)
+	}
+	h.sorted = true
+}
+
+// join files camera cam's first capture a fraction u of a period after
+// time t on class ci's clock, as the loop's seq-th scheduling. While the
+// clock is the identity that is t + u/FPS.
+func (h *eventHeap) join(ci int, t, u float64, seq int64, cam int32) {
+	r := &h.rings[ci]
+	ev := newEvent(r.x0+float64((t-r.t0)*r.m)+u/r.fps, seq, evPeriodic, cam, 0)
+	if !h.sorted {
+		r.q[r.n] = ev
+		r.n++
+		return
+	}
+	h.insert(r, ev)
+	r.floor = t
+	h.key(ci)
+}
+
+// rearm moves class ci's front capture, which just fired, one period on,
+// as the loop's seq-th scheduling, and rekeys the class.
+func (h *eventHeap) rearm(ci int, seq int64) {
+	r := &h.rings[ci]
+	ev := h.shift(r)
+	ev.T += r.period
+	ev.Tie = seq<<kindBits | evPeriodic
+	h.insert(r, ev)
+	h.key(ci)
+}
+
+// skip drops class ci's front capture, a departed camera's, and rekeys
+// the class.
+func (h *eventHeap) skip(ci int) {
+	h.shift(&h.rings[ci])
+	h.key(ci)
+}
+
+// rescale steps class ci's rate to m times its declared rate at time t:
+// the clock restarts at t from the x it reads there, so every pending
+// capture's remaining wait scales by the old multiplier over the new. A
+// step to the live multiplier moves nothing.
+func (h *eventHeap) rescale(ci int, t, m float64) {
+	r := &h.rings[ci]
+	if m == r.m {
+		return
+	}
+	r.x0 += float64((t - r.t0) * r.m)
+	r.t0, r.m, r.floor = t, m, t
+	h.key(ci)
+}
+
+// shift removes and returns ring r's front.
+func (h *eventHeap) shift(r *ring) event {
+	ev := r.q[r.head]
+	if r.head++; r.head == len(r.q) {
+		r.head = 0
+	}
+	r.n--
+	return ev
+}
+
+// insert files ev in ring r after every entry whose x is not later: its
+// Tie is the newest, so that is its (x, Tie) place, found scanning from
+// the back. A re-arm lands behind every pending capture of its class,
+// each armed at an x no later than the re-armed one's since rounding is
+// monotone, so the scan stops at once; only a joiner whose x was read
+// off a stepped clock can round past a later re-arm. A joiner shifts the
+// entries after it back one slot.
+func (h *eventHeap) insert(r *ring, ev event) {
+	c := len(r.q)
+	j := r.head + r.n
+	if j >= c {
+		j -= c
+	}
+	for k := r.n; k > 0; k-- {
+		i := j - 1
+		if i < 0 {
+			i += c
+		}
+		if r.q[i].T <= ev.T {
+			break
+		}
+		r.q[j] = r.q[i]
+		j = i
+	}
+	r.q[j] = ev
+	r.n++
+}
+
+// key keys class ci at its front capture's real time, or removes the
+// class's key when it has no capture before the horizon. Captures past
+// the horizon stay in the ring, where a later rate step can bring them
+// before it.
+func (h *eventHeap) key(ci int) {
+	r := &h.rings[ci]
+	if r.n > 0 {
+		front := &r.q[r.head]
+		t := r.t0 + (front.T-r.x0)/r.m
+		if t < r.floor {
+			t = r.floor
+		}
+		if t < h.horizon {
+			h.streams.Set(int32(ci), t, front.Tie)
+			return
+		}
+	}
+	h.streams.Remove(int32(ci))
+}
+
 // ahead reports whether a orders before b in (T, Tie).
 func ahead[P, Q any](a queue.Item[P], b queue.Item[Q]) bool {
 	return a.T < b.T || a.T == b.T && a.Tie < b.Tie
@@ -193,8 +380,9 @@ func ahead[P, Q any](a queue.Item[P], b queue.Item[Q]) bool {
 // nothing else, so a 100k-camera fleet stays cache-resident. The random
 // stream is embedded by value, 8 bytes inline rather than a pointer to
 // rand.NewSource's ~5 KB state; it draws a periodic camera's phase and
-// every capture's offload decision, while a Poisson camera's capture
-// times come from its class's arrival stream. A harvesting camera's store
+// every capture's offload decision, while a periodic camera's pending
+// capture waits in its class's ring and a Poisson camera's capture times
+// come from its class's arrival stream. A harvesting camera's store
 // lives in the engine's harvest table, and a frame carries its class in
 // its transfer record, so after capture a frame reads its camera only to
 // free its queue slot.
@@ -439,44 +627,50 @@ func newEngine(sc Scenario) (*engine, error) {
 		}
 	}
 
-	// The event heap's population is structurally bounded — each periodic
-	// camera, joiners included, owns at most one pending capture, each
-	// adaptive class one control tick, and each subsystem below adds its
-	// own bound — so the loop never regrows it. A Poisson class's one
-	// pending arrival is keyed in the streams index, not on the heap, and
-	// a frame's stages wait on delay lines, whose rings grow to their own
-	// peak.
-	cams, heapCap := s.Cameras(), 1+len(s.Classes)
-	var joins []int
+	// The event heap's population is structurally bounded — each adaptive
+	// class owns one pending control tick, and each subsystem below adds
+	// its own bound — so the loop never regrows it. No capture waits on
+	// the heap: every class keys its next capture in the streams index, a
+	// periodic class's cameras wait in its ring, sized for every camera
+	// the class will hold, and a frame's stages wait on delay lines, whose
+	// rings grow to their own peak.
+	heapCap := 1 + len(s.Classes)
+	e.events.streams = queue.NewIndex(len(s.Classes))
+	e.events.horizon = s.Duration
 
 	// The dynamics engine, created only for a non-empty fault schedule:
 	// every other run — including one with a present-but-empty dynamics
-	// section — stays byte-identical to the legacy path. A replay of its
-	// joins sizes every camera structure for the cameras they add, so
-	// none regrows. On the heap it keeps one first firing pending at a
-	// time (the cursor below) and one re-firing per recurring entry.
+	// section — stays byte-identical to the legacy path. Validation's
+	// replay of its joins sizes every camera structure for the cameras
+	// they add, so none regrows. On the heap it keeps one first firing
+	// pending at a time (the cursor below) and one re-firing per recurring
+	// entry.
 	if s.Dynamics != nil && len(s.Dynamics.Events) > 0 {
 		e.dyn = newDynamics(s, rv.refs, len(nodes), e.firstHop)
-		var joined, recurring int
-		joins, joined, recurring = e.dyn.replay(len(s.Classes), s.Duration)
-		cams += joined
-		heapCap += 1 + recurring
+		heapCap += 1 + e.dyn.recurring()
 	}
 	e.classCams = make([][]int32, len(s.Classes))
+	cams, rings := 0, []int(nil) // each periodic class's ring size
 	for ci := range s.Classes {
 		cl := &s.Classes[ci]
 		n := cl.Count
-		if joins != nil {
-			n += joins[ci]
+		if rv.joiners != nil {
+			n += rv.joiners[ci]
 		}
+		cams += n
 		e.classCams[ci] = make([]int32, 0, n)
-		if cl.Arrival != ArrivalPoisson {
-			heapCap += n
-		} else if e.arrivals == nil {
-			e.arrivals = make([]prng, len(s.Classes))
-			e.events.streams = queue.NewIndex(len(s.Classes))
+		if cl.Arrival == ArrivalPoisson {
+			if e.arrivals == nil {
+				e.arrivals = make([]prng, len(s.Classes))
+			}
+			continue
 		}
+		if rings == nil {
+			rings = make([]int, len(s.Classes))
+		}
+		rings[ci] = n
 	}
+	e.events.periodic(rings, e.fps)
 
 	// Latency accumulation is chosen here, once. The streaming collector
 	// observes the same completions at the same event times the exact path
@@ -576,6 +770,7 @@ func newEngine(sc Scenario) (*engine, error) {
 		e.seq += int64(len(e.dyn.events))
 		e.schedule(0)
 	}
+	e.events.start()
 	return e, nil
 }
 
@@ -601,10 +796,11 @@ func (e *engine) price(ci, ti int) {
 // from t when the run harvests. Its stream continues the global
 // camera-seed sequence, so every existing camera's stream is untouched.
 // A periodic camera's first capture falls a random phase inside one
-// period after t; a Poisson camera captures when its class's stream
-// marks it, and the caller redraws that stream. It starts at the class's
-// Policy.Start row, or at its one row without a table, where
-// Policy.Start is never validated.
+// period after t on its class's clock, filed at its place in the class's
+// ring; a Poisson camera captures when its class's stream marks it, and
+// the caller redraws that stream. It starts at the class's Policy.Start
+// row, or at its one row without a table, where Policy.Start is never
+// validated.
 func (e *engine) addCamera(ci int, t float64) {
 	cl := &e.sc.Classes[ci]
 	idx := len(e.cams)
@@ -616,7 +812,8 @@ func (e *engine) addCamera(ci int, t float64) {
 		e.harvest = append(e.harvest, store{joules: cl.StoreJ, lastTop: t})
 	}
 	if cl.Arrival != ArrivalPoisson {
-		e.arm(t+c.rng.Float64()/e.fps[ci], evCapture, int32(idx), 0)
+		e.events.join(ci, t, c.rng.Float64(), e.seq, int32(idx))
+		e.seq++
 	}
 	e.cams = append(e.cams, c)
 	e.classCams[ci] = append(e.classCams[ci], int32(idx))
@@ -696,9 +893,9 @@ func (e *engine) schedule(i int) {
 }
 
 // arm pushes an event at time t only if t falls before Duration, the
-// capture horizon: captures, control ticks, global epochs and recurring
-// churn stop there, while the drain runs on. Federated ready events and
-// schedule entries are pushed past it.
+// capture horizon: control ticks, global epochs and recurring churn stop
+// there, as captures do, while the drain runs on. Federated ready events
+// and schedule entries are pushed past it.
 func (e *engine) arm(t float64, kind int, id, aux int32) {
 	if t < e.sc.Duration {
 		e.push(t, kind, id, aux)
@@ -1026,14 +1223,19 @@ func (e *engine) dynFire(t float64, i int, first bool) {
 	case DynFPSProfile:
 		ci := ref.class
 		e.fps[ci] = e.sc.Classes[ci].FPS * ev.Multiplier
+		if e.sc.Classes[ci].Arrival != ArrivalPoisson {
+			e.events.rescale(int(ci), t, ev.Multiplier)
+		}
 	case DynComputeScale:
 		li := e.compLink[ref.tier]
 		e.links[li].setCores(t, ev.Cores)
 		e.lidx.invalidate(li)
 	}
 	// A join, a leave or a rate step changes its class's rate from now
-	// on: a Poisson class redraws its pending arrival at once, while a
-	// periodic camera finishes its current period first.
+	// on. A Poisson class redraws its pending arrival at once; a periodic
+	// class has already moved its clock (rescale) or filed a joiner's
+	// first capture (addCamera), and a leaver's pending capture is
+	// skipped when it comes due.
 	if ci := int(ref.class); ci >= 0 && e.sc.Classes[ci].Arrival == ArrivalPoisson {
 		e.redraw(ci, t)
 	}
@@ -1081,12 +1283,15 @@ func (e *engine) loop() {
 		ev := e.events.pop()
 		e.acc.advance(ev.T)
 		switch ev.kind() {
-		case evCapture:
+		case evPeriodic:
+			ci := int(ev.P.aux)
 			if e.cams[ev.P.id].departed {
+				e.events.skip(ci)
 				break
 			}
 			e.capture(ev.T, ev.P.id)
-			e.arm(ev.T+1/e.fps[e.cams[ev.P.id].class], evCapture, ev.P.id, 0)
+			e.events.rearm(ci, e.seq)
+			e.seq++
 		case evArrive:
 			ci := ev.P.id
 			members := e.classCams[ci]
