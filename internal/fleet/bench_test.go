@@ -296,22 +296,25 @@ func BenchmarkExactQuantiles(b *testing.B) {
 // holdBatch steps, so even CI's -benchtime=3x times thousands of them;
 // ns/pop+push reports the cost of one step. Gaps in the timed loop cycle
 // through a small table drawn ahead of the timer, so neither the PRNG nor
-// a growing heap is in the measured loop, and allocs/op must stay 0. Baselines live in
-// BENCH_topology.json and are gated by cmd/benchgate in CI. The resident
-// events stand for any heap event, and are labelled control ticks: no
-// capture waits on the heap.
+// a growing queue is in the measured loop, and allocs/op must stay 0.
+// Baselines live in BENCH_topology.json and are gated by cmd/benchgate
+// in CI. The 10k, 100k and 1M variants hold one event per resident on a
+// queue.Heap, the schedule before owner keys, with the resident events
+// labelled control ticks.
 //
 // The two chain variants add a frame's fixed-delay stages at huge-fleet's
-// proportions: 100k resident captures, each re-armed a mean 0.5 s gap
-// later and each starting a four-stage chain (in-camera compute, then
-// gateway, metro and core propagation: 5, 0.2, 2 and 10 ms).
-// 100k-chain-heap pushes every stage on the heap, the schedule before
-// delay lines; 100k-chain-lines files each stage on its delay's line.
-// ns/event counts captures and stages alike.
+// proportions: 100k cameras, each capturing a mean 0.5 s after its last
+// capture and each capture starting a four-stage chain (in-camera
+// compute, then gateway, metro and core propagation: 5, 0.2, 2 and 10
+// ms). 100k-chain-heap pushes every capture and stage on one heap, the
+// schedule before delay lines and arrival streams; 100k-chain-lines keys
+// the cameras as newEngine keys a 100k-camera Poisson fleet, 32 class
+// owners each an arrival stream at its cameras' rate, and files each
+// stage on its delay's line. ns/event counts captures and stages alike.
 //
 // The two periodic variants hold a periodic fleet's captures: 32 classes
 // of 937 or 938 cameras (30k in all) at 2 FPS, each capture re-armed one
-// period later. 30k-periodic-heap keeps one event per camera on the heap,
+// period later. 30k-periodic-heap keeps one event per camera on a heap,
 // the schedule before capture rings; 30k-periodic-rings keeps each
 // class's captures in its ring behind one class key, as newEngine builds
 // them. ns/capture reports one step.
@@ -322,6 +325,32 @@ func BenchmarkEventHeap(b *testing.B) {
 	for i := range gaps {
 		gaps[i] = gapRNG.ExpFloat64()
 	}
+	gap := func(seq int64) float64 { return gaps[seq&(int64(len(gaps))-1)] }
+	// run times holdBatch steps per op and reports one step's cost as unit.
+	run := func(b *testing.B, unit string, step func()) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for k := 0; k < holdBatch; k++ {
+				step()
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/holdBatch, unit)
+	}
+	// onHeap returns a heap of n events, the i-th at at(i), and a push
+	// that numbers each event it adds.
+	onHeap := func(n int, at func(i int) float64) (*queue.Heap[evRef], func(t float64, kind int, id, aux int32)) {
+		h := make(queue.Heap[evRef], 0, n)
+		var seq int64
+		push := func(t float64, kind int, id, aux int32) {
+			h.Push(queue.Item[evRef](newEvent(t, seq, kind, id, aux)))
+			seq++
+		}
+		for i := 0; i < n; i++ {
+			push(at(i), evControl, int32(i), 0)
+		}
+		return &h, push
+	}
 	for _, size := range []struct {
 		name string
 		n    int
@@ -330,130 +359,103 @@ func BenchmarkEventHeap(b *testing.B) {
 			// Memoryless gaps make n independent exponential offsets the
 			// hold model's steady state, so the prefill starts there.
 			rng := newPRNG(2)
-			h := eventHeap{heap: make(queue.Heap[evRef], 0, size.n)}
-			var seq int64
-			for ; seq < int64(size.n); seq++ {
-				h.push(newEvent(rng.ExpFloat64(), seq, evControl, int32(seq), 0))
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for k := 0; k < holdBatch; k++ {
-					ev := h.pop()
-					h.push(newEvent(ev.T+gaps[seq&(int64(len(gaps))-1)], seq, ev.kind(), ev.P.id, ev.P.aux))
-					seq++
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/holdBatch, "ns/pop+push")
+			h, push := onHeap(size.n, func(int) float64 { return rng.ExpFloat64() })
+			seq := int64(size.n)
+			run(b, "ns/pop+push", func() {
+				ev := event(h.Pop())
+				push(ev.T+gap(seq), ev.kind(), ev.P.id, ev.P.aux)
+				seq++
+			})
 		})
 	}
 	chain := [...]float64{0.005, 0.0002, 0.002, 0.01}
-	for _, v := range []struct {
-		name  string
-		lines bool
-	}{{"100k-chain-heap", false}, {"100k-chain-lines", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			const n = 100_000
-			rng := newPRNG(2)
-			h := eventHeap{heap: make(queue.Heap[evRef], 0, 2*n)}
-			var line [len(chain)]int32
-			for k, d := range chain {
-				line[k] = h.line(d)
-			}
-			var seq int64
-			for ; seq < n; seq++ {
-				h.push(newEvent(0.5*rng.ExpFloat64(), seq, evControl, int32(seq), 0))
-			}
-			// stage schedules stage k of camera id's frame at loop time now.
-			stage := func(now float64, id, k int32) {
-				if v.lines {
-					h.file(line[k], now, seq, evLand, id, k)
-				} else {
-					h.push(newEvent(now+chain[k], seq, evLand, id, k))
-				}
+	const cameras, classes = 100_000, 32
+	b.Run("100k-chain-heap", func(b *testing.B) {
+		rng := newPRNG(2)
+		h, push := onHeap(cameras, func(int) float64 { return 0.5 * rng.ExpFloat64() })
+		seq := int64(cameras)
+		step := func() {
+			ev := event(h.Pop())
+			switch {
+			case ev.kind() == evControl:
+				push(ev.T+0.5*gap(seq), evControl, ev.P.id, 0)
+				push(ev.T+chain[0], evLand, ev.P.id, 0)
+				seq += 2
+			case int(ev.P.aux)+1 < len(chain):
+				push(ev.T+chain[ev.P.aux+1], evLand, ev.P.id, ev.P.aux+1)
 				seq++
 			}
-			step := func() {
-				ev := h.pop()
-				switch {
-				case ev.kind() == evControl:
-					h.push(newEvent(ev.T+0.5*gaps[seq&(int64(len(gaps))-1)], seq, evControl, ev.P.id, 0))
-					seq++
-					stage(ev.T, ev.P.id, 0)
-				case int(ev.P.aux)+1 < len(chain):
-					stage(ev.T, ev.P.id, ev.P.aux+1)
-				}
+		}
+		// Warm up past one chain length, so the timed loop starts with
+		// the stages' steady population.
+		for k := 0; k < 4*holdBatch; k++ {
+			step()
+		}
+		run(b, "ns/event", step)
+	})
+	b.Run("100k-chain-lines", func(b *testing.B) {
+		// Each class's 3,125 cameras, capturing a mean 0.5 s apart each,
+		// are one arrival stream at their summed rate.
+		const rate = cameras / classes / 0.5
+		rng := newPRNG(2)
+		h := eventHeap{owners: queue.NewIndex(classes), refs: make([]evRef, classes), horizon: math.Inf(1)}
+		var line [len(chain)]int32
+		for k, d := range chain {
+			line[k] = h.line(d)
+		}
+		for ci := int32(0); ci < classes; ci++ {
+			h.arm(ci, rng.ExpFloat64()/rate, evArrive, ci, 0)
+		}
+		step := func() {
+			ev := h.pop()
+			switch {
+			case ev.kind() == evArrive:
+				h.arm(ev.P.id, ev.T+gap(h.seq)/rate, evArrive, ev.P.id, 0)
+				h.file(line[0], ev.T, evLand, ev.P.id, 0)
+			case int(ev.P.aux)+1 < len(chain):
+				h.file(line[ev.P.aux+1], ev.T, evLand, ev.P.id, ev.P.aux+1)
 			}
-			// Warm up past one chain length, so the timed loop starts with
-			// the stages' steady population and the lines at their size.
-			for k := 0; k < 4*holdBatch; k++ {
-				step()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for k := 0; k < holdBatch; k++ {
-					step()
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/holdBatch, "ns/event")
-		})
+		}
+		// Warm up past one chain length, so the timed loop starts with
+		// the lines at their size.
+		for k := 0; k < 4*holdBatch; k++ {
+			step()
+		}
+		run(b, "ns/event", step)
+	})
+	const cams, fps = 30_000, 2.0
+	sizes, rates := make([]int, classes), make([]float64, classes)
+	for ci := range sizes {
+		sizes[ci], rates[ci] = cams/classes, fps
+		if ci < cams%classes {
+			sizes[ci]++
+		}
 	}
-	const classes, cams, fps = 32, 30_000, 2.0
-	for _, v := range []struct {
-		name  string
-		rings bool
-	}{{"30k-periodic-heap", false}, {"30k-periodic-rings", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			rng := newPRNG(2)
-			sizes, rates := make([]int, classes), make([]float64, classes)
-			for ci := range sizes {
-				sizes[ci], rates[ci] = cams/classes, fps
-				if ci < cams%classes {
-					sizes[ci]++
-				}
-			}
-			h := eventHeap{streams: queue.NewIndex(classes), horizon: math.Inf(1)}
-			var step func()
-			var seq int64
-			if v.rings {
-				h.periodic(sizes, rates)
-				for ci, n := range sizes {
-					for k := 0; k < n; k++ {
-						h.join(ci, 0, rng.Float64(), seq, int32(seq))
-						seq++
-					}
-				}
-				h.start()
-				step = func() {
-					ev := h.pop()
-					h.rearm(int(ev.P.aux), seq)
-					seq++
-				}
-			} else {
-				h.heap = make(queue.Heap[evRef], 0, cams)
-				for ci, n := range sizes {
-					for k := 0; k < n; k++ {
-						h.push(newEvent(rng.Float64()/fps, seq, evControl, int32(seq), int32(ci)))
-						seq++
-					}
-				}
-				step = func() {
-					ev := h.pop()
-					h.push(newEvent(ev.T+1/fps, seq, evControl, ev.P.id, ev.P.aux))
-					seq++
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for k := 0; k < holdBatch; k++ {
-					step()
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/holdBatch, "ns/capture")
+	b.Run("30k-periodic-heap", func(b *testing.B) {
+		rng := newPRNG(2)
+		h, push := onHeap(cams, func(int) float64 { return rng.Float64() / fps })
+		run(b, "ns/capture", func() {
+			ev := event(h.Pop())
+			push(ev.T+1/fps, evControl, ev.P.id, ev.P.aux)
 		})
-	}
+	})
+	b.Run("30k-periodic-rings", func(b *testing.B) {
+		rng := newPRNG(2)
+		h := eventHeap{owners: queue.NewIndex(classes), refs: make([]evRef, classes), horizon: math.Inf(1)}
+		h.periodic(sizes, rates)
+		cam := int32(0)
+		for ci, n := range sizes {
+			for k := 0; k < n; k++ {
+				h.join(ci, 0, rng.Float64(), cam)
+				cam++
+			}
+		}
+		h.start()
+		run(b, "ns/capture", func() {
+			ev := h.pop()
+			h.rearm(int(ev.P.aux))
+		})
+	})
 }
 
 // BenchmarkServers prices the links and core pools alone: FIFO and fair

@@ -78,7 +78,11 @@
 // stream still draws each of its frames' offload decisions. So a Poisson
 // class's captures are a function of the seed, its class index and its
 // membership: a joiner re-deals its own class's arrivals and no other
-// class's.
+// class's. Validation rejects a class whose cameras, joiners included, at
+// its fastest rate (its largest "fps_profile" multiplier above 1) would
+// make more than 2^40 captures over the run: past that, a capture period
+// spans fewer than 2^12 units in the last place of the clock, and near
+// 2^52 a capture would re-arm at the instant it fired.
 //
 // # Tiered topology
 //
@@ -472,34 +476,37 @@
 // in a single variant; both are gated in CI by cmd/benchgate against
 // BENCH_topology.json):
 //
-//   - Per-event cost: a control tick, epoch, federated ready or dynamics
-//     entry is one pop from the event heap (O(log events), no interface
-//     boxing — container/heap cost one allocation per Push), and no
-//     capture waits there. A capture is a re-key in place of its class's
-//     key in the index of class keys, O(log classes): a Poisson class's
-//     key is its pending arrival, and a periodic class's is its ring's
-//     front, which a capture moves one period on to the ring's back (an
-//     append, since a re-arm follows every pending capture of its class)
-//     before re-keying the class at the new front's time, t0 + (x − x0) /
-//     m on the class's clock. A rate step is O(log classes) too: it
-//     restarts the clock and re-keys one class. A joiner's first capture
-//     shifts the captures after it in its ring, O(class size), at a few
-//     hundred joins a run. A frame's fixed-delay stage — in-camera compute, a
-//     hop's propagation, the root's, a federated blob's — is one pop
-//     from a delay line: a ring read plus a re-key in place in the index
-//     of line heads, O(log lines) with one line per distinct delay value
-//     (4 on a 100k-camera fleet, where 80% of events are stages). On top
-//     come O(log n) fair-share virtual-time accounting on the link and
-//     the link index: an O(1) peek at the earliest completion, and an
-//     O(log busy links) re-key in place after each Start or Finish. The
-//     event heap, the fair-share servers and the FIFO servers' busy cores
-//     are one queue.Heap over different payloads, held to
-//     container/heap's exact pop order by TestHeapsMatchContainerHeap,
-//     one case per payload. The line heads, the class keys and the
-//     link index are one queue.Index, a heap holding at most one key per numbered source,
-//     held to a scan of its keys by TestIndexMatchesScan. The delay
-//     lines and the FIFO servers' waiting queues are one queue.Ring, a
-//     power-of-two ring, so wrap-around is a mask, not a modulo.
+//   - Per-event cost: every pending event but a frame's stages belongs to
+//     an owner holding at most one key in the event queue's owner index —
+//     a class, a class's controller, the global controller, the fault
+//     schedule's cursor, a churn entry, a federated participant — so a
+//     control tick, epoch, federated ready or dynamics entry is a re-key
+//     in place, or a removal, of its owner's key, O(log owners) with no
+//     interface boxing (container/heap cost one allocation per Push). A
+//     capture is a re-key in place of its class's key, O(log owners): a
+//     Poisson class's key is its pending arrival, and a periodic class's
+//     is its ring's front, which a capture moves one period on to the
+//     ring's back (an append, since a re-arm follows every pending capture
+//     of its class) before re-keying the class at the new front's time,
+//     t0 + (x − x0) / m on the class's clock. A rate step is O(log
+//     owners) too: it restarts the clock and re-keys one class. A joiner's
+//     first capture shifts the captures after it in its ring, O(class
+//     size), at a few hundred joins a run. A frame's fixed-delay stage —
+//     in-camera compute, a hop's propagation, the root's, a federated
+//     blob's — is one pop from a delay line: a ring read plus a re-key in
+//     place in the index of line heads, O(log lines) with one line per
+//     distinct delay value (4 on a 100k-camera fleet, where 80% of events
+//     are stages). On top come O(log n) fair-share virtual-time accounting
+//     on the link and the link index: an O(1) peek at the earliest
+//     completion, and an O(log busy links) re-key in place after each
+//     Start or Finish. The fair-share servers and the FIFO servers' busy
+//     cores are one queue.Heap over their job payload, held to
+//     container/heap's exact pop order by TestHeapsMatchContainerHeap. The
+//     owner keys, the line heads and the link index are one queue.Index, a
+//     heap holding at most one key per numbered source, held to a scan of
+//     its keys by TestIndexMatchesScan. The delay lines and the FIFO
+//     servers' waiting queues are one queue.Ring, a power-of-two ring, so
+//     wrap-around is a mask, not a modulo.
 //   - Event size: an event is 24 bytes — time, the scheduling sequence
 //     number with the kind in its low 4 bits, and two int32s naming the
 //     subject (camera, class, participant, schedule entry or transfer)
@@ -509,21 +516,26 @@
 //     bound; the rings are read and written in order, front to back, and
 //     only their fronts are keyed, one key per class (32 on a fleet of
 //     32 classes of any size, down from one heap event per camera). A
-//     Poisson fleet keeps one arrival per class. A frame's capture time and payload live in
-//     its transfer record, allocated from the recycled slab at capture,
-//     so the ready event carries only the transfer id. Push and pop sift
-//     through a hole: the moving event is held aside, parents or smaller
-//     children shift into the gap, and the event is written once.
+//     Poisson fleet keeps one arrival per class. A frame's capture time
+//     and payload live in its transfer record, allocated from the recycled
+//     slab at capture, so the ready event carries only the transfer id.
+//     Every sift moves through a hole: the moving key is held aside,
+//     parents or smaller children shift into the gap, and the key is
+//     written once.
 //   - Row table: a capture reads its camera's row from one flat table of
 //     every class's rows — payload bytes, compute joules and the delay
 //     line of its in-camera compute — at the class's base plus the
 //     camera's placement, built once from Class.rows. A class without a
 //     placements table owns one row there, so a capture never asks
 //     whether its class has a table.
-//   - Pop order: (time, sequence) is a total order — sequence numbers
-//     are unique, so packing the kind under them orders exactly like
-//     the bare counter — and every correct min-heap pops a total order
-//     in the same sequence. A delay line keeps each event's sequence
+//   - Pop order: (time, sequence) is a total order — the event queue
+//     numbers every event it schedules once, so sequence numbers are
+//     unique and packing the kind under them orders exactly like the bare
+//     counter — and every correct min-heap pops a total order in the same
+//     sequence. An owner's key carries the number its event was
+//     scheduled under, not the owner's own number, so the owner numbering
+//     orders nothing; the schedule cursor keys each entry under the
+//     number newEngine reserved for it. A delay line keeps each event's sequence
 //     number, and is sorted as filed: loop time never decreases, and
 //     adding the line's constant delay is monotone in floating point. A
 //     ring keeps each capture's sequence number and its time x on the
@@ -534,10 +546,10 @@
 //     clock maps x to real time monotonically, and with no rate step it
 //     is the identity, t0 = x0 = 0 and m = 1, so each capture's key is
 //     its x to the bit, the time one heap event per camera would carry.
-//     So the earliest of the heap's top, the earliest line front and
-//     the earliest class key is the same event one heap of everything
-//     would pop. The layout, sift, line and ring changes therefore cannot
-//     change any output of a run without a periodic rate step;
+//     So the earlier of the earliest owner key and the earliest line
+//     front is the same event one heap of everything would pop. The
+//     layout, sift, line, ring and owner changes therefore cannot change
+//     any output of a run without a periodic rate step;
 //     TestHeapsMatchContainerHeap, TestRandomScenarioInvariants' pinned
 //     digests and the goldens hold that. The link index's keys, (finish
 //     time, link index), are unique too, so its minimum is the one an
@@ -578,18 +590,16 @@
 //     cameras. Only a churn entry owns a stream, since no other kind
 //     draws. A periodic class's ring is a segment of one slab of 24-byte
 //     captures, sized the same way, since each camera, departed or not,
-//     has at most one capture pending. The event heap is preallocated to
-//     its structural bound and never regrows either — one control tick
-//     per class, one global epoch, one ready event per federated
-//     participant, and for the fault schedule one pending first firing
-//     plus one re-firing per recurring entry — because frames in flight
-//     wait on delay lines and captures behind their classes' keys, sized
-//     once and re-keyed in place, never on the heap: the bound counts
-//     classes and subsystems, not cameras. The
-//     schedule waits behind a cursor: each entry's first firing pushes
-//     the next entry's, under the scheduling number reserved for it
-//     before the run, so entries pop in the order a heap of the whole
-//     schedule would give. Each line's ring grows to its own peak, which
+//     has at most one capture pending. The owner index is sized once, for
+//     every owner the run has — each class and its controller's slot, the
+//     global controller, and the schedule's cursor and churn entries or
+//     the federated participants — with one 8-byte payload slot each, and
+//     never regrows: it counts classes and subsystems, not cameras, and
+//     frames in flight wait on delay lines. The schedule waits behind its
+//     cursor: each entry's first firing moves it to the next entry's,
+//     under the scheduling number reserved for it before the run, so
+//     entries pop in the order a heap of the whole schedule would give.
+//     Each line's ring grows to its own peak, which
 //     on a line of delay d fed at r events per second is about r × d.
 //     The per-class latency slices are preallocated from FPS × Duration
 //     × Count estimates plus four Poisson standard deviations, so the

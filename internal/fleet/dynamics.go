@@ -341,8 +341,11 @@ type dynamics struct {
 	churn []int32
 	rngs  []prng
 	// seq0 is the scheduling number reserved for entry 0's first firing;
-	// entry i's is seq0+i (engine.schedule).
+	// entry i's is seq0+i (engine.schedule). own is the schedule cursor's
+	// owner in the event queue, and the k-th churn entry's re-firings are
+	// owner own+1+k's.
 	seq0 int64
+	own  int32
 
 	// Per-tier availability: down is 1 while the tier is out and 0 while
 	// it serves, so its integral is the tier's downtime; capacity is its
@@ -391,15 +394,10 @@ func (dyn *dynamics) stream(i int) *prng {
 	return &dyn.rngs[k]
 }
 
-// recurring returns how many entries recur, all of them churn entries.
-func (dyn *dynamics) recurring() int {
-	n := 0
-	for _, i := range dyn.churn {
-		if dyn.events[i].EverySec > 0 {
-			n++
-		}
-	}
-	return n
+// owner returns the owner of churn entry i's re-firings.
+func (dyn *dynamics) owner(i int) int32 {
+	k, _ := slices.BinarySearch(dyn.churn, int32(i))
+	return dyn.own + 1 + int32(k)
 }
 
 // newDynamics builds the schedule's live state for a tree of tiers

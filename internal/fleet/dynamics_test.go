@@ -1144,12 +1144,13 @@ func TestDynamicsHarvestChurn(t *testing.T) {
 }
 
 // TestCameraStructuresNeverRegrow runs schedules that add cameras and
-// checks that the camera slab, the harvest table, every class's camera
-// list and the event heap end the run at the capacities newEngine gave
-// them, and that the slab is exactly full: the replay of the joins
-// counted every camera the run added, and no more. Each periodic class's
-// ring, which holds at most one capture per camera the class ever had,
-// is sized for exactly those cameras.
+// checks that the camera slab, the harvest table and every class's camera
+// list end the run at the capacities newEngine gave them, and that the
+// slab is exactly full: the replay of the joins counted every camera the
+// run added, and no more. Each periodic class's ring, which holds at most
+// one capture per camera the class ever had, is sized for exactly those
+// cameras. The event queue's owner index is sized once for every owner
+// (TestNewIndexIsSizedOnce).
 func TestCameraStructuresNeverRegrow(t *testing.T) {
 	harvest := dynamicsDemo(13)
 	harvest.Classes = []Class{
@@ -1164,7 +1165,7 @@ func TestCameraStructuresNeverRegrow(t *testing.T) {
 	}}
 	// A Poisson class under recurring churn and rate steps: every join,
 	// leave and step redraws its pending arrival, and none may leave a
-	// stale one behind on the heap.
+	// stale one behind.
 	poisson := dynamicsDemo(7)
 	poisson.Classes[0].Arrival = ArrivalPoisson
 	poisson.Dynamics = &DynamicsConfig{Events: []FleetEvent{
@@ -1190,7 +1191,7 @@ func TestCameraStructuresNeverRegrow(t *testing.T) {
 			t.Fatal(err)
 		}
 		caps := func() []int {
-			c := []int{cap(e.cams), cap(e.harvest), cap(e.events.heap)}
+			c := []int{cap(e.cams), cap(e.harvest)}
 			for _, cc := range e.classCams {
 				c = append(c, cap(cc))
 			}
@@ -1203,7 +1204,7 @@ func TestCameraStructuresNeverRegrow(t *testing.T) {
 		e.loop()
 		res := e.result()
 		if after := caps(); !slices.Equal(after, before) {
-			t.Errorf("%s: capacities (cameras, harvest, heap, class lists, rings) went from %v to %v", name, before, after)
+			t.Errorf("%s: capacities (cameras, harvest, class lists, rings) went from %v to %v", name, before, after)
 		}
 		if len(e.cams) != cap(e.cams) || res.Dynamics.Joined == 0 {
 			t.Errorf("%s: %d cameras (%d joined) in a slab built for %d", name, len(e.cams), res.Dynamics.Joined, cap(e.cams))

@@ -323,6 +323,48 @@ var fuzzSeeds = []fuzzSeed{
 	            {"name": "core", "uplink": {"gbps": 1}}],
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
 	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "tier_outage", "tier": "gw", "class": "zzz-not-a-class"}]}}`, "class belongs to"},
+	// capture rates whose period vanishes against the clock, which would
+	// never let a run end: a periodic class stepped to ×1e300, and a
+	// Poisson and a periodic class declared at 1e300 fps
+	{`{"duration_sec": 1, "uplink": {"gbps": 1},
+	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
+	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "fps_profile", "class": "c", "multiplier": 1e300}]}}`,
+		`class "c": 1 cameras at up to 1e+300 fps over 1 sec make more than 2^40 captures`},
+	{`{"duration_sec": 1, "uplink": {"gbps": 1},
+	  "classes": [{"name": "c", "count": 1, "fps": 1e300, "arrival": "poisson", "frame_bytes": 10}]}`, "make more than 2^40 captures"},
+	{`{"duration_sec": 1, "uplink": {"gbps": 1},
+	  "classes": [{"name": "c", "count": 1, "fps": 1e300, "frame_bytes": 10}]}`, "make more than 2^40 captures"},
+}
+
+// TestValidateBoundsCaptures pins the capture bound at its edge: a class
+// whose cameras at their fastest rate make exactly 2^40 captures over the
+// run validates, and one camera more, a joiner or a step above ×1 makes
+// it fail, while a step below ×1 does not lower the bound's rate.
+func TestValidateBoundsCaptures(t *testing.T) {
+	base := func() Scenario {
+		return Scenario{Duration: 4, Uplink: UplinkConfig{Gbps: 1},
+			Classes: []Class{{Name: "c", Count: 2, FPS: 1 << 37, FrameBytes: 10}}}
+	}
+	sc := base()
+	sc.Dynamics = &DynamicsConfig{Events: []FleetEvent{{Time: 1, Kind: DynFPSProfile, Class: "c", Multiplier: 0.5}}}
+	if err := sc.Validate(); err != nil {
+		t.Errorf("2^40 captures: %v", err)
+	}
+	const want = `class "c": 3 cameras at up to 1.37438953472e+11 fps over 4 sec make more than 2^40 captures`
+	more := base()
+	more.Classes[0].Count = 3
+	joined := base()
+	joined.Dynamics = &DynamicsConfig{Events: []FleetEvent{{Time: 1, Kind: DynCameraJoin, Class: "c"}}}
+	stepped := base()
+	stepped.Dynamics = &DynamicsConfig{Events: []FleetEvent{{Time: 1, Kind: DynFPSProfile, Class: "c", Multiplier: 1.5}}}
+	for name, sc := range map[string]Scenario{"count": more, "join": joined} {
+		if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want substring %q", name, err, want)
+		}
+	}
+	if err := stepped.Validate(); err == nil || !strings.Contains(err.Error(), "2 cameras at up to 2.06158430208e+11 fps") {
+		t.Errorf("step: err = %v", err)
+	}
 }
 
 // TestFuzzSeedVerdicts pins every seed's verdict: the valid seeds parse,

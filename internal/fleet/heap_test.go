@@ -30,9 +30,10 @@ func (h *refHeap[T]) Pop() any {
 	return x
 }
 
-// len returns the number of pending events, on the heap and every line.
+// len returns the number of pending events outside the rings: one per
+// keyed owner, and every line's.
 func (h *eventHeap) len() int {
-	n := len(h.heap)
+	n := h.owners.Len()
 	for i := range h.lines {
 		n += h.lines[i].q.Len()
 	}
@@ -98,12 +99,12 @@ func TestDelayLinesPerDelay(t *testing.T) {
 	}
 }
 
-// TestHeapCountsClassesNotCameras pins what newEngine puts on a periodic
-// fleet's event heap: nothing per camera. BenchmarkPeriodicFleet's 30k
-// periodic cameras in 32 classes leave the heap holding one event, the
-// schedule cursor's first entry, in room for a control tick per class,
-// one global epoch and the cursor, while every class is keyed once and
-// the rings hold the cameras.
+// TestHeapCountsClassesNotCameras pins what newEngine keys for a periodic
+// fleet: nothing per camera. BenchmarkPeriodicFleet's 30k periodic
+// cameras in 32 classes leave the owner index holding 33 keys, one per
+// class and the schedule cursor's, among 66 owners (each class, each
+// class's controller, the global controller and the cursor: the schedule
+// has no churn entry), while the rings hold the cameras.
 func TestHeapCountsClassesNotCameras(t *testing.T) {
 	sc := periodicFleetScenario()
 	e, err := newEngine(sc)
@@ -111,15 +112,13 @@ func TestHeapCountsClassesNotCameras(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := &e.events
-	if len(h.heap) != 1 || cap(h.heap) != 1+len(sc.Classes)+1 {
-		t.Errorf("heap holds %d events in room for %d, want 1 in room for %d", len(h.heap), cap(h.heap), 1+len(sc.Classes)+1)
-	}
 	held := 0
 	for _, r := range h.rings {
 		held += r.n
 	}
-	if h.streams.Len() != len(sc.Classes) || held != sc.Cameras() {
-		t.Errorf("%d class keys over rings of %d captures, want %d keys and %d captures", h.streams.Len(), held, len(sc.Classes), sc.Cameras())
+	if keys, owners := h.owners.Len(), len(h.refs); keys != len(sc.Classes)+1 || owners != 2*len(sc.Classes)+2 || held != sc.Cameras() {
+		t.Errorf("%d keys among %d owners over rings of %d captures, want %d among %d and %d captures",
+			keys, owners, held, len(sc.Classes)+1, 2*len(sc.Classes)+2, sc.Cameras())
 	}
 }
 
@@ -159,16 +158,17 @@ func drive[P comparable](t *testing.T, rng *rand.Rand, gen func(i int) queue.Ite
 	}
 }
 
-// TestHeapsMatchContainerHeap holds every queue.Heap instantiation the
-// simulator uses to container/heap: randomized event and job (fair-share
-// servers, FIFO servers' busy cores) streams pop exactly the items
-// container/heap pops, so the heap cannot have changed any simulation
-// output. The event case also holds the whole event queue, heap and delay
-// lines merged, to one reference heap of every event, and the rings case
-// holds periodic captures in their classes' rings, merged with both, to
-// one as well. The queue.Index
-// instantiations, the link index and the line heads, are held to a scan
-// by TestIndexMatchesScan (package queue) and TestLinkIndexMatchesScan.
+// TestHeapsMatchContainerHeap holds every queue.Heap instantiation to
+// container/heap: randomized event (BenchmarkEventHeap's per-event heaps)
+// and job (fair-share servers, FIFO servers' busy cores) streams pop
+// exactly the items container/heap pops, so no queue.Heap can change a
+// simulation output. The event case also holds the whole event
+// queue, owner keys and delay lines merged, to one reference heap of
+// every event, and the rings case holds periodic captures in their
+// classes' rings, merged with owners' events and a line, to one as well.
+// The queue.Index instantiations, the owner index, the line heads and
+// the link index, are held to a scan by TestIndexMatchesScan (package
+// queue) and TestLinkIndexMatchesScan.
 func TestHeapsMatchContainerHeap(t *testing.T) {
 	// Times are drawn from a small discrete set so ties are frequent and
 	// the tie-break keys do real work.
@@ -177,69 +177,77 @@ func TestHeapsMatchContainerHeap(t *testing.T) {
 	t.Run("eventHeap", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(101))
 		drive(t, rng, func(i int) queue.Item[evRef] {
-			// seq is unique: the loop's scheduling counter.
+			// seq is unique: the queue's scheduling counter.
 			return queue.Item[evRef](newEvent(times[rng.Intn(len(times))], int64(i),
 				rng.Intn(evDynamics+1), int32(rng.Intn(50)), int32(rng.Intn(41))))
 		})
 
-		// The hold model is the event loop's steady state: pop the
-		// minimum, push it back a random gap later, with a large resident
-		// population. Gaps are exponential but quantized to a quarter
-		// second, so popped times stay on that grid and pushes keep tying
-		// resident events; the seq tie-break does real work at every depth.
-		// About half the pops also file a fixed-delay stage on one of three
-		// lines, whose delays sit on the same grid and include 0, so line
-		// events tie heap events and one another too. The reference heap
-		// receives every event, filed or pushed.
+		// The hold model is the event loop's steady state: the earliest
+		// owner's event pops and the owner is re-keyed a random gap later,
+		// with a large resident population of owners. Gaps are exponential
+		// but quantized to a quarter second, so popped times stay on that
+		// grid and re-keys keep tying resident keys; the seq tie-break does
+		// real work at every depth. About half the owner pops also file a
+		// fixed-delay stage on one of three lines, whose delays sit on the
+		// same grid and include 0, so line events tie owners' and one
+		// another, and about half the stage pops file the next stage. The
+		// reference heap receives every event, keyed or filed. The drain
+		// lowers the horizon, past which arm retires each owner as it pops.
 		gap := func() float64 { return math.Round(4*rng.ExpFloat64()) / 4 }
 		const resident, holds = 12_000, 60_000
-		var h eventHeap
+		h := eventHeap{owners: queue.NewIndex(resident), refs: make([]evRef, resident), horizon: math.Inf(1)}
 		var lines [3]int32
 		for i, d := range []float64{0, 0.25, 1} {
 			lines[i] = h.line(d)
 		}
 		ref := &refHeap[event]{less: eventLess}
-		var seq int64
-		push := func(t float64) {
-			ev := newEvent(t, seq, int(seq%(evDynamics+1)), int32(rng.Intn(1<<20)), int32(rng.Intn(41)))
-			seq++
-			h.push(ev)
-			heap.Push(ref, ev)
-		}
-		file := func(now float64) {
-			l := lines[rng.Intn(len(lines))]
-			kind, id, aux := int(seq%(evDynamics+1)), int32(rng.Intn(1<<20)), int32(rng.Intn(41))
-			h.file(l, now, seq, kind, id, aux)
-			heap.Push(ref, newEvent(now+h.lines[l].delay, seq, kind, id, aux))
-			seq++
-		}
-		for i := 0; i < resident; i++ {
-			push(gap())
+		// An owner's event is any kind but a stage or a periodic capture,
+		// which reads its class's ring; its id names the owner.
+		kinds := []int{evArrive, evControl, evGlobal, evFLReady, evDynamics}
+		arm := func(o int32, t float64) {
+			kind, aux := kinds[rng.Intn(len(kinds))], int32(rng.Intn(41))
+			if t < h.horizon {
+				heap.Push(ref, newEvent(t, h.seq, kind, o, aux))
+			}
+			h.arm(o, t, kind, o, aux)
 		}
 		filed := 0
-		for i := 0; i < holds; i++ {
+		file := func(now float64) {
+			l := lines[rng.Intn(len(lines))]
+			kind, id, aux := evReady+rng.Intn(2), int32(rng.Intn(1<<20)), int32(rng.Intn(41))
+			heap.Push(ref, newEvent(now+h.lines[l].delay, h.seq, kind, id, aux))
+			h.file(l, now, kind, id, aux)
+			filed++
+		}
+		for o := int32(0); o < resident; o++ {
+			arm(o, gap())
+		}
+		prev := event{T: math.Inf(-1)}
+		step := func(what string, i int) {
 			got, want := h.pop(), heap.Pop(ref).(event)
 			if got != want {
-				t.Fatalf("hold %d: popped %+v, reference popped %+v", i, got, want)
+				t.Fatalf("%s %d: popped %+v, reference popped %+v", what, i, got, want)
 			}
-			push(got.T + gap())
+			if eventLess(got, prev) {
+				t.Fatalf("%s %d: %+v popped after %+v", what, i, got, prev)
+			}
+			prev = got
+			if k := got.kind(); k != evReady && k != evLand {
+				arm(got.P.id, got.T+gap())
+			}
 			if rng.Intn(2) == 0 {
 				file(got.T)
-				filed++
 			}
+		}
+		for i := 0; i < holds; i++ {
+			step("hold", i)
 		}
 		if filed == 0 || h.len() != ref.Len() {
 			t.Fatalf("filed %d: queue holds %d, reference %d", filed, h.len(), ref.Len())
 		}
-		for prev := (event{T: math.Inf(-1)}); ref.Len() > 0; {
-			got, want := h.pop(), heap.Pop(ref).(event)
-			if got != want {
-				t.Fatalf("drain: popped %+v, reference popped %+v", got, want)
-			}
-			if eventLess(got, prev) {
-				t.Fatalf("drain: %+v popped after %+v", got, prev)
-			}
-			prev = got
+		h.horizon = prev.T + 2
+		for i := 0; ref.Len() > 0; i++ {
+			step("drain", i)
 		}
 		if _, ok := h.next(); ok || h.len() != 0 || h.heads.Len() != 0 {
 			t.Fatalf("event queue retains %d events and %d line heads after drain", h.len(), h.heads.Len())
@@ -249,14 +257,16 @@ func TestHeapsMatchContainerHeap(t *testing.T) {
 	// The rings hold periodic captures behind one key per class. With no
 	// rate step each class's clock is the identity, so the queue must pop
 	// every capture, joiner and departure included, where one reference
-	// heap of every capture puts it, interleaved with heap events and line
-	// events on the same quarter-second grid. Captures at or past the
-	// horizon stay in their rings and never pop, as arm never pushed them.
+	// heap of every capture puts it, interleaved with 2,000 control ticks,
+	// each an owner re-armed when it pops, and line events on the same
+	// quarter-second grid. Captures at or past the horizon stay in their
+	// rings and never pop, and arm retires a tick past it.
 	t.Run("rings", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(103))
-		const horizon = 400
+		const horizon, ticks = 400, 2000
 		sizes, fps := []int{300, 0, 200, 150}, []float64{2, 0, 4, 1}
-		h := eventHeap{streams: queue.NewIndex(len(sizes)), horizon: horizon}
+		owners := len(sizes) + ticks // each class, then each tick
+		h := eventHeap{owners: queue.NewIndex(owners), refs: make([]evRef, owners), horizon: horizon}
 		extra := 40 // joiners per class
 		for ci := range sizes {
 			if sizes[ci] > 0 {
@@ -266,18 +276,16 @@ func TestHeapsMatchContainerHeap(t *testing.T) {
 		h.periodic(sizes, fps)
 		line := h.line(0.25)
 		ref := &refHeap[event]{less: eventLess}
-		var seq int64
 		var cams []int32 // each camera's class
 		departed := map[int32]bool{}
 		join := func(ci int, now float64) {
 			cam := int32(len(cams))
 			cams = append(cams, int32(ci))
 			u := rng.Float64()
-			h.join(ci, now, u, seq, cam)
 			if at := now + u/fps[ci]; at < horizon {
-				heap.Push(ref, newEvent(at, seq, evPeriodic, cam, int32(ci)))
+				heap.Push(ref, newEvent(at, h.seq, evPeriodic, cam, int32(ci)))
 			}
-			seq++
+			h.join(ci, now, u, cam)
 		}
 		for ci, n := range sizes {
 			for k := 0; k < n-extra; k++ {
@@ -285,14 +293,15 @@ func TestHeapsMatchContainerHeap(t *testing.T) {
 			}
 		}
 		h.start()
-		push := func(at float64) {
-			ev := newEvent(at, seq, evControl, int32(rng.Intn(1<<20)), 0)
-			seq++
-			h.push(ev)
-			heap.Push(ref, ev)
+		tick := func(o int32, at float64) {
+			if at < horizon {
+				heap.Push(ref, newEvent(at, h.seq, evControl, o, 0))
+			}
+			h.arm(o, at, evControl, o, 0)
 		}
-		for i := 0; i < 2000; i++ {
-			push(math.Round(4*rng.ExpFloat64()*50) / 4)
+		gap := func() float64 { return math.Round(4*rng.ExpFloat64()*50) / 4 }
+		for o := len(sizes); o < owners; o++ {
+			tick(int32(o), gap())
 		}
 		joined, pops := 0, 0
 		for ; ref.Len() > 0; pops++ {
@@ -301,15 +310,16 @@ func TestHeapsMatchContainerHeap(t *testing.T) {
 				t.Fatalf("popped %+v, reference popped %+v", got, want)
 			}
 			switch {
+			case got.kind() == evControl:
+				tick(got.P.id, got.T+gap())
 			case got.kind() == evPeriodic && departed[got.P.id]:
 				h.skip(int(got.P.aux))
 			case got.kind() == evPeriodic:
 				ci := int(got.P.aux)
-				h.rearm(ci, seq)
 				if at := got.T + 1/fps[ci]; at < horizon {
-					heap.Push(ref, newEvent(at, seq, evPeriodic, got.P.id, got.P.aux))
+					heap.Push(ref, newEvent(at, h.seq, evPeriodic, got.P.id, got.P.aux))
 				}
-				seq++
+				h.rearm(ci)
 				if rng.Intn(50) == 0 {
 					departed[got.P.id] = true
 				}
@@ -318,9 +328,8 @@ func TestHeapsMatchContainerHeap(t *testing.T) {
 					joined++
 				}
 				if rng.Intn(4) == 0 {
-					h.file(line, got.T, seq, evLand, got.P.id, 0)
-					heap.Push(ref, newEvent(got.T+0.25, seq, evLand, got.P.id, 0))
-					seq++
+					heap.Push(ref, newEvent(got.T+0.25, h.seq, evLand, got.P.id, 0))
+					h.file(line, got.T, evLand, got.P.id, 0)
 				}
 			}
 		}

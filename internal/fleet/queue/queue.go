@@ -1,11 +1,12 @@
 // Package queue holds the queue shapes the fleet simulator runs on: Heap,
 // a binary min-heap keyed by (time, tie-break); Index, the same heap over
 // numbered sources that each hold at most one key, re-keyed in place; and
-// Ring, a FIFO ring buffer. The event loop's heap, the fair-share servers
-// and the FIFO servers' busy cores are Heaps over their own payloads; the
-// link-completion index (one source per link), the delay lines' heads
-// (one source per line) and the Poisson classes' pending arrivals (one
-// source per class) are Indexes; the delay lines and the FIFO servers'
+// Ring, a FIFO ring buffer. The fair-share servers and the FIFO servers'
+// busy cores are Heaps over their jobs; the link-completion index (one
+// source per link), the delay lines' heads (one source per line) and the
+// event queue's owners (one source per class, controller, federated
+// participant, schedule cursor or churn entry, each keyed by its one
+// pending event) are Indexes; the delay lines and the FIFO servers'
 // waiting queues are Rings.
 //
 // It is a package of its own so that a CPU profile attributed by source

@@ -269,8 +269,12 @@ func firstDiff(a, b reflect.Value, path string) string {
 // The scenarios are the 23 camsim golden variants at seeds 1 to 4, each
 // with exact statistics and again with streaming telemetry in 0.25 s
 // windows, the random scenarios TestRandomScenarioInvariants draws from,
-// and periodic and Poisson classes under rate steps and churn. Each is
+// periodic and Poisson classes under rate steps and churn, and every
+// fuzz seed that parses, shrunk as FuzzScenarioRun shrinks it. Each is
 // normalized first: Normalize's defaults are unscaled constants.
+// FuzzScenarioRun itself does not check the relations: halving a
+// subnormal input is inexact, so a mutated input could break them with
+// no fault in the engine.
 func TestScalingRelations(t *testing.T) {
 	scenUnits, resUnits := byField(scenarioUnits), byField(scenarioUnits, resultUnits)
 	checkUnits(t, scenUnits, reflect.TypeOf(Scenario{}))
@@ -313,6 +317,15 @@ func TestScalingRelations(t *testing.T) {
 		FleetEvent{Time: 6.5, Kind: DynFPSProfile, Class: "bg", Multiplier: 2.2},
 	)
 	scs = append(scs, steps)
+	for i, s := range fuzzSeeds {
+		sc, err := ParseScenario([]byte(s.json))
+		if err != nil {
+			continue
+		}
+		shrinkForRun(&sc)
+		sc.Name = fmt.Sprintf("fuzz seed %d", i)
+		scs = append(scs, sc)
+	}
 
 	for _, base := range scs {
 		base = base.clone()

@@ -546,8 +546,34 @@ func (sc *Scenario) validate() (resolved, error) {
 	if rv.refs, rv.joiners, err = sc.validateDynamics(rv.nodes, total); err != nil {
 		return resolved{}, err
 	}
+	// Each class's cameras, joiners included, at its fastest rate over the
+	// run must make at most maxCaptures captures.
+	peak := make([]float64, len(sc.Classes)) // each class's largest multiplier
+	for i, ref := range rv.refs {
+		if ev := &sc.Dynamics.Events[i]; ev.Kind == DynFPSProfile {
+			peak[ref.class] = max(peak[ref.class], ev.Multiplier)
+		}
+	}
+	for ci, c := range sc.Classes {
+		n, fps := c.Count, c.FPS*max(1, peak[ci])
+		if rv.joiners != nil {
+			n += rv.joiners[ci]
+		}
+		if float64(n)*fps*sc.Duration > maxCaptures {
+			return resolved{}, fmt.Errorf("fleet: class %q: %d cameras at up to %g fps over %g sec make more than 2^40 captures",
+				c.Name, n, fps, sc.Duration)
+		}
+	}
 	return rv, nil
 }
+
+// maxCaptures bounds one class's captures in a run: its cameras, joiners
+// included, times its fastest rate times Duration. At the bound a
+// period, and a Poisson class's mean gap, still spans 2^12 units in the
+// last place of the clock at the run's end. Past it precision is lost
+// quietly, and near 2^52 a capture re-arms at the instant it fired, so
+// the run never ends.
+const maxCaptures = 1 << 40
 
 // validateFederated checks the federated-learning section against the
 // resolved tier tree by building the round engine, and returns it with

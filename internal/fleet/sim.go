@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -18,9 +19,10 @@ import (
 // controller runs one epoch; a federated camera's local training ends
 // and its update blob enters the attach uplink; a dynamics schedule
 // entry fires (churn, link degradation, tier outage/recovery, rate
-// profile or core rescale). Link completions themselves are not events —
-// the loop peeks them off the links, whose finish times shift as
-// transfers are admitted.
+// profile or core rescale). evReady and evLand are a frame's stages and
+// wait on delay lines; every other kind is an owner's one pending event.
+// Link completions themselves are not events — the loop peeks them off
+// the links, whose finish times shift as transfers are admitted.
 const (
 	evPeriodic = iota
 	evArrive
@@ -35,13 +37,14 @@ const (
 // event is one scheduled simulator step. It is 24 bytes, not a whole
 // cache line, because a large periodic fleet keeps one pending capture
 // per camera resident in its classes' rings. The queue orders on (T, Tie);
-// Tie holds the loop's scheduling counter shifted left kindBits with the
+// Tie holds the queue's scheduling counter shifted left kindBits with the
 // event kind in the low bits, which orders exactly like the bare counter
 // because the counter is unique. Payload that does not fit evRef lives
 // in the transfer record the event names.
 type event queue.Item[evRef]
 
-// evRef is an event's payload.
+// evRef is an event's payload: a stage keeps it in its line, a periodic
+// capture in its class's ring, and any other event in its owner's slot.
 type evRef struct {
 	// id names the subject: the camera (evPeriodic), class (evArrive,
 	// evControl), federated participant (evFLReady), dynamics schedule
@@ -63,7 +66,7 @@ const (
 	kindMask = 1<<kindBits - 1
 )
 
-// newEvent packs an event scheduled as the loop's seq-th push.
+// newEvent packs an event scheduled as the queue's seq-th.
 func newEvent(t float64, seq int64, kind int, id, aux int32) event {
 	return event{T: t, Tie: seq<<kindBits | int64(kind), P: evRef{id: id, aux: aux}}
 }
@@ -71,40 +74,47 @@ func newEvent(t float64, seq int64, kind int, id, aux int32) event {
 // kind unpacks the event kind from the low bits of Tie.
 func (ev *event) kind() int { return int(ev.Tie & kindMask) }
 
-// eventHeap is the loop's whole event queue. heap holds the events that
-// can fall at any time: control ticks, global epochs, federated ready and
-// dynamics entries. A stage with a constant delay — a class row's
+// eventHeap is the loop's whole event queue. Every pending event but a
+// frame's stages has an owner that holds at most one at a time: a
+// class's next capture, a controller's next tick, the global
+// controller's next epoch, the fault schedule's next first firing (its
+// cursor), a churn entry's next re-firing, a federated participant's
+// next ready. owners keys each owner by that event, re-keyed in place as
+// it moves on, and refs holds its payload. A class's key is its next
+// capture: a Poisson class's cameras capture on one arrival stream, whose
+// one pending arrival is its key, and a periodic class's cameras wait in
+// its ring, whose front is. A stage with a constant delay — a class row's
 // in-camera compute, a tier's uplink propagation, a declared downlink's
 // propagation — waits on lines instead, one FIFO per distinct delay
 // value, keyed by byDelay. A line adds its own delay to the loop time it
 // is filed at, and loop time never decreases, so each line is sorted by
 // (T, Tie) as filed. heads keys every non-empty line by its front,
-// re-keyed in place as the front moves on. streams keys every class by
-// its next capture, re-keyed in place as that moves on: a Poisson class's
-// cameras capture on one arrival stream, whose one pending arrival is
-// its key, and a periodic class's cameras wait in its ring, whose front
-// is. The earliest event is the earliest of the heap's top and the two
-// indexes' minimums, so events pop in the order one heap of every event
-// would give, and a fleet of any size keeps one capture per class in the
-// indexes, not one per camera.
+// re-keyed in place as the front moves on. The earliest event is the
+// earlier of the two indexes' minimums, so events pop in the order one
+// heap of every event would give, and a fleet of any size keeps one key
+// per owner, not one per camera.
 //
-// Everything that touches a line, a ring or a class's key is a method of
-// eventHeap, so a CPU profile charges them to the event queue rather
-// than to the loop.
+// The queue numbers every event it schedules, and keys no owner at or
+// past the horizon. Everything that touches a line, a ring or an owner's
+// key is a method of eventHeap, so a CPU profile charges them to the
+// event queue rather than to the loop.
 type eventHeap struct {
-	heap    queue.Heap[evRef]
-	lines   []delayLine
-	heads   queue.Index // one source per line
-	streams queue.Index // one source per class
+	lines  []delayLine
+	heads  queue.Index // one source per line
+	owners queue.Index // one source per owner, numbered by newEngine
+	refs   []evRef     // each owner's pending payload
 	// rings holds each class's pending periodic captures; nil unless some
 	// class is periodic, and a Poisson class's ring is empty. sorted is
 	// false while newEngine files the declared cameras, unsorted, and
 	// start sorts them.
 	rings  []ring
 	sorted bool
-	// horizon is Duration: no capture falls at or past it, so a class
-	// whose next capture does holds no key.
+	// horizon is Duration: no owner is keyed at or past it but a
+	// federated participant or the schedule cursor, whose events the
+	// drain runs.
 	horizon float64
+	// seq is the scheduling counter, the number of the next event.
+	seq     int64
 	byDelay map[float64]int32
 }
 
@@ -150,22 +160,38 @@ func (h *eventHeap) line(d float64) int32 {
 	return l
 }
 
-// push schedules ev on the heap.
-func (h *eventHeap) push(ev event) { h.heap.Push(queue.Item[evRef](ev)) }
-
-// arrive keys class ci's pending arrival at time t, as the loop's seq-th
-// scheduling; retire leaves the class with none pending.
-func (h *eventHeap) arrive(ci int, t float64, seq int64) {
-	h.streams.Set(int32(ci), t, seq<<kindBits|evArrive)
+// number returns the next scheduling number.
+func (h *eventHeap) number() int64 {
+	h.seq++
+	return h.seq - 1
 }
 
-func (h *eventHeap) retire(ci int) { h.streams.Remove(int32(ci)) }
+// set keys owner o's pending event, of kind with payload (id, aux), at
+// time t as the seq-th scheduling. arm keys it at t under the next
+// number while t falls before the horizon and retires o otherwise, and
+// retire leaves o with none pending. A pop leaves its owner's key set,
+// so the loop follows each pop of an owner with one of the three, or
+// with a class's re-key, before the next pop.
+func (h *eventHeap) set(o int32, t float64, seq int64, kind int, id, aux int32) {
+	h.refs[o] = evRef{id: id, aux: aux}
+	h.owners.Set(o, t, seq<<kindBits|int64(kind))
+}
+
+func (h *eventHeap) arm(o int32, t float64, kind int, id, aux int32) {
+	if t < h.horizon {
+		h.set(o, t, h.number(), kind, id, aux)
+		return
+	}
+	h.retire(o)
+}
+
+func (h *eventHeap) retire(o int32) { h.owners.Remove(o) }
 
 // file schedules an event on line l, the line's delay after the loop
-// time now, as the loop's seq-th scheduling.
-func (h *eventHeap) file(l int32, now float64, seq int64, kind int, id, aux int32) {
+// time now.
+func (h *eventHeap) file(l int32, now float64, kind int, id, aux int32) {
 	ln := &h.lines[l]
-	ev := newEvent(now+ln.delay, seq, kind, id, aux)
+	ev := newEvent(now+ln.delay, h.number(), kind, id, aux)
 	if ln.q.Len() == 0 {
 		h.heads.Set(l, ev.T, ev.Tie)
 	}
@@ -176,42 +202,32 @@ func (h *eventHeap) file(l int32, now float64, seq int64, kind int, id, aux int3
 // none is pending.
 func (h *eventHeap) next() (t float64, ok bool) {
 	t = math.Inf(1)
-	if len(h.heap) > 0 {
-		t, ok = h.heap[0].T, true
-	}
 	if h.heads.Len() > 0 {
-		t, ok = min(t, h.heads.Min().T), true
+		t, ok = h.heads.Min().T, true
 	}
-	if h.streams.Len() > 0 {
-		t, ok = min(t, h.streams.Min().T), true
+	if h.owners.Len() > 0 {
+		t, ok = min(t, h.owners.Min().T), true
 	}
 	return t, ok
 }
 
 // pop removes and returns the earliest pending event, which must exist.
-// Without lines or class keys it is the heap's pop behind two branches. A
-// class's key stays set until the loop moves it on, before the next pop:
-// a Poisson class's arrival by a redraw, a periodic class's front capture
-// by a re-arm or a skip. A line's pop re-keys the line to its next front,
-// or removes it when it empties.
+// An owner's event leaves its key set for the loop to move on: a
+// periodic class's event is its ring's front capture, and any other
+// owner's carries the payload in its slot. A line's pop re-keys the line
+// to its next front, or removes it when it empties.
 func (h *eventHeap) pop() event {
-	if h.streams.Len() > 0 {
-		a := h.streams.Min()
-		if (len(h.heap) == 0 || ahead(a, h.heap[0])) && (h.heads.Len() == 0 || ahead(a, h.heads.Min())) {
+	if h.owners.Len() > 0 {
+		a := h.owners.Min()
+		if h.heads.Len() == 0 || ahead(a, h.heads.Min()) {
 			if a.Tie&kindMask == evPeriodic {
 				r := &h.rings[a.P]
 				return event{T: a.T, Tie: a.Tie, P: evRef{id: r.q[r.head].P.id, aux: a.P}}
 			}
-			return event{T: a.T, Tie: a.Tie, P: evRef{id: a.P}}
+			return event{T: a.T, Tie: a.Tie, P: h.refs[a.P]}
 		}
 	}
-	if h.heads.Len() == 0 {
-		return event(h.heap.Pop())
-	}
 	f := h.heads.Min()
-	if len(h.heap) > 0 && ahead(h.heap[0], f) {
-		return event(h.heap.Pop())
-	}
 	ln := &h.lines[f.P]
 	ev := ln.q.Pop()
 	if ln.q.Len() > 0 {
@@ -237,10 +253,8 @@ func (h *eventHeap) periodic(sizes []int, fps []float64) {
 	slab := make([]event, total)
 	h.rings = make([]ring, len(sizes))
 	for ci, n := range sizes {
-		if n > 0 {
-			h.rings[ci] = ring{q: slab[:n:n], period: 1 / fps[ci], fps: fps[ci], m: 1}
-			slab = slab[n:]
-		}
+		h.rings[ci] = ring{q: slab[:n:n], period: 1 / fps[ci], fps: fps[ci], m: 1}
+		slab = slab[n:]
 	}
 }
 
@@ -255,10 +269,7 @@ func (h *eventHeap) start() {
 			continue // a Poisson class, keyed by its stream
 		}
 		slices.SortFunc(r.q[:r.n], func(a, b event) int {
-			if ahead(queue.Item[evRef](a), queue.Item[evRef](b)) {
-				return -1
-			}
-			return 1
+			return cmp.Or(cmp.Compare(a.T, b.T), cmp.Compare(a.Tie, b.Tie))
 		})
 		h.key(ci)
 	}
@@ -266,11 +277,11 @@ func (h *eventHeap) start() {
 }
 
 // join files camera cam's first capture a fraction u of a period after
-// time t on class ci's clock, as the loop's seq-th scheduling. While the
-// clock is the identity that is t + u/FPS.
-func (h *eventHeap) join(ci int, t, u float64, seq int64, cam int32) {
+// time t on class ci's clock. While the clock is the identity that is t
+// + u/FPS.
+func (h *eventHeap) join(ci int, t, u float64, cam int32) {
 	r := &h.rings[ci]
-	ev := newEvent(r.x0+float64((t-r.t0)*r.m)+u/r.fps, seq, evPeriodic, cam, 0)
+	ev := newEvent(r.x0+float64((t-r.t0)*r.m)+u/r.fps, h.number(), evPeriodic, cam, 0)
 	if !h.sorted {
 		r.q[r.n] = ev
 		r.n++
@@ -282,12 +293,12 @@ func (h *eventHeap) join(ci int, t, u float64, seq int64, cam int32) {
 }
 
 // rearm moves class ci's front capture, which just fired, one period on,
-// as the loop's seq-th scheduling, and rekeys the class.
-func (h *eventHeap) rearm(ci int, seq int64) {
+// and rekeys the class.
+func (h *eventHeap) rearm(ci int) {
 	r := &h.rings[ci]
 	ev := h.shift(r)
 	ev.T += r.period
-	ev.Tie = seq<<kindBits | evPeriodic
+	ev.Tie = h.number()<<kindBits | evPeriodic
 	h.insert(r, ev)
 	h.key(ci)
 }
@@ -364,15 +375,15 @@ func (h *eventHeap) key(ci int) {
 			t = r.floor
 		}
 		if t < h.horizon {
-			h.streams.Set(int32(ci), t, front.Tie)
+			h.owners.Set(int32(ci), t, front.Tie)
 			return
 		}
 	}
-	h.streams.Remove(int32(ci))
+	h.retire(int32(ci))
 }
 
 // ahead reports whether a orders before b in (T, Tie).
-func ahead[P, Q any](a queue.Item[P], b queue.Item[Q]) bool {
+func ahead(a, b queue.Item[int32]) bool {
 	return a.T < b.T || a.T == b.T && a.Tie < b.Tie
 }
 
@@ -446,9 +457,11 @@ type flPart struct {
 const estCap = 1 << 22
 
 // clampEst converts a float capacity estimate to an int usable as a make
-// cap. A valid scenario can push FPS × Duration × Count past int range —
-// int() of an out-of-range float is unspecified (negative caps panic
-// make) — and no estimate is worth an absurd up-front allocation, so the
+// cap. Validation bounds a class's captures over Duration (maxCaptures),
+// but not over a decision period, so a valid scenario can push FPS ×
+// IntervalSec × Count past int range — int() of an out-of-range float is
+// unspecified (negative caps panic make) — and no estimate is worth an
+// absurd up-front allocation, so the
 // result is clamped to [0, estCap]; NaN maps to 0. Estimates only size
 // preallocations, never bound growth, so clamping cannot change results.
 func clampEst(x float64) int {
@@ -529,7 +542,10 @@ type engine struct {
 	transfers []transfer
 	freeIDs   []int
 	events    eventHeap
-	seq       int64
+	// ctlOwn, gOwn and flOwn are the owners in events.owners of class 0's
+	// controller, the global controller and federated participant 0; class
+	// ci is owner ci, and the schedule's owners follow dyn.own.
+	ctlOwn, gOwn, flOwn int32
 
 	res *Result
 	acc accumulator
@@ -627,28 +643,33 @@ func newEngine(sc Scenario) (*engine, error) {
 		}
 	}
 
-	// The event heap's population is structurally bounded — each adaptive
-	// class owns one pending control tick, and each subsystem below adds
-	// its own bound — so the loop never regrows it. No capture waits on
-	// the heap: every class keys its next capture in the streams index, a
-	// periodic class's cameras wait in its ring, sized for every camera
-	// the class will hold, and a frame's stages wait on delay lines, whose
-	// rings grow to their own peak.
-	heapCap := 1 + len(s.Classes)
-	e.events.streams = queue.NewIndex(len(s.Classes))
-	e.events.horizon = s.Duration
+	// Every pending event but a frame's stages has an owner holding at
+	// most one key in the queue's owner index, numbered here once and
+	// sized for: each class, each class's controller, the global
+	// controller, then the schedule's cursor and churn entries, or a
+	// federated job's participants. No capture is keyed per camera: a
+	// periodic class's cameras wait in its ring, sized below for every
+	// camera the class will hold, and a frame's stages wait on delay
+	// lines, whose rings grow to their own peak.
+	n := int32(len(s.Classes))
+	e.ctlOwn, e.gOwn, e.flOwn = n, 2*n, 2*n+1
 
 	// The dynamics engine, created only for a non-empty fault schedule:
 	// every other run — including one with a present-but-empty dynamics
 	// section — stays byte-identical to the legacy path. Validation's
 	// replay of its joins sizes every camera structure for the cameras
-	// they add, so none regrows. On the heap it keeps one first firing
-	// pending at a time (the cursor below) and one re-firing per recurring
-	// entry.
+	// they add, so none regrows.
 	if s.Dynamics != nil && len(s.Dynamics.Events) > 0 {
 		e.dyn = newDynamics(s, rv.refs, len(nodes), e.firstHop)
-		heapCap += 1 + e.dyn.recurring()
+		e.dyn.own = e.flOwn
+		e.flOwn += 1 + int32(len(e.dyn.churn))
 	}
+	if n = e.flOwn; e.fle != nil {
+		n += int32(e.fle.Cameras())
+	}
+	e.events.owners = queue.NewIndex(int(n))
+	e.events.refs = make([]evRef, n)
+	e.events.horizon = s.Duration
 	e.classCams = make([][]int32, len(s.Classes))
 	cams, rings := 0, []int(nil) // each periodic class's ring size
 	for ci := range s.Classes {
@@ -688,14 +709,6 @@ func newEngine(sc Scenario) (*engine, error) {
 		e.acc = newExactLatencies(s)
 	}
 
-	// The federated round engine validation built, when the scenario
-	// configures a job. It is pure accounting — the loop reports blob
-	// landings and model deliveries to it and starts the transfers it asks
-	// for. One pending ready event per federated participant at a time.
-	if e.fle != nil {
-		heapCap += e.fle.Cameras()
-	}
-
 	// Transfer ids are recycled through a free list the moment a transfer
 	// completes, so the transfers slice grows to the peak in-flight
 	// population, far below the camera count, instead of one slot per
@@ -711,7 +724,6 @@ func newEngine(sc Scenario) (*engine, error) {
 	e.ctls = newControllers(s)
 	e.gctl = newGlobal(s)
 	e.logs = newLogs(s)
-	e.events.heap = make(queue.Heap[evRef], 0, heapCap)
 	for ci := range s.Classes {
 		cl := &s.Classes[ci]
 		for k := 0; k < cl.Count; k++ {
@@ -724,11 +736,11 @@ func newEngine(sc Scenario) (*engine, error) {
 			e.redraw(ci, 0)
 		}
 		if e.ctls[ci] != nil {
-			e.arm(cl.Policy.IntervalSec, evControl, int32(ci), 0)
+			e.events.arm(e.ctlOwn+int32(ci), cl.Policy.IntervalSec, evControl, int32(ci), 0)
 		}
 	}
 	if e.gctl != nil {
-		e.arm(s.Global.EpochSec, evGlobal, 0, 0)
+		e.events.arm(e.gOwn, s.Global.EpochSec, evGlobal, 0, 0)
 	}
 
 	// Federated participants, in class then camera order: each owns a
@@ -736,7 +748,9 @@ func newEngine(sc Scenario) (*engine, error) {
 	// federated family tag, so the draws are stable under class edits
 	// elsewhere and never perturb frame traffic. Round 1's local compute
 	// starts at t = 0; rounds run to completion past Duration, the event
-	// loop draining them like any other traffic.
+	// loop draining them like any other traffic. The round engine, which
+	// validation built, is pure accounting: the loop reports blob landings
+	// and model deliveries to it and starts the transfers it asks for.
 	if e.fle != nil {
 		e.flByTier = make([][]int32, len(nodes))
 		e.flParts = make([]flPart, 0, e.fle.Cameras())
@@ -754,20 +768,20 @@ func newEngine(sc Scenario) (*engine, error) {
 		f := s.Federated
 		for pi := range e.flParts {
 			p := &e.flParts[pi]
-			e.push(f.ComputeSec+f.JitterSec*p.rng.Float64(), evFLReady, int32(pi), 1)
+			e.events.set(e.flOwn+int32(pi), f.ComputeSec+float64(f.JitterSec*p.rng.Float64()), e.events.number(), evFLReady, int32(pi), 1)
 		}
 	}
 	if e.dyn != nil {
 		// The schedule waits behind a cursor: one entry's first firing is
-		// pending at a time, and it pushes the next as it fires (dynFire).
-		// Every entry's scheduling number is reserved here, so same-time
-		// entries fire in declaration order, and each orders against every
-		// other event as if the whole schedule were pushed now: the next
-		// entry is on the heap before anything ordered after it can pop.
-		// Entries past Duration still fire — the drain phase is part of
-		// the run.
-		e.dyn.seq0 = e.seq
-		e.seq += int64(len(e.dyn.events))
+		// pending at a time, and it moves the cursor on as it fires
+		// (dynFire). Every entry's scheduling number is reserved here, so
+		// same-time entries fire in declaration order, and each orders
+		// against every other event as if the whole schedule were keyed
+		// now: the next entry is keyed before anything ordered after it can
+		// pop. Entries past Duration still fire — the drain phase is part
+		// of the run.
+		e.dyn.seq0 = e.events.seq
+		e.events.seq += int64(len(e.dyn.events))
 		e.schedule(0)
 	}
 	e.events.start()
@@ -812,8 +826,7 @@ func (e *engine) addCamera(ci int, t float64) {
 		e.harvest = append(e.harvest, store{joules: cl.StoreJ, lastTop: t})
 	}
 	if cl.Arrival != ArrivalPoisson {
-		e.events.join(ci, t, c.rng.Float64(), e.seq, int32(idx))
-		e.seq++
+		e.events.join(ci, t, c.rng.Float64(), int32(idx))
 	}
 	e.cams = append(e.cams, c)
 	e.classCams[ci] = append(e.classCams[ci], int32(idx))
@@ -827,13 +840,10 @@ func (e *engine) addCamera(ci int, t float64) {
 // or a draw at or past Duration (arm's horizon), leaves none pending.
 func (e *engine) redraw(ci int, t float64) {
 	if n := len(e.classCams[ci]); n > 0 {
-		if next := t + e.arrivals[ci].ExpFloat64()/(float64(n)*e.fps[ci]); next < e.sc.Duration {
-			e.events.arrive(ci, next, e.seq)
-			e.seq++
-			return
-		}
+		e.events.arm(int32(ci), t+e.arrivals[ci].ExpFloat64()/(float64(n)*e.fps[ci]), evArrive, int32(ci), 0)
+		return
 	}
-	e.events.retire(ci)
+	e.events.retire(int32(ci))
 }
 
 // linkRole is what a link carries, and so where a transfer it finishes
@@ -874,32 +884,15 @@ func (e *engine) addLink(l Link, ti int, r linkRole, c, prop float64) int {
 	return len(e.links) - 1
 }
 
-// push schedules an event at time t on the heap, and file one on delay
-// line l, that line's delay after the loop time now.
-func (e *engine) push(t float64, kind int, id, aux int32) {
-	e.events.push(newEvent(t, e.seq, kind, id, aux))
-	e.seq++
-}
-
-func (e *engine) file(l int32, now float64, kind int, id, aux int32) {
-	e.events.file(l, now, e.seq, kind, id, aux)
-	e.seq++
-}
-
-// schedule pushes schedule entry i's first firing, marked by aux 1, under
-// the scheduling number newEngine reserved for it.
+// schedule moves the schedule's cursor to entry i's first firing,
+// marked by aux 1, under the scheduling number newEngine reserved for
+// it, or retires the cursor past the last entry.
 func (e *engine) schedule(i int) {
-	e.events.push(newEvent(e.dyn.events[i].Time, e.dyn.seq0+int64(i), evDynamics, int32(i), 1))
-}
-
-// arm pushes an event at time t only if t falls before Duration, the
-// capture horizon: control ticks, global epochs and recurring churn stop
-// there, as captures do, while the drain runs on. Federated ready events
-// and schedule entries are pushed past it.
-func (e *engine) arm(t float64, kind int, id, aux int32) {
-	if t < e.sc.Duration {
-		e.push(t, kind, id, aux)
+	if i == len(e.dyn.events) {
+		e.events.retire(e.dyn.own)
+		return
 	}
+	e.events.set(e.dyn.own, e.dyn.events[i].Time, e.dyn.seq0+int64(i), evDynamics, int32(i), 1)
 }
 
 // startLink and finishLink admit and complete a transfer on link li,
@@ -1039,7 +1032,7 @@ func (e *engine) capture(t float64, camIdx int32) {
 	case offload:
 		c.inflight++
 		id := e.newTransfer(transfer{cam: camIdx, class: c.class, capturedAt: t, bytes: r.bytes})
-		e.file(r.ready, t, evReady, int32(id), 0)
+		e.events.file(r.ready, t, evReady, int32(id), 0)
 	default:
 		st.KeptInCamera++
 	}
@@ -1070,7 +1063,7 @@ func (e *engine) forward(li int, t float64) {
 		// zero-delay line would let those run first.
 		e.land(t, li, id)
 	default:
-		e.file(sl.line, t, evLand, int32(id), int32(li))
+		e.events.file(sl.line, t, evLand, int32(id), int32(li))
 	}
 }
 
@@ -1140,7 +1133,7 @@ func (e *engine) flDeliver(t float64, ti, id int) {
 		f := e.sc.Federated
 		for _, pi := range e.flByTier[ti] {
 			p := &e.flParts[pi]
-			e.push(t+f.ComputeSec+f.JitterSec*p.rng.Float64(), evFLReady, pi, int32(round+1))
+			e.events.set(e.flOwn+pi, t+f.ComputeSec+float64(f.JitterSec*p.rng.Float64()), e.events.number(), evFLReady, pi, int32(round+1))
 		}
 	}
 }
@@ -1153,11 +1146,12 @@ func (e *engine) rehome(ci, ti int) {
 }
 
 // dynFire executes schedule entry i at time t, then re-arms a
-// recurring churn entry from its own seeded stream. On an entry's first
-// firing it first pushes the next entry's (the schedule's cursor).
+// recurring churn entry from its own seeded stream, or retires it at
+// the horizon. An entry's first firing first moves the schedule's cursor
+// on to the next entry's.
 func (e *engine) dynFire(t float64, i int, first bool) {
 	dyn := e.dyn
-	if first && i+1 < len(dyn.events) {
+	if first {
 		e.schedule(i + 1)
 	}
 	ev, ref := &dyn.events[i], dyn.refs[i]
@@ -1240,7 +1234,7 @@ func (e *engine) dynFire(t float64, i int, first bool) {
 		e.redraw(ci, t)
 	}
 	if ev.EverySec > 0 {
-		e.arm(ev.next(t, dyn.stream(i)), evDynamics, int32(i), 0)
+		e.events.arm(dyn.owner(i), ev.next(t, dyn.stream(i)), evDynamics, int32(i), 0)
 	}
 }
 
@@ -1290,8 +1284,7 @@ func (e *engine) loop() {
 				break
 			}
 			e.capture(ev.T, ev.P.id)
-			e.events.rearm(ci, e.seq)
-			e.seq++
+			e.events.rearm(ci)
 		case evArrive:
 			ci := ev.P.id
 			members := e.classCams[ci]
@@ -1307,11 +1300,14 @@ func (e *engine) loop() {
 			if dir := e.ctls[ci].decide(e, ci); dir != 0 {
 				e.ctls[ci].move(e, ci, dir)
 			}
-			e.arm(ev.T+e.sc.Classes[ci].Policy.IntervalSec, evControl, ev.P.id, 0)
+			e.events.arm(e.ctlOwn+ev.P.id, ev.T+e.sc.Classes[ci].Policy.IntervalSec, evControl, ev.P.id, 0)
 		case evGlobal:
 			e.gctl.epoch(ev.T, e)
-			e.arm(ev.T+e.sc.Global.EpochSec, evGlobal, 0, 0)
+			e.events.arm(e.gOwn, ev.T+e.sc.Global.EpochSec, evGlobal, 0, 0)
 		case evFLReady:
+			// The cloud's barrier sets a participant's next ready only after
+			// its last one ran.
+			e.events.retire(e.flOwn + ev.P.id)
 			p := &e.flParts[ev.P.id]
 			ub := e.fle.UpdateBytes()
 			id := e.newTransfer(transfer{cam: ev.P.id, round: ev.P.aux, bytes: ub})
