@@ -568,37 +568,44 @@
 //     answers p50, p95 and p99 by sorting each of its levels in place
 //     and walking them merged (quantile.Sketch.Quantiles), with no
 //     buffer of its own.
-//   - Memory model: a camera is 24 bytes — its random stream embedded by
+//   - Memory model: a camera is 16 bytes — its random stream embedded by
 //     value (an 8-byte splitmix64 state, prng, instead of a *rand.Rand
-//     whose lagged-Fibonacci source is ~5 KB of heap per camera), an
-//     int32 class, placement row and in-flight count, and a departed
-//     flag — so 100k cameras cost 2.4 MB of inline state rather than
-//     ~500 MB of pointer-chased boxes. A harvesting run adds 16 bytes
-//     per camera for its store, in a side table that other runs never
-//     allocate. A frame's 40-byte transfer record carries its class, so
-//     after capture the frame reads its camera only to free its queue
-//     slot. Transfer ids are recycled through a free list and the slab
-//     grows by append, so transfer storage follows the peak in-flight
-//     population (~3.7k records on a 100k-camera fleet) instead of the
-//     camera count or the total frame count. The camera slab, the
-//     harvest table and each class's camera list are sized exactly
-//     before the run and never regrow: the declared cameras plus those
-//     the schedule's joins add, counted when the scenario is validated
-//     by replaying each camera_join entry's firings on a copy of its
-//     stream (nothing else draws from it, and its re-arms stop at
-//     Duration); validation rejects joins that add more than 2^22
-//     cameras. Only a churn entry owns a stream, since no other kind
-//     draws. A periodic class's ring is a segment of one slab of 24-byte
-//     captures, sized the same way, since each camera, departed or not,
-//     has at most one capture pending. The owner index is sized once, for
-//     every owner the run has — each class and its controller's slot, the
-//     global controller, and the schedule's cursor and churn entries or
-//     the federated participants — with one 8-byte payload slot each, and
-//     never regrows: it counts classes and subsystems, not cameras, and
-//     frames in flight wait on delay lines. The schedule waits behind its
-//     cursor: each entry's first firing moves it to the next entry's,
-//     under the scheduling number reserved for it before the run, so
-//     entries pop in the order a heap of the whole schedule would give.
+//     whose lagged-Fibonacci source is ~5 KB of heap per camera), and an
+//     int32 placement row and in-flight count — so 100k cameras cost 1.6
+//     MB of inline state rather than ~500 MB of pointer-chased boxes. A
+//     camera's class comes with each capture event: a periodic capture's
+//     from its ring, and a Poisson arrival names its camera and class
+//     when it is drawn. A departure is one bit per camera in a bitmap
+//     (3.75 kB for 30k cameras) that only a schedule with a camera_leave
+//     entry allocates. A harvesting run adds 16 bytes per camera for its
+//     store, in a side table that other runs never allocate. A frame's
+//     40-byte transfer record carries its class, so after capture the
+//     frame reads its camera only to free its queue slot. Transfer ids
+//     are recycled through a free list linked through the released
+//     records themselves, in the 4 bytes that would pad their three
+//     int32s, and the slab grows by append, so transfer storage follows
+//     the peak in-flight population (~3.7k records on a 100k-camera
+//     fleet) instead of the camera count or the total frame count, and
+//     the free list costs nothing beside it. The camera slab, the
+//     harvest table, the departure bitmap and each class's camera list
+//     are sized exactly before the run and never regrow: the declared
+//     cameras plus those the schedule's joins add, counted when the
+//     scenario is validated by replaying each camera_join entry's
+//     firings on a copy of its stream (nothing else draws from it, and
+//     its re-arms stop at Duration); validation rejects joins that add
+//     more than 2^22 cameras. Only a churn entry owns a stream, since no
+//     other kind draws. A periodic class's ring is a segment of one slab
+//     of 24-byte captures, sized the same way, since each camera,
+//     departed or not, has at most one capture pending. The owner index
+//     is sized once, for every owner the run has — each class and its
+//     controller's slot, the global controller, and the schedule's
+//     cursor and churn entries or the federated participants — with one
+//     8-byte payload slot each, and never regrows: it counts classes and
+//     subsystems, not cameras, and frames in flight wait on delay lines.
+//     The schedule waits behind its cursor: each entry's first firing
+//     moves it to the next entry's, under the scheduling number reserved
+//     for it before the run, so entries pop in the order a heap of the
+//     whole schedule would give.
 //     Each line's ring grows to its own peak, which
 //     on a line of delay d fed at r events per second is about r × d.
 //     The per-class latency slices are preallocated from FPS × Duration

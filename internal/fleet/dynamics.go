@@ -127,16 +127,16 @@ type dynRef struct{ class, tier, fall int32 }
 const maxJoiners = 1 << 22
 
 // validateDynamics checks the dynamics schedule against the resolved tier
-// tree and the declared camera total: known kinds, finite non-decreasing
-// times, resolvable classes and tiers, in-range factors, joins that add
-// at most maxJoiners cameras and keep the camera ids inside int32,
-// per-tier outage/recover alternation, and a usable fallback for every
-// outage that strands attached cameras. Each kind also rejects the other
-// kinds' knobs — a misplaced field must fail, not silently do nothing. It
-// returns each entry's resolved names, which the run reads instead of
-// looking them up again, and the cameras the joins add to each class (nil
-// without a schedule).
-func (sc *Scenario) validateDynamics(nodes []tierNode, cameras int) ([]dynRef, []int, error) {
+// tree, the class name index and the declared camera total: known kinds,
+// finite non-decreasing times, resolvable classes and tiers, in-range
+// factors, joins that add at most maxJoiners cameras and keep the camera
+// ids inside int32, per-tier outage/recover alternation, and a usable
+// fallback for every outage that strands attached cameras. Each kind also
+// rejects the other kinds' knobs — a misplaced field must fail, not
+// silently do nothing. It returns each entry's resolved names, which the
+// run reads instead of looking them up again, and the cameras the joins
+// add to each class (nil without a schedule).
+func (sc *Scenario) validateDynamics(nodes []tierNode, names map[string]int, cameras int) ([]dynRef, []int, error) {
 	d := sc.Dynamics
 	if d == nil || len(d.Events) == 0 {
 		return nil, nil, nil
@@ -187,9 +187,11 @@ func (sc *Scenario) validateDynamics(nodes []tierNode, cameras int) ([]dynRef, [
 			if e.Tier != "" {
 				return nil, nil, bad("tier belongs to the link and tier kinds")
 			}
-			if ref.class = int32(classIndex(sc.Classes, e.Class)); ref.class < 0 {
+			ci, ok := names[e.Class]
+			if !ok {
 				return nil, nil, bad("unknown class %q", e.Class)
 			}
+			ref.class = int32(ci)
 		case DynLinkDegrade, DynLinkRestore, DynTierOutage, DynTierRecover, DynComputeScale:
 			if ref.tier = int32(tierIndex(nodes, e.Tier)); ref.tier < 0 {
 				return nil, nil, bad("unknown tier %q", e.Tier)

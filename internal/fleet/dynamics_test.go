@@ -1144,12 +1144,14 @@ func TestDynamicsHarvestChurn(t *testing.T) {
 }
 
 // TestCameraStructuresNeverRegrow runs schedules that add cameras and
-// checks that the camera slab, the harvest table and every class's camera
-// list end the run at the capacities newEngine gave them, and that the
-// slab is exactly full: the replay of the joins counted every camera the
-// run added, and no more. Each periodic class's ring, which holds at most
-// one capture per camera the class ever had, is sized for exactly those
-// cameras. The event queue's owner index is sized once for every owner
+// checks that the camera slab, the harvest table, the departure bitmap and
+// every class's camera list end the run at the capacities newEngine gave
+// them, and that the slab is exactly full: the replay of the joins counted
+// every camera the run added, and no more. The bitmap holds a bit for
+// every camera of the slab when the schedule has a leave, and is nil
+// otherwise. Each periodic class's ring, which holds at most one capture
+// per camera the class ever had, is sized for exactly those cameras. The
+// event queue's owner index is sized once for every owner
 // (TestNewIndexIsSizedOnce).
 func TestCameraStructuresNeverRegrow(t *testing.T) {
 	harvest := dynamicsDemo(13)
@@ -1191,7 +1193,7 @@ func TestCameraStructuresNeverRegrow(t *testing.T) {
 			t.Fatal(err)
 		}
 		caps := func() []int {
-			c := []int{cap(e.cams), cap(e.harvest)}
+			c := []int{cap(e.cams), cap(e.harvest), cap(e.departed)}
 			for _, cc := range e.classCams {
 				c = append(c, cap(cc))
 			}
@@ -1204,7 +1206,12 @@ func TestCameraStructuresNeverRegrow(t *testing.T) {
 		e.loop()
 		res := e.result()
 		if after := caps(); !slices.Equal(after, before) {
-			t.Errorf("%s: capacities (cameras, harvest, class lists, rings) went from %v to %v", name, before, after)
+			t.Errorf("%s: capacities (cameras, harvest, departures, class lists, rings) went from %v to %v", name, before, after)
+		}
+		leaves := slices.ContainsFunc(sc.Dynamics.Events, func(ev FleetEvent) bool { return ev.Kind == DynCameraLeave })
+		if words := (cap(e.cams) + 63) / 64; leaves != (e.departed != nil) || leaves && len(e.departed) != words {
+			t.Errorf("%s: departure bitmap of %d words (nil %v) for %d cameras, schedule has a leave: %v",
+				name, len(e.departed), e.departed == nil, cap(e.cams), leaves)
 		}
 		if len(e.cams) != cap(e.cams) || res.Dynamics.Joined == 0 {
 			t.Errorf("%s: %d cameras (%d joined) in a slab built for %d", name, len(e.cams), res.Dynamics.Joined, cap(e.cams))

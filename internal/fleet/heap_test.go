@@ -41,14 +41,18 @@ func (h *eventHeap) len() int {
 }
 
 // TestRecordLayout pins the per-camera and per-transfer records: a
-// 24-byte camera keeps a 100k-camera fleet's capture reads cache-resident,
-// and a frame's transfer carries its class in 40 bytes.
+// 16-byte camera keeps a 100k-camera fleet's capture reads in a 1.6 MB
+// slab, and a frame's transfer carries its class and, once released, the
+// free list's link in 40 bytes.
 func TestRecordLayout(t *testing.T) {
-	if got := unsafe.Sizeof(camera{}); got != 24 {
-		t.Errorf("camera is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(camera{}); got != 16 {
+		t.Errorf("camera is %d bytes, want 16", got)
 	}
 	if got := unsafe.Sizeof(transfer{}); got != 40 {
 		t.Errorf("transfer is %d bytes, want 40", got)
+	}
+	if got := unsafe.Offsetof(transfer{}.next); got != 12 {
+		t.Errorf("transfer's free-list link at offset %d, want 12, in the padding after its three int32s", got)
 	}
 }
 

@@ -16,9 +16,9 @@ import "math"
 // streamSeed, itself splitmix64-mixed, so consecutive camera indexes
 // start at unrelated stream positions.
 //
-// Uint64, Float64, ExpFloat64 and Intn are its whole surface. The float
-// and Intn draws differ from rand.Rand's ziggurat-based ones — switching
-// to them was the one-time seeded-stream shift noted in doc.go.
+// Uint64, Float64, ExpFloat64, Intn and PeekIntn are its whole surface.
+// The float and Intn draws differ from rand.Rand's ziggurat-based ones —
+// switching to them was the one-time seeded-stream shift noted in doc.go.
 type prng struct {
 	state uint64
 }
@@ -86,4 +86,10 @@ func (p *prng) Intn(n int) int {
 		panic("fleet: prng.Intn with non-positive n")
 	}
 	return int(p.Uint64() % uint64(n))
+}
+
+// PeekIntn returns what the next Intn(n) returns, without advancing the
+// stream: its receiver is a copy, so only the copy draws.
+func (p prng) PeekIntn(n int) int {
+	return p.Intn(n)
 }

@@ -116,3 +116,20 @@ func TestPRNGIntnPanicsOnNonPositive(t *testing.T) {
 	p := newPRNG(1)
 	p.Intn(0)
 }
+
+// TestPRNGPeekIntn pins the peek a Poisson arrival names its camera by:
+// it returns what the next Intn(n) returns and leaves the stream where it
+// was, however often it is taken.
+func TestPRNGPeekIntn(t *testing.T) {
+	p := newPRNG(42)
+	for i, n := range []int{1, 2, 7, 1000, 1 << 30, 3, 3} {
+		before := p
+		got, again := p.PeekIntn(n), p.PeekIntn(n)
+		if p != before {
+			t.Fatalf("draw %d: PeekIntn(%d) moved the state from %#x to %#x", i, n, before.state, p.state)
+		}
+		if want := p.Intn(n); got != want || again != want {
+			t.Fatalf("draw %d: PeekIntn(%d) read %d then %d, the next Intn %d", i, n, got, again, want)
+		}
+	}
+}

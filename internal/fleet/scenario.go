@@ -488,13 +488,17 @@ func (sc *Scenario) validate() (resolved, error) {
 		return resolved{}, fmt.Errorf("fleet: scenario %q has no camera classes", sc.Name)
 	}
 	total := 0
+	// names indexes the classes by name, for the dynamics entries to
+	// resolve theirs without a scan each.
+	names := make(map[string]int, len(sc.Classes))
 	for i, c := range sc.Classes {
 		// Dynamics entries, service_sec entries and federated participants
-		// name classes, so a name must mean one class: the first class
-		// classIndex finds under it must be this one.
-		if classIndex(sc.Classes, c.Name) != i {
+		// name classes, so a name must mean one class: no class before this
+		// one may have it.
+		if _, dup := names[c.Name]; dup {
 			return resolved{}, fmt.Errorf("fleet: scenario %q: duplicate class %q", sc.Name, c.Name)
 		}
+		names[c.Name] = i
 		if c.Count <= 0 {
 			return resolved{}, fmt.Errorf("fleet: class %q: count %d must be positive", c.Name, c.Count)
 		}
@@ -543,7 +547,7 @@ func (sc *Scenario) validate() (resolved, error) {
 	if err := sc.validateTelemetry(); err != nil {
 		return resolved{}, err
 	}
-	if rv.refs, rv.joiners, err = sc.validateDynamics(rv.nodes, total); err != nil {
+	if rv.refs, rv.joiners, err = sc.validateDynamics(rv.nodes, names, total); err != nil {
 		return resolved{}, err
 	}
 	// Each class's cameras, joiners included, at its fastest rate over the

@@ -46,16 +46,16 @@ type event queue.Item[evRef]
 // evRef is an event's payload: a stage keeps it in its line, a periodic
 // capture in its class's ring, and any other event in its owner's slot.
 type evRef struct {
-	// id names the subject: the camera (evPeriodic), class (evArrive,
-	// evControl), federated participant (evFLReady), dynamics schedule
-	// entry (evDynamics), or transfer (evReady, evLand) — a frame's
-	// transfer record exists from capture, so it carries the capture time
-	// and payload an evReady needs.
+	// id names the subject: the capturing camera (evPeriodic, evArrive),
+	// class (evControl), federated participant (evFLReady), dynamics
+	// schedule entry (evDynamics), or transfer (evReady, evLand) — a
+	// frame's transfer record exists from capture, so it carries the
+	// capture time and payload an evReady needs.
 	id int32
-	// aux is the class of a periodic capture popped from its ring
-	// (evPeriodic), the link a landing transfer cleared (evLand), the round
-	// a federated participant's update belongs to (evFLReady), and 1 on a
-	// schedule entry's first firing (evDynamics).
+	// aux is the capturing camera's class (evPeriodic, evArrive), the link
+	// a landing transfer cleared (evLand), the round a federated
+	// participant's update belongs to (evFLReady), and 1 on a schedule
+	// entry's first firing (evDynamics).
 	aux int32
 }
 
@@ -387,24 +387,22 @@ func ahead(a, b queue.Item[int32]) bool {
 	return a.T < b.T || a.T == b.T && a.Tie < b.Tie
 }
 
-// camera is one simulated device, 24 bytes: what a capture reads and
-// nothing else, so a 100k-camera fleet stays cache-resident. The random
-// stream is embedded by value, 8 bytes inline rather than a pointer to
-// rand.NewSource's ~5 KB state; it draws a periodic camera's phase and
-// every capture's offload decision, while a periodic camera's pending
-// capture waits in its class's ring and a Poisson camera's capture times
-// come from its class's arrival stream. A harvesting camera's store
-// lives in the engine's harvest table, and a frame carries its class in
-// its transfer record, so after capture a frame reads its camera only to
+// camera is one simulated device, 16 bytes: what a capture reads and
+// nothing else, so a 100k-camera fleet's 1.6 MB slab stays mostly
+// cache-resident. The random stream is embedded by value, 8 bytes inline
+// rather than a pointer to rand.NewSource's ~5 KB state; it draws a
+// periodic camera's phase and every capture's offload decision, while a
+// periodic camera's pending capture waits in its class's ring and a
+// Poisson camera's capture times come from its class's arrival stream.
+// Its class comes with each capture event (evRef.aux), a departure is a
+// bit in the engine's departed bitmap, a harvesting camera's store lives
+// in the engine's harvest table, and a frame carries its class in its
+// transfer record, so after capture a frame reads its camera only to
 // free its queue slot.
 type camera struct {
 	rng       prng
-	class     int32
 	placement int32 // current row of the class (Class.rows)
 	inflight  int32
-	// departed marks a camera retired by dynamics churn: it captures
-	// nothing further, but frames already in flight still complete.
-	departed bool
 }
 
 // store is one harvesting camera's energy store: the joules held and the
@@ -434,6 +432,9 @@ type transfer struct {
 	// class is a frame's camera class, fixed at capture, so the hops,
 	// pools and landing never read the camera.
 	class int32
+	// next links a released record to the next free id (engine.free), in
+	// the 4 bytes that would otherwise pad the three int32s.
+	next int32
 	// capturedAt (the latency epoch) and bytes are fixed at capture time,
 	// so a placement switch mid-flight cannot retroactively resize a
 	// frame.
@@ -538,9 +539,17 @@ type engine struct {
 	arrivals []prng
 	// harvest holds each camera's energy store by camera index; nil
 	// unless some class harvests.
-	harvest   []store
+	harvest []store
+	// departed holds one bit per camera, set when dynamics churn retires
+	// it: it captures nothing further, but frames already in flight still
+	// complete. Only a periodic capture reads it, since a Poisson arrival
+	// marks only a current member; nil unless the schedule holds a
+	// camera_leave entry, and sized with the camera slab.
+	departed []uint64
+	// transfers is the transfer slab; free heads the list of released
+	// ids, linked through their records' next (-1 when empty).
 	transfers []transfer
-	freeIDs   []int
+	free      int32
 	events    eventHeap
 	// ctlOwn, gOwn and flOwn are the owners in events.owners of class 0's
 	// controller, the global controller and federated participant 0; class
@@ -567,7 +576,7 @@ type engine struct {
 // failure: past it, every name is resolved and every link, pool and
 // subsystem parameter is proved buildable.
 func newEngine(sc Scenario) (*engine, error) {
-	e := &engine{sc: sc.clone()}
+	e := &engine{sc: sc.clone(), free: -1}
 	s := &e.sc
 	s.Normalize()
 	rv, err := s.validate()
@@ -692,6 +701,9 @@ func newEngine(sc Scenario) (*engine, error) {
 		rings[ci] = n
 	}
 	e.events.periodic(rings, e.fps)
+	if e.dyn != nil && slices.ContainsFunc(s.Dynamics.Events, func(ev FleetEvent) bool { return ev.Kind == DynCameraLeave }) {
+		e.departed = make([]uint64, (cams+63)/64)
+	}
 
 	// Latency accumulation is chosen here, once. The streaming collector
 	// observes the same completions at the same event times the exact path
@@ -709,14 +721,14 @@ func newEngine(sc Scenario) (*engine, error) {
 		e.acc = newExactLatencies(s)
 	}
 
-	// Transfer ids are recycled through a free list the moment a transfer
-	// completes, so the transfers slice grows to the peak in-flight
-	// population, far below the camera count, instead of one slot per
-	// frame for the life of the run. Recycling cannot perturb results: a
-	// completed id is referenced nowhere (not in any link, not in any
-	// pending event), and no output ordering keys off id values, so a
-	// frame's record can be allocated at capture and carry its payload
-	// through in-camera compute.
+	// Transfer ids are recycled through a free list, linked through the
+	// released records themselves, the moment a transfer completes, so the
+	// transfers slice grows to the peak in-flight population, far below
+	// the camera count, instead of one slot per frame for the life of the
+	// run. Recycling cannot perturb results: a completed id is referenced
+	// nowhere (not in any link, not in any pending event), and no output
+	// ordering keys off id values, so a frame's record can be allocated at
+	// capture and carry its payload through in-camera compute.
 	e.cams = make([]camera, 0, cams)
 	if slices.ContainsFunc(s.Classes, func(c Class) bool { return c.HarvestW > 0 }) {
 		e.harvest = make([]store, 0, cams)
@@ -818,7 +830,7 @@ func (e *engine) price(ci, ti int) {
 func (e *engine) addCamera(ci int, t float64) {
 	cl := &e.sc.Classes[ci]
 	idx := len(e.cams)
-	c := camera{class: int32(ci), rng: newPRNG(streamSeed(e.sc.Seed, seedCamera, idx))}
+	c := camera{rng: newPRNG(streamSeed(e.sc.Seed, seedCamera, idx))}
 	if len(cl.Placements) > 0 {
 		c.placement = int32(cl.Policy.Start)
 	}
@@ -838,9 +850,19 @@ func (e *engine) addCamera(ci int, t float64) {
 // drawn uniformly, and the stream is memoryless: a join, a leave or a
 // rate step only redraws the pending arrival from now. An empty class,
 // or a draw at or past Duration (arm's horizon), leaves none pending.
+//
+// The arrival names its camera now, from a peek at the stream's next
+// draw, and the pop consumes that draw before it redraws. The peek moves
+// no stream: the pop reads the same position with the same n, since
+// every change to the class's members redraws, and an arrival replaced
+// before it pops costs no draw, so the stream's draws are exactly those
+// of a pick made at the pop.
 func (e *engine) redraw(ci int, t float64) {
-	if n := len(e.classCams[ci]); n > 0 {
-		e.events.arm(int32(ci), t+e.arrivals[ci].ExpFloat64()/(float64(n)*e.fps[ci]), evArrive, int32(ci), 0)
+	members := e.classCams[ci]
+	if n := len(members); n > 0 {
+		a := &e.arrivals[ci]
+		at := t + a.ExpFloat64()/(float64(n)*e.fps[ci])
+		e.events.arm(int32(ci), at, evArrive, members[a.PeekIntn(n)], int32(ci))
 		return
 	}
 	e.events.retire(int32(ci))
@@ -909,12 +931,13 @@ func (e *engine) finishLink(li int) int {
 	return id
 }
 
+// newTransfer files tr under the most recently released id, or a new
+// one when none is free.
 func (e *engine) newTransfer(tr transfer) int {
-	if n := len(e.freeIDs) - 1; n >= 0 {
-		id := e.freeIDs[n]
-		e.freeIDs = e.freeIDs[:n]
+	if id := e.free; id >= 0 {
+		e.free = e.transfers[id].next
 		e.transfers[id] = tr
-		return id
+		return int(id)
 	}
 	e.transfers = append(e.transfers, tr)
 	return len(e.transfers) - 1
@@ -922,8 +945,9 @@ func (e *engine) newTransfer(tr transfer) int {
 
 // release recycles transfer id and returns a copy of its record.
 func (e *engine) release(id int) transfer {
-	e.freeIDs = append(e.freeIDs, id)
-	return e.transfers[id]
+	tr := &e.transfers[id]
+	tr.next, e.free = e.free, int32(id)
+	return *tr
 }
 
 // dropOutage loses frame transfer id to an outage at tier ti: the
@@ -984,11 +1008,10 @@ func (e *engine) complete(arrive float64, id int) {
 	}
 }
 
-// capture runs one frame of camera camIdx at time t: it is charged,
-// then dropped, offloaded, or kept in the camera.
-func (e *engine) capture(t float64, camIdx int32) {
+// capture runs one frame of camera camIdx, of class ci, at time t: it is
+// charged, then dropped, offloaded, or kept in the camera.
+func (e *engine) capture(t float64, ci int, camIdx int32) {
 	c := &e.cams[camIdx]
-	ci := int(c.class)
 	cl := &e.sc.Classes[ci]
 	st := &e.res.Classes[ci]
 	st.Captured++
@@ -1006,11 +1029,11 @@ func (e *engine) capture(t float64, camIdx int32) {
 	}
 	need := cl.CaptureJ + r.computeJ
 	if offload {
-		need += cl.TxFixedJ + cl.TxPerByteJ*r.bytes
+		need += cl.TxFixedJ + float64(cl.TxPerByteJ*r.bytes)
 	}
 	if cl.HarvestW > 0 {
 		h := &e.harvest[camIdx]
-		h.joules += cl.HarvestW * (t - h.lastTop)
+		h.joules += float64(cl.HarvestW * (t - h.lastTop))
 		if h.joules > cl.StoreJ {
 			h.joules = cl.StoreJ
 		}
@@ -1031,7 +1054,7 @@ func (e *engine) capture(t float64, camIdx int32) {
 		st.DroppedQueue++
 	case offload:
 		c.inflight++
-		id := e.newTransfer(transfer{cam: camIdx, class: c.class, capturedAt: t, bytes: r.bytes})
+		id := e.newTransfer(transfer{cam: camIdx, class: int32(ci), capturedAt: t, bytes: r.bytes})
 		e.events.file(r.ready, t, evReady, int32(id), 0)
 	default:
 		st.KeptInCamera++
@@ -1051,7 +1074,7 @@ func (e *engine) forward(li int, t float64) {
 		// the frame starts transmission on the owning tier's uplink at
 		// the same instant.
 		tr, ti := &e.transfers[id], sl.owner
-		w := t - tr.compAt - e.compPlan[ti][tr.class]*tr.bytes
+		w := t - tr.compAt - float64(e.compPlan[ti][tr.class]*tr.bytes)
 		if w < 0 {
 			w = 0
 		}
@@ -1177,7 +1200,7 @@ func (e *engine) dynFire(t float64, i int, first bool) {
 			camIdx := members[pick]
 			members[pick] = members[n-1]
 			e.classCams[ci] = members[:n-1]
-			e.cams[camIdx].departed = true
+			e.departed[camIdx>>6] |= 1 << (camIdx & 63)
 			e.res.Classes[ci].Left++
 		}
 	case DynLinkDegrade, DynLinkRestore:
@@ -1226,10 +1249,10 @@ func (e *engine) dynFire(t float64, i int, first bool) {
 		e.lidx.invalidate(li)
 	}
 	// A join, a leave or a rate step changes its class's rate from now
-	// on. A Poisson class redraws its pending arrival at once; a periodic
-	// class has already moved its clock (rescale) or filed a joiner's
-	// first capture (addCamera), and a leaver's pending capture is
-	// skipped when it comes due.
+	// on. A Poisson class redraws its pending arrival at once, which then
+	// names a current member; a periodic class has already moved its
+	// clock (rescale) or filed a joiner's first capture (addCamera), and a
+	// leaver's pending capture is skipped when it comes due.
 	if ci := int(ref.class); ci >= 0 && e.sc.Classes[ci].Arrival == ArrivalPoisson {
 		e.redraw(ci, t)
 	}
@@ -1278,18 +1301,18 @@ func (e *engine) loop() {
 		e.acc.advance(ev.T)
 		switch ev.kind() {
 		case evPeriodic:
-			ci := int(ev.P.aux)
-			if e.cams[ev.P.id].departed {
+			ci, cam := int(ev.P.aux), ev.P.id
+			if e.departed != nil && e.departed[cam>>6]&(1<<(cam&63)) != 0 {
 				e.events.skip(ci)
 				break
 			}
-			e.capture(ev.T, ev.P.id)
+			e.capture(ev.T, ci, cam)
 			e.events.rearm(ci)
 		case evArrive:
-			ci := ev.P.id
-			members := e.classCams[ci]
-			e.capture(ev.T, members[e.arrivals[ci].Intn(len(members))])
-			e.redraw(int(ci), ev.T)
+			ci := int(ev.P.aux)
+			e.arrivals[ci].Uint64() // the draw redraw peeked to name the camera
+			e.capture(ev.T, ci, ev.P.id)
+			e.redraw(ci, ev.T)
 		case evReady:
 			id := int(ev.P.id)
 			e.enterTier(ev.T, e.firstHop[e.transfers[id].class], id)
