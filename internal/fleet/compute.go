@@ -68,22 +68,6 @@ func (cc *ComputeConfig) normalize() {
 	}
 }
 
-// serviceSecFor resolves the per-frame service time for the named class
-// at its reference payload: an explicit ServiceSec entry wins, then the
-// ServiceRateFPS default. Zero means unresolvable (validation rejects
-// that for classes whose frames actually cross the tier).
-func (cc *ComputeConfig) serviceSecFor(class string) float64 {
-	for _, e := range cc.ServiceSec {
-		if e.Class == class {
-			return e.Sec
-		}
-	}
-	if cc.ServiceRateFPS > 0 {
-		return 1 / cc.ServiceRateFPS
-	}
-	return 0
-}
-
 // referenceBytes is the payload the class's compute service times are
 // quoted against: its largest row (Class.rows), so FrameBytes without a
 // table. Zero means the class never offloads a frame.
@@ -98,94 +82,98 @@ func (c *Class) referenceBytes() float64 {
 // validateComputeNodes checks every tier's compute section against the
 // resolved tree: well-formed pool parameters, known discipline and
 // classes, and a resolvable service time for every offloading class
-// whose offload path crosses the tier.
-func (sc *Scenario) validateComputeNodes(nodes []tierNode, root int) error {
-	any := false
-	for _, nd := range nodes {
+// whose offload path, from its attach tier up, crosses the tier. It
+// returns the service plan: plan[ti][ci] is the service demand in
+// core-seconds per payload byte for class ci's frames at tier ti, so a
+// frame of b bytes occupies plan[ti][ci]×b core-seconds there, and 0
+// for a class that never offloads. plan is nil when no tier declares
+// compute (the infinite-compute fast path), and plan[ti] is nil for
+// tiers without a compute section.
+func (sc *Scenario) validateComputeNodes(nodes []tierNode, attach []int, names map[string]int) ([][]float64, error) {
+	var plan [][]float64
+	for ti, nd := range nodes {
 		cc := nd.Compute
 		if cc == nil {
 			continue
 		}
-		any = true
 		if cc.Cores < 0 {
-			return fmt.Errorf("fleet: tier %q: compute cores %d must be positive", nd.Name, cc.Cores)
+			return nil, fmt.Errorf("fleet: tier %q: compute cores %d must be positive", nd.Name, cc.Cores)
 		}
 		if !(cc.ServiceRateFPS >= 0) || math.IsInf(cc.ServiceRateFPS, 0) {
-			return fmt.Errorf("fleet: tier %q: compute service rate %v fps must be finite and non-negative",
+			return nil, fmt.Errorf("fleet: tier %q: compute service rate %v fps must be finite and non-negative",
 				nd.Name, cc.ServiceRateFPS)
 		}
 		if cc.Discipline != "" && cc.Discipline != ContentionFIFO && cc.Discipline != ContentionFairShare {
-			return fmt.Errorf("fleet: tier %q: unknown compute discipline %q", nd.Name, cc.Discipline)
+			return nil, fmt.Errorf("fleet: tier %q: unknown compute discipline %q", nd.Name, cc.Discipline)
 		}
 		if cc.ServiceRateFPS == 0 && len(cc.ServiceSec) == 0 {
-			return fmt.Errorf("fleet: tier %q: compute needs service_rate_fps or service_sec", nd.Name)
+			return nil, fmt.Errorf("fleet: tier %q: compute needs service_rate_fps or service_sec", nd.Name)
 		}
-		seen := make(map[string]bool, len(cc.ServiceSec))
+		// row holds each class's service time at its reference payload,
+		// made a per-byte demand at the end. First each service_sec entry,
+		// filed under its class's index: an entry already filed repeats.
+		row := make([]float64, len(sc.Classes))
 		for _, e := range cc.ServiceSec {
 			if e.Class == "" {
-				return fmt.Errorf("fleet: tier %q: compute service_sec entry names no class", nd.Name)
+				return nil, fmt.Errorf("fleet: tier %q: compute service_sec entry names no class", nd.Name)
 			}
-			if seen[e.Class] {
-				return fmt.Errorf("fleet: tier %q: duplicate compute service_sec for class %q", nd.Name, e.Class)
+			ci, ok := names[e.Class]
+			if !ok {
+				return nil, fmt.Errorf("fleet: tier %q: compute service_sec names unknown class %q", nd.Name, e.Class)
 			}
-			seen[e.Class] = true
-			if classIndex(sc.Classes, e.Class) < 0 {
-				return fmt.Errorf("fleet: tier %q: compute service_sec names unknown class %q", nd.Name, e.Class)
+			if row[ci] != 0 {
+				return nil, fmt.Errorf("fleet: tier %q: duplicate compute service_sec for class %q", nd.Name, e.Class)
 			}
 			if !(e.Sec > 0) || math.IsInf(e.Sec, 0) {
-				return fmt.Errorf("fleet: tier %q: compute service %v sec for class %q must be positive and finite",
+				return nil, fmt.Errorf("fleet: tier %q: compute service %v sec for class %q must be positive and finite",
 					nd.Name, e.Sec, e.Class)
 			}
+			row[ci] = e.Sec
 		}
+		// Then every class's time: its entry, else the service_rate_fps
+		// default, else 0.
+		for ci := range row {
+			if row[ci] == 0 && cc.ServiceRateFPS > 0 {
+				row[ci] = 1 / cc.ServiceRateFPS
+			}
+		}
+		if plan == nil {
+			plan = make([][]float64, len(nodes))
+		}
+		plan[ti] = row
 	}
-	if !any {
-		return nil
+	if plan == nil {
+		return nil, nil
 	}
 	// Every offloading class must resolve a service time at every compute
 	// tier its frames actually pass through (attach tier up to the root).
+	// Its name finds its time: a class repeating an earlier class's name,
+	// which validate rejects later, is checked by that class's entries.
 	for ci := range sc.Classes {
 		c := &sc.Classes[ci]
 		if c.referenceBytes() <= 0 {
 			continue // never offloads, never queues for compute
 		}
-		for ti := classAttachIndex(nodes, root, c); ti >= 0; ti = nodes[ti].parent {
-			cc := nodes[ti].Compute
-			if cc == nil {
-				continue
-			}
-			if cc.serviceSecFor(c.Name) <= 0 {
-				return fmt.Errorf("fleet: tier %q: compute has no service time for class %q (add a service_sec entry or a service_rate_fps default)",
+		named := names[c.Name]
+		for ti := attach[ci]; ti >= 0; ti = nodes[ti].parent {
+			if plan[ti] != nil && plan[ti][named] == 0 {
+				return nil, fmt.Errorf("fleet: tier %q: compute has no service time for class %q (add a service_sec entry or a service_rate_fps default)",
 					nodes[ti].Name, c.Name)
 			}
 		}
 	}
-	return nil
-}
-
-// computePlan resolves each tier's service scaling: plan[ti][ci] is the
-// service demand in core-seconds per payload byte for class ci's frames
-// at tier ti, so a frame of b bytes occupies plan[ti][ci]×b core-seconds
-// there. plan is nil when no tier declares compute (the infinite-compute
-// fast path), and plan[ti] is nil for tiers without a compute section.
-func computePlan(nodes []tierNode, classes []Class) [][]float64 {
-	var plan [][]float64
-	for ti := range nodes {
-		cc := nodes[ti].Compute
-		if cc == nil {
-			continue
-		}
-		if plan == nil {
-			plan = make([][]float64, len(nodes))
-		}
-		row := make([]float64, len(classes))
-		for ci := range classes {
-			if ref := classes[ci].referenceBytes(); ref > 0 {
-				row[ci] = cc.serviceSecFor(classes[ci].Name) / ref
+	// Each time becomes a demand per byte of the class's reference
+	// payload, and 0 for a class that never offloads.
+	for _, row := range plan {
+		for ci := range row {
+			if ref := sc.Classes[ci].referenceBytes(); ref > 0 {
+				row[ci] /= ref
+			} else {
+				row[ci] = 0
 			}
 		}
-		plan[ti] = row
 	}
-	return plan
+	return plan, nil
 }
 
 // classPathScale sums a class's per-byte service demand over every
@@ -215,7 +203,7 @@ func classRowDelays(c *Class, pathScale float64) []float64 {
 	rows := c.rows()
 	d := make([]float64, len(rows))
 	for i, r := range rows {
-		d[i] = r.ComputeSeconds + c.OffloadProb*pathScale*float64(r.FrameBytes)
+		d[i] = r.ComputeSeconds + float64(c.OffloadProb*pathScale*float64(r.FrameBytes))
 	}
 	return d
 }
@@ -226,23 +214,22 @@ func classRowDelays(c *Class, pathScale float64) []float64 {
 // row i — in-camera compute plus expected tier service — before any
 // queueing. Rows through a congested tier therefore never observe less
 // than this. Returns nil (no error) when no compute tier sits on the
-// class's offload path, and an error for an unknown class or topology.
+// class's offload path, Validate's error for any scenario Run rejects,
+// and an error for an unknown class.
 func (sc Scenario) RowDelaySeconds(class string) ([]float64, error) {
 	sc = sc.clone()
 	sc.Normalize()
-	nodes, root, err := sc.topology()
+	rv, err := sc.validate()
 	if err != nil {
 		return nil, err
 	}
-	ci := classIndex(sc.Classes, class)
-	if ci < 0 {
+	ci, ok := rv.names[class]
+	if !ok {
 		return nil, fmt.Errorf("fleet: scenario %q: unknown class %q", sc.Name, class)
 	}
-	plan := computePlan(nodes, sc.Classes)
-	c := &sc.Classes[ci]
-	scale := classPathScale(nodes, plan, ci, classAttachIndex(nodes, root, c))
+	scale := classPathScale(rv.nodes, rv.plan, ci, rv.attach[ci])
 	if scale == 0 {
 		return nil, nil
 	}
-	return classRowDelays(c, scale), nil
+	return classRowDelays(&sc.Classes[ci], scale), nil
 }

@@ -200,7 +200,9 @@
 // the pools, their link slots and their sketches exist only when
 // configured. ComputeDemoScenario builds the undersized-gateway demo
 // behind `camsim topo -compute`, and examples/compute-placement runs an
-// embedded scenario of the same shape.
+// embedded scenario of the same shape. RowDelaySeconds validates the
+// scenario as Run does, so it returns an error for any scenario Run
+// rejects.
 //
 // # Federated rounds
 //

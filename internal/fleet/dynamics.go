@@ -126,9 +126,10 @@ type dynRef struct{ class, tier, fall int32 }
 // them before the run.
 const maxJoiners = 1 << 22
 
-// validateDynamics checks the dynamics schedule against the resolved tier
-// tree, the class name index and the declared camera total: known kinds,
-// finite non-decreasing times, resolvable classes and tiers, in-range
+// validateDynamics checks the dynamics schedule against what validate
+// has resolved (the tier tree, the class name index and each class's
+// attach tier), the tier name index and the declared camera total: known
+// kinds, finite non-decreasing times, resolvable classes and tiers, in-range
 // factors, joins that add at most maxJoiners cameras and keep the camera
 // ids inside int32, per-tier outage/recover alternation, and a usable
 // fallback for every outage that strands attached cameras. Each kind also
@@ -136,7 +137,7 @@ const maxJoiners = 1 << 22
 // silently do nothing. It returns each entry's resolved names, which the
 // run reads instead of looking them up again, and the cameras the joins
 // add to each class (nil without a schedule).
-func (sc *Scenario) validateDynamics(nodes []tierNode, names map[string]int, cameras int) ([]dynRef, []int, error) {
+func (sc *Scenario) validateDynamics(rv *resolved, tiers map[string]int, cameras int) ([]dynRef, []int, error) {
 	d := sc.Dynamics
 	if d == nil || len(d.Events) == 0 {
 		return nil, nil, nil
@@ -187,15 +188,17 @@ func (sc *Scenario) validateDynamics(nodes []tierNode, names map[string]int, cam
 			if e.Tier != "" {
 				return nil, nil, bad("tier belongs to the link and tier kinds")
 			}
-			ci, ok := names[e.Class]
+			ci, ok := rv.names[e.Class]
 			if !ok {
 				return nil, nil, bad("unknown class %q", e.Class)
 			}
 			ref.class = int32(ci)
 		case DynLinkDegrade, DynLinkRestore, DynTierOutage, DynTierRecover, DynComputeScale:
-			if ref.tier = int32(tierIndex(nodes, e.Tier)); ref.tier < 0 {
+			ti, ok := tiers[e.Tier]
+			if !ok {
 				return nil, nil, bad("unknown tier %q", e.Tier)
 			}
+			ref.tier = int32(ti)
 		default:
 			return nil, nil, bad("unknown event kind")
 		}
@@ -221,32 +224,25 @@ func (sc *Scenario) validateDynamics(nodes []tierNode, names map[string]int, cam
 				return nil, nil, bad("factor %v out of range (a capacity scale must be finite and non-negative; 0 is an outage)", e.Factor)
 			}
 		case DynTierOutage:
-			if nodes[ti].parent < 0 {
+			if ti == rv.root {
 				return nil, nil, bad("the root tier cannot fail (degrade its link to factor 0 instead)")
 			}
 			if down[ti] {
 				return nil, nil, bad("tier %q is already down", e.Tier)
 			}
 			down[ti] = true
-			attached := false
-			for ci := range sc.Classes {
-				if tierIndex(nodes, sc.Classes[ci].Tier) == ti {
-					attached = true
-					break
-				}
-			}
-			if attached && e.Fallback == "" {
+			if e.Fallback == "" && slices.Contains(rv.attach, ti) {
 				return nil, nil, bad("tier %q has attached classes and needs a fallback to re-home them to", e.Tier)
 			}
 			if e.Fallback != "" {
-				fb := tierIndex(nodes, e.Fallback)
-				if fb < 0 {
+				fb, ok := tiers[e.Fallback]
+				if !ok {
 					return nil, nil, bad("unknown fallback tier %q", e.Fallback)
 				}
 				if fb == ti {
 					return nil, nil, bad("fallback %q is the failing tier itself", e.Fallback)
 				}
-				for li := fb; li >= 0; li = nodes[li].parent {
+				for li := fb; li >= 0; li = rv.nodes[li].parent {
 					if li == ti {
 						return nil, nil, bad("fallback %q offloads through the failing tier %q", e.Fallback, e.Tier)
 					}
@@ -263,7 +259,7 @@ func (sc *Scenario) validateDynamics(nodes []tierNode, names map[string]int, cam
 				return nil, nil, bad("multiplier %v must be positive and finite", e.Multiplier)
 			}
 		case DynComputeScale:
-			if nodes[ti].Compute == nil {
+			if rv.nodes[ti].Compute == nil {
 				return nil, nil, bad("tier %q has no compute section to scale", e.Tier)
 			}
 			if e.Cores <= 0 {
@@ -357,8 +353,9 @@ type dynamics struct {
 	down, capacity []level
 	outageDrops    []int64
 
-	// home is each class's original first-hop tier, the one it re-homes
-	// back to on recovery.
+	// home is each class's attach tier, as validation resolved it: its
+	// first hop before any outage, and the one it re-homes back to on
+	// recovery.
 	home []int
 }
 
@@ -369,13 +366,13 @@ type level struct{ v, since, integral float64 }
 // set changes the level to v at time t, accruing the outgoing value's
 // integral first.
 func (l *level) set(t, v float64) {
-	l.integral += l.v * (t - l.since)
+	l.integral += float64(l.v * (t - l.since))
 	l.since, l.v = t, v
 }
 
 // at projects the integral forward to time t, which must not precede
 // the last set.
-func (l *level) at(t float64) float64 { return l.integral + l.v*(t-l.since) }
+func (l *level) at(t float64) float64 { return l.integral + float64(l.v*(t-l.since)) }
 
 // next returns the time a recurring churn entry fires again after a
 // firing at t: an exponential gap of mean EverySec, drawn from the
@@ -404,8 +401,8 @@ func (dyn *dynamics) owner(i int) int32 {
 
 // newDynamics builds the schedule's live state for a tree of tiers
 // nodes: the entries' names as validation resolved them (refs), and each
-// class's home tier (firstHop).
-func newDynamics(sc *Scenario, refs []dynRef, tiers int, firstHop []int) *dynamics {
+// class's home tier, its attach tier.
+func newDynamics(sc *Scenario, refs []dynRef, tiers int, attach []int) *dynamics {
 	evs := sc.Dynamics.Events
 	churn := 0
 	for i := range evs {
@@ -421,7 +418,7 @@ func newDynamics(sc *Scenario, refs []dynRef, tiers int, firstHop []int) *dynami
 		down:        make([]level, tiers),
 		capacity:    make([]level, tiers),
 		outageDrops: make([]int64, tiers),
-		home:        append([]int(nil), firstHop...),
+		home:        attach,
 	}
 	for ti := range dyn.capacity {
 		dyn.capacity[ti].v = 1

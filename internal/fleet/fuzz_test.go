@@ -34,8 +34,8 @@ const twoGatewaySeed = `{
 	}`
 
 // fuzzSeed is one seed-corpus input and its verdict: wantErr is empty
-// when ParseScenario must accept the input, else a substring of the
-// error, naming the reason the seed's comment gives for rejecting it.
+// when ParseScenario must accept the input, else its whole error, which
+// names the reason the seed's comment gives for rejecting it.
 type fuzzSeed struct {
 	json, wantErr string
 }
@@ -86,31 +86,31 @@ var fuzzSeeds = []fuzzSeed{
 	  ]
 	}`, ""},
 	// invalid inputs the decoder must reject gracefully
-	{`{"duration_sec": -1}`, "duration"},
-	{`{"duration_sec": 2, "uplink": {"gbps": 1}, "gateways": [{"name": ""}], "classes": []}`, "has no name"},
-	{`not json at all`, "decoding scenario"},
-	{`{"classes": [{"count": 1e999}]}`, "decoding scenario"},
+	{`{"duration_sec": -1}`, `fleet: scenario "": duration -1 must be positive and finite`},
+	{`{"duration_sec": 2, "uplink": {"gbps": 1}, "gateways": [{"name": ""}], "classes": []}`, `fleet: scenario "": tier 0 has no name`},
+	{`not json at all`, `fleet: decoding scenario: invalid character 'o' in literal null (expecting 'u')`},
+	{`{"classes": [{"count": 1e999}]}`, `fleet: decoding scenario: json: cannot unmarshal number 1e999 into Go struct field Class.classes.count of type int`},
 	// camera populations past the int32 ids events carry: two counts
 	// whose sum overflows int, and one count too large to allocate
 	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "classes": [{"name": "a", "count": 6917529027641081856, "fps": 1},
-	              {"name": "b", "count": 6917529027641081856, "fps": 1}]}`, "more than 2147483647 cameras"},
+	              {"name": "b", "count": 6917529027641081856, "fps": 1}]}`, `fleet: scenario "": more than 2147483647 cameras`},
 	{`{"duration_sec": 1, "uplink": {"gbps": 1},
-	  "classes": [{"name": "a", "count": 1099511627776, "fps": 1}]}`, "more than 2147483647 cameras"},
+	  "classes": [{"name": "a", "count": 1099511627776, "fps": 1}]}`, `fleet: scenario "": more than 2147483647 cameras`},
 	// tier trees the topology resolver must reject: no root, a parent
 	// cycle, a duplicate name, mixing tiers with gateways, negative delay
 	{`{"duration_sec": 1, "tiers": [{"name": "a", "parent": "b", "uplink": {"gbps": 1}},
 	  {"name": "b", "parent": "a", "uplink": {"gbps": 1}}],
-	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`, "no root tier"},
+	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`, `fleet: scenario "": no root tier (every tier names a parent)`},
 	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1}},
 	  {"name": "a", "uplink": {"gbps": 1}}],
-	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`, "duplicate tier"},
+	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`, `fleet: scenario "": duplicate tier "a"`},
 	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "tiers": [{"name": "a", "uplink": {"gbps": 1}}],
 	  "gateways": [{"name": "g", "uplink": {"gbps": 1}}],
-	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`, "mutually exclusive"},
+	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`, `fleet: scenario "": tiers and gateways are mutually exclusive`},
 	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1}, "propagation_sec": -0.1}],
-	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`, "propagation"},
+	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`, `fleet: tier "a": propagation -0.1 sec must be finite and non-negative`},
 	// energy-aware placement: per-link forwarding energy, the
 	// energy-latency policy and the global budget controller
 	{`{
@@ -137,17 +137,17 @@ var fuzzSeeds = []fuzzSeed{
 	// decoding rejects unknown keys)
 	{`{"duration_sec": 1, "uplink": {"gbps": 1}, "global": {"epoch_sec": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1,
-	    "placements": [{"frame_bytes": 10}]}]}`, "budget"},
+	    "placements": [{"frame_bytes": 10}]}]}`, `fleet: scenario "": global budget 0 W must be positive and finite`},
 	{`{"duration_sec": 1, "uplink": {"gbps": 1}, "global": {"budget_w": 5},
-	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`, "no placements table to reassign"},
+	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`, `fleet: scenario "": global controller with no placements table to reassign`},
 	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1}, "tx_per_byte_j": -1}],
-	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`, "forwarding energy"},
+	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`, `fleet: tier "a": forwarding energy -1 J/byte must be finite and non-negative`},
 	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1,
 	    "placements": [{"frame_bytes": 10}],
-	    "policy": {"kind": "energy-latency", "high_sec": 1, "energy_weight": -2}}]}`, "energy weight"},
+	    "policy": {"kind": "energy-latency", "high_sec": 1, "energy_weight": -2}}]}`, `fleet: class "c": energy weight -2 must be finite and non-negative`},
 	{`{"duration_sec": 1, "uplink": {"gbps": 1}, "budget_w": 5,
-	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`, "unknown field"},
+	  "classes": [{"name": "c", "count": 1, "fps": 1}]}`, `fleet: decoding scenario: json: unknown field "budget_w"`},
 	// bidirectional tiers with a federated-learning job: downlinks on the
 	// broadcast span, payloads sized from the model's layer vector
 	{`{
@@ -171,23 +171,23 @@ var fuzzSeeds = []fuzzSeed{
 	// downlink with a bogus contention model
 	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1}}],
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "federated": {"rounds": 1, "update_bytes": 100}}`, "downlink"},
+	  "federated": {"rounds": 1, "update_bytes": 100}}`, `fleet: scenario "": federated learning needs a "tiers" topology with downlinks (the model broadcast rides them)`},
 	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1}, "downlink": {"gbps": 1}}],
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "federated": {"rounds": 0, "update_bytes": 100}}`, "rounds"},
+	  "federated": {"rounds": 0, "update_bytes": 100}}`, `fleet: scenario "": fl: rounds 0 outside [1, 4096]`},
 	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1}, "downlink": {"gbps": 1}}],
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "federated": {"rounds": 1, "model": {"layers": [4, 2], "compress": 7}}}`, "compress"},
+	  "federated": {"rounds": 1, "model": {"layers": [4, 2], "compress": 7}}}`, `fleet: scenario "": fl: compress 7 outside (0, 1]`},
 	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "gateways": [{"name": "g", "uplink": {"gbps": 1}}],
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10, "gateway": "g"}],
-	  "federated": {"rounds": 1, "update_bytes": 100}}`, "needs a \"tiers\" topology"},
+	  "federated": {"rounds": 1, "update_bytes": 100}}`, `fleet: scenario "": federated learning needs a "tiers" topology with downlinks (the model broadcast rides them)`},
 	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1}, "downlink": {"gbps": 1}}],
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "federated": {"rounds": 1, "update_bytes": 100, "classes": ["ghost"]}}`, "not in the scenario"},
+	  "federated": {"rounds": 1, "update_bytes": 100, "classes": ["ghost"]}}`, `fleet: scenario "": federated class "ghost" not in the scenario`},
 	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1},
 	  "downlink": {"gbps": 1, "contention": "magic"}}],
-	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`, "unknown contention model \"magic\""},
+	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`, `fleet: tier "a" downlink: unknown contention model "magic"`},
 	// finite tier compute: a valid two-tier pool with a per-class service
 	// override, then the shapes the validator must reject — an unknown
 	// discipline, a pool with no way to price service, a service entry for
@@ -209,25 +209,25 @@ var fuzzSeeds = []fuzzSeed{
 	}`, ""},
 	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1},
 	  "compute": {"cores": 1, "service_rate_fps": 10, "discipline": "magic"}}],
-	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`, "unknown compute discipline"},
+	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`, `fleet: tier "a": unknown compute discipline "magic"`},
 	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1},
 	  "compute": {"cores": 1}}],
-	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`, "service_rate_fps or service_sec"},
+	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`, `fleet: tier "a": compute needs service_rate_fps or service_sec`},
 	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1},
 	  "compute": {"cores": 1, "service_rate_fps": 10,
 	              "service_sec": [{"class": "ghost", "sec": 0.1}]}}],
-	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`, "unknown class"},
+	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`, `fleet: tier "a": compute service_sec names unknown class "ghost"`},
 	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1},
 	  "compute": {"cores": 1, "service_rate_fps": 10,
 	              "service_sec": [{"class": "c", "sec": 0.1}, {"class": "c", "sec": 0.2}]}}],
-	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`, "duplicate compute service_sec"},
+	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`, `fleet: tier "a": duplicate compute service_sec for class "c"`},
 	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1},
 	  "compute": {"cores": -1, "service_rate_fps": 10}}],
-	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`, "cores -1"},
+	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}]}`, `fleet: tier "a": compute cores -1 must be positive`},
 	{`{"duration_sec": 1, "tiers": [{"name": "a", "uplink": {"gbps": 1},
 	  "compute": {"cores": 1, "service_sec": [{"class": "c", "sec": 0.1}]}}],
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10},
-	              {"name": "d", "count": 1, "fps": 1, "frame_bytes": 10, "tier": "a"}]}`, "no service time for class"},
+	              {"name": "d", "count": 1, "fps": 1, "frame_bytes": 10, "tier": "a"}]}`, `fleet: tier "a": compute has no service time for class "d" (add a service_sec entry or a service_rate_fps default)`},
 	// streaming telemetry: sketch-backed quantiles with a windowed time
 	// series
 	{`{
@@ -247,10 +247,10 @@ var fuzzSeeds = []fuzzSeed{
 	// window
 	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "telemetry": {"streaming": false, "window_sec": 1}}`, "needs streaming"},
+	  "telemetry": {"streaming": false, "window_sec": 1}}`, `fleet: scenario "": telemetry window_sec needs streaming: true (the time series rides the sketch path)`},
 	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "telemetry": {"streaming": true, "window_sec": -2}}`, "window -2"},
+	  "telemetry": {"streaming": true, "window_sec": -2}}`, `fleet: scenario "": telemetry window -2 sec must be finite and non-negative`},
 	// fleet dynamics: a full fault schedule over a two-gateway tree —
 	// diurnal rate profile, recurring churn, an outage with a fallback,
 	// recovery, a degraded-then-restored link, a core-pool rescale
@@ -285,55 +285,70 @@ var fuzzSeeds = []fuzzSeed{
 	// event
 	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "meteor_strike"}]}}`, "unknown event kind"},
+	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "meteor_strike"}]}}`, `fleet: scenario "": dynamics event 0 (meteor_strike): unknown event kind`},
 	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "dynamics": {"events": [{"time_sec": -1, "kind": "camera_join", "class": "c"}]}}`, "time -1 sec"},
+	  "dynamics": {"events": [{"time_sec": -1, "kind": "camera_join", "class": "c"}]}}`, `fleet: scenario "": dynamics event 0 (camera_join): time -1 sec must be finite and non-negative`},
 	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
 	  "dynamics": {"events": [
 	    {"time_sec": 0.8, "kind": "camera_join", "class": "c"},
-	    {"time_sec": 0.2, "kind": "camera_leave", "class": "c"}]}}`, "time-ordered"},
+	    {"time_sec": 0.2, "kind": "camera_leave", "class": "c"}]}}`, `fleet: scenario "": dynamics event 1 (camera_leave): time 0.2 sec before the previous event's 0.8 (the schedule must be time-ordered)`},
 	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "link_degrade", "tier": "ghost", "factor": 0.5}]}}`, "unknown tier \"ghost\""},
+	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "link_degrade", "tier": "ghost", "factor": 0.5}]}}`, `fleet: scenario "": dynamics event 0 (link_degrade): unknown tier "ghost"`},
 	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "link_degrade", "tier": "wan", "factor": -2}]}}`, "factor -2 out of range"},
+	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "link_degrade", "tier": "wan", "factor": -2}]}}`, `fleet: scenario "": dynamics event 0 (link_degrade): factor -2 out of range (a capacity scale must be finite and non-negative; 0 is an outage)`},
 	{`{"duration_sec": 1,
 	  "tiers": [{"name": "gw", "parent": "core", "uplink": {"gbps": 1}},
 	            {"name": "core", "uplink": {"gbps": 1}}],
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10, "tier": "gw"}],
-	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "tier_outage", "tier": "gw"}]}}`, "needs a fallback"},
+	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "tier_outage", "tier": "gw"}]}}`, `fleet: scenario "": dynamics event 0 (tier_outage): tier "gw" has attached classes and needs a fallback to re-home them to`},
 	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "camera_join", "class": "c", "factor": 0.5}]}}`, "factor belongs to"},
+	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "camera_join", "class": "c", "factor": 0.5}]}}`, `fleet: scenario "": dynamics event 0 (camera_join): factor belongs to link_degrade only`},
 	// a camera_join count that takes the camera population past the int32
 	// ids events carry
 	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "camera_join", "class": "c", "count": 1099511627776}]}}`, "more than 2147483647 cameras"},
+	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "camera_join", "class": "c", "count": 1099511627776}]}}`, `fleet: scenario "": dynamics event 0 (camera_join): count 1099511627776 makes more than 2147483647 cameras`},
 	// two classes sharing a name, which dynamics, compute and federated
 	// entries could then not tell apart
 	{`{"duration_sec": 1, "uplink": {"gbps": 1},
-	  "classes": [{"name": "a", "count": 2, "fps": 10}, {"name": "a", "count": 3, "fps": 10}]}`, "duplicate class"},
+	  "classes": [{"name": "a", "count": 2, "fps": 10}, {"name": "a", "count": 3, "fps": 10}]}`, `fleet: scenario "": duplicate class "a"`},
 	// a class on a tier kind, which would be ignored
 	{`{"duration_sec": 1,
 	  "tiers": [{"name": "gw", "parent": "core", "uplink": {"gbps": 1}},
 	            {"name": "core", "uplink": {"gbps": 1}}],
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
-	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "tier_outage", "tier": "gw", "class": "zzz-not-a-class"}]}}`, "class belongs to"},
+	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "tier_outage", "tier": "gw", "class": "zzz-not-a-class"}]}}`, `fleet: scenario "": dynamics event 0 (tier_outage): class belongs to camera_join, camera_leave and fps_profile only`},
 	// capture rates whose period vanishes against the clock, which would
 	// never let a run end: a periodic class stepped to ×1e300, and a
 	// Poisson and a periodic class declared at 1e300 fps
 	{`{"duration_sec": 1, "uplink": {"gbps": 1},
 	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10}],
 	  "dynamics": {"events": [{"time_sec": 0.5, "kind": "fps_profile", "class": "c", "multiplier": 1e300}]}}`,
-		`class "c": 1 cameras at up to 1e+300 fps over 1 sec make more than 2^40 captures`},
+		`fleet: class "c": 1 cameras at up to 1e+300 fps over 1 sec make more than 2^40 captures`},
 	{`{"duration_sec": 1, "uplink": {"gbps": 1},
-	  "classes": [{"name": "c", "count": 1, "fps": 1e300, "arrival": "poisson", "frame_bytes": 10}]}`, "make more than 2^40 captures"},
+	  "classes": [{"name": "c", "count": 1, "fps": 1e300, "arrival": "poisson", "frame_bytes": 10}]}`, `fleet: class "c": 1 cameras at up to 1e+300 fps over 1 sec make more than 2^40 captures`},
 	{`{"duration_sec": 1, "uplink": {"gbps": 1},
-	  "classes": [{"name": "c", "count": 1, "fps": 1e300, "frame_bytes": 10}]}`, "make more than 2^40 captures"},
+	  "classes": [{"name": "c", "count": 1, "fps": 1e300, "frame_bytes": 10}]}`, `fleet: class "c": 1 cameras at up to 1e+300 fps over 1 sec make more than 2^40 captures`},
+	// a class attached at a mistyped tier, under a root with a compute
+	// pool: a delay floor priced along the root's path would hide it
+	{`{"duration_sec": 1,
+	  "tiers": [{"name": "gw", "parent": "core", "uplink": {"gbps": 1}},
+	            {"name": "core", "uplink": {"gbps": 1}, "compute": {"service_rate_fps": 100}}],
+	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10, "tier": "gw-typo"}]}`, `fleet: class "c": unknown tier "gw-typo"`},
+	// a repeated class name whose second class sits under a pool that
+	// prices the name only through its service_sec entry: the pool finds
+	// the entry by name, so the duplicate is what fails
+	{`{"duration_sec": 1,
+	  "tiers": [{"name": "gw", "parent": "core", "uplink": {"gbps": 1},
+	             "compute": {"service_sec": [{"class": "c", "sec": 0.01}]}},
+	            {"name": "core", "uplink": {"gbps": 1}}],
+	  "classes": [{"name": "c", "count": 1, "fps": 1, "frame_bytes": 10},
+	              {"name": "c", "count": 1, "fps": 1, "frame_bytes": 10, "tier": "gw"}]}`, `fleet: scenario "": duplicate class "c"`},
 }
 
 // TestValidateBoundsCaptures pins the capture bound at its edge: a class
@@ -368,8 +383,10 @@ func TestValidateBoundsCaptures(t *testing.T) {
 }
 
 // TestFuzzSeedVerdicts pins every seed's verdict: the valid seeds parse,
-// and each invalid one fails for the reason its comment gives, not for
-// some earlier fault that hides the check it was written for.
+// and each invalid one fails with its whole message, for the reason its
+// comment gives, not for some earlier fault that hides the check it was
+// written for. A whole message also pins which check wins when a
+// reordering of validation's lookups could let another fire first.
 func TestFuzzSeedVerdicts(t *testing.T) {
 	for i, s := range fuzzSeeds {
 		_, err := ParseScenario([]byte(s.json))
@@ -377,17 +394,18 @@ func TestFuzzSeedVerdicts(t *testing.T) {
 		case s.wantErr == "" && err != nil:
 			t.Errorf("seed %d: rejected a valid seed: %v", i, err)
 		case s.wantErr != "" && err == nil:
-			t.Errorf("seed %d: accepted, want an error containing %q", i, s.wantErr)
-		case s.wantErr != "" && !strings.Contains(err.Error(), s.wantErr):
-			t.Errorf("seed %d: err = %v, want substring %q", i, err, s.wantErr)
+			t.Errorf("seed %d: accepted, want %q", i, s.wantErr)
+		case s.wantErr != "" && err.Error() != s.wantErr:
+			t.Errorf("seed %d: err = %q, want %q", i, err, s.wantErr)
 		}
 	}
 }
 
-// TestValidateAgreesWithRun holds validation and construction to one
-// verdict. Run fails only where its validation does, so every seed that
-// decodes must get the same answer from Validate and from Run: both nil,
-// or the same error.
+// TestValidateAgreesWithRun holds validation, construction and the delay
+// floors to one verdict. Run and RowDelaySeconds fail only where their
+// validation does, so every seed that decodes must get the same answer
+// from Validate, from Run and, when it has a class, from RowDelaySeconds
+// for its first class: all nil, or the same error.
 func TestValidateAgreesWithRun(t *testing.T) {
 	for i, s := range fuzzSeeds {
 		var sc Scenario
@@ -400,6 +418,12 @@ func TestValidateAgreesWithRun(t *testing.T) {
 		_, rerr := Run(sc)
 		if fmt.Sprint(verr) != fmt.Sprint(rerr) {
 			t.Errorf("seed %d: Validate says %v, Run says %v", i, verr, rerr)
+		}
+		if len(sc.Classes) == 0 {
+			continue
+		}
+		if _, derr := sc.RowDelaySeconds(sc.Classes[0].Name); fmt.Sprint(verr) != fmt.Sprint(derr) {
+			t.Errorf("seed %d: Validate says %v, RowDelaySeconds says %v", i, verr, derr)
 		}
 	}
 }

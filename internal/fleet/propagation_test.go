@@ -313,7 +313,7 @@ func TestTierTreeServedBytesConservedHopToHop(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: %v\nscenario: %+v", iter, err, sc)
 		}
-		nodes, root, err := sc.topology()
+		nodes, root, _, err := sc.topology()
 		if err != nil {
 			t.Fatal(err)
 		}

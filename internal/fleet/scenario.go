@@ -403,16 +403,6 @@ func (sc *Scenario) namesRoot() bool {
 	return false
 }
 
-// classIndex resolves a class name to its index, or -1.
-func classIndex(classes []Class, name string) int {
-	for i := range classes {
-		if classes[i].Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // validateUplink checks one link of tier name: its uplink (link "") or
 // its declared downlink (link " downlink"). The link is named only in an
 // error, so a valid link formats nothing.
@@ -436,14 +426,18 @@ func (sc *Scenario) Validate() error {
 }
 
 // resolved is what validate proves of a scenario, in the form the engine
-// builds from: the tier tree and its root's index, the federated round
-// engine (nil without a job) with the classes that join it, each dynamics
-// schedule entry's names, and the cameras the schedule's joins add to
-// each class. The engine resolves nothing again, so it has no way to
-// fail.
+// builds from: the tier tree and its root's index, the index of each
+// class's name, each class's attach tier, the compute service plan
+// (validateComputeNodes), the federated round engine (nil without a job)
+// with the classes that join it, each dynamics schedule entry's names,
+// and the cameras the schedule's joins add to each class. Every name is
+// resolved here once: the engine looks none up, so it has no way to fail.
 type resolved struct {
 	nodes   []tierNode
 	root    int
+	names   map[string]int
+	attach  []int
+	plan    [][]float64
 	fle     *fl.Engine
 	joins   []bool
 	refs    []dynRef
@@ -474,31 +468,34 @@ func (sc *Scenario) validate() (resolved, error) {
 		return resolved{}, fmt.Errorf("fleet: scenario %q: duration %v must be positive and finite", sc.Name, sc.Duration)
 	}
 	var rv resolved
+	var tiers map[string]int
 	var err error
-	if rv.nodes, rv.root, err = sc.topology(); err != nil {
+	if rv.nodes, rv.root, tiers, err = sc.topology(); err != nil {
 		return resolved{}, err
 	}
-	if err := sc.validateTopologyNodes(rv.nodes); err != nil {
+	if rv.attach, err = sc.validateTopologyNodes(rv.nodes, rv.root, tiers); err != nil {
 		return resolved{}, err
 	}
-	if err := sc.validateComputeNodes(rv.nodes, rv.root); err != nil {
+	// names indexes the classes by name, for service_sec entries,
+	// federated participants and dynamics entries to resolve theirs
+	// without a scan each. Filled back to front, it keeps the first class
+	// of a repeated name, which the class checks below reject.
+	rv.names = make(map[string]int, len(sc.Classes))
+	for i := len(sc.Classes) - 1; i >= 0; i-- {
+		rv.names[sc.Classes[i].Name] = i
+	}
+	if rv.plan, err = sc.validateComputeNodes(rv.nodes, rv.attach, rv.names); err != nil {
 		return resolved{}, err
 	}
 	if len(sc.Classes) == 0 {
 		return resolved{}, fmt.Errorf("fleet: scenario %q has no camera classes", sc.Name)
 	}
 	total := 0
-	// names indexes the classes by name, for the dynamics entries to
-	// resolve theirs without a scan each.
-	names := make(map[string]int, len(sc.Classes))
 	for i, c := range sc.Classes {
-		// Dynamics entries, service_sec entries and federated participants
-		// name classes, so a name must mean one class: no class before this
-		// one may have it.
-		if _, dup := names[c.Name]; dup {
+		// A name must mean one class: no class before this one may have it.
+		if rv.names[c.Name] != i {
 			return resolved{}, fmt.Errorf("fleet: scenario %q: duplicate class %q", sc.Name, c.Name)
 		}
-		names[c.Name] = i
 		if c.Count <= 0 {
 			return resolved{}, fmt.Errorf("fleet: class %q: count %d must be positive", c.Name, c.Count)
 		}
@@ -541,13 +538,13 @@ func (sc *Scenario) validate() (resolved, error) {
 	if err := sc.validateGlobal(); err != nil {
 		return resolved{}, err
 	}
-	if rv.fle, rv.joins, err = sc.validateFederated(rv.nodes); err != nil {
+	if rv.fle, rv.joins, err = sc.validateFederated(&rv); err != nil {
 		return resolved{}, err
 	}
 	if err := sc.validateTelemetry(); err != nil {
 		return resolved{}, err
 	}
-	if rv.refs, rv.joiners, err = sc.validateDynamics(rv.nodes, names, total); err != nil {
+	if rv.refs, rv.joiners, err = sc.validateDynamics(&rv, tiers, total); err != nil {
 		return resolved{}, err
 	}
 	// Each class's cameras, joiners included, at its fastest rate over the
@@ -580,10 +577,11 @@ func (sc *Scenario) validate() (resolved, error) {
 const maxCaptures = 1 << 40
 
 // validateFederated checks the federated-learning section against the
-// resolved tier tree by building the round engine, and returns it with
-// the classes that join the job: the engine the run uses is the one
-// validation built, so the two cannot disagree about what is runnable.
-func (sc *Scenario) validateFederated(nodes []tierNode) (*fl.Engine, []bool, error) {
+// resolved tier tree and classes by building the round engine, and
+// returns it with the classes that join the job: the engine the run uses
+// is the one validation built, so the two cannot disagree about what is
+// runnable.
+func (sc *Scenario) validateFederated(rv *resolved) (*fl.Engine, []bool, error) {
 	f := sc.Federated
 	if f == nil {
 		return nil, nil, nil
@@ -594,7 +592,7 @@ func (sc *Scenario) validateFederated(nodes []tierNode) (*fl.Engine, []bool, err
 	if !slices.ContainsFunc(sc.Tiers, func(t Tier) bool { return t.Downlink != nil }) {
 		return nil, nil, fmt.Errorf("fleet: scenario %q: federated learning needs a \"tiers\" topology with downlinks (the model broadcast rides them)", sc.Name)
 	}
-	topo, joins, err := sc.flTopology(nodes)
+	topo, joins, err := sc.flTopology(rv)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -610,34 +608,31 @@ func (sc *Scenario) validateFederated(nodes []tierNode) (*fl.Engine, []bool, err
 // camera census per attach tier. joins marks the participating classes:
 // every class when Federated.Classes is empty, else exactly the named
 // ones.
-func (sc *Scenario) flTopology(nodes []tierNode) (topo fl.Topology, joins []bool, err error) {
+func (sc *Scenario) flTopology(rv *resolved) (topo fl.Topology, joins []bool, err error) {
 	topo = fl.Topology{
-		Names:   make([]string, len(nodes)),
-		Parent:  make([]int, len(nodes)),
-		Cams:    make([]int, len(nodes)),
-		HasDown: make([]bool, len(nodes)),
-		Root:    -1,
+		Names:   make([]string, len(rv.nodes)),
+		Parent:  make([]int, len(rv.nodes)),
+		Cams:    make([]int, len(rv.nodes)),
+		HasDown: make([]bool, len(rv.nodes)),
+		Root:    rv.root,
 	}
-	for i, nd := range nodes {
+	for i, nd := range rv.nodes {
 		topo.Names[i] = nd.Name
 		topo.Parent[i] = nd.parent
 		topo.HasDown[i] = nd.Downlink != nil
-		if nd.parent < 0 {
-			topo.Root = i
-		}
 	}
 	named := sc.Federated.Classes
+	joins = make([]bool, len(sc.Classes))
 	for _, name := range named {
-		if classIndex(sc.Classes, name) < 0 {
+		ci, ok := rv.names[name]
+		if !ok {
 			return fl.Topology{}, nil, fmt.Errorf("fleet: scenario %q: federated class %q not in the scenario", sc.Name, name)
 		}
+		joins[ci] = true
 	}
-	joins = make([]bool, len(sc.Classes))
-	for i := range sc.Classes {
-		c := &sc.Classes[i]
-		joins[i] = len(named) == 0 || slices.Contains(named, c.Name)
-		if joins[i] {
-			topo.Cams[classAttachIndex(nodes, topo.Root, c)] += c.Count
+	for ci, c := range sc.Classes {
+		if joins[ci] = joins[ci] || len(named) == 0; joins[ci] {
+			topo.Cams[rv.attach[ci]] += c.Count
 		}
 	}
 	return topo, joins, nil

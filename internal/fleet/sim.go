@@ -507,7 +507,7 @@ type engine struct {
 	lidx               *linkIndex
 	downLink, compLink []int
 	// compPlan is the per-tier, per-class service demand in core-seconds
-	// per byte (computePlan); nil without any compute section, the
+	// per byte (validateComputeNodes); nil without any compute section, the
 	// infinite-compute fast path. compWait sketches each pool's queueing
 	// delay.
 	compPlan [][]float64
@@ -614,7 +614,7 @@ func newEngine(sc Scenario) (*engine, error) {
 	// and the run is byte-identical to a build that predates the section.
 	// compPlan is nil only when no tier has a pool, so a pool always has
 	// its plan row.
-	e.compPlan = computePlan(nodes, s.Classes)
+	e.compPlan = rv.plan
 	e.compLink = make([]int, len(nodes))
 	for i := range nodes {
 		e.compLink[i] = -1
@@ -645,7 +645,7 @@ func newEngine(sc Scenario) (*engine, error) {
 	for ci := range s.Classes {
 		cl := &s.Classes[ci]
 		e.fps[ci] = cl.FPS
-		e.price(ci, classAttachIndex(nodes, e.root, cl))
+		e.price(ci, rv.attach[ci])
 		e.rowBase[ci] = len(e.rows)
 		for _, r := range cl.rows() {
 			e.rows = append(e.rows, frameRow{bytes: float64(r.FrameBytes), computeJ: r.ComputeJ, ready: e.events.line(r.ComputeSeconds)})
@@ -669,7 +669,7 @@ func newEngine(sc Scenario) (*engine, error) {
 	// replay of its joins sizes every camera structure for the cameras
 	// they add, so none regrows.
 	if s.Dynamics != nil && len(s.Dynamics.Events) > 0 {
-		e.dyn = newDynamics(s, rv.refs, len(nodes), e.firstHop)
+		e.dyn = newDynamics(s, rv.refs, len(nodes), rv.attach)
 		e.dyn.own = e.flOwn
 		e.flOwn += 1 + int32(len(e.dyn.churn))
 	}
@@ -1417,11 +1417,8 @@ func (e *engine) result() *Result {
 		}
 		res.Tiers = append(res.Tiers, ts)
 	}
-	// The top-tier utilization is the root tier's, found by name: tier
-	// order is stable today, but the name is the contract.
-	if rt := res.TierNamed(e.nodes[e.root].Name); rt != nil {
-		res.UplinkUtilization = rt.Utilization
-	}
+	// The top-tier utilization is the root tier's: Tiers is in node order.
+	res.UplinkUtilization = res.Tiers[e.root].Utilization
 	for ci := range sc.Classes {
 		cl := &sc.Classes[ci]
 		res.Classes[ci].Cameras = len(e.classCams[ci])

@@ -70,30 +70,31 @@ type tierNode struct {
 
 // topology resolves the scenario's tier tree, which Normalize has made
 // the one network form, into nodes in declaration order. Returns the
-// nodes, the root's index, and the first validation error.
-func (sc *Scenario) topology() ([]tierNode, int, error) {
+// nodes, the root's index, the index of each tier's name, and the first
+// validation error.
+func (sc *Scenario) topology() ([]tierNode, int, map[string]int, error) {
 	nodes := make([]tierNode, len(sc.Tiers))
 	index := make(map[string]int, len(sc.Tiers))
 	root := -1
 	for i, ti := range sc.Tiers {
 		if ti.Name == "" {
-			return nil, 0, fmt.Errorf("fleet: scenario %q: tier %d has no name", sc.Name, i)
+			return nil, 0, nil, fmt.Errorf("fleet: scenario %q: tier %d has no name", sc.Name, i)
 		}
 		if _, dup := index[ti.Name]; dup {
-			return nil, 0, fmt.Errorf("fleet: scenario %q: duplicate tier %q", sc.Name, ti.Name)
+			return nil, 0, nil, fmt.Errorf("fleet: scenario %q: duplicate tier %q", sc.Name, ti.Name)
 		}
 		index[ti.Name] = i
 		nodes[i] = tierNode{Tier: ti, parent: -1}
 		if ti.Parent == "" {
 			if root >= 0 {
-				return nil, 0, fmt.Errorf("fleet: scenario %q: tiers %q and %q both claim the root (empty parent)",
+				return nil, 0, nil, fmt.Errorf("fleet: scenario %q: tiers %q and %q both claim the root (empty parent)",
 					sc.Name, nodes[root].Name, ti.Name)
 			}
 			root = i
 		}
 	}
 	if root < 0 {
-		return nil, 0, fmt.Errorf("fleet: scenario %q: no root tier (every tier names a parent)", sc.Name)
+		return nil, 0, nil, fmt.Errorf("fleet: scenario %q: no root tier (every tier names a parent)", sc.Name)
 	}
 	for i := range nodes {
 		if i == root {
@@ -101,10 +102,10 @@ func (sc *Scenario) topology() ([]tierNode, int, error) {
 		}
 		pi, ok := index[nodes[i].Parent]
 		if !ok {
-			return nil, 0, fmt.Errorf("fleet: tier %q: unknown parent %q", nodes[i].Name, nodes[i].Parent)
+			return nil, 0, nil, fmt.Errorf("fleet: tier %q: unknown parent %q", nodes[i].Name, nodes[i].Parent)
 		}
 		if pi == i {
-			return nil, 0, fmt.Errorf("fleet: tier %q is its own parent", nodes[i].Name)
+			return nil, 0, nil, fmt.Errorf("fleet: tier %q is its own parent", nodes[i].Name)
 		}
 		nodes[i].parent = pi
 	}
@@ -115,66 +116,54 @@ func (sc *Scenario) topology() ([]tierNode, int, error) {
 		for nodes[at].parent >= 0 {
 			at = nodes[at].parent
 			if depth++; depth > len(nodes) {
-				return nil, 0, fmt.Errorf("fleet: tier %q: parent chain does not reach a root (cycle)", nodes[i].Name)
+				return nil, 0, nil, fmt.Errorf("fleet: tier %q: parent chain does not reach a root (cycle)", nodes[i].Name)
 			}
 		}
 		nodes[i].depth = depth
 	}
-	return nodes, root, nil
+	return nodes, root, index, nil
 }
 
 // rootTierName names the root tier Normalize synthesizes for the flat and
 // "gateways" scenario forms.
 const rootTierName = "wan"
 
-// tierIndex resolves a tier name to its node index, or -1.
-func tierIndex(nodes []tierNode, name string) int {
-	for i := range nodes {
-		if nodes[i].Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// classAttachIndex resolves the class's attach tier to a node index: the
-// tier it names, else the root.
-func classAttachIndex(nodes []tierNode, root int, c *Class) int {
-	if ti := tierIndex(nodes, c.Tier); ti >= 0 {
-		return ti
-	}
-	return root
-}
-
 // validateTopologyNodes checks a resolved tree's links and delays plus
-// every class's attach point.
-func (sc *Scenario) validateTopologyNodes(nodes []tierNode) error {
+// every class's attach point, and returns each class's attach tier: the
+// tier it names through index, else the root.
+func (sc *Scenario) validateTopologyNodes(nodes []tierNode, root int, index map[string]int) ([]int, error) {
 	for _, nd := range nodes {
 		if err := validateUplink(nd.Uplink, nd.Name, ""); err != nil {
-			return err
+			return nil, err
 		}
 		if !(nd.PropagationSec >= 0) || math.IsInf(nd.PropagationSec, 0) {
-			return fmt.Errorf("fleet: tier %q: propagation %v sec must be finite and non-negative",
+			return nil, fmt.Errorf("fleet: tier %q: propagation %v sec must be finite and non-negative",
 				nd.Name, nd.PropagationSec)
 		}
 		if !(nd.TxPerByteJ >= 0) || math.IsInf(nd.TxPerByteJ, 0) {
-			return fmt.Errorf("fleet: tier %q: forwarding energy %v J/byte must be finite and non-negative",
+			return nil, fmt.Errorf("fleet: tier %q: forwarding energy %v J/byte must be finite and non-negative",
 				nd.Name, nd.TxPerByteJ)
 		}
 		if d := nd.Downlink; d != nil {
 			if err := validateUplink(d.uplinkConfig(), nd.Name, " downlink"); err != nil {
-				return err
+				return nil, err
 			}
 			if !(d.PropagationSec >= 0) || math.IsInf(d.PropagationSec, 0) {
-				return fmt.Errorf("fleet: tier %q: downlink propagation %v sec must be finite and non-negative",
+				return nil, fmt.Errorf("fleet: tier %q: downlink propagation %v sec must be finite and non-negative",
 					nd.Name, d.PropagationSec)
 			}
 		}
 	}
-	for _, c := range sc.Classes {
-		if c.Tier != "" && tierIndex(nodes, c.Tier) < 0 {
-			return fmt.Errorf("fleet: class %q: unknown tier %q", c.Name, c.Tier)
+	attach := make([]int, len(sc.Classes))
+	for ci, c := range sc.Classes {
+		ti, ok := index[c.Tier]
+		if !ok && c.Tier != "" {
+			return nil, fmt.Errorf("fleet: class %q: unknown tier %q", c.Name, c.Tier)
 		}
+		if !ok {
+			ti = root
+		}
+		attach[ci] = ti
 	}
-	return nil
+	return attach, nil
 }
